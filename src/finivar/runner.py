@@ -18,7 +18,6 @@ from . import linalg, representations, spin
 from .groups import (
     NotPermissibleError,
     PermutationGroup,
-    are_related,
     flag_trivial_exchange,
     induced_group,
     is_permissible,

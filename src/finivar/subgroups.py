@@ -1,71 +1,140 @@
-"""Exhaustive subgroup enumeration for small symmetric groups.
+"""Exhaustive subgroup enumeration for small permutation groups.
 
-Every subgroup is reachable by repeatedly joining cyclic subgroups, so a
-breadth-first search over class representatives against the full list of
-cyclic subgroups enumerates all conjugacy classes.  Exactness is guaranteed
-for degree <= 6; everything is ordered deterministically so downstream counts
-are stable across runs.
+Every subgroup is a join of cyclic subgroups, so a breadth-first search that
+joins each found subgroup with every cyclic subgroup reaches them all (the
+cyclic extension method: Neubüser 1960; Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, 2005, §3.3).  It runs on integer ids: a group's
+elements are numbered in lexicographic order (so sorted ids are sorted image
+tuples, and the identity is 0), products and inverses are read from tables of
+compact ``array`` rows, and a subgroup is a ``bytearray`` of membership flags
+whose ``bytes`` are its key.  The table of S_n has n!^2 entries, so
+``MAX_EXACT_DEGREE`` is a cost guard, not an exactness limit.  Everything is
+ordered deterministically so downstream counts are stable across runs.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
+from typing import Callable, Sequence
 
 __all__ = ["SubgroupClass", "subgroup_conjugacy_classes", "enumerate_subgroups", "MAX_EXACT_DEGREE"]
 
 MAX_EXACT_DEGREE = 6
 
 
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
-def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(a)
-    for i, j in enumerate(a):
-        inv[j] = i
-    return tuple(inv)
-
-
-def _conjugate(h: tuple[int, ...], g: tuple[int, ...], g_inv: tuple[int, ...]) -> tuple[int, ...]:
-    return _compose(g, _compose(h, g_inv))
-
-
 def _cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
-    seen = [False] * len(p)
+    seen: set[int] = set()
     lengths = []
     for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        lengths.append(length)
+        j, length = start, 0
+        while j not in seen:
+            seen.add(j)
+            j, length = p[j], length + 1
+        if length:
+            lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
 
 
+def _id_tables(elements: Sequence[tuple[int, ...]]) -> tuple[list[array], array]:
+    """``mul[a][b]`` is the id of a∘b (apply b, then a); ``inv[a]`` of a's inverse.
+
+    Only the rows of a generating set are composed from tuples; the row of
+    s∘x is the row of s read through the row of x.
+    """
+    size = len(elements)
+    index = {p: i for i, p in enumerate(elements)}
+    code = "H" if size <= 1 << 16 else "I"
+    mul: list = [array(code, range(size))] + [None] * (size - 1)
+    rows: list[array] = []
+    for a in range(size):
+        if mul[a] is None:
+            mul[a] = array(code, [index[tuple(map(elements[a].__getitem__, b))] for b in elements])
+            rows.append(mul[a])
+            frontier = [x for x in range(size) if mul[x] is not None]
+            while frontier:
+                new = []
+                for row in rows:
+                    for x in frontier:
+                        if mul[row[x]] is None:
+                            mul[row[x]] = array(code, itemgetter(*mul[x])(row))
+                            new.append(row[x])
+                frontier = new
+    return mul, array(code, [row.index(0) for row in mul])
+
+
 def close_tuples(
-    generators: tuple[tuple[int, ...], ...], n: int
-) -> frozenset[tuple[int, ...]]:
-    ident = tuple(range(n))
-    els = {ident}
-    frontier = [ident]
+    generators: tuple[int, ...], mul: Sequence[array], base: Sequence[int] = (0,)
+) -> bytearray:
+    """Membership flags of the group generated by the subgroup ``base`` (ids) and ``generators``.
+
+    Dimino's algorithm: the result is a union of left cosets yH of H = base,
+    so it grows a coset at a time.  Each coset's first element is multiplied
+    by every generator; a product outside the cosets so far starts a new one.
+    """
+    flags = bytearray(len(mul))
+    members = list(base)
+    for h in members:
+        flags[h] = 1
+    coset = itemgetter(*base) if len(base) > 1 else lambda row: (row[base[0]],)
+    rows = [mul[g] for g in generators]
+    first = 0
+    while first < len(members):
+        y = members[first]
+        for row in rows:
+            z = row[y]
+            if not flags[z]:
+                new = coset(mul[z])
+                members.extend(new)
+                for c in new:
+                    flags[c] = 1
+        first += len(base)
+    return flags
+
+
+def _cyclic_extension(
+    mul: Sequence[array], accept: Callable[[bytearray, tuple[int, ...]], bool]
+) -> list[tuple[list[int], tuple[int, ...]]]:
+    """Join-BFS from the trivial group over the cyclic subgroups.
+
+    Cyclic subgroups are joined in (order, element ids) order, each by its
+    least generator id.  Each distinct join is offered once to ``accept``;
+    accepted ones are joined further and returned, with the trivial group, as
+    (ascending ids, generator ids) sorted by (order, ids).
+    """
+    cyclic: dict[frozenset[int], int] = {}
+    for g in range(len(mul)):
+        powers = [0]
+        while mul[powers[-1]][g] != 0:
+            powers.append(mul[powers[-1]][g])
+        cyclic.setdefault(frozenset(powers), g)
+    cyclics = [g for _, g in sorted(cyclic.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
+
+    frontier = [(close_tuples((), mul), ())]
+    found = frontier[:]
+    seen = {bytes(frontier[0][0])}
     while frontier:
-        new = []
-        for a in generators:
-            for b in frontier:
-                c = _compose(a, b)
-                if c not in els:
-                    els.add(c)
-                    new.append(c)
-        frontier = new
-    return frozenset(els)
+        next_frontier = []
+        for base, base_gens in frontier:
+            base_ids = list(itertools.compress(range(len(mul)), base))
+            for g in cyclics:
+                if base[g]:
+                    continue
+                gens = base_gens + (g,)
+                joined = close_tuples(gens, mul, base_ids)
+                key = bytes(joined)
+                if key not in seen:
+                    seen.add(key)
+                    if accept(joined, gens):
+                        next_frontier.append((joined, gens))
+        found += next_frontier
+        frontier = next_frontier
+    listed = [(list(itertools.compress(range(len(mul)), flags)), gens) for flags, gens in found]
+    return sorted(listed, key=lambda item: (len(item[0]), item[0]))
 
 
 @dataclass(frozen=True)
@@ -80,139 +149,57 @@ class SubgroupClass:
         return len(self.elements)
 
 
-def _class_invariant(elements: frozenset[tuple[int, ...]]) -> tuple:
-    counts = Counter(_cycle_type(p) for p in elements)
-    return (len(elements), tuple(sorted(counts.items())))
-
-
 @lru_cache(maxsize=None)
 def subgroup_conjugacy_classes(n: int) -> tuple[SubgroupClass, ...]:
     """All subgroups of the degree-n symmetric group, one per conjugacy class.
 
-    Deterministic: cyclic subgroups are joined in lexicographic order and the
-    returned classes are sorted by (order, element list).
+    A join starts a new class unless a known representative with the same
+    cycle-type counts conjugates into it.  Deterministic: the first subgroup
+    found in each class represents it, and the returned classes are sorted by
+    (order, element list).
     """
     if n < 1:
         raise ValueError("degree must be positive")
     if n > MAX_EXACT_DEGREE:
         raise ValueError(
-            f"exhaustive subgroup enumeration is guaranteed exact only up to degree "
-            f"{MAX_EXACT_DEGREE}, got {n}"
+            f"subgroup classes are computed only up to degree {MAX_EXACT_DEGREE} "
+            f"(the table of S_n has n!^2 entries), got {n}"
         )
     sym = sorted(itertools.permutations(range(n)))
-    ident = tuple(range(n))
+    mul, inv = _id_tables(sym)
+    cycle_types = [_cycle_type(p) for p in sym]
+    known: dict[tuple, list[tuple[int, ...]]] = {}
 
-    # distinct cyclic subgroups, keeping the lexicographically first generator
-    cyclic: dict[frozenset[tuple[int, ...]], tuple[int, ...]] = {}
-    for g in sym:
-        powers = {ident}
-        p = g
-        while p != ident:
-            powers.add(p)
-            p = _compose(p, g)
-        key = frozenset(powers)
-        if key not in cyclic:
-            cyclic[key] = g
-    cyclics = sorted(cyclic.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+    def is_new_class(flags: bytearray, gens: tuple[int, ...]) -> bool:
+        counts = Counter(itertools.compress(cycle_types, flags))
+        bucket = known.setdefault(tuple(sorted(counts.items())), [])
+        for known_gens in bucket:
+            for g in range(len(sym)):
+                row, g_inv = mul[g], inv[g]
+                if all(flags[row[mul[x][g_inv]]] for x in known_gens):
+                    return False
+        bucket.append(gens)
+        return True
 
-    inverses = {g: _inverse(g) for g in sym}
-
-    trivial = frozenset({ident})
-    reps: list[tuple[frozenset[tuple[int, ...]], tuple[tuple[int, ...], ...]]] = [
-        (trivial, ())
-    ]
-    by_invariant: dict[tuple, list[int]] = {_class_invariant(trivial): [0]}
-    seen_exact: set[frozenset[tuple[int, ...]]] = {trivial}
-
-    def is_known_class(candidate: frozenset[tuple[int, ...]], gens: tuple) -> bool:
-        key = _class_invariant(candidate)
-        bucket = by_invariant.get(key)
-        if bucket is None:
-            return False
-        for idx in bucket:
-            known, known_gens = reps[idx]
-            if known == candidate:
-                return True
-            for g in sym:
-                g_inv = inverses[g]
-                if all(
-                    _conjugate(x, g, g_inv) in candidate for x in known_gens
-                ):
-                    return True
-        return False
-
-    frontier = [0]
-    while frontier:
-        next_frontier: list[int] = []
-        for idx in frontier:
-            base, base_gens = reps[idx]
-            for cyc_set, cyc_gen in cyclics:
-                if cyc_set <= base:
-                    continue
-                gens = base_gens + (cyc_gen,)
-                joined = close_tuples(gens, n)
-                if joined in seen_exact:
-                    continue
-                seen_exact.add(joined)
-                if is_known_class(joined, gens):
-                    continue
-                reps.append((joined, gens))
-                new_idx = len(reps) - 1
-                by_invariant.setdefault(_class_invariant(joined), []).append(new_idx)
-                next_frontier.append(new_idx)
-        frontier = next_frontier
-
-    ordered = sorted(
-        reps, key=lambda item: (len(item[0]), sorted(item[0]))
-    )
     return tuple(
-        SubgroupClass(elements=tuple(sorted(els)), generators=gens)
-        for els, gens in ordered
+        SubgroupClass(tuple(sym[i] for i in ids), tuple(sym[g] for g in gens))
+        for ids, gens in _cyclic_extension(mul, is_new_class)
     )
 
 
 def enumerate_subgroups(
     elements: tuple[tuple[int, ...], ...], n: int, budget: int = 100_000
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All subgroups (no conjugacy folding) of an explicitly given group.
+    """All subgroups (no conjugacy folding) of an explicitly given group, by
+    cyclic extension over ids of its own elements.  Raises when more than
+    ``budget`` distinct subgroups appear."""
+    members = sorted(set(elements)) or [tuple(range(n))]
+    offered = itertools.count(2)
 
-    Join-BFS over the group's cyclic subgroups with exact deduplication.
-    Raises when more than ``budget`` distinct subgroups appear.
-    """
-    member_set = set(elements)
-    ident = tuple(range(n))
-    cyclic: dict[frozenset[tuple[int, ...]], tuple[int, ...]] = {}
-    for g in sorted(member_set):
-        powers = {ident}
-        p = g
-        while p != ident:
-            powers.add(p)
-            p = _compose(p, g)
-        key = frozenset(powers)
-        if key not in cyclic:
-            cyclic[key] = g
-    cyclics = sorted(cyclic.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+    def within_budget(flags: bytearray, gens: tuple[int, ...]) -> bool:
+        if next(offered) > budget:
+            raise RuntimeError(f"subgroup enumeration exceeded the budget of {budget} subgroups")
+        return True
 
-    trivial = frozenset({ident})
-    seen: dict[frozenset[tuple[int, ...]], tuple[tuple[int, ...], ...]] = {trivial: ()}
-    frontier = [trivial]
-    while frontier:
-        next_frontier: list[frozenset[tuple[int, ...]]] = []
-        for base in frontier:
-            base_gens = seen[base]
-            for cyc_set, cyc_gen in cyclics:
-                if cyc_set <= base:
-                    continue
-                joined = close_tuples(base_gens + (cyc_gen,), n)
-                if joined in seen:
-                    continue
-                if len(seen) >= budget:
-                    raise RuntimeError(
-                        f"subgroup enumeration exceeded the budget of {budget} subgroups"
-                    )
-                seen[joined] = base_gens + (cyc_gen,)
-                next_frontier.append(joined)
-        frontier = next_frontier
-    return tuple(
-        tuple(sorted(els)) for els in sorted(seen, key=lambda s: (len(s), sorted(s)))
-    )
+    found = _cyclic_extension(_id_tables(members)[0], within_budget)
+    return tuple(tuple(members[i] for i in ids) for ids, _ in found)

@@ -245,7 +245,7 @@ def test_exhaustive_falsifier_matches_frozen_census():
     assert report.counterexamples == ()
     assert report.subgroup_classes_by_degree == ((4, 11), (6, 56))
     assert report.complete
-    assert time.perf_counter() - started < 600.0
+    assert time.perf_counter() - started < 30.0
 
 
 def test_consecutive_runs_serialize_byte_identically():

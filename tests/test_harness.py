@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
-import pytest
+import itertools
 
-from finivar.groups import Permutation, PermutationGroup
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from finivar.groups import Permutation, PermutationGroup, are_related, is_permissible
 from finivar.harness import (
+    _partition_orbits,
+    _verdict_counts,
     VERDICT_ALL_DIFFERENT,
     VERDICT_ALL_RELATED,
     VERDICT_MIXED,
@@ -18,8 +24,9 @@ from finivar.harness import (
     theorem_a1_search,
 )
 from finivar.spaces import ConceptualVariable, PointSpace, VariableFamily
+from finivar.subgroups import subgroup_conjugacy_classes
 
-from conftest import space_of, variable_from_assignment
+from conftest import permutations_of, space_of, variable_from_assignment
 
 
 def pair_partition_family(space):
@@ -342,3 +349,51 @@ class TestFalsifier:
             exhaustive_falsifier(0)
         with pytest.raises(ValueError, match="up to 6"):
             exhaustive_falsifier(7)
+
+
+def classified_verdict_counts(n, partitions, cls):
+    """Verdict counts over every family of the shape, one classification each."""
+    space = space_of(n, "census")
+    group = PermutationGroup(space, (), tuple(Permutation(t) for t in cls.elements))
+    counts = {VERDICT_ALL_RELATED: 0, VERDICT_ALL_DIFFERENT: 0, VERDICT_MIXED: 0}
+    for combo in itertools.combinations(partitions, 3):
+        members = tuple(
+            variable_from_assignment(space, a, f"t{i}") for i, a in enumerate(combo)
+        )
+        verdict = classify_thoughts(ThoughtScenario(space, VariableFamily(members), group)).verdict
+        counts[verdict] += 1
+    return counts
+
+
+@st.composite
+def balanced_groups(draw):
+    """A group from random generators on at most 6 points, plus a balanced shape."""
+    n = draw(st.integers(2, 6))
+    blocks = draw(st.sampled_from([b for b in range(2, n + 1) if n % b == 0]))
+    gens = draw(st.lists(permutations_of(n), max_size=2))
+    return PermutationGroup.generate(space_of(n), tuple(gens)), balanced_partitions(n, blocks)
+
+
+class TestOrbitCounting:
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_counts_match_per_family_classification(self, n):
+        partitions = balanced_partitions(n, 2)
+        for cls in subgroup_conjugacy_classes(n):
+            orbits = _partition_orbits(partitions, cls.elements)
+            counted = _verdict_counts(len(orbit) for orbit in orbits)
+            assert counted == classified_verdict_counts(n, partitions, cls)
+
+    @given(balanced_groups())
+    @settings(max_examples=100, deadline=None)
+    def test_permissible_exactly_when_orbit_is_itself(self, group_shape):
+        group, partitions = group_shape
+        orbits = _partition_orbits(partitions, [k.images for k in group.elements])
+        orbit_of = {p: orbit for orbit in orbits for p in orbit}
+        variables = [
+            variable_from_assignment(group.space, p, f"v{i}") for i, p in enumerate(partitions)
+        ]
+        permissible = [v for v in variables if is_permissible(v, group)]
+        assert [v.partition() for v in permissible] == [p for p in partitions if orbit_of[p] == {p}]
+        for theta, eta in itertools.product(permissible, repeat=2):
+            related = are_related(theta, eta, group) is not None
+            assert related == (theta.partition() == eta.partition())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from itertools import permutations as all_perms
 
 import pytest
@@ -14,6 +15,16 @@ CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 19, 6: 56}
 
 # Total subgroup count of S4 is 30.
 S4_SUBGROUP_COUNT = 30
+
+# The S6 class list as first computed by the tuple-space join search: the
+# SHA-256 of repr([(elements, generators), ...]) pins class order, the chosen
+# representative of each class and its generators.
+S6_CLASSES_SHA256 = "559c1adad2d5519ceaae37a1d7b570172b48d77fe2f7b3d0258150e3c8d4ed17"
+S6_CLASS_ORDERS = [
+    1, 2, 2, 2, 3, 3, 4, 4, 4, 4, 4, 4, 4, 5, 6, 6, 6, 6, 6, 6, 8, 8, 8, 8, 8, 8, 8, 9,
+    10, 12, 12, 12, 12, 16, 18, 18, 18, 20, 24, 24, 24, 24, 24, 24, 36, 36, 36, 48, 48,
+    60, 60, 72, 120, 120, 360, 720,
+]
 
 
 def compose(p, q):
@@ -63,6 +74,12 @@ class TestConjugacyClasses:
         a = subgroups.subgroup_conjugacy_classes(5)
         b = subgroups.subgroup_conjugacy_classes(5)
         assert a == b
+
+    def test_s6_class_list_is_frozen(self):
+        classes = subgroups.subgroup_conjugacy_classes(6)
+        assert [c.order for c in classes] == S6_CLASS_ORDERS
+        listing = repr([(c.elements, c.generators) for c in classes])
+        assert hashlib.sha256(listing.encode()).hexdigest() == S6_CLASSES_SHA256
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
