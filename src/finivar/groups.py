@@ -238,8 +238,12 @@ class GroupHomomorphism:
                 (els[rng.randrange(len(els))], els[rng.randrange(len(els))])
                 for _ in range(sample_pairs)
             )
+        # Compose image tuples directly: a Permutation per product would be
+        # built and re-validated once per pair.
+        images = {k.images: v.images for k, v in self.mapping.items()}
         for a, b in pairs:
-            if self.mapping[a * b] != self.mapping[a] * self.mapping[b]:
+            fa, fb = images[a.images], images[b.images]
+            if images[tuple(a.images[i] for i in b.images)] != tuple(fa[i] for i in fb):
                 return False
         return True
 

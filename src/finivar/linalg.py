@@ -20,17 +20,14 @@ __all__ = [
     "is_hermitian",
     "is_unitary",
     "tensor",
-    "apply",
     "inner",
     "max_abs",
     "HERMITIAN_TOL",
     "CLUSTER_GAP",
-    "RECONSTRUCTION_TOL",
 ]
 
 HERMITIAN_TOL = 1e-10
 CLUSTER_GAP = 1e-8
-RECONSTRUCTION_TOL = 1e-8
 _PHASE_ENTRY_TOL = 1e-8
 
 
@@ -53,10 +50,6 @@ def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
-
-
-def apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return a @ v
 
 
 def inner(u: np.ndarray, v: np.ndarray) -> complex:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "InjectivityResult",
     "check_coherent_injectivity",
     "QuestionAnswer",
+    "OperatorTolerances",
     "OperatorBundle",
     "build_operator",
     "bundle_from_matrix",
@@ -47,6 +48,7 @@ HOMOMORPHISM_TOL = 1e-8
 INJECTIVITY_DISTANCE_TOL = 1e-6
 INJECTIVITY_OVERLAP_TOL = 1e-8
 ORTHOGONAL_GROUPING_TOL = 1e-8
+SPECTRAL_RECONSTRUCTION_TOL = 1e-8
 CONJUGATION_TOL = 1e-8
 EXPANSION_TOL = 1e-10
 COMMUTANT_TOL = 1e-8
@@ -185,7 +187,11 @@ def cyclic_dft_rep(n: int, space: PointSpace | None = None) -> UnitaryRep:
 
 
 class CoherentFamily:
-    """The orbit of a base state under a representation, keyed by group element."""
+    """The orbit of a base state under a representation, keyed by group element.
+
+    The states are fixed at construction, so the pairwise data derived from
+    them (overlaps, injectivity verdicts) is computed once and kept here.
+    """
 
     def __init__(self, rep: UnitaryRep, base: np.ndarray) -> None:
         base = np.asarray(base, dtype=complex)
@@ -196,10 +202,30 @@ class CoherentFamily:
         self.rep = rep
         self.base = base
         self.states = {k: rep(k) @ base for k in rep.group.elements}
+        self._overlaps: np.ndarray | None = None
+        self._injectivity: dict[tuple[float, float], InjectivityResult] = {}
 
     @property
     def group(self) -> PermutationGroup:
         return self.rep.group
+
+    def overlaps(self) -> np.ndarray:
+        """``|<a|b>| / (|a| |b|)`` for every ordered pair of states, in element order.
+
+        Each entry is computed pair by pair, in the order of its indices, so it
+        is bit-identical to the same expression evaluated on the two states.
+        The diagonal is left at zero.
+        """
+        if self._overlaps is None:
+            states = list(self.states.values())
+            norms = [np.linalg.norm(a) for a in states]
+            overlaps = np.zeros((len(states), len(states)))
+            for i, a in enumerate(states):
+                for j, b in enumerate(states):
+                    if i != j:
+                        overlaps[i, j] = abs(linalg.inner(a, b)) / float(norms[i] * norms[j])
+            self._overlaps = overlaps
+        return self._overlaps
 
 
 @dataclass(frozen=True)
@@ -218,17 +244,31 @@ def check_coherent_injectivity(
     distance_tol: float = INJECTIVITY_DISTANCE_TOL,
     overlap_tol: float = INJECTIVITY_OVERLAP_TOL,
 ) -> InjectivityResult:
-    """Verify distinct elements give distinct states, even up to a global phase."""
+    """Verify distinct elements give distinct states, even up to a global phase.
+
+    The verdict is kept on the family per tolerance pair, so repeated operator
+    builds over one family scan its pairs once.
+    """
+    key = (distance_tol, overlap_tol)
+    if key not in family._injectivity:
+        family._injectivity[key] = _scan_injectivity(family, distance_tol, overlap_tol)
+    return family._injectivity[key]
+
+
+def _scan_injectivity(
+    family: CoherentFamily, distance_tol: float, overlap_tol: float
+) -> InjectivityResult:
     elements = family.group.elements
+    overlaps = family.overlaps()
     min_distance = float("inf")
     max_overlap = 0.0
     witness: tuple[Permutation, Permutation] | None = None
     ok = True
     for i, g in enumerate(elements):
-        for h in elements[i + 1 :]:
-            a, b = family.states[g], family.states[h]
-            distance = float(np.linalg.norm(a - b))
-            overlap = abs(linalg.inner(a, b)) / float(np.linalg.norm(a) * np.linalg.norm(b))
+        for j in range(i + 1, len(elements)):
+            h = elements[j]
+            distance = float(np.linalg.norm(family.states[g] - family.states[h]))
+            overlap = float(overlaps[i, j])
             if distance < min_distance:
                 min_distance = distance
             if overlap > max_overlap:
@@ -246,6 +286,22 @@ def check_coherent_injectivity(
 class QuestionAnswer:
     question: str
     answer: str
+
+
+@dataclass(frozen=True)
+class OperatorTolerances:
+    """Every tolerance an operator build applies, named as in a scenario's table."""
+
+    orthogonal_grouping: float = ORTHOGONAL_GROUPING_TOL
+    injectivity_distance: float = INJECTIVITY_DISTANCE_TOL
+    injectivity_overlap: float = INJECTIVITY_OVERLAP_TOL
+    hermitian: float = linalg.HERMITIAN_TOL
+    eigen_cluster_gap: float = linalg.CLUSTER_GAP
+    spectral_reconstruction: float = SPECTRAL_RECONSTRUCTION_TOL
+
+    @classmethod
+    def from_table(cls, table: dict[str, float]) -> "OperatorTolerances":
+        return cls(**{f.name: table[f.name] for f in fields(cls)})
 
 
 class OperatorBundle:
@@ -291,9 +347,7 @@ def build_operator(
     theta: ConceptualVariable,
     family: CoherentFamily,
     base_point: int = 0,
-    grouping_tol: float = ORTHOGONAL_GROUPING_TOL,
-    distance_tol: float = INJECTIVITY_DISTANCE_TOL,
-    overlap_tol: float = INJECTIVITY_OVERLAP_TOL,
+    tolerances: OperatorTolerances = OperatorTolerances(),
 ) -> OperatorBundle:
     """Sum value-weighted projectors onto coherent-state groups.
 
@@ -318,7 +372,9 @@ def build_operator(
             "coherent labeling requires a regular action: the group must match the "
             "domain size and reach every point from the base point exactly once"
         )
-    injectivity = check_coherent_injectivity(family, distance_tol, overlap_tol)
+    injectivity = check_coherent_injectivity(
+        family, tolerances.injectivity_distance, tolerances.injectivity_overlap
+    )
     if not injectivity:
         g, h = injectivity.witness
         raise CoherentCollisionError(
@@ -326,20 +382,23 @@ def build_operator(
             f"(distance {injectivity.min_distance:.3e}, overlap {injectivity.max_overlap:.6f})"
         )
     numeric = theta.numeric_values()
+    values = np.array([theta.assignment[point] for point in points])
+    overlaps = family.overlaps()
+    rows, cols = np.nonzero(
+        (values[:, None] < values[None, :]) & (overlaps > tolerances.orthogonal_grouping)
+    )
+    if rows.size:
+        # The first violation in (lower value, higher value, element, element) order.
+        first = np.lexsort((cols, rows, values[cols], values[rows]))[0]
+        i, j = rows[first], cols[first]
+        raise OrthogonalityError(
+            f"outside the orthogonal-coherent scope: states for values "
+            f"{theta.values[values[i]]!r} and {theta.values[values[j]]!r} overlap by "
+            f"{float(overlaps[i, j]):.3e}"
+        )
     grouped: dict[int, list[np.ndarray]] = {v: [] for v in range(theta.value_count)}
-    for k, point in zip(group.elements, points):
-        grouped[theta.assignment[point]].append(family.states[k])
-    for va, vb in itertools.combinations(sorted(grouped), 2):
-        for sa in grouped[va]:
-            for sb in grouped[vb]:
-                overlap = abs(linalg.inner(sa, sb)) / float(
-                    np.linalg.norm(sa) * np.linalg.norm(sb)
-                )
-                if overlap > grouping_tol:
-                    raise OrthogonalityError(
-                        f"outside the orthogonal-coherent scope: states for values "
-                        f"{theta.values[va]!r} and {theta.values[vb]!r} overlap by {overlap:.3e}"
-                    )
+    for k, v in zip(group.elements, values):
+        grouped[int(v)].append(family.states[k])
     dim = family.rep.dim
     operator = np.zeros((dim, dim), dtype=complex)
     projectors: dict[float, np.ndarray] = {}
@@ -358,7 +417,7 @@ def build_operator(
             f"outside the orthogonal-coherent scope: coherent groups span rank "
             f"{total_rank} of a dimension-{dim} space"
         )
-    spectral = linalg.eigh(operator)
+    spectral = linalg.eigh(operator, tolerances.hermitian, tolerances.eigen_cluster_gap)
     got = sorted(
         (c.value, c.multiplicity) for c in spectral.clusters
     )
@@ -367,7 +426,7 @@ def build_operator(
         for v in sorted(grouped)
     )
     for (gv, gm), (ev, em) in zip(got, expected):
-        if abs(gv - ev) > 1e-8 or gm != em:
+        if abs(gv - ev) > tolerances.spectral_reconstruction or gm != em:
             raise RuntimeError(
                 f"spectrum {got} does not reproduce the value grouping {expected}"
             )
@@ -414,15 +473,20 @@ def conjugation_check(
     element: Permutation,
     base_point: int = 0,
     tol: float = CONJUGATION_TOL,
+    tolerances: OperatorTolerances = OperatorTolerances(),
+    bundle: OperatorBundle | None = None,
 ) -> ConjugationResult:
     """Verify T(t)^dag A^theta T(t) equals the operator of theta∘t.
 
     Both operators go through the same construction; the residual is the
-    max-abs difference.
+    max-abs difference.  ``bundle``, theta's own operator, may be passed in
+    when one variable is checked against many elements; the operator of
+    theta∘t is always built afresh, so the law is never assumed.
     """
-    bundle = build_operator(theta, family, base_point)
+    if bundle is None:
+        bundle = build_operator(theta, family, base_point, tolerances)
     moved = theta.compose(element.images, name=f"{theta.name}~moved")
-    moved_bundle = build_operator(moved, family, base_point)
+    moved_bundle = build_operator(moved, family, base_point, tolerances)
     t_matrix = family.rep(element)
     conjugated = t_matrix.conj().T @ bundle.operator @ t_matrix
     residual = linalg.max_abs(conjugated - moved_bundle.operator)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from . import linalg, representations, spin
 from .groups import (
     NotPermissibleError,
+    PermissibilityWitness,
     PermutationGroup,
     flag_trivial_exchange,
     induced_group,
@@ -40,6 +42,10 @@ from .report import (
 )
 from .representations import (
     CoherentFamily,
+    IrreducibilityDiagnostic,
+    OperatorBundle,
+    OperatorTolerances,
+    RepDiagnostics,
     build_operator,
     bundle_from_matrix,
     check_coherent_injectivity,
@@ -48,7 +54,7 @@ from .representations import (
     expand_in_basis,
 )
 from .scenario import Scenario, ScenarioError
-from .spaces import VariableFamily, maximal_accessible
+from .spaces import ConceptualVariable, VariableFamily, maximal_accessible
 
 __all__ = ["RunFlags", "run_scenario", "DEFAULT_TOLERANCES", "resolve_tolerances"]
 
@@ -78,7 +84,14 @@ def resolve_tolerances(overrides: dict[str, float], scale: float) -> dict[str, f
         if key not in merged:
             raise ScenarioError(f"tolerances.{key}: unknown tolerance name")
         merged[key] = value
-    return {k: v * scale for k, v in merged.items()}
+    resolved = {k: v * scale for k, v in merged.items()}
+    for key in ("injectivity_overlap", "orthogonal_grouping"):
+        if resolved[key] >= 1:
+            raise ScenarioError(
+                f"tolerances.{key}: an overlap tolerance must stay below 1 after "
+                f"scaling, got {resolved[key]:g}"
+            )
+    return resolved
 
 
 @dataclass
@@ -90,24 +103,49 @@ class RunFlags:
 
 @dataclass
 class _Context:
+    """What the checks of one scenario run share, each built at most once."""
+
     scenario: Scenario
     tolerances: dict[str, float]
     flags: RunFlags
-    _family_cache: dict[tuple[Any, ...], Any] = field(default_factory=dict)
+    _bundles: dict[tuple[Any, ...], OperatorBundle] = field(default_factory=dict)
 
     def tol(self, name: str) -> float:
         return self.tolerances[name]
 
+    @cached_property
     def coherent_family(self) -> CoherentFamily:
-        key = ("family",)
-        if key not in self._family_cache:
-            rep = self.scenario.build_representation()
-            base = self.scenario.base_state
-            if base is None:
-                base = np.zeros(rep.dim, dtype=complex)
-                base[0] = 1.0
-            self._family_cache[key] = CoherentFamily(rep, base)
-        return self._family_cache[key]
+        rep = self.scenario.build_representation()
+        base = self.scenario.base_state
+        if base is None:
+            base = np.zeros(rep.dim, dtype=complex)
+            base[0] = 1.0
+        return CoherentFamily(rep, base)
+
+    @cached_property
+    def operator_tolerances(self) -> OperatorTolerances:
+        return OperatorTolerances.from_table(self.tolerances)
+
+    @cached_property
+    def rep_diagnostics(self) -> RepDiagnostics:
+        return self.coherent_family.rep.diagnostics()
+
+    @cached_property
+    def irreducibility(self) -> IrreducibilityDiagnostic:
+        return commutant_diagnostic(self.coherent_family.rep, self.tol("commutant"))
+
+    def bundle(self, theta: ConceptualVariable, base_point: int) -> OperatorBundle:
+        """Theta's operator over the scenario's coherent family.
+
+        Keyed by name, labels and assignment: variables compare equal by
+        partition alone, and relabeled values give a different operator.
+        """
+        key = (theta.name, theta.values, theta.assignment, base_point)
+        if key not in self._bundles:
+            self._bundles[key] = build_operator(
+                theta, self.coherent_family, base_point, self.operator_tolerances
+            )
+        return self._bundles[key]
 
     def thought_scenario(
         self, group: PermutationGroup, spec_params: dict[str, Any], path: str
@@ -125,6 +163,10 @@ class _Context:
 
 def _status(ok: bool) -> str:
     return STATUS_PASS if ok else STATUS_FAIL
+
+
+def _witness_payload(witness: PermissibilityWitness) -> dict[str, Any]:
+    return {"k": witness.k, "phi1": witness.phi1, "phi2": witness.phi2}
 
 
 def _param_str(spec_params: dict[str, Any], key: str, path: str) -> str:
@@ -155,11 +197,7 @@ def _handle_permissibility(ctx: _Context, spec_params: dict[str, Any], path: str
         "expected": expect,
     }
     if result.witness is not None:
-        details["witness"] = {
-            "k": result.witness.k,
-            "phi1": result.witness.phi1,
-            "phi2": result.witness.phi2,
-        }
+        details["witness"] = _witness_payload(result.witness)
     return CheckRecord("", "permissibility", _status(result.ok == expect), details)
 
 
@@ -176,11 +214,7 @@ def _handle_induced_group(ctx: _Context, spec_params: dict[str, Any], path: str)
             {
                 "variable": theta.name,
                 "error": str(exc),
-                "witness": {
-                    "k": exc.witness.k,
-                    "phi1": exc.witness.phi1,
-                    "phi2": exc.witness.phi2,
-                },
+                "witness": _witness_payload(exc.witness),
             },
         )
     verified = hom.verify()
@@ -215,19 +249,15 @@ def _handle_theorem1(ctx: _Context, spec_params: dict[str, Any], path: str) -> C
             )
             return CheckRecord("", "theorem1-hypotheses", STATUS_NOT_APPLICABLE, details)
 
-    family = ctx.coherent_family()
+    family = ctx.coherent_family
     group = family.group
     permissibility = is_permissible(theta, group)
     details["permissible"] = permissibility.ok
     if not permissibility.ok:
-        details["witness"] = {
-            "k": permissibility.witness.k,
-            "phi1": permissibility.witness.phi1,
-            "phi2": permissibility.witness.phi2,
-        }
+        details["witness"] = _witness_payload(permissibility.witness)
         return CheckRecord("", "theorem1-hypotheses", STATUS_NOT_APPLICABLE, details)
 
-    diag = family.rep.diagnostics()
+    diag = ctx.rep_diagnostics
     details["representation"] = {
         "unitary_residual": diag.unitary_residual,
         "identity_residual": diag.identity_residual,
@@ -245,7 +275,7 @@ def _handle_theorem1(ctx: _Context, spec_params: dict[str, Any], path: str) -> C
         "max_overlap": injectivity.max_overlap,
     }
 
-    irreducibility = commutant_diagnostic(family.rep, ctx.tol("commutant"))
+    irreducibility = ctx.irreducibility
     details["irreducibility"] = {
         "commutant_dimension": irreducibility.commutant_dimension,
         "irreducible": irreducibility.irreducible,
@@ -253,14 +283,7 @@ def _handle_theorem1(ctx: _Context, spec_params: dict[str, Any], path: str) -> C
     }
 
     try:
-        bundle = build_operator(
-            theta,
-            family,
-            base_point,
-            ctx.tol("orthogonal_grouping"),
-            ctx.tol("injectivity_distance"),
-            ctx.tol("injectivity_overlap"),
-        )
+        bundle = ctx.bundle(theta, base_point)
     except (representations.CoherentCollisionError, representations.OrthogonalityError, ValueError) as exc:
         details["error"] = str(exc)
         return CheckRecord("", "theorem1-hypotheses", STATUS_ERROR, details)
@@ -268,7 +291,8 @@ def _handle_theorem1(ctx: _Context, spec_params: dict[str, Any], path: str) -> C
     clusters = bundle.eigenvalue_multiplicities()
     numeric_values = sorted(theta.numeric_values())
     spectrum_matches = len(clusters) == len(numeric_values) and all(
-        abs(cv - nv) <= 1e-8 for (cv, _), nv in zip(clusters, numeric_values)
+        abs(cv - nv) <= ctx.tol("spectral_reconstruction")
+        for (cv, _), nv in zip(clusters, numeric_values)
     )
     nondegenerate = bundle.is_nondegenerate()
     # Here the point space is the maximal variable's own value space, so the
@@ -296,7 +320,7 @@ def _handle_theorem1(ctx: _Context, spec_params: dict[str, Any], path: str) -> C
 
 def _handle_theorem2(ctx: _Context, spec_params: dict[str, Any], path: str) -> CheckRecord:
     theta = ctx.scenario.variable(_param_str(spec_params, "variable", path), path)
-    family = ctx.coherent_family()
+    family = ctx.coherent_family
     base_point = int(spec_params.get("base_point", 0))
     permissibility = is_permissible(theta, family.group)
     if not permissibility.ok:
@@ -307,18 +331,17 @@ def _handle_theorem2(ctx: _Context, spec_params: dict[str, Any], path: str) -> C
             {
                 "variable": theta.name,
                 "reason": "theta is not permissible under the acting group",
-                "witness": {
-                    "k": permissibility.witness.k,
-                    "phi1": permissibility.witness.phi1,
-                    "phi2": permissibility.witness.phi2,
-                },
+                "witness": _witness_payload(permissibility.witness),
             },
         )
     tol = ctx.tol("conjugation_residual")
+    bundle = ctx.bundle(theta, base_point)
     per_element = []
     max_residual = 0.0
     for t in family.group.elements:
-        result = conjugation_check(theta, family, t, base_point, tol)
+        result = conjugation_check(
+            theta, family, t, base_point, tol, ctx.operator_tolerances, bundle
+        )
         per_element.append({"element": t, "residual": result.residual})
         max_residual = max(max_residual, result.residual)
     details = {
@@ -332,16 +355,8 @@ def _handle_theorem2(ctx: _Context, spec_params: dict[str, Any], path: str) -> C
 
 def _handle_eq1(ctx: _Context, spec_params: dict[str, Any], path: str) -> CheckRecord:
     basis_var = ctx.scenario.variable(_param_str(spec_params, "basis", path), path)
-    family = ctx.coherent_family()
     base_point = int(spec_params.get("base_point", 0))
-    basis_bundle = build_operator(
-        basis_var,
-        family,
-        base_point,
-        ctx.tol("orthogonal_grouping"),
-        ctx.tol("injectivity_distance"),
-        ctx.tol("injectivity_overlap"),
-    )
+    basis_bundle = ctx.bundle(basis_var, base_point)
     target_spec = spec_params.get("target")
     if not isinstance(target_spec, dict):
         raise ScenarioError(f"{path}.target: expected a mapping")
@@ -350,18 +365,13 @@ def _handle_eq1(ctx: _Context, spec_params: dict[str, Any], path: str) -> CheckR
         target_bundle = bundle_from_matrix(
             f"spin({direction.x:.6g},{direction.y:.6g},{direction.z:.6g})",
             spin.spin_component_operator(direction),
+            ctx.tol("hermitian"),
+            ctx.tol("eigen_cluster_gap"),
         )
         target_desc: Any = {"direction": [direction.x, direction.y, direction.z]}
     elif "variable" in target_spec:
         target_var = ctx.scenario.variable(target_spec["variable"], path)
-        target_bundle = build_operator(
-            target_var,
-            family,
-            base_point,
-            ctx.tol("orthogonal_grouping"),
-            ctx.tol("injectivity_distance"),
-            ctx.tol("injectivity_overlap"),
-        )
+        target_bundle = ctx.bundle(target_var, base_point)
         target_desc = {"variable": target_var.name}
     else:
         raise ScenarioError(f"{path}.target: expected a direction or a variable")
@@ -402,7 +412,7 @@ def _handle_singlet_delta(ctx: _Context, spec_params: dict[str, Any], path: str)
     if not isinstance(seed, int):
         raise ScenarioError(f"{path}.seed: expected an integer")
     state = spin.singlet()
-    bundle = spin.delta_operator()
+    bundle = spin.delta_operator(ctx.tol("hermitian"), ctx.tol("eigen_cluster_gap"))
     eigen_residual = linalg.max_abs(bundle.operator @ state - (-3.0) * state)
     multiplicities = [c.multiplicity for c in bundle.spectral.clusters]
     cluster_values = [c.value for c in bundle.spectral.clusters]

@@ -79,7 +79,9 @@ def singlet() -> np.ndarray:
     return np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
 
-def delta_operator() -> OperatorBundle:
+def delta_operator(
+    hermitian_tol: float = linalg.HERMITIAN_TOL, cluster_gap: float = linalg.CLUSTER_GAP
+) -> OperatorBundle:
     """Sum of the three matched-component products on the pair space.
 
     The spectrum is computed by diagonalization, not asserted a priori: the
@@ -91,7 +93,7 @@ def delta_operator() -> OperatorBundle:
         + linalg.tensor(SIGMA_Y, SIGMA_Y)
         + linalg.tensor(SIGMA_Z, SIGMA_Z)
     )
-    return bundle_from_matrix("delta", matrix)
+    return bundle_from_matrix("delta", matrix, hermitian_tol, cluster_gap)
 
 
 def anticorrelation_residual(direction: SpinDirection) -> float:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finivar.groups import (
+    GroupHomomorphism,
     GroupTooLargeError,
     NotPermissibleError,
     Permutation,
@@ -211,6 +212,35 @@ class TestInducedGroup:
         with pytest.raises(NotPermissibleError) as err:
             induced_group(theta, group)
         assert err.value.witness.k.images == (1, 2, 3, 0)
+
+    def test_verify_rejects_a_broken_composition_law(self):
+        group = PermutationGroup.generate(space_of(4), (Permutation((1, 2, 3, 0)),))
+        target = PermutationGroup.generate(space_of(2), (Permutation((1, 0)),))
+        flip = Permutation((1, 0))
+        mapping = {k: target.identity if k.is_identity() else flip for k in group.elements}
+        assert not GroupHomomorphism(group, target, mapping).verify()
+
+    @given(
+        variable_group_pairs(max_points=5),
+        st.sampled_from(["identity", "conjugate", "random"]),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_verify_matches_the_composition_law(self, pair, kind, data):
+        _, group = pair
+        els = group.elements
+        if kind == "identity":
+            mapping = {k: k for k in els}
+        elif kind == "conjugate":
+            c = data.draw(st.sampled_from(els))
+            mapping = {k: c * k * c.inverse() for k in els}
+        else:
+            images = data.draw(st.lists(st.sampled_from(els), min_size=len(els), max_size=len(els)))
+            mapping = dict(zip(els, images))
+        expected = mapping[group.identity].is_identity() and all(
+            mapping[a * b] == mapping[a] * mapping[b] for a in els for b in els
+        )
+        assert GroupHomomorphism(group, group, mapping).verify() == expected
 
     @given(variable_group_pairs())
     @settings(max_examples=100, deadline=None)

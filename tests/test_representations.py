@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finivar import linalg
@@ -26,7 +28,7 @@ from finivar.representations import (
 )
 from finivar.spaces import ConceptualVariable, DomainMismatchError, PointSpace
 
-from conftest import space_of, variable_from_assignment
+from conftest import assignments, space_of, variable_from_assignment
 
 S = 1 / np.sqrt(2)
 
@@ -129,6 +131,29 @@ class TestCoherentFamily:
         assert not result.ok
         assert result.witness is not None
 
+    def test_overlaps_match_the_pairwise_formula(self):
+        rep = cyclic_dft_rep(5)
+        rng = np.random.default_rng(11)
+        family = CoherentFamily(rep, rng.normal(size=5) + 1j * rng.normal(size=5))
+        states = list(family.states.values())
+        overlaps = family.overlaps()
+        for i, a in enumerate(states):
+            for j, b in enumerate(states):
+                expected = (
+                    0.0
+                    if i == j
+                    else abs(linalg.inner(a, b)) / float(np.linalg.norm(a) * np.linalg.norm(b))
+                )
+                assert overlaps[i, j] == expected
+
+    def test_injectivity_is_kept_per_tolerance_pair(self):
+        family = cyclic_family(4)
+        first = check_coherent_injectivity(family)
+        assert check_coherent_injectivity(family) is first
+        strict = check_coherent_injectivity(family, distance_tol=2.0)
+        assert not strict.ok and first.ok
+        assert check_coherent_injectivity(family, distance_tol=2.0) is strict
+
     def test_phase_scaled_base_gives_same_operator(self):
         space = PointSpace(id="spin-values", labels=("+1", "-1"))
         theta = spin_z_variable(space)
@@ -217,6 +242,56 @@ class TestBuildOperator:
             build_operator(parity, family)
 
 
+def _reference_grouping_error(theta, family, tol):
+    """The pair-by-pair orthogonality scan, in value-pair then element order."""
+    grouped = {v: [] for v in range(theta.value_count)}
+    for k in family.group.elements:
+        grouped[theta.assignment[k.images[0]]].append(family.states[k])
+    for va, vb in itertools.combinations(sorted(grouped), 2):
+        for sa in grouped[va]:
+            for sb in grouped[vb]:
+                overlap = abs(linalg.inner(sa, sb)) / float(
+                    np.linalg.norm(sa) * np.linalg.norm(sb)
+                )
+                if overlap > tol:
+                    return (
+                        f"outside the orthogonal-coherent scope: states for values "
+                        f"{theta.values[va]!r} and {theta.values[vb]!r} overlap by {overlap:.3e}"
+                    )
+    return None
+
+
+class TestGroupingScan:
+    @given(
+        assignments(6, 6),
+        st.lists(st.sampled_from([0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 2.0, 1j]), min_size=6, max_size=6),
+    )
+    # Two violating pairs of one value pair, with different overlaps.
+    @example((0, 1, 1, 2, 0, 0), [0.0, 1.0, 0.0, 1j, -1.0, 1j])
+    @settings(max_examples=150, deadline=None)
+    def test_first_violation_matches_the_pairwise_scan(self, assignment, entries):
+        rep = cyclic_dft_rep(6)
+        base = np.array(entries, dtype=complex)
+        if np.linalg.norm(base) < 1e-12:
+            return
+        family = CoherentFamily(rep, base)
+        if not check_coherent_injectivity(family):
+            return
+        theta = ConceptualVariable(
+            "theta", rep.group.space, tuple(str(v) for v in range(max(assignment) + 1)), assignment
+        )
+        expected = _reference_grouping_error(theta, family, 1e-8)
+        if expected is None:
+            try:
+                build_operator(theta, family)
+            except OrthogonalityError as exc:
+                assert "span rank" in str(exc)
+        else:
+            with pytest.raises(OrthogonalityError) as err:
+                build_operator(theta, family)
+            assert str(err.value) == expected
+
+
 class TestConjugationLaw:
     @given(st.integers(0, 3))
     @settings(max_examples=4, deadline=None)
@@ -231,6 +306,17 @@ class TestConjugationLaw:
         result = conjugation_check(position, family, element)
         assert result.ok
         assert result.residual < 1e-12
+
+    def test_prebuilt_bundle_gives_the_same_residual(self):
+        family = cyclic_family(6)
+        position = ConceptualVariable(
+            "position", family.group.space, tuple(str(i) for i in range(6)), tuple(range(6))
+        )
+        bundle = build_operator(position, family)
+        for element in family.group.elements:
+            fresh = conjugation_check(position, family, element)
+            reused = conjugation_check(position, family, element, bundle=bundle)
+            assert reused == fresh
 
     def test_qubit_covariance(self):
         space = PointSpace(id="spin-values", labels=("+1", "-1"))

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from finivar.builtins import load_builtin
+from finivar import representations
+from finivar.builtins import builtin_text, load_builtin
 from finivar.report import (
     STATUS_ERROR,
     STATUS_FAIL,
@@ -71,6 +74,36 @@ class TestTolerances:
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             resolve_tolerances({}, 0.0)
+
+    @pytest.mark.parametrize("name", ["injectivity_overlap", "orthogonal_grouping"])
+    def test_overlap_tolerance_must_stay_below_one(self, name):
+        with pytest.raises(ScenarioError, match=f"tolerances.{name}: an overlap tolerance"):
+            resolve_tolerances({name: 1.0}, 1.0)
+        with pytest.raises(ScenarioError, match=f"tolerances.{name}: an overlap tolerance"):
+            resolve_tolerances({name: 0.5}, 2.0)
+        assert resolve_tolerances({name: 0.5}, 1.9)[name] == 0.95
+
+    def test_theorem1_and_theorem2_apply_one_table(self):
+        scenario = loads(
+            builtin_text("cyclic-4") + "tolerances:\n  injectivity_distance: 2.0\n"
+        )
+        report = run_scenario(scenario)
+        theorems = [c for c in report.checks if c.type in ("theorem1-hypotheses", "theorem2")]
+        assert [c.type for c in theorems] == ["theorem1-hypotheses"] * 2 + ["theorem2"] * 2
+        assert all(c.status == STATUS_ERROR for c in theorems)
+        assert all("coincide" in c.details["error"] for c in theorems)
+
+    def test_cluster_gap_reaches_every_diagonalization(self):
+        wide = "tolerances:\n  eigen_cluster_gap: 10.0\n"
+        report = run_scenario(loads(builtin_text("cyclic-4") + wide))
+        theorems = [c for c in report.checks if c.type in ("theorem1-hypotheses", "theorem2")]
+        assert all(c.status == STATUS_ERROR for c in theorems)
+        assert all("does not reproduce" in c.details["error"] for c in theorems)
+
+        report = run_scenario(loads(builtin_text("singlet") + wide))
+        (delta,) = [c for c in report.checks if c.type == "singlet-delta"]
+        assert delta.details["cluster_multiplicities"] == [4]
+        assert delta.status == STATUS_FAIL
 
     def test_unknown_override_from_file_surfaces_at_run(self):
         scenario = scenario_with(
@@ -255,3 +288,89 @@ class TestReportAssembly:
         report = run_scenario(load_builtin("cyclic-4"))
         assert all(c.elapsed_ms >= 0.0 for c in report.checks)
         assert report.exit_code == 0
+
+
+CYCLE12 = """
+name: cycle-12
+space:
+  id: cycle-12
+  labels: ["0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11"]
+variables:
+  - name: position
+    values: ["0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11"]
+    assignment: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
+  - name: doubled
+    values: ["0", "2", "4", "6", "8", "10", "12", "14", "16", "18", "20", "22"]
+    assignment: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
+  - name: residue
+    values: ["0", "1", "2", "3"]
+    assignment: [0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3]
+group:
+  generators:
+    - [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0]
+representation:
+  kind: cyclic-dft
+  n: 12
+checks:
+{checks}
+"""
+
+
+class TestOperatorCache:
+    def test_injectivity_scan_runs_once_per_scenario(self, monkeypatch):
+        scans = []
+        real = representations._scan_injectivity
+
+        def spy(family, distance_tol, overlap_tol):
+            scans.append((distance_tol, overlap_tol))
+            return real(family, distance_tol, overlap_tol)
+
+        monkeypatch.setattr(representations, "_scan_injectivity", spy)
+        report = run_scenario(
+            loads(
+                CYCLE12.format(
+                    checks="  - type: theorem2\n    variable: position\n"
+                    "  - type: theorem2\n    variable: residue\n"
+                )
+            )
+        )
+        assert [c.status for c in report.checks] == [STATUS_PASS] * 2
+        assert [c.details["elements_checked"] for c in report.checks] == [12, 12]
+        assert scans == [
+            (DEFAULT_TOLERANCES["injectivity_distance"], DEFAULT_TOLERANCES["injectivity_overlap"])
+        ]
+
+    def test_relabeled_variables_keep_their_own_operators(self):
+        # position and doubled share one partition, so they compare equal as
+        # variables; their operators differ.
+        report = run_scenario(
+            loads(
+                CYCLE12.format(
+                    checks="  - type: theorem1-hypotheses\n    variable: position\n"
+                    "  - type: theorem1-hypotheses\n    variable: doubled\n"
+                )
+            )
+        )
+        assert [c.status for c in report.checks] == [STATUS_PASS] * 2
+        eigenvalues = [c.details["operator"]["eigenvalues"] for c in report.checks]
+        assert eigenvalues[0] == pytest.approx(list(range(12)))
+        assert eigenvalues[1] == pytest.approx(list(range(0, 24, 2)))
+
+
+# SHA-256 of each built-in's JSON report under default flags.  Residuals are
+# printed to the last digit, so another BLAS build may move one; re-pin only
+# after checking that such a digit is the whole difference.
+BUILTIN_REPORT_SHA256 = {
+    "qubit": "f7b7b11efc4d58c694a73dcc66761e5ce37be492f3ae50984d7bc0ecc72c2259",
+    "cyclic-4": "0003c6e1edb27853d5bea95926524dc39cb541d09171a0403003622875f17e0a",
+    "singlet": "cb669ce4ee69d2e2bb148b29fc6091e1559c92bd5de5a8b61d27828aab55178f",
+    "parity-z4": "348a873e9559f2700d852ab9e222169cc02853bc98b99db3520cfc328fbec9cb",
+    "a2-smoke": "d7196000a33ce0447e3e2994dbe7a5efb0f4dbafd996655168d3e00ab93a4b9c",
+    "rotation-sign-probe": "bbd871eed1d0427361f7334eb493046945013abbffae62b945521e2c534e824e",
+}
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_REPORT_SHA256))
+def test_builtin_report_bytes_are_pinned(name):
+    text = run_scenario(load_builtin(name)).to_json()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BUILTIN_REPORT_SHA256[name]

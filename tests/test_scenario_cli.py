@@ -417,6 +417,19 @@ class TestCli:
         assert result.exit_code == 2
         assert "must be positive" in result.output
 
+    def test_overlap_tolerance_of_one_exits_two(self, tmp_path):
+        scaled = self.runner.invoke(main, ["run", "cyclic-4", "--tolerance-scale", "1e8"])
+        assert scaled.exit_code == 2
+        assert "tolerances.injectivity_overlap" in scaled.output
+        target = tmp_path / "grouping.yaml"
+        target.write_text(
+            builtin_mod.builtin_text("cyclic-4") + "tolerances:\n  orthogonal_grouping: 1.5\n",
+            encoding="utf-8",
+        )
+        override = self.runner.invoke(main, ["run", str(target)])
+        assert override.exit_code == 2
+        assert "tolerances.orthogonal_grouping" in override.output
+
     def test_max_n_override(self):
         result = self.runner.invoke(
             main, ["run", "a2-smoke", "--report", "-", "--max-n", "4"]
