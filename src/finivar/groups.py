@@ -68,6 +68,13 @@ class Permutation:
             raise ValueError(f"not a permutation of 0..{len(self.images) - 1}: {self.images}")
 
     @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap an image tuple known to be a permutation, skipping the check."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(n)))
 
@@ -88,13 +95,12 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Function composition: (self * other)(x) = self(other(x))."""
-        return Permutation(tuple(self.images[other.images[i]] for i in range(self.degree)))
+        if self.degree != other.degree:
+            raise ValueError(f"cannot compose degrees {self.degree} and {other.degree}")
+        return Permutation._trusted(tuple(map(self.images.__getitem__, other.images)))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
+        return Permutation._trusted(tuple(sorted(range(self.degree), key=self.images.__getitem__)))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -158,7 +164,7 @@ class PermutationGroup:
                     f"generator degree {g.degree} does not match space size {space.size}"
                 )
         closed = _close((g.images for g in generators), space.size, max_size)
-        elements = tuple(Permutation(t) for t in sorted(closed))
+        elements = tuple(map(Permutation._trusted, sorted(closed)))
         return cls(space, tuple(generators), elements)
 
     @property

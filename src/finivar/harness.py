@@ -15,7 +15,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .groups import (
     Permutation,
@@ -459,14 +459,23 @@ class FalsifierReport:
 
 
 def _partition_orbits(
-    partitions: tuple[tuple[int, ...], ...], elements: Iterable[tuple[int, ...]]
+    partitions: tuple[tuple[int, ...], ...], generators: Sequence[tuple[int, ...]]
 ) -> list[frozenset[tuple[int, ...]]]:
-    """Orbits of a group's elements on a closed set of partitions (p meets p∘k)."""
+    """Orbits of the group generated by ``generators`` on a closed set of partitions
+    (p meets p∘k); the group is finite, so closure under the generators is the orbit."""
     orbits: list[frozenset[tuple[int, ...]]] = []
+    seen: set[tuple[int, ...]] = set()
     for p in partitions:
-        if not any(p in orbit for orbit in orbits):
-            images = (tuple(map(p.__getitem__, k)) for k in elements)
-            orbits.append(frozenset(map(canonical_partition, images)))
+        if p not in seen:
+            seen.add(p)
+            orbit = [p]
+            for q in orbit:  # orbit grows while it is scanned
+                for k in generators:
+                    r = canonical_partition(tuple(map(q.__getitem__, k)))
+                    if r not in seen:
+                        seen.add(r)
+                        orbit.append(r)
+            orbits.append(frozenset(orbit))
     return orbits
 
 
@@ -525,7 +534,7 @@ def exhaustive_falsifier(
             # keyed by (family, group index): partitions are sorted, so family-major
             found: dict[tuple[tuple[tuple[int, ...], ...], int], FalsifierCounterexample] = {}
             for g_idx, cls in enumerate(group_classes):
-                orbits = _partition_orbits(partitions, cls.elements)
+                orbits = _partition_orbits(partitions, cls.generators)
                 verdict_counts.update(_verdict_counts(map(len, orbits)))
                 fixed = sorted(p for orbit in orbits if len(orbit) == 1 for p in orbit)
                 # transitive with trivial isotropy means regular: order n

@@ -10,6 +10,11 @@ compact ``array`` rows, and a subgroup is a ``bytearray`` of membership flags
 whose ``bytes`` are its key.  The table of S_n has n!^2 entries, so
 ``MAX_EXACT_DEGREE`` is a cost guard, not an exactness limit.  Everything is
 ordered deterministically so downstream counts are stable across runs.
+
+A closure stops once it holds more than half the elements: by Lagrange it is
+then the whole group.  The class search joins a base H only with the first
+cyclic subgroup of each orbit of its normaliser N(H): for m in N(H), the join
+<H, m g m^-1> = m <H, g> m^-1 is conjugate to <H, g>, so its class is known.
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ def close_tuples(
     Dimino's algorithm: the result is a union of left cosets yH of H = base,
     so it grows a coset at a time.  Each coset's first element is multiplied
     by every generator; a product outside the cosets so far starts a new one.
+    Past half the elements it is the whole group (Lagrange).
     """
     flags = bytearray(len(mul))
     members = list(base)
@@ -82,7 +88,7 @@ def close_tuples(
         flags[h] = 1
     coset = itemgetter(*base) if len(base) > 1 else lambda row: (row[base[0]],)
     rows = [mul[g] for g in generators]
-    first = 0
+    first, half = 0, len(mul) // 2
     while first < len(members):
         y = members[first]
         for row in rows:
@@ -90,6 +96,8 @@ def close_tuples(
             if not flags[z]:
                 new = coset(mul[z])
                 members.extend(new)
+                if len(members) > half:
+                    return bytearray(b"\x01") * len(mul)
                 for c in new:
                     flags[c] = 1
         first += len(base)
@@ -97,21 +105,26 @@ def close_tuples(
 
 
 def _cyclic_extension(
-    mul: Sequence[array], accept: Callable[[bytearray, tuple[int, ...]], bool]
+    mul: Sequence[array],
+    accept: Callable[[bytearray, tuple[int, ...]], bool],
+    inv: Sequence[int] | None = None,
 ) -> list[tuple[list[int], tuple[int, ...]]]:
     """Join-BFS from the trivial group over the cyclic subgroups.
 
     Cyclic subgroups are joined in (order, element ids) order, each by its
     least generator id.  Each distinct join is offered once to ``accept``;
     accepted ones are joined further and returned, with the trivial group, as
-    (ascending ids, generator ids) sorted by (order, ids).
+    (ascending ids, generator ids) sorted by (order, ids).  Given the inverse
+    table ``inv``, a base is joined only with the first cyclic subgroup of
+    each orbit of its normaliser, so joins conjugate under it are offered once.
     """
     cyclic: dict[frozenset[int], int] = {}
+    least = []  # element id -> least generator id of the cyclic subgroup it generates
     for g in range(len(mul)):
         powers = [0]
         while mul[powers[-1]][g] != 0:
             powers.append(mul[powers[-1]][g])
-        cyclic.setdefault(frozenset(powers), g)
+        least.append(cyclic.setdefault(frozenset(powers), g))
     cyclics = [g for _, g in sorted(cyclic.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
 
     frontier = [(close_tuples((), mul), ())]
@@ -121,9 +134,15 @@ def _cyclic_extension(
         next_frontier = []
         for base, base_gens in frontier:
             base_ids = list(itertools.compress(range(len(mul)), base))
+            normaliser = [] if inv is None else [
+                m for m in range(len(mul)) if all(base[mul[mul[m][x]][inv[m]]] for x in base_gens)
+            ]
+            done = bytearray(len(mul))
             for g in cyclics:
-                if base[g]:
+                if base[g] or done[g]:
                     continue
+                for m in normaliser:
+                    done[least[mul[mul[m][g]][inv[m]]]] = 1
                 gens = base_gens + (g,)
                 joined = close_tuples(gens, mul, base_ids)
                 key = bytes(joined)
@@ -183,7 +202,7 @@ def subgroup_conjugacy_classes(n: int) -> tuple[SubgroupClass, ...]:
 
     return tuple(
         SubgroupClass(tuple(sym[i] for i in ids), tuple(sym[g] for g in gens))
-        for ids, gens in _cyclic_extension(mul, is_new_class)
+        for ids, gens in _cyclic_extension(mul, is_new_class, inv)
     )
 
 

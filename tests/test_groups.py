@@ -56,6 +56,21 @@ class TestPermutation:
         assert p * p.inverse() == ident
         assert p.inverse() * p == ident
 
+    @pytest.mark.parametrize("left,right", [((1, 0), (1, 0, 2)), ((1, 0, 2), (1, 0))])
+    def test_mixed_degree_products_raise(self, left, right):
+        with pytest.raises(ValueError, match=f"degrees {len(left)} and {len(right)}"):
+            Permutation(left) * Permutation(right)
+
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.permutations(range(n)), st.permutations(range(n))
+    )))
+    def test_products_equal_checked_permutations(self, pair):
+        p, q = (Permutation(tuple(t)) for t in pair)
+        for product in (p * q, p.inverse()):
+            checked = Permutation(product.images)
+            assert product == checked and hash(product) == hash(checked)
+            assert type(product.images) is tuple
+
     @given(st.permutations(range(6)), st.integers(0, 5))
     def test_call_matches_images(self, images, point):
         p = Permutation(tuple(images))

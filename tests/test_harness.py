@@ -23,7 +23,7 @@ from finivar.harness import (
     proof_group_construction,
     theorem_a1_search,
 )
-from finivar.spaces import ConceptualVariable, PointSpace, VariableFamily
+from finivar.spaces import ConceptualVariable, PointSpace, VariableFamily, canonical_partition
 from finivar.subgroups import subgroup_conjugacy_classes
 
 from conftest import permutations_of, space_of, variable_from_assignment
@@ -374,7 +374,25 @@ def balanced_groups(draw):
     return PermutationGroup.generate(space_of(n), tuple(gens)), balanced_partitions(n, blocks)
 
 
+def element_orbits(partitions, elements):
+    """Orbits on the partitions, each by mapping through every group element."""
+    orbits = []
+    for p in partitions:
+        if not any(p in orbit for orbit in orbits):
+            images = (tuple(map(p.__getitem__, k)) for k in elements)
+            orbits.append(frozenset(map(canonical_partition, images)))
+    return orbits
+
+
 class TestOrbitCounting:
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_generator_orbits_match_element_orbits(self, n):
+        shapes = [balanced_partitions(n, b) for b in range(2, n) if n % b == 0]
+        for partitions in shapes:
+            for cls in subgroup_conjugacy_classes(n):
+                orbits = _partition_orbits(partitions, cls.generators)
+                assert orbits == element_orbits(partitions, cls.elements)
+
     @pytest.mark.parametrize("n", [4, 6])
     def test_counts_match_per_family_classification(self, n):
         partitions = balanced_partitions(n, 2)

@@ -6,8 +6,10 @@ import hashlib
 from itertools import permutations as all_perms
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finivar import subgroups
+from finivar import groups, subgroups
 
 # Frozen from an independent enumeration (and cross-checked against the
 # published counts of conjugacy classes of subgroups of S_n: 1, 2, 4, 11, 19, 56).
@@ -33,6 +35,50 @@ def compose(p, q):
 
 def symmetric_elements(n):
     return tuple(sorted(all_perms(range(n))))
+
+
+def plain_join_search(n):
+    """The class search without normaliser pruning: every base is joined with
+    every cyclic subgroup, and a new join is a new class unless a known
+    representative conjugates into it."""
+    sym = symmetric_elements(n)
+    mul, inv = subgroups._id_tables(sym)
+    cyclic = {}
+    for g in range(len(sym)):
+        powers, x = {0}, g
+        while x != 0:
+            powers.add(x)
+            x = mul[x][g]
+        cyclic.setdefault(frozenset(powers), g)
+    cyclics = [cyclic[c] for c in sorted(cyclic, key=lambda c: (len(c), sorted(c)))]
+    trivial = subgroups.close_tuples((), mul)
+    known, seen, frontier = [(trivial, ())], {bytes(trivial)}, [(trivial, ())]
+    while frontier:
+        next_frontier = []
+        for base, base_gens in frontier:
+            base_ids = [i for i in range(len(sym)) if base[i]]
+            for g in cyclics:
+                if base[g]:
+                    continue
+                joined = subgroups.close_tuples(base_gens + (g,), mul, base_ids)
+                if bytes(joined) in seen:
+                    continue
+                seen.add(bytes(joined))
+                if not any(
+                    sum(flags) == sum(joined)
+                    and any(all(joined[mul[mul[m][x]][inv[m]]] for x in gens) for m in range(len(sym)))
+                    for flags, gens in known
+                ):
+                    known.append((joined, base_gens + (g,)))
+                    next_frontier.append(known[-1])
+        frontier = next_frontier
+    listed = [([i for i in range(len(sym)) if flags[i]], gens) for flags, gens in known]
+    listed.sort(key=lambda item: (len(item[0]), item[0]))
+    return [(tuple(sym[i] for i in ids), tuple(sym[g] for g in gens)) for ids, gens in listed]
+
+
+S5 = symmetric_elements(5)
+S5_MUL = subgroups._id_tables(S5)[0]
 
 
 def assert_is_group(elements, n):
@@ -80,6 +126,36 @@ class TestConjugacyClasses:
         assert [c.order for c in classes] == S6_CLASS_ORDERS
         listing = repr([(c.elements, c.generators) for c in classes])
         assert hashlib.sha256(listing.encode()).hexdigest() == S6_CLASSES_SHA256
+
+    def test_s6_search_prunes_conjugate_joins(self, monkeypatch):
+        calls = []
+        close = subgroups.close_tuples
+        monkeypatch.setattr(subgroups, "close_tuples", lambda *args: calls.append(1) or close(*args))
+        classes = subgroups.subgroup_conjugacy_classes.__wrapped__(6)
+        assert len(classes) == 56
+        # the unpruned search closes 19,029 joins; the pruned one about 1,960
+        assert len(calls) < 4_000
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_pruned_search_matches_plain_join_search(self, n):
+        classes = subgroups.subgroup_conjugacy_classes(n)
+        assert [(c.elements, c.generators) for c in classes] == plain_join_search(n)
+
+    @given(
+        st.lists(st.integers(0, len(S5) - 1), max_size=2),
+        st.lists(st.integers(0, len(S5) - 1), min_size=1, max_size=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_closure_with_cutoff_matches_full_closure(self, base_gens, gens):
+        full = groups._close([S5[g] for g in base_gens + gens], 5, len(S5))
+        if base_gens:
+            base = groups._close([S5[g] for g in base_gens], 5, len(S5))
+            flags = subgroups.close_tuples(
+                tuple(base_gens + gens), S5_MUL, sorted(S5.index(p) for p in base)
+            )
+        else:
+            flags = subgroups.close_tuples(tuple(gens), S5_MUL)
+        assert {S5[i] for i in range(len(S5)) if flags[i]} == full
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
