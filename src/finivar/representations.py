@@ -189,8 +189,9 @@ def cyclic_dft_rep(n: int, space: PointSpace | None = None) -> UnitaryRep:
 class CoherentFamily:
     """The orbit of a base state under a representation, keyed by group element.
 
-    The states are fixed at construction, so the pairwise data derived from
-    them (overlaps, injectivity verdicts) is computed once and kept here.
+    The states are fixed at construction, so the data derived from them
+    (pairwise overlaps, injectivity verdicts, and the projector onto each
+    group of states an operator build stacks) is computed once and kept here.
     """
 
     def __init__(self, rep: UnitaryRep, base: np.ndarray) -> None:
@@ -204,6 +205,7 @@ class CoherentFamily:
         self.states = {k: rep(k) @ base for k in rep.group.elements}
         self._overlaps: np.ndarray | None = None
         self._injectivity: dict[tuple[float, float], InjectivityResult] = {}
+        self._projectors: dict[tuple[int, ...], tuple[np.ndarray, int]] = {}
 
     @property
     def group(self) -> PermutationGroup:
@@ -226,6 +228,20 @@ class CoherentFamily:
                         overlaps[i, j] = abs(linalg.inner(a, b)) / float(norms[i] * norms[j])
             self._overlaps = overlaps
         return self._overlaps
+
+    def projector(self, indices: tuple[int, ...]) -> tuple[np.ndarray, int]:
+        """The projector onto the span of the states at ascending ``indices``, and its rank.
+
+        Kept read-only per tuple: the same stack gives the same SVD, bit for bit.
+        """
+        if indices not in self._projectors:
+            stack = np.array([self.states[self.group.elements[i]] for i in indices]).T
+            u, s, _ = np.linalg.svd(stack, full_matrices=False)
+            rank = int(np.sum(s > 1e-10 * s[0]))
+            projector = u[:, :rank] @ u[:, :rank].conj().T
+            projector.flags.writeable = False
+            self._projectors[indices] = (projector, rank)
+        return self._projectors[indices]
 
 
 @dataclass(frozen=True)
@@ -396,19 +412,12 @@ def build_operator(
             f"{theta.values[values[i]]!r} and {theta.values[values[j]]!r} overlap by "
             f"{float(overlaps[i, j]):.3e}"
         )
-    grouped: dict[int, list[np.ndarray]] = {v: [] for v in range(theta.value_count)}
-    for k, v in zip(group.elements, values):
-        grouped[int(v)].append(family.states[k])
     dim = family.rep.dim
     operator = np.zeros((dim, dim), dtype=complex)
     projectors: dict[float, np.ndarray] = {}
     total_rank = 0
-    for v in sorted(grouped):
-        stack = np.array(grouped[v]).T
-        u, s, _ = np.linalg.svd(stack, full_matrices=False)
-        rank = int(np.sum(s > 1e-10 * s[0]))
-        basis = u[:, :rank]
-        projector = basis @ basis.conj().T
+    for v in range(theta.value_count):
+        projector, rank = family.projector(tuple(np.flatnonzero(values == v).tolist()))
         projectors[numeric[v]] = projector
         operator = operator + numeric[v] * projector
         total_rank += rank
@@ -423,7 +432,7 @@ def build_operator(
     )
     expected = sorted(
         (numeric[v], int(np.round(np.trace(projectors[numeric[v]]).real)))
-        for v in sorted(grouped)
+        for v in range(theta.value_count)
     )
     for (gv, gm), (ev, em) in zip(got, expected):
         if abs(gv - ev) > tolerances.spectral_reconstruction or gm != em:
@@ -537,20 +546,28 @@ def expand_in_basis(
 class IrreducibilityDiagnostic:
     """Commutant size of a representation; scalar commutant means irreducible.
 
-    Diagnostic only: operator pipelines do not require irreducibility.
+    ``character_norm`` is <chi, chi>; when it misses an integer by more than
+    the tolerance, the dimension and the verdict are None.  Diagnostic only:
+    operator pipelines do not require irreducibility.
     """
 
-    commutant_dimension: int
-    irreducible: bool
+    character_norm: float
+    commutant_dimension: int | None
+    irreducible: bool | None
 
 
 def commutant_diagnostic(rep: UnitaryRep, tol: float = COMMUTANT_TOL) -> IrreducibilityDiagnostic:
-    dim = rep.dim
-    twirl = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for k in rep.group.elements:
-        u = rep(k)
-        twirl += np.kron(u, u.conj())
-    twirl /= rep.group.order
-    eigenvalues = np.linalg.eigvalsh((twirl + twirl.conj().T) / 2)
-    commutant_dim = int(np.sum(np.abs(eigenvalues - 1.0) < tol))
-    return IrreducibilityDiagnostic(commutant_dim, commutant_dim == 1)
+    """Commutant dimension from the character norm (1/|G|) sum |tr U(g)|^2.
+
+    The twirl of g -> U(g) (x) conj(U(g)), a representation even when U is a
+    ray one, projects onto the commutant, so its rank is its trace (Serre,
+    *Linear Representations of Finite Groups*, 2.3).  Valid only for matrices
+    that pass ``UnitaryRep.diagnostics``.  ``tol`` bounds the distance from an
+    integer.
+    """
+    traces = np.array([np.trace(rep(k)) for k in rep.group.elements])
+    norm = float(np.sum(np.abs(traces) ** 2) / rep.group.order)
+    dim = round(norm)
+    if abs(norm - dim) > tol:
+        return IrreducibilityDiagnostic(norm, None, None)
+    return IrreducibilityDiagnostic(norm, dim, dim == 1)

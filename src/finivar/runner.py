@@ -178,6 +178,25 @@ def _param_str(spec_params: dict[str, Any], key: str, path: str) -> str:
     return value
 
 
+def _param_int(
+    spec_params: dict[str, Any],
+    key: str,
+    default: int,
+    path: str,
+    low: int | None = None,
+    high: int | None = None,
+) -> int:
+    """An integer parameter, never a bool, from ``low`` up to ``high`` where given."""
+    value = spec_params.get(key, default)
+    if type(value) is not int or not (
+        (low is None or value >= low) and (high is None or value <= high)
+    ):
+        want = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[low]
+        bound = "" if high is None else f" up to {high}"
+        raise ScenarioError(f"{path}.{key}: expected {want}{bound}")
+    return value
+
+
 def _expectation(params: dict[str, Any]) -> bool:
     value = params.get("expect", True)
     if not isinstance(value, bool):
@@ -236,7 +255,7 @@ def _handle_induced_group(ctx: _Context, spec_params: dict[str, Any], path: str)
 
 def _handle_theorem1(ctx: _Context, spec_params: dict[str, Any], path: str) -> CheckRecord:
     theta = ctx.scenario.variable(_param_str(spec_params, "variable", path), path)
-    base_point = int(spec_params.get("base_point", 0))
+    base_point = _param_int(spec_params, "base_point", 0, path, 0, ctx.scenario.space.size - 1)
     details: dict[str, Any] = {"variable": theta.name}
 
     if "eta" in spec_params and ctx.scenario.space.product is not None:
@@ -275,11 +294,18 @@ def _handle_theorem1(ctx: _Context, spec_params: dict[str, Any], path: str) -> C
         "max_overlap": injectivity.max_overlap,
     }
 
-    irreducibility = ctx.irreducibility
+    # The character norm counts a commutant only for a (ray) representation.
+    irr = ctx.irreducibility if rep_ok else None
+    if irr is None:
+        note = "not computed: the matrices fail the representation diagnostics"
+    elif irr.commutant_dimension is None:
+        note = f"not computed: the character norm {irr.character_norm!r} misses an integer"
+    else:
+        note = "diagnostic only; the construction does not require irreducibility"
     details["irreducibility"] = {
-        "commutant_dimension": irreducibility.commutant_dimension,
-        "irreducible": irreducibility.irreducible,
-        "note": "diagnostic only; the construction does not require irreducibility",
+        "commutant_dimension": irr and irr.commutant_dimension,
+        "irreducible": irr and irr.irreducible,
+        "note": note,
     }
 
     try:
@@ -321,7 +347,7 @@ def _handle_theorem1(ctx: _Context, spec_params: dict[str, Any], path: str) -> C
 def _handle_theorem2(ctx: _Context, spec_params: dict[str, Any], path: str) -> CheckRecord:
     theta = ctx.scenario.variable(_param_str(spec_params, "variable", path), path)
     family = ctx.coherent_family
-    base_point = int(spec_params.get("base_point", 0))
+    base_point = _param_int(spec_params, "base_point", 0, path, 0, ctx.scenario.space.size - 1)
     permissibility = is_permissible(theta, family.group)
     if not permissibility.ok:
         return CheckRecord(
@@ -355,7 +381,7 @@ def _handle_theorem2(ctx: _Context, spec_params: dict[str, Any], path: str) -> C
 
 def _handle_eq1(ctx: _Context, spec_params: dict[str, Any], path: str) -> CheckRecord:
     basis_var = ctx.scenario.variable(_param_str(spec_params, "basis", path), path)
-    base_point = int(spec_params.get("base_point", 0))
+    base_point = _param_int(spec_params, "base_point", 0, path, 0, ctx.scenario.space.size - 1)
     basis_bundle = ctx.bundle(basis_var, base_point)
     target_spec = spec_params.get("target")
     if not isinstance(target_spec, dict):
@@ -375,9 +401,7 @@ def _handle_eq1(ctx: _Context, spec_params: dict[str, Any], path: str) -> CheckR
         target_desc = {"variable": target_var.name}
     else:
         raise ScenarioError(f"{path}.target: expected a direction or a variable")
-    index = spec_params.get("index", 0)
-    if not isinstance(index, int):
-        raise ScenarioError(f"{path}.index: expected an integer")
+    index = _param_int(spec_params, "index", 0, path)
     try:
         expansion = expand_in_basis(target_bundle, index, basis_bundle)
     except (representations.DegenerateBasisError, ValueError) as exc:
@@ -405,12 +429,8 @@ def _handle_eq1(ctx: _Context, spec_params: dict[str, Any], path: str) -> CheckR
 
 
 def _handle_singlet_delta(ctx: _Context, spec_params: dict[str, Any], path: str) -> CheckRecord:
-    directions = spec_params.get("directions", 100)
-    seed = spec_params.get("seed", 7)
-    if not isinstance(directions, int) or directions < 0:
-        raise ScenarioError(f"{path}.directions: expected a nonnegative integer")
-    if not isinstance(seed, int):
-        raise ScenarioError(f"{path}.seed: expected an integer")
+    directions = _param_int(spec_params, "directions", 100, path, 0)
+    seed = _param_int(spec_params, "seed", 7, path)
     state = spin.singlet()
     bundle = spin.delta_operator(ctx.tol("hermitian"), ctx.tol("eigen_cluster_gap"))
     eigen_residual = linalg.max_abs(bundle.operator @ state - (-3.0) * state)
@@ -516,11 +536,9 @@ def _handle_a2_classify(ctx: _Context, spec_params: dict[str, Any], path: str) -
 
 
 def _handle_a2_falsify(ctx: _Context, spec_params: dict[str, Any], path: str) -> CheckRecord:
-    max_n = spec_params.get("max-n", 4)
     if ctx.flags.max_n is not None:
-        max_n = ctx.flags.max_n
-    if not isinstance(max_n, int) or max_n < 1:
-        raise ScenarioError(f"{path}.max-n: expected a positive integer")
+        spec_params = {**spec_params, "max-n": ctx.flags.max_n}
+    max_n = _param_int(spec_params, "max-n", 4, path, 1)
     report = exhaustive_falsifier(max_n)
     details = {
         "max_n": report.max_n,

@@ -19,6 +19,9 @@ from .spaces import ConceptualVariable, PointSpace
 
 __all__ = ["ScenarioError", "CheckSpec", "Scenario", "loads", "load_path", "CHECK_TYPES"]
 
+# libyaml's parser where PyYAML has it; both loaders resolve and construct alike.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 CHECK_TYPES = (
     "permissibility",
     "induced-group",
@@ -214,7 +217,7 @@ def _parse_variables(raw: Any, space: PointSpace) -> dict[str, ConceptualVariabl
     return out
 
 
-def _parse_representation(raw: Any) -> dict[str, Any] | None:
+def _parse_representation(raw: Any, space: PointSpace) -> dict[str, Any] | None:
     if raw is None:
         return None
     data = _require(raw, "representation")
@@ -223,8 +226,10 @@ def _parse_representation(raw: Any) -> dict[str, Any] | None:
         return {"kind": "qubit"}
     if kind == "cyclic-dft":
         n = data.get("n")
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise _fail("representation.n", "expected a positive integer")
+        if n != space.size:
+            raise _fail("representation.n", f"expected the space size {space.size}, got {n}")
         return {"kind": "cyclic-dft", "n": n}
     if kind == "explicit":
         raw_matrices = data.get("matrices")
@@ -243,7 +248,7 @@ def _parse_representation(raw: Any) -> dict[str, Any] | None:
 
 def loads(text: str, source: str = "<scenario>") -> Scenario:
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -281,7 +286,7 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
         )
         group = PermutationGroup.generate(space, gens)
 
-    representation = _parse_representation(data.get("representation"))
+    representation = _parse_representation(data.get("representation"), space)
 
     base_state = None
     if data.get("base_state") is not None:

@@ -28,7 +28,7 @@ from finivar.representations import (
 )
 from finivar.spaces import ConceptualVariable, DomainMismatchError, PointSpace
 
-from conftest import assignments, space_of, variable_from_assignment
+from conftest import assignments, permutations_of, space_of, variable_from_assignment
 
 S = 1 / np.sqrt(2)
 
@@ -381,6 +381,72 @@ class TestBundleFromMatrix:
             bundle_from_matrix("bad", np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+def _twirl_count(rep: UnitaryRep, tol: float = 1e-8) -> int:
+    """The reference commutant dimension: eigenvalues at 1 of the twirl.
+
+    (1/|G|) sum U(g) (x) conj(U(g)) is d^2 x d^2; only small tests can afford it.
+    """
+    twirl = sum(np.kron(rep(k), rep(k).conj()) for k in rep.group.elements) / rep.group.order
+    eigenvalues = np.linalg.eigvalsh((twirl + twirl.conj().T) / 2)
+    return int(np.sum(np.abs(eigenvalues - 1.0) < tol))
+
+
+def _permutation_matrix(k: Permutation) -> np.ndarray:
+    matrix = np.zeros((k.degree, k.degree))
+    matrix[list(k.images), range(k.degree)] = 1.0
+    return matrix
+
+
+def _sign(k: Permutation) -> float:
+    return float(np.linalg.det(_permutation_matrix(k)))
+
+
+@st.composite
+def _ray_representations(draw) -> UnitaryRep:
+    """qubit, cyclic Fourier, or a sum of permutation, trivial and sign
+    representations of a random subgroup of S_n (n <= 5), times random
+    per-element phases."""
+    kind = draw(st.sampled_from(["qubit", "cyclic", "sum"]))
+    if kind == "qubit":
+        return qubit_rep()
+    if kind == "cyclic":
+        base = cyclic_dft_rep(draw(st.integers(1, 12)))
+        group, blocks = base.group, [base.matrices]
+    else:
+        n = draw(st.integers(1, 5))
+        gens = draw(st.lists(permutations_of(n), min_size=1, max_size=2))
+        group = PermutationGroup.generate(space_of(n), tuple(gens))
+        blocks = []
+    for part in draw(st.lists(st.sampled_from(["perm", "trivial", "sign"]), max_size=2)):
+        matrix = {
+            "perm": _permutation_matrix,
+            "trivial": lambda k: np.eye(1),
+            "sign": lambda k: np.array([[_sign(k)]]),
+        }[part]
+        blocks.append({k: matrix(k) for k in group.elements})
+    if not blocks:
+        blocks.append({k: _permutation_matrix(k) for k in group.elements})
+    angles = draw(
+        st.lists(st.floats(0, 2 * np.pi), min_size=group.order, max_size=group.order)
+    )
+    angles[group.elements.index(group.identity)] = 0.0
+    matrices = {
+        k: np.exp(1j * angle) * _block_diagonal([b[k] for b in blocks])
+        for k, angle in zip(group.elements, angles)
+    }
+    return UnitaryRep(group, matrices)
+
+
+def _block_diagonal(parts: list[np.ndarray]) -> np.ndarray:
+    size = sum(p.shape[0] for p in parts)
+    out = np.zeros((size, size), dtype=complex)
+    at = 0
+    for p in parts:
+        out[at : at + p.shape[0], at : at + p.shape[0]] = p
+        at += p.shape[0]
+    return out
+
+
 class TestCommutant:
     def test_abelian_two_dim_rep_is_reducible(self):
         diag = commutant_diagnostic(qubit_rep())
@@ -394,3 +460,52 @@ class TestCommutant:
         diag = commutant_diagnostic(rep)
         assert diag.commutant_dimension == 4
         assert not diag.irreducible
+
+    def test_ray_phases_cancel_where_a_non_representation_would_not(self):
+        # diag(1, i) squares to diag(1, -1), which is not a phase times I, so
+        # {I, diag(1, i)} is no representation of Z2: its character norm is 3
+        # while the twirl finds a 2-dimensional fixed space.
+        space = space_of(2)
+        group = PermutationGroup.generate(space, (Permutation((1, 0)),))
+        flip = Permutation((1, 0))
+        broken = UnitaryRep(group, {group.identity: np.eye(2), flip: np.diag([1, 1j])})
+        assert not broken.diagnostics().ok()
+        assert commutant_diagnostic(broken).commutant_dimension == 3
+        assert _twirl_count(broken) == 2
+        # e^{i/3} diag(1, -1) is a ray representation: both counts agree.
+        phased = np.exp(1j / 3) * np.diag([1, -1])
+        ray = UnitaryRep(group, {group.identity: np.eye(2), flip: phased})
+        assert ray.diagnostics().ok()
+        assert commutant_diagnostic(ray).commutant_dimension == _twirl_count(ray) == 2
+
+    @pytest.mark.parametrize(
+        "angle, tol, dimension",
+        [(1.0, 1e-8, None), (1e-5, 1e-8, 2), (1e-5, 1e-12, None), (0.0, 0.0, 2)],
+    )
+    def test_tolerance_bounds_the_distance_to_an_integer(self, angle, tol, dimension):
+        # The norm of {I, diag(1, -e^{i angle})} is 2 + (1 - cos(angle)).
+        space = space_of(2)
+        group = PermutationGroup.generate(space, (Permutation((1, 0)),))
+        flip = np.diag([1, -np.exp(1j * angle)])
+        rep = UnitaryRep(group, {group.identity: np.eye(2), Permutation((1, 0)): flip})
+        diag = commutant_diagnostic(rep, tol)
+        assert diag.character_norm == pytest.approx(3 - np.cos(angle), abs=1e-15)
+        assert diag.commutant_dimension == dimension
+        assert diag.irreducible is (None if dimension is None else False)
+
+    def test_no_twirl_is_built(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the character norm needs no twirl")
+
+        monkeypatch.setattr(np, "kron", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        diag = commutant_diagnostic(cyclic_dft_rep(48))
+        assert diag.commutant_dimension == 48
+
+    @given(_ray_representations())
+    @settings(max_examples=40, deadline=None)
+    def test_character_norm_counts_the_twirl_fixed_space(self, rep):
+        assert rep.diagnostics().ok()
+        diag = commutant_diagnostic(rep)
+        assert diag.commutant_dimension == _twirl_count(rep)
+        assert diag.irreducible == (diag.commutant_dimension == 1)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from finivar import representations
@@ -340,6 +342,29 @@ class TestOperatorCache:
             (DEFAULT_TOLERANCES["injectivity_distance"], DEFAULT_TOLERANCES["injectivity_overlap"])
         ]
 
+    def test_theorem2_decomposes_each_coherent_group_once(self, monkeypatch):
+        # theta∘t groups the same states as theta for a permissible theta, so
+        # the 12 singletons of position and the 4 classes of residue are all
+        # the stacks the 26 operator builds need.
+        calls = []
+        real = np.linalg.svd
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        report = run_scenario(
+            loads(
+                CYCLE12.format(
+                    checks="  - type: theorem2\n    variable: position\n"
+                    "  - type: theorem2\n    variable: residue\n"
+                )
+            )
+        )
+        assert [c.status for c in report.checks] == [STATUS_PASS] * 2
+        assert len(calls) <= 12 + 4
+
     def test_relabeled_variables_keep_their_own_operators(self):
         # position and doubled share one partition, so they compare equal as
         # variables; their operators differ.
@@ -355,6 +380,67 @@ class TestOperatorCache:
         eigenvalues = [c.details["operator"]["eigenvalues"] for c in report.checks]
         assert eigenvalues[0] == pytest.approx(list(range(12)))
         assert eigenvalues[1] == pytest.approx(list(range(0, 24, 2)))
+
+
+# Z2 on two points through explicit matrices; {flip} is the swap's matrix.
+Z2_EXPLICIT = """
+name: z2
+space: {{id: pair, labels: ["a", "b"]}}
+variables:
+  - name: constant
+    values: ["1"]
+    assignment: [0, 0]
+group:
+  generators: [[1, 0]]
+representation:
+  kind: explicit
+  matrices:
+    - element: [0, 1]
+      matrix: [[1, 0], [0, 1]]
+    - element: [1, 0]
+      matrix: {flip}
+base_state: [1, 1]
+checks:
+  - type: theorem1-hypotheses
+    variable: constant
+"""
+
+
+class TestIrreducibility:
+    def test_non_representation_gets_no_commutant(self):
+        # diag(1, i) squares to diag(1, -1): no representation, though its
+        # character norm (3) is an integer.
+        scenario = loads(Z2_EXPLICIT.format(flip="[[1, 0], [0, [0, 1]]]"))
+        _, record = single_record(scenario)
+        assert record.status == STATUS_FAIL
+        assert record.details["representation"]["homomorphism_residual"] == 2.0
+        assert record.details["irreducibility"] == {
+            "commutant_dimension": None,
+            "irreducible": None,
+            "note": "not computed: the matrices fail the representation diagnostics",
+        }
+
+    def test_norm_off_an_integer_is_reported(self):
+        # The swap's matrix is diag(1, -e^{-1e-5 i}): a representation within
+        # 2e-5, whose norm 2 + 5e-11 misses 2 by more than 1e-12.
+        scenario = loads(
+            Z2_EXPLICIT.format(flip="[[1, 0], [0, [-0.99999999995, 0.00001]]]")
+            + "tolerances: {rep_homomorphism: 1.0e-4, commutant: 1.0e-12}\n"
+        )
+        _, record = single_record(scenario)
+        block = record.details["irreducibility"]
+        assert block["commutant_dimension"] is None
+        assert block["irreducible"] is None
+        assert block["note"].startswith("not computed: the character norm 2.00000000005")
+        assert block["note"].endswith("misses an integer")
+
+    def test_representation_gets_its_commutant(self):
+        _, record = single_record(
+            scenario_with("  - type: theorem1-hypotheses\n    variable: position\n")
+        )
+        assert record.status == STATUS_PASS
+        assert record.details["irreducibility"]["commutant_dimension"] == 4
+        assert record.details["irreducibility"]["irreducible"] is False
 
 
 # SHA-256 of each built-in's JSON report under default flags.  Residuals are
@@ -374,3 +460,64 @@ BUILTIN_REPORT_SHA256 = {
 def test_builtin_report_bytes_are_pinned(name):
     text = run_scenario(load_builtin(name)).to_json()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BUILTIN_REPORT_SHA256[name]
+
+
+def cycle24_text() -> str:
+    """A 24-point cyclic-dft scenario with seedless, distinct numeric values."""
+    n, base_point = 24, 5
+    checks = []
+    for name in ("position", "residue"):
+        checks += [
+            {"type": "theorem1-hypotheses", "variable": name, "base_point": base_point},
+            {"type": "theorem2", "variable": name, "base_point": base_point},
+        ]
+    checks.append(
+        {
+            "type": "eq1-expansion",
+            "basis": "position",
+            "target": {"variable": "relabel"},
+            "index": 7,
+            "base_point": base_point,
+        }
+    )
+    data = {
+        "name": "cycle-24",
+        "space": {"id": "cycle-24", "labels": [str(j) for j in range(n)]},
+        "variables": [
+            {
+                "name": "position",
+                "values": [f"{(7 * j) % n / 4 - 3:g}" for j in range(n)],
+                "assignment": list(range(n)),
+            },
+            {
+                "name": "residue",
+                "values": ["-1.5", "0.25", "2", "3.75"],
+                "assignment": [j % 4 for j in range(n)],
+            },
+            {
+                "name": "relabel",
+                "values": [f"{(11 * j) % n / 2 - 5:g}" for j in range(n)],
+                "assignment": [(5 * j) % n for j in range(n)],
+            },
+        ],
+        "group": {"generators": [[(j + 1) % n for j in range(n)]]},
+        "representation": {"kind": "cyclic-dft", "n": n},
+        "checks": checks,
+    }
+    # JSON is valid YAML.
+    return json.dumps(data, indent=1)
+
+
+# SHA-256 of that scenario's JSON report under default flags, pinned as for
+# the built-ins above.
+CYCLE24_REPORT_SHA256 = "2781b73f67254f5b1e783ebb0d0933eed79f37852ec1aa0b05920fcdff3ff971"
+
+
+def test_cycle24_operator_report_bytes_are_pinned():
+    # Pins theorem2's residuals and eq1's amplitudes at a size where the
+    # operator builds share coherent groups across many elements.
+    report = run_scenario(loads(cycle24_text()))
+    assert [c.status for c in report.checks] == [STATUS_PASS] * 5
+    text = report.to_json()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CYCLE24_REPORT_SHA256
+

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
 
 from finivar import builtins as builtin_mod
@@ -19,6 +21,8 @@ from finivar.report import (
     jsonable,
 )
 from finivar.scenario import CHECK_TYPES, ScenarioError, load_path, loads
+
+from test_runner import cycle24_text
 
 MINIMAL = """
 name: tiny
@@ -188,6 +192,12 @@ checks:
             "representation.n: expected a positive integer",
         )
 
+    def test_representation_n_must_match_the_space(self):
+        expect_error(
+            MINIMAL + "\nrepresentation: {kind: cyclic-dft, n: 5}\n",
+            "representation.n: expected the space size 2, got 5",
+        )
+
     def test_explicit_representation_round_trip(self):
         text = MINIMAL + """
 representation:
@@ -249,6 +259,21 @@ representation:
         target = tmp_path / "scenario.yaml"
         target.write_text(MINIMAL, encoding="utf-8")
         assert load_path(str(target)).name == "tiny"
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+class TestYamlLoaders:
+    def test_libyaml_is_used_where_available(self):
+        from finivar import scenario
+
+        assert scenario._YAML_LOADER is yaml.CSafeLoader
+
+    @pytest.mark.parametrize("name", [*builtin_mod.builtin_names(), "cycle-24"])
+    def test_both_loaders_give_equal_data(self, name):
+        text = cycle24_text() if name == "cycle-24" else builtin_mod.builtin_text(name)
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert fast == yaml.load(text, Loader=yaml.SafeLoader)
+        assert fast["name"] == name
 
 
 class TestJsonable:
@@ -353,6 +378,35 @@ class TestBuiltins:
             assert first.startswith("#")
 
 
+CYCLE4 = """
+name: cycle-4
+space:
+  id: cycle-4
+  labels: ["0", "1", "2", "3"]
+variables:
+  - name: position
+    values: ["0", "1", "2", "3"]
+    assignment: [0, 1, 2, 3]
+group:
+  generators:
+    - [1, 2, 3, 0]
+representation:
+  kind: cyclic-dft
+  n: 4
+checks:
+{checks}"""
+THEOREM1 = "  - type: theorem1-hypotheses\n    variable: position"
+THEOREM2 = "  - type: theorem2\n    variable: position"
+EQ1 = "  - type: eq1-expansion\n    basis: position\n    target: {variable: position}"
+CHECKS = {
+    "theorem1": THEOREM1,
+    "theorem2": THEOREM2,
+    "eq1": EQ1,
+    "a2-falsify": "  - type: a2-falsify",
+    "singlet-delta": "  - type: singlet-delta",
+}
+
+
 class TestCli:
     def setup_method(self):
         self.runner = CliRunner()
@@ -411,6 +465,55 @@ class TestCli:
         result = self.runner.invoke(main, ["run", str(target)])
         assert result.exit_code == 2
         assert "invalid YAML" in result.output
+
+    def test_parse_error_names_line_and_column(self, tmp_path):
+        target = tmp_path / "broken.yaml"
+        target.write_text("name: x\nspace: {id: a\n  labels: [\"0\"]\n", encoding="utf-8")
+        result = self.runner.invoke(main, ["run", str(target)])
+        assert result.exit_code == 2
+        assert re.search(r"invalid YAML at line \d+, column \d+", result.output)
+
+    def test_representation_size_mismatch_exits_two(self, tmp_path):
+        target = tmp_path / "mismatch.yaml"
+        target.write_text(
+            CYCLE4.format(checks=THEOREM1).replace("n: 4", "n: 5"), encoding="utf-8"
+        )
+        result = self.runner.invoke(main, ["run", str(target)])
+        assert result.exit_code == 2
+        assert "representation.n" in result.output
+
+    @pytest.mark.parametrize(
+        "check, value, field",
+        [
+            (check, value, "base_point")
+            for check in ("theorem1", "theorem2", "eq1")
+            for value in ('"x"', "99", "4", "-1", "1.5", "true", "false")
+        ]
+        + [("eq1", value, "index") for value in ("true", '"0"')]
+        + [
+            ("a2-falsify", "true", "max-n"),
+            ("a2-falsify", "0", "max-n"),
+            ("singlet-delta", "true", "directions"),
+            ("singlet-delta", "-1", "directions"),
+            ("singlet-delta", "false", "seed"),
+        ],
+    )
+    def test_malformed_integer_parameter_exits_two(self, tmp_path, check, value, field):
+        target = tmp_path / "bad.yaml"
+        target.write_text(
+            CYCLE4.format(checks=f"{CHECKS[check]}\n    {field}: {value}\n"), encoding="utf-8"
+        )
+        result = self.runner.invoke(main, ["run", str(target)])
+        assert result.exit_code == 2, result.output
+        assert f"checks[0].{field}: expected" in result.output
+
+    def test_base_point_in_range_runs(self, tmp_path):
+        target = tmp_path / "good.yaml"
+        target.write_text(
+            CYCLE4.format(checks=f"{THEOREM2}\n    base_point: 3\n"), encoding="utf-8"
+        )
+        result = self.runner.invoke(main, ["run", str(target)])
+        assert result.exit_code == 0, result.output
 
     def test_zero_tolerance_scale_exits_two(self):
         result = self.runner.invoke(main, ["run", "qubit", "--tolerance-scale", "0"])
