@@ -38,7 +38,7 @@ __all__ = [
 
 DEFAULT_CLOSURE_CAP = 1_000_000
 EXHAUSTIVE_RELATEDNESS_LIMIT = 8
-HOMOMORPHISM_EXHAUSTIVE_LIMIT = 500
+PAIR_EXHAUSTIVE_LIMIT = 500
 
 
 class GroupTooLargeError(RuntimeError):
@@ -209,6 +209,19 @@ class PermutationGroup:
         return True
 
 
+def element_pairs(
+    elements: Sequence[Permutation], seed: int = 0, sample_pairs: int = 1000
+) -> tuple[Iterable[tuple[Permutation, Permutation]], int]:
+    """Pairs to check a composition law on, and their count: every ordered pair up to
+    ``PAIR_EXHAUSTIVE_LIMIT`` elements, else ``sample_pairs`` seeded random pairs."""
+    n = len(elements)
+    if n <= PAIR_EXHAUSTIVE_LIMIT:
+        return itertools.product(elements, elements), n * n
+    rng = random.Random(seed)
+    pairs = ((elements[rng.randrange(n)], elements[rng.randrange(n)]) for _ in range(sample_pairs))
+    return pairs, sample_pairs
+
+
 class GroupHomomorphism:
     """An element map between two permutation groups."""
 
@@ -228,22 +241,10 @@ class GroupHomomorphism:
         return self.mapping[k]
 
     def verify(self, seed: int = 0, sample_pairs: int = 1000) -> bool:
-        """Check identity and composition laws.
-
-        Exhaustive over all element pairs up to a source order of
-        ``HOMOMORPHISM_EXHAUSTIVE_LIMIT``; a seeded sample beyond that.
-        """
+        """Check identity and composition laws on the pairs of ``element_pairs``."""
         if not self.mapping[self.source.identity].is_identity():
             return False
-        els = self.source.elements
-        if len(els) <= HOMOMORPHISM_EXHAUSTIVE_LIMIT:
-            pairs: Iterable[tuple[Permutation, Permutation]] = itertools.product(els, els)
-        else:
-            rng = random.Random(seed)
-            pairs = (
-                (els[rng.randrange(len(els))], els[rng.randrange(len(els))])
-                for _ in range(sample_pairs)
-            )
+        pairs, _ = element_pairs(self.source.elements, seed, sample_pairs)
         # Compose image tuples directly: a Permutation per product would be
         # built and re-validated once per pair.
         images = {k.images: v.images for k, v in self.mapping.items()}

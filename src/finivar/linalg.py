@@ -22,12 +22,26 @@ __all__ = [
     "tensor",
     "inner",
     "max_abs",
-    "HERMITIAN_TOL",
-    "CLUSTER_GAP",
+    "DEFAULT_TOLERANCES",
 ]
 
-HERMITIAN_TOL = 1e-10
-CLUSTER_GAP = 1e-8
+# Every default tolerance, named as in a scenario's table; keyword defaults read it.
+DEFAULT_TOLERANCES: dict[str, float] = {
+    "hermitian": 1e-10,
+    "unitary": 1e-10,
+    "rep_homomorphism": 1e-8,
+    "spectral_reconstruction": 1e-8,
+    "eigen_cluster_gap": 1e-8,
+    "injectivity_distance": 1e-6,
+    "injectivity_overlap": 1e-8,
+    "orthogonal_grouping": 1e-8,
+    "conjugation_residual": 1e-8,
+    "expansion_reconstruction": 1e-10,
+    "expansion_weight": 1e-10,
+    "singlet_eigen": 1e-10,
+    "anticorrelation": 1e-10,
+    "commutant": 1e-8,
+}
 _PHASE_ENTRY_TOL = 1e-8
 
 
@@ -39,11 +53,11 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOLERANCES["hermitian"]) -> bool:
     return max_abs(a - a.conj().T) <= tol
 
 
-def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
+def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOLERANCES["unitary"]) -> bool:
     n = u.shape[0]
     return max_abs(u.conj().T @ u - np.eye(n)) <= tol
 
@@ -103,8 +117,8 @@ class SpectralData:
 
 def eigh(
     a: np.ndarray,
-    hermitian_tol: float = HERMITIAN_TOL,
-    cluster_gap: float = CLUSTER_GAP,
+    hermitian_tol: float = DEFAULT_TOLERANCES["hermitian"],
+    cluster_gap: float = DEFAULT_TOLERANCES["eigen_cluster_gap"],
 ) -> SpectralData:
     """Diagonalize a Hermitian matrix deterministically.
 

@@ -9,14 +9,12 @@ states with different values span orthogonal subspaces.
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import linalg
-from .groups import Permutation, PermutationGroup
+from .groups import Permutation, PermutationGroup, element_pairs
 from .spaces import ConceptualVariable, DomainMismatchError, PointSpace
 
 __all__ = [
@@ -43,16 +41,7 @@ __all__ = [
     "commutant_diagnostic",
 ]
 
-UNITARY_TOL = 1e-10
-HOMOMORPHISM_TOL = 1e-8
-INJECTIVITY_DISTANCE_TOL = 1e-6
-INJECTIVITY_OVERLAP_TOL = 1e-8
-ORTHOGONAL_GROUPING_TOL = 1e-8
-SPECTRAL_RECONSTRUCTION_TOL = 1e-8
-CONJUGATION_TOL = 1e-8
-EXPANSION_TOL = 1e-10
-COMMUTANT_TOL = 1e-8
-_PAIR_EXHAUSTIVE_LIMIT = 500
+_DEFAULTS = linalg.DEFAULT_TOLERANCES
 
 
 class CoherentCollisionError(ValueError):
@@ -98,17 +87,7 @@ class UnitaryRep:
         identity_residual = linalg.max_abs(
             self.matrices[self.group.identity] - np.eye(self.dim)
         )
-        els = self.group.elements
-        if len(els) <= _PAIR_EXHAUSTIVE_LIMIT:
-            pairs = itertools.product(els, els)
-            pair_count = len(els) ** 2
-        else:
-            rng = random.Random(seed)
-            pairs = (
-                (els[rng.randrange(len(els))], els[rng.randrange(len(els))])
-                for _ in range(sample_pairs)
-            )
-            pair_count = sample_pairs
+        pairs, pair_count = element_pairs(self.group.elements, seed, sample_pairs)
         hom_residual = 0.0
         for a, b in pairs:
             product = self.matrices[a] @ self.matrices[b]
@@ -133,7 +112,11 @@ class RepDiagnostics:
     homomorphism_residual: float
     pairs_checked: int
 
-    def ok(self, unitary_tol: float = UNITARY_TOL, hom_tol: float = HOMOMORPHISM_TOL) -> bool:
+    def ok(
+        self,
+        unitary_tol: float = _DEFAULTS["unitary"],
+        hom_tol: float = _DEFAULTS["rep_homomorphism"],
+    ) -> bool:
         return (
             self.unitary_residual <= unitary_tol
             and self.identity_residual <= unitary_tol
@@ -257,8 +240,8 @@ class InjectivityResult:
 
 def check_coherent_injectivity(
     family: CoherentFamily,
-    distance_tol: float = INJECTIVITY_DISTANCE_TOL,
-    overlap_tol: float = INJECTIVITY_OVERLAP_TOL,
+    distance_tol: float = _DEFAULTS["injectivity_distance"],
+    overlap_tol: float = _DEFAULTS["injectivity_overlap"],
 ) -> InjectivityResult:
     """Verify distinct elements give distinct states, even up to a global phase.
 
@@ -308,12 +291,12 @@ class QuestionAnswer:
 class OperatorTolerances:
     """Every tolerance an operator build applies, named as in a scenario's table."""
 
-    orthogonal_grouping: float = ORTHOGONAL_GROUPING_TOL
-    injectivity_distance: float = INJECTIVITY_DISTANCE_TOL
-    injectivity_overlap: float = INJECTIVITY_OVERLAP_TOL
-    hermitian: float = linalg.HERMITIAN_TOL
-    eigen_cluster_gap: float = linalg.CLUSTER_GAP
-    spectral_reconstruction: float = SPECTRAL_RECONSTRUCTION_TOL
+    orthogonal_grouping: float = _DEFAULTS["orthogonal_grouping"]
+    injectivity_distance: float = _DEFAULTS["injectivity_distance"]
+    injectivity_overlap: float = _DEFAULTS["injectivity_overlap"]
+    hermitian: float = _DEFAULTS["hermitian"]
+    eigen_cluster_gap: float = _DEFAULTS["eigen_cluster_gap"]
+    spectral_reconstruction: float = _DEFAULTS["spectral_reconstruction"]
 
     @classmethod
     def from_table(cls, table: dict[str, float]) -> "OperatorTolerances":
@@ -445,8 +428,8 @@ def build_operator(
 def bundle_from_matrix(
     name: str,
     operator: np.ndarray,
-    hermitian_tol: float = linalg.HERMITIAN_TOL,
-    cluster_gap: float = linalg.CLUSTER_GAP,
+    hermitian_tol: float = _DEFAULTS["hermitian"],
+    cluster_gap: float = _DEFAULTS["eigen_cluster_gap"],
 ) -> OperatorBundle:
     """Wrap an explicit Hermitian matrix as a bundle over its own eigenbasis."""
     spectral = linalg.eigh(operator, hermitian_tol, cluster_gap)
@@ -481,7 +464,7 @@ def conjugation_check(
     family: CoherentFamily,
     element: Permutation,
     base_point: int = 0,
-    tol: float = CONJUGATION_TOL,
+    tol: float = _DEFAULTS["conjugation_residual"],
     tolerances: OperatorTolerances = OperatorTolerances(),
     bundle: OperatorBundle | None = None,
 ) -> ConjugationResult:
@@ -508,8 +491,15 @@ class BasisExpansion:
     reconstruction_error: float
     weight_sum: float
 
-    def ok(self, tol: float = EXPANSION_TOL) -> bool:
-        return self.reconstruction_error <= tol and abs(self.weight_sum - 1.0) <= tol
+    def ok(
+        self,
+        reconstruction_tol: float = _DEFAULTS["expansion_reconstruction"],
+        weight_tol: float = _DEFAULTS["expansion_weight"],
+    ) -> bool:
+        return (
+            self.reconstruction_error <= reconstruction_tol
+            and abs(self.weight_sum - 1.0) <= weight_tol
+        )
 
 
 def expand_in_basis(
@@ -556,7 +546,9 @@ class IrreducibilityDiagnostic:
     irreducible: bool | None
 
 
-def commutant_diagnostic(rep: UnitaryRep, tol: float = COMMUTANT_TOL) -> IrreducibilityDiagnostic:
+def commutant_diagnostic(
+    rep: UnitaryRep, tol: float = _DEFAULTS["commutant"]
+) -> IrreducibilityDiagnostic:
     """Commutant dimension from the character norm (1/|G|) sum |tr U(g)|^2.
 
     The twirl of g -> U(g) (x) conj(U(g)), a representation even when U is a

@@ -1,21 +1,21 @@
 """Execute a scenario's checks and assemble the verification report.
 
-Each handler turns one check request into a record with a status, residuals
-and witnesses.  Tolerances resolve from the module defaults, scenario
-overrides, then a global scale factor; the resolved table is embedded in
-every report.
+Each handler turns one check request into a status, residuals and witnesses;
+``run_scenario`` wraps them in the check's record.  Tolerances resolve from
+``linalg.DEFAULT_TOLERANCES``, scenario overrides, then a global scale factor;
+the resolved table is embedded in every report.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
 
-from . import linalg, representations, spin
+from . import linalg, spin
 from .groups import (
     NotPermissibleError,
     PermissibilityWitness,
@@ -25,12 +25,15 @@ from .groups import (
     is_permissible,
 )
 from .harness import (
+    VERDICT_ALL_DIFFERENT,
+    VERDICT_ALL_RELATED,
     VERDICT_MIXED,
     ThoughtScenario,
     classify_thoughts,
     exhaustive_falsifier,
     theorem_a1_search,
 )
+from .linalg import DEFAULT_TOLERANCES
 from .report import (
     STATUS_ERROR,
     STATUS_FAIL,
@@ -57,23 +60,6 @@ from .scenario import Scenario, ScenarioError
 from .spaces import ConceptualVariable, VariableFamily, maximal_accessible
 
 __all__ = ["RunFlags", "run_scenario", "DEFAULT_TOLERANCES", "resolve_tolerances"]
-
-DEFAULT_TOLERANCES: dict[str, float] = {
-    "hermitian": 1e-10,
-    "unitary": 1e-10,
-    "rep_homomorphism": 1e-8,
-    "spectral_reconstruction": 1e-8,
-    "eigen_cluster_gap": 1e-8,
-    "injectivity_distance": 1e-6,
-    "injectivity_overlap": 1e-8,
-    "orthogonal_grouping": 1e-8,
-    "conjugation_residual": 1e-8,
-    "expansion_reconstruction": 1e-10,
-    "expansion_weight": 1e-10,
-    "singlet_eigen": 1e-10,
-    "anticorrelation": 1e-10,
-    "commutant": 1e-8,
-}
 
 
 def resolve_tolerances(overrides: dict[str, float], scale: float) -> dict[str, float]:
@@ -147,18 +133,73 @@ class _Context:
             )
         return self._bundles[key]
 
-    def thought_scenario(
-        self, group: PermutationGroup, spec_params: dict[str, Any], path: str
-    ) -> ThoughtScenario:
+
+@dataclass(frozen=True)
+class _Check:
+    """One check request: the run's context, the check's params and its path.
+
+    Each reader validates one parameter and raises :class:`ScenarioError`
+    naming ``<path>.<field>``.
+    """
+
+    ctx: _Context
+    params: dict[str, Any]
+    path: str
+
+    def _expected(self, key: str, want: str) -> ScenarioError:
+        return ScenarioError(f"{self.path}.{key}: expected {want}")
+
+    def str(self, key: str, default: str | None = None, choices: tuple[str, ...] = ()) -> str:
+        """A string parameter, one of ``choices`` where given; required without a default."""
+        if key not in self.params:
+            if default is None:
+                raise ScenarioError(f"{self.path}.{key}: required parameter is missing")
+            return default
+        value = self.params[key]
+        if not isinstance(value, str) or (choices and value not in choices):
+            raise self._expected(key, f"one of {', '.join(choices)}" if choices else "a string")
+        return value
+
+    def flag(self, key: str, default: bool) -> bool:
+        value = self.params.get(key, default)
+        if not isinstance(value, bool):
+            raise self._expected(key, "true or false")
+        return value
+
+    def int(self, key: str, default: int, low: int | None = None, high: int | None = None) -> int:
+        """An integer parameter, never a bool, from ``low`` up to ``high`` where given."""
+        value = self.params.get(key, default)
+        if type(value) is not int or not (
+            (low is None or value >= low) and (high is None or value <= high)
+        ):
+            want = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[low]
+            raise self._expected(key, want + ("" if high is None else f" up to {high}"))
+        return value
+
+    def variable(self, key: str = "variable", default: str | None = None) -> ConceptualVariable:
+        return self.ctx.scenario.variable(self.str(key, default), f"{self.path}.{key}")
+
+    def base_point(self) -> int:
+        return self.int("base_point", 0, 0, self.ctx.scenario.space.size - 1)
+
+    def group(self) -> PermutationGroup:
+        return self.ctx.scenario.group_for(self.params, self.path)
+
+    def thought(self) -> ThoughtScenario:
         """Family of candidate thoughts: named members, or every scenario variable."""
-        if "members" in spec_params:
-            raw = spec_params["members"]
+        scenario = self.ctx.scenario
+        group = self.group()
+        if "members" in self.params:
+            raw = self.params["members"]
             if not isinstance(raw, list) or not all(isinstance(v, str) for v in raw):
-                raise ScenarioError(f"{path}.members: expected a list of variable names")
-            members = tuple(self.scenario.variable(name, f"{path}.members") for name in raw)
+                raise self._expected("members", "a list of variable names")
+            members = tuple(scenario.variable(name, f"{self.path}.members") for name in raw)
         else:
-            members = tuple(self.scenario.variables.values())
-        return ThoughtScenario(self.scenario.space, VariableFamily(members), group)
+            members = tuple(scenario.variables.values())
+        return ThoughtScenario(scenario.space, VariableFamily(members), group)
+
+
+_Outcome = tuple[str, dict[str, Any]]
 
 
 def _status(ok: bool) -> str:
@@ -169,45 +210,10 @@ def _witness_payload(witness: PermissibilityWitness) -> dict[str, Any]:
     return {"k": witness.k, "phi1": witness.phi1, "phi2": witness.phi2}
 
 
-def _param_str(spec_params: dict[str, Any], key: str, path: str) -> str:
-    if key not in spec_params:
-        raise ScenarioError(f"{path}.{key}: required parameter is missing")
-    value = spec_params[key]
-    if not isinstance(value, str):
-        raise ScenarioError(f"{path}.{key}: expected a string")
-    return value
-
-
-def _param_int(
-    spec_params: dict[str, Any],
-    key: str,
-    default: int,
-    path: str,
-    low: int | None = None,
-    high: int | None = None,
-) -> int:
-    """An integer parameter, never a bool, from ``low`` up to ``high`` where given."""
-    value = spec_params.get(key, default)
-    if type(value) is not int or not (
-        (low is None or value >= low) and (high is None or value <= high)
-    ):
-        want = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[low]
-        bound = "" if high is None else f" up to {high}"
-        raise ScenarioError(f"{path}.{key}: expected {want}{bound}")
-    return value
-
-
-def _expectation(params: dict[str, Any]) -> bool:
-    value = params.get("expect", True)
-    if not isinstance(value, bool):
-        raise ScenarioError("expect: expected true or false")
-    return value
-
-
-def _handle_permissibility(ctx: _Context, spec_params: dict[str, Any], path: str) -> CheckRecord:
-    theta = ctx.scenario.variable(_param_str(spec_params, "variable", path), path)
-    group = ctx.scenario.group_for(spec_params, path)
-    expect = _expectation(spec_params)
+def _handle_permissibility(check: _Check) -> _Outcome:
+    theta = check.variable()
+    group = check.group()
+    expect = check.flag("expect", True)
     result = is_permissible(theta, group)
     details: dict[str, Any] = {
         "variable": theta.name,
@@ -217,25 +223,20 @@ def _handle_permissibility(ctx: _Context, spec_params: dict[str, Any], path: str
     }
     if result.witness is not None:
         details["witness"] = _witness_payload(result.witness)
-    return CheckRecord("", "permissibility", _status(result.ok == expect), details)
+    return _status(result.ok == expect), details
 
 
-def _handle_induced_group(ctx: _Context, spec_params: dict[str, Any], path: str) -> CheckRecord:
-    theta = ctx.scenario.variable(_param_str(spec_params, "variable", path), path)
-    group = ctx.scenario.group_for(spec_params, path)
+def _handle_induced_group(check: _Check) -> _Outcome:
+    theta = check.variable()
+    group = check.group()
     try:
         induced, hom = induced_group(theta, group)
     except NotPermissibleError as exc:
-        return CheckRecord(
-            "",
-            "induced-group",
-            STATUS_ERROR,
-            {
-                "variable": theta.name,
-                "error": str(exc),
-                "witness": _witness_payload(exc.witness),
-            },
-        )
+        return STATUS_ERROR, {
+            "variable": theta.name,
+            "error": str(exc),
+            "witness": _witness_payload(exc.witness),
+        }
     verified = hom.verify()
     source_transitive = group.is_transitive()
     induced_transitive = induced.is_transitive()
@@ -250,23 +251,23 @@ def _handle_induced_group(ctx: _Context, spec_params: dict[str, Any], path: str)
         "induced_transitive": induced_transitive,
         "transitivity_propagated": propagation_ok,
     }
-    return CheckRecord("", "induced-group", _status(verified and propagation_ok), details)
+    return _status(verified and propagation_ok), details
 
 
-def _handle_theorem1(ctx: _Context, spec_params: dict[str, Any], path: str) -> CheckRecord:
-    theta = ctx.scenario.variable(_param_str(spec_params, "variable", path), path)
-    base_point = _param_int(spec_params, "base_point", 0, path, 0, ctx.scenario.space.size - 1)
+def _handle_theorem1(check: _Check) -> _Outcome:
+    ctx = check.ctx
+    theta = check.variable()
+    base_point = check.base_point()
+    eta = check.variable("eta") if "eta" in check.params else None
     details: dict[str, Any] = {"variable": theta.name}
 
-    if "eta" in spec_params and ctx.scenario.space.product is not None:
-        eta = ctx.scenario.variable(spec_params["eta"], path)
-        exclusion_group = ctx.scenario.group_for(spec_params, path)
-        if flag_trivial_exchange(theta, eta, exclusion_group):
+    if eta is not None and ctx.scenario.space.product is not None:
+        if flag_trivial_exchange(theta, eta, check.group()):
             details["excluded"] = (
                 "the pair is related only through the coordinate swap; no "
                 "transformation content"
             )
-            return CheckRecord("", "theorem1-hypotheses", STATUS_NOT_APPLICABLE, details)
+            return STATUS_NOT_APPLICABLE, details
 
     family = ctx.coherent_family
     group = family.group
@@ -274,7 +275,7 @@ def _handle_theorem1(ctx: _Context, spec_params: dict[str, Any], path: str) -> C
     details["permissible"] = permissibility.ok
     if not permissibility.ok:
         details["witness"] = _witness_payload(permissibility.witness)
-        return CheckRecord("", "theorem1-hypotheses", STATUS_NOT_APPLICABLE, details)
+        return STATUS_NOT_APPLICABLE, details
 
     diag = ctx.rep_diagnostics
     details["representation"] = {
@@ -310,9 +311,9 @@ def _handle_theorem1(ctx: _Context, spec_params: dict[str, Any], path: str) -> C
 
     try:
         bundle = ctx.bundle(theta, base_point)
-    except (representations.CoherentCollisionError, representations.OrthogonalityError, ValueError) as exc:
+    except (ValueError, RuntimeError) as exc:  # RuntimeError: the spectrum check failed
         details["error"] = str(exc)
-        return CheckRecord("", "theorem1-hypotheses", STATUS_ERROR, details)
+        return STATUS_ERROR, details
 
     clusters = bundle.eigenvalue_multiplicities()
     numeric_values = sorted(theta.numeric_values())
@@ -341,25 +342,21 @@ def _handle_theorem1(ctx: _Context, spec_params: dict[str, Any], path: str) -> C
     maximality_law_ok = maximal == nondegenerate
     details["maximal_iff_nondegenerate"] = maximality_law_ok
     ok = rep_ok and injectivity.ok and spectrum_matches and maximality_law_ok
-    return CheckRecord("", "theorem1-hypotheses", _status(ok), details)
+    return _status(ok), details
 
 
-def _handle_theorem2(ctx: _Context, spec_params: dict[str, Any], path: str) -> CheckRecord:
-    theta = ctx.scenario.variable(_param_str(spec_params, "variable", path), path)
+def _handle_theorem2(check: _Check) -> _Outcome:
+    ctx = check.ctx
+    theta = check.variable()
     family = ctx.coherent_family
-    base_point = _param_int(spec_params, "base_point", 0, path, 0, ctx.scenario.space.size - 1)
+    base_point = check.base_point()
     permissibility = is_permissible(theta, family.group)
     if not permissibility.ok:
-        return CheckRecord(
-            "",
-            "theorem2",
-            STATUS_NOT_APPLICABLE,
-            {
-                "variable": theta.name,
-                "reason": "theta is not permissible under the acting group",
-                "witness": _witness_payload(permissibility.witness),
-            },
-        )
+        return STATUS_NOT_APPLICABLE, {
+            "variable": theta.name,
+            "reason": "theta is not permissible under the acting group",
+            "witness": _witness_payload(permissibility.witness),
+        }
     tol = ctx.tol("conjugation_residual")
     bundle = ctx.bundle(theta, base_point)
     per_element = []
@@ -376,16 +373,17 @@ def _handle_theorem2(ctx: _Context, spec_params: dict[str, Any], path: str) -> C
         "max_residual": max_residual,
         "per_element": per_element,
     }
-    return CheckRecord("", "theorem2", _status(max_residual <= tol), details)
+    return _status(max_residual <= tol), details
 
 
-def _handle_eq1(ctx: _Context, spec_params: dict[str, Any], path: str) -> CheckRecord:
-    basis_var = ctx.scenario.variable(_param_str(spec_params, "basis", path), path)
-    base_point = _param_int(spec_params, "base_point", 0, path, 0, ctx.scenario.space.size - 1)
+def _handle_eq1(check: _Check) -> _Outcome:
+    ctx = check.ctx
+    basis_var = check.variable("basis")
+    base_point = check.base_point()
     basis_bundle = ctx.bundle(basis_var, base_point)
-    target_spec = spec_params.get("target")
+    target_spec = check.params.get("target")
     if not isinstance(target_spec, dict):
-        raise ScenarioError(f"{path}.target: expected a mapping")
+        raise ScenarioError(f"{check.path}.target: expected a mapping")
     if "direction" in target_spec:
         direction = spin.SpinDirection.from_vector(target_spec["direction"])
         target_bundle = bundle_from_matrix(
@@ -396,27 +394,16 @@ def _handle_eq1(ctx: _Context, spec_params: dict[str, Any], path: str) -> CheckR
         )
         target_desc: Any = {"direction": [direction.x, direction.y, direction.z]}
     elif "variable" in target_spec:
-        target_var = ctx.scenario.variable(target_spec["variable"], path)
+        target_var = _Check(ctx, target_spec, f"{check.path}.target").variable()
         target_bundle = ctx.bundle(target_var, base_point)
         target_desc = {"variable": target_var.name}
     else:
-        raise ScenarioError(f"{path}.target: expected a direction or a variable")
-    index = _param_int(spec_params, "index", 0, path)
+        raise ScenarioError(f"{check.path}.target: expected a direction or a variable")
+    index = check.int("index", 0)
     try:
         expansion = expand_in_basis(target_bundle, index, basis_bundle)
-    except (representations.DegenerateBasisError, ValueError) as exc:
-        return CheckRecord(
-            "",
-            "eq1-expansion",
-            STATUS_ERROR,
-            {"basis": basis_var.name, "target": target_desc, "error": str(exc)},
-        )
-    recon_tol = ctx.tol("expansion_reconstruction")
-    weight_tol = ctx.tol("expansion_weight")
-    ok = (
-        expansion.reconstruction_error <= recon_tol
-        and abs(expansion.weight_sum - 1.0) <= weight_tol
-    )
+    except ValueError as exc:  # a DegenerateBasisError among them
+        return STATUS_ERROR, {"basis": basis_var.name, "target": target_desc, "error": str(exc)}
     details = {
         "basis": basis_var.name,
         "target": target_desc,
@@ -425,12 +412,14 @@ def _handle_eq1(ctx: _Context, spec_params: dict[str, Any], path: str) -> CheckR
         "reconstruction_error": expansion.reconstruction_error,
         "weight_sum": expansion.weight_sum,
     }
-    return CheckRecord("", "eq1-expansion", _status(ok), details)
+    ok = expansion.ok(ctx.tol("expansion_reconstruction"), ctx.tol("expansion_weight"))
+    return _status(ok), details
 
 
-def _handle_singlet_delta(ctx: _Context, spec_params: dict[str, Any], path: str) -> CheckRecord:
-    directions = _param_int(spec_params, "directions", 100, path, 0)
-    seed = _param_int(spec_params, "seed", 7, path)
+def _handle_singlet_delta(check: _Check) -> _Outcome:
+    ctx = check.ctx
+    directions = check.int("directions", 100, 0)
+    seed = check.int("seed", 7)
     state = spin.singlet()
     bundle = spin.delta_operator(ctx.tol("hermitian"), ctx.tol("eigen_cluster_gap"))
     eigen_residual = linalg.max_abs(bundle.operator @ state - (-3.0) * state)
@@ -439,12 +428,10 @@ def _handle_singlet_delta(ctx: _Context, spec_params: dict[str, Any], path: str)
     degenerate = [c for c in bundle.spectral.clusters if c.multiplicity > 1]
     sweep = spin.AXES + spin.random_directions(directions, seed)
     max_anti = max(spin.anticorrelation_residual(d) for d in sweep)
-    eigen_tol = ctx.tol("singlet_eigen")
-    anti_tol = ctx.tol("anticorrelation")
     ok = (
-        eigen_residual <= eigen_tol
+        eigen_residual <= ctx.tol("singlet_eigen")
         and sorted(multiplicities) == [1, 3]
-        and max_anti <= anti_tol
+        and max_anti <= ctx.tol("anticorrelation")
     )
     details = {
         "singlet": list(state),
@@ -456,45 +443,19 @@ def _handle_singlet_delta(ctx: _Context, spec_params: dict[str, Any], path: str)
         "directions_checked": len(sweep),
         "max_anticorrelation_residual": max_anti,
     }
-    return CheckRecord("", "singlet-delta", _status(ok), details)
+    return _status(ok), details
 
 
-def _relation_payload(relations) -> list[dict[str, Any]]:
-    return [
-        {
-            "pair": [r.left, r.right],
-            "witness": r.witness,
-            "elements_searched": r.searched,
-        }
-        for r in relations
-    ]
-
-
-def _hypotheses_payload(hypotheses) -> dict[str, Any]:
-    return {
-        "transitive": hypotheses.transitive,
-        "trivial_isotropy": hypotheses.trivial_isotropy,
-        "permissible": {name: ok for name, ok in hypotheses.permissible},
-        "trivial_exchange_flagged": hypotheses.trivial_exchange_flagged,
-        "satisfied": hypotheses.satisfied,
-    }
-
-
-def _handle_a1_search(ctx: _Context, spec_params: dict[str, Any], path: str) -> CheckRecord:
-    group = ctx.scenario.group_for(spec_params, path)
-    thought = ctx.thought_scenario(group, spec_params, path)
-    theta = ctx.scenario.variable(_param_str(spec_params, "theta", path), path)
-    eta_name = spec_params.get("eta", theta.name)
-    if not isinstance(eta_name, str):
-        raise ScenarioError(f"{path}.eta: expected a string")
-    eta = ctx.scenario.variable(eta_name, path)
-    all_partitions = bool(spec_params.get("all-partitions", False))
+def _handle_a1_search(check: _Check) -> _Outcome:
+    theta = check.variable("theta")
+    eta = check.variable("eta", theta.name)
+    all_partitions = check.flag("all-partitions", False)
     result = theorem_a1_search(
-        thought,
+        check.thought(),
         theta,
         eta,
         all_partitions=all_partitions,
-        exhaustive=ctx.flags.exhaustive_relatedness,
+        exhaustive=check.ctx.flags.exhaustive_relatedness,
     )
     details: dict[str, Any] = {
         "theta": theta.name,
@@ -506,40 +467,42 @@ def _handle_a1_search(ctx: _Context, spec_params: dict[str, Any], path: str) -> 
     if result.witness_partition is not None:
         details["witness_partition"] = list(result.witness_partition)
         details["witness_element"] = result.witness_element
-    status = {
-        "pass": STATUS_PASS,
-        "fail": STATUS_FAIL,
-        "not-applicable": STATUS_NOT_APPLICABLE,
-    }[result.status]
-    return CheckRecord("", "a1-search", status, details)
+    return result.status, details
 
 
-def _handle_a2_classify(ctx: _Context, spec_params: dict[str, Any], path: str) -> CheckRecord:
-    group = ctx.scenario.group_for(spec_params, path)
-    thought = ctx.thought_scenario(group, spec_params, path)
-    result = classify_thoughts(thought, exhaustive=ctx.flags.exhaustive_relatedness)
+def _handle_a2_classify(check: _Check) -> _Outcome:
+    expected = None
+    if "expect-verdict" in check.params:
+        verdicts = (VERDICT_ALL_RELATED, VERDICT_ALL_DIFFERENT, VERDICT_MIXED)
+        expected = check.str("expect-verdict", choices=verdicts)
+    result = classify_thoughts(check.thought(), exhaustive=check.ctx.flags.exhaustive_relatedness)
+    hypotheses = result.hypotheses
     details = {
         "classes": [list(c) for c in result.classes],
         "verdict": result.verdict,
-        "relations": _relation_payload(result.relations),
-        "hypotheses": _hypotheses_payload(result.hypotheses),
+        "relations": [
+            {"pair": [r.left, r.right], "witness": r.witness, "elements_searched": r.searched}
+            for r in result.relations
+        ],
+        "hypotheses": {
+            "transitive": hypotheses.transitive,
+            "trivial_isotropy": hypotheses.trivial_isotropy,
+            "permissible": dict(hypotheses.permissible),
+            "trivial_exchange_flagged": hypotheses.trivial_exchange_flagged,
+            "satisfied": hypotheses.satisfied,
+        },
     }
-    contradiction = result.verdict == VERDICT_MIXED and result.hypotheses.satisfied
-    ok = not contradiction
-    expected = spec_params.get("expect-verdict")
+    ok = not (result.verdict == VERDICT_MIXED and hypotheses.satisfied)
     if expected is not None:
-        if not isinstance(expected, str):
-            raise ScenarioError(f"{path}.expect-verdict: expected a string")
         details["expected_verdict"] = expected
         ok = ok and (result.verdict == expected)
-    return CheckRecord("", "a2-classify", _status(ok), details)
+    return _status(ok), details
 
 
-def _handle_a2_falsify(ctx: _Context, spec_params: dict[str, Any], path: str) -> CheckRecord:
-    if ctx.flags.max_n is not None:
-        spec_params = {**spec_params, "max-n": ctx.flags.max_n}
-    max_n = _param_int(spec_params, "max-n", 4, path, 1)
-    report = exhaustive_falsifier(max_n)
+def _handle_a2_falsify(check: _Check) -> _Outcome:
+    if check.ctx.flags.max_n is not None:
+        check = replace(check, params={**check.params, "max-n": check.ctx.flags.max_n})
+    report = exhaustive_falsifier(check.int("max-n", 4, 1))
     details = {
         "max_n": report.max_n,
         "instances": report.instances,
@@ -562,12 +525,10 @@ def _handle_a2_falsify(ctx: _Context, spec_params: dict[str, Any], path: str) ->
             }
             for c in report.counterexamples
         ]
-    return CheckRecord(
-        "", "a2-falsify", _status(report.mixed_with_satisfied_hypotheses == 0), details
-    )
+    return _status(report.mixed_with_satisfied_hypotheses == 0), details
 
 
-_HANDLERS: dict[str, Callable[[_Context, dict[str, Any], str], CheckRecord]] = {
+_HANDLERS: dict[str, Callable[[_Check], _Outcome]] = {
     "permissibility": _handle_permissibility,
     "induced-group": _handle_induced_group,
     "theorem1-hypotheses": _handle_theorem1,
@@ -596,25 +557,16 @@ def run_scenario(scenario: Scenario, flags: RunFlags | None = None) -> Verificat
         },
     )
     for i, spec in enumerate(scenario.checks):
-        path = f"checks[{i}]"
-        handler = _HANDLERS[spec.type]
         started = time.perf_counter()
         try:
-            record = handler(ctx, spec.params, path)
+            status, details = _HANDLERS[spec.type](_Check(ctx, spec.params, f"checks[{i}]"))
         except ScenarioError:
             raise
         except Exception as exc:  # pragma: no cover - surfaced, not silenced
-            record = CheckRecord(
-                "", spec.type, STATUS_ERROR, {"error": f"{type(exc).__name__}: {exc}"}
-            )
-        record.elapsed_ms = (time.perf_counter() - started) * 1000.0
-        record.name = spec.label()
-        if scenario.informational and record.status in (
-            STATUS_PASS,
-            STATUS_FAIL,
-            STATUS_NOT_APPLICABLE,
-        ):
-            record.details["underlying_status"] = record.status
-            record.status = STATUS_INFORMATIONAL
-        report.add(record)
+            status, details = STATUS_ERROR, {"error": f"{type(exc).__name__}: {exc}"}
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        if scenario.informational and status != STATUS_ERROR:
+            details["underlying_status"] = status
+            status = STATUS_INFORMATIONAL
+        report.add(CheckRecord(spec.label(), spec.type, status, details, elapsed_ms))
     return report

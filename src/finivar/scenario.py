@@ -56,7 +56,7 @@ def _require_str(value: Any, path: str) -> str:
 
 
 def _require_int_list(value: Any, path: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+    if not isinstance(value, list) or not all(type(v) is int for v in value):
         raise _fail(path, "expected a list of integers")
     return tuple(value)
 
@@ -128,14 +128,7 @@ class Scenario:
     def group_for(self, spec_params: dict[str, Any], path: str) -> PermutationGroup:
         """The scenario group, unless the check overrides the generators."""
         if "generators" in spec_params:
-            raw = spec_params["generators"]
-            if not isinstance(raw, list):
-                raise _fail(f"{path}.generators", "expected a list of image arrays")
-            gens = tuple(
-                _permutation(images, self.space.size, f"{path}.generators[{i}]")
-                for i, images in enumerate(raw)
-            )
-            return PermutationGroup.generate(self.space, gens)
+            return _generate(spec_params["generators"], self.space, f"{path}.generators")
         return self.require_group(path)
 
     def build_representation(self) -> UnitaryRep:
@@ -166,6 +159,14 @@ def _permutation(value: Any, size: int, path: str) -> Permutation:
         return Permutation(images)
     except ValueError as exc:
         raise _fail(path, str(exc)) from None
+
+
+def _generate(raw: Any, space: PointSpace, path: str) -> PermutationGroup:
+    """The group generated by the list of image arrays at ``path``."""
+    if not isinstance(raw, list):
+        raise _fail(path, "expected a list of image arrays")
+    gens = tuple(_permutation(images, space.size, f"{path}[{i}]") for i, images in enumerate(raw))
+    return PermutationGroup.generate(space, gens)
 
 
 def _parse_space(raw: Any) -> PointSpace:
@@ -223,6 +224,8 @@ def _parse_representation(raw: Any, space: PointSpace) -> dict[str, Any] | None:
     data = _require(raw, "representation")
     kind = _require_str(data.get("kind"), "representation.kind")
     if kind == "qubit":
+        if space.size != 2:
+            raise _fail("representation.kind", f"expected two points, got {space.size}")
         return {"kind": "qubit"}
     if kind == "cyclic-dft":
         n = data.get("n")
@@ -277,14 +280,7 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
     group = None
     if data.get("group") is not None:
         group_data = _require(data["group"], "group")
-        raw_gens = group_data.get("generators")
-        if not isinstance(raw_gens, list):
-            raise _fail("group.generators", "expected a list of image arrays")
-        gens = tuple(
-            _permutation(images, space.size, f"group.generators[{i}]")
-            for i, images in enumerate(raw_gens)
-        )
-        group = PermutationGroup.generate(space, gens)
+        group = _generate(group_data.get("generators"), space, "group.generators")
 
     representation = _parse_representation(data.get("representation"), space)
 
@@ -312,7 +308,9 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
                 raise _fail(f"tolerances.{key}", "expected a positive number")
             overrides[str(key)] = float(value)
 
-    informational = bool(data.get("informational", False))
+    informational = data.get("informational", False)
+    if not isinstance(informational, bool):
+        raise _fail("informational", "expected true or false")
 
     return Scenario(
         name=name,

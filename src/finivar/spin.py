@@ -80,7 +80,8 @@ def singlet() -> np.ndarray:
 
 
 def delta_operator(
-    hermitian_tol: float = linalg.HERMITIAN_TOL, cluster_gap: float = linalg.CLUSTER_GAP
+    hermitian_tol: float = linalg.DEFAULT_TOLERANCES["hermitian"],
+    cluster_gap: float = linalg.DEFAULT_TOLERANCES["eigen_cluster_gap"],
 ) -> OperatorBundle:
     """Sum of the three matched-component products on the pair space.
 

@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finivar.groups import (
     GroupHomomorphism,
+    PAIR_EXHAUSTIVE_LIMIT,
     GroupTooLargeError,
     NotPermissibleError,
     Permutation,
     PermutationGroup,
     are_related,
+    element_pairs,
     flag_trivial_exchange,
     induced_group,
     is_permissible,
@@ -272,6 +277,30 @@ class TestInducedGroup:
             assert hom(k).images == expected
         if group.is_transitive():
             assert induced.is_transitive()
+
+
+class TestElementPairs:
+    def test_every_pair_up_to_the_limit(self):
+        space = space_of(5)
+        elements = PermutationGroup.generate(
+            space, (Permutation((1, 0, 2, 3, 4)), Permutation((1, 2, 3, 4, 0)))
+        ).elements
+        assert len(elements) <= PAIR_EXHAUSTIVE_LIMIT
+        pairs, count = element_pairs(elements)
+        assert list(pairs) == list(itertools.product(elements, elements))
+        assert count == 120 * 120
+
+    def test_seeded_sample_above_the_limit(self):
+        space = space_of(6)
+        elements = PermutationGroup.generate(
+            space, (Permutation((1, 0, 2, 3, 4, 5)), Permutation((1, 2, 3, 4, 5, 0)))
+        ).elements
+        assert len(elements) > PAIR_EXHAUSTIVE_LIMIT
+        pairs, count = element_pairs(elements, seed=3, sample_pairs=50)
+        rng = random.Random(3)
+        draws = [rng.randrange(720) for _ in range(100)]
+        assert list(pairs) == [(elements[i], elements[j]) for i, j in zip(draws[::2], draws[1::2])]
+        assert count == 50
 
 
 class TestRelatedness:

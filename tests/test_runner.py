@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from finivar import representations
+from finivar import linalg, representations, runner, spin
 from finivar.builtins import builtin_text, load_builtin
 from finivar.report import (
     STATUS_ERROR,
@@ -18,7 +20,7 @@ from finivar.report import (
     STATUS_PASS,
 )
 from finivar.runner import DEFAULT_TOLERANCES, RunFlags, resolve_tolerances, run_scenario
-from finivar.scenario import ScenarioError, loads
+from finivar.scenario import CHECK_TYPES, ScenarioError, loads
 
 CIRCLE4 = """
 name: circle
@@ -43,6 +45,28 @@ representation:
   n: 4
 checks:
 {checks}
+"""
+
+
+# Three two-valued thoughts on four points under the trivial group; checks follow.
+SQUARE_THOUGHTS = """
+name: verdicts
+space:
+  id: sq
+  labels: ["0", "1", "2", "3"]
+variables:
+  - name: halves
+    values: ["a", "b"]
+    assignment: [0, 0, 1, 1]
+  - name: stripes
+    values: ["a", "b"]
+    assignment: [0, 1, 0, 1]
+  - name: diagonals
+    values: ["a", "b"]
+    assignment: [0, 1, 1, 0]
+group:
+  generators: []
+checks:
 """
 
 
@@ -116,6 +140,68 @@ class TestTolerances:
             run_scenario(scenario)
 
 
+# The table entry each tolerance keyword of linalg, representations and spin
+# defaults to, by "<qualified name>.<parameter>".
+KEYWORD_TOLERANCES = {
+    "is_hermitian.tol": "hermitian",
+    "is_unitary.tol": "unitary",
+    "eigh.hermitian_tol": "hermitian",
+    "eigh.cluster_gap": "eigen_cluster_gap",
+    "RepDiagnostics.ok.unitary_tol": "unitary",
+    "RepDiagnostics.ok.hom_tol": "rep_homomorphism",
+    "check_coherent_injectivity.distance_tol": "injectivity_distance",
+    "check_coherent_injectivity.overlap_tol": "injectivity_overlap",
+    "bundle_from_matrix.hermitian_tol": "hermitian",
+    "bundle_from_matrix.cluster_gap": "eigen_cluster_gap",
+    "conjugation_check.tol": "conjugation_residual",
+    "BasisExpansion.ok.reconstruction_tol": "expansion_reconstruction",
+    "BasisExpansion.ok.weight_tol": "expansion_weight",
+    "commutant_diagnostic.tol": "commutant",
+    "delta_operator.hermitian_tol": "hermitian",
+    "delta_operator.cluster_gap": "eigen_cluster_gap",
+}
+# Numeric cut-offs that are not tolerances of a check (see the README).
+KEYWORDS_OUTSIDE_THE_TABLE = {"fix_phase.entry_tol"}
+
+
+def float_keyword_defaults():
+    """Every float keyword default of a function or method defined in the three modules."""
+    found = {}
+    for module in (linalg, representations, spin):
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            functions = [obj] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                functions = [f for f in vars(obj).values() if inspect.isfunction(f)]
+            for function in functions:
+                for param in inspect.signature(function).parameters.values():
+                    if isinstance(param.default, float):
+                        found[f"{function.__qualname__}.{param.name}"] = param.default
+    return found
+
+
+class TestOneTable:
+    def test_runner_exports_the_linalg_table(self):
+        assert DEFAULT_TOLERANCES is linalg.DEFAULT_TOLERANCES
+        assert len(DEFAULT_TOLERANCES) == 14
+
+    def test_every_keyword_default_reads_the_table(self):
+        found = float_keyword_defaults()
+        fields = {
+            f"OperatorTolerances.__init__.{f.name}": f.name
+            for f in dataclasses.fields(representations.OperatorTolerances)
+        }
+        expected = {**KEYWORD_TOLERANCES, **fields}
+        assert set(found) == set(expected) | KEYWORDS_OUTSIDE_THE_TABLE
+        for key, name in expected.items():
+            assert found[key] == DEFAULT_TOLERANCES[name], key
+
+    def test_check_types_and_handlers_agree(self):
+        assert len(CHECK_TYPES) == 9
+        assert set(runner._HANDLERS) == set(CHECK_TYPES)
+
+
 class TestStatusMapping:
     def test_permissibility_expectation_inverts_status(self):
         ok = scenario_with(
@@ -167,6 +253,35 @@ class TestStatusMapping:
         assert "error" in record.details
         assert report.exit_code == 1
 
+    def test_spectrum_error_keeps_theorem1_details(self):
+        # At scale 1e-6, spectral_reconstruction is 1e-14: below the rounding
+        # of eigenvalues in the thousands, so build_operator's spectrum check
+        # raises.  The record keeps what theorem1 measured before the build.
+        n = 8
+        data = {
+            "name": "cycle-8",
+            "space": {"id": "cycle-8", "labels": [str(j) for j in range(n)]},
+            "variables": [
+                {
+                    "name": "position",
+                    "values": [f"{1000 * j + 0.25:g}" for j in range(n)],
+                    "assignment": list(range(n)),
+                }
+            ],
+            "group": {"generators": [[(j + 1) % n for j in range(n)]]},
+            "representation": {"kind": "cyclic-dft", "n": n},
+            "checks": [{"type": "theorem1-hypotheses", "variable": "position"}],
+        }
+        scenario = loads(json.dumps(data))
+        assert single_record(scenario)[1].status == STATUS_PASS
+        report, record = single_record(scenario, RunFlags(tolerance_scale=1e-6))
+        assert record.status == STATUS_ERROR
+        assert record.details["error"].startswith("spectrum ")
+        assert record.details["representation"]["pairs_checked"] == n * n
+        assert record.details["coherent_injectivity"]["ok"] is True
+        assert "note" in record.details["irreducibility"]
+        assert report.exit_code == 1
+
     def test_unexpected_exception_becomes_error_record(self):
         scenario = scenario_with(
             "  - type: eq1-expansion\n"
@@ -179,29 +294,8 @@ class TestStatusMapping:
         assert report.exit_code == 1
 
     def test_expect_verdict_mismatch_fails(self):
-        scenario = loads(
-            """
-name: verdicts
-space:
-  id: sq
-  labels: ["0", "1", "2", "3"]
-variables:
-  - name: halves
-    values: ["a", "b"]
-    assignment: [0, 0, 1, 1]
-  - name: stripes
-    values: ["a", "b"]
-    assignment: [0, 1, 0, 1]
-  - name: diagonals
-    values: ["a", "b"]
-    assignment: [0, 1, 1, 0]
-group:
-  generators: []
-checks:
-  - type: a2-classify
-    expect-verdict: all-related
-"""
-        )
+        check = "  - type: a2-classify\n    expect-verdict: all-related\n"
+        scenario = loads(SQUARE_THOUGHTS + check)
         _, record = single_record(scenario)
         assert record.status == STATUS_FAIL
         assert record.details["verdict"] == "all-essentially-different"
@@ -242,6 +336,28 @@ class TestParameterValidation:
         scenario = scenario_with("  - type: eq1-expansion\n    basis: position\n")
         with pytest.raises(ScenarioError, match="target: expected a mapping"):
             run_scenario(scenario)
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            pytest.param(
+                CIRCLE4.format(
+                    checks="  - type: a1-search\n    theta: halves\n"
+                    "    members: [halves, parity]\n    all-partitions: 'no'"
+                ),
+                "all-partitions",
+                id="all-partitions",
+            ),
+            pytest.param(
+                SQUARE_THOUGHTS + "  - type: a2-classify\n    expect-verdict: maybe\n",
+                "expect-verdict",
+                id="expect-verdict",
+            ),
+        ],
+    )
+    def test_relatedness_parameters_are_validated(self, text, field):
+        with pytest.raises(ScenarioError, match=rf"checks\[0\]\.{field}: expected"):
+            run_scenario(loads(text))
 
     def test_members_must_be_names(self):
         scenario = scenario_with(

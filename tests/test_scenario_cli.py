@@ -398,6 +398,7 @@ checks:
 THEOREM1 = "  - type: theorem1-hypotheses\n    variable: position"
 THEOREM2 = "  - type: theorem2\n    variable: position"
 EQ1 = "  - type: eq1-expansion\n    basis: position\n    target: {variable: position}"
+PERMISSIBILITY = "  - type: permissibility\n    variable: position"
 CHECKS = {
     "theorem1": THEOREM1,
     "theorem2": THEOREM2,
@@ -506,6 +507,48 @@ class TestCli:
         result = self.runner.invoke(main, ["run", str(target)])
         assert result.exit_code == 2, result.output
         assert f"checks[0].{field}: expected" in result.output
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            pytest.param(
+                CYCLE4.format(checks=f"{THEOREM1}\n    eta: [1]"), "checks[0].eta", id="eta"
+            ),
+            pytest.param(
+                CYCLE4.format(checks=EQ1.replace("position}", "[1]}")),
+                "checks[0].target.variable",
+                id="target-variable",
+            ),
+            pytest.param(
+                CYCLE4.format(checks=f"{PERMISSIBILITY}\n    expect: sometimes"),
+                "checks[0].expect",
+                id="expect",
+            ),
+            pytest.param(
+                CYCLE4.format(checks=THEOREM1) + "\ninformational: 'no'\n",
+                "informational",
+                id="informational",
+            ),
+            pytest.param(
+                CYCLE4.format(checks=THEOREM1).replace(
+                    "- [1, 2, 3, 0]", "- [1, 2, 3, 0]\n    - [true, false, 2, 3]"
+                ),
+                "group.generators[1]",
+                id="bool-generator",
+            ),
+            pytest.param(
+                CYCLE4.format(checks=THEOREM1).replace("kind: cyclic-dft\n  n: 4", "kind: qubit"),
+                "representation.kind",
+                id="qubit-kind",
+            ),
+        ],
+    )
+    def test_malformed_field_exits_two(self, tmp_path, text, field):
+        target = tmp_path / "bad.yaml"
+        target.write_text(text, encoding="utf-8")
+        result = self.runner.invoke(main, ["run", str(target)])
+        assert result.exit_code == 2, result.output
+        assert f"{field}: expected" in result.output
 
     def test_base_point_in_range_runs(self, tmp_path):
         target = tmp_path / "good.yaml"
