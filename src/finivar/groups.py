@@ -18,6 +18,7 @@ from .spaces import (
     ConceptualVariable,
     DomainMismatchError,
     PointSpace,
+    _require_same_domain,
     canonical_partition,
 )
 
@@ -345,10 +346,7 @@ def are_related(
     of the domain is tried instead (guarded to small spaces).  Candidates are
     scanned in lexicographic order, so the returned witness is the smallest.
     """
-    if theta.domain != eta.domain:
-        raise DomainMismatchError(
-            f"variables {theta.name!r} and {eta.name!r} live on different spaces"
-        )
+    _require_same_domain(theta, eta)
     if theta.value_count != eta.value_count:
         raise ValueError(
             f"no value bijection can exist: {theta.name!r} takes {theta.value_count} "
@@ -387,10 +385,7 @@ def flag_trivial_exchange(
         raise ValueError(
             f"not applicable: point space {space.id!r} declares no product structure"
         )
-    if theta.domain != eta.domain:
-        raise DomainMismatchError(
-            f"variables {theta.name!r} and {eta.name!r} live on different spaces"
-        )
+    _require_same_domain(theta, eta)
     if theta.value_count != eta.value_count:
         return False
     _require_acting_group(theta, group)

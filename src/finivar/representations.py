@@ -14,8 +14,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import linalg
-from .groups import Permutation, PermutationGroup, element_pairs
-from .spaces import ConceptualVariable, DomainMismatchError, PointSpace
+from .groups import Permutation, PermutationGroup, _require_acting_group, element_pairs
+from .spaces import ConceptualVariable, PointSpace
 
 __all__ = [
     "CoherentCollisionError",
@@ -169,6 +169,12 @@ def cyclic_dft_rep(n: int, space: PointSpace | None = None) -> UnitaryRep:
     return UnitaryRep(group, matrices)
 
 
+def _check_base_state(base: np.ndarray, dim: int) -> None:
+    """Raise ``ValueError`` unless ``base`` is a nonzero vector of dimension ``dim``."""
+    if base.shape != (dim,) or np.linalg.norm(base) < 1e-12:
+        raise ValueError(f"expected a nonzero vector of dimension {dim}")
+
+
 class CoherentFamily:
     """The orbit of a base state under a representation, keyed by group element.
 
@@ -179,10 +185,7 @@ class CoherentFamily:
 
     def __init__(self, rep: UnitaryRep, base: np.ndarray) -> None:
         base = np.asarray(base, dtype=complex)
-        if base.shape != (rep.dim,):
-            raise ValueError(f"base state must have dimension {rep.dim}")
-        if np.linalg.norm(base) < 1e-12:
-            raise ValueError("base state must be nonzero")
+        _check_base_state(base, rep.dim)
         self.rep = rep
         self.base = base
         self.states = {k: rep(k) @ base for k in rep.group.elements}
@@ -359,11 +362,7 @@ def build_operator(
     nondegenerate.
     """
     group = family.group
-    if group.space != theta.domain:
-        raise DomainMismatchError(
-            f"representation group acts on {group.space.id!r}, variable lives on "
-            f"{theta.domain.id!r}"
-        )
+    _require_acting_group(theta, group)
     n = theta.domain.size
     points = [k.images[base_point] for k in group.elements]
     if group.order != n or len(set(points)) != n:

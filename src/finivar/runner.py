@@ -9,11 +9,10 @@ the resolved table is embedded in every report.
 from __future__ import annotations
 
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any, Callable
-
-import numpy as np
 
 from . import linalg, spin
 from .groups import (
@@ -58,6 +57,7 @@ from .representations import (
 )
 from .scenario import Scenario, ScenarioError
 from .spaces import ConceptualVariable, VariableFamily, maximal_accessible
+from .subgroups import MAX_EXACT_DEGREE
 
 __all__ = ["RunFlags", "run_scenario", "DEFAULT_TOLERANCES", "resolve_tolerances"]
 
@@ -101,12 +101,9 @@ class _Context:
 
     @cached_property
     def coherent_family(self) -> CoherentFamily:
-        rep = self.scenario.build_representation()
-        base = self.scenario.base_state
-        if base is None:
-            base = np.zeros(rep.dim, dtype=complex)
-            base[0] = 1.0
-        return CoherentFamily(rep, base)
+        if self.scenario.representation is None:
+            raise ScenarioError("representation: scenario declares no representation")
+        return CoherentFamily(self.scenario.representation, self.scenario.base_state)
 
     @cached_property
     def operator_tolerances(self) -> OperatorTolerances:
@@ -175,6 +172,14 @@ class _Check:
             want = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[low]
             raise self._expected(key, want + ("" if high is None else f" up to {high}"))
         return value
+
+    def direction(self, key: str = "direction") -> spin.SpinDirection:
+        """A list of three numbers, not all zero, as the unit spin direction along it."""
+        value = self.params.get(key)
+        if isinstance(value, list) and all(type(v) in (int, float) for v in value):
+            with suppress(ValueError):  # the wrong length, or the zero vector
+                return spin.SpinDirection.from_vector(value)
+        raise self._expected(key, "a list of three numbers, not all zero")
 
     def variable(self, key: str = "variable", default: str | None = None) -> ConceptualVariable:
         return self.ctx.scenario.variable(self.str(key, default), f"{self.path}.{key}")
@@ -385,7 +390,7 @@ def _handle_eq1(check: _Check) -> _Outcome:
     if not isinstance(target_spec, dict):
         raise ScenarioError(f"{check.path}.target: expected a mapping")
     if "direction" in target_spec:
-        direction = spin.SpinDirection.from_vector(target_spec["direction"])
+        direction = _Check(ctx, target_spec, f"{check.path}.target").direction()
         target_bundle = bundle_from_matrix(
             f"spin({direction.x:.6g},{direction.y:.6g},{direction.z:.6g})",
             spin.spin_component_operator(direction),
@@ -502,7 +507,7 @@ def _handle_a2_classify(check: _Check) -> _Outcome:
 def _handle_a2_falsify(check: _Check) -> _Outcome:
     if check.ctx.flags.max_n is not None:
         check = replace(check, params={**check.params, "max-n": check.ctx.flags.max_n})
-    report = exhaustive_falsifier(check.int("max-n", 4, 1))
+    report = exhaustive_falsifier(check.int("max-n", 4, 1, MAX_EXACT_DEGREE))
     details = {
         "max_n": report.max_n,
         "instances": report.instances,

@@ -1,8 +1,8 @@
 """Scenario files: schema, validation and loading.
 
 Scenarios are YAML: a point space, variables, group generators (as image
-arrays), an optional representation request, and a non-empty list of checks.
-Validation errors carry the path of the offending field.
+arrays), an optional representation and base state (built and checked as the
+file loads), and a non-empty list of checks.  Errors name the offending field.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 import yaml
 
 from .groups import Permutation, PermutationGroup
-from .representations import UnitaryRep, cyclic_dft_rep, qubit_rep
+from .representations import UnitaryRep, _check_base_state, cyclic_dft_rep, qubit_rep
 from .spaces import ConceptualVariable, PointSpace
 
 __all__ = ["ScenarioError", "CheckSpec", "Scenario", "loads", "load_path", "CHECK_TYPES"]
@@ -109,7 +109,7 @@ class Scenario:
     space: PointSpace
     variables: dict[str, ConceptualVariable]
     group: PermutationGroup | None
-    representation_request: dict[str, Any] | None
+    representation: UnitaryRep | None
     base_state: np.ndarray | None
     checks: tuple[CheckSpec, ...]
     tolerance_overrides: dict[str, float]
@@ -130,25 +130,6 @@ class Scenario:
         if "generators" in spec_params:
             return _generate(spec_params["generators"], self.space, f"{path}.generators")
         return self.require_group(path)
-
-    def build_representation(self) -> UnitaryRep:
-        request = self.representation_request
-        if request is None:
-            raise ScenarioError("representation: scenario declares no representation")
-        kind = request["kind"]
-        if kind == "qubit":
-            return qubit_rep(self.space)
-        if kind == "cyclic-dft":
-            return cyclic_dft_rep(request["n"], self.space)
-        matrices: dict[Permutation, np.ndarray] = {}
-        group = self.require_group("representation")
-        for entry in request["matrices"]:
-            matrices[Permutation(tuple(entry["element"]))] = entry["matrix"]
-        if set(matrices) != set(group.elements):
-            raise ScenarioError(
-                "representation.matrices: must cover every group element exactly"
-            )
-        return UnitaryRep(group, matrices)
 
 
 def _permutation(value: Any, size: int, path: str) -> Permutation:
@@ -218,7 +199,9 @@ def _parse_variables(raw: Any, space: PointSpace) -> dict[str, ConceptualVariabl
     return out
 
 
-def _parse_representation(raw: Any, space: PointSpace) -> dict[str, Any] | None:
+def _parse_representation(
+    raw: Any, space: PointSpace, group: PermutationGroup | None
+) -> UnitaryRep | None:
     if raw is None:
         return None
     data = _require(raw, "representation")
@@ -226,27 +209,31 @@ def _parse_representation(raw: Any, space: PointSpace) -> dict[str, Any] | None:
     if kind == "qubit":
         if space.size != 2:
             raise _fail("representation.kind", f"expected two points, got {space.size}")
-        return {"kind": "qubit"}
+        return qubit_rep(space)
     if kind == "cyclic-dft":
         n = data.get("n")
         if type(n) is not int or n < 1:
             raise _fail("representation.n", "expected a positive integer")
         if n != space.size:
             raise _fail("representation.n", f"expected the space size {space.size}, got {n}")
-        return {"kind": "cyclic-dft", "n": n}
-    if kind == "explicit":
-        raw_matrices = data.get("matrices")
-        if not isinstance(raw_matrices, list) or not raw_matrices:
-            raise _fail("representation.matrices", "expected a nonempty list")
-        matrices = []
-        for i, entry in enumerate(raw_matrices):
-            path = f"representation.matrices[{i}]"
-            item = _require(entry, path)
-            element = _require_int_list(item.get("element"), f"{path}.element")
-            matrix = _parse_matrix(item.get("matrix"), f"{path}.matrix")
-            matrices.append({"element": element, "matrix": matrix})
-        return {"kind": "explicit", "matrices": matrices}
-    raise _fail("representation.kind", f"unknown kind {kind!r}")
+        return cyclic_dft_rep(n, space)
+    if kind != "explicit":
+        raise _fail("representation.kind", f"unknown kind {kind!r}")
+    raw_matrices = data.get("matrices")
+    if not isinstance(raw_matrices, list) or not raw_matrices:
+        raise _fail("representation.matrices", "expected a nonempty list")
+    if group is None:
+        raise _fail("representation", "scenario declares no group")
+    matrices: dict[Permutation, np.ndarray] = {}
+    for i, entry in enumerate(raw_matrices):
+        path = f"representation.matrices[{i}]"
+        item = _require(entry, path)
+        element = _permutation(item.get("element"), space.size, f"{path}.element")
+        matrices[element] = _parse_matrix(item.get("matrix"), f"{path}.matrix")
+    try:
+        return UnitaryRep(group, matrices)
+    except ValueError as exc:  # an element left out, or matrices of two shapes
+        raise _fail("representation.matrices", str(exc)) from None
 
 
 def loads(text: str, source: str = "<scenario>") -> Scenario:
@@ -282,11 +269,18 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
         group_data = _require(data["group"], "group")
         group = _generate(group_data.get("generators"), space, "group.generators")
 
-    representation = _parse_representation(data.get("representation"), space)
+    representation = _parse_representation(data.get("representation"), space, group)
 
     base_state = None
     if data.get("base_state") is not None:
         base_state = _parse_vector(data["base_state"], "base_state")
+    if representation is not None:
+        if base_state is None:  # the first basis vector
+            base_state = np.eye(1, representation.dim, dtype=complex)[0]
+        try:
+            _check_base_state(base_state, representation.dim)
+        except ValueError as exc:
+            raise _fail("base_state", str(exc)) from None
 
     raw_checks = data.get("checks")
     if not isinstance(raw_checks, list) or not raw_checks:
@@ -317,7 +311,7 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
         space=space,
         variables=variables,
         group=group,
-        representation_request=representation,
+        representation=representation,
         base_state=base_state,
         checks=tuple(checks),
         tolerance_overrides=overrides,

@@ -58,9 +58,6 @@ class SpinDirection:
         arr = arr / norm
         return cls(float(arr[0]), float(arr[1]), float(arr[2]))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
 
 AXES = (
     SpinDirection(1.0, 0.0, 0.0),

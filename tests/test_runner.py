@@ -283,11 +283,8 @@ class TestStatusMapping:
         assert report.exit_code == 1
 
     def test_unexpected_exception_becomes_error_record(self):
-        scenario = scenario_with(
-            "  - type: eq1-expansion\n"
-            "    basis: position\n"
-            "    target: {direction: [0, 0, 0]}\n"
-        )
+        # theorem2 needs numeric value labels; parity's are "even" and "odd".
+        scenario = scenario_with("  - type: theorem2\n    variable: parity\n")
         report, record = single_record(scenario)
         assert record.status == STATUS_ERROR
         assert record.details["error"].startswith("ValueError")

@@ -20,6 +20,8 @@ from finivar.report import (
     VerificationReport,
     jsonable,
 )
+from finivar.representations import cyclic_dft_rep, qubit_rep
+from finivar.runner import run_scenario
 from finivar.scenario import CHECK_TYPES, ScenarioError, load_path, loads
 
 from test_runner import cycle24_text
@@ -175,10 +177,11 @@ checks:
         )
 
     def test_representation_kinds(self):
-        qubit = loads(MINIMAL + "\nrepresentation: {kind: qubit}\n")
-        assert qubit.representation_request == {"kind": "qubit"}
-        cyclic = loads(MINIMAL + "\nrepresentation: {kind: cyclic-dft, n: 2}\n")
-        assert cyclic.representation_request == {"kind": "cyclic-dft", "n": 2}
+        flip = Permutation((1, 0))
+        qubit = loads(MINIMAL + "\nrepresentation: {kind: qubit}\n").representation
+        assert np.array_equal(qubit(flip), qubit_rep()(flip))
+        cyclic = loads(MINIMAL + "\nrepresentation: {kind: cyclic-dft, n: 2}\n").representation
+        assert np.array_equal(cyclic(flip), cyclic_dft_rep(2)(flip))
 
     def test_representation_unknown_kind(self):
         expect_error(
@@ -208,7 +211,7 @@ representation:
     - element: [1, 0]
       matrix: [[0, 1], [1, 0]]
 """
-        rep = loads(text).build_representation()
+        rep = loads(text).representation
         assert np.allclose(rep(Permutation((1, 0))), np.array([[0, 1], [1, 0]]))
 
     def test_explicit_representation_must_cover_group(self):
@@ -220,11 +223,12 @@ representation:
       matrix: [[1, 0], [0, 1]]
 """
         with pytest.raises(ScenarioError, match="every group element"):
-            loads(text).build_representation()
+            loads(text)
 
-    def test_build_representation_requires_request(self):
-        with pytest.raises(ScenarioError, match="declares no representation"):
-            loads(MINIMAL).build_representation()
+    def test_operator_check_requires_a_representation(self):
+        scenario = loads(MINIMAL.replace("permissibility", "theorem1-hypotheses"))
+        with pytest.raises(ScenarioError, match="representation: scenario declares no"):
+            run_scenario(scenario)
 
     def test_unknown_variable_lookup(self):
         scenario = loads(MINIMAL)
@@ -408,6 +412,22 @@ CHECKS = {
 }
 
 
+Z4 = [[(j + s) % 4 for j in range(4)] for s in range(4)]
+
+
+def explicit_cycle4(elements, matrices=None) -> str:
+    """CYCLE4 running theorem1 on an explicit representation, by default the regular one."""
+    if matrices is None:
+        matrices = [np.eye(4, dtype=int)[:, element] for element in elements]
+    entries = "".join(
+        f"\n    - element: {element}\n      matrix: {matrix.tolist()}"
+        for element, matrix in zip(elements, matrices)
+    )
+    return CYCLE4.format(checks=THEOREM1).replace(
+        "kind: cyclic-dft\n  n: 4", "kind: explicit\n  matrices:" + entries
+    )
+
+
 class TestCli:
     def setup_method(self):
         self.runner = CliRunner()
@@ -494,6 +514,7 @@ class TestCli:
         + [
             ("a2-falsify", "true", "max-n"),
             ("a2-falsify", "0", "max-n"),
+            ("a2-falsify", "7", "max-n"),
             ("singlet-delta", "true", "directions"),
             ("singlet-delta", "-1", "directions"),
             ("singlet-delta", "false", "seed"),
@@ -541,6 +562,14 @@ class TestCli:
                 "representation.kind",
                 id="qubit-kind",
             ),
+        ]
+        + [
+            pytest.param(
+                CYCLE4.format(checks=EQ1.replace("{variable: position}", f"{{direction: {d}}}")),
+                "checks[0].target.direction",
+                id=f"direction-{name}",
+            )
+            for name, d in (("string", '"x"'), ("length", "[1, 0]"), ("zero", "[0, 0, 0]"))
         ],
     )
     def test_malformed_field_exits_two(self, tmp_path, text, field):
@@ -549,6 +578,48 @@ class TestCli:
         result = self.runner.invoke(main, ["run", str(target)])
         assert result.exit_code == 2, result.output
         assert f"{field}: expected" in result.output
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            pytest.param(
+                explicit_cycle4([[0, 0, 2, 3]] + Z4[1:]),
+                "representation.matrices[0].element",
+                id="element-not-a-permutation",
+            ),
+            pytest.param(
+                explicit_cycle4([[0, 1, 2]] + Z4[1:]),
+                "representation.matrices[0].element",
+                id="element-length",
+            ),
+            pytest.param(
+                explicit_cycle4(Z4, [np.eye(2, dtype=int)] + [np.eye(3, dtype=int)] * 3),
+                "representation.matrices",
+                id="matrix-sizes",
+            ),
+            pytest.param(
+                CYCLE4.format(checks=THEOREM1) + "\nbase_state: [1, 0, 0]\n",
+                "base_state",
+                id="base-state-length",
+            ),
+            pytest.param(
+                CYCLE4.format(checks=THEOREM1) + "\nbase_state: [0, 0, 0, 0]\n",
+                "base_state",
+                id="base-state-zero",
+            ),
+        ],
+    )
+    def test_malformed_representation_exits_two(self, tmp_path, text, field):
+        target = tmp_path / "bad.yaml"
+        target.write_text(text, encoding="utf-8")
+        result = self.runner.invoke(main, ["run", str(target)])
+        assert result.exit_code == 2, result.output
+        assert f"Error: {field}: " in result.output
+
+    def test_max_n_flag_above_the_census_limit_exits_two(self):
+        result = self.runner.invoke(main, ["run", "a2-smoke", "--max-n", "8"])
+        assert result.exit_code == 2, result.output
+        assert "Error: checks[1].max-n: expected" in result.output
 
     def test_base_point_in_range_runs(self, tmp_path):
         target = tmp_path / "good.yaml"
