@@ -3,14 +3,13 @@
 Thin layer over numpy: eigenvalues come back ascending, every eigenvector's
 first nonzero entry is made real positive, and eigenvalues closer than a gap
 threshold are reported as a cluster with its projector rather than as
-individual vectors.
+individual vectors.  numpy is imported inside the functions that use it, so a
+run without operator checks never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "NotHermitianError",
@@ -50,7 +49,7 @@ class NotHermitianError(ValueError):
 
 
 def max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(abs(a).max()) if a.size else 0.0
 
 
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOLERANCES["hermitian"]) -> bool:
@@ -58,21 +57,24 @@ def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOLERANCES["hermitian"]) ->
 
 
 def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOLERANCES["unitary"]) -> bool:
-    n = u.shape[0]
-    return max_abs(u.conj().T @ u - np.eye(n)) <= tol
+    import numpy as np
+    return max_abs(u.conj().T @ u - np.eye(u.shape[0])) <= tol
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    import numpy as np
     return np.kron(a, b)
 
 
 def inner(u: np.ndarray, v: np.ndarray) -> complex:
     """Inner product, conjugate-linear in the first argument."""
+    import numpy as np
     return complex(np.vdot(u, v))
 
 
 def fix_phase(vector: np.ndarray, entry_tol: float = _PHASE_ENTRY_TOL) -> np.ndarray:
     """Rotate a vector so its first entry above ``entry_tol`` is real positive."""
+    import numpy as np
     idx = np.flatnonzero(np.abs(vector) > entry_tol)
     if idx.size == 0:
         return vector
@@ -112,6 +114,7 @@ class SpectralData:
         return self.vectors[:, index]
 
     def reconstruct(self) -> np.ndarray:
+        import numpy as np
         return self.vectors @ np.diag(self.eigenvalues) @ self.vectors.conj().T
 
 
@@ -127,6 +130,7 @@ def eigh(
     eigenvalues closer than ``cluster_gap`` share a cluster whose projector is
     basis-independent.
     """
+    import numpy as np
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")

@@ -9,10 +9,9 @@ serialize as image arrays and complex numbers as [re, im] pairs.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any
-
-import numpy as np
 
 from .groups import Permutation
 
@@ -43,18 +42,21 @@ _ALL_STATUSES = (
 
 def jsonable(value: Any) -> Any:
     """Coerce engine values into deterministic JSON-ready structures."""
+    # No numpy value can exist before numpy is loaded, so its tests are skipped until then.
+    np = sys.modules.get("numpy")
     if isinstance(value, Permutation):
         return [int(i) for i in value.images]
-    if isinstance(value, (np.complexfloating, complex)):
+    if isinstance(value, complex) or (np is not None and isinstance(value, np.complexfloating)):
         return [float(value.real), float(value.imag)]
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
+    if np is not None:
+        if isinstance(value, np.floating):
+            return float(value)
+        if isinstance(value, np.integer):
+            return int(value)
+        if isinstance(value, np.bool_):
+            return bool(value)
+        if isinstance(value, np.ndarray):
+            return [jsonable(v) for v in value.tolist()]
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from . import linalg
 from .groups import Permutation, PermutationGroup, _require_acting_group, element_pairs
 from .spaces import ConceptualVariable, PointSpace
@@ -60,6 +58,7 @@ class UnitaryRep:
     """A unitary matrix for every element of a permutation group."""
 
     def __init__(self, group: PermutationGroup, matrices: dict[Permutation, np.ndarray]) -> None:
+        import numpy as np
         if set(matrices) != set(group.elements):
             raise ValueError("representation must cover every group element exactly")
         first = next(iter(matrices.values()))
@@ -81,6 +80,7 @@ class UnitaryRep:
         and ray representations both validate.  Pair checks are exhaustive for
         small groups and a seeded sample for large ones.
         """
+        import numpy as np
         unitary_residual = max(
             linalg.max_abs(m.conj().T @ m - np.eye(self.dim)) for m in self.matrices.values()
         )
@@ -131,6 +131,7 @@ def qubit_rep(space: PointSpace | None = None) -> UnitaryRep:
     the non-identity element gets [[0, e^{+i}], [e^{-i}, 0]], which squares to
     the identity.
     """
+    import numpy as np
     if space is None:
         space = PointSpace(id="spin-values", labels=("+1", "-1"))
     if space.size != 2:
@@ -151,6 +152,7 @@ def cyclic_dft_rep(n: int, space: PointSpace | None = None) -> UnitaryRep:
     D = diag(e^{2 pi i k/n}); equivalently translation by s acts as a position
     shift in the standard basis.
     """
+    import numpy as np
     if n < 1:
         raise ValueError("cyclic representation needs n >= 1")
     if space is None:
@@ -171,6 +173,7 @@ def cyclic_dft_rep(n: int, space: PointSpace | None = None) -> UnitaryRep:
 
 def _check_base_state(base: np.ndarray, dim: int) -> None:
     """Raise ``ValueError`` unless ``base`` is a nonzero vector of dimension ``dim``."""
+    import numpy as np
     if base.shape != (dim,) or np.linalg.norm(base) < 1e-12:
         raise ValueError(f"expected a nonzero vector of dimension {dim}")
 
@@ -184,6 +187,7 @@ class CoherentFamily:
     """
 
     def __init__(self, rep: UnitaryRep, base: np.ndarray) -> None:
+        import numpy as np
         base = np.asarray(base, dtype=complex)
         _check_base_state(base, rep.dim)
         self.rep = rep
@@ -204,6 +208,7 @@ class CoherentFamily:
         is bit-identical to the same expression evaluated on the two states.
         The diagonal is left at zero.
         """
+        import numpy as np
         if self._overlaps is None:
             states = list(self.states.values())
             norms = [np.linalg.norm(a) for a in states]
@@ -220,6 +225,7 @@ class CoherentFamily:
 
         Kept read-only per tuple: the same stack gives the same SVD, bit for bit.
         """
+        import numpy as np
         if indices not in self._projectors:
             stack = np.array([self.states[self.group.elements[i]] for i in indices]).T
             u, s, _ = np.linalg.svd(stack, full_matrices=False)
@@ -260,6 +266,7 @@ def check_coherent_injectivity(
 def _scan_injectivity(
     family: CoherentFamily, distance_tol: float, overlap_tol: float
 ) -> InjectivityResult:
+    import numpy as np
     elements = family.group.elements
     overlaps = family.overlaps()
     min_distance = float("inf")
@@ -361,6 +368,7 @@ def build_operator(
     ranks; the variable is maximal on this labeling iff the spectrum is
     nondegenerate.
     """
+    import numpy as np
     group = family.group
     _require_acting_group(theta, group)
     n = theta.domain.size
@@ -431,6 +439,7 @@ def bundle_from_matrix(
     cluster_gap: float = _DEFAULTS["eigen_cluster_gap"],
 ) -> OperatorBundle:
     """Wrap an explicit Hermitian matrix as a bundle over its own eigenbasis."""
+    import numpy as np
     spectral = linalg.eigh(operator, hermitian_tol, cluster_gap)
     dim = spectral.dim
     space = PointSpace(
@@ -510,6 +519,7 @@ def expand_in_basis(
     object otherwise) and share a dimension.  Amplitudes follow the basis
     bundle's ascending eigenvalue order under the fixed phase convention.
     """
+    import numpy as np
     if target.dim != basis.dim:
         raise ValueError(f"dimension mismatch: target {target.dim}, basis {basis.dim}")
     if not target.is_nondegenerate() or not basis.is_nondegenerate():
@@ -556,6 +566,7 @@ def commutant_diagnostic(
     that pass ``UnitaryRep.diagnostics``.  ``tol`` bounds the distance from an
     integer.
     """
+    import numpy as np
     traces = np.array([np.trace(rep(k)) for k in rep.group.elements])
     norm = float(np.sum(np.abs(traces) ** 2) / rep.group.order)
     dim = round(norm)

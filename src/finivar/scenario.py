@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
 import yaml
 
 from .groups import Permutation, PermutationGroup
@@ -74,6 +73,7 @@ def _parse_complex_entry(value: Any, path: str) -> complex:
 
 
 def _parse_vector(value: Any, path: str) -> np.ndarray:
+    import numpy as np
     if not isinstance(value, list) or not value:
         raise _fail(path, "expected a nonempty list")
     return np.array(
@@ -83,6 +83,7 @@ def _parse_vector(value: Any, path: str) -> np.ndarray:
 
 
 def _parse_matrix(value: Any, path: str) -> np.ndarray:
+    import numpy as np
     if not isinstance(value, list) or not value:
         raise _fail(path, "expected a nonempty list of rows")
     rows = [_parse_vector(row, f"{path}[{i}]") for i, row in enumerate(value)]
@@ -229,6 +230,9 @@ def _parse_representation(
         path = f"representation.matrices[{i}]"
         item = _require(entry, path)
         element = _permutation(item.get("element"), space.size, f"{path}.element")
+        if element in matrices:
+            first = list(matrices).index(element)
+            raise _fail(f"{path}.element", f"duplicate of representation.matrices[{first}]")
         matrices[element] = _parse_matrix(item.get("matrix"), f"{path}.matrix")
     try:
         return UnitaryRep(group, matrices)
@@ -273,9 +277,12 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
 
     base_state = None
     if data.get("base_state") is not None:
+        if representation is None:
+            raise _fail("base_state", "scenario declares no representation")
         base_state = _parse_vector(data["base_state"], "base_state")
     if representation is not None:
         if base_state is None:  # the first basis vector
+            import numpy as np
             base_state = np.eye(1, representation.dim, dtype=complex)[0]
         try:
             _check_base_state(base_state, representation.dim)

@@ -7,9 +7,8 @@ lexicographic order (++, +-, -+, --).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
-
-import numpy as np
 
 from . import linalg
 from .representations import OperatorBundle, bundle_from_matrix
@@ -27,11 +26,22 @@ __all__ = [
     "AXES",
 ]
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 _NORM_TOL = 1e-12
+_PAULI = ("SIGMA_X", "SIGMA_Y", "SIGMA_Z")
+
+
+@cache
+def _pauli() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SIGMA_X, SIGMA_Y and SIGMA_Z, built on first use: importing this module loads no numpy."""
+    import numpy as np
+    rows = ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
+    return tuple(np.array(m, dtype=complex) for m in rows)
+
+
+def __getattr__(name: str) -> np.ndarray:
+    if name in _PAULI:
+        return _pauli()[_PAULI.index(name)]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -49,6 +59,7 @@ class SpinDirection:
 
     @classmethod
     def from_vector(cls, vec: Sequence[float]) -> "SpinDirection":
+        import numpy as np
         arr = np.asarray(vec, dtype=float)
         if arr.shape != (3,):
             raise ValueError("a direction needs exactly three components")
@@ -68,11 +79,13 @@ AXES = (
 
 def spin_component_operator(direction: SpinDirection) -> np.ndarray:
     """The component of spin along a unit direction; eigenvalues are always ±1."""
-    return direction.x * SIGMA_X + direction.y * SIGMA_Y + direction.z * SIGMA_Z
+    sx, sy, sz = _pauli()
+    return direction.x * sx + direction.y * sy + direction.z * sz
 
 
 def singlet() -> np.ndarray:
     """The antisymmetric pair state (0, 1/sqrt2, -1/sqrt2, 0)."""
+    import numpy as np
     return np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
 
@@ -86,11 +99,8 @@ def delta_operator(
     singlet is a simple eigenvector and the complementary eigenvalue is triply
     degenerate, reported through its cluster projector.
     """
-    matrix = (
-        linalg.tensor(SIGMA_X, SIGMA_X)
-        + linalg.tensor(SIGMA_Y, SIGMA_Y)
-        + linalg.tensor(SIGMA_Z, SIGMA_Z)
-    )
+    sx, sy, sz = _pauli()
+    matrix = linalg.tensor(sx, sx) + linalg.tensor(sy, sy) + linalg.tensor(sz, sz)
     return bundle_from_matrix("delta", matrix, hermitian_tol, cluster_gap)
 
 
@@ -99,6 +109,7 @@ def anticorrelation_residual(direction: SpinDirection) -> float:
 
     Residual of (a·σ ⊗ I + I ⊗ a·σ) applied to the singlet, max-abs.
     """
+    import numpy as np
     component = spin_component_operator(direction)
     eye = np.eye(2, dtype=complex)
     total = linalg.tensor(component, eye) + linalg.tensor(eye, component)
@@ -107,6 +118,7 @@ def anticorrelation_residual(direction: SpinDirection) -> float:
 
 def random_directions(count: int, seed: int) -> tuple[SpinDirection, ...]:
     """Seeded uniform directions on the sphere, reproducible across runs."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,12 +171,12 @@ checks:
         assert scenario.tolerance_overrides == {"hermitian": 0.5}
 
     def test_base_state_real_and_complex_entries(self):
-        scenario = loads(MINIMAL + "\nbase_state: [1, [0, 1]]\n")
+        scenario = loads(MINIMAL + "\nrepresentation: {kind: qubit}\nbase_state: [1, [0, 1]]\n")
         assert np.allclose(scenario.base_state, np.array([1.0, 1.0j]))
 
     def test_base_state_entry_validation(self):
         expect_error(
-            MINIMAL + "\nbase_state: [1, [0, 1, 2]]\n",
+            MINIMAL + "\nrepresentation: {kind: qubit}\nbase_state: [1, [0, 1, 2]]\n",
             r"base_state\[1\]: expected a number or an \[re, im\] pair",
         )
 
@@ -380,6 +384,60 @@ class TestBuiltins:
         for name in builtin_mod.builtin_names():
             first = builtin_mod.builtin_text(name).splitlines()[0]
             assert first.startswith("#")
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+RUN_IN_FRESH_PROCESS = """
+import json, sys
+import finivar.cli
+code = 0
+try:
+    finivar.cli.main(["run", {name!r}, "--report", "-"])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, "numpy" in sys.modules]), file=sys.stderr)
+"""
+
+
+def fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports finivar from this checkout."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestNumpyIsLoadedOnlyWhenUsed:
+    @pytest.mark.parametrize(
+        "name, loads_numpy",
+        [
+            ("parity-z4", False),
+            ("a2-smoke", False),
+            ("rotation-sign-probe", False),
+            ("qubit", True),
+        ],
+    )
+    def test_builtin_run(self, name, loads_numpy):
+        proc = fresh_python(RUN_IN_FRESH_PROCESS.format(name=name))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stderr.splitlines()[-1]) == [0, loads_numpy]
+        assert json.loads(proc.stdout)["scenario"] == name
+
+    def test_cli_import_loads_every_module_but_not_numpy(self):
+        # perfbench's tracer looks these modules up in sys.modules right after the import.
+        proc = fresh_python("import sys, finivar.cli; print(' '.join(sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        traced = (
+            "spaces groups subgroups harness linalg representations spin scenario runner "
+            "report builtins"
+        ).split()
+        assert {f"finivar.{m}" for m in traced} <= loaded
+        assert "numpy" not in loaded
 
 
 CYCLE4 = """
@@ -596,6 +654,16 @@ class TestCli:
                 explicit_cycle4(Z4, [np.eye(2, dtype=int)] + [np.eye(3, dtype=int)] * 3),
                 "representation.matrices",
                 id="matrix-sizes",
+            ),
+            pytest.param(
+                explicit_cycle4(Z4 + [Z4[1]]),
+                "representation.matrices[4].element",
+                id="element-twice",
+            ),
+            pytest.param(
+                MINIMAL + "\nbase_state: [1, 0]\n",
+                "base_state",
+                id="base-state-without-representation",
             ),
             pytest.param(
                 CYCLE4.format(checks=THEOREM1) + "\nbase_state: [1, 0, 0]\n",

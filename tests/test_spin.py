@@ -50,6 +50,13 @@ class TestSpinDirection:
         data = linalg.eigh(operator)
         assert data.eigenvalues == pytest.approx([-1.0, 1.0], abs=1e-10)
 
+    def test_pauli_matrices_are_the_axis_components(self):
+        assert np.array_equal(spin.SIGMA_Y, [[0, -1j], [1j, 0]])
+        for axis, sigma in zip(spin.AXES, (spin.SIGMA_X, spin.SIGMA_Y, spin.SIGMA_Z)):
+            assert np.array_equal(spin.spin_component_operator(axis), sigma)
+        with pytest.raises(AttributeError):
+            spin.SIGMA_W
+
 
 class TestSinglet:
     def test_state_golden(self):
