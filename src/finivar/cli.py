@@ -7,6 +7,7 @@ scenario file.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import click
@@ -21,8 +22,8 @@ __all__ = ["main"]
 
 
 def _positive_scale(ctx: click.Context, param: click.Parameter, value: float) -> float:
-    if value <= 0:
-        raise click.BadParameter("must be positive")
+    if not (value > 0 and math.isfinite(value)):
+        raise click.BadParameter("must be positive and finite")
     return value
 
 

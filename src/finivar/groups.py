@@ -20,6 +20,7 @@ from .spaces import (
     PointSpace,
     _require_same_domain,
     canonical_partition,
+    compose,
 )
 
 __all__ = [
@@ -98,7 +99,7 @@ class Permutation:
         """Function composition: (self * other)(x) = self(other(x))."""
         if self.degree != other.degree:
             raise ValueError(f"cannot compose degrees {self.degree} and {other.degree}")
-        return Permutation._trusted(tuple(map(self.images.__getitem__, other.images)))
+        return Permutation._trusted(compose(self.images, other.images))
 
     def inverse(self) -> "Permutation":
         return Permutation._trusted(tuple(sorted(range(self.degree), key=self.images.__getitem__)))
@@ -119,7 +120,7 @@ def _close(generator_images: Iterable[tuple[int, ...]], n: int, max_size: int) -
         new = []
         for a in gens:
             for b in frontier:
-                c = tuple(a[b[i]] for i in range(n))
+                c = compose(a, b)
                 if c not in els:
                     els.add(c)
                     if len(els) > max_size:
@@ -247,11 +248,10 @@ class GroupHomomorphism:
             return False
         pairs, _ = element_pairs(self.source.elements, seed, sample_pairs)
         # Compose image tuples directly: a Permutation per product would be
-        # built and re-validated once per pair.
+        # built and hashed once per pair.
         images = {k.images: v.images for k, v in self.mapping.items()}
         for a, b in pairs:
-            fa, fb = images[a.images], images[b.images]
-            if images[tuple(a.images[i] for i in b.images)] != tuple(fa[i] for i in fb):
+            if images[compose(a.images, b.images)] != compose(images[a.images], images[b.images]):
                 return False
         return True
 
@@ -313,11 +313,7 @@ def induced_group(
     if not check:
         raise NotPermissibleError(check.witness)
     reps = [block[0] for block in theta.blocks()]
-    assignment = theta.assignment
-    mapping_images: dict[Permutation, tuple[int, ...]] = {}
-    for k in group.elements:
-        img = k.images
-        mapping_images[k] = tuple(assignment[img[r]] for r in reps)
+    mapping_images = {k: compose(theta.assignment, compose(k.images, reps)) for k in group.elements}
     value_space = PointSpace(id=f"{theta.name}-values", labels=theta.values)
     distinct = sorted(set(mapping_images.values()))
     induced_elements = tuple(Permutation(t) for t in distinct)
@@ -329,9 +325,14 @@ def induced_group(
     return target, GroupHomomorphism(group, target, mapping)
 
 
-def _composed_partition(theta: ConceptualVariable, images: tuple[int, ...]) -> tuple[int, ...]:
-    assignment = theta.assignment
-    return canonical_partition(tuple(assignment[images[p]] for p in range(len(images))))
+def _relating(
+    theta: ConceptualVariable, eta: ConceptualVariable, candidates: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[int, ...]]:
+    """Each candidate k, in order, for which theta∘k has eta's partition."""
+    assignment, target = theta.assignment, eta.partition()
+    for images in candidates:
+        if canonical_partition(compose(assignment, images)) == target:
+            yield images
 
 
 def are_related(
@@ -363,11 +364,8 @@ def are_related(
     else:
         _require_acting_group(theta, group)
         candidates = (k.images for k in group.elements)
-    target = eta.partition()
-    for images in candidates:
-        if _composed_partition(theta, tuple(images)) == target:
-            return Permutation(tuple(images))
-    return None
+    k = next(_relating(theta, eta, candidates), None)
+    return None if k is None else Permutation(k)
 
 
 def flag_trivial_exchange(
@@ -389,10 +387,7 @@ def flag_trivial_exchange(
     if theta.value_count != eta.value_count:
         return False
     _require_acting_group(theta, group)
-    target = eta.partition()
-    relating = [
-        k for k in group.elements if _composed_partition(theta, k.images) == target
-    ]
+    relating = list(_relating(theta, eta, (k.images for k in group.elements)))
     if not relating:
         return False
     p, q = space.product_sizes()
@@ -402,4 +397,4 @@ def flag_trivial_exchange(
     exchange = tuple(
         by_coords[(b, a)] for (a, b) in space.product
     )
-    return all(k.images == exchange for k in relating)
+    return all(k == exchange for k in relating)

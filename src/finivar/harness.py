@@ -29,6 +29,7 @@ from .spaces import (
     PointSpace,
     VariableFamily,
     canonical_partition,
+    compose,
     maximal_accessible,
 )
 from .subgroups import (
@@ -383,32 +384,22 @@ def proof_group_construction(
     for var in (theta, lam, xi):
         if var not in maximal:
             raise ValueError(f"variable {var.name!r} is not maximal within the family")
-
-    def preserves(images: tuple[int, ...], var: ConceptualVariable) -> bool:
-        assignment = var.assignment
-        for block in var.blocks():
-            v0 = assignment[images[block[0]]]
-            for p in block[1:]:
-                if assignment[images[p]] != v0:
-                    return False
-        return True
-
+    # k maps a variable's fibers into fibers exactly when it fixes its partition
+    fixed = [(var.assignment, var.partition()) for var in (theta, lam, xi)]
     stabilizer = tuple(
         images
         for images in itertools.permutations(range(n))
-        if preserves(images, theta) and preserves(images, lam) and preserves(images, xi)
+        if all(canonical_partition(compose(a, images)) == p for a, p in fixed)
     )
     subgroups = enumerate_subgroups(stabilizer, n, budget=budget)
     searched = len(subgroups)
-    chosen: tuple[tuple[int, ...], ...] | None = None
+    chosen: PermutationGroup | None = None
     for els in subgroups:
         if len(els) != n:
             continue
-        candidate = PermutationGroup(
-            space, (), tuple(Permutation(t) for t in els)
-        )
+        candidate = PermutationGroup(space, (), tuple(Permutation(t) for t in els))
         if candidate.is_transitive() and candidate.has_trivial_isotropy():
-            chosen = els
+            chosen = candidate
             break
     if chosen is None:
         return ProofConstruction(
@@ -421,15 +412,14 @@ def proof_group_construction(
             theta_permissible=False,
             reason="no transitive subgroup with trivial isotropy preserves the triple",
         )
-    group = PermutationGroup(space, (), tuple(Permutation(t) for t in chosen))
     return ProofConstruction(
         found=True,
-        group=group,
+        group=chosen,
         stabilizer_order=len(stabilizer),
         subgroups_searched=searched,
         transitive=True,
         trivial_isotropy=True,
-        theta_permissible=bool(is_permissible(theta, group)),
+        theta_permissible=bool(is_permissible(theta, chosen)),
         reason="selected the lexicographically smallest regular subgroup",
     )
 
@@ -471,7 +461,7 @@ def _partition_orbits(
             orbit = [p]
             for q in orbit:  # orbit grows while it is scanned
                 for k in generators:
-                    r = canonical_partition(tuple(map(q.__getitem__, k)))
+                    r = canonical_partition(compose(q, k))
                     if r not in seen:
                         seen.add(r)
                         orbit.append(r)

@@ -239,7 +239,7 @@ class CoherentFamily:
 @dataclass(frozen=True)
 class InjectivityResult:
     ok: bool
-    min_distance: float
+    min_distance: float | None  # None when the group has fewer than two elements
     max_overlap: float
     witness: tuple[Permutation, Permutation] | None
 
@@ -269,7 +269,7 @@ def _scan_injectivity(
     import numpy as np
     elements = family.group.elements
     overlaps = family.overlaps()
-    min_distance = float("inf")
+    min_distance: float | None = None
     max_overlap = 0.0
     witness: tuple[Permutation, Permutation] | None = None
     ok = True
@@ -278,7 +278,7 @@ def _scan_injectivity(
             h = elements[j]
             distance = float(np.linalg.norm(family.states[g] - family.states[h]))
             overlap = float(overlaps[i, j])
-            if distance < min_distance:
+            if min_distance is None or distance < min_distance:
                 min_distance = distance
             if overlap > max_overlap:
                 max_overlap = overlap
@@ -286,8 +286,6 @@ def _scan_injectivity(
                 ok = False
                 if witness is None:
                     witness = (g, h)
-    if len(elements) < 2:
-        min_distance = float("inf")
     return InjectivityResult(ok, min_distance, max_overlap, witness)
 
 

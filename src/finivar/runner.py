@@ -8,6 +8,7 @@ the resolved table is embedded in every report.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
@@ -55,7 +56,7 @@ from .representations import (
     conjugation_check,
     expand_in_basis,
 )
-from .scenario import Scenario, ScenarioError
+from .scenario import Scenario, ScenarioError, _finite_number
 from .spaces import ConceptualVariable, VariableFamily, maximal_accessible
 from .subgroups import MAX_EXACT_DEGREE
 
@@ -63,14 +64,17 @@ __all__ = ["RunFlags", "run_scenario", "DEFAULT_TOLERANCES", "resolve_tolerances
 
 
 def resolve_tolerances(overrides: dict[str, float], scale: float) -> dict[str, float]:
-    if scale <= 0:
-        raise ValueError("tolerance scale must be positive")
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ValueError("tolerance scale must be positive and finite")
     merged = dict(DEFAULT_TOLERANCES)
     for key, value in overrides.items():
         if key not in merged:
             raise ScenarioError(f"tolerances.{key}: unknown tolerance name")
         merged[key] = value
     resolved = {k: v * scale for k, v in merged.items()}
+    for key, value in resolved.items():
+        if not math.isfinite(value):
+            raise ScenarioError(f"tolerances.{key}: overflows to {value} after scaling")
     for key in ("injectivity_overlap", "orthogonal_grouping"):
         if resolved[key] >= 1:
             raise ScenarioError(
@@ -176,7 +180,7 @@ class _Check:
     def direction(self, key: str = "direction") -> spin.SpinDirection:
         """A list of three numbers, not all zero, as the unit spin direction along it."""
         value = self.params.get(key)
-        if isinstance(value, list) and all(type(v) in (int, float) for v in value):
+        if isinstance(value, list) and all(map(_finite_number, value)):
             with suppress(ValueError):  # the wrong length, or the zero vector
                 return spin.SpinDirection.from_vector(value)
         raise self._expected(key, "a list of three numbers, not all zero")

@@ -7,6 +7,8 @@ file loads), and a non-empty list of checks.  Errors name the offending field.
 
 from __future__ import annotations
 
+import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -60,14 +62,18 @@ def _require_int_list(value: Any, path: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _finite_number(value: Any) -> bool:
+    """An int or float that is finite as a float: never a bool, NaN or an infinity."""
+    if type(value) in (int, float):
+        with suppress(OverflowError):  # an int past the float range
+            return math.isfinite(value)
+    return False
+
+
 def _parse_complex_entry(value: Any, path: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _finite_number(value):
         return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
+    if isinstance(value, list) and len(value) == 2 and all(map(_finite_number, value)):
         return complex(value[0], value[1])
     raise _fail(path, "expected a number or an [re, im] pair")
 
@@ -305,7 +311,7 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
     if data.get("tolerances") is not None:
         tol_data = _require(data["tolerances"], "tolerances")
         for key, value in tol_data.items():
-            if not isinstance(value, (int, float)) or value <= 0:
+            if not _finite_number(value) or value <= 0:
                 raise _fail(f"tolerances.{key}", "expected a positive number")
             overrides[str(key)] = float(value)
 

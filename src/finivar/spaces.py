@@ -17,6 +17,7 @@ __all__ = [
     "ConceptualVariable",
     "VariableFamily",
     "canonical_partition",
+    "compose",
     "dominates",
     "is_accessible",
     "maximal_accessible",
@@ -25,6 +26,11 @@ __all__ = [
 
 class DomainMismatchError(ValueError):
     """Operands live on different point spaces."""
+
+
+def compose(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
+    """The image tuple of f∘g: apply g, then f (``f[g[x]]`` for each x)."""
+    return tuple(map(f.__getitem__, g))
 
 
 def canonical_partition(assignment: Sequence[int]) -> tuple[int, ...]:
@@ -167,7 +173,7 @@ class ConceptualVariable:
             name=name or f"{self.name}*",
             domain=self.domain,
             values=self.values,
-            assignment=tuple(self.assignment[images[p]] for p in range(self.domain.size)),
+            assignment=compose(self.assignment, images),
         )
 
 

@@ -25,7 +25,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
+
+from .spaces import compose
 
 __all__ = ["SubgroupClass", "subgroup_conjugacy_classes", "enumerate_subgroups", "MAX_EXACT_DEGREE"]
 
@@ -58,7 +60,7 @@ def _id_tables(elements: Sequence[tuple[int, ...]]) -> tuple[list[array], array]
     rows: list[array] = []
     for a in range(size):
         if mul[a] is None:
-            mul[a] = array(code, [index[tuple(map(elements[a].__getitem__, b))] for b in elements])
+            mul[a] = array(code, [index[compose(elements[a], b)] for b in elements])
             rows.append(mul[a])
             frontier = [x for x in range(size) if mul[x] is not None]
             while frontier:
@@ -104,6 +106,16 @@ def close_tuples(
     return flags
 
 
+def _conjugators(
+    flags: bytearray, gens: Sequence[int], mul: Sequence[array], inv: Sequence[int]
+) -> Iterator[int]:
+    """Each id m, ascending, with m x m^-1 in ``flags`` for every x in ``gens``."""
+    for m in range(len(mul)):
+        row, m_inv = mul[m], inv[m]
+        if all(flags[row[mul[x][m_inv]]] for x in gens):
+            yield m
+
+
 def _cyclic_extension(
     mul: Sequence[array],
     accept: Callable[[bytearray, tuple[int, ...]], bool],
@@ -134,9 +146,7 @@ def _cyclic_extension(
         next_frontier = []
         for base, base_gens in frontier:
             base_ids = list(itertools.compress(range(len(mul)), base))
-            normaliser = [] if inv is None else [
-                m for m in range(len(mul)) if all(base[mul[mul[m][x]][inv[m]]] for x in base_gens)
-            ]
+            normaliser = [] if inv is None else list(_conjugators(base, base_gens, mul, inv))
             done = bytearray(len(mul))
             for g in cyclics:
                 if base[g] or done[g]:
@@ -193,10 +203,8 @@ def subgroup_conjugacy_classes(n: int) -> tuple[SubgroupClass, ...]:
         counts = Counter(itertools.compress(cycle_types, flags))
         bucket = known.setdefault(tuple(sorted(counts.items())), [])
         for known_gens in bucket:
-            for g in range(len(sym)):
-                row, g_inv = mul[g], inv[g]
-                if all(flags[row[mul[x][g_inv]]] for x in known_gens):
-                    return False
+            if next(_conjugators(flags, known_gens, mul, inv), None) is not None:
+                return False
         bucket.append(gens)
         return True
 

@@ -22,9 +22,10 @@ from finivar.groups import (
     induced_group,
     is_permissible,
 )
-from finivar.spaces import ConceptualVariable, DomainMismatchError, PointSpace
+from finivar.spaces import ConceptualVariable, DomainMismatchError, PointSpace, compose
 
 from conftest import (
+    assignments,
     permutations_of,
     space_of,
     variable_from_assignment,
@@ -75,6 +76,17 @@ class TestPermutation:
             checked = Permutation(product.images)
             assert product == checked and hash(product) == hash(checked)
             assert type(product.images) is tuple
+
+    @given(assignments(1, 7).flatmap(lambda a: st.tuples(
+        st.just(a), st.permutations(range(len(a))), st.permutations(range(len(a)))
+    )))
+    def test_compose_agrees_with_product_and_variable_compose(self, drawn):
+        assignment, f, g = (tuple(t) for t in drawn)
+        pointwise = tuple(f[g[x]] for x in range(len(g)))
+        assert compose(f, g) == pointwise == (Permutation(f) * Permutation(g)).images
+        theta = variable_from_assignment(space_of(len(assignment)), assignment)
+        assert theta.compose(g).assignment == compose(assignment, g)
+        assert compose(assignment, g) == tuple(assignment[g[x]] for x in range(len(g)))
 
     @given(st.permutations(range(6)), st.integers(0, 5))
     def test_call_matches_images(self, images, point):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -317,6 +318,38 @@ class TestProofConstruction:
         )
         with pytest.raises(ValueError, match="limited to 8 points"):
             proof_group_construction(scenario, v, v, v)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_stabilizer_order_matches_fiber_loop(self, seed):
+        """Oracle: count the permutations that map each variable's fibers into fibers."""
+
+        def preserves(images, var):
+            assignment = var.assignment
+            for block in var.blocks():
+                v0 = assignment[images[block[0]]]
+                for p in block[1:]:
+                    if assignment[images[p]] != v0:
+                        return False
+            return True
+
+        rng = random.Random(seed)
+        n = rng.randint(4, 6)
+        values = rng.randint(2, n - 1)
+        space = space_of(n, "triple")
+        base = list(range(values)) + [rng.randrange(values) for _ in range(n - values)]
+        members = []
+        for i in range(3):  # shuffled copies of one shape, so the stabilizer is often nontrivial
+            rng.shuffle(base)
+            members.append(variable_from_assignment(space, canonical_partition(base), f"t{i}"))
+        scenario = ThoughtScenario(
+            space, VariableFamily(tuple(members)), PermutationGroup.generate(space, ())
+        )
+        expected = sum(
+            all(preserves(images, var) for var in members)
+            for images in itertools.permutations(range(n))
+        )
+        result = proof_group_construction(scenario, *members)
+        assert result.stabilizer_order == expected
 
 
 class TestFalsifier:

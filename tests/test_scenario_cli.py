@@ -472,6 +472,26 @@ CHECKS = {
 
 Z4 = [[(j + s) % 4 for j in range(4)] for s in range(4)]
 
+ONE_POINT = """
+name: one-point
+space:
+  id: point
+  labels: ["0"]
+variables:
+  - name: position
+    values: ["0"]
+    assignment: [0]
+group:
+  generators:
+    - [0]
+representation:
+  kind: cyclic-dft
+  n: 1
+checks:
+  - type: theorem1-hypotheses
+    variable: position
+"""
+
 
 def explicit_cycle4(elements, matrices=None) -> str:
     """CYCLE4 running theorem1 on an explicit representation, by default the regular one."""
@@ -627,7 +647,21 @@ class TestCli:
                 "checks[0].target.direction",
                 id=f"direction-{name}",
             )
-            for name, d in (("string", '"x"'), ("length", "[1, 0]"), ("zero", "[0, 0, 0]"))
+            for name, d in (
+                ("string", '"x"'),
+                ("length", "[1, 0]"),
+                ("zero", "[0, 0, 0]"),
+                ("nan", "[.nan, 0, 1]"),
+                ("inf", "[.inf, 0, 0]"),
+            )
+        ]
+        + [
+            pytest.param(
+                CYCLE4.format(checks=THEOREM1) + f"\ntolerances: {{hermitian: {value}}}\n",
+                "tolerances.hermitian",
+                id=f"tolerance-{name}",
+            )
+            for name, value in (("bool", "true"), ("nan", ".nan"), ("inf", ".inf"))
         ],
     )
     def test_malformed_field_exits_two(self, tmp_path, text, field):
@@ -675,6 +709,30 @@ class TestCli:
                 "base_state",
                 id="base-state-zero",
             ),
+        ]
+        + [
+            pytest.param(
+                CYCLE4.format(checks=THEOREM1) + f"\nbase_state: {state}\n",
+                "base_state[0]",
+                id=f"base-state-{name}",
+            )
+            for name, state in (
+                ("bool", "[true, false, false, false]"),
+                ("nan", "[.nan, 0, 0, 0]"),
+                ("pair-inf", "[[1, .inf], 0, 0, 0]"),
+            )
+        ]
+        + [
+            pytest.param(
+                explicit_cycle4(Z4, [np.eye(4, dtype=bool)[:, element] for element in Z4]),
+                "representation.matrices[0].matrix[0][0]",
+                id="matrix-entry-bool",
+            ),
+            pytest.param(
+                explicit_cycle4(Z4).replace("matrix: [[1, ", "matrix: [[.nan, ", 1),
+                "representation.matrices[0].matrix[0][0]",
+                id="matrix-entry-nan",
+            ),
         ],
     )
     def test_malformed_representation_exits_two(self, tmp_path, text, field):
@@ -701,6 +759,33 @@ class TestCli:
         result = self.runner.invoke(main, ["run", "qubit", "--tolerance-scale", "0"])
         assert result.exit_code == 2
         assert "must be positive" in result.output
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_tolerance_scale_exits_two(self, scale):
+        result = self.runner.invoke(main, ["run", "qubit", "--tolerance-scale", scale])
+        assert result.exit_code == 2, result.output
+        assert "'--tolerance-scale': must be positive and finite" in result.output
+
+    def test_tolerance_overflowing_after_scaling_exits_two(self, tmp_path):
+        target = tmp_path / "huge.yaml"
+        target.write_text(MINIMAL + "\ntolerances:\n  hermitian: 1.0e+300\n", encoding="utf-8")
+        result = self.runner.invoke(main, ["run", str(target), "--tolerance-scale", "1e10"])
+        assert result.exit_code == 2, result.output
+        assert "Error: tolerances.hermitian: overflows to inf" in result.output
+
+    def test_one_point_report_is_strict_json(self, tmp_path):
+        """A group with no pair of elements reports min_distance null, not Infinity."""
+
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        target = tmp_path / "one-point.yaml"
+        target.write_text(ONE_POINT, encoding="utf-8")
+        result = self.runner.invoke(main, ["run", str(target), "--report", "-"])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output, parse_constant=refuse)
+        injectivity = payload["checks"][0]["details"]["coherent_injectivity"]
+        assert injectivity == {"ok": True, "min_distance": None, "max_overlap": 0.0}
 
     def test_overlap_tolerance_of_one_exits_two(self, tmp_path):
         scaled = self.runner.invoke(main, ["run", "cyclic-4", "--tolerance-scale", "1e8"])
