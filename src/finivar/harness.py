@@ -35,7 +35,7 @@ from .spaces import (
 from .subgroups import (
     MAX_EXACT_DEGREE,
     SubgroupClass,
-    enumerate_subgroups,
+    subgroup_classes,
     subgroup_conjugacy_classes,
 )
 
@@ -358,15 +358,15 @@ def proof_group_construction(
     theta: ConceptualVariable,
     lam: ConceptualVariable,
     xi: ConceptualVariable,
-    budget: int = 100_000,
 ) -> ProofConstruction:
     """Search for a group permuting theta-fibers that acts regularly.
 
     Candidate elements are the permutations preserving all three fiber
     structures (so only the triple's information moves); among the subgroups
     of that stabilizer the lexicographically smallest transitive one with
-    trivial isotropy is selected.  Not finding one is reported, not raised:
-    the claim under test asserts existence.
+    trivial isotropy is selected: the least conjugate of a regular class
+    representative.  Not finding one is reported, not raised: the claim under
+    test asserts existence.
     """
     space = scenario.space
     n = space.size
@@ -391,36 +391,35 @@ def proof_group_construction(
         for images in itertools.permutations(range(n))
         if all(canonical_partition(compose(a, images)) == p for a, p in fixed)
     )
-    subgroups = enumerate_subgroups(stabilizer, n, budget=budget)
-    searched = len(subgroups)
-    chosen: PermutationGroup | None = None
-    for els in subgroups:
-        if len(els) != n:
-            continue
-        candidate = PermutationGroup(space, (), tuple(Permutation(t) for t in els))
-        if candidate.is_transitive() and candidate.has_trivial_isotropy():
-            chosen = candidate
-            break
-    if chosen is None:
-        return ProofConstruction(
-            found=False,
-            group=None,
-            stabilizer_order=len(stabilizer),
-            subgroups_searched=searched,
-            transitive=False,
-            trivial_isotropy=False,
-            theta_permissible=False,
-            reason="no transitive subgroup with trivial isotropy preserves the triple",
+    classes = subgroup_classes(stabilizer)
+    # of order n, a group is regular exactly when it moves 0 to every point
+    regular = [
+        cls.elements
+        for cls in classes
+        if cls.order == n and len({images[0] for images in cls.elements}) == n
+    ]
+    found, chosen = bool(regular), None
+    if found:  # regularity is invariant under conjugation
+        inverses = {k: tuple(sorted(range(n), key=k.__getitem__)) for k in stabilizer}
+        least = min(
+            tuple(sorted(compose(compose(k, h), k_inv) for h in elements))
+            for elements in regular
+            for k, k_inv in inverses.items()
         )
+        chosen = PermutationGroup(space, (), tuple(Permutation(t) for t in least))
     return ProofConstruction(
-        found=True,
+        found=found,
         group=chosen,
         stabilizer_order=len(stabilizer),
-        subgroups_searched=searched,
-        transitive=True,
-        trivial_isotropy=True,
-        theta_permissible=bool(is_permissible(theta, chosen)),
-        reason="selected the lexicographically smallest regular subgroup",
+        subgroups_searched=sum(cls.conjugates for cls in classes),
+        transitive=found,
+        trivial_isotropy=found,
+        theta_permissible=found and bool(is_permissible(theta, chosen)),
+        reason=(
+            "selected the lexicographically smallest regular subgroup"
+            if found
+            else "no transitive subgroup with trivial isotropy preserves the triple"
+        ),
     )
 
 

@@ -125,7 +125,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
     def to_text(self) -> str:
         lines = [f"scenario: {self.scenario}"]

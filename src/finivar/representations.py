@@ -172,10 +172,13 @@ def cyclic_dft_rep(n: int, space: PointSpace | None = None) -> UnitaryRep:
 
 
 def _check_base_state(base: np.ndarray, dim: int) -> None:
-    """Raise ``ValueError`` unless ``base`` is a nonzero vector of dimension ``dim``."""
+    """Raise ``ValueError`` unless ``base`` is a nonzero vector of dimension
+    ``dim`` whose norm is finite (huge entries overflow it)."""
     import numpy as np
-    if base.shape != (dim,) or np.linalg.norm(base) < 1e-12:
-        raise ValueError(f"expected a nonzero vector of dimension {dim}")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(base)
+    if base.shape != (dim,) or not 1e-12 <= norm < np.inf:
+        raise ValueError(f"expected a nonzero vector of dimension {dim} with a finite norm")
 
 
 class CoherentFamily:

@@ -1,4 +1,4 @@
-"""Exhaustive subgroup enumeration for small permutation groups.
+"""Subgroup classes of small permutation groups.
 
 Every subgroup is a join of cyclic subgroups, so a breadth-first search that
 joins each found subgroup with every cyclic subgroup reaches them all (the
@@ -12,9 +12,11 @@ whose ``bytes`` are its key.  The table of S_n has n!^2 entries, so
 ordered deterministically so downstream counts are stable across runs.
 
 A closure stops once it holds more than half the elements: by Lagrange it is
-then the whole group.  The class search joins a base H only with the first
-cyclic subgroup of each orbit of its normaliser N(H): for m in N(H), the join
+then the whole group.  Every search joins a base H only with the first cyclic
+subgroup of each orbit of its normaliser N(H): for m in N(H), the join
 <H, m g m^-1> = m <H, g> m^-1 is conjugate to <H, g>, so its class is known.
+It also returns each |N(H)|, since H has |G| / |N(H)| conjugates: subgroups
+are counted, not listed.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .spaces import compose
 
-__all__ = ["SubgroupClass", "subgroup_conjugacy_classes", "enumerate_subgroups", "MAX_EXACT_DEGREE"]
+__all__ = ["SubgroupClass", "subgroup_classes", "subgroup_conjugacy_classes", "MAX_EXACT_DEGREE"]
 
 MAX_EXACT_DEGREE = 6
 
@@ -119,16 +121,16 @@ def _conjugators(
 def _cyclic_extension(
     mul: Sequence[array],
     accept: Callable[[bytearray, tuple[int, ...]], bool],
-    inv: Sequence[int] | None = None,
-) -> list[tuple[list[int], tuple[int, ...]]]:
-    """Join-BFS from the trivial group over the cyclic subgroups.
+    inv: Sequence[int],
+) -> list[tuple[list[int], tuple[int, ...], int]]:
+    """Join-BFS from the trivial group over the cyclic subgroups, pruned by normalisers.
 
     Cyclic subgroups are joined in (order, element ids) order, each by its
     least generator id.  Each distinct join is offered once to ``accept``;
     accepted ones are joined further and returned, with the trivial group, as
-    (ascending ids, generator ids) sorted by (order, ids).  Given the inverse
-    table ``inv``, a base is joined only with the first cyclic subgroup of
-    each orbit of its normaliser, so joins conjugate under it are offered once.
+    (ascending ids, generator ids, normaliser order) sorted by (order, ids).
+    A base is joined only with the first cyclic subgroup of each orbit of its
+    normaliser, so joins conjugate under it are offered once.
     """
     cyclic: dict[frozenset[int], int] = {}
     least = []  # element id -> least generator id of the cyclic subgroup it generates
@@ -140,13 +142,14 @@ def _cyclic_extension(
     cyclics = [g for _, g in sorted(cyclic.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
 
     frontier = [(close_tuples((), mul), ())]
-    found = frontier[:]
     seen = {bytes(frontier[0][0])}
+    found = []
     while frontier:
         next_frontier = []
         for base, base_gens in frontier:
             base_ids = list(itertools.compress(range(len(mul)), base))
-            normaliser = [] if inv is None else list(_conjugators(base, base_gens, mul, inv))
+            normaliser = list(_conjugators(base, base_gens, mul, inv))
+            found.append((base_ids, base_gens, len(normaliser)))
             done = bytearray(len(mul))
             for g in cyclics:
                 if base[g] or done[g]:
@@ -160,43 +163,36 @@ def _cyclic_extension(
                     seen.add(key)
                     if accept(joined, gens):
                         next_frontier.append((joined, gens))
-        found += next_frontier
         frontier = next_frontier
-    listed = [(list(itertools.compress(range(len(mul)), flags)), gens) for flags, gens in found]
-    return sorted(listed, key=lambda item: (len(item[0]), item[0]))
+    return sorted(found, key=lambda item: (len(item[0]), item[0]))
 
 
 @dataclass(frozen=True)
 class SubgroupClass:
-    """A conjugacy-class representative with a small generating set."""
+    """A conjugacy-class representative with a small generating set, and the
+    number of subgroups in its class (the index of its normaliser)."""
 
     elements: tuple[tuple[int, ...], ...]
     generators: tuple[tuple[int, ...], ...]
+    conjugates: int
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
 
-@lru_cache(maxsize=None)
-def subgroup_conjugacy_classes(n: int) -> tuple[SubgroupClass, ...]:
-    """All subgroups of the degree-n symmetric group, one per conjugacy class.
+def subgroup_classes(elements: Iterable[tuple[int, ...]]) -> tuple[SubgroupClass, ...]:
+    """Every subgroup of the permutation group ``elements``, one per class
+    under conjugation by that group.
 
     A join starts a new class unless a known representative with the same
-    cycle-type counts conjugates into it.  Deterministic: the first subgroup
-    found in each class represents it, and the returned classes are sorted by
-    (order, element list).
+    cycle-type counts (which conjugation preserves) conjugates into it.
+    Deterministic: the first subgroup found in each class represents it, and
+    the returned classes are sorted by (order, element list).
     """
-    if n < 1:
-        raise ValueError("degree must be positive")
-    if n > MAX_EXACT_DEGREE:
-        raise ValueError(
-            f"subgroup classes are computed only up to degree {MAX_EXACT_DEGREE} "
-            f"(the table of S_n has n!^2 entries), got {n}"
-        )
-    sym = sorted(itertools.permutations(range(n)))
-    mul, inv = _id_tables(sym)
-    cycle_types = [_cycle_type(p) for p in sym]
+    members = sorted(set(elements))
+    mul, inv = _id_tables(members)
+    cycle_types = [_cycle_type(p) for p in members]
     known: dict[tuple, list[tuple[int, ...]]] = {}
 
     def is_new_class(flags: bytearray, gens: tuple[int, ...]) -> bool:
@@ -209,24 +205,21 @@ def subgroup_conjugacy_classes(n: int) -> tuple[SubgroupClass, ...]:
         return True
 
     return tuple(
-        SubgroupClass(tuple(sym[i] for i in ids), tuple(sym[g] for g in gens))
-        for ids, gens in _cyclic_extension(mul, is_new_class, inv)
+        SubgroupClass(
+            tuple(members[i] for i in ids), tuple(members[g] for g in gens), len(members) // normaliser
+        )
+        for ids, gens, normaliser in _cyclic_extension(mul, is_new_class, inv)
     )
 
 
-def enumerate_subgroups(
-    elements: tuple[tuple[int, ...], ...], n: int, budget: int = 100_000
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All subgroups (no conjugacy folding) of an explicitly given group, by
-    cyclic extension over ids of its own elements.  Raises when more than
-    ``budget`` distinct subgroups appear."""
-    members = sorted(set(elements)) or [tuple(range(n))]
-    offered = itertools.count(2)
-
-    def within_budget(flags: bytearray, gens: tuple[int, ...]) -> bool:
-        if next(offered) > budget:
-            raise RuntimeError(f"subgroup enumeration exceeded the budget of {budget} subgroups")
-        return True
-
-    found = _cyclic_extension(_id_tables(members)[0], within_budget)
-    return tuple(tuple(members[i] for i in ids) for ids, _ in found)
+@lru_cache(maxsize=None)
+def subgroup_conjugacy_classes(n: int) -> tuple[SubgroupClass, ...]:
+    """All subgroups of the degree-n symmetric group, one per conjugacy class."""
+    if n < 1:
+        raise ValueError("degree must be positive")
+    if n > MAX_EXACT_DEGREE:
+        raise ValueError(
+            f"subgroup classes are computed only up to degree {MAX_EXACT_DEGREE} "
+            f"(the table of S_n has n!^2 entries), got {n}"
+        )
+    return subgroup_classes(itertools.permutations(range(n)))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finivar.groups import Permutation, PermutationGroup, are_related, is_permissible
+from finivar.groups import Permutation, PermutationGroup, _close, are_related, is_permissible
 from finivar.harness import (
     _partition_orbits,
     _verdict_counts,
@@ -25,7 +25,7 @@ from finivar.harness import (
     theorem_a1_search,
 )
 from finivar.spaces import ConceptualVariable, PointSpace, VariableFamily, canonical_partition
-from finivar.subgroups import subgroup_conjugacy_classes
+from finivar.subgroups import subgroup_classes, subgroup_conjugacy_classes
 
 from conftest import permutations_of, space_of, variable_from_assignment
 
@@ -350,6 +350,98 @@ class TestProofConstruction:
         )
         result = proof_group_construction(scenario, *members)
         assert result.stabilizer_order == expected
+
+
+def every_subgroup(elements, n):
+    """Every subgroup of the group ``elements``, sorted by (order, elements):
+    the trivial group joined with cyclic subgroups until no new join appears."""
+    cyclic = {frozenset(_close((g,), n, len(elements))): g for g in elements}
+    found = {frozenset(_close((), n, 1)): ()}
+    frontier = dict(found)
+    while frontier:
+        joins = {}
+        for h, gens in frontier.items():
+            for g in cyclic.values():
+                if g not in h:
+                    joins.setdefault(frozenset(_close(gens + (g,), n, len(elements))), gens + (g,))
+        frontier = {h: gens for h, gens in joins.items() if h not in found}
+        found.update(frontier)
+    return sorted((tuple(sorted(h)) for h in found), key=lambda els: (len(els), els))
+
+
+def triple_stabilizer(members):
+    """The permutations that map each member's fibers onto fibers."""
+    n = members[0].domain.size
+    return [
+        k
+        for k in itertools.permutations(range(n))
+        if all(
+            canonical_partition([var.assignment[k[i]] for i in range(n)]) == var.partition()
+            for var in members
+        )
+    ]
+
+
+def enumerate_then_filter(scenario, members):
+    """Reference selection: list every subgroup of the triple's stabilizer and
+    take the first transitive one with trivial isotropy.  Returns the
+    stabilizer order, the subgroup count and the chosen elements (or None)."""
+    stabilizer = triple_stabilizer(members)
+    subs = every_subgroup(stabilizer, scenario.space.size)
+    for els in subs:
+        group = PermutationGroup(scenario.space, (), tuple(map(Permutation, els)))
+        if len(els) == scenario.space.size and group.is_transitive() and group.has_trivial_isotropy():
+            return len(stabilizer), len(subs), els
+    return len(stabilizer), len(subs), None
+
+
+def triple_scenario(assignments):
+    space = space_of(len(assignments[0]), "triple")
+    members = [variable_from_assignment(space, a, f"t{i}") for i, a in enumerate(assignments)]
+    scenario = ThoughtScenario(
+        space, VariableFamily(tuple(members)), PermutationGroup.generate(space, ())
+    )
+    return scenario, members
+
+
+class TestProofConstructionOracle:
+    def assert_matches_oracle(self, scenario, members):
+        stabilizer_order, subgroup_count, expected = enumerate_then_filter(scenario, members)
+        result = proof_group_construction(scenario, *members)
+        assert result.stabilizer_order == stabilizer_order
+        assert result.subgroups_searched == subgroup_count
+        assert result.found == (expected is not None)
+        if expected is None:
+            assert result.group is None
+        else:
+            assert tuple(p.images for p in result.group.elements) == expected
+        return result
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_triples_match_enumerate_then_filter(self, seed):
+        """Balanced shapes where the points allow them, so that regular
+        subgroups exist; a member repeats the one before it half the time,
+        which enlarges the stabilizer."""
+        rng = random.Random(seed)
+        n = rng.randint(4, 6)
+        values = rng.choice([v for v in range(2, n) if n % v == 0] or [2])
+        base = [i % values for i in range(n)]
+        assignments = []
+        for i in range(3):
+            if i == 0 or rng.random() < 0.5:
+                rng.shuffle(base)
+            assignments.append(canonical_partition(base))
+        self.assert_matches_oracle(*triple_scenario(assignments))
+
+    def test_least_conjugate_is_chosen_over_the_class_representative(self):
+        """Three copies of one 2+2+2 partition: the smallest regular subgroup
+        is a conjugate of the class representative, not the representative."""
+        scenario, members = triple_scenario([(0, 1, 1, 0, 2, 2)] * 3)
+        result = self.assert_matches_oracle(scenario, members)
+        stabilizer = triple_stabilizer(members)
+        assert len(stabilizer) == 48
+        chosen = tuple(p.images for p in result.group.elements)
+        assert chosen not in [c.elements for c in subgroup_classes(stabilizer)]
 
 
 class TestFalsifier:

@@ -350,6 +350,13 @@ class TestReport:
         assert fast.to_json() == slow.to_json()
         assert json.loads(fast.to_json())["summary"]["pass"] == 1
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_json_refuses_non_numbers(self, value):
+        report = VerificationReport("s", {}, {})
+        report.add(CheckRecord(name="a", type="theorem1-hypotheses", status="pass", details={"x": value}))
+        with pytest.raises(ValueError, match="JSON compliant"):
+            report.to_json()
+
     def test_text_includes_timings_and_summary(self):
         report = VerificationReport("demo", {}, {})
         report.add(self.record("a", elapsed=12.3))
@@ -708,6 +715,12 @@ class TestCli:
                 CYCLE4.format(checks=THEOREM1) + "\nbase_state: [0, 0, 0, 0]\n",
                 "base_state",
                 id="base-state-zero",
+            ),
+            pytest.param(
+                MINIMAL.replace("type: permissibility", "type: theorem1-hypotheses")
+                + "\nrepresentation: {kind: qubit}\nbase_state: [1.0e+308, 1.0e+308]\n",
+                "base_state",
+                id="base-state-norm-overflow",
             ),
         ]
         + [

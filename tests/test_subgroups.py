@@ -1,4 +1,4 @@
-"""Subgroup enumeration and conjugacy classification for small symmetric groups."""
+"""Subgroup conjugacy classes of small permutation groups."""
 
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ from finivar import groups, subgroups
 # published counts of conjugacy classes of subgroups of S_n: 1, 2, 4, 11, 19, 56).
 CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 19, 6: 56}
 
-# Total subgroup count of S4 is 30.
-S4_SUBGROUP_COUNT = 30
+# Total subgroup counts of S_n (OEIS A005432).
+SUBGROUP_TOTALS = {1: 1, 2: 2, 3: 6, 4: 30, 5: 156, 6: 1455}
 
 # The S6 class list as first computed by the tuple-space join search: the
 # SHA-256 of repr([(elements, generators), ...]) pins class order, the chosen
@@ -164,24 +164,77 @@ class TestConjugacyClasses:
             subgroups.subgroup_conjugacy_classes(0)
 
 
-class TestEnumerateSubgroups:
-    def test_s4_has_thirty_subgroups(self):
-        all_subs = subgroups.enumerate_subgroups(symmetric_elements(4), 4)
-        assert len(all_subs) == S4_SUBGROUP_COUNT
+def close(generators, n):
+    """The group generated by ``generators``, by multiplying until nothing new appears."""
+    elements = {tuple(range(n))}
+    frontier = list(elements)
+    while frontier:
+        frontier = [c for g in generators for b in frontier if (c := compose(g, b)) not in elements]
+        elements.update(frontier)
+    return frozenset(elements)
 
-    def test_every_subgroup_closed(self):
-        for sub in subgroups.enumerate_subgroups(symmetric_elements(3), 3):
-            assert_is_group(sub, 3)
 
-    def test_s3_subgroup_orders(self):
-        orders = sorted(len(sub) for sub in subgroups.enumerate_subgroups(symmetric_elements(3), 3))
-        assert orders == [1, 2, 2, 2, 3, 6]
+def pair_closure_classes(elements):
+    """Brute-force oracle for a group on 4 points: every subgroup of S4 is
+    2-generated, so the closures of all pairs are all subgroups.  Returns the
+    sorted (order, class size) of each class under conjugation by the group."""
+    n = len(elements[0])
+    subs = {close((a, b), n) for a in elements for b in elements}
+    inverses = {k: tuple(sorted(range(n), key=k.__getitem__)) for k in elements}
+    classes = {
+        frozenset(frozenset(compose(compose(k, h), k_inv) for h in sub) for k, k_inv in inverses.items())
+        for sub in subs
+    }
+    return sorted((len(next(iter(c))), len(c)) for c in classes)
 
-    def test_orders_divide_group_order(self):
-        elements = symmetric_elements(4)
-        for sub in subgroups.enumerate_subgroups(elements, 4):
-            assert len(elements) % len(sub) == 0
 
-    def test_budget_guard(self):
-        with pytest.raises(RuntimeError):
-            subgroups.enumerate_subgroups(symmetric_elements(4), 4, budget=5)
+def group_on_four_points(*generators):
+    return tuple(sorted(close(generators, 4)))
+
+
+GROUPS_ON_FOUR_POINTS = {
+    # name: (elements, class count, subgroup total)
+    "S4": (group_on_four_points((1, 2, 3, 0), (1, 0, 2, 3)), 11, 30),
+    "S3": (group_on_four_points((1, 0, 2, 3), (1, 2, 0, 3)), 4, 6),
+    "A4": (group_on_four_points((1, 2, 0, 3), (0, 2, 3, 1)), 5, 10),
+    "D4": (group_on_four_points((1, 2, 3, 0), (2, 1, 0, 3)), 8, 10),
+    "V4": (group_on_four_points((1, 0, 3, 2), (2, 3, 0, 1)), 5, 5),
+}
+
+
+class TestSubgroupClasses:
+    @pytest.mark.parametrize("n,total", sorted(SUBGROUP_TOTALS.items()))
+    def test_symmetric_subgroup_totals(self, n, total):
+        classes = subgroups.subgroup_conjugacy_classes(n)
+        assert sum(c.conjugates for c in classes) == total
+
+    @pytest.mark.parametrize("name", sorted(GROUPS_ON_FOUR_POINTS))
+    def test_classes_match_pair_closure_oracle(self, name):
+        elements, class_count, total = GROUPS_ON_FOUR_POINTS[name]
+        classes = subgroups.subgroup_classes(elements)
+        assert len(classes) == class_count
+        assert sum(c.conjugates for c in classes) == total
+        assert sorted((c.order, c.conjugates) for c in classes) == pair_closure_classes(elements)
+
+    @pytest.mark.parametrize("name", sorted(GROUPS_ON_FOUR_POINTS))
+    def test_representatives_are_closed_and_orders_divide(self, name):
+        elements = GROUPS_ON_FOUR_POINTS[name][0]
+        for rep in subgroups.subgroup_classes(elements):
+            assert_is_group(rep.elements, 4)
+            assert set(rep.elements) <= set(elements)
+            assert len(elements) % rep.order == 0
+
+    def test_cleared_cache_searches_again(self, monkeypatch):
+        """Clearing this one cache makes the next call search from scratch, so
+        a cold census stays cold: no second cache may sit below it."""
+        calls = []
+        tables = subgroups._id_tables
+        monkeypatch.setattr(subgroups, "_id_tables", lambda *args: calls.append(1) or tables(*args))
+        subgroups.subgroup_conjugacy_classes.cache_clear()
+        subgroups.subgroup_conjugacy_classes(4)
+        assert len(calls) == 1
+        subgroups.subgroup_conjugacy_classes(4)
+        assert len(calls) == 1
+        subgroups.subgroup_conjugacy_classes.cache_clear()
+        subgroups.subgroup_conjugacy_classes(4)
+        assert len(calls) == 2
