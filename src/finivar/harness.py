@@ -353,6 +353,37 @@ class ProofConstruction:
     reason: str
 
 
+def _partition_stabilizer(assignments: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """The permutations k of range(n) under which every assignment a∘k has a's partition.
+
+    Such a k maps each assignment's blocks onto its blocks.  Images are chosen
+    point by point, in lexicographic order, and a partial map is dropped as
+    soon as it sends two points of one block to different blocks, or two
+    blocks to one.
+    """
+    found: list[tuple[int, ...]] = []
+
+    def extend(images: tuple[int, ...], block_maps: tuple[dict[int, int], ...]) -> None:
+        x = len(images)
+        if x == n:
+            found.append(images)
+            return
+        for y in range(n):
+            if y in images:
+                continue
+            maps = []
+            for a, forward in zip(assignments, block_maps):
+                target = forward.get(a[x])
+                if target is None and a[y] in forward.values() or target not in (None, a[y]):
+                    break
+                maps.append(forward if target is not None else {**forward, a[x]: a[y]})
+            else:
+                extend(images + (y,), tuple(maps))
+
+    extend((), tuple({} for _ in assignments))
+    return found
+
+
 def proof_group_construction(
     scenario: ThoughtScenario,
     theta: ConceptualVariable,
@@ -384,13 +415,7 @@ def proof_group_construction(
     for var in (theta, lam, xi):
         if var not in maximal:
             raise ValueError(f"variable {var.name!r} is not maximal within the family")
-    # k maps a variable's fibers into fibers exactly when it fixes its partition
-    fixed = [(var.assignment, var.partition()) for var in (theta, lam, xi)]
-    stabilizer = tuple(
-        images
-        for images in itertools.permutations(range(n))
-        if all(canonical_partition(compose(a, images)) == p for a, p in fixed)
-    )
+    stabilizer = _partition_stabilizer([var.assignment for var in (theta, lam, xi)], n)
     classes = subgroup_classes(stabilizer)
     # of order n, a group is regular exactly when it moves 0 to every point
     regular = [

@@ -52,8 +52,20 @@ def max_abs(a: np.ndarray) -> float:
     return float(abs(a).max()) if a.size else 0.0
 
 
+def hermitian_residual(a: np.ndarray) -> float | np.ndarray:
+    """max |A - A^dag| of a matrix, or of each matrix in a stack."""
+    return abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+
+
+def require_hermitian(residual: float, tol: float) -> None:
+    if residual > tol:
+        raise NotHermitianError(
+            f"matrix is not Hermitian: max |A - A^dag| = {residual:.3e} > {tol:.1e}"
+        )
+
+
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOLERANCES["hermitian"]) -> bool:
-    return max_abs(a - a.conj().T) <= tol
+    return float(hermitian_residual(a)) <= tol
 
 
 def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOLERANCES["unitary"]) -> bool:
@@ -134,28 +146,24 @@ def eigh(
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    residual = max_abs(a - a.conj().T)
-    if residual > hermitian_tol:
-        raise NotHermitianError(
-            f"matrix is not Hermitian: max |A - A^dag| = {residual:.3e} > {hermitian_tol:.1e}"
-        )
-    values, vectors = np.linalg.eigh(a)
-    values = values.real
-    vectors = np.array(
-        [fix_phase(vectors[:, i]) for i in range(len(values))], dtype=complex
-    ).T
-    clusters: list[EigenCluster] = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] >= cluster_gap:
-            idxs = tuple(range(start, i))
-            block = vectors[:, start:i]
-            clusters.append(
-                EigenCluster(
-                    value=float(np.mean(values[start:i])),
-                    indices=idxs,
-                    projector=block @ block.conj().T,
-                )
-            )
-            start = i
-    return SpectralData(eigenvalues=values, vectors=vectors, clusters=tuple(clusters))
+    require_hermitian(float(hermitian_residual(a)), hermitian_tol)
+    return spectral_data(*np.linalg.eigh(a), cluster_gap)
+
+
+def spectral_data(values: np.ndarray, vectors: np.ndarray, cluster_gap: float) -> SpectralData:
+    """Put the output of ``np.linalg.eigh`` under the phase and cluster conventions."""
+    import numpy as np
+    vectors = np.array([fix_phase(vectors[:, i]) for i in range(len(values))], dtype=complex).T
+    clusters = tuple(
+        EigenCluster(mean, tuple(range(a, b)), vectors[:, a:b] @ vectors[:, a:b].conj().T)
+        for a, b, mean in cluster_runs(values, cluster_gap)
+    )
+    return SpectralData(eigenvalues=values, vectors=vectors, clusters=clusters)
+
+
+def cluster_runs(values: np.ndarray, gap: float) -> list[tuple[int, int, float]]:
+    """(start, stop, mean) of each run of ascending eigenvalues closer than ``gap`` in turn."""
+    import numpy as np
+    cuts = [0, *(np.flatnonzero(np.diff(values) >= gap) + 1).tolist(), len(values)]
+    runs = [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
+    return [(a, b, float(values[a] if b - a == 1 else np.mean(values[a:b]))) for a, b in runs]

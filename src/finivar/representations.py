@@ -9,6 +9,7 @@ states with different values span orthogonal subspaces.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields
 
 from . import linalg
@@ -32,6 +33,7 @@ __all__ = [
     "build_operator",
     "bundle_from_matrix",
     "ConjugationResult",
+    "conjugation_law",
     "conjugation_check",
     "BasisExpansion",
     "expand_in_basis",
@@ -77,26 +79,27 @@ class UnitaryRep:
         """Measure unitarity, the identity image, and the composition law.
 
         The composition law is checked up to a global phase per pair, so exact
-        and ray representations both validate.  Pair checks are exhaustive for
-        small groups and a seeded sample for large ones.
+        and ray representations both validate.  The pairs, all of them for small
+        groups and a seeded sample for large ones, are stacked |G| at a time.
         """
         import numpy as np
-        unitary_residual = max(
-            linalg.max_abs(m.conj().T @ m - np.eye(self.dim)) for m in self.matrices.values()
-        )
-        identity_residual = linalg.max_abs(
-            self.matrices[self.group.identity] - np.eye(self.dim)
-        )
+        index = {k: i for i, k in enumerate(self.matrices)}
+        stack = np.array(list(self.matrices.values()))
+        gram = stack.conj().swapaxes(1, 2) @ stack
+        unitary_residual = max(abs(gram - np.eye(self.dim)).max(axis=(1, 2)).tolist())
+        identity_residual = linalg.max_abs(self.matrices[self.group.identity] - np.eye(self.dim))
         pairs, pair_count = element_pairs(self.group.elements, seed, sample_pairs)
         hom_residual = 0.0
-        for a, b in pairs:
-            product = self.matrices[a] @ self.matrices[b]
-            expected = self.matrices[a * b]
-            idx = np.unravel_index(np.argmax(np.abs(expected)), expected.shape)
-            phase = product[idx] / expected[idx]
-            mag = abs(phase)
-            phase = phase / mag if mag > 0 else 1.0
-            hom_residual = max(hom_residual, linalg.max_abs(product - phase * expected))
+        while chunk := list(itertools.islice(pairs, len(index))):
+            a, b, ab = np.array([(index[a], index[b], index[a * b]) for a, b in chunk]).T
+            product = (stack[a] @ stack[b]).reshape(len(chunk), -1)
+            expected = stack[ab].reshape(len(chunk), -1)
+            at = np.arange(len(chunk)), np.argmax(abs(expected), axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):  # a zero U(ab) gives phase 1
+                phase = product[at] / expected[at]
+                mag = np.hypot(phase.real, phase.imag)  # bit for bit the scalar abs()
+                phase = np.where(mag > 0, phase / mag, 1.0)[:, None]
+            hom_residual = max(hom_residual, *abs(product - phase * expected).max(1).tolist())
         return RepDiagnostics(
             unitary_residual=float(unitary_residual),
             identity_residual=float(identity_residual),
@@ -270,26 +273,18 @@ def _scan_injectivity(
     family: CoherentFamily, distance_tol: float, overlap_tol: float
 ) -> InjectivityResult:
     import numpy as np
-    elements = family.group.elements
-    overlaps = family.overlaps()
-    min_distance: float | None = None
-    max_overlap = 0.0
-    witness: tuple[Permutation, Permutation] | None = None
-    ok = True
-    for i, g in enumerate(elements):
-        for j in range(i + 1, len(elements)):
-            h = elements[j]
-            distance = float(np.linalg.norm(family.states[g] - family.states[h]))
-            overlap = float(overlaps[i, j])
-            if min_distance is None or distance < min_distance:
-                min_distance = distance
-            if overlap > max_overlap:
-                max_overlap = overlap
-            if distance <= distance_tol or overlap >= 1 - overlap_tol:
-                ok = False
-                if witness is None:
-                    witness = (g, h)
-    return InjectivityResult(ok, min_distance, max_overlap, witness)
+    elements, overlaps = family.group.elements, family.overlaps()
+    states = list(family.states.values())
+    pairs = list(itertools.combinations(range(len(elements)), 2))  # in scan order
+    distances = [float(np.linalg.norm(states[i] - states[j])) for i, j in pairs]
+    near = [float(overlaps[i, j]) for i, j in pairs]
+    hits = [
+        (elements[i], elements[j])
+        for (i, j), distance, overlap in zip(pairs, distances, near)
+        if distance <= distance_tol or overlap >= 1 - overlap_tol
+    ]
+    witness = hits[0] if hits else None
+    return InjectivityResult(not hits, min(distances, default=None), max([0.0, *near]), witness)
 
 
 @dataclass(frozen=True)
@@ -314,22 +309,15 @@ class OperatorTolerances:
         return cls(**{f.name: table[f.name] for f in fields(cls)})
 
 
+@dataclass(frozen=True, eq=False)
 class OperatorBundle:
     """A Hermitian operator together with its spectral data and value labels."""
 
-    def __init__(
-        self,
-        variable: ConceptualVariable,
-        operator: np.ndarray,
-        spectral: linalg.SpectralData,
-        projectors: dict[float, np.ndarray],
-        qa_labels: dict[float, QuestionAnswer],
-    ) -> None:
-        self.variable = variable
-        self.operator = operator
-        self.spectral = spectral
-        self.projectors = projectors
-        self.qa_labels = qa_labels
+    variable: ConceptualVariable
+    operator: np.ndarray
+    spectral: linalg.SpectralData
+    projectors: dict[float, np.ndarray]
+    qa_labels: dict[float, QuestionAnswer]
 
     @property
     def dim(self) -> int:
@@ -369,6 +357,24 @@ def build_operator(
     ranks; the variable is maximal on this labeling iff the spectrum is
     nondegenerate.
     """
+    operators, values, vectors, projectors = _build_operators(theta, family, base_point, tolerances)
+    spectral = linalg.spectral_data(values[0], vectors[0], tolerances.eigen_cluster_gap)
+    return OperatorBundle(theta, operators[0], spectral, projectors[0], _qa_labels(theta))
+
+
+def _build_operators(
+    theta: ConceptualVariable,
+    family: CoherentFamily,
+    base_point: int,
+    tolerances: OperatorTolerances,
+    moves: list[tuple[int, ...]] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[dict[float, np.ndarray]]]:
+    """``build_operator`` of theta∘m for each permutation m of the points (default: theta).
+
+    Returns the operators, the eigenvalues and eigenvectors of one ``eigh``,
+    and each one's projectors by value.  The first theta∘m that fails a check
+    raises that check's error, as its own build would.
+    """
     import numpy as np
     group = family.group
     _require_acting_group(theta, group)
@@ -389,48 +395,48 @@ def build_operator(
             f"(distance {injectivity.min_distance:.3e}, overlap {injectivity.max_overlap:.6f})"
         )
     numeric = theta.numeric_values()
-    values = np.array([theta.assignment[point] for point in points])
+    values = np.array([[theta.assignment[m[p]] for p in points] for m in moves or [range(n)]])
     overlaps = family.overlaps()
-    rows, cols = np.nonzero(
-        (values[:, None] < values[None, :]) & (overlaps > tolerances.orthogonal_grouping)
-    )
-    if rows.size:
-        # The first violation in (lower value, higher value, element, element) order.
-        first = np.lexsort((cols, rows, values[cols], values[rows]))[0]
-        i, j = rows[first], cols[first]
-        raise OrthogonalityError(
-            f"outside the orthogonal-coherent scope: states for values "
-            f"{theta.values[values[i]]!r} and {theta.values[values[j]]!r} overlap by "
-            f"{float(overlaps[i, j]):.3e}"
-        )
+    scope = (values[:, :, None] < values[:, None, :]) & (overlaps > tolerances.orthogonal_grouping)
+    # The state indices of each value, ascending; every theta∘m has theta's fiber sizes.
+    cuts = np.cumsum([0, *np.bincount(values[0], minlength=len(numeric))]).tolist()
+    groups = [  # (projector, rank) by value
+        [family.projector(tuple(row[a:b])) for a, b in zip(cuts, cuts[1:])]
+        for row in np.argsort(values, axis=1, kind="stable").tolist()
+    ]
     dim = family.rep.dim
-    operator = np.zeros((dim, dim), dtype=complex)
-    projectors: dict[float, np.ndarray] = {}
-    total_rank = 0
-    for v in range(theta.value_count):
-        projector, rank = family.projector(tuple(np.flatnonzero(values == v).tolist()))
-        projectors[numeric[v]] = projector
-        operator = operator + numeric[v] * projector
-        total_rank += rank
-    if total_rank != dim:
-        raise OrthogonalityError(
-            f"outside the orthogonal-coherent scope: coherent groups span rank "
-            f"{total_rank} of a dimension-{dim} space"
-        )
-    spectral = linalg.eigh(operator, tolerances.hermitian, tolerances.eigen_cluster_gap)
-    got = sorted(
-        (c.value, c.multiplicity) for c in spectral.clusters
-    )
-    expected = sorted(
-        (numeric[v], int(np.round(np.trace(projectors[numeric[v]]).real)))
-        for v in range(theta.value_count)
-    )
-    for (gv, gm), (ev, em) in zip(got, expected):
-        if abs(gv - ev) > tolerances.spectral_reconstruction or gm != em:
-            raise RuntimeError(
-                f"spectrum {got} does not reproduce the value grouping {expected}"
+    operators = np.zeros((len(values), dim, dim), dtype=complex)
+    for v, weight in enumerate(numeric):
+        operators = operators + weight * np.array([gs[v][0] for gs in groups])
+    hermitian = linalg.hermitian_residual(operators)
+    eigenvalues, eigenvectors = np.linalg.eigh(operators)
+    for k, gs in enumerate(groups):
+        if scope[k].any():
+            rows, cols = np.nonzero(scope[k])
+            # The first violation in (lower value, higher value, element, element) order.
+            first = np.lexsort((cols, rows, values[k, cols], values[k, rows]))[0]
+            i, j = rows[first], cols[first]
+            raise OrthogonalityError(
+                f"outside the orthogonal-coherent scope: states for values "
+                f"{theta.values[values[k, i]]!r} and {theta.values[values[k, j]]!r} overlap by "
+                f"{float(overlaps[i, j]):.3e}"
             )
-    return OperatorBundle(theta, operator, spectral, projectors, _qa_labels(theta))
+        if sum(rank for _, rank in gs) != dim:
+            raise OrthogonalityError(
+                f"outside the orthogonal-coherent scope: coherent groups span rank "
+                f"{sum(rank for _, rank in gs)} of a dimension-{dim} space"
+            )
+        linalg.require_hermitian(float(hermitian[k]), tolerances.hermitian)
+        runs = linalg.cluster_runs(eigenvalues[k], tolerances.eigen_cluster_gap)
+        got = sorted((mean, stop - start) for start, stop, mean in runs)
+        expected = sorted(zip(numeric, (rank for _, rank in gs)))  # a projector's rank is its trace
+        for (gv, gm), (ev, em) in zip(got, expected):
+            if abs(gv - ev) > tolerances.spectral_reconstruction or gm != em:
+                raise RuntimeError(
+                    f"spectrum {got} does not reproduce the value grouping {expected}"
+                )
+    projectors = [{w: p for w, (p, _) in zip(numeric, gs)} for gs in groups]
+    return operators, eigenvalues, eigenvectors, projectors
 
 
 def bundle_from_matrix(
@@ -468,6 +474,29 @@ class ConjugationResult:
     ok: bool
 
 
+def conjugation_law(
+    theta: ConceptualVariable,
+    family: CoherentFamily,
+    elements: tuple[Permutation, ...] | None = None,
+    base_point: int = 0,
+    tolerances: OperatorTolerances = OperatorTolerances(),
+    bundle: OperatorBundle | None = None,
+) -> list[float]:
+    """max |T(t)^dag A^theta T(t) - A^(theta∘t)| for each element t (default: the group).
+
+    ``bundle``, theta's own operator, may be passed in.  Each A^(theta∘t) is
+    built afresh, by ``build_operator``'s checks run on all of them as one stack.
+    """
+    import numpy as np
+    elements = family.group.elements if elements is None else elements
+    if bundle is None:
+        bundle = build_operator(theta, family, base_point, tolerances)
+    moved = _build_operators(theta, family, base_point, tolerances, [t.images for t in elements])[0]
+    t_matrices = np.array([family.rep(t) for t in elements])
+    conjugated = t_matrices.conj().swapaxes(1, 2) @ bundle.operator @ t_matrices
+    return abs(conjugated - moved).max(axis=(1, 2)).tolist()
+
+
 def conjugation_check(
     theta: ConceptualVariable,
     family: CoherentFamily,
@@ -477,21 +506,9 @@ def conjugation_check(
     tolerances: OperatorTolerances = OperatorTolerances(),
     bundle: OperatorBundle | None = None,
 ) -> ConjugationResult:
-    """Verify T(t)^dag A^theta T(t) equals the operator of theta∘t.
-
-    Both operators go through the same construction; the residual is the
-    max-abs difference.  ``bundle``, theta's own operator, may be passed in
-    when one variable is checked against many elements; the operator of
-    theta∘t is always built afresh, so the law is never assumed.
-    """
-    if bundle is None:
-        bundle = build_operator(theta, family, base_point, tolerances)
-    moved = theta.compose(element.images, name=f"{theta.name}~moved")
-    moved_bundle = build_operator(moved, family, base_point, tolerances)
-    t_matrix = family.rep(element)
-    conjugated = t_matrix.conj().T @ bundle.operator @ t_matrix
-    residual = linalg.max_abs(conjugated - moved_bundle.operator)
-    return ConjugationResult(element=element, residual=float(residual), ok=residual <= tol)
+    """Verify T(t)^dag A^theta T(t) equals the operator of theta∘t: ``conjugation_law`` at t."""
+    (residual,) = conjugation_law(theta, family, (element,), base_point, tolerances, bundle)
+    return ConjugationResult(element=element, residual=residual, ok=residual <= tol)
 
 
 @dataclass(frozen=True, eq=False)

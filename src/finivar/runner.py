@@ -53,7 +53,7 @@ from .representations import (
     bundle_from_matrix,
     check_coherent_injectivity,
     commutant_diagnostic,
-    conjugation_check,
+    conjugation_law,
     expand_in_basis,
 )
 from .scenario import Scenario, ScenarioError, _finite_number
@@ -366,23 +366,18 @@ def _handle_theorem2(check: _Check) -> _Outcome:
             "reason": "theta is not permissible under the acting group",
             "witness": _witness_payload(permissibility.witness),
         }
-    tol = ctx.tol("conjugation_residual")
-    bundle = ctx.bundle(theta, base_point)
-    per_element = []
-    max_residual = 0.0
-    for t in family.group.elements:
-        result = conjugation_check(
-            theta, family, t, base_point, tol, ctx.operator_tolerances, bundle
-        )
-        per_element.append({"element": t, "residual": result.residual})
-        max_residual = max(max_residual, result.residual)
+    elements = family.group.elements
+    residuals = conjugation_law(
+        theta, family, elements, base_point, ctx.operator_tolerances, ctx.bundle(theta, base_point)
+    )
+    max_residual = max([0.0, *residuals])
     details = {
         "variable": theta.name,
-        "elements_checked": len(per_element),
+        "elements_checked": len(residuals),
         "max_residual": max_residual,
-        "per_element": per_element,
+        "per_element": [{"element": t, "residual": r} for t, r in zip(elements, residuals)],
     }
-    return _status(max_residual <= tol), details
+    return _status(max_residual <= ctx.tol("conjugation_residual")), details
 
 
 def _handle_eq1(check: _Check) -> _Outcome:

@@ -287,13 +287,24 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
             raise _fail("base_state", "scenario declares no representation")
         base_state = _parse_vector(data["base_state"], "base_state")
     if representation is not None:
+        import numpy as np  # already loaded: the representation holds arrays
         if base_state is None:  # the first basis vector
-            import numpy as np
             base_state = np.eye(1, representation.dim, dtype=complex)[0]
         try:
             _check_base_state(base_state, representation.dim)
         except ValueError as exc:
             raise _fail("base_state", str(exc)) from None
+        if data["representation"]["kind"] == "explicit":  # the built-in kinds are unitary
+            for i, matrix in enumerate(representation.matrices.values()):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    state = matrix @ base_state  # a coherent state
+                try:
+                    _check_base_state(state, representation.dim)
+                except ValueError:
+                    raise _fail(
+                        f"representation.matrices[{i}].matrix",
+                        "sends base_state to a coherent state of zero or non-finite norm",
+                    ) from None
 
     raw_checks = data.get("checks")
     if not isinstance(raw_checks, list) or not raw_checks:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from finivar.groups import Permutation, PermutationGroup, _close, are_related, is_permissible
 from finivar.harness import (
     _partition_orbits,
+    _partition_stabilizer,
     _verdict_counts,
     VERDICT_ALL_DIFFERENT,
     VERDICT_ALL_RELATED,
@@ -442,6 +443,36 @@ class TestProofConstructionOracle:
         assert len(stabilizer) == 48
         chosen = tuple(p.images for p in result.group.elements)
         assert chosen not in [c.elements for c in subgroup_classes(stabilizer)]
+
+
+class TestPartitionStabilizer:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_backtracking_matches_the_full_scan(self, seed):
+        """Random triples of 3-7 points, of any shapes: the same permutations,
+        in the same lexicographic order, as the n! scan."""
+        rng = random.Random(seed)
+        n = rng.randint(3, 7)
+        space = space_of(n, "triple")
+        members = []
+        for i in range(3):
+            values = rng.randint(1, n)
+            base = list(range(values)) + [rng.randrange(values) for _ in range(n - values)]
+            rng.shuffle(base)
+            members.append(variable_from_assignment(space, canonical_partition(base), f"t{i}"))
+        found = _partition_stabilizer([var.assignment for var in members], n)
+        assert found == triple_stabilizer(members)
+
+    def test_eight_points(self):
+        """Three copies of (0, 1, 2, 3, 3, 2, 0, 1): 384 permutations, which
+        the construction searches for regular subgroups."""
+        scenario, members = triple_scenario([(0, 1, 2, 3, 3, 2, 0, 1)] * 3)
+        stabilizer = triple_stabilizer(members)
+        assert len(stabilizer) == 384
+        assert _partition_stabilizer([var.assignment for var in members], 8) == stabilizer
+        result = proof_group_construction(scenario, *members)
+        assert result.found
+        assert result.stabilizer_order == 384
+        assert result.subgroups_searched == 1659
 
 
 class TestFalsifier:

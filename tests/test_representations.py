@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finivar import linalg
-from finivar.groups import Permutation, PermutationGroup
+from finivar.groups import (
+    PAIR_EXHAUSTIVE_LIMIT,
+    Permutation,
+    PermutationGroup,
+    element_pairs,
+    is_permissible,
+)
 from finivar.representations import (
     CoherentCollisionError,
     CoherentFamily,
@@ -22,11 +29,18 @@ from finivar.representations import (
     check_coherent_injectivity,
     commutant_diagnostic,
     conjugation_check,
+    conjugation_law,
     cyclic_dft_rep,
     expand_in_basis,
     qubit_rep,
 )
-from finivar.spaces import ConceptualVariable, DomainMismatchError, PointSpace
+from finivar.spaces import (
+    ConceptualVariable,
+    DomainMismatchError,
+    PointSpace,
+    canonical_partition,
+)
+from finivar.subgroups import subgroup_conjugacy_classes
 
 from conftest import assignments, permutations_of, space_of, variable_from_assignment
 
@@ -509,3 +523,218 @@ class TestCommutant:
         diag = commutant_diagnostic(rep)
         assert diag.commutant_dimension == _twirl_count(rep)
         assert diag.irreducible == (diag.commutant_dimension == 1)
+
+
+def per_element_residuals(theta, family, base_point=0):
+    """Oracle: the conjugation law one element at a time, each operator from
+    its own ``build_operator`` call."""
+    operator = build_operator(theta, family, base_point).operator
+    residuals = []
+    for t in family.group.elements:
+        moved = build_operator(theta.compose(t.images), family, base_point).operator
+        matrix = family.rep(t)
+        residuals.append(linalg.max_abs(matrix.conj().T @ operator @ matrix - moved))
+    return residuals
+
+
+def projector_sum(theta, family, base_point=0):
+    """Oracle: value-weighted projectors of one variable, summed in value order."""
+    points = [k.images[base_point] for k in family.group.elements]
+    values = np.array([theta.assignment[p] for p in points])
+    operator = np.zeros((family.rep.dim, family.rep.dim), dtype=complex)
+    for v, weight in enumerate(theta.numeric_values()):
+        indices = tuple(np.flatnonzero(values == v).tolist())
+        operator = operator + weight * family.projector(indices)[0]
+    return operator
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+def assert_law_matches_loop(theta, family, base_point=0):
+    law = conjugation_law(theta, family, base_point=base_point)
+    assert bits(law) == bits(per_element_residuals(theta, family, base_point))
+    built = build_operator(theta, family, base_point).operator
+    assert built.tobytes() == projector_sum(theta, family, base_point).tobytes()
+    return law
+
+
+def quarter_values(rng, count):
+    return tuple(f"{q / 4:g}" for q in rng.sample(range(-8 * count, 8 * count + 1), count))
+
+
+def random_unitary(dim, seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diagonal(r) / abs(np.diagonal(r)))
+
+
+def regular_subgroups(n):
+    """Every regular subgroup of S_n up to conjugacy, as permutation groups."""
+    space = space_of(n, "regular")
+    return [
+        PermutationGroup(space, (), tuple(Permutation(images) for images in c.elements))
+        for c in subgroup_conjugacy_classes(n)
+        if c.order == n and len({images[0] for images in c.elements}) == n
+    ]
+
+
+class TestConjugationLawStack:
+    @given(st.integers(1, 12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cyclic_matches_the_per_element_loop(self, n, data):
+        family = cyclic_family(n)
+        raw = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        assignment = canonical_partition(raw)
+        rng = random.Random(data.draw(st.integers(0, 2**16)))
+        theta = ConceptualVariable(
+            "theta", family.group.space, quarter_values(rng, max(assignment) + 1), assignment
+        )
+        base_point = data.draw(st.integers(0, n - 1))
+        law = assert_law_matches_loop(theta, family, base_point)
+        assert len(law) == n
+
+    # Regular subgroups of S_n up to conjugacy are the groups of order n (OEIS A000001).
+    GROUPS_OF_ORDER = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2}
+
+    @pytest.mark.parametrize(
+        "n, index", [(n, i) for n, count in GROUPS_OF_ORDER.items() for i in range(count)]
+    )
+    def test_regular_subgroups_as_permutation_matrices(self, n, index):
+        """Every regular class of S_n (n <= 6), as permutation matrices and as
+        a seeded unitary conjugate of them, with permissible and
+        non-permissible variables alike."""
+        groups = regular_subgroups(n)
+        assert len(groups) == self.GROUPS_OF_ORDER[n]
+        group = groups[index]
+        matrices = {k: _permutation_matrix(k).astype(complex) for k in group.elements}
+        conjugate = random_unitary(n, seed=10 * n + index)
+        families = [
+            CoherentFamily(UnitaryRep(group, matrices), np.eye(n, dtype=complex)[0]),
+            CoherentFamily(
+                UnitaryRep(group, {k: conjugate @ m @ conjugate.conj().T for k, m in matrices.items()}),
+                conjugate[:, 0],
+            ),
+        ]
+        rng = random.Random(n * 100 + index)
+        shapes = {tuple(range(n)), (0,) * n}
+        while len(shapes) < min(8, (1, 1, 2, 5, 15, 52, 203)[n]):  # Bell numbers
+            shapes.add(canonical_partition([rng.randrange(n) for _ in range(n)]))
+        for family in families:
+            for assignment in sorted(shapes):
+                theta = ConceptualVariable(
+                    "theta", group.space, quarter_values(rng, max(assignment) + 1), assignment
+                )
+                assert_law_matches_loop(theta, family, rng.randrange(n))
+
+    def test_the_first_failing_element_raises_its_own_build_error(self):
+        """Z3 with explicit matrices that are no representation, so the coherent
+        states are not shift-invariant: U(s) e0 = e1, U(s^2) e0 = (e1 + e2)/sqrt 2.
+        theta = {e0 | e1, e2} is not permissible; its own states group
+        orthogonally, but some theta∘t put e1 and (e1 + e2)/sqrt 2 apart."""
+        space = space_of(3)
+        group = PermutationGroup.generate(space, (Permutation((1, 2, 0)),))
+        s, s2 = Permutation((1, 2, 0)), Permutation((2, 0, 1))
+        r = 1 / np.sqrt(2)
+        matrices = {
+            group.identity: np.eye(3),
+            s: np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+            s2: np.array([[0, 0, 1], [r, r, 0], [r, -r, 0]]),
+        }
+        family = CoherentFamily(UnitaryRep(group, matrices), np.array([1, 0, 0], dtype=complex))
+        theta = ConceptualVariable("theta", space, ("-1", "2"), (0, 1, 1))
+        assert not is_permissible(theta, group).ok
+        build_operator(theta, family)
+        failing = []
+        for t in group.elements:
+            try:
+                build_operator(theta.compose(t.images), family)
+            except ValueError as direct:
+                failing.append(t)
+                with pytest.raises(type(direct)) as via_check:
+                    conjugation_check(theta, family, t)
+                assert str(via_check.value) == str(direct)
+            else:
+                conjugation_check(theta, family, t)
+        assert failing
+        with pytest.raises(OrthogonalityError) as via_law:
+            conjugation_law(theta, family)
+        with pytest.raises(OrthogonalityError) as first:
+            build_operator(theta.compose(failing[0].images), family)
+        assert str(via_law.value) == str(first.value)
+
+
+def pair_by_pair(rep, seed=0, sample_pairs=1000):
+    """Oracle: ``UnitaryRep.diagnostics`` one matrix and one pair at a time."""
+    unitary = max(
+        linalg.max_abs(m.conj().T @ m - np.eye(rep.dim)) for m in rep.matrices.values()
+    )
+    identity = linalg.max_abs(rep.matrices[rep.group.identity] - np.eye(rep.dim))
+    pairs, count = element_pairs(rep.group.elements, seed, sample_pairs)
+    hom = 0.0
+    for a, b in pairs:
+        product = rep.matrices[a] @ rep.matrices[b]
+        expected = rep.matrices[a * b]
+        idx = np.unravel_index(np.argmax(np.abs(expected)), expected.shape)
+        phase = product[idx] / expected[idx]
+        mag = abs(phase)
+        phase = phase / mag if mag > 0 else 1.0
+        hom = max(hom, linalg.max_abs(product - phase * expected))
+    return bits([unitary, identity, hom]), count
+
+
+def assert_diagnostics_match_pairs(rep, seed=0):
+    diag = rep.diagnostics(seed=seed)
+    got = bits([diag.unitary_residual, diag.identity_residual, diag.homomorphism_residual])
+    assert (got, diag.pairs_checked) == pair_by_pair(rep, seed)
+    return diag
+
+
+def with_phases(rep, seed):
+    """The same matrices times a seeded phase per element (identity kept)."""
+    rng = np.random.default_rng(seed)
+    return UnitaryRep(
+        rep.group,
+        {
+            k: m if k == rep.group.identity else np.exp(2j * np.pi * rng.random()) * m
+            for k, m in rep.matrices.items()
+        },
+    )
+
+
+class TestDiagnosticsStack:
+    @pytest.mark.parametrize("n", range(1, 33))
+    def test_cyclic_dft(self, n):
+        assert assert_diagnostics_match_pairs(cyclic_dft_rep(n)).pairs_checked == n * n
+
+    def test_qubit(self):
+        assert_diagnostics_match_pairs(qubit_rep())
+
+    def test_broken_z2(self):
+        space = space_of(2)
+        group = PermutationGroup.generate(space, (Permutation((1, 0)),))
+        broken = UnitaryRep(group, {group.identity: np.eye(2), Permutation((1, 0)): np.diag([1, 1j])})
+        assert not assert_diagnostics_match_pairs(broken).ok()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_per_element_phases(self, seed):
+        assert assert_diagnostics_match_pairs(with_phases(cyclic_dft_rep(7 + seed), seed)).ok()
+        assert assert_diagnostics_match_pairs(with_phases(qubit_rep(), seed)).ok()
+
+    @given(_ray_representations())
+    @settings(max_examples=30, deadline=None)
+    def test_ray_representations(self, rep):
+        assert_diagnostics_match_pairs(rep)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_s6_samples_past_the_exhaustive_limit(self, seed):
+        """720 elements: a seeded sample of 1000 pairs, stacked 720 at a time."""
+        space = space_of(6)
+        group = PermutationGroup.generate(
+            space, (Permutation((1, 0, 2, 3, 4, 5)), Permutation((1, 2, 3, 4, 5, 0)))
+        )
+        assert group.order == 720 > PAIR_EXHAUSTIVE_LIMIT
+        rep = UnitaryRep(group, {k: _permutation_matrix(k) for k in group.elements})
+        assert assert_diagnostics_match_pairs(rep, seed).pairs_checked == 1000
+        assert assert_diagnostics_match_pairs(with_phases(rep, seed), seed).ok()

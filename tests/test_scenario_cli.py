@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -722,6 +723,15 @@ class TestCli:
                 "base_state",
                 id="base-state-norm-overflow",
             ),
+            pytest.param(
+                MINIMAL.replace("type: permissibility", "type: theorem1-hypotheses")
+                + "\nrepresentation:\n  kind: explicit\n  matrices:\n"
+                "    - {element: [0, 1], matrix: [[1, 0], [0, 1]]}\n"
+                "    - {element: [1, 0], matrix: [[0, 0], [0, 0]]}\n"
+                "base_state: [1, 0]\n",
+                "representation.matrices[1].matrix",
+                id="coherent-state-zero",
+            ),
         ]
         + [
             pytest.param(
@@ -751,9 +761,12 @@ class TestCli:
     def test_malformed_representation_exits_two(self, tmp_path, text, field):
         target = tmp_path / "bad.yaml"
         target.write_text(text, encoding="utf-8")
-        result = self.runner.invoke(main, ["run", str(target)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = self.runner.invoke(main, ["run", str(target)])
         assert result.exit_code == 2, result.output
         assert f"Error: {field}: " in result.output
+        assert not caught and "Warning" not in result.stderr
 
     def test_max_n_flag_above_the_census_limit_exits_two(self):
         result = self.runner.invoke(main, ["run", "a2-smoke", "--max-n", "8"])
