@@ -16,7 +16,7 @@ from .builtins import BUILTINS, builtin_text, load_builtin
 from .groups import GroupTooLargeError
 from .report import VerificationReport
 from .runner import RunFlags, run_scenario
-from .scenario import Scenario, ScenarioError, load_path
+from .scenario import ScenarioError, load_path
 
 __all__ = ["main"]
 
@@ -27,20 +27,14 @@ def _positive_scale(ctx: click.Context, param: click.Parameter, value: float) ->
     return value
 
 
-def _load(source: str) -> Scenario:
-    """Resolve a built-in name or a scenario file path.
+def _execute(source: str, flags: RunFlags) -> VerificationReport:
+    """Load a built-in name or a scenario file path, and run it.
 
     Built-in names take precedence; prefix with ``./`` to force a file that
-    happens to share a name.
+    happens to share a name.  Unusable input is a usage error (exit 2).
     """
-    if source in BUILTINS:
-        return load_builtin(source)
-    return load_path(source)
-
-
-def _execute(scenario: Scenario, flags: RunFlags) -> VerificationReport:
     try:
-        return run_scenario(scenario, flags)
+        return run_scenario(load_builtin(source) if source in BUILTINS else load_path(source), flags)
     except (ScenarioError, GroupTooLargeError) as exc:
         raise click.UsageError(str(exc)) from None
 
@@ -86,16 +80,12 @@ def run(
     max_n: int | None,
 ) -> None:
     """Run SCENARIO (a built-in name or a YAML file) and report each check."""
-    try:
-        loaded = _load(scenario)
-    except (ScenarioError, GroupTooLargeError) as exc:
-        raise click.UsageError(str(exc)) from None
     flags = RunFlags(
         tolerance_scale=tolerance_scale,
         exhaustive_relatedness=exhaustive_relatedness,
         max_n=max_n,
     )
-    report = _execute(loaded, flags)
+    report = _execute(scenario, flags)
     if report_path == "-":
         click.echo(report.to_json(), nl=False)
     else:
@@ -150,7 +140,7 @@ def selftest() -> None:
     """Run every built-in scenario and require a clean exit from each."""
     failed = []
     for name in BUILTINS:
-        report = _execute(load_builtin(name), RunFlags())
+        report = _execute(name, RunFlags())
         counts = report.summary()
         shown = ", ".join(f"{k}={v}" for k, v in counts.items() if v)
         verdict = "ok" if report.exit_code == 0 else "FAILED"

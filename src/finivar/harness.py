@@ -259,11 +259,9 @@ def theorem_a1_search(
             )
         sizes = tuple(sorted((len(b) for b in theta.blocks()), reverse=True))
         seen = {c.partition() for c in candidates} | skip
-        for assignment in partitions_with_block_sizes(n, sizes):
-            if assignment in seen:
-                continue
-            seen.add(assignment)
-            candidates.append(_variable_from_partition(scenario.space, assignment, "candidate"))
+        for assignment in partitions_with_block_sizes(n, sizes):  # each comes once
+            if assignment not in seen:
+                candidates.append(_variable_from_partition(scenario.space, assignment, "candidate"))
     checked = 0
     for lam in candidates:
         checked += 1
@@ -298,28 +296,24 @@ def partitions_with_block_sizes(n: int, sizes: tuple[int, ...]) -> tuple[tuple[i
     """All set partitions of 0..n-1 with the given block-size multiset.
 
     Returned as canonical assignment tuples in lexicographic order.  The
-    recursion anchors each block at the smallest unused point, so no partition
-    appears twice.
+    recursion anchors each block at the smallest unlabeled point and gives it
+    the next label, so each partition appears once, already canonical.
     """
     if sum(sizes) != n:
         raise ValueError(f"block sizes {sizes} do not sum to {n}")
-    results: set[tuple[int, ...]] = set()
+    results: list[tuple[int, ...]] = []
     sizes_sorted = tuple(sorted(sizes, reverse=True))
 
     def recurse(remaining: frozenset[int], left: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]):
         if not remaining:
             assignment = [0] * n
-            for b_idx, block in enumerate(sorted(blocks)):
+            for b_idx, block in enumerate(blocks):
                 for p in block:
                     assignment[p] = b_idx
-            results.add(canonical_partition(tuple(assignment)))
+            results.append(tuple(assignment))
             return
         anchor = min(remaining)
-        tried: set[int] = set()
-        for size in left:
-            if size in tried:
-                continue
-            tried.add(size)
+        for size in dict.fromkeys(left):  # each distinct size once
             rest_sizes = list(left)
             rest_sizes.remove(size)
             pool = sorted(remaining - {anchor})

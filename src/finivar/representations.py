@@ -18,6 +18,7 @@ from .spaces import ConceptualVariable, PointSpace
 
 __all__ = [
     "CoherentCollisionError",
+    "CoherentStateError",
     "OrthogonalityError",
     "DegenerateBasisError",
     "UnitaryRep",
@@ -46,6 +47,14 @@ _DEFAULTS = linalg.DEFAULT_TOLERANCES
 
 class CoherentCollisionError(ValueError):
     """Two distinct group elements produced the same coherent state."""
+
+
+class CoherentStateError(ValueError):
+    """The matrix at ``index``, in listed order, sends the base state to an unusable state."""
+
+    def __init__(self, index: int) -> None:
+        super().__init__(f"matrix {index} sends the base state to a zero or non-finite state")
+        self.index = index
 
 
 class OrthogonalityError(ValueError):
@@ -174,19 +183,18 @@ def cyclic_dft_rep(n: int, space: PointSpace | None = None) -> UnitaryRep:
     return UnitaryRep(group, matrices)
 
 
-def _check_base_state(base: np.ndarray, dim: int) -> None:
-    """Raise ``ValueError`` unless ``base`` is a nonzero vector of dimension
-    ``dim`` whose norm is finite (huge entries overflow it)."""
+def _usable(states: np.ndarray) -> np.ndarray:
+    """Whether each state's norm is at least 1e-12 and finite (huge entries overflow it)."""
     import numpy as np
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(base)
-    if base.shape != (dim,) or not 1e-12 <= norm < np.inf:
-        raise ValueError(f"expected a nonzero vector of dimension {dim} with a finite norm")
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(states, axis=-1)
+    return (1e-12 <= norms) & (norms < np.inf)
 
 
 class CoherentFamily:
     """The orbit of a base state under a representation, keyed by group element.
 
+    Every state, the base included, must have a finite norm of at least 1e-12.
     The states are fixed at construction, so the data derived from them
     (pairwise overlaps, injectivity verdicts, and the projector onto each
     group of states an operator build stacks) is computed once and kept here.
@@ -195,10 +203,15 @@ class CoherentFamily:
     def __init__(self, rep: UnitaryRep, base: np.ndarray) -> None:
         import numpy as np
         base = np.asarray(base, dtype=complex)
-        _check_base_state(base, rep.dim)
+        if base.shape != (rep.dim,) or not _usable(base):
+            raise ValueError(f"expected a nonzero vector of dimension {rep.dim} with a finite norm")
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.states = {k: rep(k) @ base for k in rep.group.elements}  # overlaps use this order
+        usable = _usable(np.array([self.states[k] for k in rep.matrices]))
+        if not usable.all():
+            raise CoherentStateError(int(np.argmin(usable)))  # the first listed unusable state
         self.rep = rep
         self.base = base
-        self.states = {k: rep(k) @ base for k in rep.group.elements}
         self._overlaps: np.ndarray | None = None
         self._injectivity: dict[tuple[float, float], InjectivityResult] = {}
         self._projectors: dict[tuple[int, ...], tuple[np.ndarray, int]] = {}

@@ -15,7 +15,8 @@ from typing import Any
 import yaml
 
 from .groups import Permutation, PermutationGroup
-from .representations import UnitaryRep, _check_base_state, cyclic_dft_rep, qubit_rep
+from .representations import CoherentFamily, CoherentStateError, UnitaryRep
+from .representations import cyclic_dft_rep, qubit_rep
 from .spaces import ConceptualVariable, PointSpace
 
 __all__ = ["ScenarioError", "CheckSpec", "Scenario", "loads", "load_path", "CHECK_TYPES"]
@@ -23,17 +24,19 @@ __all__ = ["ScenarioError", "CheckSpec", "Scenario", "loads", "load_path", "CHEC
 # libyaml's parser where PyYAML has it; both loaders resolve and construct alike.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-CHECK_TYPES = (
-    "permissibility",
-    "induced-group",
-    "theorem1-hypotheses",
-    "theorem2",
-    "eq1-expansion",
-    "singlet-delta",
-    "a1-search",
-    "a2-classify",
-    "a2-falsify",
-)
+# The parameters each check type's handler reads; every check may carry a `name`.
+_CHECK_PARAMS = {
+    "permissibility": ("variable", "expect", "generators"),
+    "induced-group": ("variable", "generators"),
+    "theorem1-hypotheses": ("variable", "base_point", "eta", "generators"),
+    "theorem2": ("variable", "base_point"),
+    "eq1-expansion": ("basis", "target", "index", "base_point"),
+    "singlet-delta": ("directions", "seed"),
+    "a1-search": ("theta", "eta", "all-partitions", "members", "generators"),
+    "a2-classify": ("expect-verdict", "members", "generators"),
+    "a2-falsify": ("max-n",),
+}
+CHECK_TYPES = tuple(_CHECK_PARAMS)
 
 
 class ScenarioError(ValueError):
@@ -116,8 +119,7 @@ class Scenario:
     space: PointSpace
     variables: dict[str, ConceptualVariable]
     group: PermutationGroup | None
-    representation: UnitaryRep | None
-    base_state: np.ndarray | None
+    coherent_family: CoherentFamily | None
     checks: tuple[CheckSpec, ...]
     tolerance_overrides: dict[str, float]
     informational: bool
@@ -281,30 +283,24 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
 
     representation = _parse_representation(data.get("representation"), space, group)
 
-    base_state = None
-    if data.get("base_state") is not None:
-        if representation is None:
-            raise _fail("base_state", "scenario declares no representation")
-        base_state = _parse_vector(data["base_state"], "base_state")
+    coherent_family = None
     if representation is not None:
         import numpy as np  # already loaded: the representation holds arrays
-        if base_state is None:  # the first basis vector
+        if data.get("base_state") is None:  # the first basis vector
             base_state = np.eye(1, representation.dim, dtype=complex)[0]
+        else:
+            base_state = _parse_vector(data["base_state"], "base_state")
         try:
-            _check_base_state(base_state, representation.dim)
+            coherent_family = CoherentFamily(representation, base_state)
+        except CoherentStateError as exc:
+            raise _fail(
+                f"representation.matrices[{exc.index}].matrix",
+                "sends base_state to a coherent state of zero or non-finite norm",
+            ) from None
         except ValueError as exc:
             raise _fail("base_state", str(exc)) from None
-        if data["representation"]["kind"] == "explicit":  # the built-in kinds are unitary
-            for i, matrix in enumerate(representation.matrices.values()):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    state = matrix @ base_state  # a coherent state
-                try:
-                    _check_base_state(state, representation.dim)
-                except ValueError:
-                    raise _fail(
-                        f"representation.matrices[{i}].matrix",
-                        "sends base_state to a coherent state of zero or non-finite norm",
-                    ) from None
+    elif data.get("base_state") is not None:
+        raise _fail("base_state", "scenario declares no representation")
 
     raw_checks = data.get("checks")
     if not isinstance(raw_checks, list) or not raw_checks:
@@ -316,6 +312,10 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
         check_type = _require_str(check_data.pop("type", None), f"{path}.type")
         if check_type not in CHECK_TYPES:
             raise _fail(f"{path}.type", f"unknown check type {check_type!r}")
+        known = (*_CHECK_PARAMS[check_type], "name")
+        for key in check_data:
+            if key not in known:
+                raise _fail(f"{path}.{key}", f"expected one of {', '.join(known)}")
         checks.append(CheckSpec(type=check_type, params=check_data))
 
     overrides: dict[str, float] = {}
@@ -335,8 +335,7 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
         space=space,
         variables=variables,
         group=group,
-        representation=representation,
-        base_state=base_state,
+        coherent_family=coherent_family,
         checks=tuple(checks),
         tolerance_overrides=overrides,
         informational=informational,

@@ -74,8 +74,7 @@ class PointSpace:
             object.__setattr__(self, "product", coords)
             if len(coords) != len(self.labels):
                 raise ValueError("product structure must cover every point")
-            p = max(a for a, _ in coords) + 1
-            q = max(b for _, b in coords) + 1
+            p, q = self.product_sizes()
             if p * q != len(self.labels) or set(coords) != {
                 (a, b) for a in range(p) for b in range(q)
             }:

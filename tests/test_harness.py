@@ -219,6 +219,39 @@ class TestA1Search:
             theorem_a1_search(scenario, theta, theta, all_partitions=True)
 
 
+def block_size_multisets(n: int, largest: int | None = None) -> list[tuple[int, ...]]:
+    """Every multiset of positive block sizes summing to n, as descending tuples."""
+    if n == 0:
+        return [()]
+    top = n if largest is None else min(n, largest)
+    return [(k, *rest) for k in range(top, 0, -1) for rest in block_size_multisets(n - k, k)]
+
+
+def set_based_partitions(n: int, sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Oracle: the same anchored recursion, but sorting each partition's
+    blocks, canonicalising its assignment and de-duplicating through a set."""
+    results: set[tuple[int, ...]] = set()
+
+    def recurse(remaining, left, blocks):
+        if not remaining:
+            assignment = [0] * n
+            for b_idx, block in enumerate(sorted(blocks)):
+                for p in block:
+                    assignment[p] = b_idx
+            results.add(canonical_partition(tuple(assignment)))
+            return
+        anchor = min(remaining)
+        for size in sorted(set(left), reverse=True):
+            rest = list(left)
+            rest.remove(size)
+            for combo in itertools.combinations(sorted(remaining - {anchor}), size - 1):
+                block = (anchor, *combo)
+                recurse(remaining - set(block), tuple(rest), blocks + (block,))
+
+    recurse(frozenset(range(n)), tuple(sorted(sizes, reverse=True)), ())
+    return tuple(sorted(results))
+
+
 class TestPartitionEnumeration:
     # counts frozen from the multinomial formula n! / (prod sizes! * prod mult!)
     def test_pair_pairs_of_four(self):
@@ -249,6 +282,22 @@ class TestPartitionEnumeration:
     def test_size_sum_must_match(self):
         with pytest.raises(ValueError, match="do not sum"):
             partitions_with_block_sizes(5, (2, 2))
+
+    @pytest.mark.parametrize(
+        "n, multisets, partitions",
+        [
+            (1, 1, 1), (2, 2, 2), (3, 3, 5), (4, 5, 15),
+            (5, 7, 52), (6, 11, 203), (7, 15, 877), (8, 22, 4140),
+        ],
+    )
+    def test_matches_the_set_based_oracle(self, n, multisets, partitions):
+        """Every block-size multiset up to 8 points: 66 multisets (the integer
+        partitions of n) and 5,295 set partitions (the Bell numbers)."""
+        sizes = block_size_multisets(n)
+        assert len(sizes) == multisets
+        found = [partitions_with_block_sizes(n, s) for s in sizes]
+        assert found == [set_based_partitions(n, s) for s in sizes]
+        assert sum(map(len, found)) == partitions
 
     def test_balanced_divisibility(self):
         with pytest.raises(ValueError, match="evenly split"):

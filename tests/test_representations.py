@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from finivar.groups import (
 from finivar.representations import (
     CoherentCollisionError,
     CoherentFamily,
+    CoherentStateError,
     DegenerateBasisError,
     OrthogonalityError,
     UnitaryRep,
@@ -130,6 +132,22 @@ class TestCoherentFamily:
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError, match="dimension"):
             CoherentFamily(qubit_rep(), np.array([1, 0, 0], dtype=complex))
+
+    @pytest.mark.parametrize(
+        "flip", [np.zeros((2, 2)), np.full((2, 2), 1e300)], ids=["zero", "overflow"]
+    )
+    def test_rejects_an_unusable_coherent_state_when_built(self, flip):
+        """Z2 whose flip sends the base state to a zero or non-finite state:
+        the family refuses it when built, with the matrix's listed index and
+        no warning, so no operator build later divides by its norm."""
+        group = PermutationGroup.generate(space_of(2), (Permutation((1, 0)),))
+        rep = UnitaryRep(group, {group.identity: np.eye(2), Permutation((1, 0)): flip})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CoherentStateError) as caught:
+                CoherentFamily(rep, np.array([1, 0], dtype=complex))
+        assert caught.value.index == 1
+        assert isinstance(caught.value, ValueError)
 
     def test_injectivity_holds_for_orbit_bases(self):
         result = check_coherent_injectivity(cyclic_family(4))
@@ -405,6 +423,23 @@ def _twirl_count(rep: UnitaryRep, tol: float = 1e-8) -> int:
     return int(np.sum(np.abs(eigenvalues - 1.0) < tol))
 
 
+def _blockwise_twirl_count(rep: UnitaryRep, sizes: list[int], tol: float = 1e-8) -> int:
+    """``_twirl_count`` of a block-diagonal representation, one block pair at a time.
+
+    The twirl maps each Hom(V_b, V_a) to itself, so its fixed space is the sum
+    of theirs, and no d^2 x d^2 matrix is built.
+    """
+    cuts = np.cumsum([0, *sizes]).tolist()
+    blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    count = 0
+    for a, b in itertools.product(blocks, blocks):
+        twirl = sum(np.kron(rep(k)[a, a], rep(k)[b, b].conj()) for k in rep.group.elements)
+        twirl = twirl / rep.group.order
+        eigenvalues = np.linalg.eigvalsh((twirl + twirl.conj().T) / 2)
+        count += int(np.sum(np.abs(eigenvalues - 1.0) < tol))
+    return count
+
+
 def _permutation_matrix(k: Permutation) -> np.ndarray:
     matrix = np.zeros((k.degree, k.degree))
     matrix[list(k.images), range(k.degree)] = 1.0
@@ -416,13 +451,13 @@ def _sign(k: Permutation) -> float:
 
 
 @st.composite
-def _ray_representations(draw) -> UnitaryRep:
+def _ray_representations(draw) -> tuple[UnitaryRep, list[int]]:
     """qubit, cyclic Fourier, or a sum of permutation, trivial and sign
     representations of a random subgroup of S_n (n <= 5), times random
-    per-element phases."""
+    per-element phases; with the sizes of its diagonal blocks."""
     kind = draw(st.sampled_from(["qubit", "cyclic", "sum"]))
     if kind == "qubit":
-        return qubit_rep()
+        return qubit_rep(), [2]
     if kind == "cyclic":
         base = cyclic_dft_rep(draw(st.integers(1, 12)))
         group, blocks = base.group, [base.matrices]
@@ -448,7 +483,7 @@ def _ray_representations(draw) -> UnitaryRep:
         k: np.exp(1j * angle) * _block_diagonal([b[k] for b in blocks])
         for k, angle in zip(group.elements, angles)
     }
-    return UnitaryRep(group, matrices)
+    return UnitaryRep(group, matrices), [len(b[group.identity]) for b in blocks]
 
 
 def _block_diagonal(parts: list[np.ndarray]) -> np.ndarray:
@@ -518,10 +553,11 @@ class TestCommutant:
 
     @given(_ray_representations())
     @settings(max_examples=40, deadline=None)
-    def test_character_norm_counts_the_twirl_fixed_space(self, rep):
+    def test_character_norm_counts_the_twirl_fixed_space(self, drawn):
+        rep, sizes = drawn
         assert rep.diagnostics().ok()
         diag = commutant_diagnostic(rep)
-        assert diag.commutant_dimension == _twirl_count(rep)
+        assert diag.commutant_dimension == _blockwise_twirl_count(rep, sizes)
         assert diag.irreducible == (diag.commutant_dimension == 1)
 
 
@@ -724,8 +760,8 @@ class TestDiagnosticsStack:
 
     @given(_ray_representations())
     @settings(max_examples=30, deadline=None)
-    def test_ray_representations(self, rep):
-        assert_diagnostics_match_pairs(rep)
+    def test_ray_representations(self, drawn):
+        assert_diagnostics_match_pairs(drawn[0])
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_s6_samples_past_the_exhaustive_limit(self, seed):

@@ -282,6 +282,15 @@ class TestStatusMapping:
         assert "note" in record.details["irreducibility"]
         assert report.exit_code == 1
 
+    def test_operator_build_decides_the_spectrum_verdict(self):
+        # At 1e-20 some eigenvalue misses its value by more than the
+        # tolerance, so each operator build raises its spectrum error and
+        # theorem1 reports it: the handler never compares the spectrum itself.
+        text = builtin_text("cyclic-4") + "tolerances: {spectral_reconstruction: 1.0e-20}\n"
+        records = [c for c in run_scenario(loads(text)).checks if c.type == "theorem1-hypotheses"]
+        assert [c.status for c in records] == [STATUS_ERROR, STATUS_ERROR]
+        assert all(c.details["error"].startswith("spectrum ") for c in records)
+
     def test_unexpected_exception_becomes_error_record(self):
         # theorem2 needs numeric value labels; parity's are "even" and "odd".
         scenario = scenario_with("  - type: theorem2\n    variable: parity\n")

@@ -173,7 +173,7 @@ checks:
 
     def test_base_state_real_and_complex_entries(self):
         scenario = loads(MINIMAL + "\nrepresentation: {kind: qubit}\nbase_state: [1, [0, 1]]\n")
-        assert np.allclose(scenario.base_state, np.array([1.0, 1.0j]))
+        assert np.allclose(scenario.coherent_family.base, np.array([1.0, 1.0j]))
 
     def test_base_state_entry_validation(self):
         expect_error(
@@ -183,9 +183,9 @@ checks:
 
     def test_representation_kinds(self):
         flip = Permutation((1, 0))
-        qubit = loads(MINIMAL + "\nrepresentation: {kind: qubit}\n").representation
+        qubit = loads(MINIMAL + "\nrepresentation: {kind: qubit}\n").coherent_family.rep
         assert np.array_equal(qubit(flip), qubit_rep()(flip))
-        cyclic = loads(MINIMAL + "\nrepresentation: {kind: cyclic-dft, n: 2}\n").representation
+        cyclic = loads(MINIMAL + "\nrepresentation: {kind: cyclic-dft, n: 2}\n").coherent_family.rep
         assert np.array_equal(cyclic(flip), cyclic_dft_rep(2)(flip))
 
     def test_representation_unknown_kind(self):
@@ -216,7 +216,7 @@ representation:
     - element: [1, 0]
       matrix: [[0, 1], [1, 0]]
 """
-        rep = loads(text).representation
+        rep = loads(text).coherent_family.rep
         assert np.allclose(rep(Permutation((1, 0))), np.array([[0, 1], [1, 0]]))
 
     def test_explicit_representation_must_cover_group(self):
@@ -630,6 +630,31 @@ class TestCli:
                 CYCLE4.format(checks=f"{PERMISSIBILITY}\n    expect: sometimes"),
                 "checks[0].expect",
                 id="expect",
+            ),
+            pytest.param(
+                CYCLE4.format(checks=f"{PERMISSIBILITY}\n    expected: false"),
+                "checks[0].expected",
+                id="unknown-parameter-expected",
+            ),
+            pytest.param(
+                CYCLE4.format(checks=f"{CHECKS['a2-falsify']}\n    max_n: 6"),
+                "checks[0].max_n",
+                id="unknown-parameter-max_n",
+            ),
+            pytest.param(
+                CYCLE4.format(checks=f"{THEOREM2}\n    generators: [[1, 2, 3, 0]]"),
+                "checks[0].generators",
+                id="theorem2-generators",
+            ),
+            pytest.param(
+                CYCLE4.format(checks=f"{EQ1}\n    generators: [[1, 2, 3, 0]]"),
+                "checks[0].generators",
+                id="eq1-generators",
+            ),
+            pytest.param(
+                CYCLE4.format(checks="  - type: a2-classify\n    members: [position, position]"),
+                "checks[0].members",
+                id="member-twice",
             ),
             pytest.param(
                 CYCLE4.format(checks=THEOREM1) + "\ninformational: 'no'\n",
