@@ -17,6 +17,7 @@ from .groups import GroupTooLargeError
 from .report import VerificationReport
 from .runner import RunFlags, run_scenario
 from .scenario import ScenarioError, load_path
+from .subgroups import MAX_EXACT_DEGREE
 
 __all__ = ["main"]
 
@@ -68,7 +69,7 @@ def main() -> None:
 )
 @click.option(
     "--max-n",
-    type=int,
+    type=click.IntRange(1, MAX_EXACT_DEGREE),
     default=None,
     help="Override the point-count bound of any exhaustive-falsifier check.",
 )

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .spaces import (
     ConceptualVariable,
     DomainMismatchError,
     PointSpace,
+    _id_tables,
     _require_same_domain,
     canonical_partition,
     compose,
@@ -41,6 +44,8 @@ __all__ = [
 DEFAULT_CLOSURE_CAP = 1_000_000
 EXHAUSTIVE_RELATEDNESS_LIMIT = 8
 PAIR_EXHAUSTIVE_LIMIT = 500
+
+_T = TypeVar("_T")
 
 
 class GroupTooLargeError(RuntimeError):
@@ -133,7 +138,11 @@ def _close(generator_images: Iterable[tuple[int, ...]], n: int, max_size: int) -
 
 
 class PermutationGroup:
-    """A permutation group on a point space, elements in lexicographic order."""
+    """A permutation group on a point space.
+
+    ``generate`` lists the elements in lexicographic order.  An element's id is
+    its position in ``elements``.
+    """
 
     def __init__(
         self,
@@ -149,8 +158,8 @@ class PermutationGroup:
                 raise ValueError(
                     f"permutation degree {p.degree} does not match space size {space.size}"
                 )
-        self._members = frozenset(p.images for p in self.elements)
-        if tuple(range(space.size)) not in self._members:
+        self._ids = {p.images: i for i, p in enumerate(self.elements)}
+        if tuple(range(space.size)) not in self._ids:
             raise ValueError("a group must contain the identity")
 
     @classmethod
@@ -184,7 +193,28 @@ class PermutationGroup:
         return iter(self.elements)
 
     def __contains__(self, p: Permutation) -> bool:
-        return p.images in self._members
+        return p.images in self._ids
+
+    @cached_property
+    def _table(self) -> list[array] | None:
+        """``_table[a][b]`` is the id of a∘b, for up to ``PAIR_EXHAUSTIVE_LIMIT`` elements."""
+        if self.order > PAIR_EXHAUSTIVE_LIMIT:
+            return None
+        return _id_tables([p.images for p in self.elements])[0]
+
+    def product_id(self, a: int, b: int) -> int | None:
+        """The id of a∘b, read from the product table up to ``PAIR_EXHAUSTIVE_LIMIT``
+        elements and composed past it (None if it lies outside ``elements``)."""
+        if self._table is not None:
+            return self._table[a][b]
+        return self._ids.get(compose(self.elements[a].images, self.elements[b].images))
+
+    def pair_ids(
+        self, seed: int = 0, sample_pairs: int = 1000
+    ) -> tuple[Iterator[tuple[int, int, int]], int]:
+        """The pairs of ``element_pairs``, as ``(a, b, ab)`` ids, and their count."""
+        positions, count = element_pairs(range(self.order), seed, sample_pairs)
+        return ((a, b, self.product_id(a, b)) for a, b in positions), count
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbit partition of the point space, each orbit ascending, sorted by minimum."""
@@ -212,8 +242,8 @@ class PermutationGroup:
 
 
 def element_pairs(
-    elements: Sequence[Permutation], seed: int = 0, sample_pairs: int = 1000
-) -> tuple[Iterable[tuple[Permutation, Permutation]], int]:
+    elements: Sequence[_T], seed: int = 0, sample_pairs: int = 1000
+) -> tuple[Iterable[tuple[_T, _T]], int]:
     """Pairs to check a composition law on, and their count: every ordered pair up to
     ``PAIR_EXHAUSTIVE_LIMIT`` elements, else ``sample_pairs`` seeded random pairs."""
     n = len(elements)
@@ -243,17 +273,17 @@ class GroupHomomorphism:
         return self.mapping[k]
 
     def verify(self, seed: int = 0, sample_pairs: int = 1000) -> bool:
-        """Check identity and composition laws on the pairs of ``element_pairs``."""
+        """Check that every value lies in the target, and the identity and
+        composition laws on the pairs of ``PermutationGroup.pair_ids``."""
         if not self.mapping[self.source.identity].is_identity():
             return False
-        pairs, _ = element_pairs(self.source.elements, seed, sample_pairs)
-        # Compose image tuples directly: a Permutation per product would be
-        # built and hashed once per pair.
-        images = {k.images: v.images for k, v in self.mapping.items()}
-        for a, b in pairs:
-            if images[compose(a.images, b.images)] != compose(images[a.images], images[b.images]):
-                return False
-        return True
+        to_target = self.target._ids
+        phi = [to_target.get(self.mapping[k].images) for k in self.source.elements]
+        if None in phi:  # a value outside the target group
+            return False
+        pairs, _ = self.source.pair_ids(seed, sample_pairs)
+        product = self.target.product_id
+        return all(phi[ab] == product(phi[a], phi[b]) for a, b, ab in pairs)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, fields
 
 from . import linalg
-from .groups import Permutation, PermutationGroup, _require_acting_group, element_pairs
+from .groups import Permutation, PermutationGroup, _require_acting_group
 from .spaces import ConceptualVariable, PointSpace
 
 __all__ = [
@@ -89,18 +89,20 @@ class UnitaryRep:
 
         The composition law is checked up to a global phase per pair, so exact
         and ray representations both validate.  The pairs, all of them for small
-        groups and a seeded sample for large ones, are stacked |G| at a time.
+        groups and a seeded sample for large ones, come as ids from
+        ``PermutationGroup.pair_ids`` and are stacked |G| at a time.
         """
         import numpy as np
-        index = {k: i for i, k in enumerate(self.matrices)}
+        listed = {k: i for i, k in enumerate(self.matrices)}
         stack = np.array(list(self.matrices.values()))
         gram = stack.conj().swapaxes(1, 2) @ stack
         unitary_residual = max(abs(gram - np.eye(self.dim)).max(axis=(1, 2)).tolist())
         identity_residual = linalg.max_abs(self.matrices[self.group.identity] - np.eye(self.dim))
-        pairs, pair_count = element_pairs(self.group.elements, seed, sample_pairs)
+        position = np.array([listed[k] for k in self.group.elements])  # of each element id in stack
+        pairs, pair_count = self.group.pair_ids(seed, sample_pairs)
         hom_residual = 0.0
-        while chunk := list(itertools.islice(pairs, len(index))):
-            a, b, ab = np.array([(index[a], index[b], index[a * b]) for a, b in chunk]).T
+        while chunk := list(itertools.islice(pairs, len(listed))):
+            a, b, ab = position[np.array(chunk).T]
             product = (stack[a] @ stack[b]).reshape(len(chunk), -1)
             expected = stack[ab].reshape(len(chunk), -1)
             at = np.arange(len(chunk)), np.argmax(abs(expected), axis=1)

@@ -38,6 +38,13 @@ _CHECK_PARAMS = {
 }
 CHECK_TYPES = tuple(_CHECK_PARAMS)
 
+# The fields each representation kind reads.
+_REPRESENTATION_KEYS = {
+    "qubit": ("kind",),
+    "cyclic-dft": ("kind", "n"),
+    "explicit": ("kind", "matrices"),
+}
+
 
 class ScenarioError(ValueError):
     """A scenario file failed to parse or validate; message names the location."""
@@ -47,9 +54,13 @@ def _fail(path: str, message: str) -> "ScenarioError":
     return ScenarioError(f"{path}: {message}")
 
 
-def _require(mapping: Any, path: str) -> dict:
+def _require(mapping: Any, path: str, keys: tuple[str, ...] | None = None) -> dict:
+    """``mapping`` as a dict; with ``keys``, every key must be one of them."""
     if not isinstance(mapping, dict):
         raise _fail(path, f"expected a mapping, got {type(mapping).__name__}")
+    for key in mapping:
+        if keys is not None and key not in keys:
+            raise _fail(f"{path}.{key}", f"expected one of {', '.join(keys)}")
     return mapping
 
 
@@ -160,7 +171,7 @@ def _generate(raw: Any, space: PointSpace, path: str) -> PermutationGroup:
 
 
 def _parse_space(raw: Any) -> PointSpace:
-    data = _require(raw, "space")
+    data = _require(raw, "space", ("id", "labels", "product"))
     space_id = _require_str(data.get("id"), "space.id")
     labels = data.get("labels")
     if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
@@ -191,7 +202,7 @@ def _parse_variables(raw: Any, space: PointSpace) -> dict[str, ConceptualVariabl
     out: dict[str, ConceptualVariable] = {}
     for i, entry in enumerate(raw):
         path = f"variables[{i}]"
-        data = _require(entry, path)
+        data = _require(entry, path, ("name", "values", "assignment"))
         name = _require_str(data.get("name"), f"{path}.name")
         values = data.get("values")
         if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
@@ -215,6 +226,9 @@ def _parse_representation(
         return None
     data = _require(raw, "representation")
     kind = _require_str(data.get("kind"), "representation.kind")
+    if kind not in _REPRESENTATION_KEYS:
+        raise _fail("representation.kind", f"unknown kind {kind!r}")
+    _require(data, "representation", _REPRESENTATION_KEYS[kind])
     if kind == "qubit":
         if space.size != 2:
             raise _fail("representation.kind", f"expected two points, got {space.size}")
@@ -226,8 +240,6 @@ def _parse_representation(
         if n != space.size:
             raise _fail("representation.n", f"expected the space size {space.size}, got {n}")
         return cyclic_dft_rep(n, space)
-    if kind != "explicit":
-        raise _fail("representation.kind", f"unknown kind {kind!r}")
     raw_matrices = data.get("matrices")
     if not isinstance(raw_matrices, list) or not raw_matrices:
         raise _fail("representation.matrices", "expected a nonempty list")
@@ -236,7 +248,7 @@ def _parse_representation(
     matrices: dict[Permutation, np.ndarray] = {}
     for i, entry in enumerate(raw_matrices):
         path = f"representation.matrices[{i}]"
-        item = _require(entry, path)
+        item = _require(entry, path, ("element", "matrix"))
         element = _permutation(item.get("element"), space.size, f"{path}.element")
         if element in matrices:
             first = list(matrices).index(element)
@@ -278,7 +290,7 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
 
     group = None
     if data.get("group") is not None:
-        group_data = _require(data["group"], "group")
+        group_data = _require(data["group"], "group", ("generators",))
         group = _generate(group_data.get("generators"), space, "group.generators")
 
     representation = _parse_representation(data.get("representation"), space, group)
@@ -312,10 +324,9 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
         check_type = _require_str(check_data.pop("type", None), f"{path}.type")
         if check_type not in CHECK_TYPES:
             raise _fail(f"{path}.type", f"unknown check type {check_type!r}")
-        known = (*_CHECK_PARAMS[check_type], "name")
-        for key in check_data:
-            if key not in known:
-                raise _fail(f"{path}.{key}", f"expected one of {', '.join(known)}")
+        _require(check_data, path, (*_CHECK_PARAMS[check_type], "name"))
+        if isinstance(check_data.get("target"), dict):
+            _require(check_data["target"], f"{path}.target", ("direction", "variable"))
         checks.append(CheckSpec(type=check_type, params=check_data))
 
     overrides: dict[str, float] = {}

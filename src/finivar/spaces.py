@@ -8,7 +8,9 @@ canonical partition and value labels matter only for reporting.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 __all__ = [
@@ -31,6 +33,37 @@ class DomainMismatchError(ValueError):
 def compose(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
     """The image tuple of f∘g: apply g, then f (``f[g[x]]`` for each x)."""
     return tuple(map(f.__getitem__, g))
+
+
+def _id_tables(elements: Sequence[tuple[int, ...]]) -> tuple[list[array], array]:
+    """Product and inverse tables of the permutation group ``elements``, on ids
+    that are positions in it: ``mul[a][b]`` is the id of a∘b (apply b, then a),
+    ``inv[a]`` the id of a's inverse.  The identity may sit anywhere.
+
+    Only the rows of a generating set are composed from tuples; the row of
+    s∘x is the row of s read through the row of x.
+    """
+    size = len(elements)
+    index = {p: i for i, p in enumerate(elements)}
+    identity = index[tuple(range(len(elements[0])))]
+    code = "H" if size <= 1 << 16 else "I"
+    mul: list = [None] * size
+    mul[identity] = array(code, range(size))
+    rows: list[array] = []
+    for a in range(size):
+        if mul[a] is None:
+            mul[a] = array(code, [index[compose(elements[a], b)] for b in elements])
+            rows.append(mul[a])
+            frontier = [x for x in range(size) if mul[x] is not None]
+            while frontier:
+                new = []
+                for row in rows:
+                    for x in frontier:
+                        if mul[row[x]] is None:
+                            mul[row[x]] = array(code, itemgetter(*mul[x])(row))
+                            new.append(row[x])
+                frontier = new
+    return mul, array(code, [row.index(identity) for row in mul])
 
 
 def canonical_partition(assignment: Sequence[int]) -> tuple[int, ...]:

@@ -5,9 +5,9 @@ joins each found subgroup with every cyclic subgroup reaches them all (the
 cyclic extension method: Neubüser 1960; Holt, Eick and O'Brien, *Handbook of
 Computational Group Theory*, 2005, §3.3).  It runs on integer ids: a group's
 elements are numbered in lexicographic order (so sorted ids are sorted image
-tuples, and the identity is 0), products and inverses are read from tables of
-compact ``array`` rows, and a subgroup is a ``bytearray`` of membership flags
-whose ``bytes`` are its key.  The table of S_n has n!^2 entries, so
+tuples, and the identity is 0), products and inverses are read from the
+``array`` rows of ``spaces._id_tables``, and a subgroup is a ``bytearray`` of
+membership flags whose ``bytes`` are its key.  The table of S_n has n!^2 entries, so
 ``MAX_EXACT_DEGREE`` is a cost guard, not an exactness limit.  Everything is
 ordered deterministically so downstream counts are stable across runs.
 
@@ -29,7 +29,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .spaces import compose
+from .spaces import _id_tables
 
 __all__ = ["SubgroupClass", "subgroup_classes", "subgroup_conjugacy_classes", "MAX_EXACT_DEGREE"]
 
@@ -47,33 +47,6 @@ def _cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
         if length:
             lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
-
-
-def _id_tables(elements: Sequence[tuple[int, ...]]) -> tuple[list[array], array]:
-    """``mul[a][b]`` is the id of a∘b (apply b, then a); ``inv[a]`` of a's inverse.
-
-    Only the rows of a generating set are composed from tuples; the row of
-    s∘x is the row of s read through the row of x.
-    """
-    size = len(elements)
-    index = {p: i for i, p in enumerate(elements)}
-    code = "H" if size <= 1 << 16 else "I"
-    mul: list = [array(code, range(size))] + [None] * (size - 1)
-    rows: list[array] = []
-    for a in range(size):
-        if mul[a] is None:
-            mul[a] = array(code, [index[compose(elements[a], b)] for b in elements])
-            rows.append(mul[a])
-            frontier = [x for x in range(size) if mul[x] is not None]
-            while frontier:
-                new = []
-                for row in rows:
-                    for x in frontier:
-                        if mul[row[x]] is None:
-                            mul[row[x]] = array(code, itemgetter(*mul[x])(row))
-                            new.append(row[x])
-                frontier = new
-    return mul, array(code, [row.index(0) for row in mul])
 
 
 def close_tuples(

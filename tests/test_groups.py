@@ -22,7 +22,7 @@ from finivar.groups import (
     induced_group,
     is_permissible,
 )
-from finivar.spaces import ConceptualVariable, DomainMismatchError, PointSpace, compose
+from finivar.spaces import ConceptualVariable, DomainMismatchError, PointSpace, _id_tables, compose
 
 from conftest import (
     assignments,
@@ -313,6 +313,93 @@ class TestElementPairs:
         draws = [rng.randrange(720) for _ in range(100)]
         assert list(pairs) == [(elements[i], elements[j]) for i, j in zip(draws[::2], draws[1::2])]
         assert count == 50
+
+
+def symmetric_group(n):
+    return PermutationGroup.generate(
+        space_of(n), (Permutation((1, 0) + tuple(range(2, n))), Permutation(tuple(range(1, n)) + (0,)))
+    )
+
+
+def law_holds_pair_by_pair(mapping, pairs):
+    """Oracle: the identity and composition laws of ``mapping``, one ``Permutation`` product per pair."""
+    identity = next(k for k in mapping if k.is_identity())
+    return mapping[identity].is_identity() and all(
+        mapping[a * b] == mapping[a] * mapping[b] for a, b in pairs
+    )
+
+
+class TestProductIds:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shuffled_elements_with_the_identity_not_first(self, seed):
+        """Ids are positions in ``elements``, wherever the identity sits."""
+        rng = random.Random(seed)
+        lexicographic = symmetric_group(4) if seed % 2 else PermutationGroup.generate(
+            space_of(6), (Permutation((1, 2, 0, 4, 5, 3)), Permutation((3, 4, 5, 0, 1, 2)))
+        )
+        shuffled = list(lexicographic.elements)
+        while shuffled[0].is_identity():
+            rng.shuffle(shuffled)
+        group = PermutationGroup(lexicographic.space, lexicographic.generators, shuffled)
+        els = group.elements
+        pairs, count = group.pair_ids()
+        pairs = list(pairs)
+        assert count == len(pairs) == len(els) ** 2
+        assert [(a, b) for a, b, _ in pairs] == list(itertools.product(range(len(els)), repeat=2))
+        assert all(els[ab] == els[a] * els[b] for a, b, ab in pairs)
+        assert all(group.product_id(a, b) == ab for a, b, ab in pairs)
+        mul, inv = _id_tables([p.images for p in els])
+        assert [els[i] for i in inv] == [p.inverse() for p in els]
+        assert [list(row) for row in mul] == [[els.index(a * b) for b in els] for a in els]
+        c = els[rng.randrange(len(els))]
+        for mapping in (
+            {k: c * k * c.inverse() for k in els},
+            {k: c * k for k in els},
+            dict(zip(els, rng.sample(els, len(els)))),
+        ):
+            expected = law_holds_pair_by_pair(mapping, itertools.product(els, els))
+            assert GroupHomomorphism(group, group, mapping).verify() == expected
+
+    @pytest.mark.parametrize("seed, sample_pairs", [(0, 1000), (5, 1000), (3, 50)])
+    def test_s6_samples_past_the_exhaustive_limit(self, seed, sample_pairs):
+        s6 = symmetric_group(6)
+        els = s6.elements
+        assert len(els) > PAIR_EXHAUSTIVE_LIMIT
+        pairs, count = s6.pair_ids(seed, sample_pairs)
+        sampled, expected_count = element_pairs(els, seed, sample_pairs)
+        assert count == expected_count == sample_pairs
+        assert [(els[a], els[b], els[ab]) for a, b, ab in pairs] == [
+            (a, b, a * b) for a, b in sampled
+        ]
+        t = Permutation((1, 0, 2, 3, 4, 5))
+        odd = {k for k in els if sum(1 for i, j in itertools.combinations(k.images, 2) if i > j) % 2}
+        broken = {k: k * t if k in odd else k for k in els}
+        for mapping, holds in (({k: k for k in els}, True), (broken, False)):
+            oracle = law_holds_pair_by_pair(mapping, element_pairs(els, seed, sample_pairs)[0])
+            assert oracle is holds
+            assert GroupHomomorphism(s6, s6, mapping).verify(seed, sample_pairs) is holds
+
+    def test_small_source_into_a_large_target(self):
+        """A target past the limit has no table: each product is composed once."""
+        s6 = symmetric_group(6)
+        shift = PermutationGroup.generate(space_of(6), (Permutation((1, 2, 3, 4, 5, 0)),))
+        inclusion = {k: k for k in shift.elements}
+        assert GroupHomomorphism(shift, s6, inclusion).verify()
+        swap = Permutation((1, 0, 2, 3, 4, 5))
+        twisted = {k: k if k.is_identity() else k * swap for k in shift.elements}
+        assert not law_holds_pair_by_pair(twisted, itertools.product(shift.elements, repeat=2))
+        assert not GroupHomomorphism(shift, s6, twisted).verify()
+
+    def test_a_value_outside_the_target_fails(self):
+        """Parity maps Z4 onto S2; into the trivial group on two points it is no homomorphism."""
+        z4 = PermutationGroup.generate(space_of(4), (Permutation((1, 2, 3, 0)),))
+        s2 = PermutationGroup.generate(space_of(2), (Permutation((1, 0)),))
+        trivial = PermutationGroup.generate(space_of(2), ())
+        parity = {k: s2.elements[k.images[0] % 2] for k in z4.elements}
+        assert law_holds_pair_by_pair(parity, itertools.product(z4.elements, repeat=2))
+        assert GroupHomomorphism(z4, s2, parity).verify()
+        assert Permutation((1, 0)) not in trivial
+        assert not GroupHomomorphism(z4, trivial, parity).verify()
 
 
 class TestRelatedness:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 import warnings
 
 import numpy as np
@@ -11,12 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finivar import linalg
+from finivar import linalg, spaces
 from finivar.groups import (
     PAIR_EXHAUSTIVE_LIMIT,
     Permutation,
     PermutationGroup,
     element_pairs,
+    induced_group,
     is_permissible,
 )
 from finivar.representations import (
@@ -774,3 +776,38 @@ class TestDiagnosticsStack:
         rep = UnitaryRep(group, {k: _permutation_matrix(k) for k in group.elements})
         assert assert_diagnostics_match_pairs(rep, seed).pairs_checked == 1000
         assert assert_diagnostics_match_pairs(with_phases(rep, seed), seed).ok()
+
+
+class TestPairIds:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shuffled_elements_and_matrices_listed_in_another_order(self, seed):
+        """Element ids index the stack through the listed order of the matrices."""
+        rng = random.Random(seed)
+        rep = with_phases(cyclic_dft_rep(9), seed)
+        shuffled = list(rep.group.elements)
+        while shuffled[0].is_identity():
+            rng.shuffle(shuffled)
+        group = PermutationGroup(rep.group.space, rep.group.generators, shuffled)
+        listed = rng.sample(list(rep.matrices), len(shuffled))
+        moved = UnitaryRep(group, {k: rep.matrices[k] for k in listed})
+        assert assert_diagnostics_match_pairs(moved).ok()
+
+    def test_verify_and_diagnostics_compose_only_to_build_tables(self, monkeypatch):
+        """On Z24 each law reads its 576 products from a table; the two tables
+        (the group's and the induced group's) are the only compositions."""
+        rep = cyclic_dft_rep(24)
+        theta = variable_from_assignment(rep.group.space, tuple(range(24)))
+        _, hom = induced_group(theta, rep.group)
+        calls = []
+        original = spaces.compose
+
+        def spy(f, g):
+            calls.append(1)
+            return original(f, g)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("finivar") and getattr(module, "compose", None) is original:
+                monkeypatch.setattr(module, "compose", spy)
+        assert hom.verify()
+        assert rep.diagnostics().ok()
+        assert 0 < len(calls) <= 2 * 24

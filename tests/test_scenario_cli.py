@@ -16,6 +16,7 @@ import yaml
 from click.testing import CliRunner
 
 from finivar import builtins as builtin_mod
+from finivar import cli as cli_mod
 from finivar.cli import main
 from finivar.groups import Permutation
 from finivar.report import (
@@ -673,6 +674,47 @@ class TestCli:
                 "representation.kind",
                 id="qubit-kind",
             ),
+            pytest.param(
+                CYCLE4.format(checks=THEOREM1).replace(
+                    '"3"]\nvariables', '"3"]\n  prodcut: [[0, 0], [0, 1], [1, 0], [1, 1]]\nvariables'
+                ),
+                "space.prodcut",
+                id="space-unknown-key",
+            ),
+            pytest.param(
+                CYCLE4.format(checks=THEOREM1).replace(
+                    "assignment: [0, 1, 2, 3]", 'assignment: [0, 1, 2, 3]\n    value: ["z"]'
+                ),
+                "variables[0].value",
+                id="variable-unknown-key",
+            ),
+            pytest.param(
+                CYCLE4.format(checks=THEOREM1).replace(
+                    "group:\n", "group:\n  generater: [[0, 1, 2, 3]]\n"
+                ),
+                "group.generater",
+                id="group-unknown-key",
+            ),
+            pytest.param(
+                CYCLE4.format(checks=THEOREM1).replace("n: 4", "n: 4\n  matrices: []"),
+                "representation.matrices",
+                id="cyclic-dft-matrices",
+            ),
+            pytest.param(
+                explicit_cycle4(Z4).replace("kind: explicit", "kind: explicit\n  n: 4"),
+                "representation.n",
+                id="explicit-n",
+            ),
+            pytest.param(
+                explicit_cycle4(Z4).replace("      matrix:", "      weight: 1\n      matrix:", 1),
+                "representation.matrices[0].weight",
+                id="matrix-entry-unknown-key",
+            ),
+            pytest.param(
+                CYCLE4.format(checks=EQ1.replace("position}", "position, index: 3}")),
+                "checks[0].target.index",
+                id="target-unknown-key",
+            ),
         ]
         + [
             pytest.param(
@@ -796,7 +838,24 @@ class TestCli:
     def test_max_n_flag_above_the_census_limit_exits_two(self):
         result = self.runner.invoke(main, ["run", "a2-smoke", "--max-n", "8"])
         assert result.exit_code == 2, result.output
-        assert "Error: checks[1].max-n: expected" in result.output
+        assert "Invalid value for '--max-n'" in result.output
+
+    @pytest.mark.parametrize(
+        "scenario, value", [("qubit", "99"), ("qubit", "-5"), ("a2-smoke", "7"), ("a2-smoke", "0")]
+    )
+    def test_max_n_out_of_range_exits_two_before_any_check(self, monkeypatch, scenario, value):
+        ran = []
+        monkeypatch.setattr(cli_mod, "run_scenario", lambda *args: ran.append(args))
+        result = self.runner.invoke(main, ["run", scenario, "--max-n", value])
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '--max-n': {value} is not in the range 1<=x<=6" in result.output
+        assert not ran
+
+    @pytest.mark.parametrize("value", ["1", "6"])
+    def test_max_n_at_either_end_of_the_range_runs(self, value):
+        result = self.runner.invoke(main, ["run", "qubit", "--report", "-", "--max-n", value])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["flags"]["max_n_override"] == int(value)
 
     def test_base_point_in_range_runs(self, tmp_path):
         target = tmp_path / "good.yaml"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finivar import groups, subgroups
+from finivar import groups, spaces, subgroups
 
 # Frozen from an independent enumeration (and cross-checked against the
 # published counts of conjugacy classes of subgroups of S_n: 1, 2, 4, 11, 19, 56).
@@ -42,7 +42,7 @@ def plain_join_search(n):
     every cyclic subgroup, and a new join is a new class unless a known
     representative conjugates into it."""
     sym = symmetric_elements(n)
-    mul, inv = subgroups._id_tables(sym)
+    mul, inv = spaces._id_tables(sym)
     cyclic = {}
     for g in range(len(sym)):
         powers, x = {0}, g
@@ -78,7 +78,7 @@ def plain_join_search(n):
 
 
 S5 = symmetric_elements(5)
-S5_MUL = subgroups._id_tables(S5)[0]
+S5_MUL = spaces._id_tables(S5)[0]
 
 
 def assert_is_group(elements, n):
@@ -228,7 +228,7 @@ class TestSubgroupClasses:
         """Clearing this one cache makes the next call search from scratch, so
         a cold census stays cold: no second cache may sit below it."""
         calls = []
-        tables = subgroups._id_tables
+        tables = spaces._id_tables
         monkeypatch.setattr(subgroups, "_id_tables", lambda *args: calls.append(1) or tables(*args))
         subgroups.subgroup_conjugacy_classes.cache_clear()
         subgroups.subgroup_conjugacy_classes(4)
