@@ -8,6 +8,7 @@ scenario file.
 from __future__ import annotations
 
 import math
+import os
 import sys
 
 import click
@@ -26,6 +27,21 @@ def _positive_scale(ctx: click.Context, param: click.Parameter, value: float) ->
     if not (value > 0 and math.isfinite(value)):
         raise click.BadParameter("must be positive and finite")
     return value
+
+
+def _output_path(ctx: click.Context, param: click.Parameter, value: str | None) -> str | None:
+    """A file to write, refused before any work when its directory is missing."""
+    if value not in (None, "-") and not os.path.isdir(os.path.dirname(value) or "."):
+        raise click.BadParameter(f"directory {os.path.dirname(value)!r} does not exist")
+    return value
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _execute(source: str, flags: RunFlags) -> VerificationReport:
@@ -52,6 +68,7 @@ def main() -> None:
     "report_path",
     type=click.Path(dir_okay=False, writable=True),
     default=None,
+    callback=_output_path,
     help="Write the JSON report here ('-' prints it to stdout).",
 )
 @click.option(
@@ -92,8 +109,7 @@ def run(
     else:
         click.echo(report.to_text(), nl=False)
         if report_path is not None:
-            with open(report_path, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json())
+            _write(report_path, report.to_json())
             click.echo(f"report written to {report_path}")
     sys.exit(report.exit_code)
 
@@ -119,6 +135,7 @@ def list_builtins() -> None:
     "--output",
     type=click.Path(dir_okay=False, writable=True),
     default=None,
+    callback=_output_path,
     help="Write the scenario file here instead of stdout.",
 )
 def emit(name: str, output: str | None) -> None:
@@ -131,8 +148,7 @@ def emit(name: str, output: str | None) -> None:
     if output is None:
         click.echo(text, nl=False)
     else:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write(output, text)
         click.echo(f"scenario written to {output}")
 
 

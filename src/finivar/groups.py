@@ -137,6 +137,25 @@ def _close(generator_images: Iterable[tuple[int, ...]], n: int, max_size: int) -
     return els
 
 
+def _product_outside(images: Sequence[tuple[int, ...]], n: int) -> tuple[int, ...] | None:
+    """A product of two of the permutations ``images`` that is not among them, or
+    None when they are closed under composition.
+
+    Only a greedy generating set is composed with the list: once each of its
+    elements maps the list into itself, the list is the group they generate.
+    """
+    listed, gens, span = set(images), [], {tuple(range(n))}
+    for g in images:
+        if g in span:
+            continue
+        for p in images:
+            if compose(g, p) not in listed:
+                return compose(g, p)
+        gens.append(g)
+        span = _close(gens, n, len(listed))
+    return None
+
+
 class PermutationGroup:
     """A permutation group on a point space.
 
@@ -150,6 +169,18 @@ class PermutationGroup:
         generators: Sequence[Permutation],
         elements: Sequence[Permutation],
     ) -> None:
+        """Raises ValueError unless ``elements`` are distinct, hold the identity
+        and are closed under composition."""
+        self._adopt(space, generators, elements)
+        outside = _product_outside(list(self._ids), space.size)
+        if outside is not None:
+            raise ValueError(
+                f"elements are not closed under composition: {list(outside)} is missing"
+            )
+
+    def _adopt(
+        self, space: PointSpace, generators: Sequence[Permutation], elements: Sequence[Permutation]
+    ) -> None:
         self.space = space
         self.generators = tuple(generators)
         self.elements = tuple(elements)
@@ -159,6 +190,9 @@ class PermutationGroup:
                     f"permutation degree {p.degree} does not match space size {space.size}"
                 )
         self._ids = {p.images: i for i, p in enumerate(self.elements)}
+        if len(self._ids) != self.order:
+            twice = next(p for i, p in enumerate(self.elements) if self._ids[p.images] != i)
+            raise ValueError(f"element {list(twice.images)} is listed twice")
         if tuple(range(space.size)) not in self._ids:
             raise ValueError("a group must contain the identity")
 
@@ -175,8 +209,9 @@ class PermutationGroup:
                     f"generator degree {g.degree} does not match space size {space.size}"
                 )
         closed = _close((g.images for g in generators), space.size, max_size)
-        elements = tuple(map(Permutation._trusted, sorted(closed)))
-        return cls(space, tuple(generators), elements)
+        group = cls.__new__(cls)  # closed by construction: no closure check
+        group._adopt(space, generators, tuple(map(Permutation._trusted, sorted(closed))))
+        return group
 
     @property
     def order(self) -> int:
@@ -202,12 +237,12 @@ class PermutationGroup:
             return None
         return _id_tables([p.images for p in self.elements])[0]
 
-    def product_id(self, a: int, b: int) -> int | None:
+    def product_id(self, a: int, b: int) -> int:
         """The id of a∘b, read from the product table up to ``PAIR_EXHAUSTIVE_LIMIT``
-        elements and composed past it (None if it lies outside ``elements``)."""
+        elements and composed past it."""
         if self._table is not None:
             return self._table[a][b]
-        return self._ids.get(compose(self.elements[a].images, self.elements[b].images))
+        return self._ids[compose(self.elements[a].images, self.elements[b].images)]
 
     def pair_ids(
         self, seed: int = 0, sample_pairs: int = 1000

@@ -1,17 +1,17 @@
 """Execute a scenario's checks and assemble the verification report.
 
-Each handler turns one check request into a status, residuals and witnesses;
-``run_scenario`` wraps them in the check's record.  Tolerances resolve from
-``linalg.DEFAULT_TOLERANCES``, scenario overrides, then a global scale factor;
-the resolved table is embedded in every report.
+Each handler turns one check's parameters, read and typed when the scenario
+loaded, into a status, residuals and witnesses; ``run_scenario`` wraps them in
+the check's record.  Tolerances resolve from ``linalg.DEFAULT_TOLERANCES``,
+scenario overrides, then a global scale factor; the resolved table is embedded
+in every report.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable
 
@@ -19,14 +19,11 @@ from . import linalg, spin
 from .groups import (
     NotPermissibleError,
     PermissibilityWitness,
-    PermutationGroup,
     flag_trivial_exchange,
     induced_group,
     is_permissible,
 )
 from .harness import (
-    VERDICT_ALL_DIFFERENT,
-    VERDICT_ALL_RELATED,
     VERDICT_MIXED,
     ThoughtScenario,
     classify_thoughts,
@@ -56,9 +53,8 @@ from .representations import (
     conjugation_law,
     expand_in_basis,
 )
-from .scenario import Scenario, ScenarioError, _finite_number
+from .scenario import Scenario, ScenarioError
 from .spaces import ConceptualVariable, VariableFamily, maximal_accessible
-from .subgroups import MAX_EXACT_DEGREE
 
 __all__ = ["RunFlags", "run_scenario", "DEFAULT_TOLERANCES", "resolve_tolerances"]
 
@@ -135,81 +131,7 @@ class _Context:
         return self._bundles[key]
 
 
-@dataclass(frozen=True)
-class _Check:
-    """One check request: the run's context, the check's params and its path.
-
-    Each reader validates one parameter and raises :class:`ScenarioError`
-    naming ``<path>.<field>``.
-    """
-
-    ctx: _Context
-    params: dict[str, Any]
-    path: str
-
-    def _expected(self, key: str, want: str) -> ScenarioError:
-        return ScenarioError(f"{self.path}.{key}: expected {want}")
-
-    def str(self, key: str, default: str | None = None, choices: tuple[str, ...] = ()) -> str:
-        """A string parameter, one of ``choices`` where given; required without a default."""
-        if key not in self.params:
-            if default is None:
-                raise ScenarioError(f"{self.path}.{key}: required parameter is missing")
-            return default
-        value = self.params[key]
-        if not isinstance(value, str) or (choices and value not in choices):
-            raise self._expected(key, f"one of {', '.join(choices)}" if choices else "a string")
-        return value
-
-    def flag(self, key: str, default: bool) -> bool:
-        value = self.params.get(key, default)
-        if not isinstance(value, bool):
-            raise self._expected(key, "true or false")
-        return value
-
-    def int(self, key: str, default: int, low: int | None = None, high: int | None = None) -> int:
-        """An integer parameter, never a bool, from ``low`` up to ``high`` where given."""
-        value = self.params.get(key, default)
-        if type(value) is not int or not (
-            (low is None or value >= low) and (high is None or value <= high)
-        ):
-            want = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[low]
-            raise self._expected(key, want + ("" if high is None else f" up to {high}"))
-        return value
-
-    def direction(self, key: str = "direction") -> spin.SpinDirection:
-        """A list of three numbers, not all zero, as the unit spin direction along it."""
-        value = self.params.get(key)
-        if isinstance(value, list) and all(map(_finite_number, value)):
-            with suppress(ValueError):  # the wrong length, or the zero vector
-                return spin.SpinDirection.from_vector(value)
-        raise self._expected(key, "a list of three numbers, not all zero")
-
-    def variable(self, key: str = "variable", default: str | None = None) -> ConceptualVariable:
-        return self.ctx.scenario.variable(self.str(key, default), f"{self.path}.{key}")
-
-    def base_point(self) -> int:
-        return self.int("base_point", 0, 0, self.ctx.scenario.space.size - 1)
-
-    def group(self) -> PermutationGroup:
-        return self.ctx.scenario.group_for(self.params, self.path)
-
-    def thought(self) -> ThoughtScenario:
-        """Family of candidate thoughts: named members, or every scenario variable."""
-        scenario = self.ctx.scenario
-        group = self.group()
-        if "members" in self.params:
-            raw = self.params["members"]
-            if not isinstance(raw, list) or not all(isinstance(v, str) for v in raw):
-                raise self._expected("members", "a list of variable names")
-            if len(set(raw)) != len(raw):
-                raise self._expected("members", "each variable named once")
-            members = tuple(scenario.variable(name, f"{self.path}.members") for name in raw)
-        else:
-            members = tuple(scenario.variables.values())
-        return ThoughtScenario(scenario.space, VariableFamily(members), group)
-
-
+_Params = dict[str, Any]
 _Outcome = tuple[str, dict[str, Any]]
 
 
@@ -221,10 +143,15 @@ def _witness_payload(witness: PermissibilityWitness) -> dict[str, Any]:
     return {"k": witness.k, "phi1": witness.phi1, "phi2": witness.phi2}
 
 
-def _handle_permissibility(check: _Check) -> _Outcome:
-    theta = check.variable()
-    group = check.group()
-    expect = check.flag("expect", True)
+def _thought(ctx: _Context, params: _Params) -> ThoughtScenario:
+    """The family of candidate thoughts: the named members, or every scenario variable."""
+    return ThoughtScenario(
+        ctx.scenario.space, VariableFamily(params["members"]), params["generators"]
+    )
+
+
+def _handle_permissibility(ctx: _Context, params: _Params) -> _Outcome:
+    theta, group, expect = params["variable"], params["generators"], params["expect"]
     result = is_permissible(theta, group)
     details: dict[str, Any] = {
         "variable": theta.name,
@@ -237,9 +164,8 @@ def _handle_permissibility(check: _Check) -> _Outcome:
     return _status(result.ok == expect), details
 
 
-def _handle_induced_group(check: _Check) -> _Outcome:
-    theta = check.variable()
-    group = check.group()
+def _handle_induced_group(ctx: _Context, params: _Params) -> _Outcome:
+    theta, group = params["variable"], params["generators"]
     try:
         induced, hom = induced_group(theta, group)
     except NotPermissibleError as exc:
@@ -265,15 +191,12 @@ def _handle_induced_group(check: _Check) -> _Outcome:
     return _status(verified and propagation_ok), details
 
 
-def _handle_theorem1(check: _Check) -> _Outcome:
-    ctx = check.ctx
-    theta = check.variable()
-    base_point = check.base_point()
-    eta = check.variable("eta") if "eta" in check.params else None
+def _handle_theorem1(ctx: _Context, params: _Params) -> _Outcome:
+    theta, base_point, eta = params["variable"], params["base_point"], params["eta"]
     details: dict[str, Any] = {"variable": theta.name}
 
     if eta is not None and ctx.scenario.space.product is not None:
-        if flag_trivial_exchange(theta, eta, check.group()):
+        if flag_trivial_exchange(theta, eta, params["generators"]):
             details["excluded"] = (
                 "the pair is related only through the coordinate swap; no "
                 "transformation content"
@@ -352,11 +275,9 @@ def _handle_theorem1(check: _Check) -> _Outcome:
     return _status(ok), details
 
 
-def _handle_theorem2(check: _Check) -> _Outcome:
-    ctx = check.ctx
-    theta = check.variable()
+def _handle_theorem2(ctx: _Context, params: _Params) -> _Outcome:
+    theta, base_point = params["variable"], params["base_point"]
     family = ctx.coherent_family
-    base_point = check.base_point()
     permissibility = is_permissible(theta, family.group)
     if not permissibility.ok:
         return STATUS_NOT_APPLICABLE, {
@@ -378,30 +299,21 @@ def _handle_theorem2(check: _Check) -> _Outcome:
     return _status(max_residual <= ctx.tol("conjugation_residual")), details
 
 
-def _handle_eq1(check: _Check) -> _Outcome:
-    ctx = check.ctx
-    basis_var = check.variable("basis")
-    base_point = check.base_point()
+def _handle_eq1(ctx: _Context, params: _Params) -> _Outcome:
+    basis_var, base_point, index = params["basis"], params["base_point"], params["index"]
     basis_bundle = ctx.bundle(basis_var, base_point)
-    target_spec = check.params.get("target")
-    if not isinstance(target_spec, dict):
-        raise ScenarioError(f"{check.path}.target: expected a mapping")
-    if "direction" in target_spec:
-        direction = _Check(ctx, target_spec, f"{check.path}.target").direction()
+    target = params["target"]
+    if isinstance(target, spin.SpinDirection):
         target_bundle = bundle_from_matrix(
-            f"spin({direction.x:.6g},{direction.y:.6g},{direction.z:.6g})",
-            spin.spin_component_operator(direction),
+            f"spin({target.x:.6g},{target.y:.6g},{target.z:.6g})",
+            spin.spin_component_operator(target),
             ctx.tol("hermitian"),
             ctx.tol("eigen_cluster_gap"),
         )
-        target_desc: Any = {"direction": [direction.x, direction.y, direction.z]}
-    elif "variable" in target_spec:
-        target_var = _Check(ctx, target_spec, f"{check.path}.target").variable()
-        target_bundle = ctx.bundle(target_var, base_point)
-        target_desc = {"variable": target_var.name}
+        target_desc: Any = {"direction": [target.x, target.y, target.z]}
     else:
-        raise ScenarioError(f"{check.path}.target: expected a direction or a variable")
-    index = check.int("index", 0)
+        target_bundle = ctx.bundle(target, base_point)
+        target_desc = {"variable": target.name}
     try:
         expansion = expand_in_basis(target_bundle, index, basis_bundle)
     except ValueError as exc:  # a DegenerateBasisError among them
@@ -418,10 +330,8 @@ def _handle_eq1(check: _Check) -> _Outcome:
     return _status(ok), details
 
 
-def _handle_singlet_delta(check: _Check) -> _Outcome:
-    ctx = check.ctx
-    directions = check.int("directions", 100, 0)
-    seed = check.int("seed", 7)
+def _handle_singlet_delta(ctx: _Context, params: _Params) -> _Outcome:
+    directions, seed = params["directions"], params["seed"]
     state = spin.singlet()
     bundle = spin.delta_operator(ctx.tol("hermitian"), ctx.tol("eigen_cluster_gap"))
     eigen_residual = linalg.max_abs(bundle.operator @ state - (-3.0) * state)
@@ -448,16 +358,14 @@ def _handle_singlet_delta(check: _Check) -> _Outcome:
     return _status(ok), details
 
 
-def _handle_a1_search(check: _Check) -> _Outcome:
-    theta = check.variable("theta")
-    eta = check.variable("eta", theta.name)
-    all_partitions = check.flag("all-partitions", False)
+def _handle_a1_search(ctx: _Context, params: _Params) -> _Outcome:
+    theta, eta, all_partitions = params["theta"], params["eta"], params["all-partitions"]
     result = theorem_a1_search(
-        check.thought(),
+        _thought(ctx, params),
         theta,
         eta,
         all_partitions=all_partitions,
-        exhaustive=check.ctx.flags.exhaustive_relatedness,
+        exhaustive=ctx.flags.exhaustive_relatedness,
     )
     details: dict[str, Any] = {
         "theta": theta.name,
@@ -472,12 +380,9 @@ def _handle_a1_search(check: _Check) -> _Outcome:
     return result.status, details
 
 
-def _handle_a2_classify(check: _Check) -> _Outcome:
-    expected = None
-    if "expect-verdict" in check.params:
-        verdicts = (VERDICT_ALL_RELATED, VERDICT_ALL_DIFFERENT, VERDICT_MIXED)
-        expected = check.str("expect-verdict", choices=verdicts)
-    result = classify_thoughts(check.thought(), exhaustive=check.ctx.flags.exhaustive_relatedness)
+def _handle_a2_classify(ctx: _Context, params: _Params) -> _Outcome:
+    expected = params["expect-verdict"]
+    result = classify_thoughts(_thought(ctx, params), exhaustive=ctx.flags.exhaustive_relatedness)
     hypotheses = result.hypotheses
     details = {
         "classes": [list(c) for c in result.classes],
@@ -501,10 +406,10 @@ def _handle_a2_classify(check: _Check) -> _Outcome:
     return _status(ok), details
 
 
-def _handle_a2_falsify(check: _Check) -> _Outcome:
-    if check.ctx.flags.max_n is not None:
-        check = replace(check, params={**check.params, "max-n": check.ctx.flags.max_n})
-    report = exhaustive_falsifier(check.int("max-n", 4, 1, MAX_EXACT_DEGREE))
+def _handle_a2_falsify(ctx: _Context, params: _Params) -> _Outcome:
+    # The --max-n flag takes precedence over the check's own bound.
+    max_n = params["max-n"] if ctx.flags.max_n is None else ctx.flags.max_n
+    report = exhaustive_falsifier(max_n)
     details = {
         "max_n": report.max_n,
         "instances": report.instances,
@@ -530,7 +435,7 @@ def _handle_a2_falsify(check: _Check) -> _Outcome:
     return _status(report.mixed_with_satisfied_hypotheses == 0), details
 
 
-_HANDLERS: dict[str, Callable[[_Check], _Outcome]] = {
+_HANDLERS: dict[str, Callable[[_Context, _Params], _Outcome]] = {
     "permissibility": _handle_permissibility,
     "induced-group": _handle_induced_group,
     "theorem1-hypotheses": _handle_theorem1,
@@ -558,10 +463,10 @@ def run_scenario(scenario: Scenario, flags: RunFlags | None = None) -> Verificat
             "informational": scenario.informational,
         },
     )
-    for i, spec in enumerate(scenario.checks):
+    for spec in scenario.checks:
         started = time.perf_counter()
         try:
-            status, details = _HANDLERS[spec.type](_Check(ctx, spec.params, f"checks[{i}]"))
+            status, details = _HANDLERS[spec.type](ctx, spec.params)
         except ScenarioError:
             raise
         except Exception as exc:  # pragma: no cover - surfaced, not silenced

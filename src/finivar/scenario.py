@@ -1,42 +1,32 @@
 """Scenario files: schema, validation and loading.
 
 Scenarios are YAML: a point space, variables, group generators (as image
-arrays), an optional representation and base state (built and checked as the
-file loads), and a non-empty list of checks.  Errors name the offending field.
+arrays), an optional representation and base state, and a non-empty list of
+checks.  Everything is built and checked as the file loads, every check
+parameter included, and errors name the offending field.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import yaml
 
+from . import spin
 from .groups import Permutation, PermutationGroup
+from .harness import VERDICT_ALL_DIFFERENT, VERDICT_ALL_RELATED, VERDICT_MIXED
 from .representations import CoherentFamily, CoherentStateError, UnitaryRep
 from .representations import cyclic_dft_rep, qubit_rep
 from .spaces import ConceptualVariable, PointSpace
+from .subgroups import MAX_EXACT_DEGREE
 
 __all__ = ["ScenarioError", "CheckSpec", "Scenario", "loads", "load_path", "CHECK_TYPES"]
 
 # libyaml's parser where PyYAML has it; both loaders resolve and construct alike.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-# The parameters each check type's handler reads; every check may carry a `name`.
-_CHECK_PARAMS = {
-    "permissibility": ("variable", "expect", "generators"),
-    "induced-group": ("variable", "generators"),
-    "theorem1-hypotheses": ("variable", "base_point", "eta", "generators"),
-    "theorem2": ("variable", "base_point"),
-    "eq1-expansion": ("basis", "target", "index", "base_point"),
-    "singlet-delta": ("directions", "seed"),
-    "a1-search": ("theta", "eta", "all-partitions", "members", "generators"),
-    "a2-classify": ("expect-verdict", "members", "generators"),
-    "a2-falsify": ("max-n",),
-}
-CHECK_TYPES = tuple(_CHECK_PARAMS)
 
 # The fields each representation kind reads.
 _REPRESENTATION_KEYS = {
@@ -114,14 +104,18 @@ def _parse_matrix(value: Any, path: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CheckSpec:
+    """A check's type and every parameter the type declares, typed as the
+    scenario loads; a parameter the file leaves out holds its default."""
+
     type: str
-    params: dict[str, Any] = field(default_factory=dict)
+    params: dict[str, Any]
 
     def label(self) -> str:
-        for key in ("variable", "theta", "basis", "name"):
+        for key in ("variable", "theta", "basis"):
             if key in self.params:
-                return f"{self.type}:{self.params[key]}"
-        return self.type
+                return f"{self.type}:{self.params[key].name}"
+        name = self.params.get("name")
+        return self.type if name is None else f"{self.type}:{name}"
 
 
 @dataclass
@@ -140,17 +134,6 @@ class Scenario:
             raise _fail(path, f"unknown variable {name!r}")
         return self.variables[name]
 
-    def require_group(self, path: str = "group") -> PermutationGroup:
-        if self.group is None:
-            raise _fail(path, "scenario declares no group")
-        return self.group
-
-    def group_for(self, spec_params: dict[str, Any], path: str) -> PermutationGroup:
-        """The scenario group, unless the check overrides the generators."""
-        if "generators" in spec_params:
-            return _generate(spec_params["generators"], self.space, f"{path}.generators")
-        return self.require_group(path)
-
 
 def _permutation(value: Any, size: int, path: str) -> Permutation:
     images = _require_int_list(value, path)
@@ -168,6 +151,145 @@ def _generate(raw: Any, space: PointSpace, path: str) -> PermutationGroup:
         raise _fail(path, "expected a list of image arrays")
     gens = tuple(_permutation(images, space.size, f"{path}[{i}]") for i, images in enumerate(raw))
     return PermutationGroup.generate(space, gens)
+
+
+# Check parameters.  A reader takes a value from the file, its path and the
+# scenario, and returns the typed value the check's handler reads.  A default
+# is a value, or a function of the scenario, the values read before it and the
+# path.
+_Params = dict[str, Any]
+_VERDICTS = (VERDICT_ALL_RELATED, VERDICT_ALL_DIFFERENT, VERDICT_MIXED)
+
+
+def _expect(want: str, ok: Callable[[Any], bool]) -> Callable[..., Any]:
+    """A reader that keeps each value ``ok`` accepts and fails on others, expecting ``want``."""
+
+    def read(value: Any, path: str, scenario: Scenario) -> Any:
+        if not ok(value):
+            raise _fail(path, f"expected {want}")
+        return value
+
+    return read
+
+
+def _integer(low: int | None = None, high: int | None = None) -> Callable[..., int]:
+    """A reader of integers, never bools, from ``low`` up to ``high`` where given."""
+    want = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[low]
+    return _expect(
+        want + ("" if high is None else f" up to {high}"),
+        lambda v: type(v) is int and (low is None or v >= low) and (high is None or v <= high),
+    )
+
+
+_flag = _expect("true or false", lambda value: isinstance(value, bool))
+_verdict = _expect(f"one of {', '.join(_VERDICTS)}", lambda value: value in _VERDICTS)
+
+
+def _variable(value: Any, path: str, scenario: Scenario) -> ConceptualVariable:
+    return scenario.variable(_require_str(value, path), path)
+
+
+def _base_point(value: Any, path: str, scenario: Scenario) -> int:
+    return _integer(0, scenario.space.size - 1)(value, path, scenario)
+
+
+def _target(value: Any, path: str, scenario: Scenario) -> spin.SpinDirection | ConceptualVariable:
+    """Exactly one of a ``direction``, three numbers not all zero, or a ``variable``."""
+    target = _require(value, path, ("direction", "variable"))
+    if len(target) != 1:
+        raise _fail(path, "expected exactly one of direction, variable")
+    ((key, raw),) = target.items()
+    if key == "variable":
+        return _variable(raw, f"{path}.variable", scenario)
+    if isinstance(raw, list) and all(map(_finite_number, raw)):
+        with suppress(ValueError):  # the wrong length, or the zero vector
+            return spin.SpinDirection.from_vector(raw)
+    raise _fail(f"{path}.direction", "expected a list of three numbers, not all zero")
+
+
+def _generators(value: Any, path: str, scenario: Scenario) -> PermutationGroup:
+    return _generate(value, scenario.space, path)
+
+
+def _members(value: Any, path: str, scenario: Scenario) -> tuple[ConceptualVariable, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise _fail(path, "expected a list of variable names")
+    if len(set(value)) != len(value):
+        raise _fail(path, "expected each variable named once")
+    return tuple(scenario.variable(name, path) for name in value)
+
+
+def _required(scenario: Scenario, params: _Params, path: str) -> Any:
+    raise _fail(path, "required parameter is missing")
+
+
+def _scenario_group(scenario: Scenario, params: _Params, path: str) -> PermutationGroup:
+    if scenario.group is None:
+        raise _fail(path, "scenario declares no group")
+    return scenario.group
+
+
+def _exchange_group(scenario: Scenario, params: _Params, path: str) -> PermutationGroup | None:
+    """theorem1 acts with a group only to exclude a pair related by the coordinate
+    swap, which needs an ``eta`` and a space with a product structure."""
+    if params["eta"] is None or scenario.space.product is None:
+        return None
+    return _scenario_group(scenario, params, path)
+
+
+_VARIABLE = ("variable", _variable, _required)
+_BASE_POINT = ("base_point", _base_point, 0)
+_GROUP = ("generators", _generators, _scenario_group)  # closed into the group they generate
+_MEMBERS = ("members", _members, lambda scenario, *_: tuple(scenario.variables.values()))
+
+# Each check type's parameters, read in this order, as (key, reader, default).
+# Every check may also carry a ``name``.
+_CHECK_PARAMS: dict[str, tuple[tuple[str, Callable[..., Any], Any], ...]] = {
+    "permissibility": (_VARIABLE, ("expect", _flag, True), _GROUP),
+    "induced-group": (_VARIABLE, _GROUP),
+    "theorem1-hypotheses": (
+        _VARIABLE,
+        _BASE_POINT,
+        ("eta", _variable, None),
+        ("generators", _generators, _exchange_group),
+    ),
+    "theorem2": (_VARIABLE, _BASE_POINT),
+    "eq1-expansion": (
+        ("basis", _variable, _required),
+        ("target", _target, lambda scenario, params, path: _target(None, path, scenario)),
+        ("index", _integer(), 0),
+        _BASE_POINT,
+    ),
+    "singlet-delta": (("directions", _integer(0), 100), ("seed", _integer(), 7)),
+    "a1-search": (
+        ("theta", _variable, _required),
+        ("eta", _variable, lambda scenario, params, path: params["theta"]),
+        ("all-partitions", _flag, False),
+        _MEMBERS,
+        _GROUP,
+    ),
+    "a2-classify": (("expect-verdict", _verdict, None), _MEMBERS, _GROUP),
+    "a2-falsify": (("max-n", _integer(1, MAX_EXACT_DEGREE), 4),),
+}
+CHECK_TYPES = tuple(_CHECK_PARAMS)
+_NAME = ("name", lambda value, path, scenario: _require_str(value, path), None)
+
+
+def _parse_check(raw: Any, path: str, scenario: Scenario) -> CheckSpec:
+    params = dict(_require(raw, path))
+    check_type = _require_str(params.pop("type", None), f"{path}.type")
+    if check_type not in _CHECK_PARAMS:
+        raise _fail(f"{path}.type", f"unknown check type {check_type!r}")
+    declared = (*_CHECK_PARAMS[check_type], _NAME)
+    _require(params, path, tuple(key for key, _, _ in declared))
+    values: _Params = {}
+    for key, read, default in declared:
+        where = f"{path}.{key}"
+        if key in params:
+            values[key] = read(params[key], where, scenario)
+        else:
+            values[key] = default(scenario, values, where) if callable(default) else default
+    return CheckSpec(check_type, values)
 
 
 def _parse_space(raw: Any) -> PointSpace:
@@ -317,17 +439,6 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
     raw_checks = data.get("checks")
     if not isinstance(raw_checks, list) or not raw_checks:
         raise _fail("checks", "scenario must request at least one check")
-    checks = []
-    for i, entry in enumerate(raw_checks):
-        path = f"checks[{i}]"
-        check_data = dict(_require(entry, path))
-        check_type = _require_str(check_data.pop("type", None), f"{path}.type")
-        if check_type not in CHECK_TYPES:
-            raise _fail(f"{path}.type", f"unknown check type {check_type!r}")
-        _require(check_data, path, (*_CHECK_PARAMS[check_type], "name"))
-        if isinstance(check_data.get("target"), dict):
-            _require(check_data["target"], f"{path}.target", ("direction", "variable"))
-        checks.append(CheckSpec(type=check_type, params=check_data))
 
     overrides: dict[str, float] = {}
     if data.get("tolerances") is not None:
@@ -337,20 +448,22 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
                 raise _fail(f"tolerances.{key}", "expected a positive number")
             overrides[str(key)] = float(value)
 
-    informational = data.get("informational", False)
-    if not isinstance(informational, bool):
-        raise _fail("informational", "expected true or false")
+    informational = _flag(data.get("informational", False), "informational", None)
 
-    return Scenario(
+    scenario = Scenario(
         name=name,
         space=space,
         variables=variables,
         group=group,
         coherent_family=coherent_family,
-        checks=tuple(checks),
+        checks=(),
         tolerance_overrides=overrides,
         informational=informational,
     )
+    scenario.checks = tuple(
+        _parse_check(entry, f"checks[{i}]", scenario) for i, entry in enumerate(raw_checks)
+    )
+    return scenario
 
 
 def load_path(path: str) -> Scenario:

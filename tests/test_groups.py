@@ -130,6 +130,46 @@ class TestClosure:
         with pytest.raises(ValueError, match="identity"):
             PermutationGroup(space, (), (Permutation((1, 0)),))
 
+    def test_group_rejects_a_repeated_element(self):
+        e, f = Permutation((0, 1)), Permutation((1, 0))
+        with pytest.raises(ValueError, match=r"element \[1, 0\] is listed twice"):
+            PermutationGroup(space_of(2), (), (e, f, f))
+
+    def test_group_rejects_elements_not_closed_under_composition(self):
+        e, r = Permutation((0, 1, 2)), Permutation((1, 2, 0))
+        with pytest.raises(ValueError, match=r"not closed under composition: \[2, 0, 1\] is"):
+            PermutationGroup(space_of(3), (), (e, r))
+
+    @pytest.mark.parametrize("n, subgroups", [(1, 1), (2, 2), (3, 6), (4, 30)])
+    def test_explicit_elements_are_accepted_exactly_when_closed(self, n, subgroups):
+        """Every subset of S_n holding the identity (n <= 3), or for S4 the group of
+        each pair of elements and 300 seeded subsets: a subset is accepted exactly
+        when every pairwise product lies in it, and the accepted ones are S_n's
+        subgroups (every subgroup of S4 has two generators)."""
+        everything = sorted(itertools.permutations(range(n)))
+        identity, others = everything[0], everything[1:]
+        if n <= 3:
+            subsets = [
+                list(c) for k in range(len(others) + 1) for c in itertools.combinations(others, k)
+            ]
+        else:
+            rng = random.Random(4)
+            subsets = [rng.sample(others, rng.randrange(len(others))) for _ in range(300)]
+            for pair in itertools.combinations(everything, 2):
+                group = PermutationGroup.generate(space_of(n), tuple(map(Permutation, pair)))
+                subsets.append([p.images for p in group.elements if p.images != identity])
+        accepted = set()
+        for subset in subsets:
+            images = [identity, *subset]
+            elements = tuple(map(Permutation, images))
+            if all(compose(a, b) in set(images) for a in images for b in images):
+                assert PermutationGroup(space_of(n), (), elements).order == len(images)
+                accepted.add(frozenset(images))
+            else:
+                with pytest.raises(ValueError, match="not closed under composition"):
+                    PermutationGroup(space_of(n), (), elements)
+        assert len(accepted) == subgroups
+
     @given(variable_group_pairs())
     @settings(max_examples=50, deadline=None)
     def test_closure_is_a_group(self, pair):

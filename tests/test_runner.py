@@ -322,26 +322,22 @@ class TestStatusMapping:
 
 class TestParameterValidation:
     def test_missing_required_parameter(self):
-        scenario = scenario_with("  - type: permissibility\n")
         with pytest.raises(ScenarioError, match=r"checks\[0\].variable: required parameter"):
-            run_scenario(scenario)
+            scenario_with("  - type: permissibility\n")
 
     def test_unknown_variable_reference(self):
-        scenario = scenario_with("  - type: theorem2\n    variable: ghost\n")
         with pytest.raises(ScenarioError, match="unknown variable 'ghost'"):
-            run_scenario(scenario)
+            scenario_with("  - type: theorem2\n    variable: ghost\n")
 
     def test_expect_must_be_boolean(self):
-        scenario = scenario_with(
-            "  - type: permissibility\n    variable: parity\n    expect: sometimes\n"
-        )
         with pytest.raises(ScenarioError, match="expect: expected true or false"):
-            run_scenario(scenario)
+            scenario_with(
+                "  - type: permissibility\n    variable: parity\n    expect: sometimes\n"
+            )
 
     def test_eq1_target_required(self):
-        scenario = scenario_with("  - type: eq1-expansion\n    basis: position\n")
         with pytest.raises(ScenarioError, match="target: expected a mapping"):
-            run_scenario(scenario)
+            scenario_with("  - type: eq1-expansion\n    basis: position\n")
 
     @pytest.mark.parametrize(
         "text, field",
@@ -363,14 +359,11 @@ class TestParameterValidation:
     )
     def test_relatedness_parameters_are_validated(self, text, field):
         with pytest.raises(ScenarioError, match=rf"checks\[0\]\.{field}: expected"):
-            run_scenario(loads(text))
+            loads(text)
 
     def test_members_must_be_names(self):
-        scenario = scenario_with(
-            "  - type: a2-classify\n    members: [1, 2]\n"
-        )
         with pytest.raises(ScenarioError, match="members: expected a list of variable names"):
-            run_scenario(scenario)
+            scenario_with("  - type: a2-classify\n    members: [1, 2]\n")
 
 
 class TestInformationalMode:

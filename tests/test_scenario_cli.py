@@ -17,6 +17,7 @@ from click.testing import CliRunner
 
 from finivar import builtins as builtin_mod
 from finivar import cli as cli_mod
+from finivar import runner as runner_mod
 from finivar.cli import main
 from finivar.groups import Permutation
 from finivar.report import (
@@ -63,7 +64,12 @@ class TestLoads:
         assert set(scenario.variables) == {"which"}
         assert scenario.group.order == 2
         assert scenario.checks[0].type == "permissibility"
-        assert scenario.checks[0].params == {"variable": "which"}
+        assert scenario.checks[0].params == {
+            "variable": scenario.variables["which"],
+            "expect": True,
+            "generators": scenario.group,
+            "name": None,
+        }
         assert not scenario.informational
 
     def test_invalid_yaml_names_location(self):
@@ -100,7 +106,7 @@ space:
   labels: ["00", "01", "10", "11"]
   product: [[0, 0], [0, 1], [1, 0], [1, 1]]
 checks:
-  - type: theorem2
+  - type: singlet-delta
 """
         scenario = loads(text)
         assert scenario.space.product == ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -243,19 +249,42 @@ representation:
 
     def test_require_group_when_absent(self):
         text = MINIMAL.replace("group:\n  generators:\n    - [1, 0]\n", "")
-        scenario = loads(text)
         with pytest.raises(ScenarioError, match="declares no group"):
-            scenario.require_group()
+            loads(text)
 
     def test_group_for_override(self):
-        scenario = loads(MINIMAL)
-        override = scenario.group_for({"generators": [[0, 1]]}, "checks[0]")
-        assert override.order == 1
-        assert scenario.group_for({}, "checks[0]") is scenario.group
+        scenario = loads(MINIMAL + "    generators: [[0, 1]]\n")
+        assert scenario.checks[0].params["generators"].order == 1
+        default = loads(MINIMAL)
+        assert default.checks[0].params["generators"] is default.group
 
     def test_check_label_prefers_subject(self):
         scenario = loads(MINIMAL)
         assert scenario.checks[0].label() == "permissibility:which"
+
+    def test_name_labels_only_a_check_without_a_subject(self):
+        named = MINIMAL + "    name: probe\n  - type: a2-falsify\n    name: census\n"
+        assert [c.label() for c in loads(named).checks] == [
+            "permissibility:which",
+            "a2-falsify:census",
+        ]
+
+    def test_theorem1_needs_a_group_only_for_eta_on_a_product(self):
+        text = (
+            builtin_mod.builtin_text("singlet")
+            .replace("group:\n  generators:\n    - [0, 2, 1, 3]\n", "")
+            .replace("  - type: a2-classify\n    expect-verdict: mixed\n", "")
+        )
+        expect_error(text, r"checks\[1\].generators: scenario declares no group")
+        without_eta = loads(text.replace("    eta: right-z\n", ""))
+        assert without_eta.checks[1].params["generators"] is None
+        without_product = loads(text.replace("  product: [[0, 0], [0, 1], [1, 0], [1, 1]]\n", ""))
+        assert without_product.checks[1].params["generators"] is None
+
+    def test_generators_are_read_without_eta(self):
+        # theorem1 acts with a group only for eta; its generators are checked anyway.
+        text = CYCLE4.format(checks=f"{THEOREM1}\n    generators: [[9, 9]]")
+        expect_error(text, r"checks\[0\].generators\[0\]: image array has length 2")
 
     def test_informational_flag(self):
         scenario = loads(MINIMAL + "\ninformational: true\n")
@@ -515,6 +544,11 @@ def explicit_cycle4(elements, matrices=None) -> str:
     )
 
 
+def malformed(text: str, field: str, *flags: str, id: str):
+    """A scenario that must exit 2 naming ``field``, run with the CLI ``flags``."""
+    return pytest.param(text, field, flags, id=id)
+
+
 class TestCli:
     def setup_method(self):
         self.runner = CliRunner()
@@ -617,107 +651,152 @@ class TestCli:
         assert f"checks[0].{field}: expected" in result.output
 
     @pytest.mark.parametrize(
-        "text, field",
+        "text, field, flags",
         [
-            pytest.param(
+            malformed(
                 CYCLE4.format(checks=f"{THEOREM1}\n    eta: [1]"), "checks[0].eta", id="eta"
             ),
-            pytest.param(
+            malformed(
                 CYCLE4.format(checks=EQ1.replace("position}", "[1]}")),
                 "checks[0].target.variable",
                 id="target-variable",
             ),
-            pytest.param(
+            malformed(
                 CYCLE4.format(checks=f"{PERMISSIBILITY}\n    expect: sometimes"),
                 "checks[0].expect",
                 id="expect",
             ),
-            pytest.param(
+            malformed(
                 CYCLE4.format(checks=f"{PERMISSIBILITY}\n    expected: false"),
                 "checks[0].expected",
                 id="unknown-parameter-expected",
             ),
-            pytest.param(
+            malformed(
                 CYCLE4.format(checks=f"{CHECKS['a2-falsify']}\n    max_n: 6"),
                 "checks[0].max_n",
                 id="unknown-parameter-max_n",
             ),
-            pytest.param(
+            malformed(
                 CYCLE4.format(checks=f"{THEOREM2}\n    generators: [[1, 2, 3, 0]]"),
                 "checks[0].generators",
                 id="theorem2-generators",
             ),
-            pytest.param(
+            malformed(
                 CYCLE4.format(checks=f"{EQ1}\n    generators: [[1, 2, 3, 0]]"),
                 "checks[0].generators",
                 id="eq1-generators",
             ),
-            pytest.param(
+            malformed(
                 CYCLE4.format(checks="  - type: a2-classify\n    members: [position, position]"),
                 "checks[0].members",
                 id="member-twice",
             ),
-            pytest.param(
+            malformed(
                 CYCLE4.format(checks=THEOREM1) + "\ninformational: 'no'\n",
                 "informational",
                 id="informational",
             ),
-            pytest.param(
+            malformed(
                 CYCLE4.format(checks=THEOREM1).replace(
                     "- [1, 2, 3, 0]", "- [1, 2, 3, 0]\n    - [true, false, 2, 3]"
                 ),
                 "group.generators[1]",
                 id="bool-generator",
             ),
-            pytest.param(
+            malformed(
                 CYCLE4.format(checks=THEOREM1).replace("kind: cyclic-dft\n  n: 4", "kind: qubit"),
                 "representation.kind",
                 id="qubit-kind",
             ),
-            pytest.param(
+            malformed(
                 CYCLE4.format(checks=THEOREM1).replace(
                     '"3"]\nvariables', '"3"]\n  prodcut: [[0, 0], [0, 1], [1, 0], [1, 1]]\nvariables'
                 ),
                 "space.prodcut",
                 id="space-unknown-key",
             ),
-            pytest.param(
+            malformed(
                 CYCLE4.format(checks=THEOREM1).replace(
                     "assignment: [0, 1, 2, 3]", 'assignment: [0, 1, 2, 3]\n    value: ["z"]'
                 ),
                 "variables[0].value",
                 id="variable-unknown-key",
             ),
-            pytest.param(
+            malformed(
                 CYCLE4.format(checks=THEOREM1).replace(
                     "group:\n", "group:\n  generater: [[0, 1, 2, 3]]\n"
                 ),
                 "group.generater",
                 id="group-unknown-key",
             ),
-            pytest.param(
+            malformed(
                 CYCLE4.format(checks=THEOREM1).replace("n: 4", "n: 4\n  matrices: []"),
                 "representation.matrices",
                 id="cyclic-dft-matrices",
             ),
-            pytest.param(
+            malformed(
                 explicit_cycle4(Z4).replace("kind: explicit", "kind: explicit\n  n: 4"),
                 "representation.n",
                 id="explicit-n",
             ),
-            pytest.param(
+            malformed(
                 explicit_cycle4(Z4).replace("      matrix:", "      weight: 1\n      matrix:", 1),
                 "representation.matrices[0].weight",
                 id="matrix-entry-unknown-key",
             ),
-            pytest.param(
+            malformed(
                 CYCLE4.format(checks=EQ1.replace("position}", "position, index: 3}")),
                 "checks[0].target.index",
                 id="target-unknown-key",
             ),
+            malformed(
+                CYCLE4.format(checks=f"{THEOREM1}\n    generators: [[9, '9']]"),
+                "checks[0].generators[0]",
+                id="theorem1-generators-without-eta",
+            ),
+            malformed(
+                CYCLE4.format(checks=f"{THEOREM1}\n    generators: 5"),
+                "checks[0].generators",
+                id="theorem1-generators-not-a-list",
+            ),
+            malformed(
+                CYCLE4.format(checks=f"{CHECKS['a2-falsify']}\n    max-n: lots"),
+                "checks[0].max-n",
+                "--max-n",
+                "4",
+                id="max-n-with-the-flag",
+            ),
+            malformed(
+                CYCLE4.format(checks=EQ1.replace("position}", "position, direction: [1, 0, 0]}")),
+                "checks[0].target",
+                id="target-two-keys",
+            ),
+            malformed(
+                CYCLE4.format(checks=EQ1.replace("{variable: position}", "{}")),
+                "checks[0].target",
+                id="target-no-key",
+            ),
+            malformed(
+                CYCLE4.format(checks=EQ1.replace("{variable: position}", "[1, 0, 0]")),
+                "checks[0].target",
+                id="target-not-a-mapping",
+            ),
+            malformed(
+                CYCLE4.format(checks=f"{EQ1}\n    index: [0]"),
+                "checks[0].index",
+                id="eq1-index-list",
+            ),
         ]
         + [
-            pytest.param(
+            malformed(
+                CYCLE4.format(checks=f"{CHECKS['a2-falsify']}\n    name: {value}"),
+                "checks[0].name",
+                id=f"name-{name}",
+            )
+            for name, value in (("mapping", "{nested: [1, 2]}"), ("null", "null"), ("empty", "''"))
+        ]
+        + [
+            malformed(
                 CYCLE4.format(checks=EQ1.replace("{variable: position}", f"{{direction: {d}}}")),
                 "checks[0].target.direction",
                 id=f"direction-{name}",
@@ -731,7 +810,7 @@ class TestCli:
             )
         ]
         + [
-            pytest.param(
+            malformed(
                 CYCLE4.format(checks=THEOREM1) + f"\ntolerances: {{hermitian: {value}}}\n",
                 "tolerances.hermitian",
                 id=f"tolerance-{name}",
@@ -739,10 +818,10 @@ class TestCli:
             for name, value in (("bool", "true"), ("nan", ".nan"), ("inf", ".inf"))
         ],
     )
-    def test_malformed_field_exits_two(self, tmp_path, text, field):
+    def test_malformed_field_exits_two(self, tmp_path, text, field, flags):
         target = tmp_path / "bad.yaml"
         target.write_text(text, encoding="utf-8")
-        result = self.runner.invoke(main, ["run", str(target)])
+        result = self.runner.invoke(main, ["run", str(target), *flags])
         assert result.exit_code == 2, result.output
         assert f"{field}: expected" in result.output
 
@@ -834,6 +913,48 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert f"Error: {field}: " in result.output
         assert not caught and "Warning" not in result.stderr
+
+    def test_malformed_later_check_exits_two_before_any_check_runs(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(runner_mod, "exhaustive_falsifier", lambda *a: calls.append(a))
+        monkeypatch.setattr(runner_mod, "build_operator", lambda *a: calls.append(a))
+        target = tmp_path / "late.yaml"
+        checks = f"{CHECKS['a2-falsify']}\n    max-n: 6\n{EQ1}\n    index: true"
+        target.write_text(CYCLE4.format(checks=checks), encoding="utf-8")
+        result = self.runner.invoke(main, ["run", str(target)])
+        assert result.exit_code == 2, result.output
+        assert "Error: checks[1].index: expected an integer" in result.output
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["run", "emit"])
+    def test_output_in_a_missing_directory_exits_two_before_loading(
+        self, tmp_path, monkeypatch, command
+    ):
+        loaded = []
+        monkeypatch.setattr(cli_mod, "load_builtin", lambda name: loaded.append(name))
+        monkeypatch.setattr(cli_mod, "builtin_text", lambda name: loaded.append(name))
+        option = {"run": "--report", "emit": "--output"}[command]
+        path = tmp_path / "missing" / "out.txt"
+        result = self.runner.invoke(main, [command, "qubit", option, str(path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"Invalid value for '{option}': directory '{path.parent}' does not exist" in (
+            result.output
+        )
+        assert loaded == [] and not path.parent.exists()
+
+    @pytest.mark.parametrize("command", ["run", "emit"])
+    def test_a_failed_write_exits_two_naming_the_path(self, tmp_path, monkeypatch, command):
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli_mod, "open", refuse, raising=False)
+        option = {"run": "--report", "emit": "--output"}[command]
+        path = tmp_path / "out.txt"
+        result = self.runner.invoke(main, [command, "qubit", option, str(path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: cannot write {path}: Permission denied" in result.output
 
     def test_max_n_flag_above_the_census_limit_exits_two(self):
         result = self.runner.invoke(main, ["run", "a2-smoke", "--max-n", "8"])
