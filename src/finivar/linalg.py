@@ -52,20 +52,8 @@ def max_abs(a: np.ndarray) -> float:
     return float(abs(a).max()) if a.size else 0.0
 
 
-def hermitian_residual(a: np.ndarray) -> float | np.ndarray:
-    """max |A - A^dag| of a matrix, or of each matrix in a stack."""
-    return abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-
-
-def require_hermitian(residual: float, tol: float) -> None:
-    if residual > tol:
-        raise NotHermitianError(
-            f"matrix is not Hermitian: max |A - A^dag| = {residual:.3e} > {tol:.1e}"
-        )
-
-
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOLERANCES["hermitian"]) -> bool:
-    return float(hermitian_residual(a)) <= tol
+    return max_abs(a - a.conj().T) <= tol
 
 
 def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOLERANCES["unitary"]) -> bool:
@@ -146,24 +134,21 @@ def eigh(
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    require_hermitian(float(hermitian_residual(a)), hermitian_tol)
-    return spectral_data(*np.linalg.eigh(a), cluster_gap)
-
-
-def spectral_data(values: np.ndarray, vectors: np.ndarray, cluster_gap: float) -> SpectralData:
-    """Put the output of ``np.linalg.eigh`` under the phase and cluster conventions."""
-    import numpy as np
+    residual = max_abs(a - a.conj().T)
+    if residual > hermitian_tol:
+        raise NotHermitianError(
+            f"matrix is not Hermitian: max |A - A^dag| = {residual:.3e} > {hermitian_tol:.1e}"
+        )
+    values, vectors = np.linalg.eigh(a)
     vectors = np.array([fix_phase(vectors[:, i]) for i in range(len(values))], dtype=complex).T
+    cuts = [0, *(np.flatnonzero(np.diff(values) >= cluster_gap) + 1).tolist(), len(values)]
     clusters = tuple(
-        EigenCluster(mean, tuple(range(a, b)), vectors[:, a:b] @ vectors[:, a:b].conj().T)
-        for a, b, mean in cluster_runs(values, cluster_gap)
+        EigenCluster(
+            float(values[start] if stop - start == 1 else np.mean(values[start:stop])),
+            tuple(range(start, stop)),
+            vectors[:, start:stop] @ vectors[:, start:stop].conj().T,
+        )
+        for start, stop in zip(cuts, cuts[1:])
+        if start < stop
     )
     return SpectralData(eigenvalues=values, vectors=vectors, clusters=clusters)
-
-
-def cluster_runs(values: np.ndarray, gap: float) -> list[tuple[int, int, float]]:
-    """(start, stop, mean) of each run of ascending eigenvalues closer than ``gap`` in turn."""
-    import numpy as np
-    cuts = [0, *(np.flatnonzero(np.diff(values) >= gap) + 1).tolist(), len(values)]
-    runs = [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
-    return [(a, b, float(values[a] if b - a == 1 else np.mean(values[a:b]))) for a, b in runs]

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, fields
 
 from . import linalg
-from .groups import Permutation, PermutationGroup, _require_acting_group
+from .groups import Permutation, PermutationGroup, _require_acting_group, induced_group
 from .spaces import ConceptualVariable, PointSpace
 
 __all__ = [
@@ -367,28 +367,10 @@ def build_operator(
     Requires the group to act regularly on the variable's domain, so that
     k -> k(base_point) labels the coherent states by points.  States are
     grouped by the variable's value at their point; groups must be pairwise
-    orthogonal and jointly spanning.  The operator's eigenvalues are then
-    exactly the variable's values, with multiplicities equal to the group
-    ranks; the variable is maximal on this labeling iff the spectrum is
-    nondegenerate.
-    """
-    operators, values, vectors, projectors = _build_operators(theta, family, base_point, tolerances)
-    spectral = linalg.spectral_data(values[0], vectors[0], tolerances.eigen_cluster_gap)
-    return OperatorBundle(theta, operators[0], spectral, projectors[0], _qa_labels(theta))
-
-
-def _build_operators(
-    theta: ConceptualVariable,
-    family: CoherentFamily,
-    base_point: int,
-    tolerances: OperatorTolerances,
-    moves: list[tuple[int, ...]] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[dict[float, np.ndarray]]]:
-    """``build_operator`` of theta∘m for each permutation m of the points (default: theta).
-
-    Returns the operators, the eigenvalues and eigenvectors of one ``eigh``,
-    and each one's projectors by value.  The first theta∘m that fails a check
-    raises that check's error, as its own build would.
+    orthogonal and jointly spanning.  The projectors are summed in value
+    order.  The operator's eigenvalues are then exactly the variable's values,
+    with multiplicities equal to the group ranks; the variable is maximal on
+    this labeling iff the spectrum is nondegenerate.
     """
     import numpy as np
     group = family.group
@@ -410,48 +392,39 @@ def _build_operators(
             f"(distance {injectivity.min_distance:.3e}, overlap {injectivity.max_overlap:.6f})"
         )
     numeric = theta.numeric_values()
-    values = np.array([[theta.assignment[m[p]] for p in points] for m in moves or [range(n)]])
+    values = np.array([theta.assignment[p] for p in points])
     overlaps = family.overlaps()
-    scope = (values[:, :, None] < values[:, None, :]) & (overlaps > tolerances.orthogonal_grouping)
-    # The state indices of each value, ascending; every theta∘m has theta's fiber sizes.
-    cuts = np.cumsum([0, *np.bincount(values[0], minlength=len(numeric))]).tolist()
-    groups = [  # (projector, rank) by value
-        [family.projector(tuple(row[a:b])) for a, b in zip(cuts, cuts[1:])]
-        for row in np.argsort(values, axis=1, kind="stable").tolist()
+    scope = (values[:, None] < values[None, :]) & (overlaps > tolerances.orthogonal_grouping)
+    if scope.any():
+        rows, cols = np.nonzero(scope)
+        # The first violation in (lower value, higher value, element, element) order.
+        first = np.lexsort((cols, rows, values[cols], values[rows]))[0]
+        i, j = rows[first], cols[first]
+        raise OrthogonalityError(
+            f"outside the orthogonal-coherent scope: states for values "
+            f"{theta.values[values[i]]!r} and {theta.values[values[j]]!r} overlap by "
+            f"{float(overlaps[i, j]):.3e}"
+        )
+    groups = [  # (projector, rank) of the states of each value, indices ascending
+        family.projector(tuple(np.flatnonzero(values == v).tolist())) for v in range(len(numeric))
     ]
     dim = family.rep.dim
-    operators = np.zeros((len(values), dim, dim), dtype=complex)
-    for v, weight in enumerate(numeric):
-        operators = operators + weight * np.array([gs[v][0] for gs in groups])
-    hermitian = linalg.hermitian_residual(operators)
-    eigenvalues, eigenvectors = np.linalg.eigh(operators)
-    for k, gs in enumerate(groups):
-        if scope[k].any():
-            rows, cols = np.nonzero(scope[k])
-            # The first violation in (lower value, higher value, element, element) order.
-            first = np.lexsort((cols, rows, values[k, cols], values[k, rows]))[0]
-            i, j = rows[first], cols[first]
-            raise OrthogonalityError(
-                f"outside the orthogonal-coherent scope: states for values "
-                f"{theta.values[values[k, i]]!r} and {theta.values[values[k, j]]!r} overlap by "
-                f"{float(overlaps[i, j]):.3e}"
-            )
-        if sum(rank for _, rank in gs) != dim:
-            raise OrthogonalityError(
-                f"outside the orthogonal-coherent scope: coherent groups span rank "
-                f"{sum(rank for _, rank in gs)} of a dimension-{dim} space"
-            )
-        linalg.require_hermitian(float(hermitian[k]), tolerances.hermitian)
-        runs = linalg.cluster_runs(eigenvalues[k], tolerances.eigen_cluster_gap)
-        got = sorted((mean, stop - start) for start, stop, mean in runs)
-        expected = sorted(zip(numeric, (rank for _, rank in gs)))  # a projector's rank is its trace
-        for (gv, gm), (ev, em) in zip(got, expected):
-            if abs(gv - ev) > tolerances.spectral_reconstruction or gm != em:
-                raise RuntimeError(
-                    f"spectrum {got} does not reproduce the value grouping {expected}"
-                )
-    projectors = [{w: p for w, (p, _) in zip(numeric, gs)} for gs in groups]
-    return operators, eigenvalues, eigenvectors, projectors
+    if sum(rank for _, rank in groups) != dim:
+        raise OrthogonalityError(
+            f"outside the orthogonal-coherent scope: coherent groups span rank "
+            f"{sum(rank for _, rank in groups)} of a dimension-{dim} space"
+        )
+    operator = np.zeros((dim, dim), dtype=complex)
+    for weight, (projector, _) in zip(numeric, groups):
+        operator = operator + weight * projector
+    spectral = linalg.eigh(operator, tolerances.hermitian, tolerances.eigen_cluster_gap)
+    got = sorted((c.value, c.multiplicity) for c in spectral.clusters)
+    expected = sorted(zip(numeric, (rank for _, rank in groups)))  # a projector's rank is its trace
+    for (gv, gm), (ev, em) in zip(got, expected):
+        if abs(gv - ev) > tolerances.spectral_reconstruction or gm != em:
+            raise RuntimeError(f"spectrum {got} does not reproduce the value grouping {expected}")
+    projectors = {w: p for w, (p, _) in zip(numeric, groups)}
+    return OperatorBundle(theta, operator, spectral, projectors, _qa_labels(theta))
 
 
 def bundle_from_matrix(
@@ -497,19 +470,46 @@ def conjugation_law(
     tolerances: OperatorTolerances = OperatorTolerances(),
     bundle: OperatorBundle | None = None,
 ) -> list[float]:
-    """max |T(t)^dag A^theta T(t) - A^(theta∘t)| for each element t (default: the group).
+    """max |T(t)^dag A T(t) - sum_u w_g(u) P_u| for each element t (default: the group).
 
-    ``bundle``, theta's own operator, may be passed in.  Each A^(theta∘t) is
-    built afresh, by ``build_operator``'s checks run on all of them as one stack.
+    A is theta's operator, P_u its projector for value u, and g the map t
+    induces on theta's values (``groups.induced_group``): the group acts on
+    the question by relabelling its answers.  That map exists only for a
+    permissible theta, so :class:`NotPermissibleError` is raised otherwise,
+    before any operator is built.  ``bundle``, theta's own operator, may be
+    passed in.
     """
-    import numpy as np
-    elements = family.group.elements if elements is None else elements
+    group = family.group
+    elements = group.elements if elements is None else elements
+    outside = next((t for t in elements if t not in group), None)
+    if outside is not None:
+        raise ValueError(f"element {list(outside.images)} is not in the family's group")
+    _, induced = induced_group(theta, group)
     if bundle is None:
         bundle = build_operator(theta, family, base_point, tolerances)
-    moved = _build_operators(theta, family, base_point, tolerances, [t.images for t in elements])[0]
+    return _relabelling_residuals(family, elements, induced.mapping, bundle)
+
+
+def _relabelling_residuals(
+    family: CoherentFamily,
+    elements: tuple[Permutation, ...],
+    induced: dict[Permutation, Permutation],
+    bundle: OperatorBundle,
+) -> list[float]:
+    """``conjugation_law`` once the element map ``induced`` and theta's
+    ``bundle`` are known.  The relabelled projectors are summed in
+    target-value order, as ``build_operator`` sums them."""
+    import numpy as np
+    if not elements:
+        return []
+    projectors = np.array(list(bundle.projectors.values()))
+    preimages = np.argsort([induced[t].images for t in elements], axis=1)  # [t, v] = g_t^-1(v)
+    relabelled = np.zeros((len(elements), bundle.dim, bundle.dim), dtype=complex)
+    for v, weight in enumerate(bundle.projectors):
+        relabelled = relabelled + weight * projectors[preimages[:, v]]
     t_matrices = np.array([family.rep(t) for t in elements])
     conjugated = t_matrices.conj().swapaxes(1, 2) @ bundle.operator @ t_matrices
-    return abs(conjugated - moved).max(axis=(1, 2)).tolist()
+    return abs(conjugated - relabelled).max(axis=(1, 2)).tolist()
 
 
 def conjugation_check(
@@ -521,7 +521,7 @@ def conjugation_check(
     tolerances: OperatorTolerances = OperatorTolerances(),
     bundle: OperatorBundle | None = None,
 ) -> ConjugationResult:
-    """Verify T(t)^dag A^theta T(t) equals the operator of theta∘t: ``conjugation_law`` at t."""
+    """Verify that T(t) relabels theta's answers by the induced map: ``conjugation_law`` at t."""
     (residual,) = conjugation_law(theta, family, (element,), base_point, tolerances, bundle)
     return ConjugationResult(element=element, residual=residual, ok=residual <= tol)
 

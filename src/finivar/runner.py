@@ -46,15 +46,16 @@ from .representations import (
     OperatorBundle,
     OperatorTolerances,
     RepDiagnostics,
+    _relabelling_residuals,
     build_operator,
     bundle_from_matrix,
     check_coherent_injectivity,
     commutant_diagnostic,
-    conjugation_law,
     expand_in_basis,
 )
 from .scenario import Scenario, ScenarioError
 from .spaces import ConceptualVariable, VariableFamily, maximal_accessible
+from .subgroups import MAX_EXACT_DEGREE
 
 __all__ = ["RunFlags", "run_scenario", "DEFAULT_TOLERANCES", "resolve_tolerances"]
 
@@ -278,17 +279,17 @@ def _handle_theorem1(ctx: _Context, params: _Params) -> _Outcome:
 def _handle_theorem2(ctx: _Context, params: _Params) -> _Outcome:
     theta, base_point = params["variable"], params["base_point"]
     family = ctx.coherent_family
-    permissibility = is_permissible(theta, family.group)
-    if not permissibility.ok:
+    try:
+        _, induced = induced_group(theta, family.group)
+    except NotPermissibleError as exc:
         return STATUS_NOT_APPLICABLE, {
             "variable": theta.name,
             "reason": "theta is not permissible under the acting group",
-            "witness": _witness_payload(permissibility.witness),
+            "witness": _witness_payload(exc.witness),
         }
     elements = family.group.elements
-    residuals = conjugation_law(
-        theta, family, elements, base_point, ctx.operator_tolerances, ctx.bundle(theta, base_point)
-    )
+    bundle = ctx.bundle(theta, base_point)
+    residuals = _relabelling_residuals(family, elements, induced.mapping, bundle)
     max_residual = max([0.0, *residuals])
     details = {
         "variable": theta.name,
@@ -452,6 +453,9 @@ def run_scenario(scenario: Scenario, flags: RunFlags | None = None) -> Verificat
     """Run every requested check once, in order, and assemble the report."""
     flags = flags or RunFlags()
     tolerances = resolve_tolerances(scenario.tolerance_overrides, flags.tolerance_scale)
+    max_n = flags.max_n
+    if max_n is not None and (type(max_n) is not int or not 1 <= max_n <= MAX_EXACT_DEGREE):
+        raise ValueError(f"max_n must be an integer from 1 to {MAX_EXACT_DEGREE}, got {max_n!r}")
     ctx = _Context(scenario=scenario, tolerances=tolerances, flags=flags)
     report = VerificationReport(
         scenario=scenario.name,

@@ -45,14 +45,21 @@ def _id_tables(elements: Sequence[tuple[int, ...]]) -> tuple[list[array], array]
     """
     size = len(elements)
     index = {p: i for i, p in enumerate(elements)}
-    identity = index[tuple(range(len(elements[0])))]
+    identity = index.get(tuple(range(len(elements[0])))) if elements else None
+    if identity is None:
+        raise ValueError("a group must contain the identity")
     code = "H" if size <= 1 << 16 else "I"
     mul: list = [None] * size
     mul[identity] = array(code, range(size))
     rows: list[array] = []
     for a in range(size):
         if mul[a] is None:
-            mul[a] = array(code, [index[compose(elements[a], b)] for b in elements])
+            try:
+                mul[a] = array(code, [index[compose(elements[a], b)] for b in elements])
+            except KeyError as missing:
+                raise ValueError(
+                    f"elements are not closed under composition: {list(missing.args[0])} is missing"
+                ) from None
             rows.append(mul[a])
             frontier = [x for x in range(size) if mul[x] is not None]
             while frontier:

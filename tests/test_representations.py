@@ -12,9 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finivar import linalg, spaces
+from finivar import linalg, representations, spaces
 from finivar.groups import (
     PAIR_EXHAUSTIVE_LIMIT,
+    NotPermissibleError,
     Permutation,
     PermutationGroup,
     element_pairs,
@@ -563,27 +564,31 @@ class TestCommutant:
         assert diag.irreducible == (diag.commutant_dimension == 1)
 
 
+CONJUGATION_TOL = linalg.DEFAULT_TOLERANCES["conjugation_residual"]
+
+
+def projector_sum(assignment, weights, family, base_point=0):
+    """Oracle: value-weighted projectors of one assignment, summed in value order."""
+    fibers = [[] for _ in weights]  # state indices of each value, ascending
+    for i, k in enumerate(family.group.elements):
+        fibers[assignment[k.images[base_point]]].append(i)
+    operator = np.zeros((family.rep.dim, family.rep.dim), dtype=complex)
+    for weight, indices in zip(weights, fibers):
+        operator = operator + weight * family.projector(tuple(indices))[0]
+    return operator
+
+
 def per_element_residuals(theta, family, base_point=0):
-    """Oracle: the conjugation law one element at a time, each operator from
-    its own ``build_operator`` call."""
-    operator = build_operator(theta, family, base_point).operator
+    """Oracle: the law T(t)^dag A^theta T(t) = A^(theta∘t) one element at a
+    time, each operator a ``projector_sum``.  It holds for every theta."""
+    weights = theta.numeric_values()
+    operator = projector_sum(theta.assignment, weights, family, base_point)
     residuals = []
     for t in family.group.elements:
-        moved = build_operator(theta.compose(t.images), family, base_point).operator
+        moved = projector_sum(spaces.compose(theta.assignment, t.images), weights, family, base_point)
         matrix = family.rep(t)
         residuals.append(linalg.max_abs(matrix.conj().T @ operator @ matrix - moved))
     return residuals
-
-
-def projector_sum(theta, family, base_point=0):
-    """Oracle: value-weighted projectors of one variable, summed in value order."""
-    points = [k.images[base_point] for k in family.group.elements]
-    values = np.array([theta.assignment[p] for p in points])
-    operator = np.zeros((family.rep.dim, family.rep.dim), dtype=complex)
-    for v, weight in enumerate(theta.numeric_values()):
-        indices = tuple(np.flatnonzero(values == v).tolist())
-        operator = operator + weight * family.projector(indices)[0]
-    return operator
 
 
 def bits(values):
@@ -591,15 +596,33 @@ def bits(values):
 
 
 def assert_law_matches_loop(theta, family, base_point=0):
-    law = conjugation_law(theta, family, base_point=base_point)
-    assert bits(law) == bits(per_element_residuals(theta, family, base_point))
-    built = build_operator(theta, family, base_point).operator
-    assert built.tobytes() == projector_sum(theta, family, base_point).tobytes()
+    """The oracle's law holds for every theta.  ``conjugation_law`` gives its
+    residuals bit for bit when theta is permissible, since A^(theta∘t) is then
+    theta's projectors relabelled, and refuses any other theta."""
+    loop = per_element_residuals(theta, family, base_point)
+    assert max(loop) <= CONJUGATION_TOL
+    if not is_permissible(theta, family.group):
+        with pytest.raises(NotPermissibleError):
+            conjugation_law(theta, family, base_point=base_point)
+        return loop
+    bundle = build_operator(theta, family, base_point)
+    oracle = projector_sum(theta.assignment, theta.numeric_values(), family, base_point)
+    assert bundle.operator.tobytes() == oracle.tobytes()
+    law = conjugation_law(theta, family, base_point=base_point, bundle=bundle)
+    assert bits(law) == bits(loop)
     return law
 
 
 def quarter_values(rng, count):
     return tuple(f"{q / 4:g}" for q in rng.sample(range(-8 * count, 8 * count + 1), count))
+
+
+def set_partitions(n):
+    """Every partition of n points, as canonical assignments."""
+    rows = [()]
+    for _ in range(n):
+        rows = [row + (v,) for row in rows for v in range(max(row, default=-1) + 2)]
+    return rows
 
 
 def random_unitary(dim, seed):
@@ -633,18 +656,26 @@ class TestConjugationLawStack:
         law = assert_law_matches_loop(theta, family, base_point)
         assert len(law) == n
 
-    # Regular subgroups of S_n up to conjugacy are the groups of order n (OEIS A000001).
-    GROUPS_OF_ORDER = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2}
+    # Regular subgroups of S_n up to conjugacy are the groups of order n (OEIS
+    # A000001).  Per class, in ``regular_subgroups`` order (V4 before Z4, Z6
+    # before S3): how many of the Bell(n) partitions are permissible.  With
+    # two representations and n base points that is 5,672 cases, 226 of them
+    # with theta permissible.
+    PERMISSIBLE_PARTITIONS = {1: [1], 2: [2], 3: [2], 4: [5, 3], 5: [2], 6: [4, 6]}
+    BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
     @pytest.mark.parametrize(
-        "n, index", [(n, i) for n, count in GROUPS_OF_ORDER.items() for i in range(count)]
+        "n, index",
+        [(n, i) for n, counts in PERMISSIBLE_PARTITIONS.items() for i in range(len(counts))],
     )
     def test_regular_subgroups_as_permutation_matrices(self, n, index):
         """Every regular class of S_n (n <= 6), as permutation matrices and as
-        a seeded unitary conjugate of them, with permissible and
-        non-permissible variables alike."""
+        a seeded unitary conjugate of them, with every partition as theta and
+        every base point.  The law T(t)^dag A^theta T(t) = A^(theta∘t) holds
+        for every theta; the induced form holds exactly for the permissible
+        ones, and ``conjugation_law`` refuses the rest."""
         groups = regular_subgroups(n)
-        assert len(groups) == self.GROUPS_OF_ORDER[n]
+        assert len(groups) == len(self.PERMISSIBLE_PARTITIONS[n])
         group = groups[index]
         matrices = {k: _permutation_matrix(k).astype(complex) for k in group.elements}
         conjugate = random_unitary(n, seed=10 * n + index)
@@ -656,21 +687,24 @@ class TestConjugationLawStack:
             ),
         ]
         rng = random.Random(n * 100 + index)
-        shapes = {tuple(range(n)), (0,) * n}
-        while len(shapes) < min(8, (1, 1, 2, 5, 15, 52, 203)[n]):  # Bell numbers
-            shapes.add(canonical_partition([rng.randrange(n) for _ in range(n)]))
+        thetas = [
+            ConceptualVariable("theta", group.space, quarter_values(rng, max(a) + 1), a)
+            for a in set_partitions(n)
+        ]
+        assert len(thetas) == self.BELL[n]
+        permissible = [theta for theta in thetas if is_permissible(theta, group)]
+        assert len(permissible) == self.PERMISSIBLE_PARTITIONS[n][index]
         for family in families:
-            for assignment in sorted(shapes):
-                theta = ConceptualVariable(
-                    "theta", group.space, quarter_values(rng, max(assignment) + 1), assignment
-                )
-                assert_law_matches_loop(theta, family, rng.randrange(n))
+            for base_point in range(n):
+                for theta in thetas:
+                    assert_law_matches_loop(theta, family, base_point)
 
-    def test_the_first_failing_element_raises_its_own_build_error(self):
+    def test_a_non_permissible_theta_builds_nothing(self, monkeypatch):
         """Z3 with explicit matrices that are no representation, so the coherent
         states are not shift-invariant: U(s) e0 = e1, U(s^2) e0 = (e1 + e2)/sqrt 2.
-        theta = {e0 | e1, e2} is not permissible; its own states group
-        orthogonally, but some theta∘t put e1 and (e1 + e2)/sqrt 2 apart."""
+        theta = {e0 | e1, e2} is not permissible, so there is no induced map
+        to relabel its answers by.  The law and the one-element check raise
+        the permissibility witness before any operator is built."""
         space = space_of(3)
         group = PermutationGroup.generate(space, (Permutation((1, 2, 0)),))
         s, s2 = Permutation((1, 2, 0)), Permutation((2, 0, 1))
@@ -682,25 +716,34 @@ class TestConjugationLawStack:
         }
         family = CoherentFamily(UnitaryRep(group, matrices), np.array([1, 0, 0], dtype=complex))
         theta = ConceptualVariable("theta", space, ("-1", "2"), (0, 1, 1))
-        assert not is_permissible(theta, group).ok
-        build_operator(theta, family)
-        failing = []
-        for t in group.elements:
-            try:
-                build_operator(theta.compose(t.images), family)
-            except ValueError as direct:
-                failing.append(t)
-                with pytest.raises(type(direct)) as via_check:
-                    conjugation_check(theta, family, t)
-                assert str(via_check.value) == str(direct)
-            else:
-                conjugation_check(theta, family, t)
-        assert failing
-        with pytest.raises(OrthogonalityError) as via_law:
+        witness = is_permissible(theta, group).witness
+        assert witness is not None
+        monkeypatch.setattr(representations, "build_operator", _forbidden_build)
+        with pytest.raises(NotPermissibleError) as via_law:
             conjugation_law(theta, family)
-        with pytest.raises(OrthogonalityError) as first:
-            build_operator(theta.compose(failing[0].images), family)
-        assert str(via_law.value) == str(first.value)
+        assert via_law.value.witness == witness
+        for t in group.elements:
+            with pytest.raises(NotPermissibleError):
+                conjugation_check(theta, family, t)
+
+    def test_an_element_outside_the_group_is_named(self):
+        family = cyclic_family(4)
+        position = ConceptualVariable("position", family.group.space, ("0", "1", "2", "3"), (0, 1, 2, 3))
+        swap = Permutation((1, 0, 2, 3))
+        message = r"element \[1, 0, 2, 3\] is not in the family's group"
+        with pytest.raises(ValueError, match=message):
+            conjugation_check(position, family, swap)
+        with pytest.raises(ValueError, match=message):
+            conjugation_law(position, family, (Permutation((1, 2, 3, 0)), swap))
+
+    def test_no_elements_give_no_residuals(self):
+        family = cyclic_family(4)
+        position = ConceptualVariable("position", family.group.space, ("0", "1", "2", "3"), (0, 1, 2, 3))
+        assert conjugation_law(position, family, ()) == []
+
+
+def _forbidden_build(*args, **kwargs):
+    raise AssertionError("no operator may be built for a non-permissible theta")
 
 
 def pair_by_pair(rep, seed=0, sample_pairs=1000):

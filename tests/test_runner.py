@@ -319,6 +319,15 @@ class TestStatusMapping:
         _, record = single_record(scenario, RunFlags(max_n=4))
         assert record.details["max_n"] == 4
 
+    @pytest.mark.parametrize("max_n", [99, 7, 0, -1, True, 4.0])
+    def test_max_n_flag_is_range_checked_before_any_check_runs(self, monkeypatch, max_n):
+        calls = []
+        monkeypatch.setattr(runner, "exhaustive_falsifier", lambda *a: calls.append(a))
+        scenario = scenario_with("  - type: a2-falsify\n    max-n: 4\n")
+        with pytest.raises(ValueError, match=f"max_n must be an integer from 1 to 6, got {max_n!r}"):
+            run_scenario(scenario, RunFlags(max_n=max_n))
+        assert calls == []
+
 
 class TestParameterValidation:
     def test_missing_required_parameter(self):
@@ -458,9 +467,8 @@ class TestOperatorCache:
         ]
 
     def test_theorem2_decomposes_each_coherent_group_once(self, monkeypatch):
-        # theta∘t groups the same states as theta for a permissible theta, so
-        # the 12 singletons of position and the 4 classes of residue are all
-        # the stacks the 26 operator builds need.
+        # The law relabels theta's own projectors, so the 12 singletons of
+        # position and the 4 classes of residue are all the stacks it needs.
         calls = []
         real = np.linalg.svd
 

@@ -224,6 +224,18 @@ class TestSubgroupClasses:
             assert set(rep.elements) <= set(elements)
             assert len(elements) % rep.order == 0
 
+    @pytest.mark.parametrize(
+        "elements, message",
+        [
+            ([(0, 1, 2), (1, 2, 0)], r"not closed under composition: \[2, 0, 1\] is missing"),
+            ([(1, 2, 0), (2, 0, 1)], "a group must contain the identity"),
+            ([], "a group must contain the identity"),
+        ],
+    )
+    def test_a_list_that_is_no_group_is_refused(self, elements, message):
+        with pytest.raises(ValueError, match=message):
+            subgroups.subgroup_classes(elements)
+
     def test_cleared_cache_searches_again(self, monkeypatch):
         """Clearing this one cache makes the next call search from scratch, so
         a cold census stays cold: no second cache may sit below it."""
