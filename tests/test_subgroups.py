@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from itertools import permutations as all_perms
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finivar import groups, spaces, subgroups
@@ -79,6 +80,35 @@ def plain_join_search(n):
 
 S5 = symmetric_elements(5)
 S5_MUL = spaces._id_tables(S5)[0]
+
+
+def is_even(p):
+    return sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p))) % 2 == 0
+
+
+@functools.cache
+def symmetric_tables(n):
+    """S_n's sorted elements, id tables, and the ``symmetric`` argument of
+    ``close_tuples`` for it: (|S_n| / n, flags of A_n), parity counted by inversions."""
+    sym = symmetric_elements(n)
+    mul, inv = spaces._id_tables(sym)
+    return sym, mul, inv, (len(sym) // n, bytearray(map(is_even, sym)))
+
+
+def record_closures(monkeypatch):
+    """Patch ``close_tuples`` to record each call's ``symmetric`` argument and
+    result, after checking the result against a closure without the rule."""
+    calls = []
+    close = subgroups.close_tuples
+
+    def recorded(*args):
+        flags = close(*args)
+        assert flags == close(*args[:3])
+        calls.append((args[3] if len(args) > 3 else None, flags))
+        return flags
+
+    monkeypatch.setattr(subgroups, "close_tuples", recorded)
+    return calls
 
 
 def assert_is_group(elements, n):
@@ -157,11 +187,63 @@ class TestConjugacyClasses:
             flags = subgroups.close_tuples(tuple(gens), S5_MUL)
         assert {S5[i] for i in range(len(S5)) if flags[i]} == full
 
+    @given(st.sampled_from([5, 6]), st.booleans(), st.data())
+    @example(5, True, None).via("A5 from a 3-cycle and a 5-cycle")
+    @example(6, False, None).via("S6 from a transposition and a 6-cycle")
+    @settings(max_examples=100, deadline=None)
+    def test_early_stopping_closure_matches_full_closure(self, n, even_only, data):
+        sym, mul, _, symmetric = symmetric_tables(n)
+        if data is None:
+            cycle = tuple(range(1, n)) + (0,)
+            other = (1, 2, 0) + tuple(range(3, n)) if even_only else (1, 0) + tuple(range(2, n))
+            base_gens, gens = [], [sym.index(other), sym.index(cycle)]
+        else:
+            pool = [i for i in range(len(sym)) if symmetric[1][i]] if even_only else range(len(sym))
+            base_gens = data.draw(st.lists(st.sampled_from(pool), max_size=2))
+            gens = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        full = groups._close([sym[g] for g in base_gens + gens], n, len(sym))
+        base = sorted(sym.index(p) for p in groups._close([sym[g] for g in base_gens], n, len(sym)))
+        flags = subgroups.close_tuples(tuple(base_gens + gens), mul, base, symmetric)
+        assert {sym[i] for i in range(len(sym)) if flags[i]} == full
+        if data is None:
+            assert len(full) == len(sym) // (2 if even_only else 1)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_normaliser_matches_a_scan_of_every_element(self, n):
+        sym, mul, inv, symmetric = symmetric_tables(n)
+        index = {p: i for i, p in enumerate(sym)}
+        rule = symmetric if n >= 5 else None
+        for rep in subgroups.subgroup_conjugacy_classes(n):
+            ids = sorted(index[p] for p in rep.elements)
+            flags = bytearray(len(sym))
+            for i in ids:
+                flags[i] = 1
+            gens = tuple(index[g] for g in rep.generators)
+            normaliser = subgroups._normaliser(flags, ids, gens, mul, inv, rule)
+            assert normaliser == list(subgroups._conjugators(flags, gens, mul, inv))
+            assert len(sym) // len(normaliser) == rep.conjugates
+
+    @given(st.lists(st.integers(0, len(S5) - 1), max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_normaliser_of_drawn_subgroups_of_s5(self, gens):
+        _, mul, inv, symmetric = symmetric_tables(5)
+        flags = subgroups.close_tuples(tuple(gens), mul)
+        ids = [i for i in range(len(S5)) if flags[i]]
+        expected = list(subgroups._conjugators(flags, gens, mul, inv))
+        assert subgroups._normaliser(flags, ids, tuple(gens), mul, inv, symmetric) == expected
+        assert subgroups._normaliser(flags, ids, tuple(gens), mul, inv, None) == expected
+
     def test_degree_guard(self):
         with pytest.raises(ValueError):
             subgroups.subgroup_conjugacy_classes(subgroups.MAX_EXACT_DEGREE + 1)
         with pytest.raises(ValueError):
             subgroups.subgroup_conjugacy_classes(0)
+
+    @pytest.mark.parametrize("degree", [True, False, 4.0, "4"])
+    def test_a_degree_that_is_no_integer_is_refused(self, degree):
+        subgroups.subgroup_conjugacy_classes(1)
+        with pytest.raises(ValueError, match=f"degree must be a positive integer, got {degree!r}"):
+            subgroups.subgroup_conjugacy_classes(degree)
 
 
 def close(generators, n):
@@ -235,6 +317,51 @@ class TestSubgroupClasses:
     def test_a_list_that_is_no_group_is_refused(self, elements, message):
         with pytest.raises(ValueError, match=message):
             subgroups.subgroup_classes(elements)
+
+    @pytest.mark.parametrize(
+        "elements, message",
+        [
+            ([(0, 1), (1, 0), (0, 1, 2)], "elements permute different numbers of points: 2 and 3"),
+            ([(0, 0), (0, 1)], r"not a permutation of 0\.\.1: \(0, 0\)"),
+            ([(0, 1, 2), (0, 1, 3)], r"not a permutation of 0\.\.2: \(0, 1, 3\)"),
+            ([(0, 1, 2), (1, 0)], "elements permute different numbers of points: 3 and 2"),
+        ],
+    )
+    def test_elements_that_are_no_permutations_of_one_degree_are_refused(self, elements, message):
+        with pytest.raises(ValueError, match=message):
+            subgroups.subgroup_classes(elements)
+
+    def test_s5_on_five_of_seven_points_stops_joins_at_a5_and_s5(self, monkeypatch):
+        calls = record_closures(monkeypatch)
+        points = (0, 2, 3, 5, 6)
+        elements = []
+        for images in all_perms(points):
+            p = list(range(7))
+            for point, image in zip(points, images):
+                p[point] = image
+            elements.append(tuple(p))
+        classes = subgroups.subgroup_classes(elements)
+        assert (len(classes), sum(c.conjugates for c in classes)) == (19, 156)
+        even = bytearray(map(is_even, sorted(elements)))
+        assert {symmetric[0] for symmetric, _ in calls if symmetric is not None} == {120 // 5}
+        assert all(symmetric[1] == even for symmetric, _ in calls if symmetric is not None)
+        # the rule stops a join only where it closes to A5 or S5; both happen
+        assert {flags.count(1) for symmetric, flags in calls if symmetric is not None} >= {60, 120}
+        assert all(symmetric is not None for symmetric, _ in calls[1:])
+
+    def test_a6_keeps_the_rule_off(self, monkeypatch):
+        calls = record_closures(monkeypatch)
+        a6 = [p for p in symmetric_elements(6) if is_even(p)]
+        classes = subgroups.subgroup_classes(a6)
+        assert (len(classes), sum(c.conjugates for c in classes)) == (22, 501)
+        assert calls and all(symmetric is None for symmetric, _ in calls)
+
+    @pytest.mark.slow
+    def test_s7_class_and_subgroup_counts(self):
+        # OEIS A000638 and A005432
+        classes = subgroups.subgroup_classes(all_perms(range(7)))
+        assert (len(classes), sum(c.conjugates for c in classes)) == (96, 11_300)
+        assert [c.order for c in classes[-2:]] == [2520, 5040]
 
     def test_cleared_cache_searches_again(self, monkeypatch):
         """Clearing this one cache makes the next call search from scratch, so
