@@ -80,11 +80,6 @@ def main() -> None:
     help="Multiply every resolved tolerance by this factor.",
 )
 @click.option(
-    "--exhaustive-relatedness",
-    is_flag=True,
-    help="Search all permutations of the domain for relatedness witnesses (small spaces).",
-)
-@click.option(
     "--max-n",
     type=click.IntRange(1, MAX_EXACT_DEGREE),
     default=None,
@@ -94,15 +89,10 @@ def run(
     scenario: str,
     report_path: str | None,
     tolerance_scale: float,
-    exhaustive_relatedness: bool,
     max_n: int | None,
 ) -> None:
     """Run SCENARIO (a built-in name or a YAML file) and report each check."""
-    flags = RunFlags(
-        tolerance_scale=tolerance_scale,
-        exhaustive_relatedness=exhaustive_relatedness,
-        max_n=max_n,
-    )
+    flags = RunFlags(tolerance_scale=tolerance_scale, max_n=max_n)
     report = _execute(scenario, flags)
     if report_path == "-":
         click.echo(report.to_json(), nl=False)

@@ -38,11 +38,9 @@ __all__ = [
     "induced_group",
     "are_related",
     "flag_trivial_exchange",
-    "EXHAUSTIVE_RELATEDNESS_LIMIT",
 ]
 
 DEFAULT_CLOSURE_CAP = 1_000_000
-EXHAUSTIVE_RELATEDNESS_LIMIT = 8
 PAIR_EXHAUSTIVE_LIMIT = 500
 
 _T = TypeVar("_T")
@@ -404,13 +402,11 @@ def are_related(
     theta: ConceptualVariable,
     eta: ConceptualVariable,
     group: PermutationGroup,
-    exhaustive: bool = False,
 ) -> Permutation | None:
-    """Find k with eta = theta∘k up to a value bijection, or None.
+    """Find k in the group with eta = theta∘k up to a value bijection, or None.
 
-    Candidates are the group's elements; with ``exhaustive`` every permutation
-    of the domain is tried instead (guarded to small spaces).  Candidates are
-    scanned in lexicographic order, so the returned witness is the smallest.
+    The group's elements are scanned in lexicographic order, so the returned
+    witness is the smallest.
     """
     _require_same_domain(theta, eta)
     if theta.value_count != eta.value_count:
@@ -418,18 +414,8 @@ def are_related(
             f"no value bijection can exist: {theta.name!r} takes {theta.value_count} "
             f"values, {eta.name!r} takes {eta.value_count}"
         )
-    n = theta.domain.size
-    if exhaustive:
-        if n > EXHAUSTIVE_RELATEDNESS_LIMIT:
-            raise ValueError(
-                f"exhaustive relatedness search is limited to "
-                f"{EXHAUSTIVE_RELATEDNESS_LIMIT} points, space has {n}"
-            )
-        candidates: Iterable[tuple[int, ...]] = itertools.permutations(range(n))
-    else:
-        _require_acting_group(theta, group)
-        candidates = (k.images for k in group.elements)
-    k = next(_relating(theta, eta, candidates), None)
+    _require_acting_group(theta, group)
+    k = next(_relating(theta, eta, (k.images for k in group.elements)), None)
     return None if k is None else Permutation(k)
 
 

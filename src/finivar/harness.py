@@ -154,16 +154,12 @@ def _hypothesis_report(
     )
 
 
-def classify_thoughts(scenario: ThoughtScenario, exhaustive: bool = False) -> ClassificationResult:
+def classify_thoughts(scenario: ThoughtScenario) -> ClassificationResult:
     """Partition a family of at least three thoughts into relatedness classes."""
     members = scenario.members
     if len(members) < 3:
         raise ValueError(f"classification needs at least 3 thoughts, got {len(members)}")
-    searched = (
-        scenario.group.order
-        if not exhaustive
-        else math.factorial(scenario.space.size)
-    )
+    searched = scenario.group.order
     relations: list[PairRelation] = []
     parent = list(range(len(members)))
 
@@ -175,7 +171,7 @@ def classify_thoughts(scenario: ThoughtScenario, exhaustive: bool = False) -> Cl
 
     related_pairs: list[tuple[ConceptualVariable, ConceptualVariable]] = []
     for i, j in itertools.combinations(range(len(members)), 2):
-        witness = are_related(members[i], members[j], scenario.group, exhaustive=exhaustive)
+        witness = are_related(members[i], members[j], scenario.group)
         relations.append(
             PairRelation(members[i].name, members[j].name, witness, searched)
         )
@@ -210,7 +206,6 @@ def theorem_a1_search(
     theta: ConceptualVariable,
     eta: ConceptualVariable,
     all_partitions: bool = False,
-    exhaustive: bool = False,
 ) -> A1SearchResult:
     """Look for a maximal variable related to theta yet unrelated to eta.
 
@@ -227,7 +222,7 @@ def theorem_a1_search(
         return A1SearchResult(
             "not-applicable", "theta and eta must be maximal within the family", 0
         )
-    relating = are_related(theta, eta, group, exhaustive=exhaustive)
+    relating = are_related(theta, eta, group)
     if relating is None:
         return A1SearchResult(
             "not-applicable", "theta and eta are not related under the group", 0
@@ -265,10 +260,10 @@ def theorem_a1_search(
     checked = 0
     for lam in candidates:
         checked += 1
-        to_theta = are_related(lam, theta, group, exhaustive=exhaustive)
+        to_theta = are_related(lam, theta, group)
         if to_theta is None:
             continue
-        to_eta = are_related(lam, eta, group, exhaustive=exhaustive)
+        to_eta = are_related(lam, eta, group)
         if to_eta is None:
             return A1SearchResult(
                 "fail",

@@ -84,7 +84,6 @@ def resolve_tolerances(overrides: dict[str, float], scale: float) -> dict[str, f
 @dataclass
 class RunFlags:
     tolerance_scale: float = 1.0
-    exhaustive_relatedness: bool = False
     max_n: int | None = None
 
 
@@ -361,13 +360,7 @@ def _handle_singlet_delta(ctx: _Context, params: _Params) -> _Outcome:
 
 def _handle_a1_search(ctx: _Context, params: _Params) -> _Outcome:
     theta, eta, all_partitions = params["theta"], params["eta"], params["all-partitions"]
-    result = theorem_a1_search(
-        _thought(ctx, params),
-        theta,
-        eta,
-        all_partitions=all_partitions,
-        exhaustive=ctx.flags.exhaustive_relatedness,
-    )
+    result = theorem_a1_search(_thought(ctx, params), theta, eta, all_partitions=all_partitions)
     details: dict[str, Any] = {
         "theta": theta.name,
         "eta": eta.name,
@@ -383,7 +376,7 @@ def _handle_a1_search(ctx: _Context, params: _Params) -> _Outcome:
 
 def _handle_a2_classify(ctx: _Context, params: _Params) -> _Outcome:
     expected = params["expect-verdict"]
-    result = classify_thoughts(_thought(ctx, params), exhaustive=ctx.flags.exhaustive_relatedness)
+    result = classify_thoughts(_thought(ctx, params))
     hypotheses = result.hypotheses
     details = {
         "classes": [list(c) for c in result.classes],
@@ -462,7 +455,8 @@ def run_scenario(scenario: Scenario, flags: RunFlags | None = None) -> Verificat
         tolerances=tolerances,
         flags={
             "tolerance_scale": flags.tolerance_scale,
-            "exhaustive_relatedness": flags.exhaustive_relatedness,
+            # Always false; the key stays because the pinned census report digest covers it.
+            "exhaustive_relatedness": False,
             "max_n_override": flags.max_n,
             "informational": scenario.informational,
         },

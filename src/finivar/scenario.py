@@ -17,7 +17,9 @@ import yaml
 
 from . import spin
 from .groups import Permutation, PermutationGroup
+from .harness import A1_PARTITION_ENUM_LIMIT
 from .harness import VERDICT_ALL_DIFFERENT, VERDICT_ALL_RELATED, VERDICT_MIXED
+from .linalg import DEFAULT_TOLERANCES
 from .representations import CoherentFamily, CoherentStateError, UnitaryRep
 from .representations import cyclic_dft_rep, qubit_rep
 from .spaces import ConceptualVariable, PointSpace
@@ -207,6 +209,13 @@ def _target(value: Any, path: str, scenario: Scenario) -> spin.SpinDirection | C
     raise _fail(f"{path}.direction", "expected a list of three numbers, not all zero")
 
 
+def _all_partitions(value: Any, path: str, scenario: Scenario) -> bool:
+    n, limit = scenario.space.size, A1_PARTITION_ENUM_LIMIT
+    if _flag(value, path, scenario) and n > limit:
+        raise _fail(path, f"partition enumeration is limited to {limit} points, space has {n}")
+    return value
+
+
 def _generators(value: Any, path: str, scenario: Scenario) -> PermutationGroup:
     return _generate(value, scenario.space, path)
 
@@ -264,7 +273,7 @@ _CHECK_PARAMS: dict[str, tuple[tuple[str, Callable[..., Any], Any], ...]] = {
     "a1-search": (
         ("theta", _variable, _required),
         ("eta", _variable, lambda scenario, params, path: params["theta"]),
-        ("all-partitions", _flag, False),
+        ("all-partitions", _all_partitions, False),
         _MEMBERS,
         _GROUP,
     ),
@@ -444,8 +453,13 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
     if data.get("tolerances") is not None:
         tol_data = _require(data["tolerances"], "tolerances")
         for key, value in tol_data.items():
+            if key not in DEFAULT_TOLERANCES:
+                raise _fail(f"tolerances.{key}", "unknown tolerance name")
             if not _finite_number(value) or value <= 0:
-                raise _fail(f"tolerances.{key}", "expected a positive number")
+                raise _fail(
+                    f"tolerances.{key}",
+                    "expected a positive number (an exponent needs a dot: 1.0e-9)",
+                )
             overrides[str(key)] = float(value)
 
     informational = _flag(data.get("informational", False), "informational", None)

@@ -70,7 +70,9 @@ def _id_tables(elements: Sequence[tuple[int, ...]]) -> tuple[list[array], array]
                             mul[row[x]] = array(code, itemgetter(*mul[x])(row))
                             new.append(row[x])
                 frontier = new
-    return mul, array(code, [row.index(identity) for row in mul])
+    # p's inverse lists the points in the order of their images under p.
+    inverse = (tuple(sorted(range(len(p)), key=p.__getitem__)) for p in elements)
+    return mul, array(code, [index[q] for q in inverse])
 
 
 def canonical_partition(assignment: Sequence[int]) -> tuple[int, ...]:

@@ -469,23 +469,6 @@ class TestRelatedness:
         with pytest.raises(ValueError, match="value bijection"):
             are_related(fine, coarse, group)
 
-    def test_exhaustive_finds_witness_outside_group(self):
-        space = space_of(4)
-        parity = variable_from_assignment(space, (0, 1, 0, 1), "p")
-        halves = variable_from_assignment(space, (0, 0, 1, 1), "h")
-        trivial = PermutationGroup.generate(space, ())
-        assert are_related(parity, halves, trivial) is None
-        witness = are_related(parity, halves, trivial, exhaustive=True)
-        assert witness is not None
-        assert parity.compose(witness.images).partition() == halves.partition()
-
-    def test_exhaustive_guard(self):
-        space = space_of(9)
-        v = variable_from_assignment(space, (0, 0, 0, 1, 1, 1, 2, 2, 2), "v")
-        trivial = PermutationGroup.generate(space, ())
-        with pytest.raises(ValueError, match="limited to 8"):
-            are_related(v, v, trivial, exhaustive=True)
-
     def test_witness_is_lexicographically_first(self):
         space = space_of(4)
         v = variable_from_assignment(space, (0, 1, 0, 1), "v")

@@ -142,13 +142,19 @@ class TestClassifyThoughts:
         assert not by_pair[("halves", "stripes")].related
         assert all(r.searched == rotation4.order for r in result.relations)
 
-    def test_exhaustive_widens_search(self, square4):
+    def test_declared_symmetric_group_relates_every_same_shape_pair(self, square4):
         members = pair_partition_family(square4)
-        group = PermutationGroup.generate(square4, ())
-        scenario = ThoughtScenario(square4, VariableFamily(members), group)
-        result = classify_thoughts(scenario, exhaustive=True)
+        s4 = PermutationGroup.generate(
+            square4, (Permutation((1, 0, 2, 3)), Permutation((1, 2, 3, 0)))
+        )
+        scenario = ThoughtScenario(square4, VariableFamily(members), s4)
+        result = classify_thoughts(scenario)
         assert result.verdict == VERDICT_ALL_RELATED
         assert all(r.searched == 24 for r in result.relations)
+        by_name = {m.name: m for m in members}
+        for r in result.relations:
+            moved = by_name[r.left].compose(r.witness.images)
+            assert moved.partition() == by_name[r.right].partition()
 
 
 class TestA1Search:

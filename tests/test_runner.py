@@ -132,11 +132,14 @@ class TestTolerances:
         assert delta.status == STATUS_FAIL
 
     def test_unknown_override_from_file_surfaces_at_run(self):
-        scenario = scenario_with(
-            "  - type: permissibility\n    variable: parity\n",
-            "tolerances:\n  bogus: 0.1\n",
-        )
-        with pytest.raises(ScenarioError, match="bogus"):
+        # loads refuses a file's unknown name before any check runs, and
+        # run_scenario still refuses one set on a loaded scenario.
+        check = "  - type: permissibility\n    variable: parity\n"
+        with pytest.raises(ScenarioError, match="tolerances.bogus: unknown tolerance name"):
+            scenario_with(check, "tolerances:\n  bogus: 0.1\n")
+        scenario = scenario_with(check)
+        scenario.tolerance_overrides = {"bogus": 0.1}
+        with pytest.raises(ScenarioError, match="tolerances.bogus: unknown tolerance name"):
             run_scenario(scenario)
 
 

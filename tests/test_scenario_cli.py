@@ -174,6 +174,18 @@ checks:
             "tolerances.hermitian: expected a positive number",
         )
 
+    def test_unknown_tolerance_name_is_refused_when_loading(self):
+        expect_error(
+            MINIMAL + "\ntolerances:\n  hermitain: 1.0e-9\n",
+            "tolerances.hermitain: unknown tolerance name",
+        )
+
+    def test_an_exponent_without_a_dot_is_named_in_the_message(self):
+        expect_error(
+            MINIMAL + "\ntolerances:\n  hermitian: 1e-9\n",
+            r"tolerances.hermitian: expected a positive number \(an exponent needs a dot: 1.0e-9\)",
+        )
+
     def test_tolerance_overrides_parsed(self):
         scenario = loads(MINIMAL + "\ntolerances:\n  hermitian: 0.5\n")
         assert scenario.tolerance_overrides == {"hermitian": 0.5}
@@ -542,6 +554,25 @@ def explicit_cycle4(elements, matrices=None) -> str:
     return CYCLE4.format(checks=THEOREM1).replace(
         "kind: cyclic-dft\n  n: 4", "kind: explicit\n  matrices:" + entries
     )
+
+
+OCTAGON_A1_SEARCH = """
+name: octagon
+space:
+  id: octagon
+  labels: [p0, p1, p2, p3, p4, p5, p6, p7]
+variables:
+  - name: alternate
+    values: [even, odd]
+    assignment: [0, 1, 0, 1, 0, 1, 0, 1]
+group:
+  generators:
+    - [1, 2, 3, 4, 5, 6, 7, 0]
+checks:
+  - type: a1-search
+    theta: alternate
+    all-partitions: true
+"""
 
 
 def malformed(text: str, field: str, *flags: str, id: str):
@@ -1040,13 +1071,31 @@ class TestCli:
         falsify = [c for c in payload["checks"] if c["type"] == "a2-falsify"]
         assert falsify and falsify[0]["details"]["max_n"] == 4
 
-    def test_exhaustive_relatedness_flag(self):
-        result = self.runner.invoke(
-            main, ["run", "parity-z4", "--exhaustive-relatedness", "--report", "-"]
+    def test_exhaustive_relatedness_option_is_gone(self):
+        result = self.runner.invoke(main, ["run", "parity-z4", "--exhaustive-relatedness"])
+        assert result.exit_code == 2, result.output
+        assert "No such option '--exhaustive-relatedness'" in result.output
+
+    def test_run_lists_three_options(self):
+        result = self.runner.invoke(main, ["run", "--help"])
+        assert result.exit_code == 0, result.output
+        options = re.findall(r"^  (--[a-z-]+)", result.output, re.MULTILINE)
+        assert options == ["--report", "--tolerance-scale", "--max-n", "--help"]
+
+    def test_partition_enumeration_past_six_points_exits_two_when_loading(
+        self, tmp_path, monkeypatch
+    ):
+        ran = []
+        monkeypatch.setattr(cli_mod, "run_scenario", lambda *args: ran.append(args))
+        target = tmp_path / "octagon.yaml"
+        target.write_text(OCTAGON_A1_SEARCH, encoding="utf-8")
+        result = self.runner.invoke(main, ["run", str(target)])
+        assert result.exit_code == 2, result.output
+        assert (
+            "checks[0].all-partitions: partition enumeration is limited to 6 points, "
+            "space has 8" in result.output
         )
-        assert result.exit_code == 0
-        payload = json.loads(result.output)
-        assert payload["flags"]["exhaustive_relatedness"] is True
+        assert not ran
 
     def test_list_shows_descriptions(self):
         result = self.runner.invoke(main, ["list"])
