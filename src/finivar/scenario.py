@@ -1,9 +1,10 @@
-"""Scenario files: schema, validation and loading.
+"""Scenario files: schema, validation and loading; the check types.
 
 Scenarios are YAML: a point space, variables, group generators (as image
 arrays), an optional representation and base state, and a non-empty list of
 checks.  Everything is built and checked as the file loads, every check
-parameter included, and errors name the offending field.
+parameter included, and errors name the offending field.  ``_CHECK_PARAMS``
+declares each check type once: the handler ``runner`` calls, then its parameters.
 """
 
 from __future__ import annotations
@@ -15,14 +16,18 @@ from typing import Any, Callable
 
 import yaml
 
-from . import spin
-from .groups import Permutation, PermutationGroup
-from .harness import A1_PARTITION_ENUM_LIMIT
+from . import linalg, spin
+from .groups import NotPermissibleError, Permutation, PermutationGroup, PermissibilityWitness
+from .groups import flag_trivial_exchange, induced_group, is_permissible
+from .harness import A1_PARTITION_ENUM_LIMIT, ThoughtScenario, classify_thoughts
 from .harness import VERDICT_ALL_DIFFERENT, VERDICT_ALL_RELATED, VERDICT_MIXED
+from .harness import exhaustive_falsifier, theorem_a1_search
 from .linalg import DEFAULT_TOLERANCES
+from .report import STATUS_ERROR, STATUS_FAIL, STATUS_NOT_APPLICABLE, STATUS_PASS
 from .representations import CoherentFamily, CoherentStateError, UnitaryRep
-from .representations import cyclic_dft_rep, qubit_rep
-from .spaces import ConceptualVariable, PointSpace
+from .representations import _relabelling_residuals, bundle_from_matrix, check_coherent_injectivity
+from .representations import cyclic_dft_rep, expand_in_basis, qubit_rep
+from .spaces import ConceptualVariable, PointSpace, VariableFamily, maximal_accessible
 from .subgroups import MAX_EXACT_DEGREE
 
 __all__ = ["ScenarioError", "CheckSpec", "Scenario", "loads", "load_path", "CHECK_TYPES"]
@@ -113,11 +118,9 @@ class CheckSpec:
     params: dict[str, Any]
 
     def label(self) -> str:
-        for key in ("variable", "theta", "basis"):
-            if key in self.params:
-                return f"{self.type}:{self.params[key].name}"
-        name = self.params.get("name")
-        return self.type if name is None else f"{self.type}:{name}"
+        first = next(iter(self.params.values()), None)
+        subject = first.name if isinstance(first, ConceptualVariable) else self.params.get("name")
+        return self.type if subject is None else f"{self.type}:{subject}"
 
 
 @dataclass
@@ -178,7 +181,7 @@ def _integer(low: int | None = None, high: int | None = None) -> Callable[..., i
     """A reader of integers, never bools, from ``low`` up to ``high`` where given."""
     want = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[low]
     return _expect(
-        want + ("" if high is None else f" up to {high}"),
+        want if high is None else f"an integer from {low} to {high}",
         lambda v: type(v) is int and (low is None or v >= low) and (high is None or v <= high),
     )
 
@@ -195,6 +198,10 @@ def _base_point(value: Any, path: str, scenario: Scenario) -> int:
     return _integer(0, scenario.space.size - 1)(value, path, scenario)
 
 
+def _index(value: Any, path: str, scenario: Scenario) -> int:
+    return _integer(0, scenario.coherent_family.rep.dim - 1)(value, path, scenario)
+
+
 def _target(value: Any, path: str, scenario: Scenario) -> spin.SpinDirection | ConceptualVariable:
     """Exactly one of a ``direction``, three numbers not all zero, or a ``variable``."""
     target = _require(value, path, ("direction", "variable"))
@@ -203,10 +210,15 @@ def _target(value: Any, path: str, scenario: Scenario) -> spin.SpinDirection | C
     ((key, raw),) = target.items()
     if key == "variable":
         return _variable(raw, f"{path}.variable", scenario)
+    direction = None
     if isinstance(raw, list) and all(map(_finite_number, raw)):
         with suppress(ValueError):  # the wrong length, or the zero vector
-            return spin.SpinDirection.from_vector(raw)
-    raise _fail(f"{path}.direction", "expected a list of three numbers, not all zero")
+            direction = spin.SpinDirection.from_vector(raw)
+    if direction is None:
+        raise _fail(f"{path}.direction", "expected a list of three numbers, not all zero")
+    if scenario.coherent_family.rep.dim != 2:
+        raise _fail(f"{path}.direction", "expected a two-dimensional representation")
+    return direction
 
 
 def _all_partitions(value: Any, path: str, scenario: Scenario) -> bool:
@@ -246,39 +258,357 @@ def _exchange_group(scenario: Scenario, params: _Params, path: str) -> Permutati
     return _scenario_group(scenario, params, path)
 
 
+def _represented(scenario: Scenario, params: _Params, path: str) -> None:
+    if scenario.coherent_family is None:
+        raise _fail(path, "the check builds operators; the scenario declares no representation")
+
+
+def _represented_unless_exchange(scenario: Scenario, params: _Params, path: str) -> None:
+    # theorem1 builds no operator for a pair it excludes, which it tells only as it runs.
+    if params["eta"] is None or scenario.space.product is None:
+        _represented(scenario, params, path)
+
+
+# Check handlers turn a check's typed parameters into a status and its details.
+# ``ctx`` is the run's ``runner._Context``: the tolerances, flags and shared objects.
+_Outcome = tuple[str, dict[str, Any]]
+
+
+def _status(ok: bool) -> str:
+    return STATUS_PASS if ok else STATUS_FAIL
+
+
+def _witness_payload(witness: PermissibilityWitness) -> dict[str, Any]:
+    return {"k": witness.k, "phi1": witness.phi1, "phi2": witness.phi2}
+
+
+def _thought(ctx: Any, params: _Params) -> ThoughtScenario:
+    """The family of candidate thoughts: the named members, or every scenario variable."""
+    return ThoughtScenario(
+        ctx.scenario.space, VariableFamily(params["members"]), params["generators"]
+    )
+
+
+def _handle_permissibility(ctx: Any, params: _Params) -> _Outcome:
+    theta, group, expect = params["variable"], params["generators"], params["expect"]
+    result = is_permissible(theta, group)
+    details: dict[str, Any] = {
+        "variable": theta.name,
+        "group_order": group.order,
+        "permissible": result.ok,
+        "expected": expect,
+    }
+    if result.witness is not None:
+        details["witness"] = _witness_payload(result.witness)
+    return _status(result.ok == expect), details
+
+
+def _handle_induced_group(ctx: Any, params: _Params) -> _Outcome:
+    theta, group = params["variable"], params["generators"]
+    try:
+        induced, hom = induced_group(theta, group)
+    except NotPermissibleError as exc:
+        return STATUS_ERROR, {
+            "variable": theta.name,
+            "error": str(exc),
+            "witness": _witness_payload(exc.witness),
+        }
+    verified = hom.verify()
+    source_transitive = group.is_transitive()
+    induced_transitive = induced.is_transitive()
+    propagation_ok = induced_transitive if source_transitive else True
+    details = {
+        "variable": theta.name,
+        "source_order": group.order,
+        "induced_order": induced.order,
+        "induced_elements": list(induced.elements),
+        "homomorphism_verified": verified,
+        "source_transitive": source_transitive,
+        "induced_transitive": induced_transitive,
+        "transitivity_propagated": propagation_ok,
+    }
+    return _status(verified and propagation_ok), details
+
+
+def _handle_theorem1(ctx: Any, params: _Params) -> _Outcome:
+    theta, base_point, eta = params["variable"], params["base_point"], params["eta"]
+    details: dict[str, Any] = {"variable": theta.name}
+
+    if eta is not None and ctx.scenario.space.product is not None:
+        if flag_trivial_exchange(theta, eta, params["generators"]):
+            details["excluded"] = (
+                "the pair is related only through the coordinate swap; no "
+                "transformation content"
+            )
+            return STATUS_NOT_APPLICABLE, details
+
+    family = ctx.coherent_family
+    permissibility = is_permissible(theta, family.group)
+    details["permissible"] = permissibility.ok
+    if not permissibility.ok:
+        details["witness"] = _witness_payload(permissibility.witness)
+        return STATUS_NOT_APPLICABLE, details
+
+    diag = ctx.rep_diagnostics
+    details["representation"] = {
+        "unitary_residual": diag.unitary_residual,
+        "identity_residual": diag.identity_residual,
+        "homomorphism_residual": diag.homomorphism_residual,
+        "pairs_checked": diag.pairs_checked,
+    }
+    rep_ok = diag.ok(ctx.tol("unitary"), ctx.tol("rep_homomorphism"))
+
+    injectivity = check_coherent_injectivity(
+        family, ctx.tol("injectivity_distance"), ctx.tol("injectivity_overlap")
+    )
+    details["coherent_injectivity"] = {
+        "ok": injectivity.ok,
+        "min_distance": injectivity.min_distance,
+        "max_overlap": injectivity.max_overlap,
+    }
+
+    # The character norm counts a commutant only for a (ray) representation.
+    irr = ctx.irreducibility if rep_ok else None
+    if irr is None:
+        note = "not computed: the matrices fail the representation diagnostics"
+    elif irr.commutant_dimension is None:
+        note = f"not computed: the character norm {irr.character_norm!r} misses an integer"
+    else:
+        note = "diagnostic only; the construction does not require irreducibility"
+    details["irreducibility"] = {
+        "commutant_dimension": irr and irr.commutant_dimension,
+        "irreducible": irr and irr.irreducible,
+        "note": note,
+    }
+
+    try:
+        bundle = ctx.bundle(theta, base_point)
+    except (ValueError, RuntimeError) as exc:  # RuntimeError: the spectrum check failed
+        details["error"] = str(exc)
+        return STATUS_ERROR, details
+
+    nondegenerate = bundle.is_nondegenerate()
+    # Here the point space is the maximal variable's own value space, so the
+    # finest partition is legitimately accessible.
+    scenario_family = VariableFamily(
+        tuple(ctx.scenario.variables.values()), inaccessible_total=False
+    )
+    maximal = theta in set(maximal_accessible(scenario_family))
+    details["operator"] = {
+        "eigenvalues": [c.value for c in bundle.spectral.clusters],
+        "multiplicities": [c.multiplicity for c in bundle.spectral.clusters],
+        # The build raised unless the spectrum matches the values within
+        # spectral_reconstruction and the family is injective, so both hold here.
+        "spectrum_matches_values": True,
+        "nondegenerate": nondegenerate,
+        "maximal_in_family": maximal,
+        "qa_labels": {
+            f"{value:.12g}": [qa.question, qa.answer]
+            for value, qa in sorted(bundle.qa_labels.items())
+        },
+    }
+    maximality_law_ok = maximal == nondegenerate
+    details["maximal_iff_nondegenerate"] = maximality_law_ok
+    ok = rep_ok and maximality_law_ok
+    return _status(ok), details
+
+
+def _handle_theorem2(ctx: Any, params: _Params) -> _Outcome:
+    theta, base_point = params["variable"], params["base_point"]
+    family = ctx.coherent_family
+    try:
+        _, induced = induced_group(theta, family.group)
+    except NotPermissibleError as exc:
+        return STATUS_NOT_APPLICABLE, {
+            "variable": theta.name,
+            "reason": "theta is not permissible under the acting group",
+            "witness": _witness_payload(exc.witness),
+        }
+    elements = family.group.elements
+    bundle = ctx.bundle(theta, base_point)
+    residuals = _relabelling_residuals(family, elements, induced.mapping, bundle)
+    max_residual = max([0.0, *residuals])
+    details = {
+        "variable": theta.name,
+        "elements_checked": len(residuals),
+        "max_residual": max_residual,
+        "per_element": [{"element": t, "residual": r} for t, r in zip(elements, residuals)],
+    }
+    return _status(max_residual <= ctx.tol("conjugation_residual")), details
+
+
+def _handle_eq1(ctx: Any, params: _Params) -> _Outcome:
+    basis_var, base_point, index = params["basis"], params["base_point"], params["index"]
+    basis_bundle = ctx.bundle(basis_var, base_point)
+    target = params["target"]
+    if isinstance(target, spin.SpinDirection):
+        target_bundle = bundle_from_matrix(
+            f"spin({target.x:.6g},{target.y:.6g},{target.z:.6g})",
+            spin.spin_component_operator(target),
+            ctx.tol("hermitian"),
+            ctx.tol("eigen_cluster_gap"),
+        )
+        target_desc: Any = {"direction": [target.x, target.y, target.z]}
+    else:
+        target_bundle = ctx.bundle(target, base_point)
+        target_desc = {"variable": target.name}
+    try:
+        expansion = expand_in_basis(target_bundle, index, basis_bundle)
+    except ValueError as exc:  # a DegenerateBasisError among them
+        return STATUS_ERROR, {"basis": basis_var.name, "target": target_desc, "error": str(exc)}
+    details = {
+        "basis": basis_var.name,
+        "target": target_desc,
+        "eigenvector_index": index,
+        "amplitudes": list(expansion.amplitudes),
+        "reconstruction_error": expansion.reconstruction_error,
+        "weight_sum": expansion.weight_sum,
+    }
+    ok = expansion.ok(ctx.tol("expansion_reconstruction"), ctx.tol("expansion_weight"))
+    return _status(ok), details
+
+
+def _handle_singlet_delta(ctx: Any, params: _Params) -> _Outcome:
+    directions, seed = params["directions"], params["seed"]
+    state = spin.singlet()
+    bundle = spin.delta_operator(ctx.tol("hermitian"), ctx.tol("eigen_cluster_gap"))
+    eigen_residual = linalg.max_abs(bundle.operator @ state - (-3.0) * state)
+    multiplicities = [c.multiplicity for c in bundle.spectral.clusters]
+    cluster_values = [c.value for c in bundle.spectral.clusters]
+    degenerate = [c for c in bundle.spectral.clusters if c.multiplicity > 1]
+    sweep = spin.AXES + spin.random_directions(directions, seed)
+    max_anti = max(spin.anticorrelation_residual(d) for d in sweep)
+    ok = (
+        eigen_residual <= ctx.tol("singlet_eigen")
+        and sorted(multiplicities) == [1, 3]
+        and max_anti <= ctx.tol("anticorrelation")
+    )
+    details = {
+        "singlet": list(state),
+        "eigenvalue_residual_at_minus_3": eigen_residual,
+        "cluster_values": cluster_values,
+        "cluster_multiplicities": multiplicities,
+        "degenerate_value": degenerate[0].value if degenerate else None,
+        "degenerate_value_note": "determined by diagonalization, not asserted a priori",
+        "directions_checked": len(sweep),
+        "max_anticorrelation_residual": max_anti,
+    }
+    return _status(ok), details
+
+
+def _handle_a1_search(ctx: Any, params: _Params) -> _Outcome:
+    theta, eta, all_partitions = params["theta"], params["eta"], params["all-partitions"]
+    result = theorem_a1_search(_thought(ctx, params), theta, eta, all_partitions=all_partitions)
+    details: dict[str, Any] = {
+        "theta": theta.name,
+        "eta": eta.name,
+        "all_partitions": all_partitions,
+        "reason": result.reason,
+        "candidates_checked": result.candidates_checked,
+    }
+    if result.witness_partition is not None:
+        details["witness_partition"] = list(result.witness_partition)
+        details["witness_element"] = result.witness_element
+    return result.status, details
+
+
+def _handle_a2_classify(ctx: Any, params: _Params) -> _Outcome:
+    expected = params["expect-verdict"]
+    result = classify_thoughts(_thought(ctx, params))
+    hypotheses = result.hypotheses
+    details = {
+        "classes": [list(c) for c in result.classes],
+        "verdict": result.verdict,
+        "relations": [
+            {"pair": [r.left, r.right], "witness": r.witness, "elements_searched": r.searched}
+            for r in result.relations
+        ],
+        "hypotheses": {
+            "transitive": hypotheses.transitive,
+            "trivial_isotropy": hypotheses.trivial_isotropy,
+            "permissible": dict(hypotheses.permissible),
+            "trivial_exchange_flagged": hypotheses.trivial_exchange_flagged,
+            "satisfied": hypotheses.satisfied,
+        },
+    }
+    ok = not (result.verdict == VERDICT_MIXED and hypotheses.satisfied)
+    if expected is not None:
+        details["expected_verdict"] = expected
+        ok = ok and (result.verdict == expected)
+    return _status(ok), details
+
+
+def _handle_a2_falsify(ctx: Any, params: _Params) -> _Outcome:
+    # The --max-n flag takes precedence over the check's own bound.
+    max_n = params["max-n"] if ctx.flags.max_n is None else ctx.flags.max_n
+    report = exhaustive_falsifier(max_n)
+    details = {
+        "max_n": report.max_n,
+        "instances": report.instances,
+        "families": report.families,
+        "verdicts": {k: v for k, v in report.verdict_counts},
+        "subgroup_classes_by_degree": {
+            str(n): count for n, count in report.subgroup_classes_by_degree
+        },
+        "mixed_with_satisfied_hypotheses": report.mixed_with_satisfied_hypotheses,
+        "complete": report.complete,
+    }
+    if report.counterexamples:
+        details["counterexamples"] = [
+            {
+                "n": c.n,
+                "blocks": c.blocks,
+                "family": [list(p) for p in c.family],
+                "group": [list(g) for g in c.group_elements],
+                "classes": [list(names) for names in c.classes],
+            }
+            for c in report.counterexamples
+        ]
+    return _status(report.mixed_with_satisfied_hypotheses == 0), details
+
+
 _VARIABLE = ("variable", _variable, _required)
 _BASE_POINT = ("base_point", _base_point, 0)
 _GROUP = ("generators", _generators, _scenario_group)  # closed into the group they generate
 _MEMBERS = ("members", _members, lambda scenario, *_: tuple(scenario.variables.values()))
 
-# Each check type's parameters, read in this order, as (key, reader, default).
-# Every check may also carry a ``name``.
-_CHECK_PARAMS: dict[str, tuple[tuple[str, Callable[..., Any], Any], ...]] = {
-    "permissibility": (_VARIABLE, ("expect", _flag, True), _GROUP),
-    "induced-group": (_VARIABLE, _GROUP),
+# Each check type's handler, then its parameters, as (key, reader, default), and
+# its needs, read and judged in this order.  A need is a function of the scenario,
+# the values read before it and the path of the check's ``type``.  A check is
+# labelled by its first parameter where that is a variable, else by its ``name``.
+_CHECK_PARAMS: dict[str, tuple[Any, ...]] = {
+    "permissibility": (_handle_permissibility, _VARIABLE, ("expect", _flag, True), _GROUP),
+    "induced-group": (_handle_induced_group, _VARIABLE, _GROUP),
     "theorem1-hypotheses": (
+        _handle_theorem1,
         _VARIABLE,
         _BASE_POINT,
         ("eta", _variable, None),
         ("generators", _generators, _exchange_group),
+        _represented_unless_exchange,
     ),
-    "theorem2": (_VARIABLE, _BASE_POINT),
+    "theorem2": (_handle_theorem2, _VARIABLE, _BASE_POINT, _represented),
     "eq1-expansion": (
+        _handle_eq1,
         ("basis", _variable, _required),
+        _represented,
         ("target", _target, lambda scenario, params, path: _target(None, path, scenario)),
-        ("index", _integer(), 0),
+        ("index", _index, 0),
         _BASE_POINT,
     ),
-    "singlet-delta": (("directions", _integer(0), 100), ("seed", _integer(), 7)),
+    "singlet-delta": (
+        _handle_singlet_delta, ("directions", _integer(0), 100), ("seed", _integer(0), 7)
+    ),
     "a1-search": (
+        _handle_a1_search,
         ("theta", _variable, _required),
         ("eta", _variable, lambda scenario, params, path: params["theta"]),
         ("all-partitions", _all_partitions, False),
         _MEMBERS,
         _GROUP,
     ),
-    "a2-classify": (("expect-verdict", _verdict, None), _MEMBERS, _GROUP),
-    "a2-falsify": (("max-n", _integer(1, MAX_EXACT_DEGREE), 4),),
+    "a2-classify": (_handle_a2_classify, ("expect-verdict", _verdict, None), _MEMBERS, _GROUP),
+    "a2-falsify": (_handle_a2_falsify, ("max-n", _integer(1, MAX_EXACT_DEGREE), 4)),
 }
 CHECK_TYPES = tuple(_CHECK_PARAMS)
 _NAME = ("name", lambda value, path, scenario: _require_str(value, path), None)
@@ -289,10 +619,14 @@ def _parse_check(raw: Any, path: str, scenario: Scenario) -> CheckSpec:
     check_type = _require_str(params.pop("type", None), f"{path}.type")
     if check_type not in _CHECK_PARAMS:
         raise _fail(f"{path}.type", f"unknown check type {check_type!r}")
-    declared = (*_CHECK_PARAMS[check_type], _NAME)
-    _require(params, path, tuple(key for key, _, _ in declared))
+    declared = (*_CHECK_PARAMS[check_type][1:], _NAME)
+    _require(params, path, tuple(entry[0] for entry in declared if not callable(entry)))
     values: _Params = {}
-    for key, read, default in declared:
+    for entry in declared:
+        if callable(entry):
+            entry(scenario, values, f"{path}.type")
+            continue
+        key, read, default = entry
         where = f"{path}.{key}"
         if key in params:
             values[key] = read(params[key], where, scenario)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
 import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +206,22 @@ class TestOneTable:
         assert len(CHECK_TYPES) == 9
         assert set(runner._HANDLERS) == set(CHECK_TYPES)
 
+    def test_only_the_cli_and_the_package_import_the_runner(self):
+        # The handlers live in scenario, which the runner imports: no cycle.
+        importers = set()
+        for path in Path(runner.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    base = node.module or ""
+                    names = [base, *(f"{base}.{alias.name}".lstrip(".") for alias in node.names)]
+                else:
+                    continue
+                if any(name == "runner" or name.endswith(".runner") for name in names):
+                    importers.add(path.name)
+        assert importers == {"cli.py", "__init__.py"}
+
 
 class TestStatusMapping:
     def test_permissibility_expectation_inverts_status(self):
@@ -325,7 +343,7 @@ class TestStatusMapping:
     @pytest.mark.parametrize("max_n", [99, 7, 0, -1, True, 4.0])
     def test_max_n_flag_is_range_checked_before_any_check_runs(self, monkeypatch, max_n):
         calls = []
-        monkeypatch.setattr(runner, "exhaustive_falsifier", lambda *a: calls.append(a))
+        monkeypatch.setattr("finivar.scenario.exhaustive_falsifier", lambda *a: calls.append(a))
         scenario = scenario_with("  - type: a2-falsify\n    max-n: 4\n")
         with pytest.raises(ValueError, match=f"max_n must be an integer from 1 to 6, got {max_n!r}"):
             run_scenario(scenario, RunFlags(max_n=max_n))

@@ -250,7 +250,9 @@ representation:
             loads(text)
 
     def test_operator_check_requires_a_representation(self):
-        scenario = loads(MINIMAL.replace("permissibility", "theorem1-hypotheses"))
+        # A theorem1 pair the coordinate swap might exclude loads without one.
+        text = builtin_mod.builtin_text("singlet").replace("eta: right-z", "eta: product-zz")
+        scenario = loads(text)
         with pytest.raises(ScenarioError, match="representation: scenario declares no"):
             run_scenario(scenario)
 
@@ -288,10 +290,17 @@ representation:
             .replace("  - type: a2-classify\n    expect-verdict: mixed\n", "")
         )
         expect_error(text, r"checks\[1\].generators: scenario declares no group")
+        text += "representation:\n  kind: cyclic-dft\n  n: 4\n"  # theorem1 builds operators
         without_eta = loads(text.replace("    eta: right-z\n", ""))
         assert without_eta.checks[1].params["generators"] is None
         without_product = loads(text.replace("  product: [[0, 0], [0, 1], [1, 0], [1, 1]]\n", ""))
         assert without_product.checks[1].params["generators"] is None
+
+    def test_theorem1_on_a_pair_the_swap_may_exclude_loads_without_a_representation(self):
+        scenario = loads(builtin_mod.builtin_text("singlet"))
+        assert scenario.coherent_family is None and scenario.space.product is not None
+        assert scenario.checks[2].label() == "theorem1-hypotheses:left-z"
+        assert scenario.checks[2].params["eta"].name == "right-z"
 
     def test_generators_are_read_without_eta(self):
         # theorem1 acts with a group only for eta; its generators are checked anyway.
@@ -670,7 +679,9 @@ class TestCli:
             ("singlet-delta", "true", "directions"),
             ("singlet-delta", "-1", "directions"),
             ("singlet-delta", "false", "seed"),
-        ],
+            ("singlet-delta", "-1", "seed"),
+        ]
+        + [("eq1", value, "index") for value in ("-1", "4")],
     )
     def test_malformed_integer_parameter_exits_two(self, tmp_path, check, value, field):
         target = tmp_path / "bad.yaml"
@@ -838,6 +849,7 @@ class TestCli:
                 ("zero", "[0, 0, 0]"),
                 ("nan", "[.nan, 0, 1]"),
                 ("inf", "[.inf, 0, 0]"),
+                ("dimension", "[0, 0, 1]"),  # a spin direction on a four-dimensional representation
             )
         ]
         + [
@@ -947,7 +959,7 @@ class TestCli:
 
     def test_malformed_later_check_exits_two_before_any_check_runs(self, tmp_path, monkeypatch):
         calls = []
-        monkeypatch.setattr(runner_mod, "exhaustive_falsifier", lambda *a: calls.append(a))
+        monkeypatch.setattr("finivar.scenario.exhaustive_falsifier", lambda *a: calls.append(a))
         monkeypatch.setattr(runner_mod, "build_operator", lambda *a: calls.append(a))
         target = tmp_path / "late.yaml"
         checks = f"{CHECKS['a2-falsify']}\n    max-n: 6\n{EQ1}\n    index: true"
@@ -955,6 +967,27 @@ class TestCli:
         result = self.runner.invoke(main, ["run", str(target)])
         assert result.exit_code == 2, result.output
         assert "Error: checks[1].index: expected an integer" in result.output
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "check", [THEOREM2, EQ1, THEOREM1, f"{THEOREM1}\n    eta: position"],
+        ids=["theorem2", "eq1", "theorem1", "theorem1-eta-without-product"],
+    )
+    def test_operator_check_without_a_representation_exits_two_when_loading(
+        self, tmp_path, monkeypatch, check
+    ):
+        calls = []
+        monkeypatch.setattr("finivar.scenario.exhaustive_falsifier", lambda *a: calls.append(a))
+        target = tmp_path / "bare.yaml"
+        text = CYCLE4.format(checks=f"{CHECKS['a2-falsify']}\n    max-n: 6\n{check}")
+        bare = text.replace("representation:\n  kind: cyclic-dft\n  n: 4\n", "")
+        target.write_text(bare, encoding="utf-8")
+        result = self.runner.invoke(main, ["run", str(target)])
+        assert result.exit_code == 2, result.output
+        assert (
+            "Error: checks[1].type: the check builds operators; the scenario declares no "
+            "representation" in result.output
+        )
         assert calls == []
 
     @pytest.mark.parametrize("command", ["run", "emit"])
