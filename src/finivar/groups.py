@@ -378,13 +378,11 @@ def induced_group(
     reps = [block[0] for block in theta.blocks()]
     mapping_images = {k: compose(theta.assignment, compose(k.images, reps)) for k in group.elements}
     value_space = PointSpace(id=f"{theta.name}-values", labels=theta.values)
-    distinct = sorted(set(mapping_images.values()))
-    induced_elements = tuple(Permutation(t) for t in distinct)
-    induced_generators = tuple(
-        Permutation(mapping_images[g]) for g in group.generators
-    )
-    target = PermutationGroup(value_space, induced_generators, induced_elements)
-    mapping = {k: Permutation(t) for k, t in mapping_images.items()}
+    # Each k maps blocks onto blocks, so each image is a permutation of the values.
+    induced = {t: Permutation._trusted(t) for t in sorted(set(mapping_images.values()))}
+    induced_generators = tuple(induced[mapping_images[g]] for g in group.generators)
+    target = PermutationGroup(value_space, induced_generators, tuple(induced.values()))
+    mapping = {k: induced[t] for k, t in mapping_images.items()}
     return target, GroupHomomorphism(group, target, mapping)
 
 

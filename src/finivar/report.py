@@ -8,9 +8,10 @@ serialize as image arrays and complex numbers as [re, im] pairs.
 
 from __future__ import annotations
 
-import json
+import math
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .groups import Permutation
@@ -125,7 +126,11 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
+        """``json.dumps(self.to_dict(), indent=2, allow_nan=False)`` and a newline."""
+        out: list[str] = []
+        _write_json(self.to_dict(), "\n", out)
+        out.append("\n")
+        return "".join(out)
 
     def to_text(self) -> str:
         lines = [f"scenario: {self.scenario}"]
@@ -137,3 +142,34 @@ class VerificationReport:
         shown = ", ".join(f"{k}={v}" for k, v in counts.items() if v)
         lines.append(f"  summary: {shown or 'no checks'}")
         return "\n".join(lines) + "\n"
+
+
+def _write_json(value: Any, newline: str, out: list[str]) -> None:
+    """Append the text of ``value`` nested at ``newline`` as ``json.dumps(indent=2)``
+    writes it, without its pure-Python encoder.  Keys are strings (``jsonable``)."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        out.append("{")
+        for i, (key, item) in enumerate(value.items()):
+            out.append(("," if i else "") + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, out)
+        out.append(newline + "}" if value else "}")
+    elif isinstance(value, list) and value and all(type(item) is int for item in value):
+        # Image arrays, most of a report's items: one join.
+        out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+    elif isinstance(value, list):
+        out.append("[")
+        for i, item in enumerate(value):
+            out.append(("," if i else "") + inner)
+            _write_json(item, inner, out)
+        out.append(newline + "]" if value else "]")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float) and math.isfinite(value):
+        out.append(float.__repr__(value))
+    else:  # NaN, the infinities, and what ``jsonable`` would have refused
+        raise ValueError(f"{value!r} is not JSON compliant")

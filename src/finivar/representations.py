@@ -88,29 +88,38 @@ class UnitaryRep:
         """Measure unitarity, the identity image, and the composition law.
 
         The composition law is checked up to a global phase per pair, so exact
-        and ray representations both validate.  The pairs, all of them for small
-        groups and a seeded sample for large ones, come as ids from
-        ``PermutationGroup.pair_ids`` and are stacked |G| at a time.
+        and ray representations both validate; the phase is read at U(ab)'s
+        first largest |entry|, found once per element.  The pairs, all of them
+        for small groups and a seeded sample for large ones, come as ids from
+        ``PermutationGroup.pair_ids``, stacked |G| at a time into buffers.
         """
         import numpy as np
-        listed = {k: i for i, k in enumerate(self.matrices)}
-        stack = np.array(list(self.matrices.values()))
+        stack = np.array([self.matrices[k] for k in self.group.elements])  # indexed by id
         gram = stack.conj().swapaxes(1, 2) @ stack
         unitary_residual = max(abs(gram - np.eye(self.dim)).max(axis=(1, 2)).tolist())
         identity_residual = linalg.max_abs(self.matrices[self.group.identity] - np.eye(self.dim))
-        position = np.array([listed[k] for k in self.group.elements])  # of each element id in stack
+        flat = stack.reshape(len(stack), -1)
+        pivot = np.argmax(abs(flat), axis=1)
         pairs, pair_count = self.group.pair_ids(seed, sample_pairs)
+        ids = np.array(list(pairs), np.intp).reshape(-1, 3).T  # rows a, b, ab
+        size = min(len(stack), pair_count) or 1
+        left, right, product = (np.empty((size, self.dim, self.dim), complex) for _ in range(3))
+        residual = np.empty((size, self.dim * self.dim))
         hom_residual = 0.0
-        while chunk := list(itertools.islice(pairs, len(listed))):
-            a, b, ab = position[np.array(chunk).T]
-            product = (stack[a] @ stack[b]).reshape(len(chunk), -1)
-            expected = stack[ab].reshape(len(chunk), -1)
-            at = np.arange(len(chunk)), np.argmax(abs(expected), axis=1)
+        for start in range(0, pair_count, size):
+            a, b, ab = ids[:, start : start + size]
+            n = len(ab)
+            np.take(stack, a, 0, left[:n], "clip")  # ids are in range; unlike "raise",
+            np.take(stack, b, 0, right[:n], "clip")  # "clip" writes straight into out
+            got = np.matmul(left[:n], right[:n], product[:n]).reshape(n, -1)
+            expected = np.take(flat, ab, 0, left[:n].reshape(n, -1), "clip")
             with np.errstate(divide="ignore", invalid="ignore"):  # a zero U(ab) gives phase 1
-                phase = product[at] / expected[at]
+                phase = got[np.arange(n), pivot[ab]] / flat[ab, pivot[ab]]
                 mag = np.hypot(phase.real, phase.imag)  # bit for bit the scalar abs()
                 phase = np.where(mag > 0, phase / mag, 1.0)[:, None]
-            hom_residual = max(hom_residual, *abs(product - phase * expected).max(1).tolist())
+            scaled = np.multiply(phase, expected, right[:n].reshape(n, -1))
+            np.abs(np.subtract(got, scaled, scaled), residual[:n])
+            hom_residual = max(hom_residual, *residual[:n].max(1).tolist())
         return RepDiagnostics(
             unitary_residual=float(unitary_residual),
             identity_residual=float(identity_residual),
@@ -225,9 +234,10 @@ class CoherentFamily:
     def overlaps(self) -> np.ndarray:
         """``|<a|b>| / (|a| |b|)`` for every ordered pair of states, in element order.
 
-        Each entry is computed pair by pair, in the order of its indices, so it
-        is bit-identical to the same expression evaluated on the two states.
-        The diagonal is left at zero.
+        Each entry is computed pair by pair, so it is bit-identical to the same
+        expression evaluated on the two states.  Only pairs i < j are computed:
+        ``vdot(b, a)`` is the exact conjugate of ``vdot(a, b)``, so entry (j, i)
+        takes the same value.  The diagonal is left at zero.
         """
         import numpy as np
         if self._overlaps is None:
@@ -235,9 +245,9 @@ class CoherentFamily:
             norms = [np.linalg.norm(a) for a in states]
             overlaps = np.zeros((len(states), len(states)))
             for i, a in enumerate(states):
-                for j, b in enumerate(states):
-                    if i != j:
-                        overlaps[i, j] = abs(linalg.inner(a, b)) / float(norms[i] * norms[j])
+                for j in range(i + 1, len(states)):
+                    overlap = abs(linalg.inner(a, states[j])) / float(norms[i] * norms[j])
+                    overlaps[i, j] = overlaps[j, i] = overlap
             self._overlaps = overlaps
         return self._overlaps
 
@@ -505,11 +515,13 @@ def _relabelling_residuals(
     projectors = np.array(list(bundle.projectors.values()))
     preimages = np.argsort([induced[t].images for t in elements], axis=1)  # [t, v] = g_t^-1(v)
     relabelled = np.zeros((len(elements), bundle.dim, bundle.dim), dtype=complex)
-    for v, weight in enumerate(bundle.projectors):
-        relabelled = relabelled + weight * projectors[preimages[:, v]]
+    term = np.empty_like(relabelled)
+    for v, weight in enumerate(bundle.projectors):  # preimages are ids, so "clip" never clips
+        np.take(projectors, preimages[:, v], 0, term, "clip")
+        np.add(relabelled, np.multiply(weight, term, out=term), out=relabelled)
     t_matrices = np.array([family.rep(t) for t in elements])
     conjugated = t_matrices.conj().swapaxes(1, 2) @ bundle.operator @ t_matrices
-    return abs(conjugated - relabelled).max(axis=(1, 2)).tolist()
+    return abs(np.subtract(conjugated, relabelled, out=relabelled)).max(axis=(1, 2)).tolist()
 
 
 def conjugation_check(

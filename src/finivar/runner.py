@@ -18,7 +18,6 @@ from typing import Any
 from .linalg import DEFAULT_TOLERANCES
 from .report import STATUS_ERROR, STATUS_INFORMATIONAL, CheckRecord, VerificationReport
 from .representations import (
-    CoherentFamily,
     IrreducibilityDiagnostic,
     OperatorBundle,
     OperatorTolerances,
@@ -72,23 +71,17 @@ class _Context:
     def tol(self, name: str) -> float:
         return self.tolerances[name]
 
-    @property
-    def coherent_family(self) -> CoherentFamily:
-        if self.scenario.coherent_family is None:
-            raise ScenarioError("representation: scenario declares no representation")
-        return self.scenario.coherent_family
-
     @cached_property
     def operator_tolerances(self) -> OperatorTolerances:
         return OperatorTolerances.from_table(self.tolerances)
 
     @cached_property
     def rep_diagnostics(self) -> RepDiagnostics:
-        return self.coherent_family.rep.diagnostics()
+        return self.scenario.coherent_family.rep.diagnostics()
 
     @cached_property
     def irreducibility(self) -> IrreducibilityDiagnostic:
-        return commutant_diagnostic(self.coherent_family.rep, self.tol("commutant"))
+        return commutant_diagnostic(self.scenario.coherent_family.rep, self.tol("commutant"))
 
     def bundle(self, theta: ConceptualVariable, base_point: int) -> OperatorBundle:
         """Theta's operator over the scenario's coherent family.
@@ -99,7 +92,7 @@ class _Context:
         key = (theta.name, theta.values, theta.assignment, base_point)
         if key not in self._bundles:
             self._bundles[key] = build_operator(
-                theta, self.coherent_family, base_point, self.operator_tolerances
+                theta, self.scenario.coherent_family, base_point, self.operator_tolerances
             )
         return self._bundles[key]
 
@@ -130,8 +123,6 @@ def run_scenario(scenario: Scenario, flags: RunFlags | None = None) -> Verificat
         started = time.perf_counter()
         try:
             status, details = _HANDLERS[spec.type](ctx, spec.params)
-        except ScenarioError:
-            raise
         except Exception as exc:  # pragma: no cover - surfaced, not silenced
             status, details = STATUS_ERROR, {"error": f"{type(exc).__name__}: {exc}"}
         elapsed_ms = (time.perf_counter() - started) * 1000.0

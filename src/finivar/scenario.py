@@ -264,8 +264,11 @@ def _represented(scenario: Scenario, params: _Params, path: str) -> None:
 
 
 def _represented_unless_exchange(scenario: Scenario, params: _Params, path: str) -> None:
-    # theorem1 builds no operator for a pair it excludes, which it tells only as it runs.
-    if params["eta"] is None or scenario.space.product is None:
+    # theorem1 builds no operator for a pair the coordinate swap excludes.
+    theta, eta = params["variable"], params["eta"]
+    if eta is None or scenario.space.product is None or not flag_trivial_exchange(
+        theta, eta, params["generators"]
+    ):
         _represented(scenario, params, path)
 
 
@@ -342,7 +345,7 @@ def _handle_theorem1(ctx: Any, params: _Params) -> _Outcome:
             )
             return STATUS_NOT_APPLICABLE, details
 
-    family = ctx.coherent_family
+    family = ctx.scenario.coherent_family
     permissibility = is_permissible(theta, family.group)
     details["permissible"] = permissibility.ok
     if not permissibility.ok:
@@ -415,7 +418,7 @@ def _handle_theorem1(ctx: Any, params: _Params) -> _Outcome:
 
 def _handle_theorem2(ctx: Any, params: _Params) -> _Outcome:
     theta, base_point = params["variable"], params["base_point"]
-    family = ctx.coherent_family
+    family = ctx.scenario.coherent_family
     try:
         _, induced = induced_group(theta, family.group)
     except NotPermissibleError as exc:
@@ -592,7 +595,7 @@ _CHECK_PARAMS: dict[str, tuple[Any, ...]] = {
         _handle_eq1,
         ("basis", _variable, _required),
         _represented,
-        ("target", _target, lambda scenario, params, path: _target(None, path, scenario)),
+        ("target", _target, _required),
         ("index", _index, 0),
         _BASE_POINT,
     ),

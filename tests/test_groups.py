@@ -330,6 +330,31 @@ class TestInducedGroup:
         if group.is_transitive():
             assert induced.is_transitive()
 
+    @given(variable_group_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_images_are_permutations_and_a_refusal_names_the_first_break(self, pair):
+        """The induced images skip re-validation; each still is a permutation.
+        Oracle for the refusal: the first (k, block[0], phi) in scan order whose
+        images take different values."""
+        theta, group = pair
+        breaks = (
+            (k, block[0], phi)
+            for k in group.elements
+            for block in theta.blocks()
+            for phi in block[1:]
+            if theta(k(phi)) != theta(k(block[0]))
+        )
+        first = next(breaks, None)
+        if first is not None:
+            with pytest.raises(NotPermissibleError) as err:
+                induced_group(theta, group)
+            witness = err.value.witness
+            assert (witness.k, witness.phi1, witness.phi2) == first
+            return
+        induced, hom = induced_group(theta, group)
+        for p in (*induced.elements, *induced.generators, *hom.mapping.values()):
+            assert Permutation(p.images) == p and type(p.images) is tuple
+
 
 class TestElementPairs:
     def test_every_pair_up_to_the_limit(self):

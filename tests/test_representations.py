@@ -785,7 +785,7 @@ def with_phases(rep, seed):
 
 
 class TestDiagnosticsStack:
-    @pytest.mark.parametrize("n", range(1, 33))
+    @pytest.mark.parametrize("n", range(1, 41))
     def test_cyclic_dft(self, n):
         assert assert_diagnostics_match_pairs(cyclic_dft_rep(n)).pairs_checked == n * n
 
@@ -819,6 +819,89 @@ class TestDiagnosticsStack:
         rep = UnitaryRep(group, {k: _permutation_matrix(k) for k in group.elements})
         assert assert_diagnostics_match_pairs(rep, seed).pairs_checked == 1000
         assert assert_diagnostics_match_pairs(with_phases(rep, seed), seed).ok()
+
+
+def conjugated(rep, seed):
+    """The same representation in a seeded random unitary basis."""
+    u = random_unitary(rep.dim, seed)
+    return UnitaryRep(rep.group, {k: u @ m @ u.conj().T for k, m in rep.matrices.items()})
+
+
+def pairwise_overlaps(family):
+    """Oracle: ``CoherentFamily.overlaps`` evaluated at every ordered pair."""
+    states = list(family.states.values())
+    norms = [np.linalg.norm(a) for a in states]
+    overlaps = np.zeros((len(states), len(states)))
+    for i, a in enumerate(states):
+        for j, b in enumerate(states):
+            if i != j:
+                overlaps[i, j] = abs(linalg.inner(a, b)) / float(norms[i] * norms[j])
+    return overlaps
+
+
+def summed_relabellings(family, elements, induced, bundle):
+    """Oracle: ``_relabelling_residuals`` with a new array for every term and sum."""
+    projectors = np.array(list(bundle.projectors.values()))
+    preimages = np.argsort([induced[t].images for t in elements], axis=1)
+    relabelled = np.zeros((len(elements), bundle.dim, bundle.dim), dtype=complex)
+    for v, weight in enumerate(bundle.projectors):
+        relabelled = relabelled + weight * projectors[preimages[:, v]]
+    t_matrices = np.array([family.rep(t) for t in elements])
+    conjugated = t_matrices.conj().swapaxes(1, 2) @ bundle.operator @ t_matrices
+    return abs(conjugated - relabelled).max(axis=(1, 2)).tolist()
+
+
+def assert_relabelling_matches_the_sum(theta, family, base_point=0):
+    _, hom = induced_group(theta, family.group)
+    bundle = build_operator(theta, family, base_point)
+    elements = family.group.elements
+    got = representations._relabelling_residuals(family, elements, hom.mapping, bundle)
+    assert bits(got) == bits(summed_relabellings(family, elements, hom.mapping, bundle))
+
+
+class TestStackedScansMatchThePairLoops:
+    """The stacked scans equal their one-pair-at-a-time oracles bit for bit:
+    on cyclic Fourier representations, on seeded unitary conjugates of them
+    with random per-element phases (ray representations), and past
+    ``PAIR_EXHAUSTIVE_LIMIT`` on S6."""
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_cyclic_dft(self, n):
+        rng = np.random.default_rng(n)
+        plain = cyclic_dft_rep(n)
+        ray = with_phases(conjugated(plain, n), n)
+        assert_diagnostics_match_pairs(ray)  # ``TestDiagnosticsStack`` takes the plain one
+        for rep, base in ((plain, np.eye(n)[0]), (ray, random_unitary(n, n)[:, 0])):
+            drawn = CoherentFamily(rep, rng.normal(size=n) + 1j * rng.normal(size=n))
+            assert drawn.overlaps().tobytes() == pairwise_overlaps(drawn).tobytes()
+            family = CoherentFamily(rep, base)
+            assert family.overlaps().tobytes() == pairwise_overlaps(family).tobytes()
+            for modulus in sorted({m for m in (1, 2, 3, 4, n) if n % m == 0}):  # permissible
+                values = quarter_values(random.Random(n), modulus)
+                theta = ConceptualVariable("theta", rep.group.space, values, tuple(j % modulus for j in range(n)))
+                assert_relabelling_matches_the_sum(theta, family, int(rng.integers(n)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_regular_subgroups_of_s4_and_s6_in_a_random_basis(self, seed):
+        for n in (4, 6):
+            for group in regular_subgroups(n):
+                matrices = {k: _permutation_matrix(k).astype(complex) for k in group.elements}
+                rep = with_phases(conjugated(UnitaryRep(group, matrices), seed), seed)
+                assert_diagnostics_match_pairs(rep, seed)
+                family = CoherentFamily(rep, random_unitary(n, seed)[:, 0])
+                assert family.overlaps().tobytes() == pairwise_overlaps(family).tobytes()
+                values = quarter_values(random.Random(seed), n)
+                theta = ConceptualVariable("theta", group.space, values, tuple(range(n)))
+                assert_relabelling_matches_the_sum(theta, family, seed % n)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_s6_in_a_random_basis_samples_past_the_exhaustive_limit(self, seed):
+        group = PermutationGroup.generate(
+            space_of(6), (Permutation((1, 0, 2, 3, 4, 5)), Permutation((1, 2, 3, 4, 5, 0)))
+        )
+        rep = UnitaryRep(group, {k: _permutation_matrix(k) for k in group.elements})
+        rep = with_phases(conjugated(rep, seed), seed)
+        assert assert_diagnostics_match_pairs(rep, seed).pairs_checked == 1000
 
 
 class TestPairIds:

@@ -7,19 +7,23 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finivar import linalg, representations, runner, spin
-from finivar.builtins import builtin_text, load_builtin
+from finivar.builtins import builtin_names, builtin_text, load_builtin
 from finivar.report import (
     STATUS_ERROR,
     STATUS_FAIL,
     STATUS_INFORMATIONAL,
     STATUS_NOT_APPLICABLE,
     STATUS_PASS,
+    VerificationReport,
 )
 from finivar.runner import DEFAULT_TOLERANCES, RunFlags, resolve_tolerances, run_scenario
 from finivar.scenario import CHECK_TYPES, ScenarioError, loads
@@ -366,7 +370,7 @@ class TestParameterValidation:
             )
 
     def test_eq1_target_required(self):
-        with pytest.raises(ScenarioError, match="target: expected a mapping"):
+        with pytest.raises(ScenarioError, match=r"checks\[0\].target: required parameter is missing"):
             scenario_with("  - type: eq1-expansion\n    basis: position\n")
 
     @pytest.mark.parametrize(
@@ -436,6 +440,49 @@ class TestReportAssembly:
         assert all(c.elapsed_ms >= 0.0 for c in report.checks)
         assert report.exit_code == 0
 
+
+def dumped(report: VerificationReport) -> str:
+    return json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**300), 2**300)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 1e-300, 5e-324, 1e16, 1.5e16, 1.7976931348623157e308])
+    | st.text()
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é ☃ 𝄞", "\ud800", "\n\t\r"])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=5), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    """``to_json`` writes what ``json.dumps(indent=2, allow_nan=False)`` writes."""
+
+    @pytest.mark.parametrize("name", list(builtin_names()))
+    def test_builtins(self, name):
+        report = run_scenario(load_builtin(name))
+        assert report.to_json() == dumped(report)
+
+    @given(_JSON_VALUES)
+    @settings(max_examples=150, deadline=None)
+    def test_nested_values(self, value):
+        report = VerificationReport("drawn", {"hermitian": 1e-10}, {"value": value, "empty": [{}, []]})
+        assert report.to_json() == dumped(report)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_raise(self, bad):
+        report = VerificationReport("bad", {}, {"nested": [1, {"x": bad}]})
+        with pytest.raises(ValueError):
+            dumped(report)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            report.to_json()
 
 CYCLE12 = """
 name: cycle-12

@@ -250,11 +250,13 @@ representation:
             loads(text)
 
     def test_operator_check_requires_a_representation(self):
-        # A theorem1 pair the coordinate swap might exclude loads without one.
+        # The coordinate swap does not exclude this theorem1 pair, so it builds operators.
         text = builtin_mod.builtin_text("singlet").replace("eta: right-z", "eta: product-zz")
-        scenario = loads(text)
-        with pytest.raises(ScenarioError, match="representation: scenario declares no"):
-            run_scenario(scenario)
+        with pytest.raises(
+            ScenarioError,
+            match=r"checks\[2\].type: the check builds operators; the scenario declares no",
+        ):
+            loads(text)
 
     def test_unknown_variable_lookup(self):
         scenario = loads(MINIMAL)
