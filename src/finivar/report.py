@@ -129,8 +129,7 @@ class VerificationReport:
         """``json.dumps(self.to_dict(), indent=2, allow_nan=False)`` and a newline."""
         out: list[str] = []
         _write_json(self.to_dict(), "\n", out)
-        out.append("\n")
-        return "".join(out)
+        return "".join(out) + "\n"
 
     def to_text(self) -> str:
         lines = [f"scenario: {self.scenario}"]

@@ -87,11 +87,10 @@ class UnitaryRep:
     def diagnostics(self, seed: int = 0, sample_pairs: int = 1000) -> "RepDiagnostics":
         """Measure unitarity, the identity image, and the composition law.
 
-        The composition law is checked up to a global phase per pair, so exact
-        and ray representations both validate; the phase is read at U(ab)'s
-        first largest |entry|, found once per element.  The pairs, all of them
-        for small groups and a seeded sample for large ones, come as ids from
-        ``PermutationGroup.pair_ids``, stacked |G| at a time into buffers.
+        The composition law is checked up to a global phase per pair, read at
+        U(ab)'s first largest |entry|, so exact and ray representations both
+        validate.  The pairs (all, or a seeded sample past 500 elements) come as
+        ids from ``PermutationGroup.pair_ids``, stacked |G| at a time in buffers.
         """
         import numpy as np
         stack = np.array([self.matrices[k] for k in self.group.elements])  # indexed by id
@@ -244,10 +243,8 @@ class CoherentFamily:
             states = list(self.states.values())
             norms = [np.linalg.norm(a) for a in states]
             overlaps = np.zeros((len(states), len(states)))
-            for i, a in enumerate(states):
-                for j in range(i + 1, len(states)):
-                    overlap = abs(linalg.inner(a, states[j])) / float(norms[i] * norms[j])
-                    overlaps[i, j] = overlaps[j, i] = overlap
+            for (i, a), (j, b) in itertools.combinations(enumerate(states), 2):
+                overlaps[i, j] = overlaps[j, i] = abs(linalg.inner(a, b)) / float(norms[i] * norms[j])
             self._overlaps = overlaps
         return self._overlaps
 
@@ -299,10 +296,14 @@ def _scan_injectivity(
 ) -> InjectivityResult:
     import numpy as np
     elements, overlaps = family.group.elements, family.overlaps()
-    states = list(family.states.values())
+    states = np.array(list(family.states.values()))
     pairs = list(itertools.combinations(range(len(elements)), 2))  # in scan order
-    distances = [float(np.linalg.norm(states[i] - states[j])) for i, j in pairs]
-    near = [float(overlaps[i, j]) for i, j in pairs]
+    distances = []  # |a - b| as np.linalg.norm takes it: a ddot per part, then sqrt
+    for i, a in enumerate(states[:-1]):
+        diff = a - states[i + 1 :]
+        re, im = (np.matmul(p[:, None, :], p[:, :, None]).ravel() for p in (diff.real, diff.imag))
+        distances += np.sqrt(re + im).tolist()
+    near = overlaps[np.triu_indices(len(elements), 1)].tolist()
     hits = [
         (elements[i], elements[j])
         for (i, j), distance, overlap in zip(pairs, distances, near)

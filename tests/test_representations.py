@@ -839,6 +839,30 @@ def pairwise_overlaps(family):
     return overlaps
 
 
+def pairwise_injectivity(family, distance_tol, overlap_tol):
+    """Oracle: the injectivity scan with one ``np.linalg.norm`` per pair."""
+    elements, overlaps = family.group.elements, pairwise_overlaps(family)
+    states = list(family.states.values())
+    pairs = list(itertools.combinations(range(len(elements)), 2))
+    distances = [float(np.linalg.norm(states[i] - states[j])) for i, j in pairs]
+    near = [float(overlaps[i, j]) for i, j in pairs]
+    hits = [
+        (elements[i], elements[j])
+        for (i, j), distance, overlap in zip(pairs, distances, near)
+        if distance <= distance_tol or overlap >= 1 - overlap_tol
+    ]
+    return not hits, min(distances, default=None), max([0.0, *near]), hits[0] if hits else None
+
+
+def assert_injectivity_matches_the_pairs(family):
+    for tols in ((1e-9, 1e-9), (0.5, 1e-3), (2.0, 0.5)):
+        got = representations._scan_injectivity(family, *tols)
+        want = pairwise_injectivity(family, *tols)
+        assert (got.ok, bits([got.min_distance or 0]), got.max_overlap, got.witness) == (
+            want[0], bits([want[1] or 0]), want[2], want[3]
+        )
+
+
 def summed_relabellings(family, elements, induced, bundle):
     """Oracle: ``_relabelling_residuals`` with a new array for every term and sum."""
     projectors = np.array(list(bundle.projectors.values()))
@@ -860,7 +884,8 @@ def assert_relabelling_matches_the_sum(theta, family, base_point=0):
 
 
 class TestStackedScansMatchThePairLoops:
-    """The stacked scans equal their one-pair-at-a-time oracles bit for bit:
+    """The stacked scans (group law, overlaps, injectivity, relabelled sums)
+    equal their one-pair-at-a-time oracles bit for bit:
     on cyclic Fourier representations, on seeded unitary conjugates of them
     with random per-element phases (ray representations), and past
     ``PAIR_EXHAUSTIVE_LIMIT`` on S6."""
@@ -876,6 +901,8 @@ class TestStackedScansMatchThePairLoops:
             assert drawn.overlaps().tobytes() == pairwise_overlaps(drawn).tobytes()
             family = CoherentFamily(rep, base)
             assert family.overlaps().tobytes() == pairwise_overlaps(family).tobytes()
+            for scanned in (drawn, family, CoherentFamily(rep, np.ones(n))):  # ones: a collision
+                assert_injectivity_matches_the_pairs(scanned)
             for modulus in sorted({m for m in (1, 2, 3, 4, n) if n % m == 0}):  # permissible
                 values = quarter_values(random.Random(n), modulus)
                 theta = ConceptualVariable("theta", rep.group.space, values, tuple(j % modulus for j in range(n)))
@@ -890,6 +917,7 @@ class TestStackedScansMatchThePairLoops:
                 assert_diagnostics_match_pairs(rep, seed)
                 family = CoherentFamily(rep, random_unitary(n, seed)[:, 0])
                 assert family.overlaps().tobytes() == pairwise_overlaps(family).tobytes()
+                assert_injectivity_matches_the_pairs(family)
                 values = quarter_values(random.Random(seed), n)
                 theta = ConceptualVariable("theta", group.space, values, tuple(range(n)))
                 assert_relabelling_matches_the_sum(theta, family, seed % n)
