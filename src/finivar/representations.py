@@ -100,7 +100,7 @@ class UnitaryRep:
         flat = stack.reshape(len(stack), -1)
         pivot = np.argmax(abs(flat), axis=1)
         pairs, pair_count = self.group.pair_ids(seed, sample_pairs)
-        ids = np.array(list(pairs), np.intp).reshape(-1, 3).T  # rows a, b, ab
+        ids = np.fromiter(itertools.chain.from_iterable(pairs), np.intp).reshape(-1, 3).T
         size = min(len(stack), pair_count) or 1
         left, right, product = (np.empty((size, self.dim, self.dim), complex) for _ in range(3))
         residual = np.empty((size, self.dim * self.dim))
@@ -517,7 +517,7 @@ def _relabelling_residuals(
     preimages = np.argsort([induced[t].images for t in elements], axis=1)  # [t, v] = g_t^-1(v)
     relabelled = np.zeros((len(elements), bundle.dim, bundle.dim), dtype=complex)
     term = np.empty_like(relabelled)
-    for v, weight in enumerate(bundle.projectors):  # preimages are ids, so "clip" never clips
+    for v, weight in enumerate(bundle.projectors):  # ids are in range; "clip" writes into term
         np.take(projectors, preimages[:, v], 0, term, "clip")
         np.add(relabelled, np.multiply(weight, term, out=term), out=relabelled)
     t_matrices = np.array([family.rep(t) for t in elements])
