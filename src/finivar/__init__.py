@@ -20,7 +20,6 @@ from .groups import (
 from .harness import (
     classify_thoughts,
     exhaustive_falsifier,
-    proof_group_construction,
     theorem_a1_search,
 )
 from .report import VerificationReport
@@ -61,7 +60,6 @@ __all__ = [
     "load_path",
     "loads",
     "maximal_accessible",
-    "proof_group_construction",
     "run_scenario",
     "theorem_a1_search",
 ]

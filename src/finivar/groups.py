@@ -83,14 +83,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(n)))
 
-    @classmethod
-    def from_cycles(cls, n: int, cycles: Sequence[Sequence[int]]) -> "Permutation":
-        images = list(range(n))
-        for cycle in cycles:
-            for a, b in zip(cycle, cycle[1:] + type(cycle)([cycle[0]])):
-                images[a] = b
-        return cls(tuple(images))
-
     @property
     def degree(self) -> int:
         return len(self.images)

@@ -35,7 +35,6 @@ from .spaces import (
 from .subgroups import (
     MAX_EXACT_DEGREE,
     SubgroupClass,
-    subgroup_classes,
     subgroup_conjugacy_classes,
 )
 
@@ -47,9 +46,6 @@ __all__ = [
     "classify_thoughts",
     "A1SearchResult",
     "theorem_a1_search",
-    "ProofConstruction",
-    "proof_group_construction",
-    "FalsifierCounterexample",
     "FalsifierReport",
     "exhaustive_falsifier",
     "balanced_partitions",
@@ -194,11 +190,9 @@ def classify_thoughts(scenario: ThoughtScenario) -> ClassificationResult:
 
 @dataclass(frozen=True)
 class A1SearchResult:
-    status: str  # "pass" | "fail" | "not-applicable"
+    status: str  # "pass" | "not-applicable"
     reason: str
     candidates_checked: int
-    witness_partition: tuple[int, ...] | None = None
-    witness_element: Permutation | None = None
 
 
 def theorem_a1_search(
@@ -213,8 +207,12 @@ def theorem_a1_search(
     transitive with trivial isotropy) are checked first; any failure yields a
     not-applicable result naming the failed hypothesis.  Candidates are the
     family members, plus every partition with theta's block shape when
-    ``all_partitions`` is set (small spaces only).  Finding a candidate
-    falsifies the claim and is reported as a failure with the witness.
+    ``all_partitions`` is set (small spaces only), other than theta's and
+    eta's partitions.
+
+    Once the hypotheses hold the search cannot fail: a permissible theta is
+    fixed by every element, so every variable related to theta has theta's
+    partition and is no candidate.  The candidates are counted, not searched.
     """
     group = scenario.group
     maximal = set(maximal_accessible(scenario.family))
@@ -222,8 +220,7 @@ def theorem_a1_search(
         return A1SearchResult(
             "not-applicable", "theta and eta must be maximal within the family", 0
         )
-    relating = are_related(theta, eta, group)
-    if relating is None:
+    if are_related(theta, eta, group) is None:
         return A1SearchResult(
             "not-applicable", "theta and eta are not related under the group", 0
         )
@@ -242,9 +239,7 @@ def theorem_a1_search(
         return A1SearchResult("not-applicable", "group has nontrivial isotropy", 0)
 
     skip = {theta.partition(), eta.partition()}
-    candidates: list[ConceptualVariable] = [
-        m for m in scenario.members if m.partition() not in skip
-    ]
+    candidates = [m.partition() for m in scenario.members if m.partition() not in skip]
     if all_partitions:
         n = scenario.space.size
         if n > A1_PARTITION_ENUM_LIMIT:
@@ -253,38 +248,9 @@ def theorem_a1_search(
                 f"space has {n}"
             )
         sizes = tuple(sorted((len(b) for b in theta.blocks()), reverse=True))
-        seen = {c.partition() for c in candidates} | skip
-        for assignment in partitions_with_block_sizes(n, sizes):  # each comes once
-            if assignment not in seen:
-                candidates.append(_variable_from_partition(scenario.space, assignment, "candidate"))
-    checked = 0
-    for lam in candidates:
-        checked += 1
-        to_theta = are_related(lam, theta, group)
-        if to_theta is None:
-            continue
-        to_eta = are_related(lam, eta, group)
-        if to_eta is None:
-            return A1SearchResult(
-                "fail",
-                "found a maximal variable related to theta but not to eta",
-                checked,
-                witness_partition=lam.partition(),
-                witness_element=to_theta,
-            )
-    return A1SearchResult("pass", "no qualifying variable exists", checked)
-
-
-def _variable_from_partition(
-    space: PointSpace, assignment: tuple[int, ...], name: str
-) -> ConceptualVariable:
-    count = max(assignment) + 1
-    return ConceptualVariable(
-        name=name,
-        domain=space,
-        values=tuple(f"c{i}" for i in range(count)),
-        assignment=assignment,
-    )
+        seen = set(candidates) | skip
+        candidates += [p for p in partitions_with_block_sizes(n, sizes) if p not in seen]
+    return A1SearchResult("pass", "no qualifying variable exists", len(candidates))
 
 
 def partitions_with_block_sizes(n: int, sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -329,131 +295,12 @@ def balanced_partitions(n: int, blocks: int) -> tuple[tuple[int, ...], ...]:
 
 
 @dataclass(frozen=True)
-class ProofConstruction:
-    """Outcome of searching for a regular structure-preserving subgroup."""
-
-    found: bool
-    group: PermutationGroup | None
-    stabilizer_order: int
-    subgroups_searched: int
-    transitive: bool
-    trivial_isotropy: bool
-    theta_permissible: bool
-    reason: str
-
-
-def _partition_stabilizer(assignments: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """The permutations k of range(n) under which every assignment a∘k has a's partition.
-
-    Such a k maps each assignment's blocks onto its blocks.  Images are chosen
-    point by point, in lexicographic order, and a partial map is dropped as
-    soon as it sends two points of one block to different blocks, or two
-    blocks to one.
-    """
-    found: list[tuple[int, ...]] = []
-
-    def extend(images: tuple[int, ...], block_maps: tuple[dict[int, int], ...]) -> None:
-        x = len(images)
-        if x == n:
-            found.append(images)
-            return
-        for y in range(n):
-            if y in images:
-                continue
-            maps = []
-            for a, forward in zip(assignments, block_maps):
-                target = forward.get(a[x])
-                if target is None and a[y] in forward.values() or target not in (None, a[y]):
-                    break
-                maps.append(forward if target is not None else {**forward, a[x]: a[y]})
-            else:
-                extend(images + (y,), tuple(maps))
-
-    extend((), tuple({} for _ in assignments))
-    return found
-
-
-def proof_group_construction(
-    scenario: ThoughtScenario,
-    theta: ConceptualVariable,
-    lam: ConceptualVariable,
-    xi: ConceptualVariable,
-) -> ProofConstruction:
-    """Search for a group permuting theta-fibers that acts regularly.
-
-    Candidate elements are the permutations preserving all three fiber
-    structures (so only the triple's information moves); among the subgroups
-    of that stabilizer the lexicographically smallest transitive one with
-    trivial isotropy is selected: the least conjugate of a regular class
-    representative.  Not finding one is reported, not raised: the claim under
-    test asserts existence.
-    """
-    space = scenario.space
-    n = space.size
-    if n > 8:
-        raise ValueError(f"construction search is limited to 8 points, space has {n}")
-    for var in (theta, lam, xi):
-        if var.is_constant():
-            raise ValueError(f"variable {var.name!r} is constant, hence not maximal")
-        if var.domain != space:
-            raise ValueError(f"variable {var.name!r} does not live on the scenario space")
-    counts = {var.value_count for var in (theta, lam, xi)}
-    if len(counts) != 1:
-        raise ValueError("the three variables must have matching value-space sizes")
-    maximal = set(maximal_accessible(scenario.family))
-    for var in (theta, lam, xi):
-        if var not in maximal:
-            raise ValueError(f"variable {var.name!r} is not maximal within the family")
-    stabilizer = _partition_stabilizer([var.assignment for var in (theta, lam, xi)], n)
-    classes = subgroup_classes(stabilizer)
-    # of order n, a group is regular exactly when it moves 0 to every point
-    regular = [
-        cls.elements
-        for cls in classes
-        if cls.order == n and len({images[0] for images in cls.elements}) == n
-    ]
-    found, chosen = bool(regular), None
-    if found:  # regularity is invariant under conjugation
-        inverses = {k: tuple(sorted(range(n), key=k.__getitem__)) for k in stabilizer}
-        least = min(
-            tuple(sorted(compose(compose(k, h), k_inv) for h in elements))
-            for elements in regular
-            for k, k_inv in inverses.items()
-        )
-        chosen = PermutationGroup(space, (), tuple(Permutation(t) for t in least))
-    return ProofConstruction(
-        found=found,
-        group=chosen,
-        stabilizer_order=len(stabilizer),
-        subgroups_searched=sum(cls.conjugates for cls in classes),
-        transitive=found,
-        trivial_isotropy=found,
-        theta_permissible=found and bool(is_permissible(theta, chosen)),
-        reason=(
-            "selected the lexicographically smallest regular subgroup"
-            if found
-            else "no transitive subgroup with trivial isotropy preserves the triple"
-        ),
-    )
-
-
-@dataclass(frozen=True)
-class FalsifierCounterexample:
-    n: int
-    blocks: int
-    family: tuple[tuple[int, ...], ...]
-    group_elements: tuple[tuple[int, ...], ...]
-    classes: tuple[tuple[str, ...], ...]
-
-
-@dataclass(frozen=True)
 class FalsifierReport:
     max_n: int
     instances: int
     families: int
     verdict_counts: tuple[tuple[str, int], ...]
     mixed_with_satisfied_hypotheses: int
-    counterexamples: tuple[FalsifierCounterexample, ...]
     subgroup_classes_by_degree: tuple[tuple[int, int], ...]
     complete: bool
 
@@ -510,8 +357,8 @@ def exhaustive_falsifier(
     each (group, shape) needs only the group's orbits on the balanced
     partitions.  A permissible partition is fixed by every element (an orbit
     of size one), so only families of three fixed partitions under a
-    transitive group with trivial isotropy can satisfy the hypotheses; those
-    are classified one by one with :func:`classify_thoughts`.
+    transitive group with trivial isotropy satisfy the hypotheses, and their
+    mixed verdicts are counted from those orbits too.
     """
     if max_n < 1:
         raise ValueError("max_n must be positive")
@@ -519,45 +366,27 @@ def exhaustive_falsifier(
         raise ValueError(
             f"the census enumerates subgroup classes only up to {MAX_EXACT_DEGREE} points"
         )
-    instances = families_total = 0
+    instances = families_total = mixed_satisfied = 0
     verdict_counts = Counter({VERDICT_ALL_RELATED: 0, VERDICT_ALL_DIFFERENT: 0, VERDICT_MIXED: 0})
-    counterexamples: list[FalsifierCounterexample] = []
     classes_by_degree: list[tuple[int, int]] = []
     for n in range(1, max_n + 1):
         shapes = [(b, balanced_partitions(n, b)) for b in range(2, n) if n % b == 0]
         shapes = [(b, partitions) for b, partitions in shapes if len(partitions) >= 3]
         if not shapes:
             continue
-        space = PointSpace(id=f"points-{n}", labels=tuple(str(i) for i in range(n)))
         group_classes: tuple[SubgroupClass, ...] = subgroup_conjugacy_classes(n)
         classes_by_degree.append((n, len(group_classes)))
         for blocks, partitions in shapes:
             families_total += math.comb(len(partitions), 3)
             instances += math.comb(len(partitions), 3) * len(group_classes)
-            # keyed by (family, group index): partitions are sorted, so family-major
-            found: dict[tuple[tuple[tuple[int, ...], ...], int], FalsifierCounterexample] = {}
-            for g_idx, cls in enumerate(group_classes):
+            for cls in group_classes:
                 orbits = _partition_orbits(partitions, cls.generators)
                 verdict_counts.update(_verdict_counts(map(len, orbits)))
-                fixed = sorted(p for orbit in orbits if len(orbit) == 1 for p in orbit)
-                # transitive with trivial isotropy means regular: order n
-                if cls.order != n or len(fixed) < 3:
-                    continue
-                group = PermutationGroup(space, (), tuple(Permutation(t) for t in cls.elements))
-                if not (group.is_transitive() and group.has_trivial_isotropy()):
-                    continue
-                for combo in itertools.combinations(fixed, 3):
-                    members = tuple(
-                        _variable_from_partition(space, assignment, f"t{i}")
-                        for i, assignment in enumerate(combo)
-                    )
-                    scenario = ThoughtScenario(space, VariableFamily(members), group)
-                    result = classify_thoughts(scenario)
-                    if result.verdict == VERDICT_MIXED and result.hypotheses.satisfied:
-                        found[combo, g_idx] = FalsifierCounterexample(
-                            n, blocks, combo, cls.elements, result.classes
-                        )
-            counterexamples.extend(found[key] for key in sorted(found))
+                # of order n, a group is transitive with trivial isotropy
+                # exactly when it moves 0 to every point
+                if cls.order == n and len({images[0] for images in cls.elements}) == n:
+                    fixed = (1 for orbit in orbits if len(orbit) == 1)
+                    mixed_satisfied += _verdict_counts(fixed)[VERDICT_MIXED]
             if progress is not None:
                 progress(f"n={n} blocks={blocks}: done ({instances} instances so far)")
     return FalsifierReport(
@@ -565,8 +394,7 @@ def exhaustive_falsifier(
         instances=instances,
         families=families_total,
         verdict_counts=tuple(sorted(verdict_counts.items())),
-        mixed_with_satisfied_hypotheses=len(counterexamples),
-        counterexamples=tuple(counterexamples),
+        mixed_with_satisfied_hypotheses=mixed_satisfied,
         subgroup_classes_by_degree=tuple(classes_by_degree),
         complete=True,
     )

@@ -17,7 +17,6 @@ __all__ = [
     "SpectralData",
     "eigh",
     "is_hermitian",
-    "is_unitary",
     "tensor",
     "inner",
     "max_abs",
@@ -54,11 +53,6 @@ def max_abs(a: np.ndarray) -> float:
 
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOLERANCES["hermitian"]) -> bool:
     return max_abs(a - a.conj().T) <= tol
-
-
-def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOLERANCES["unitary"]) -> bool:
-    import numpy as np
-    return max_abs(u.conj().T @ u - np.eye(u.shape[0])) <= tol
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -112,10 +106,6 @@ class SpectralData:
 
     def vector(self, index: int) -> np.ndarray:
         return self.vectors[:, index]
-
-    def reconstruct(self) -> np.ndarray:
-        import numpy as np
-        return self.vectors @ np.diag(self.eigenvalues) @ self.vectors.conj().T
 
 
 def eigh(

@@ -352,9 +352,6 @@ class OperatorBundle:
     def is_nondegenerate(self) -> bool:
         return self.spectral.is_nondegenerate()
 
-    def eigenvalue_multiplicities(self) -> tuple[tuple[float, int], ...]:
-        return tuple((c.value, c.multiplicity) for c in self.spectral.clusters)
-
 
 def _qa_labels(variable: ConceptualVariable) -> dict[float, QuestionAnswer]:
     numeric = variable.numeric_values()

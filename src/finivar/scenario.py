@@ -509,9 +509,6 @@ def _handle_a1_search(ctx: Any, params: _Params) -> _Outcome:
         "reason": result.reason,
         "candidates_checked": result.candidates_checked,
     }
-    if result.witness_partition is not None:
-        details["witness_partition"] = list(result.witness_partition)
-        details["witness_element"] = result.witness_element
     return result.status, details
 
 
@@ -556,17 +553,6 @@ def _handle_a2_falsify(ctx: Any, params: _Params) -> _Outcome:
         "mixed_with_satisfied_hypotheses": report.mixed_with_satisfied_hypotheses,
         "complete": report.complete,
     }
-    if report.counterexamples:
-        details["counterexamples"] = [
-            {
-                "n": c.n,
-                "blocks": c.blocks,
-                "family": [list(p) for p in c.family],
-                "group": [list(g) for g in c.group_elements],
-                "classes": [list(names) for names in c.classes],
-            }
-            for c in report.counterexamples
-        ]
     return _status(report.mixed_with_satisfied_hypotheses == 0), details
 
 

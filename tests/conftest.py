@@ -25,6 +25,11 @@ def variable_from_assignment(
     )
 
 
+def multiplicities(bundle) -> tuple[tuple[float, int], ...]:
+    """Each eigenvalue cluster of an operator bundle as (value, multiplicity)."""
+    return tuple((c.value, c.multiplicity) for c in bundle.spectral.clusters)
+
+
 @st.composite
 def assignments(draw, min_points: int = 2, max_points: int = 8):
     """A surjective value assignment on n points, in canonical form."""

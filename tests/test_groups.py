@@ -44,10 +44,6 @@ class TestPermutation:
         q = Permutation((0, 2, 1))
         assert (p * q).images == (1, 0, 2)
 
-    def test_from_cycles(self):
-        assert Permutation.from_cycles(4, [(0, 1), (2, 3)]).images == (1, 0, 3, 2)
-        assert Permutation.from_cycles(3, [(0, 1, 2)]).images == (1, 2, 0)
-
     def test_fixed_points(self):
         assert Permutation((0, 2, 1, 3)).fixed_points() == (0, 3)
 

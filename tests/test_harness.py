@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 import itertools
-import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finivar.groups import Permutation, PermutationGroup, _close, are_related, is_permissible
+from finivar.groups import Permutation, PermutationGroup, are_related, is_permissible
 from finivar.harness import (
     _partition_orbits,
-    _partition_stabilizer,
     _verdict_counts,
     VERDICT_ALL_DIFFERENT,
     VERDICT_ALL_RELATED,
@@ -22,11 +21,10 @@ from finivar.harness import (
     classify_thoughts,
     exhaustive_falsifier,
     partitions_with_block_sizes,
-    proof_group_construction,
     theorem_a1_search,
 )
-from finivar.spaces import ConceptualVariable, PointSpace, VariableFamily, canonical_partition
-from finivar.subgroups import subgroup_classes, subgroup_conjugacy_classes
+from finivar.spaces import VariableFamily, canonical_partition
+from finivar.subgroups import subgroup_conjugacy_classes
 
 from conftest import permutations_of, space_of, variable_from_assignment
 
@@ -157,9 +155,64 @@ class TestClassifyThoughts:
             assert moved.partition() == by_name[r.right].partition()
 
 
+def regular_groups(max_n):
+    """One group of every regular (transitive, trivial isotropy) subgroup class
+    of S_n, n <= max_n."""
+    for n in range(1, max_n + 1):
+        for cls in subgroup_conjugacy_classes(n):
+            group = PermutationGroup(space_of(n), (), tuple(map(Permutation, cls.elements)))
+            if group.is_transitive() and group.has_trivial_isotropy():
+                yield group
+
+
+def balanced_shapes(n):
+    """The census's shapes: the balanced partitions of n points into 2..n-1 blocks."""
+    return [balanced_partitions(n, b) for b in range(2, n) if n % b == 0]
+
+
+def a1_lemma_cases():
+    """(group, theta, theta∘k) for every regular subgroup class of S_n, n <= 6,
+    every permissible balanced theta and every k in the group."""
+    for group in regular_groups(6):
+        for partitions in balanced_shapes(group.space.size):
+            for p in partitions:
+                theta = variable_from_assignment(group.space, p, "theta")
+                if is_permissible(theta, group):
+                    for k in group.elements:
+                        yield group, theta, theta.compose(k.images, "eta")
+
+
+def candidates_related_to_theta(scenario, theta, eta):
+    """The candidate loop theorem_a1_search once ran with ``all_partitions``:
+    every candidate, and those related to theta (each then tried against eta)."""
+    skip = {theta.partition(), eta.partition()}
+    candidates = [m for m in scenario.members if m.partition() not in skip]
+    sizes = tuple(sorted((len(b) for b in theta.blocks()), reverse=True))
+    seen = {c.partition() for c in candidates} | skip
+    for assignment in partitions_with_block_sizes(scenario.space.size, sizes):
+        if assignment not in seen:
+            candidates.append(variable_from_assignment(scenario.space, assignment, "candidate"))
+    related = [lam for lam in candidates if are_related(lam, theta, scenario.group) is not None]
+    return len(candidates), related
+
+
 class TestA1Search:
     def scenario(self, space, members, group):
         return ThoughtScenario(space, VariableFamily(members), group)
+
+    def test_no_candidate_is_related_to_a_permissible_theta(self):
+        """The lemma that decides every applicable search: a permissible theta
+        is fixed by every element, so theta∘k has theta's partition, and no
+        candidate (another partition) is related to theta."""
+        cases = list(a1_lemma_cases())
+        assert len(cases) == 52
+        for group, theta, eta in cases:
+            assert eta.partition() == theta.partition()
+            scenario = self.scenario(group.space, (theta, eta), group)
+            checked, related = candidates_related_to_theta(scenario, theta, eta)
+            assert related == []
+            result = theorem_a1_search(scenario, theta, eta, all_partitions=True)
+            assert (result.status, result.candidates_checked) == ("pass", checked)
 
     def test_pass_with_all_partitions(self, square4, rotation4):
         parity = variable_from_assignment(square4, (0, 1, 0, 1), "parity")
@@ -167,7 +220,6 @@ class TestA1Search:
         result = theorem_a1_search(scenario, parity, parity, all_partitions=True)
         assert result.status == "pass"
         assert result.candidates_checked == 2
-        assert result.witness_partition is None
 
     def test_not_applicable_when_not_maximal(self, square4, rotation4):
         members = pair_partition_family(square4)
@@ -310,226 +362,6 @@ class TestPartitionEnumeration:
             balanced_partitions(5, 2)
 
 
-class TestProofConstruction:
-    def test_finds_klein_four_group_for_pair_partitions(self, square4):
-        members = pair_partition_family(square4)
-        scenario = ThoughtScenario(
-            square4,
-            VariableFamily(members),
-            PermutationGroup.generate(square4, ()),
-        )
-        result = proof_group_construction(scenario, *members)
-        assert result.found
-        assert result.stabilizer_order == 4
-        assert result.subgroups_searched == 5
-        assert result.transitive and result.trivial_isotropy and result.theta_permissible
-        assert tuple(p.images for p in result.group.elements) == (
-            (0, 1, 2, 3),
-            (1, 0, 3, 2),
-            (2, 3, 0, 1),
-            (3, 2, 1, 0),
-        )
-
-    def test_reports_absence_without_raising(self):
-        space = space_of(6, "six")
-        combo = ((0, 0, 0, 1, 1, 1), (0, 0, 1, 0, 1, 1), (0, 0, 1, 1, 0, 1))
-        members = tuple(
-            variable_from_assignment(space, a, f"t{i}") for i, a in enumerate(combo)
-        )
-        scenario = ThoughtScenario(
-            space, VariableFamily(members), PermutationGroup.generate(space, ())
-        )
-        result = proof_group_construction(scenario, *members)
-        assert not result.found
-        assert result.group is None
-        assert result.stabilizer_order == 2
-        assert result.subgroups_searched == 2
-        assert "no transitive subgroup" in result.reason
-
-    def test_rejects_constant_variable(self, square4):
-        members = pair_partition_family(square4)
-        constant = ConceptualVariable(
-            name="const", domain=square4, values=("only",), assignment=(0, 0, 0, 0)
-        )
-        scenario = ThoughtScenario(
-            square4, VariableFamily(members), PermutationGroup.generate(square4, ())
-        )
-        with pytest.raises(ValueError, match="constant"):
-            proof_group_construction(scenario, constant, members[0], members[1])
-
-    def test_rejects_mismatched_value_counts(self, square4):
-        members = pair_partition_family(square4)
-        triple = variable_from_assignment(square4, (0, 1, 2, 2), "triple")
-        scenario = ThoughtScenario(
-            square4, VariableFamily(members), PermutationGroup.generate(square4, ())
-        )
-        with pytest.raises(ValueError, match="matching value-space sizes"):
-            proof_group_construction(scenario, members[0], members[1], triple)
-
-    def test_rejects_large_spaces(self):
-        space = space_of(9, "nine")
-        v = variable_from_assignment(space, (0, 0, 0, 1, 1, 1, 2, 2, 2), "t")
-        scenario = ThoughtScenario(
-            space, VariableFamily((v,)), PermutationGroup.generate(space, ())
-        )
-        with pytest.raises(ValueError, match="limited to 8 points"):
-            proof_group_construction(scenario, v, v, v)
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_stabilizer_order_matches_fiber_loop(self, seed):
-        """Oracle: count the permutations that map each variable's fibers into fibers."""
-
-        def preserves(images, var):
-            assignment = var.assignment
-            for block in var.blocks():
-                v0 = assignment[images[block[0]]]
-                for p in block[1:]:
-                    if assignment[images[p]] != v0:
-                        return False
-            return True
-
-        rng = random.Random(seed)
-        n = rng.randint(4, 6)
-        values = rng.randint(2, n - 1)
-        space = space_of(n, "triple")
-        base = list(range(values)) + [rng.randrange(values) for _ in range(n - values)]
-        members = []
-        for i in range(3):  # shuffled copies of one shape, so the stabilizer is often nontrivial
-            rng.shuffle(base)
-            members.append(variable_from_assignment(space, canonical_partition(base), f"t{i}"))
-        scenario = ThoughtScenario(
-            space, VariableFamily(tuple(members)), PermutationGroup.generate(space, ())
-        )
-        expected = sum(
-            all(preserves(images, var) for var in members)
-            for images in itertools.permutations(range(n))
-        )
-        result = proof_group_construction(scenario, *members)
-        assert result.stabilizer_order == expected
-
-
-def every_subgroup(elements, n):
-    """Every subgroup of the group ``elements``, sorted by (order, elements):
-    the trivial group joined with cyclic subgroups until no new join appears."""
-    cyclic = {frozenset(_close((g,), n, len(elements))): g for g in elements}
-    found = {frozenset(_close((), n, 1)): ()}
-    frontier = dict(found)
-    while frontier:
-        joins = {}
-        for h, gens in frontier.items():
-            for g in cyclic.values():
-                if g not in h:
-                    joins.setdefault(frozenset(_close(gens + (g,), n, len(elements))), gens + (g,))
-        frontier = {h: gens for h, gens in joins.items() if h not in found}
-        found.update(frontier)
-    return sorted((tuple(sorted(h)) for h in found), key=lambda els: (len(els), els))
-
-
-def triple_stabilizer(members):
-    """The permutations that map each member's fibers onto fibers."""
-    n = members[0].domain.size
-    return [
-        k
-        for k in itertools.permutations(range(n))
-        if all(
-            canonical_partition([var.assignment[k[i]] for i in range(n)]) == var.partition()
-            for var in members
-        )
-    ]
-
-
-def enumerate_then_filter(scenario, members):
-    """Reference selection: list every subgroup of the triple's stabilizer and
-    take the first transitive one with trivial isotropy.  Returns the
-    stabilizer order, the subgroup count and the chosen elements (or None)."""
-    stabilizer = triple_stabilizer(members)
-    subs = every_subgroup(stabilizer, scenario.space.size)
-    for els in subs:
-        group = PermutationGroup(scenario.space, (), tuple(map(Permutation, els)))
-        if len(els) == scenario.space.size and group.is_transitive() and group.has_trivial_isotropy():
-            return len(stabilizer), len(subs), els
-    return len(stabilizer), len(subs), None
-
-
-def triple_scenario(assignments):
-    space = space_of(len(assignments[0]), "triple")
-    members = [variable_from_assignment(space, a, f"t{i}") for i, a in enumerate(assignments)]
-    scenario = ThoughtScenario(
-        space, VariableFamily(tuple(members)), PermutationGroup.generate(space, ())
-    )
-    return scenario, members
-
-
-class TestProofConstructionOracle:
-    def assert_matches_oracle(self, scenario, members):
-        stabilizer_order, subgroup_count, expected = enumerate_then_filter(scenario, members)
-        result = proof_group_construction(scenario, *members)
-        assert result.stabilizer_order == stabilizer_order
-        assert result.subgroups_searched == subgroup_count
-        assert result.found == (expected is not None)
-        if expected is None:
-            assert result.group is None
-        else:
-            assert tuple(p.images for p in result.group.elements) == expected
-        return result
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_seeded_triples_match_enumerate_then_filter(self, seed):
-        """Balanced shapes where the points allow them, so that regular
-        subgroups exist; a member repeats the one before it half the time,
-        which enlarges the stabilizer."""
-        rng = random.Random(seed)
-        n = rng.randint(4, 6)
-        values = rng.choice([v for v in range(2, n) if n % v == 0] or [2])
-        base = [i % values for i in range(n)]
-        assignments = []
-        for i in range(3):
-            if i == 0 or rng.random() < 0.5:
-                rng.shuffle(base)
-            assignments.append(canonical_partition(base))
-        self.assert_matches_oracle(*triple_scenario(assignments))
-
-    def test_least_conjugate_is_chosen_over_the_class_representative(self):
-        """Three copies of one 2+2+2 partition: the smallest regular subgroup
-        is a conjugate of the class representative, not the representative."""
-        scenario, members = triple_scenario([(0, 1, 1, 0, 2, 2)] * 3)
-        result = self.assert_matches_oracle(scenario, members)
-        stabilizer = triple_stabilizer(members)
-        assert len(stabilizer) == 48
-        chosen = tuple(p.images for p in result.group.elements)
-        assert chosen not in [c.elements for c in subgroup_classes(stabilizer)]
-
-
-class TestPartitionStabilizer:
-    @pytest.mark.parametrize("seed", range(30))
-    def test_backtracking_matches_the_full_scan(self, seed):
-        """Random triples of 3-7 points, of any shapes: the same permutations,
-        in the same lexicographic order, as the n! scan."""
-        rng = random.Random(seed)
-        n = rng.randint(3, 7)
-        space = space_of(n, "triple")
-        members = []
-        for i in range(3):
-            values = rng.randint(1, n)
-            base = list(range(values)) + [rng.randrange(values) for _ in range(n - values)]
-            rng.shuffle(base)
-            members.append(variable_from_assignment(space, canonical_partition(base), f"t{i}"))
-        found = _partition_stabilizer([var.assignment for var in members], n)
-        assert found == triple_stabilizer(members)
-
-    def test_eight_points(self):
-        """Three copies of (0, 1, 2, 3, 3, 2, 0, 1): 384 permutations, which
-        the construction searches for regular subgroups."""
-        scenario, members = triple_scenario([(0, 1, 2, 3, 3, 2, 0, 1)] * 3)
-        stabilizer = triple_stabilizer(members)
-        assert len(stabilizer) == 384
-        assert _partition_stabilizer([var.assignment for var in members], 8) == stabilizer
-        result = proof_group_construction(scenario, *members)
-        assert result.found
-        assert result.stabilizer_order == 384
-        assert result.subgroups_searched == 1659
-
-
 class TestFalsifier:
     def test_four_point_goldens(self):
         report = exhaustive_falsifier(4)
@@ -539,7 +371,6 @@ class TestFalsifier:
         assert report.verdict_count(VERDICT_ALL_RELATED) == 4
         assert report.verdict_count(VERDICT_MIXED) == 4
         assert report.mixed_with_satisfied_hypotheses == 0
-        assert report.counterexamples == ()
         assert report.subgroup_classes_by_degree == ((4, 11),)
         assert report.complete
 
@@ -574,6 +405,25 @@ def classified_verdict_counts(n, partitions, cls):
         verdict = classify_thoughts(ThoughtScenario(space, VariableFamily(members), group)).verdict
         counts[verdict] += 1
     return counts
+
+
+def fixed_family_verdicts(max_n):
+    """Verdicts of every family of three partitions that a regular subgroup
+    class of S_n, n <= max_n, fixes, over every census shape, one
+    classification each: the only families whose hypotheses hold."""
+    verdicts = Counter()
+    for group in regular_groups(max_n):
+        elements = [k.images for k in group.elements]
+        for partitions in balanced_shapes(group.space.size):
+            fixed = [p for orbit in element_orbits(partitions, elements) if len(orbit) == 1 for p in orbit]
+            for combo in itertools.combinations(fixed, 3):
+                members = tuple(
+                    variable_from_assignment(group.space, a, f"t{i}") for i, a in enumerate(combo)
+                )
+                result = classify_thoughts(ThoughtScenario(group.space, VariableFamily(members), group))
+                assert result.hypotheses.satisfied
+                verdicts[result.verdict] += 1
+    return verdicts
 
 
 @st.composite
@@ -611,6 +461,10 @@ class TestOrbitCounting:
             orbits = _partition_orbits(partitions, cls.elements)
             counted = _verdict_counts(len(orbit) for orbit in orbits)
             assert counted == classified_verdict_counts(n, partitions, cls)
+        # the census counts the families that satisfy the hypotheses from the orbits
+        verdicts = fixed_family_verdicts(n)
+        assert set(verdicts) == {VERDICT_ALL_DIFFERENT}
+        assert exhaustive_falsifier(n).mixed_with_satisfied_hypotheses == verdicts[VERDICT_MIXED]
 
     @given(balanced_groups())
     @settings(max_examples=100, deadline=None)

@@ -25,11 +25,6 @@ class TestBasics:
         assert linalg.is_hermitian(np.array([[1, 1j], [-1j, 2]]))
         assert not linalg.is_hermitian(np.array([[1, 1j], [1j, 2]]))
 
-    def test_is_unitary(self):
-        phase = np.exp(0.7j)
-        assert linalg.is_unitary(np.array([[0, phase], [np.conj(phase), 0]]))
-        assert not linalg.is_unitary(np.array([[1, 1], [0, 1]]))
-
     def test_inner_conjugate_linear_first(self):
         u = np.array([1j, 0])
         v = np.array([1, 0])
@@ -106,7 +101,7 @@ class TestEigh:
     def test_reconstruction_and_order(self, n, seed):
         a = random_hermitian(n, seed)
         data = linalg.eigh(a)
-        assert linalg.max_abs(data.reconstruct() - a) < 1e-10
+        assert linalg.max_abs(data.vectors @ np.diag(data.eigenvalues) @ data.vectors.conj().T - a) < 1e-10
         assert all(
             data.eigenvalues[i] <= data.eigenvalues[i + 1] for i in range(n - 1)
         )

@@ -1,0 +1,42 @@
+"""The README's Library section documents exactly the package's public names."""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import finivar
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def library_section():
+    text = README.read_text(encoding="utf-8")
+    return text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
+def library_block():
+    return re.search(r"```python\n(.*?)```", library_section(), re.S).group(1)
+
+
+def test_library_imports_are_public_names():
+    tree = ast.parse(library_block())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "finivar"
+        for alias in node.names
+    ]
+    assert imported
+    assert sorted(set(imported) - set(finivar.__all__)) == []
+
+
+def test_every_public_name_is_in_the_library_section():
+    section = library_section()
+    missing = [name for name in finivar.__all__ if not re.search(rf"\b{re.escape(name)}\b", section)]
+    assert missing == []
+
+
+def test_library_example_runs():
+    exec(compile(library_block(), str(README), "exec"), {})

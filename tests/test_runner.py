@@ -153,7 +153,6 @@ class TestTolerances:
 # defaults to, by "<qualified name>.<parameter>".
 KEYWORD_TOLERANCES = {
     "is_hermitian.tol": "hermitian",
-    "is_unitary.tol": "unitary",
     "eigh.hermitian_tol": "hermitian",
     "eigh.cluster_gap": "eigen_cluster_gap",
     "RepDiagnostics.ok.unitary_tol": "unitary",

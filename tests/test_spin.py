@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from finivar import linalg, spin
 
+from conftest import multiplicities
+
 # Independently frozen expectations (diagonal sums and eigensolver oracle,
 # computed before the engine existed):
 #   eigenvalues of XX + YY + ZZ: [-3, 1, 1, 1]
@@ -73,7 +75,7 @@ class TestDeltaOperator:
     def test_spectrum_matches_frozen_oracle(self):
         bundle = spin.delta_operator()
         assert bundle.spectral.eigenvalues == pytest.approx(DELTA_EIGENVALUES, abs=1e-10)
-        clusters = bundle.eigenvalue_multiplicities()
+        clusters = multiplicities(bundle)
         assert len(clusters) == 2
         (low, low_mult), (high, high_mult) = clusters
         assert (low, low_mult) == (pytest.approx(-3.0, abs=1e-10), 1)

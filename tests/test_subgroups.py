@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import random
 from itertools import permutations as all_perms
 
 import pytest
@@ -256,18 +257,65 @@ def close(generators, n):
     return frozenset(elements)
 
 
-def pair_closure_classes(elements):
-    """Brute-force oracle for a group on 4 points: every subgroup of S4 is
-    2-generated, so the closures of all pairs are all subgroups.  Returns the
-    sorted (order, class size) of each class under conjugation by the group."""
+def class_shapes(subs, elements):
+    """The sorted (order, class size) of each class of the subgroups ``subs``
+    under conjugation by the group ``elements``."""
     n = len(elements[0])
-    subs = {close((a, b), n) for a in elements for b in elements}
     inverses = {k: tuple(sorted(range(n), key=k.__getitem__)) for k in elements}
     classes = {
         frozenset(frozenset(compose(compose(k, h), k_inv) for h in sub) for k, k_inv in inverses.items())
         for sub in subs
     }
     return sorted((len(next(iter(c))), len(c)) for c in classes)
+
+
+def pair_closure_classes(elements):
+    """Brute-force oracle for a group on 4 points: every subgroup of S4 is
+    2-generated, so the closures of all pairs are all subgroups."""
+    n = len(elements[0])
+    return class_shapes({close((a, b), n) for a in elements for b in elements}, elements)
+
+
+def every_subgroup(elements, n):
+    """Every subgroup of the group ``elements``: the trivial group joined with
+    cyclic subgroups until no new join appears."""
+    cyclic = {frozenset(groups._close((g,), n, len(elements))): g for g in elements}
+    found = {frozenset(groups._close((), n, 1)): ()}
+    frontier = dict(found)
+    while frontier:
+        joins = {}
+        for h, gens in frontier.items():
+            for g in cyclic.values():
+                if g not in h:
+                    joins.setdefault(frozenset(groups._close(gens + (g,), n, len(elements))), gens + (g,))
+        frontier = {h: gens for h, gens in joins.items() if h not in found}
+        found.update(frontier)
+    return set(found)
+
+
+def triple_stabilizer(assignments):
+    """The permutations that map each assignment's blocks onto its blocks."""
+    n = len(assignments[0])
+    return [
+        k
+        for k in all_perms(range(n))
+        if all(spaces.canonical_partition(compose(a, k)) == spaces.canonical_partition(a) for a in assignments)
+    ]
+
+
+def seeded_triple(seed):
+    """Three balanced partitions of 4-6 points; a member repeats the one before
+    it half the time, which enlarges the stabilizer."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 6)
+    values = rng.choice([v for v in range(2, n) if n % v == 0] or [2])
+    base = [i % values for i in range(n)]
+    assignments = []
+    for i in range(3):
+        if i == 0 or rng.random() < 0.5:
+            rng.shuffle(base)
+        assignments.append(spaces.canonical_partition(base))
+    return assignments
 
 
 def group_on_four_points(*generators):
@@ -377,3 +425,33 @@ class TestSubgroupClasses:
         subgroups.subgroup_conjugacy_classes.cache_clear()
         subgroups.subgroup_conjugacy_classes(4)
         assert len(calls) == 2
+
+
+class TestPartitionStabilizer:
+    """Subgroups of the stabilizer of three partitions: the permutations that
+    map each one's blocks onto its blocks."""
+
+    def assert_matches_every_subgroup(self, assignments):
+        stabilizer = triple_stabilizer(assignments)
+        classes = subgroups.subgroup_classes(stabilizer)
+        assert sorted((c.order, c.conjugates) for c in classes) == class_shapes(
+            every_subgroup(stabilizer, len(assignments[0])), stabilizer
+        )
+        return stabilizer, classes
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_triples_match_every_subgroup(self, seed):
+        self.assert_matches_every_subgroup(seeded_triple(seed))
+
+    def test_three_copies_of_one_partition_match_every_subgroup(self):
+        stabilizer, classes = self.assert_matches_every_subgroup([(0, 1, 1, 0, 2, 2)] * 3)
+        assert len(stabilizer) == 48
+        assert sum(c.conjugates for c in classes) == 98
+
+    def test_eight_points(self):
+        """Three copies of (0, 1, 2, 3, 3, 2, 0, 1): S2 wr S4, whose 1,659
+        subgroups the join search over every cyclic subgroup takes minutes to list."""
+        stabilizer = triple_stabilizer([(0, 1, 2, 3, 3, 2, 0, 1)] * 3)
+        assert len(stabilizer) == 384
+        classes = subgroups.subgroup_classes(stabilizer)
+        assert sum(c.conjugates for c in classes) == 1659
