@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -23,10 +24,11 @@ from finivar.harness import (
     partitions_with_block_sizes,
     theorem_a1_search,
 )
-from finivar.spaces import VariableFamily, canonical_partition
-from finivar.subgroups import subgroup_conjugacy_classes
+from finivar.spaces import VariableFamily, canonical_partition, compose
+from finivar.subgroups import subgroup_classes, subgroup_conjugacy_classes
 
 from conftest import permutations_of, space_of, variable_from_assignment
+from test_subgroups import class_shapes, every_subgroup, triple_stabilizer
 
 
 def pair_partition_family(space):
@@ -360,6 +362,184 @@ class TestPartitionEnumeration:
     def test_balanced_divisibility(self):
         with pytest.raises(ValueError, match="evenly split"):
             balanced_partitions(5, 2)
+
+
+def is_regular(space, elements):
+    if len(elements) != space.size:
+        return False
+    group = PermutationGroup(space, (), tuple(map(Permutation, elements)))
+    return group.is_transitive() and group.has_trivial_isotropy()
+
+
+def least_regular_subgroup(space, stabilizer, classes):
+    """The group the paper's proof constructs, from the kernel: among the
+    subgroup classes of a triple's stabilizer the regular ones, and of their
+    conjugates the lexicographically least; None when no class is regular."""
+    regular = [cls.elements for cls in classes if is_regular(space, cls.elements)]
+    inverses = {k: tuple(sorted(range(space.size), key=k.__getitem__)) for k in stabilizer}
+    return min(
+        (
+            tuple(sorted(compose(compose(k, h), k_inv) for h in elements))
+            for elements in regular
+            for k, k_inv in inverses.items()
+        ),
+        default=None,
+    )
+
+
+def enumerate_then_filter(space, subs):
+    """Reference selection: of every subgroup, sorted by (order, elements), the
+    first that is regular, or None."""
+    ordered = sorted((tuple(sorted(h)) for h in subs), key=lambda els: (len(els), els))
+    return next((els for els in ordered if is_regular(space, els)), None)
+
+
+class TestProofConstruction:
+    """The regular subgroups of the stabilizer of a triple theta, lambda, xi:
+    the group the proof of the paper's theorem builds, found with the kernel
+    that stays (subgroup_classes, is_permissible) and checked by brute force."""
+
+    def test_finds_klein_four_group_for_pair_partitions(self, square4):
+        members = pair_partition_family(square4)
+        stabilizer = triple_stabilizer([var.assignment for var in members])
+        classes = subgroup_classes(stabilizer)
+        assert len(stabilizer) == 4
+        assert sum(c.conjugates for c in classes) == 5
+        klein = least_regular_subgroup(square4, stabilizer, classes)
+        assert klein == ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+        group = PermutationGroup(square4, (), tuple(map(Permutation, klein)))
+        assert all(is_permissible(var, group) for var in members)
+
+    def test_reports_absence_without_raising(self):
+        combo = ((0, 0, 0, 1, 1, 1), (0, 0, 1, 0, 1, 1), (0, 0, 1, 1, 0, 1))
+        stabilizer = triple_stabilizer(combo)
+        classes = subgroup_classes(stabilizer)
+        assert len(stabilizer) == 2
+        assert sum(c.conjugates for c in classes) == 2
+        assert least_regular_subgroup(space_of(6, "six"), stabilizer, classes) is None
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_stabilizer_order_matches_fiber_loop(self, seed):
+        """Oracle: count the permutations that map each variable's fibers into
+        fibers.  The same permutations are those whose cyclic group leaves
+        every variable permissible."""
+
+        def preserves(images, var):
+            assignment = var.assignment
+            for block in var.blocks():
+                v0 = assignment[images[block[0]]]
+                for p in block[1:]:
+                    if assignment[images[p]] != v0:
+                        return False
+            return True
+
+        rng = random.Random(seed)
+        n = rng.randint(4, 6)
+        values = rng.randint(2, n - 1)
+        space = space_of(n, "triple")
+        base = list(range(values)) + [rng.randrange(values) for _ in range(n - values)]
+        members = []
+        for i in range(3):  # shuffled copies of one shape, so the stabilizer is often nontrivial
+            rng.shuffle(base)
+            members.append(variable_from_assignment(space, canonical_partition(base), f"t{i}"))
+        expected = [
+            images
+            for images in itertools.permutations(range(n))
+            if all(preserves(images, var) for var in members)
+        ]
+        permissible = [
+            images
+            for images in itertools.permutations(range(n))
+            if all(
+                is_permissible(var, PermutationGroup.generate(space, (Permutation(images),)))
+                for var in members
+            )
+        ]
+        assert permissible == expected
+        assert len(triple_stabilizer([var.assignment for var in members])) == len(expected)
+
+
+def seeded_triple(seed):
+    """Three balanced partitions of 4-6 points; a member repeats the one before
+    it half the time, which enlarges the stabilizer."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 6)
+    values = rng.choice([v for v in range(2, n) if n % v == 0] or [2])
+    base = [i % values for i in range(n)]
+    assignments = []
+    for i in range(3):
+        if i == 0 or rng.random() < 0.5:
+            rng.shuffle(base)
+        assignments.append(canonical_partition(base))
+    return assignments
+
+
+class TestProofConstructionOracle:
+    def assert_matches_oracle(self, assignments):
+        """subgroup_classes lists the subgroups the join over every cyclic
+        subgroup finds, and its least regular conjugate is the first regular
+        subgroup of that full list."""
+        space = space_of(len(assignments[0]), "triple")
+        stabilizer = triple_stabilizer(assignments)
+        classes = subgroup_classes(stabilizer)
+        subs = every_subgroup(stabilizer, space.size)
+        assert sorted((c.order, c.conjugates) for c in classes) == class_shapes(subs, stabilizer)
+        chosen = least_regular_subgroup(space, stabilizer, classes)
+        assert chosen == enumerate_then_filter(space, subs)
+        return stabilizer, classes, chosen
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_triples_match_enumerate_then_filter(self, seed):
+        """Balanced shapes where the points allow them, so that regular
+        subgroups exist."""
+        self.assert_matches_oracle(seeded_triple(seed))
+
+    def test_least_conjugate_is_chosen_over_the_class_representative(self):
+        """Three copies of one 2+2+2 partition: the smallest regular subgroup
+        is a conjugate of the class representative, not the representative."""
+        stabilizer, classes, chosen = self.assert_matches_oracle([(0, 1, 1, 0, 2, 2)] * 3)
+        assert len(stabilizer) == 48
+        assert chosen is not None
+        assert chosen not in [c.elements for c in classes]
+
+
+class TestPartitionStabilizer:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_backtracking_matches_the_full_scan(self, seed):
+        """Random triples of 3-7 points, of any shapes: the permutations the
+        full scan finds are those under which _partition_orbits leaves each
+        partition its own orbit, in the same order, and they form a group
+        under which each variable is permissible."""
+        rng = random.Random(seed)
+        n = rng.randint(3, 7)
+        space = space_of(n, "triple")
+        members = []
+        for i in range(3):
+            values = rng.randint(1, n)
+            base = list(range(values)) + [rng.randrange(values) for _ in range(n - values)]
+            rng.shuffle(base)
+            members.append(variable_from_assignment(space, canonical_partition(base), f"t{i}"))
+        partitions = tuple(var.partition() for var in members)
+        stabilizer = triple_stabilizer(partitions)
+        fixing = [
+            k
+            for k in itertools.permutations(range(n))
+            if all(len(orbit) == 1 for orbit in _partition_orbits(partitions, [k]))
+        ]
+        assert fixing == stabilizer
+        group = PermutationGroup(space, (), tuple(map(Permutation, stabilizer)))
+        assert all(is_permissible(var, group) for var in members)
+
+    def test_eight_points(self):
+        """Three copies of (0, 1, 2, 3, 3, 2, 0, 1): S2 wr S4, 384 permutations,
+        whose 1,659 subgroups the join search over every cyclic subgroup takes
+        minutes to list; a regular one is among them."""
+        space = space_of(8, "eight")
+        stabilizer = triple_stabilizer([(0, 1, 2, 3, 3, 2, 0, 1)] * 3)
+        assert len(stabilizer) == 384
+        classes = subgroup_classes(stabilizer)
+        assert sum(c.conjugates for c in classes) == 1659
+        assert least_regular_subgroup(space, stabilizer, classes) is not None
 
 
 class TestFalsifier:
