@@ -14,7 +14,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence
 
 from .spaces import (
     ConceptualVariable,
@@ -42,8 +42,7 @@ __all__ = [
 
 DEFAULT_CLOSURE_CAP = 1_000_000
 PAIR_EXHAUSTIVE_LIMIT = 500
-
-_T = TypeVar("_T")
+PAIR_SAMPLE_SIZE = 1000
 
 
 class GroupTooLargeError(RuntimeError):
@@ -234,11 +233,17 @@ class PermutationGroup:
             return self._table[a][b]
         return self._ids[compose(self.elements[a].images, self.elements[b].images)]
 
-    def pair_ids(
-        self, seed: int = 0, sample_pairs: int = 1000
-    ) -> tuple[Iterator[tuple[int, int, int]], int]:
-        """The pairs of ``element_pairs``, as ``(a, b, ab)`` ids, and their count."""
-        positions, count = element_pairs(range(self.order), seed, sample_pairs)
+    def pair_ids(self) -> tuple[Iterator[tuple[int, int, int]], int]:
+        """The pairs to check a composition law on, as ``(a, b, ab)`` ids, and their
+        count: every ordered pair up to ``PAIR_EXHAUSTIVE_LIMIT`` elements, else
+        ``PAIR_SAMPLE_SIZE`` pairs drawn by ``random.Random(0)``."""
+        n = self.order
+        if n <= PAIR_EXHAUSTIVE_LIMIT:
+            positions, count = itertools.product(range(n), repeat=2), n * n
+        else:
+            rng = random.Random(0)
+            positions = ((rng.randrange(n), rng.randrange(n)) for _ in range(PAIR_SAMPLE_SIZE))
+            count = PAIR_SAMPLE_SIZE
         return ((a, b, self.product_id(a, b)) for a, b in positions), count
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
@@ -266,19 +271,6 @@ class PermutationGroup:
         return True
 
 
-def element_pairs(
-    elements: Sequence[_T], seed: int = 0, sample_pairs: int = 1000
-) -> tuple[Iterable[tuple[_T, _T]], int]:
-    """Pairs to check a composition law on, and their count: every ordered pair up to
-    ``PAIR_EXHAUSTIVE_LIMIT`` elements, else ``sample_pairs`` seeded random pairs."""
-    n = len(elements)
-    if n <= PAIR_EXHAUSTIVE_LIMIT:
-        return itertools.product(elements, elements), n * n
-    rng = random.Random(seed)
-    pairs = ((elements[rng.randrange(n)], elements[rng.randrange(n)]) for _ in range(sample_pairs))
-    return pairs, sample_pairs
-
-
 class GroupHomomorphism:
     """An element map between two permutation groups."""
 
@@ -297,7 +289,7 @@ class GroupHomomorphism:
     def __call__(self, k: Permutation) -> Permutation:
         return self.mapping[k]
 
-    def verify(self, seed: int = 0, sample_pairs: int = 1000) -> bool:
+    def verify(self) -> bool:
         """Check that every value lies in the target, and the identity and
         composition laws on the pairs of ``PermutationGroup.pair_ids``."""
         if not self.mapping[self.source.identity].is_identity():
@@ -306,7 +298,7 @@ class GroupHomomorphism:
         phi = [to_target.get(self.mapping[k].images) for k in self.source.elements]
         if None in phi:  # a value outside the target group
             return False
-        pairs, _ = self.source.pair_ids(seed, sample_pairs)
+        pairs, _ = self.source.pair_ids()
         product = self.target.product_id
         return all(phi[ab] == product(phi[a], phi[b]) for a, b, ab in pairs)
 

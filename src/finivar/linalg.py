@@ -16,8 +16,6 @@ __all__ = [
     "EigenCluster",
     "SpectralData",
     "eigh",
-    "is_hermitian",
-    "tensor",
     "inner",
     "max_abs",
     "DEFAULT_TOLERANCES",
@@ -49,15 +47,6 @@ class NotHermitianError(ValueError):
 
 def max_abs(a: np.ndarray) -> float:
     return float(abs(a).max()) if a.size else 0.0
-
-
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOLERANCES["hermitian"]) -> bool:
-    return max_abs(a - a.conj().T) <= tol
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    import numpy as np
-    return np.kron(a, b)
 
 
 def inner(u: np.ndarray, v: np.ndarray) -> complex:

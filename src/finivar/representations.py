@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, fields
 
 from . import linalg
-from .groups import Permutation, PermutationGroup, _require_acting_group, induced_group
+from .groups import GroupHomomorphism, Permutation, PermutationGroup, _require_acting_group
 from .spaces import ConceptualVariable, PointSpace
 
 __all__ = [
@@ -33,8 +33,6 @@ __all__ = [
     "OperatorBundle",
     "build_operator",
     "bundle_from_matrix",
-    "ConjugationResult",
-    "conjugation_law",
     "conjugation_check",
     "BasisExpansion",
     "expand_in_basis",
@@ -84,12 +82,12 @@ class UnitaryRep:
     def __call__(self, k: Permutation) -> np.ndarray:
         return self.matrices[k]
 
-    def diagnostics(self, seed: int = 0, sample_pairs: int = 1000) -> "RepDiagnostics":
+    def diagnostics(self) -> "RepDiagnostics":
         """Measure unitarity, the identity image, and the composition law.
 
         The composition law is checked up to a global phase per pair, read at
         U(ab)'s first largest |entry|, so exact and ray representations both
-        validate.  The pairs (all, or a seeded sample past 500 elements) come as
+        validate.  The pairs (all, or a fixed sample past 500 elements) come as
         ids from ``PermutationGroup.pair_ids``, stacked |G| at a time in buffers.
         """
         import numpy as np
@@ -99,7 +97,7 @@ class UnitaryRep:
         identity_residual = linalg.max_abs(self.matrices[self.group.identity] - np.eye(self.dim))
         flat = stack.reshape(len(stack), -1)
         pivot = np.argmax(abs(flat), axis=1)
-        pairs, pair_count = self.group.pair_ids(seed, sample_pairs)
+        pairs, pair_count = self.group.pair_ids()
         ids = np.fromiter(itertools.chain.from_iterable(pairs), np.intp).reshape(-1, 3).T
         size = min(len(stack), pair_count) or 1
         left, right, product = (np.empty((size, self.dim, self.dim), complex) for _ in range(3))
@@ -463,55 +461,20 @@ def bundle_from_matrix(
     )
 
 
-@dataclass(frozen=True)
-class ConjugationResult:
-    element: Permutation
-    residual: float
-    ok: bool
-
-
-def conjugation_law(
-    theta: ConceptualVariable,
-    family: CoherentFamily,
-    elements: tuple[Permutation, ...] | None = None,
-    base_point: int = 0,
-    tolerances: OperatorTolerances = OperatorTolerances(),
-    bundle: OperatorBundle | None = None,
+def conjugation_check(
+    family: CoherentFamily, induced: GroupHomomorphism, bundle: OperatorBundle
 ) -> list[float]:
-    """max |T(t)^dag A T(t) - sum_u w_g(u) P_u| for each element t (default: the group).
+    """max |T(t)^dag A T(t) - sum_u w_g(u) P_u| for every group element t, in id order.
 
-    A is theta's operator, P_u its projector for value u, and g the map t
-    induces on theta's values (``groups.induced_group``): the group acts on
-    the question by relabelling its answers.  That map exists only for a
-    permissible theta, so :class:`NotPermissibleError` is raised otherwise,
-    before any operator is built.  ``bundle``, theta's own operator, may be
-    passed in.
+    A is theta's operator ``bundle``, P_u its projector for value u, and g
+    the map ``induced`` (from ``groups.induced_group``) sends t to: the group
+    acts on the question by relabelling its answers.  The relabelled
+    projectors are summed in target-value order, as ``build_operator`` sums them.
     """
-    group = family.group
-    elements = group.elements if elements is None else elements
-    outside = next((t for t in elements if t not in group), None)
-    if outside is not None:
-        raise ValueError(f"element {list(outside.images)} is not in the family's group")
-    _, induced = induced_group(theta, group)
-    if bundle is None:
-        bundle = build_operator(theta, family, base_point, tolerances)
-    return _relabelling_residuals(family, elements, induced.mapping, bundle)
-
-
-def _relabelling_residuals(
-    family: CoherentFamily,
-    elements: tuple[Permutation, ...],
-    induced: dict[Permutation, Permutation],
-    bundle: OperatorBundle,
-) -> list[float]:
-    """``conjugation_law`` once the element map ``induced`` and theta's
-    ``bundle`` are known.  The relabelled projectors are summed in
-    target-value order, as ``build_operator`` sums them."""
     import numpy as np
-    if not elements:
-        return []
+    elements = family.group.elements
     projectors = np.array(list(bundle.projectors.values()))
-    preimages = np.argsort([induced[t].images for t in elements], axis=1)  # [t, v] = g_t^-1(v)
+    preimages = np.argsort([induced(t).images for t in elements], axis=1)  # [t, v] = g_t^-1(v)
     relabelled = np.zeros((len(elements), bundle.dim, bundle.dim), dtype=complex)
     term = np.empty_like(relabelled)
     for v, weight in enumerate(bundle.projectors):  # ids are in range; "clip" writes into term
@@ -520,20 +483,6 @@ def _relabelling_residuals(
     t_matrices = np.array([family.rep(t) for t in elements])
     conjugated = t_matrices.conj().swapaxes(1, 2) @ bundle.operator @ t_matrices
     return abs(np.subtract(conjugated, relabelled, out=relabelled)).max(axis=(1, 2)).tolist()
-
-
-def conjugation_check(
-    theta: ConceptualVariable,
-    family: CoherentFamily,
-    element: Permutation,
-    base_point: int = 0,
-    tol: float = _DEFAULTS["conjugation_residual"],
-    tolerances: OperatorTolerances = OperatorTolerances(),
-    bundle: OperatorBundle | None = None,
-) -> ConjugationResult:
-    """Verify that T(t) relabels theta's answers by the induced map: ``conjugation_law`` at t."""
-    (residual,) = conjugation_law(theta, family, (element,), base_point, tolerances, bundle)
-    return ConjugationResult(element=element, residual=residual, ok=residual <= tol)
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,7 @@ from .harness import exhaustive_falsifier, theorem_a1_search
 from .linalg import DEFAULT_TOLERANCES
 from .report import STATUS_ERROR, STATUS_FAIL, STATUS_NOT_APPLICABLE, STATUS_PASS
 from .representations import CoherentFamily, CoherentStateError, UnitaryRep
-from .representations import _relabelling_residuals, bundle_from_matrix, check_coherent_injectivity
+from .representations import bundle_from_matrix, check_coherent_injectivity, conjugation_check
 from .representations import cyclic_dft_rep, expand_in_basis, qubit_rep
 from .spaces import ConceptualVariable, PointSpace, VariableFamily, maximal_accessible
 from .subgroups import MAX_EXACT_DEGREE
@@ -428,8 +428,7 @@ def _handle_theorem2(ctx: Any, params: _Params) -> _Outcome:
             "witness": _witness_payload(exc.witness),
         }
     elements = family.group.elements
-    bundle = ctx.bundle(theta, base_point)
-    residuals = _relabelling_residuals(family, elements, induced.mapping, bundle)
+    residuals = conjugation_check(family, induced, ctx.bundle(theta, base_point))
     max_residual = max([0.0, *residuals])
     details = {
         "variable": theta.name,

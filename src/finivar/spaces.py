@@ -190,9 +190,6 @@ class ConceptualVariable:
             out[v].append(point)
         return tuple(tuple(b) for b in out)
 
-    def is_constant(self) -> bool:
-        return len(self.values) == 1
-
     def is_identity_partition(self) -> bool:
         return len(self.values) == self.domain.size
 

@@ -99,8 +99,9 @@ def delta_operator(
     singlet is a simple eigenvector and the complementary eigenvalue is triply
     degenerate, reported through its cluster projector.
     """
+    import numpy as np
     sx, sy, sz = _pauli()
-    matrix = linalg.tensor(sx, sx) + linalg.tensor(sy, sy) + linalg.tensor(sz, sz)
+    matrix = np.kron(sx, sx) + np.kron(sy, sy) + np.kron(sz, sz)
     return bundle_from_matrix("delta", matrix, hermitian_tol, cluster_gap)
 
 
@@ -112,7 +113,7 @@ def anticorrelation_residual(direction: SpinDirection) -> float:
     import numpy as np
     component = spin_component_operator(direction)
     eye = np.eye(2, dtype=complex)
-    total = linalg.tensor(component, eye) + linalg.tensor(eye, component)
+    total = np.kron(component, eye) + np.kron(eye, component)
     return linalg.max_abs(total @ singlet())
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 from hypothesis import strategies as st
 
@@ -23,6 +26,18 @@ def variable_from_assignment(
         values=tuple(f"{i}" for i in range(count)),
         assignment=assignment,
     )
+
+
+def element_pairs(elements, seed: int = 0, sample_pairs: int = 1000):
+    """Oracle: the pairs to check a composition law on, and their count: every
+    ordered pair up to 500 elements, else ``sample_pairs`` pairs drawn by
+    ``random.Random(seed)``.  ``PermutationGroup.pair_ids`` draws with seed 0
+    and 1000 pairs."""
+    n = len(elements)
+    if n <= 500:
+        return itertools.product(elements, elements), n * n
+    rng = random.Random(seed)
+    return [(elements[rng.randrange(n)], elements[rng.randrange(n)]) for _ in range(sample_pairs)], sample_pairs
 
 
 def multiplicities(bundle) -> tuple[tuple[float, int], ...]:

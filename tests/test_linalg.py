@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finivar import linalg
+from finivar import linalg, spin
 
 
 def random_hermitian(n: int, seed: int) -> np.ndarray:
@@ -22,8 +22,10 @@ class TestBasics:
         assert linalg.max_abs(np.array([])) == 0.0
 
     def test_is_hermitian(self):
-        assert linalg.is_hermitian(np.array([[1, 1j], [-1j, 2]]))
-        assert not linalg.is_hermitian(np.array([[1, 1j], [1j, 2]]))
+        # ``eigh`` decides Hermiticity itself, against the ``hermitian`` tolerance.
+        assert linalg.eigh(np.array([[1, 1j], [-1j, 2]])).dim == 2
+        with pytest.raises(linalg.NotHermitianError):
+            linalg.eigh(np.array([[1, 1j], [1j, 2]]))
 
     def test_inner_conjugate_linear_first(self):
         u = np.array([1j, 0])
@@ -32,9 +34,11 @@ class TestBasics:
         assert linalg.inner(v, u) == pytest.approx(1j)
 
     def test_tensor_shape(self):
-        a = np.eye(2)
-        b = np.ones((3, 3))
-        assert linalg.tensor(a, b).shape == (6, 6)
+        # Pair-space operators are Kronecker products of the 2 x 2 spin components.
+        sigmas = (spin.SIGMA_X, spin.SIGMA_Y, spin.SIGMA_Z)
+        operator = spin.delta_operator().operator
+        assert operator.shape == (4, 4)
+        assert np.array_equal(operator, sum(np.kron(s, s) for s in sigmas))
 
     def test_fix_phase_pivot_positive(self):
         v = np.array([-1 / np.sqrt(2), 1 / np.sqrt(2)])

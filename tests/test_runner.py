@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finivar import linalg, representations, runner, spin
+from finivar import linalg, representations, runner, scenario, spin
 from finivar.builtins import builtin_names, builtin_text, load_builtin
+from finivar.groups import Permutation, PermutationGroup, is_permissible
 from finivar.report import (
     STATUS_ERROR,
     STATUS_FAIL,
@@ -27,6 +28,8 @@ from finivar.report import (
 )
 from finivar.runner import DEFAULT_TOLERANCES, RunFlags, resolve_tolerances, run_scenario
 from finivar.scenario import CHECK_TYPES, ScenarioError, loads
+from finivar.spaces import ConceptualVariable, PointSpace
+from finivar.subgroups import subgroup_conjugacy_classes
 
 CIRCLE4 = """
 name: circle
@@ -152,7 +155,6 @@ class TestTolerances:
 # The table entry each tolerance keyword of linalg, representations and spin
 # defaults to, by "<qualified name>.<parameter>".
 KEYWORD_TOLERANCES = {
-    "is_hermitian.tol": "hermitian",
     "eigh.hermitian_tol": "hermitian",
     "eigh.cluster_gap": "eigen_cluster_gap",
     "RepDiagnostics.ok.unitary_tol": "unitary",
@@ -161,7 +163,6 @@ KEYWORD_TOLERANCES = {
     "check_coherent_injectivity.overlap_tol": "injectivity_overlap",
     "bundle_from_matrix.hermitian_tol": "hermitian",
     "bundle_from_matrix.cluster_gap": "eigen_cluster_gap",
-    "conjugation_check.tol": "conjugation_residual",
     "BasisExpansion.ok.reconstruction_tol": "expansion_reconstruction",
     "BasisExpansion.ok.weight_tol": "expansion_weight",
     "commutant_diagnostic.tol": "commutant",
@@ -247,6 +248,36 @@ class TestStatusMapping:
         assert record.status == STATUS_ERROR
         assert "witness" in record.details
         assert report.exit_code == 1
+
+    def test_induced_group_of_a_permissible_theta_always_passes(self):
+        """The lemma that decides ``induced-group``: for a permissible theta the
+        induced map is a homomorphism by construction, and the image of a
+        transitive group under the surjective theta is transitive.  Every
+        subgroup class of S_n, n <= 6, with every set partition as theta."""
+        cases = permissible = 0
+        for n in range(1, 7):
+            space = PointSpace(id=f"pts-{n}", labels=tuple(str(i) for i in range(n)))
+            rows = [()]
+            for _ in range(n):  # every set partition, as a canonical assignment
+                rows = [row + (v,) for row in rows for v in range(max(row, default=-1) + 2)]
+            thetas = [
+                ConceptualVariable("theta", space, tuple(str(v) for v in range(max(a) + 1)), a)
+                for a in rows
+            ]
+            for c in subgroup_conjugacy_classes(n):
+                group = PermutationGroup(space, (), tuple(Permutation(i) for i in c.elements))
+                for theta in thetas:
+                    cases += 1
+                    if not is_permissible(theta, group):
+                        continue
+                    permissible += 1
+                    status, details = scenario._handle_induced_group(
+                        None, {"variable": theta, "generators": group}
+                    )
+                    assert details["homomorphism_verified"] is True
+                    assert details["transitivity_propagated"] is True
+                    assert status == STATUS_PASS
+        assert (cases, permissible) == (12546, 931)
 
     def test_theorem_gates_report_not_applicable(self):
         scenario = scenario_with(
@@ -554,6 +585,27 @@ class TestOperatorCache:
         )
         assert [c.status for c in report.checks] == [STATUS_PASS] * 2
         assert len(calls) <= 12 + 4
+
+    def test_theorem2_calls_the_conjugation_check_once_with_every_element(self, monkeypatch):
+        # perfbench's tracer measures theorem2's law under this name.
+        calls = []
+        real = scenario.conjugation_check
+
+        def spy(family, induced, bundle):
+            residuals = real(family, induced, bundle)
+            calls.append((family, induced, residuals))
+            return residuals
+
+        monkeypatch.setattr(scenario, "conjugation_check", spy)
+        loaded = loads(CYCLE12.format(checks="  - type: theorem2\n    variable: residue\n"))
+        (record,) = run_scenario(loaded).checks
+        assert record.status == STATUS_PASS
+        ((family, induced, residuals),) = calls
+        elements = loaded.group.elements
+        assert family.group.elements == elements and induced.source.elements == elements
+        assert list(induced.mapping) == list(elements)
+        assert [e["residual"] for e in record.details["per_element"]] == residuals
+        assert [e["element"] for e in record.details["per_element"]] == list(elements)
 
     def test_relabeled_variables_keep_their_own_operators(self):
         # position and doubled share one partition, so they compare equal as

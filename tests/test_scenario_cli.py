@@ -28,7 +28,6 @@ from finivar.report import (
     jsonable,
 )
 from finivar.representations import cyclic_dft_rep, qubit_rep
-from finivar.runner import run_scenario
 from finivar.scenario import CHECK_TYPES, ScenarioError, load_path, loads
 
 from test_runner import cycle24_text
