@@ -8,6 +8,7 @@ import hashlib
 import inspect
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -763,3 +764,69 @@ def test_cycle24_operator_report_bytes_are_pinned():
     text = report.to_json()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CYCLE24_REPORT_SHA256
 
+
+
+def operator_sweep_text(n: int) -> str:
+    """A cyclic-dft scenario on n points: every operator check on the maximal
+    ``position`` and on ``coarse``, j -> j mod m for the largest m <= 4 that
+    divides n (for a prime n > 3 the constant variable), with seeded values."""
+    rng = random.Random(f"sweep-{n}")
+    modulus = max(m for m in (1, 2, 3, 4) if n % m == 0)
+    base_point = rng.randrange(n)
+    relabelling = rng.sample(range(n), n)
+
+    def values(count):
+        return [f"{q / 4:g}" for q in rng.sample(range(-8 * count, 8 * count + 1), count)]
+
+    checks = []
+    for name in ("position", "coarse"):
+        checks += [
+            {"type": "permissibility", "variable": name},
+            {"type": "induced-group", "variable": name},
+            {"type": "theorem1-hypotheses", "variable": name, "base_point": base_point},
+            {"type": "theorem2", "variable": name, "base_point": base_point},
+        ]
+    for basis, target in (("position", "relabel"), ("coarse", "position")):
+        checks.append(
+            {
+                "type": "eq1-expansion",
+                "basis": basis,
+                "target": {"variable": target},
+                "index": rng.randrange(n),
+                "base_point": base_point,
+            }
+        )
+    data = {
+        "name": f"sweep-{n}",
+        "space": {"id": f"sweep-{n}", "labels": [str(j) for j in range(n)]},
+        "variables": [
+            {"name": "position", "values": values(n), "assignment": list(range(n))},
+            {
+                "name": "coarse",
+                "values": values(modulus),
+                "assignment": [j % modulus for j in range(n)],
+            },
+            {"name": "relabel", "values": values(n), "assignment": relabelling},
+        ],
+        "group": {"generators": [[(j + 1) % n for j in range(n)]]},
+        "representation": {"kind": "cyclic-dft", "n": n},
+        "checks": checks,
+    }
+    return json.dumps(data, indent=1)
+
+
+OPERATOR_SWEEP_SIZES = (*range(1, 13), 16, 20, 24)
+# SHA-256 over the JSON reports of the sweep scenarios, every size at
+# --tolerance-scale 1 and then every size at 1e-6, pinned as for the built-ins.
+OPERATOR_SWEEP_SHA256 = "fd16b19018c7534d65d7ebf0802653171727b2fa029ae591f6b48e9b4e5a02bb"
+
+
+def test_operator_sweep_report_bytes_are_pinned():
+    # Pins the induced maps, pair laws, projectors and phases of the operator
+    # path from one point to 24, with the degenerate and constant coarsenings.
+    digest = hashlib.sha256()
+    for scale in (1.0, 1e-6):
+        for n in OPERATOR_SWEEP_SIZES:
+            report = run_scenario(loads(operator_sweep_text(n)), RunFlags(tolerance_scale=scale))
+            digest.update(report.to_json().encode("utf-8"))
+    assert digest.hexdigest() == OPERATOR_SWEEP_SHA256
