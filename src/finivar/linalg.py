@@ -55,16 +55,6 @@ def inner(u: np.ndarray, v: np.ndarray) -> complex:
     return complex(np.vdot(u, v))
 
 
-def fix_phase(vector: np.ndarray, entry_tol: float = _PHASE_ENTRY_TOL) -> np.ndarray:
-    """Rotate a vector so its first entry above ``entry_tol`` is real positive."""
-    import numpy as np
-    idx = np.flatnonzero(np.abs(vector) > entry_tol)
-    if idx.size == 0:
-        return vector
-    pivot = vector[idx[0]]
-    return vector * np.conj(pivot / abs(pivot))
-
-
 @dataclass(frozen=True, eq=False)
 class EigenCluster:
     """A group of eigenvalues closer than the gap threshold, with its projector."""
@@ -105,9 +95,13 @@ def eigh(
     """Diagonalize a Hermitian matrix deterministically.
 
     Raises :class:`NotHermitianError` when the input fails the Hermiticity
-    check.  Eigenvalues ascend; vectors are phase-fixed; consecutive
-    eigenvalues closer than ``cluster_gap`` share a cluster whose projector is
-    basis-independent.
+    check.  Eigenvalues ascend; each column is multiplied by conj(p/|p|), p its
+    first entry above ``_PHASE_ENTRY_TOL``, all columns at once, but p/|p| is
+    a numpy scalar operation per column (the array loops' abs and division
+    can differ in the last bit).  Consecutive eigenvalues closer than
+    ``cluster_gap`` share a cluster whose projector is basis-independent; the
+    one-eigenvalue projectors come from one stacked product.  The vectors stay
+    column-major, which keeps each cluster's product bit for bit.
     """
     import numpy as np
     a = np.asarray(a, dtype=complex)
@@ -119,13 +113,19 @@ def eigh(
             f"matrix is not Hermitian: max |A - A^dag| = {residual:.3e} > {hermitian_tol:.1e}"
         )
     values, vectors = np.linalg.eigh(a)
-    vectors = np.array([fix_phase(vectors[:, i]) for i in range(len(values))], dtype=complex).T
+    # A unit column has an entry of at least 1/sqrt(d), so every column has a pivot.
+    pivots = vectors[(abs(vectors) > _PHASE_ENTRY_TOL).argmax(axis=0), range(len(values))]
+    vectors = np.multiply(vectors, [np.conj(p / abs(p)) for p in pivots], order="F")
     cuts = [0, *(np.flatnonzero(np.diff(values) >= cluster_gap) + 1).tolist(), len(values)]
+    columns = vectors.T  # row i is eigenvector i
+    singles = np.matmul(columns[:, :, None], columns.conj()[:, None, :])
     clusters = tuple(
         EigenCluster(
             float(values[start] if stop - start == 1 else np.mean(values[start:stop])),
             tuple(range(start, stop)),
-            vectors[:, start:stop] @ vectors[:, start:stop].conj().T,
+            singles[start]
+            if stop - start == 1
+            else vectors[:, start:stop] @ vectors[:, start:stop].conj().T,
         )
         for start, stop in zip(cuts, cuts[1:])
         if start < stop

@@ -79,14 +79,6 @@ class CheckRecord:
         if self.status not in _ALL_STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "type": self.type,
-            "status": self.status,
-            "details": jsonable(self.details),
-        }
-
 
 @dataclass
 class VerificationReport:
@@ -116,19 +108,26 @@ class VerificationReport:
         counts = self.summary()
         return 1 if counts[STATUS_FAIL] or counts[STATUS_ERROR] else 0
 
-    def to_dict(self) -> dict[str, Any]:
+    def _raw(self) -> dict[str, Any]:
         return {
             "scenario": self.scenario,
-            "tolerances": {k: jsonable(v) for k, v in sorted(self.tolerances.items())},
-            "flags": jsonable(self.flags),
-            "checks": [c.to_dict() for c in self.checks],
+            "tolerances": dict(sorted(self.tolerances.items())),
+            "flags": self.flags,
+            "checks": [
+                dict(name=c.name, type=c.type, status=c.status, details=c.details) for c in self.checks
+            ],
             "summary": self.summary(),
         }
 
+    def to_dict(self) -> dict[str, Any]:
+        return jsonable(self._raw())
+
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2, allow_nan=False)`` and a newline."""
+        """``json.dumps(self.to_dict(), indent=2, allow_nan=False)`` and a newline,
+        written straight from the engine's values: ``_write_json`` converts each
+        value as ``jsonable`` does, without first copying the report into a new tree."""
         out: list[str] = []
-        _write_json(self.to_dict(), "\n", out)
+        _write_json(self._raw(), "\n", out)
         return "".join(out) + "\n"
 
     def to_text(self) -> str:
@@ -144,19 +143,23 @@ class VerificationReport:
 
 
 def _write_json(value: Any, newline: str, out: list[str]) -> None:
-    """Append the text of ``value`` nested at ``newline`` as ``json.dumps(indent=2)``
-    writes it, without its pure-Python encoder.  Keys are strings (``jsonable``)."""
+    """Append the text of ``jsonable(value)`` nested at ``newline`` as
+    ``json.dumps(indent=2)`` writes it, without its pure-Python encoder.  The
+    values JSON has, tuples, permutations and complex numbers are written as
+    they are; any other value (numpy's) goes through ``jsonable`` first."""
     inner = newline + "  "
     if isinstance(value, dict):
+        if not all(type(key) is str for key in value):
+            value = {str(key): item for key, item in value.items()}
         out.append("{")
         for i, (key, item) in enumerate(value.items()):
             out.append(("," if i else "") + inner + encode_basestring_ascii(key) + ": ")
             _write_json(item, inner, out)
         out.append(newline + "}" if value else "}")
-    elif isinstance(value, list) and value and all(type(item) is int for item in value):
+    elif isinstance(value, (list, tuple)) and value and all(type(item) is int for item in value):
         # Image arrays, most of a report's items: one join.
         out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         out.append("[")
         for i, item in enumerate(value):
             out.append(("," if i else "") + inner)
@@ -168,7 +171,13 @@ def _write_json(value: Any, newline: str, out: list[str]) -> None:
         out.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
-    elif isinstance(value, float) and math.isfinite(value):
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"{value!r} is not JSON compliant")
         out.append(float.__repr__(value))
-    else:  # NaN, the infinities, and what ``jsonable`` would have refused
-        raise ValueError(f"{value!r} is not JSON compliant")
+    elif isinstance(value, Permutation):
+        _write_json(value.images, newline, out)
+    elif isinstance(value, complex):
+        _write_json([value.real, value.imag], newline, out)
+    else:  # numpy values, and what ``jsonable`` refuses
+        _write_json(jsonable(value), newline, out)

@@ -87,8 +87,10 @@ class UnitaryRep:
 
         The composition law is checked up to a global phase per pair, read at
         U(ab)'s first largest |entry|, so exact and ray representations both
-        validate.  The pairs (all, or a fixed sample past 500 elements) come as
-        ids from ``PermutationGroup.pair_ids``, stacked |G| at a time in buffers.
+        validate.  Up to 500 elements every pair is checked, one element a at
+        a time: U(a) times the whole stack, against the matrices at a's row of
+        the product table.  Past that a fixed sample of pairs from
+        ``PermutationGroup.pair_ids`` is stacked |G| at a time.
         """
         import numpy as np
         stack = np.array([self.matrices[k] for k in self.group.elements])  # indexed by id
@@ -97,25 +99,29 @@ class UnitaryRep:
         identity_residual = linalg.max_abs(self.matrices[self.group.identity] - np.eye(self.dim))
         flat = stack.reshape(len(stack), -1)
         pivot = np.argmax(abs(flat), axis=1)
-        pairs, pair_count = self.group.pair_ids()
-        ids = np.fromiter(itertools.chain.from_iterable(pairs), np.intp).reshape(-1, 3).T
-        size = min(len(stack), pair_count) or 1
-        left, right, product = (np.empty((size, self.dim, self.dim), complex) for _ in range(3))
+        table = self.group._table
+        if table is not None:  # every pair (a, b): a chunk per a, its products from a's row
+            pair_count = len(stack) ** 2
+            chunks = ((m, stack, np.frombuffer(row, row.typecode)) for m, row in zip(stack, table))
+        else:
+            pairs, pair_count = self.group.pair_ids()
+            ids = np.fromiter(itertools.chain.from_iterable(pairs), np.intp).reshape(-1, 3)
+            splits = np.split(ids, range(len(stack), pair_count, len(stack)))  # |G| pairs each
+            chunks = ((stack[a], stack[b], ab) for a, b, ab in (chunk.T for chunk in splits))
+        size = min(len(stack), pair_count)
+        product, scaled = (np.empty((size, self.dim, self.dim), complex) for _ in range(2))
         residual = np.empty((size, self.dim * self.dim))
         hom_residual = 0.0
-        for start in range(0, pair_count, size):
-            a, b, ab = ids[:, start : start + size]
+        for left, right, ab in chunks:
             n = len(ab)
-            np.take(stack, a, 0, left[:n], "clip")  # ids are in range; unlike "raise",
-            np.take(stack, b, 0, right[:n], "clip")  # "clip" writes straight into out
-            got = np.matmul(left[:n], right[:n], product[:n]).reshape(n, -1)
-            expected = np.take(flat, ab, 0, left[:n].reshape(n, -1), "clip")
+            got = np.matmul(left, right, product[:n]).reshape(n, -1)
+            expected = np.take(flat, ab, 0, scaled[:n].reshape(n, -1), "clip")  # ids are in range
             with np.errstate(divide="ignore", invalid="ignore"):  # a zero U(ab) gives phase 1
                 phase = got[np.arange(n), pivot[ab]] / flat[ab, pivot[ab]]
                 mag = np.hypot(phase.real, phase.imag)  # bit for bit the scalar abs()
                 phase = np.where(mag > 0, phase / mag, 1.0)[:, None]
-            scaled = np.multiply(phase, expected, right[:n].reshape(n, -1))
-            np.abs(np.subtract(got, scaled, scaled), residual[:n])
+            np.multiply(phase, expected, expected)
+            np.abs(np.subtract(got, expected, expected), residual[:n])
             hom_residual = max(hom_residual, *residual[:n].max(1).tolist())
         return RepDiagnostics(
             unitary_residual=float(unitary_residual),
@@ -246,20 +252,24 @@ class CoherentFamily:
             self._overlaps = overlaps
         return self._overlaps
 
-    def projector(self, indices: tuple[int, ...]) -> tuple[np.ndarray, int]:
-        """The projector onto the span of the states at ascending ``indices``, and its rank.
-
-        Kept read-only per tuple: the same stack gives the same SVD, bit for bit.
-        """
+    def projectors(self, groups: list[tuple[int, ...]]) -> list[tuple[np.ndarray, int]]:
+        """The projector onto the span of the states at each tuple of ascending
+        indices, and its rank, kept read-only per tuple.  The stacks of each size
+        not yet kept go through one batched SVD, bit for bit one SVD per stack."""
         import numpy as np
-        if indices not in self._projectors:
-            stack = np.array([self.states[self.group.elements[i]] for i in indices]).T
-            u, s, _ = np.linalg.svd(stack, full_matrices=False)
-            rank = int(np.sum(s > 1e-10 * s[0]))
-            projector = u[:, :rank] @ u[:, :rank].conj().T
-            projector.flags.writeable = False
-            self._projectors[indices] = (projector, rank)
-        return self._projectors[indices]
+        by_size: dict[int, list[tuple[int, ...]]] = {}
+        for indices in groups:
+            if indices not in self._projectors:
+                by_size.setdefault(len(indices), []).append(indices)
+        states = np.array(list(self.states.values()))
+        for batch in by_size.values():
+            u, s, _ = np.linalg.svd(states[np.array(batch)].swapaxes(1, 2), full_matrices=False)
+            ranks = np.sum(s > 1e-10 * s[:, :1], axis=1).tolist()
+            for indices, basis, rank in zip(batch, u, ranks):
+                projector = basis[:, :rank] @ basis[:, :rank].conj().T
+                projector.flags.writeable = False
+                self._projectors[indices] = (projector, rank)
+        return [self._projectors[indices] for indices in groups]
 
 
 @dataclass(frozen=True)
@@ -411,9 +421,9 @@ def build_operator(
             f"{theta.values[values[i]]!r} and {theta.values[values[j]]!r} overlap by "
             f"{float(overlaps[i, j]):.3e}"
         )
-    groups = [  # (projector, rank) of the states of each value, indices ascending
-        family.projector(tuple(np.flatnonzero(values == v).tolist())) for v in range(len(numeric))
-    ]
+    groups = family.projectors(  # (projector, rank) of the states of each value
+        [tuple(np.flatnonzero(values == v).tolist()) for v in range(len(numeric))]
+    )
     dim = family.rep.dim
     if sum(rank for _, rank in groups) != dim:
         raise OrthogonalityError(

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
 
+from .groups import GroupHomomorphism, PermutationGroup, induced_group
 from .linalg import DEFAULT_TOLERANCES
 from .report import STATUS_ERROR, STATUS_INFORMATIONAL, CheckRecord, VerificationReport
 from .representations import (
@@ -67,6 +68,9 @@ class _Context:
     tolerances: dict[str, float]
     flags: RunFlags
     _bundles: dict[tuple[Any, ...], OperatorBundle] = field(default_factory=dict)
+    _induced: dict[tuple[Any, ...], tuple[PermutationGroup, GroupHomomorphism]] = field(
+        default_factory=dict
+    )
 
     def tol(self, name: str) -> float:
         return self.tolerances[name]
@@ -82,6 +86,17 @@ class _Context:
     @cached_property
     def irreducibility(self) -> IrreducibilityDiagnostic:
         return commutant_diagnostic(self.scenario.coherent_family.rep, self.tol("commutant"))
+
+    def induced(
+        self, theta: ConceptualVariable, group: PermutationGroup
+    ) -> tuple[PermutationGroup, GroupHomomorphism]:
+        """``groups.induced_group(theta, group)``, built once per variable and
+        element list: the representation's group may be another object with
+        the same elements.  A refusal is raised again on every call."""
+        key = (theta.name, theta.values, theta.assignment, group.elements)
+        if key not in self._induced:
+            self._induced[key] = induced_group(theta, group)
+        return self._induced[key]
 
     def bundle(self, theta: ConceptualVariable, base_point: int) -> OperatorBundle:
         """Theta's operator over the scenario's coherent family.

@@ -18,7 +18,7 @@ import yaml
 
 from . import linalg, spin
 from .groups import NotPermissibleError, Permutation, PermutationGroup, PermissibilityWitness
-from .groups import flag_trivial_exchange, induced_group, is_permissible
+from .groups import flag_trivial_exchange, is_permissible
 from .harness import A1_PARTITION_ENUM_LIMIT, ThoughtScenario, classify_thoughts
 from .harness import VERDICT_ALL_DIFFERENT, VERDICT_ALL_RELATED, VERDICT_MIXED
 from .harness import exhaustive_falsifier, theorem_a1_search
@@ -309,7 +309,7 @@ def _handle_permissibility(ctx: Any, params: _Params) -> _Outcome:
 def _handle_induced_group(ctx: Any, params: _Params) -> _Outcome:
     theta, group = params["variable"], params["generators"]
     try:
-        induced, hom = induced_group(theta, group)
+        induced, hom = ctx.induced(theta, group)
     except NotPermissibleError as exc:
         return STATUS_ERROR, {
             "variable": theta.name,
@@ -420,7 +420,7 @@ def _handle_theorem2(ctx: Any, params: _Params) -> _Outcome:
     theta, base_point = params["variable"], params["base_point"]
     family = ctx.scenario.coherent_family
     try:
-        _, induced = induced_group(theta, family.group)
+        _, induced = ctx.induced(theta, family.group)
     except NotPermissibleError as exc:
         return STATUS_NOT_APPLICABLE, {
             "variable": theta.name,

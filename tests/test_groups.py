@@ -558,3 +558,117 @@ class TestTrivialExchange:
         b = ConceptualVariable("b", space, ("x", "y"), (0, 0, 0, 1, 1, 1))
         group = PermutationGroup.generate(space, ())
         assert not flag_trivial_exchange(a, b, group)
+
+
+def verify_pair_by_pair(hom):
+    """Oracle: ``GroupHomomorphism.verify`` with one ``product_id`` per pair of
+    ``pair_ids``."""
+    if not hom.mapping[hom.source.identity].is_identity():
+        return False
+    phi = [hom.target._ids.get(hom.mapping[k].images) for k in hom.source.elements]
+    if None in phi:
+        return False
+    pairs, _ = hom.source.pair_ids()
+    return all(phi[ab] == hom.target.product_id(phi[a], phi[b]) for a, b, ab in pairs)
+
+
+def cyclic_group(n, labels="pts"):
+    return PermutationGroup.generate(space_of(n, labels), (Permutation(tuple(range(1, n)) + (0,)),))
+
+
+class TestRowWiseVerifyMatchesThePairLoop:
+    """Where both groups have product tables, ``verify`` compares whole rows;
+    it decides as the pair-by-pair loop does, on laws that hold and laws
+    that break, and past ``PAIR_EXHAUSTIVE_LIMIT`` it keeps the sampled pairs."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_induced_maps_of_every_subgroup_class(self, n):
+        from finivar.subgroups import subgroup_conjugacy_classes
+
+        space = space_of(n)
+        rng = random.Random(n)
+        rows = [()]
+        for _ in range(n):
+            rows = [row + (v,) for row in rows for v in range(max(row, default=-1) + 2)]
+        checked = 0
+        for c in subgroup_conjugacy_classes(n):
+            elements = [Permutation(images) for images in c.elements]
+            rng.shuffle(elements)
+            group = PermutationGroup(space, (), tuple(elements))
+            for assignment in rows:
+                theta = variable_from_assignment(space, assignment)
+                if not is_permissible(theta, group):
+                    continue
+                _, hom = induced_group(theta, group)
+                assert hom.source._table is not None and hom.target._table is not None
+                assert hom.verify() is verify_pair_by_pair(hom) is True
+                checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("n", [2, 6, 8])
+    def test_every_single_changed_image(self, n):
+        """Each map equal to the identity but at one element g != e; only
+        g -> e on two points is still a homomorphism."""
+        group = cyclic_group(n)
+        els = group.elements
+        verdicts = []
+        for g in els[1:]:
+            for h in els:
+                if h != g:
+                    hom = GroupHomomorphism(group, group, {k: h if k == g else k for k in els})
+                    verdicts.append(hom.verify())
+                    assert verdicts[-1] is verify_pair_by_pair(hom)
+        assert verdicts.count(True) == (n == 2)
+
+    def test_maps_of_s4_into_itself(self):
+        group = symmetric_group(4)
+        els = group.elements
+        rng = random.Random(4)
+        for _ in range(20):
+            c = rng.choice(els)
+            for mapping in (
+                {k: c * k * c.inverse() for k in els},
+                {k: c * k for k in els},
+                dict(zip(els, rng.sample(els, len(els)))),
+            ):
+                hom = GroupHomomorphism(group, group, mapping)
+                assert hom.verify() is verify_pair_by_pair(hom)
+
+    def test_a_value_outside_the_target(self):
+        z3 = cyclic_group(3)
+        odd = Permutation((1, 0, 2))
+        for k in z3.elements[1:]:
+            hom = GroupHomomorphism(z3, z3, {j: odd if j == k else j for j in z3.elements})
+            assert hom.verify() is verify_pair_by_pair(hom) is False
+
+    def test_an_identity_sent_elsewhere(self):
+        group = cyclic_group(5)
+        shift = group.elements[1]
+        hom = GroupHomomorphism(group, group, {k: shift * k for k in group.elements})
+        assert hom.verify() is verify_pair_by_pair(hom) is False
+
+    def test_a_target_past_the_limit_keeps_the_pair_loop(self):
+        s6 = symmetric_group(6)
+        z6 = PermutationGroup.generate(s6.space, (Permutation((1, 2, 3, 4, 5, 0)),))
+        assert s6._table is None and z6._table is not None
+        inclusion = GroupHomomorphism(z6, s6, {k: k for k in z6.elements})
+        assert inclusion.verify() is verify_pair_by_pair(inclusion) is True
+        swap = Permutation((1, 0, 2, 3, 4, 5))
+        broken = GroupHomomorphism(z6, s6, {k: k if k.is_identity() else k * swap for k in z6.elements})
+        assert broken.verify() is verify_pair_by_pair(broken) is False
+
+    def test_s6_source_samples_past_the_limit(self):
+        s6 = symmetric_group(6)
+        assert s6.order == 720 > PAIR_EXHAUSTIVE_LIMIT
+        z2 = PermutationGroup.generate(space_of(2), (Permutation((1, 0)),))
+        odd = {k for k in s6.elements if sum(1 for i, j in itertools.combinations(k.images, 2) if i > j) % 2}
+        flip, keep = z2.elements[1], z2.elements[0]
+        sign = GroupHomomorphism(s6, z2, {k: flip if k in odd else keep for k in s6.elements})
+        assert sign.verify() is verify_pair_by_pair(sign) is True
+        t = Permutation((1, 0, 2, 3, 4, 5))
+        broken = GroupHomomorphism(s6, s6, {k: k * t if k in odd else k for k in s6.elements})
+        assert broken.verify() is verify_pair_by_pair(broken) is False
+        outside = GroupHomomorphism(
+            s6, z2, {k: flip if k in odd or k == s6.elements[-1] else keep for k in s6.elements}
+        )
+        assert outside.verify() is verify_pair_by_pair(outside)

@@ -10,6 +10,44 @@ from hypothesis import strategies as st
 from finivar import linalg, spin
 
 
+def fix_phase(vector: np.ndarray, entry_tol: float = linalg._PHASE_ENTRY_TOL) -> np.ndarray:
+    """Oracle: rotate one vector so its first entry above ``entry_tol`` is real positive."""
+    idx = np.flatnonzero(np.abs(vector) > entry_tol)
+    if idx.size == 0:
+        return vector
+    pivot = vector[idx[0]]
+    return vector * np.conj(pivot / abs(pivot))
+
+
+def eigh_column_by_column(a: np.ndarray, cluster_gap: float = linalg.DEFAULT_TOLERANCES["eigen_cluster_gap"]):
+    """Oracle: ``linalg.eigh``'s vectors phase-fixed one column at a time, and
+    each cluster's projector from its own slice of the vectors."""
+    values, vectors = np.linalg.eigh(np.asarray(a, dtype=complex))
+    vectors = np.array([fix_phase(vectors[:, i]) for i in range(len(values))], dtype=complex).T
+    cuts = [0, *(np.flatnonzero(np.diff(values) >= cluster_gap) + 1).tolist(), len(values)]
+    projectors = [
+        vectors[:, start:stop] @ vectors[:, start:stop].conj().T
+        for start, stop in zip(cuts, cuts[1:])
+        if start < stop
+    ]
+    return vectors, projectors
+
+
+def assert_eigh_matches_the_columns(a: np.ndarray) -> linalg.SpectralData:
+    data = linalg.eigh(a)
+    vectors, projectors = eigh_column_by_column(a)
+    assert data.vectors.flags.f_contiguous
+    assert data.vectors.tobytes("F") == vectors.tobytes("F")
+    assert [c.projector.tobytes() for c in data.clusters] == [p.tobytes() for p in projectors]
+    return data
+
+
+def random_unitary(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diagonal(r) / abs(np.diagonal(r)))
+
+
 def random_hermitian(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -42,13 +80,13 @@ class TestBasics:
 
     def test_fix_phase_pivot_positive(self):
         v = np.array([-1 / np.sqrt(2), 1 / np.sqrt(2)])
-        fixed = linalg.fix_phase(v)
+        fixed = fix_phase(v)
         assert fixed[0] == pytest.approx(1 / np.sqrt(2))
         assert fixed[1] == pytest.approx(-1 / np.sqrt(2))
 
     def test_fix_phase_skips_tiny_leading_entries(self):
         v = np.array([1e-12, -1.0])
-        fixed = linalg.fix_phase(v)
+        fixed = fix_phase(v)
         assert fixed[1] == pytest.approx(1.0)
 
 
@@ -133,3 +171,42 @@ class TestEigh:
                 pivot = v[np.flatnonzero(np.abs(v) > 1e-8)[0]]
                 assert pivot.imag == pytest.approx(0.0, abs=1e-12)
                 assert pivot.real > 0
+
+
+class TestStackedPhasesMatchTheColumnLoop:
+    """``eigh`` finds the pivots and fixes the phases of all columns at once,
+    and stacks the one-eigenvalue projectors; it equals the per-column
+    ``fix_phase`` loop and the per-cluster products bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_random_hermitian(self, n):
+        for seed in range(8):
+            assert assert_eigh_matches_the_columns(random_hermitian(n, 100 * n + seed)).dim == n
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 24])
+    def test_degenerate_clusters(self, n):
+        rng = np.random.default_rng(n)
+        for seed in range(6):
+            u = random_unitary(n, seed)
+            values = rng.integers(-2, 3, size=n).astype(float)
+            data = assert_eigh_matches_the_columns(u @ np.diag(values) @ u.conj().T)
+            assert sorted(c.multiplicity for c in data.clusters) == sorted(
+                np.unique(values, return_counts=True)[1].tolist()
+            )
+
+    @pytest.mark.parametrize("n", [2, 4, 7, 12])
+    def test_leading_entries_below_the_phase_cut(self, n):
+        # A block matrix coupled by 1e-11: each eigenvector's first entries are
+        # nonzero but below ``_PHASE_ENTRY_TOL``, so its pivot sits further down.
+        for seed in range(6):
+            a = np.zeros((n, n), dtype=complex)
+            a[0, 0] = 100.0
+            a[1:, 1:] = random_hermitian(n - 1, seed)
+            a[0, 1:] = a[1:, 0] = 1e-11
+            data = assert_eigh_matches_the_columns(a)
+            small = np.abs(data.vectors[0]) <= linalg._PHASE_ENTRY_TOL
+            assert small.sum() == n - 1 and (np.abs(data.vectors[0][small]) > 0).all()
+
+    def test_diagonal_and_pauli(self):
+        for a in (np.diag([3.0, -1.0, 2.0]), np.diag([1.0, 1.0, 2.0]), spin.SIGMA_X, spin.SIGMA_Y):
+            assert_eigh_matches_the_columns(a)

@@ -573,6 +573,14 @@ class TestCommutant:
 CONJUGATION_TOL = linalg.DEFAULT_TOLERANCES["conjugation_residual"]
 
 
+def svd_projector(family, indices):
+    """Oracle: the projector onto the states at ``indices`` and its rank, one SVD per stack."""
+    stack = np.array([family.states[family.group.elements[i]] for i in indices]).T
+    u, s, _ = np.linalg.svd(stack, full_matrices=False)
+    rank = int(np.sum(s > 1e-10 * s[0]))
+    return u[:, :rank] @ u[:, :rank].conj().T, rank
+
+
 def projector_sum(assignment, weights, family, base_point=0):
     """Oracle: value-weighted projectors of one assignment, summed in value order."""
     fibers = [[] for _ in weights]  # state indices of each value, ascending
@@ -580,7 +588,7 @@ def projector_sum(assignment, weights, family, base_point=0):
         fibers[assignment[k.images[base_point]]].append(i)
     operator = np.zeros((family.rep.dim, family.rep.dim), dtype=complex)
     for weight, indices in zip(weights, fibers):
-        operator = operator + weight * family.projector(tuple(indices))[0]
+        operator = operator + weight * svd_projector(family, indices)[0]
     return operator
 
 
@@ -962,3 +970,39 @@ class TestPairIds:
         assert hom.verify()
         assert rep.diagnostics().ok()
         assert 0 < len(calls) <= 2 * 24
+
+
+class TestBatchedProjectorsMatchTheSvdLoop:
+    """``CoherentFamily.projectors`` decomposes the stacks of one size in one
+    batched SVD; each projector and rank equals one SVD per stack, bit for bit."""
+
+    @staticmethod
+    def assert_projectors_match(family, groups):
+        got = family.projectors(groups)
+        want = [svd_projector(family, indices) for indices in groups]
+        assert [(p.tobytes(), rank) for p, rank in got] == [(p.tobytes(), rank) for p, rank in want]
+        assert all(not p.flags.writeable for p, _ in got)
+        assert [p for p, _ in family.projectors(groups)] == [p for p, _ in got]  # kept, not rebuilt
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_single_states_and_quarter_classes(self, n):
+        rng = np.random.default_rng(n)
+        plain = cyclic_dft_rep(n)
+        ray = with_phases(conjugated(plain, n), n)
+        singles = [(i,) for i in range(n)]
+        quarters = [tuple(range(r, n, 4)) for r in range(4)] if n % 4 == 0 else []
+        for rep in (plain, ray):
+            for base in (np.eye(n)[0], rng.normal(size=n) + 1j * rng.normal(size=n)):
+                self.assert_projectors_match(CoherentFamily(rep, base), singles + quarters)
+                family = CoherentFamily(rep, base)
+                self.assert_projectors_match(family, quarters)
+                self.assert_projectors_match(family, singles)
+
+    @pytest.mark.parametrize("n", [4, 6, 12])
+    def test_mixed_sizes_and_rank_deficient_stacks(self, n):
+        # The uniform state is fixed by every shift, so every stack has rank 1.
+        family = CoherentFamily(cyclic_dft_rep(n), np.ones(n))
+        rng = random.Random(n)
+        groups = [tuple(sorted(rng.sample(range(n), rng.randint(1, n)))) for _ in range(3 * n)]
+        self.assert_projectors_match(family, groups)
+        assert {rank for _, rank in family.projectors(groups)} == {1}

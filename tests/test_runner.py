@@ -25,6 +25,7 @@ from finivar.report import (
     STATUS_INFORMATIONAL,
     STATUS_NOT_APPLICABLE,
     STATUS_PASS,
+    CheckRecord,
     VerificationReport,
 )
 from finivar.runner import DEFAULT_TOLERANCES, RunFlags, resolve_tolerances, run_scenario
@@ -170,8 +171,6 @@ KEYWORD_TOLERANCES = {
     "delta_operator.hermitian_tol": "hermitian",
     "delta_operator.cluster_gap": "eigen_cluster_gap",
 }
-# Numeric cut-offs that are not tolerances of a check (see the README).
-KEYWORDS_OUTSIDE_THE_TABLE = {"fix_phase.entry_tol"}
 
 
 def float_keyword_defaults():
@@ -203,7 +202,7 @@ class TestOneTable:
             for f in dataclasses.fields(representations.OperatorTolerances)
         }
         expected = {**KEYWORD_TOLERANCES, **fields}
-        assert set(found) == set(expected) | KEYWORDS_OUTSIDE_THE_TABLE
+        assert set(found) == set(expected)
         for key, name in expected.items():
             assert found[key] == DEFAULT_TOLERANCES[name], key
 
@@ -272,8 +271,9 @@ class TestStatusMapping:
                     if not is_permissible(theta, group):
                         continue
                     permissible += 1
+                    ctx = runner._Context(scenario=None, tolerances={}, flags=RunFlags())
                     status, details = scenario._handle_induced_group(
-                        None, {"variable": theta, "generators": group}
+                        ctx, {"variable": theta, "generators": group}
                     )
                     assert details["homomorphism_verified"] is True
                     assert details["transitivity_propagated"] is True
@@ -493,6 +493,31 @@ _JSON_VALUES = st.recursive(
 )
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# The engine's own values, which ``to_json`` writes without copying them through ``jsonable``.
+_RAW_LEAVES = (
+    _JSON_LEAVES
+    | st.integers(1, 6).flatmap(lambda n: st.permutations(range(n))).map(lambda p: Permutation(tuple(p)))
+    | st.complex_numbers(allow_nan=False, allow_infinity=False)
+    | st.complex_numbers(allow_nan=False, allow_infinity=False).map(np.complex128)
+    | _FINITE.map(np.float64)
+    | st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+    | st.lists(_FINITE, max_size=4).map(np.array)
+    | st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False), max_size=3).map(
+        lambda values: np.array(values, dtype=complex).reshape(-1, 1)
+    )
+)
+_RAW_VALUES = st.recursive(
+    _RAW_LEAVES,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(st.text(max_size=5) | st.integers(-3, 3), inner, max_size=5),
+    max_leaves=40,
+)
+
+
 class TestJsonWriter:
     """``to_json`` writes what ``json.dumps(indent=2, allow_nan=False)`` writes."""
 
@@ -506,6 +531,30 @@ class TestJsonWriter:
     def test_nested_values(self, value):
         report = VerificationReport("drawn", {"hermitian": 1e-10}, {"value": value, "empty": [{}, []]})
         assert report.to_json() == dumped(report)
+
+    @given(_RAW_VALUES)
+    @settings(max_examples=60, deadline=None)
+    def test_raw_engine_values(self, value):
+        report = VerificationReport("raw", {"unitary": 1e-10}, {"flag": value})
+        report.add(CheckRecord("drawn", "theorem2", STATUS_PASS, {"value": value, 3: (value,)}))
+        assert report.to_json() == dumped(report)
+
+    def test_each_raw_kind(self):
+        details = {
+            "permutation": Permutation((2, 0, 1)),
+            "tuple": (1, (2.5, "x"), None),
+            "complex": [1 + 2j, np.complex128(-0.0 - 1e-300j)],
+            "numpy": [np.float64(0.1), np.float32(0.1), np.int64(-7), np.bool_(False)],
+            "arrays": [np.eye(2), np.array([1j, 2]), np.array([], dtype=int)],
+            (1, 2): {0.5: "float key", True: "bool key"},
+        }
+        report = VerificationReport("kinds", {}, {})
+        report.add(CheckRecord("all", "theorem2", STATUS_PASS, details))
+        assert report.to_json() == dumped(report)
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            VerificationReport("bad", {}, {"x": [object()]}).to_json()
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            VerificationReport("bad", {}, {"x": np.float32("nan")}).to_json()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_floats_raise(self, bad):
@@ -564,6 +613,30 @@ class TestOperatorCache:
         assert scans == [
             (DEFAULT_TOLERANCES["injectivity_distance"], DEFAULT_TOLERANCES["injectivity_overlap"])
         ]
+
+    def test_theorem2_reuses_the_induced_map_of_induced_group(self, monkeypatch):
+        # The scenario's group and the representation's group are two objects
+        # with the same elements, so one map serves both checks of a variable.
+        calls = []
+        real = runner.induced_group
+
+        def spy(theta, group):
+            calls.append(theta.name)
+            return real(theta, group)
+
+        monkeypatch.setattr(runner, "induced_group", spy)
+        loaded = loads(
+            CYCLE12.format(
+                checks="  - type: induced-group\n    variable: residue\n"
+                "  - type: theorem2\n    variable: residue\n"
+                "  - type: theorem2\n    variable: position\n"
+                "  - type: induced-group\n    variable: position\n"
+            )
+        )
+        assert loaded.group is not loaded.coherent_family.group
+        report = run_scenario(loaded)
+        assert [c.status for c in report.checks] == [STATUS_PASS] * 4
+        assert calls == ["residue", "position"]
 
     def test_theorem2_decomposes_each_coherent_group_once(self, monkeypatch):
         # The law relabels theta's own projectors, so the 12 singletons of
