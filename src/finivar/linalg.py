@@ -105,8 +105,8 @@ def eigh(
     """
     import numpy as np
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
     residual = max_abs(a - a.conj().T)
     if residual > hermitian_tol:
         raise NotHermitianError(

@@ -99,6 +99,11 @@ class TestEigh:
         with pytest.raises(ValueError, match="square"):
             linalg.eigh(np.zeros((2, 3)))
 
+    def test_rejects_an_empty_matrix(self):
+        # Every eigenvector has a phase pivot only when there is an eigenvector.
+        with pytest.raises(ValueError, match=r"nonempty square matrix, got shape \(0, 0\)"):
+            linalg.eigh(np.zeros((0, 0)))
+
     def test_diagonal_matrix_golden(self):
         data = linalg.eigh(np.diag([3.0, -1.0, 2.0]))
         assert np.allclose(data.eigenvalues, [-1.0, 2.0, 3.0])
