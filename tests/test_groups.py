@@ -23,6 +23,7 @@ from finivar.groups import (
     is_permissible,
 )
 from finivar.spaces import ConceptualVariable, DomainMismatchError, PointSpace, _id_tables, compose
+from finivar.subgroups import subgroup_conjugacy_classes
 
 from conftest import (
     assignments,
@@ -572,8 +573,8 @@ def verify_pair_by_pair(hom):
     return all(phi[ab] == hom.target.product_id(phi[a], phi[b]) for a, b, ab in pairs)
 
 
-def cyclic_group(n, labels="pts"):
-    return PermutationGroup.generate(space_of(n, labels), (Permutation(tuple(range(1, n)) + (0,)),))
+def cyclic_group(n):
+    return PermutationGroup.generate(space_of(n), (Permutation(tuple(range(1, n)) + (0,)),))
 
 
 class TestRowWiseVerifyMatchesThePairLoop:
@@ -583,8 +584,6 @@ class TestRowWiseVerifyMatchesThePairLoop:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_induced_maps_of_every_subgroup_class(self, n):
-        from finivar.subgroups import subgroup_conjugacy_classes
-
         space = space_of(n)
         rng = random.Random(n)
         rows = [()]

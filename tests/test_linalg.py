@@ -100,7 +100,7 @@ class TestEigh:
             linalg.eigh(np.zeros((2, 3)))
 
     def test_rejects_an_empty_matrix(self):
-        # Every eigenvector has a phase pivot only when there is an eigenvector.
+        # An empty matrix has no eigenvector whose phase could be fixed.
         with pytest.raises(ValueError, match=r"nonempty square matrix, got shape \(0, 0\)"):
             linalg.eigh(np.zeros((0, 0)))
 
@@ -201,8 +201,9 @@ class TestStackedPhasesMatchTheColumnLoop:
 
     @pytest.mark.parametrize("n", [2, 4, 7, 12])
     def test_leading_entries_below_the_phase_cut(self, n):
-        # A block matrix coupled by 1e-11: each eigenvector's first entries are
-        # nonzero but below ``_PHASE_ENTRY_TOL``, so its pivot sits further down.
+        # A block matrix coupled by 1e-11: every eigenvector but one has a first
+        # entry that is nonzero but below ``_PHASE_ENTRY_TOL``, so its pivot sits
+        # further down.
         for seed in range(6):
             a = np.zeros((n, n), dtype=complex)
             a[0, 0] = 100.0
