@@ -52,7 +52,6 @@ __all__ = [
     "partitions_with_block_sizes",
 ]
 
-A1_PARTITION_ENUM_LIMIT = 6
 VERDICT_ALL_RELATED = "all-related"
 VERDICT_ALL_DIFFERENT = "all-essentially-different"
 VERDICT_MIXED = "mixed"
@@ -207,8 +206,7 @@ def theorem_a1_search(
     transitive with trivial isotropy) are checked first; any failure yields a
     not-applicable result naming the failed hypothesis.  Candidates are the
     family members, plus every partition with theta's block shape when
-    ``all_partitions`` is set (small spaces only), other than theta's and
-    eta's partitions.
+    ``all_partitions`` is set, other than theta's and eta's partitions.
 
     Once the hypotheses hold the search cannot fail: a permissible theta is
     fixed by every element, so every variable related to theta has theta's
@@ -240,17 +238,20 @@ def theorem_a1_search(
 
     skip = {theta.partition(), eta.partition()}
     candidates = [m.partition() for m in scenario.members if m.partition() not in skip]
-    if all_partitions:
-        n = scenario.space.size
-        if n > A1_PARTITION_ENUM_LIMIT:
-            raise ValueError(
-                f"partition enumeration is limited to {A1_PARTITION_ENUM_LIMIT} points, "
-                f"space has {n}"
-            )
-        sizes = tuple(sorted((len(b) for b in theta.blocks()), reverse=True))
+    count = len(candidates)
+    if all_partitions:  # theta's shape, less the partitions of that shape already counted
+        shape = sorted(Counter(theta.partition()).values())
         seen = set(candidates) | skip
-        candidates += [p for p in partitions_with_block_sizes(n, sizes) if p not in seen]
-    return A1SearchResult("pass", "no qualifying variable exists", len(candidates))
+        count += _partition_count(shape) - sum(sorted(Counter(p).values()) == shape for p in seen)
+    return A1SearchResult("pass", "no qualifying variable exists", count)
+
+
+def _partition_count(sizes: Sequence[int]) -> int:
+    """The number of set partitions with these block sizes: n! / (prod s! * prod m!),
+    m the number of blocks of each size."""
+    blocks = math.prod(math.factorial(s) for s in sizes)
+    repeats = math.prod(math.factorial(m) for m in Counter(sizes).values())
+    return math.factorial(sum(sizes)) // (blocks * repeats)
 
 
 def partitions_with_block_sizes(n: int, sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

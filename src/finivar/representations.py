@@ -10,7 +10,7 @@ states with different values span orthogonal subspaces.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from . import linalg
 from .groups import GroupHomomorphism, Permutation, PermutationGroup, _require_acting_group
@@ -29,7 +29,6 @@ __all__ = [
     "InjectivityResult",
     "check_coherent_injectivity",
     "QuestionAnswer",
-    "OperatorTolerances",
     "OperatorBundle",
     "build_operator",
     "bundle_from_matrix",
@@ -327,22 +326,6 @@ class QuestionAnswer:
     answer: str
 
 
-@dataclass(frozen=True)
-class OperatorTolerances:
-    """Every tolerance an operator build applies, named as in a scenario's table."""
-
-    orthogonal_grouping: float = _DEFAULTS["orthogonal_grouping"]
-    injectivity_distance: float = _DEFAULTS["injectivity_distance"]
-    injectivity_overlap: float = _DEFAULTS["injectivity_overlap"]
-    hermitian: float = _DEFAULTS["hermitian"]
-    eigen_cluster_gap: float = _DEFAULTS["eigen_cluster_gap"]
-    spectral_reconstruction: float = _DEFAULTS["spectral_reconstruction"]
-
-    @classmethod
-    def from_table(cls, table: dict[str, float]) -> "OperatorTolerances":
-        return cls(**{f.name: table[f.name] for f in fields(cls)})
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorBundle:
     """A Hermitian operator together with its spectral data and value labels."""
@@ -376,7 +359,7 @@ def build_operator(
     theta: ConceptualVariable,
     family: CoherentFamily,
     base_point: int = 0,
-    tolerances: OperatorTolerances = OperatorTolerances(),
+    tolerances: dict[str, float] = _DEFAULTS,
 ) -> OperatorBundle:
     """Sum value-weighted projectors onto coherent-state groups.
 
@@ -386,7 +369,8 @@ def build_operator(
     orthogonal and jointly spanning.  The projectors are summed in value
     order.  The operator's eigenvalues are then exactly the variable's values,
     with multiplicities equal to the group ranks; the variable is maximal on
-    this labeling iff the spectrum is nondegenerate.
+    this labeling iff the spectrum is nondegenerate.  ``tolerances`` is a table
+    named as ``linalg.DEFAULT_TOLERANCES``, such as the one a run resolved.
     """
     import numpy as np
     group = family.group
@@ -399,7 +383,7 @@ def build_operator(
             "domain size and reach every point from the base point exactly once"
         )
     injectivity = check_coherent_injectivity(
-        family, tolerances.injectivity_distance, tolerances.injectivity_overlap
+        family, tolerances["injectivity_distance"], tolerances["injectivity_overlap"]
     )
     if not injectivity:
         g, h = injectivity.witness
@@ -410,7 +394,7 @@ def build_operator(
     numeric = theta.numeric_values()
     values = np.array([theta.assignment[p] for p in points])
     overlaps = family.overlaps()
-    scope = (values[:, None] < values[None, :]) & (overlaps > tolerances.orthogonal_grouping)
+    scope = (values[:, None] < values[None, :]) & (overlaps > tolerances["orthogonal_grouping"])
     if scope.any():
         rows, cols = np.nonzero(scope)
         # The first violation in (lower value, higher value, element, element) order.
@@ -433,11 +417,11 @@ def build_operator(
     operator = np.zeros((dim, dim), dtype=complex)
     for weight, (projector, _) in zip(numeric, groups):
         operator = operator + weight * projector
-    spectral = linalg.eigh(operator, tolerances.hermitian, tolerances.eigen_cluster_gap)
+    spectral = linalg.eigh(operator, tolerances["hermitian"], tolerances["eigen_cluster_gap"])
     got = sorted((c.value, c.multiplicity) for c in spectral.clusters)
     expected = sorted(zip(numeric, (rank for _, rank in groups)))  # a projector's rank is its trace
     for (gv, gm), (ev, em) in zip(got, expected):
-        if abs(gv - ev) > tolerances.spectral_reconstruction or gm != em:
+        if abs(gv - ev) > tolerances["spectral_reconstruction"] or gm != em:
             raise RuntimeError(f"spectrum {got} does not reproduce the value grouping {expected}")
     projectors = {w: p for w, (p, _) in zip(numeric, groups)}
     return OperatorBundle(theta, operator, spectral, projectors, _qa_labels(theta))

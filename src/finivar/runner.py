@@ -21,7 +21,6 @@ from .report import STATUS_ERROR, STATUS_INFORMATIONAL, CheckRecord, Verificatio
 from .representations import (
     IrreducibilityDiagnostic,
     OperatorBundle,
-    OperatorTolerances,
     RepDiagnostics,
     build_operator,
     commutant_diagnostic,
@@ -76,10 +75,6 @@ class _Context:
         return self.tolerances[name]
 
     @cached_property
-    def operator_tolerances(self) -> OperatorTolerances:
-        return OperatorTolerances.from_table(self.tolerances)
-
-    @cached_property
     def rep_diagnostics(self) -> RepDiagnostics:
         return self.scenario.coherent_family.rep.diagnostics()
 
@@ -91,9 +86,8 @@ class _Context:
         self, theta: ConceptualVariable, group: PermutationGroup
     ) -> tuple[PermutationGroup, GroupHomomorphism]:
         """``groups.induced_group(theta, group)``, built once per variable and
-        element list: the representation's group may be another object with
-        the same elements.  A refusal is raised again on every call."""
-        key = (theta.name, theta.values, theta.assignment, group.elements)
+        group.  A refusal is raised again on every call."""
+        key = (theta.name, theta.values, theta.assignment, group)
         if key not in self._induced:
             self._induced[key] = induced_group(theta, group)
         return self._induced[key]
@@ -107,7 +101,7 @@ class _Context:
         key = (theta.name, theta.values, theta.assignment, base_point)
         if key not in self._bundles:
             self._bundles[key] = build_operator(
-                theta, self.scenario.coherent_family, base_point, self.operator_tolerances
+                theta, self.scenario.coherent_family, base_point, self.tolerances
             )
         return self._bundles[key]
 

@@ -19,7 +19,7 @@ import yaml
 from . import linalg, spin
 from .groups import NotPermissibleError, Permutation, PermutationGroup, PermissibilityWitness
 from .groups import flag_trivial_exchange, is_permissible
-from .harness import A1_PARTITION_ENUM_LIMIT, ThoughtScenario, classify_thoughts
+from .harness import ThoughtScenario, classify_thoughts
 from .harness import VERDICT_ALL_DIFFERENT, VERDICT_ALL_RELATED, VERDICT_MIXED
 from .harness import exhaustive_falsifier, theorem_a1_search
 from .linalg import DEFAULT_TOLERANCES
@@ -221,13 +221,6 @@ def _target(value: Any, path: str, scenario: Scenario) -> spin.SpinDirection | C
     return direction
 
 
-def _all_partitions(value: Any, path: str, scenario: Scenario) -> bool:
-    n, limit = scenario.space.size, A1_PARTITION_ENUM_LIMIT
-    if _flag(value, path, scenario) and n > limit:
-        raise _fail(path, f"partition enumeration is limited to {limit} points, space has {n}")
-    return value
-
-
 def _generators(value: Any, path: str, scenario: Scenario) -> PermutationGroup:
     return _generate(value, scenario.space, path)
 
@@ -250,12 +243,22 @@ def _scenario_group(scenario: Scenario, params: _Params, path: str) -> Permutati
     return scenario.group
 
 
-def _exchange_group(scenario: Scenario, params: _Params, path: str) -> PermutationGroup | None:
-    """theorem1 acts with a group only to exclude a pair related by the coordinate
-    swap, which needs an ``eta`` and a space with a product structure."""
-    if params["eta"] is None or scenario.space.product is None:
-        return None
-    return _scenario_group(scenario, params, path)
+def _eta(value: Any, path: str, scenario: Scenario) -> ConceptualVariable:
+    """theorem1 acts with the scenario's group only to exclude a pair related by
+    the coordinate swap, which needs an ``eta`` and a space with a product structure."""
+    eta = _variable(value, path, scenario)
+    if scenario.space.product is not None and scenario.group is None:
+        raise _fail(path, "scenario declares no group")
+    return eta
+
+
+def _swap_excluded(scenario: Scenario, params: _Params) -> bool:
+    theta, eta = params["variable"], params["eta"]
+    return (
+        eta is not None
+        and scenario.space.product is not None
+        and flag_trivial_exchange(theta, eta, scenario.group)
+    )
 
 
 def _represented(scenario: Scenario, params: _Params, path: str) -> None:
@@ -265,10 +268,7 @@ def _represented(scenario: Scenario, params: _Params, path: str) -> None:
 
 def _represented_unless_exchange(scenario: Scenario, params: _Params, path: str) -> None:
     # theorem1 builds no operator for a pair the coordinate swap excludes.
-    theta, eta = params["variable"], params["eta"]
-    if eta is None or scenario.space.product is None or not flag_trivial_exchange(
-        theta, eta, params["generators"]
-    ):
+    if not _swap_excluded(scenario, params):
         _represented(scenario, params, path)
 
 
@@ -334,19 +334,17 @@ def _handle_induced_group(ctx: Any, params: _Params) -> _Outcome:
 
 
 def _handle_theorem1(ctx: Any, params: _Params) -> _Outcome:
-    theta, base_point, eta = params["variable"], params["base_point"], params["eta"]
+    theta, base_point = params["variable"], params["base_point"]
     details: dict[str, Any] = {"variable": theta.name}
 
-    if eta is not None and ctx.scenario.space.product is not None:
-        if flag_trivial_exchange(theta, eta, params["generators"]):
-            details["excluded"] = (
-                "the pair is related only through the coordinate swap; no "
-                "transformation content"
-            )
-            return STATUS_NOT_APPLICABLE, details
+    if _swap_excluded(ctx.scenario, params):
+        details["excluded"] = (
+            "the pair is related only through the coordinate swap; no transformation content"
+        )
+        return STATUS_NOT_APPLICABLE, details
 
     family = ctx.scenario.coherent_family
-    permissibility = is_permissible(theta, family.group)
+    permissibility = is_permissible(theta, ctx.scenario.group)
     details["permissible"] = permissibility.ok
     if not permissibility.ok:
         details["witness"] = _witness_payload(permissibility.witness)
@@ -418,23 +416,22 @@ def _handle_theorem1(ctx: Any, params: _Params) -> _Outcome:
 
 def _handle_theorem2(ctx: Any, params: _Params) -> _Outcome:
     theta, base_point = params["variable"], params["base_point"]
-    family = ctx.scenario.coherent_family
+    family, group = ctx.scenario.coherent_family, ctx.scenario.group
     try:
-        _, induced = ctx.induced(theta, family.group)
+        _, induced = ctx.induced(theta, group)
     except NotPermissibleError as exc:
         return STATUS_NOT_APPLICABLE, {
             "variable": theta.name,
             "reason": "theta is not permissible under the acting group",
             "witness": _witness_payload(exc.witness),
         }
-    elements = family.group.elements
     residuals = conjugation_check(family, induced, ctx.bundle(theta, base_point))
     max_residual = max([0.0, *residuals])
     details = {
         "variable": theta.name,
         "elements_checked": len(residuals),
         "max_residual": max_residual,
-        "per_element": [{"element": t, "residual": r} for t, r in zip(elements, residuals)],
+        "per_element": [{"element": t, "residual": r} for t, r in zip(group.elements, residuals)],
     }
     return _status(max_residual <= ctx.tol("conjugation_residual")), details
 
@@ -571,8 +568,7 @@ _CHECK_PARAMS: dict[str, tuple[Any, ...]] = {
         _handle_theorem1,
         _VARIABLE,
         _BASE_POINT,
-        ("eta", _variable, None),
-        ("generators", _generators, _exchange_group),
+        ("eta", _eta, None),
         _represented_unless_exchange,
     ),
     "theorem2": (_handle_theorem2, _VARIABLE, _BASE_POINT, _represented),
@@ -591,7 +587,7 @@ _CHECK_PARAMS: dict[str, tuple[Any, ...]] = {
         _handle_a1_search,
         ("theta", _variable, _required),
         ("eta", _variable, lambda scenario, params, path: params["theta"]),
-        ("all-partitions", _all_partitions, False),
+        ("all-partitions", _flag, False),
         _MEMBERS,
         _GROUP,
     ),
@@ -675,6 +671,8 @@ def _parse_variables(raw: Any, space: PointSpace) -> dict[str, ConceptualVariabl
 def _parse_representation(
     raw: Any, space: PointSpace, group: PermutationGroup | None
 ) -> UnitaryRep | None:
+    """The representation on the one group the scenario's checks act with: the
+    declared group, which a built-in kind's own group must equal, else the kind's."""
     if raw is None:
         return None
     data = _require(raw, "representation")
@@ -685,28 +683,41 @@ def _parse_representation(
     if kind == "qubit":
         if space.size != 2:
             raise _fail("representation.kind", f"expected two points, got {space.size}")
-        return qubit_rep(space)
-    if kind == "cyclic-dft":
+        own = qubit_rep(space)
+    elif kind == "cyclic-dft":
         n = data.get("n")
         if type(n) is not int or n < 1:
             raise _fail("representation.n", "expected a positive integer")
         if n != space.size:
             raise _fail("representation.n", f"expected the space size {space.size}, got {n}")
-        return cyclic_dft_rep(n, space)
-    raw_matrices = data.get("matrices")
-    if not isinstance(raw_matrices, list) or not raw_matrices:
-        raise _fail("representation.matrices", "expected a nonempty list")
-    if group is None:
-        raise _fail("representation", "scenario declares no group")
-    matrices: dict[Permutation, np.ndarray] = {}
-    for i, entry in enumerate(raw_matrices):
-        path = f"representation.matrices[{i}]"
-        item = _require(entry, path, ("element", "matrix"))
-        element = _permutation(item.get("element"), space.size, f"{path}.element")
-        if element in matrices:
-            first = list(matrices).index(element)
-            raise _fail(f"{path}.element", f"duplicate of representation.matrices[{first}]")
-        matrices[element] = _parse_matrix(item.get("matrix"), f"{path}.matrix")
+        own = cyclic_dft_rep(n, space)
+    if kind != "explicit":  # the kind's matrices, on the scenario's one group
+        group = own.group if group is None else group
+        declared, kinds = set(group.elements), set(own.group.elements)
+        if declared != kinds:
+            if declared < kinds:
+                extra = next(k for k in own.group.elements if k not in declared)
+                where = f"{kind}'s group has {list(extra.images)}, which the declared group lacks"
+            else:
+                extra = next(k for k in group.elements if k not in kinds)
+                where = f"the declared group has {list(extra.images)}, which {kind}'s group lacks"
+            raise _fail("representation.kind", f"expected the declared group's elements: {where}")
+        matrices = own.matrices
+    else:
+        raw_matrices = data.get("matrices")
+        if not isinstance(raw_matrices, list) or not raw_matrices:
+            raise _fail("representation.matrices", "expected a nonempty list")
+        if group is None:
+            raise _fail("representation", "scenario declares no group")
+        matrices = {}
+        for i, entry in enumerate(raw_matrices):
+            path = f"representation.matrices[{i}]"
+            item = _require(entry, path, ("element", "matrix"))
+            element = _permutation(item.get("element"), space.size, f"{path}.element")
+            if element in matrices:
+                first = list(matrices).index(element)
+                raise _fail(f"{path}.element", f"duplicate of representation.matrices[{first}]")
+            matrices[element] = _parse_matrix(item.get("matrix"), f"{path}.matrix")
     try:
         return UnitaryRep(group, matrices)
     except ValueError as exc:  # an element left out, or matrices of two shapes
@@ -751,6 +762,7 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
     coherent_family = None
     if representation is not None:
         import numpy as np  # already loaded: the representation holds arrays
+        group = representation.group  # the declared group, or else the kind's
         if data.get("base_state") is None:  # the first basis vector
             base_state = np.eye(1, representation.dim, dtype=complex)[0]
         else:

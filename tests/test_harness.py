@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from finivar.groups import Permutation, PermutationGroup, are_related, is_permissible
 from finivar.harness import (
+    _partition_count,
     _partition_orbits,
     _verdict_counts,
     VERDICT_ALL_DIFFERENT,
@@ -222,6 +223,11 @@ class TestA1Search:
         result = theorem_a1_search(scenario, parity, parity, all_partitions=True)
         assert result.status == "pass"
         assert result.candidates_checked == 2
+        # A member of another shape counts once and removes none of theta's shape.
+        corner = variable_from_assignment(square4, (0, 0, 0, 1), "corner")
+        scenario = self.scenario(square4, (parity, corner), rotation4)
+        result = theorem_a1_search(scenario, parity, parity, all_partitions=True)
+        assert (result.status, result.candidates_checked) == ("pass", 3)
 
     def test_not_applicable_when_not_maximal(self, square4, rotation4):
         members = pair_partition_family(square4)
@@ -268,15 +274,16 @@ class TestA1Search:
         assert result.status == "not-applicable"
         assert "isotropy" in result.reason
 
-    def test_partition_enumeration_size_guard(self):
+    def test_all_partitions_past_six_points_are_counted(self):
         space = space_of(8, "oct")
         group = PermutationGroup.generate(
             space, (Permutation((1, 2, 3, 4, 5, 6, 7, 0)),)
         )
         theta = variable_from_assignment(space, (0, 1, 0, 1, 0, 1, 0, 1), "alt")
         scenario = self.scenario(space, (theta,), group)
-        with pytest.raises(ValueError, match="limited to 6 points"):
-            theorem_a1_search(scenario, theta, theta, all_partitions=True)
+        result = theorem_a1_search(scenario, theta, theta, all_partitions=True)
+        # The 35 partitions of 8 points into two blocks of 4, less theta's own.
+        assert (result.status, result.candidates_checked) == ("pass", 34)
 
 
 def block_size_multisets(n: int, largest: int | None = None) -> list[tuple[int, ...]]:
@@ -358,6 +365,12 @@ class TestPartitionEnumeration:
         found = [partitions_with_block_sizes(n, s) for s in sizes]
         assert found == [set_based_partitions(n, s) for s in sizes]
         assert sum(map(len, found)) == partitions
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_count_matches_the_enumeration(self, n):
+        """a1-search counts the partitions of theta's shape instead of listing them."""
+        for sizes in block_size_multisets(n):
+            assert _partition_count(sizes) == len(partitions_with_block_sizes(n, sizes))
 
     def test_balanced_divisibility(self):
         with pytest.raises(ValueError, match="evenly split"):

@@ -1,4 +1,5 @@
-"""The README's Library section documents exactly the package's public names."""
+"""The README's Library section documents exactly the package's public names, and
+its check-type table lists exactly the check types."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import re
 from pathlib import Path
 
 import finivar
+from finivar.scenario import CHECK_TYPES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -40,3 +42,10 @@ def test_every_public_name_is_in_the_library_section():
 
 def test_library_example_runs():
     exec(compile(library_block(), str(README), "exec"), {})
+
+
+def test_the_check_type_table_lists_every_check_type():
+    text = README.read_text(encoding="utf-8")
+    table = text.split("\nCheck types:\n", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"^\| `([a-z0-9-]+)` \|", table, re.M)
+    assert listed == list(CHECK_TYPES)

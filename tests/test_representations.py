@@ -21,7 +21,7 @@ from finivar.groups import (
     induced_group,
     is_permissible,
 )
-from finivar.report import STATUS_NOT_APPLICABLE
+from finivar.report import STATUS_FAIL, STATUS_NOT_APPLICABLE
 from finivar.representations import (
     CoherentCollisionError,
     CoherentFamily,
@@ -746,9 +746,64 @@ class TestConjugationLawStack:
         assert record.status == STATUS_NOT_APPLICABLE
         assert record.details["witness"] == {"k": witness.k, "phi1": witness.phi1, "phi2": witness.phi2}
 
+    def test_matrices_that_are_no_representation_can_fail(self):
+        """On matrices that pass the representation diagnostics the law holds by
+        construction, as the sweep above finds; on others it can fail.  Z4 with
+        U(s) the shift's permutation matrix after a quarter turn of e2 and e3,
+        which fixes e0: the coherent states, and so theta's operator, are those
+        of the regular representation, but T(s)^dag A T(s) swaps the weights on
+        e2 and e3."""
+        elements = [[(j + s) % 4 for j in range(4)] for s in range(4)]
+        matrices = [np.eye(4)[:, k] for k in elements]
+        turn = np.eye(4)
+        turn[2:, 2:] = [[0, -1], [1, 0]]
+        matrices[1] = matrices[1] @ turn
+        entries = "".join(
+            f"\n    - element: {k}\n      matrix: {m.tolist()}" for k, m in zip(elements, matrices)
+        )
+        scenario = loads(
+            "name: z4\nspace: {id: pts-4, labels: ['0', '1', '2', '3']}\n"
+            "variables: [{name: theta, values: ['0', '1', '2', '3'], assignment: [0, 1, 2, 3]}]\n"
+            "group: {generators: [[1, 2, 3, 0]]}\n"
+            "representation:\n  kind: explicit\n  matrices:" + entries + "\n"
+            "checks: [{type: theorem1-hypotheses, variable: theta},"
+            " {type: theorem2, variable: theta}]\n"
+        )
+        theorem1, theorem2 = run_scenario(scenario).checks
+        assert theorem1.status == STATUS_FAIL
+        assert theorem1.details["representation"]["homomorphism_residual"] == 1.0
+        assert theorem2.status == STATUS_FAIL
+        assert [e["residual"] for e in theorem2.details["per_element"]] == [0.0, 3.0, 0.0, 0.0]
+
 
 def _forbidden_build(*args, **kwargs):
     raise AssertionError("no operator may be built for a non-permissible theta")
+
+
+class TestExpansionLemma:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_expansion_over_a_regular_representation_passes(self, n):
+        """The lemma that decides ``eq1-expansion``: ``linalg.eigh`` returns an
+        orthonormal eigenbasis, so the amplitudes of a unit eigenvector over it
+        rebuild the vector, and their weights sum to 1, up to rounding.  Every
+        regular class of S_n, as a seeded unitary conjugate of its permutation
+        matrices, with the maximal theta's operator at every base point as the
+        basis and a seeded random Hermitian matrix as the target."""
+        for index, group in enumerate(regular_subgroups(n)):
+            conjugate = random_unitary(n, seed=10 * n + index)
+            matrices = {
+                k: conjugate @ _permutation_matrix(k) @ conjugate.conj().T for k in group.elements
+            }
+            family = CoherentFamily(UnitaryRep(group, matrices), conjugate[:, 0])
+            labels = tuple(str(j) for j in range(n))
+            theta = ConceptualVariable("theta", group.space, labels, tuple(range(n)))
+            draw = random_unitary(n, seed=100 + 10 * n + index)
+            target = bundle_from_matrix("target", draw + draw.conj().T)
+            assert target.is_nondegenerate()
+            for base_point in range(n):
+                basis = build_operator(theta, family, base_point)
+                for i in range(n):
+                    assert expand_in_basis(target, i, basis).ok()
 
 
 def pair_by_pair(rep):

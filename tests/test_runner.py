@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-import dataclasses
 import hashlib
 import inspect
 import json
@@ -197,14 +196,11 @@ class TestOneTable:
 
     def test_every_keyword_default_reads_the_table(self):
         found = float_keyword_defaults()
-        fields = {
-            f"OperatorTolerances.__init__.{f.name}": f.name
-            for f in dataclasses.fields(representations.OperatorTolerances)
-        }
-        expected = {**KEYWORD_TOLERANCES, **fields}
-        assert set(found) == set(expected)
-        for key, name in expected.items():
+        assert set(found) == set(KEYWORD_TOLERANCES)
+        for key, name in KEYWORD_TOLERANCES.items():
             assert found[key] == DEFAULT_TOLERANCES[name], key
+        build = inspect.signature(representations.build_operator).parameters["tolerances"]
+        assert build.default is DEFAULT_TOLERANCES
 
     def test_check_types_and_handlers_agree(self):
         assert len(CHECK_TYPES) == 9
@@ -290,6 +286,20 @@ class TestStatusMapping:
         assert report.exit_code == 0
         assert report.checks[0].details["permissible"] is False
         assert "witness" in report.checks[1].details
+
+    def test_theorem1_fails_on_a_maximal_degenerate_variable(self):
+        # Without position, parity is maximal in cyclic-4's family, yet its
+        # operator has two eigenvalues of multiplicity 2.
+        position = '  - name: position\n    values: ["0", "1", "2", "3"]\n'
+        position += "    assignment: [0, 1, 2, 3]\n"
+        text = builtin_text("cyclic-4").replace(position, "")
+        text = text[: text.index("checks:")] + "checks:\n"
+        text += "  - type: theorem1-hypotheses\n    variable: parity\n"
+        _, record = single_record(loads(text))
+        assert record.status == STATUS_FAIL
+        assert record.details["operator"]["maximal_in_family"] is True
+        assert record.details["operator"]["nondegenerate"] is False
+        assert record.details["maximal_iff_nondegenerate"] is False
 
     def test_trivial_exchange_exclusion_is_not_applicable(self):
         report = run_scenario(load_builtin("singlet"))
@@ -615,8 +625,8 @@ class TestOperatorCache:
         ]
 
     def test_theorem2_reuses_the_induced_map_of_induced_group(self, monkeypatch):
-        # The scenario's group and the representation's group are two objects
-        # with the same elements, so one map serves both checks of a variable.
+        # The representation acts with the scenario's group, so one map serves
+        # both checks of a variable.
         calls = []
         real = runner.induced_group
 
@@ -633,7 +643,7 @@ class TestOperatorCache:
                 "  - type: induced-group\n    variable: position\n"
             )
         )
-        assert loaded.group is not loaded.coherent_family.group
+        assert loaded.group is loaded.coherent_family.group
         report = run_scenario(loaded)
         assert [c.status for c in report.checks] == [STATUS_PASS] * 4
         assert calls == ["residue", "position"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import re
@@ -290,12 +291,15 @@ representation:
             .replace("group:\n  generators:\n    - [0, 2, 1, 3]\n", "")
             .replace("  - type: a2-classify\n    expect-verdict: mixed\n", "")
         )
-        expect_error(text, r"checks\[1\].generators: scenario declares no group")
+        expect_error(text, r"checks\[1\].eta: scenario declares no group")
         text += "representation:\n  kind: cyclic-dft\n  n: 4\n"  # theorem1 builds operators
-        without_eta = loads(text.replace("    eta: right-z\n", ""))
-        assert without_eta.checks[1].params["generators"] is None
-        without_product = loads(text.replace("  product: [[0, 0], [0, 1], [1, 0], [1, 1]]\n", ""))
-        assert without_product.checks[1].params["generators"] is None
+        for loaded in (
+            loads(text),  # the representation's group judges the swap
+            loads(text.replace("    eta: right-z\n", "")),
+            loads(text.replace("  product: [[0, 0], [0, 1], [1, 0], [1, 1]]\n", "")),
+        ):
+            assert loaded.group is loaded.coherent_family.group
+            assert "generators" not in loaded.checks[1].params
 
     def test_theorem1_on_a_pair_the_swap_may_exclude_loads_without_a_representation(self):
         scenario = loads(builtin_mod.builtin_text("singlet"))
@@ -303,10 +307,25 @@ representation:
         assert scenario.checks[2].label() == "theorem1-hypotheses:left-z"
         assert scenario.checks[2].params["eta"].name == "right-z"
 
-    def test_generators_are_read_without_eta(self):
-        # theorem1 acts with a group only for eta; its generators are checked anyway.
-        text = CYCLE4.format(checks=f"{THEOREM1}\n    generators: [[9, 9]]")
-        expect_error(text, r"checks\[0\].generators\[0\]: image array has length 2")
+    @pytest.mark.parametrize("source", ["qubit", "cyclic-4", "operators:1", "operators:7"])
+    def test_the_representation_acts_with_the_scenario_group(self, source):
+        if source in builtin_mod.BUILTINS:
+            texts = [builtin_mod.builtin_text(source)]
+        else:  # every case of one seed of the benchmark's operators workload
+            workload, seed = source.split(":")
+            texts = [case.text for case in perfbench_workloads().generate(workload, int(seed))]
+        for text in texts:
+            scenario = loads(text)
+            assert scenario.coherent_family.group is scenario.group
+
+    def test_a_representation_without_a_group_brings_its_own(self):
+        text = CYCLE4.format(checks=PERMISSIBILITY).replace(
+            "group:\n  generators:\n    - [1, 2, 3, 0]\n", ""
+        )
+        scenario = loads(text)
+        assert scenario.group is scenario.coherent_family.group
+        assert scenario.group.order == 4
+        assert scenario.checks[0].params["generators"] is scenario.group
 
     def test_informational_flag(self):
         scenario = loads(MINIMAL + "\ninformational: true\n")
@@ -585,6 +604,36 @@ checks:
 """
 
 
+# A declared group whose elements differ from those of the representation kind's
+# own group, and the element the refusal names.
+FOREIGN_GROUPS = {
+    "klein-four-group": (
+        CYCLE4.format(checks=THEOREM2).replace(
+            "- [1, 2, 3, 0]", "- [1, 0, 3, 2]\n    - [2, 3, 0, 1]"
+        ),
+        "the declared group has [1, 0, 3, 2], which cyclic-dft's group lacks",
+    ),
+    "proper-subgroup": (
+        CYCLE4.format(checks=THEOREM2).replace("- [1, 2, 3, 0]", "- [2, 3, 0, 1]"),
+        "cyclic-dft's group has [1, 2, 3, 0], which the declared group lacks",
+    ),
+    "qubit-on-the-trivial-group": (
+        MINIMAL.replace("- [1, 0]", "- [0, 1]") + "representation: {kind: qubit}\n",
+        "qubit's group has [1, 0], which the declared group lacks",
+    ),
+}
+
+
+def perfbench_workloads():
+    """The benchmark's scenario generators, which import nothing of finivar."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
 def malformed(text: str, field: str, *flags: str, id: str):
     """A scenario that must exit 2 naming ``field``, run with the CLI ``flags``."""
     return pytest.param(text, field, flags, id=id)
@@ -793,9 +842,9 @@ class TestCli:
                 id="target-unknown-key",
             ),
             malformed(
-                CYCLE4.format(checks=f"{THEOREM1}\n    generators: [[9, '9']]"),
-                "checks[0].generators[0]",
-                id="theorem1-generators-without-eta",
+                CYCLE4.format(checks=f"{THEOREM1}\n    generators: [[1, 2, 3, 0]]"),
+                "checks[0].generators",
+                id="theorem1-generators",
             ),
             malformed(
                 CYCLE4.format(checks=f"{THEOREM1}\n    generators: 5"),
@@ -958,6 +1007,18 @@ class TestCli:
         assert f"Error: {field}: " in result.output
         assert not caught and "Warning" not in result.stderr
 
+    @pytest.mark.parametrize("name", FOREIGN_GROUPS)
+    def test_a_kind_on_a_declared_group_with_other_elements_exits_two(self, tmp_path, name):
+        text, element = FOREIGN_GROUPS[name]
+        target = tmp_path / "foreign.yaml"
+        target.write_text(text, encoding="utf-8")
+        result = self.runner.invoke(main, ["run", str(target)])
+        assert result.exit_code == 2, result.output
+        assert (
+            f"Error: representation.kind: expected the declared group's elements: {element}"
+            in result.output
+        )
+
     def test_malformed_later_check_exits_two_before_any_check_runs(self, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr("finivar.scenario.exhaustive_falsifier", lambda *a: calls.append(a))
@@ -1116,20 +1177,15 @@ class TestCli:
         options = re.findall(r"^  (--[a-z-]+)", result.output, re.MULTILINE)
         assert options == ["--report", "--tolerance-scale", "--max-n", "--help"]
 
-    def test_partition_enumeration_past_six_points_exits_two_when_loading(
-        self, tmp_path, monkeypatch
-    ):
-        ran = []
-        monkeypatch.setattr(cli_mod, "run_scenario", lambda *args: ran.append(args))
+    def test_partitions_past_six_points_are_counted(self, tmp_path):
         target = tmp_path / "octagon.yaml"
         target.write_text(OCTAGON_A1_SEARCH, encoding="utf-8")
-        result = self.runner.invoke(main, ["run", str(target)])
-        assert result.exit_code == 2, result.output
-        assert (
-            "checks[0].all-partitions: partition enumeration is limited to 6 points, "
-            "space has 8" in result.output
-        )
-        assert not ran
+        result = self.runner.invoke(main, ["run", str(target), "--report", "-"])
+        assert result.exit_code == 0, result.output
+        (check,) = json.loads(result.output)["checks"]
+        assert check["status"] == STATUS_PASS
+        # The 35 partitions of 8 points into two blocks of 4, less alternate's own.
+        assert check["details"]["candidates_checked"] == 34
 
     def test_list_shows_descriptions(self):
         result = self.runner.invoke(main, ["list"])
