@@ -9,19 +9,13 @@ element.
 
 from __future__ import annotations
 
-import itertools
-import random
-from array import array
 from dataclasses import dataclass
-from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .spaces import (
     ConceptualVariable,
     DomainMismatchError,
     PointSpace,
-    _id_tables,
     _require_same_domain,
     canonical_partition,
     compose,
@@ -42,8 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_CLOSURE_CAP = 1_000_000
-PAIR_EXHAUSTIVE_LIMIT = 500
-PAIR_SAMPLE_SIZE = 1000
 
 
 class GroupTooLargeError(RuntimeError):
@@ -127,12 +119,15 @@ def _close(generator_images: Iterable[tuple[int, ...]], n: int, max_size: int) -
     return els
 
 
-def _product_outside(images: Sequence[tuple[int, ...]], n: int) -> tuple[int, ...] | None:
-    """A product of two of the permutations ``images`` that is not among them, or
-    None when they are closed under composition.
+def _greedy_generators(
+    images: Sequence[tuple[int, ...]], n: int
+) -> tuple[list[tuple[int, ...]], tuple[int, ...] | None]:
+    """A greedy generating set of the permutations ``images``, and a product of
+    two of them that is not among them (None when they are closed under
+    composition, so the set generates them).
 
-    Only a greedy generating set is composed with the list: once each of its
-    elements maps the list into itself, the list is the group they generate.
+    Only the greedy set is composed with the list: once each of its elements
+    maps the list into itself, the list is the group they generate.
     """
     listed, gens, span = set(images), [], {tuple(range(n))}
     for g in images:
@@ -140,17 +135,19 @@ def _product_outside(images: Sequence[tuple[int, ...]], n: int) -> tuple[int, ..
             continue
         for p in images:
             if compose(g, p) not in listed:
-                return compose(g, p)
+                return gens, compose(g, p)
         gens.append(g)
         span = _close(gens, n, len(listed))
-    return None
+    return gens, None
 
 
 class PermutationGroup:
     """A permutation group on a point space.
 
     ``generate`` lists the elements in lexicographic order.  An element's id is
-    its position in ``elements``.
+    its position in ``elements``.  The group laws are checked on the rows of a
+    generating set S: ``generate``'s own generators, or for a group built from
+    its element list, the greedy set its closure check finds.
     """
 
     def __init__(
@@ -162,7 +159,7 @@ class PermutationGroup:
         """Raises ValueError unless ``elements`` are distinct, hold the identity
         and are closed under composition."""
         self._adopt(space, generators, elements)
-        outside = _product_outside(list(self._ids), space.size)
+        self._generating, outside = _greedy_generators(list(self._ids), space.size)
         if outside is not None:
             raise ValueError(
                 f"elements are not closed under composition: {list(outside)} is missing"
@@ -201,6 +198,7 @@ class PermutationGroup:
         closed = _close((g.images for g in generators), space.size, max_size)
         group = cls.__new__(cls)  # closed by construction: no closure check
         group._adopt(space, generators, tuple(map(Permutation._trusted, sorted(closed))))
+        group._generating = list(dict.fromkeys(g.images for g in generators))
         return group
 
     @property
@@ -220,32 +218,12 @@ class PermutationGroup:
     def __contains__(self, p: Permutation) -> bool:
         return p.images in self._ids
 
-    @cached_property
-    def _table(self) -> list[array] | None:
-        """``_table[a][b]`` is the id of a∘b, for up to ``PAIR_EXHAUSTIVE_LIMIT`` elements."""
-        if self.order > PAIR_EXHAUSTIVE_LIMIT:
-            return None
-        return _id_tables([p.images for p in self.elements])[0]
-
-    def product_id(self, a: int, b: int) -> int:
-        """The id of a∘b, read from the product table up to ``PAIR_EXHAUSTIVE_LIMIT``
-        elements and composed past it."""
-        if self._table is not None:
-            return self._table[a][b]
-        return self._ids[compose(self.elements[a].images, self.elements[b].images)]
-
-    def pair_ids(self) -> tuple[Iterator[tuple[int, int, int]], int]:
-        """The pairs to check a composition law on, as ``(a, b, ab)`` ids, and their
-        count: every ordered pair up to ``PAIR_EXHAUSTIVE_LIMIT`` elements, else
-        ``PAIR_SAMPLE_SIZE`` pairs drawn by ``random.Random(0)``."""
-        n = self.order
-        if n <= PAIR_EXHAUSTIVE_LIMIT:
-            positions, count = itertools.product(range(n), repeat=2), n * n
-        else:
-            rng = random.Random(0)
-            positions = ((rng.randrange(n), rng.randrange(n)) for _ in range(PAIR_SAMPLE_SIZE))
-            count = PAIR_SAMPLE_SIZE
-        return ((a, b, self.product_id(a, b)) for a, b in positions), count
+    def generator_rows(self) -> Iterator[tuple[int, list[int]]]:
+        """Each element s of the generating set S, as its id and the ids of s∘b
+        for every b in id order: the |S|·|G| products that decide a group law."""
+        ids, elements = self._ids, list(self._ids)
+        for s in self._generating:
+            yield ids[s], [ids[compose(s, b)] for b in elements]
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbit partition of the point space, each orbit ascending, sorted by minimum."""
@@ -291,24 +269,19 @@ class GroupHomomorphism:
         return self.mapping[k]
 
     def verify(self) -> bool:
-        """Check that every value lies in the target, and the identity and
-        composition laws on the pairs of ``PermutationGroup.pair_ids``.  When
-        both groups have product tables, a row at a time: a's row read through
-        φ, the ids φ(a∘b), must equal φ(a)'s row read at φ, the ids φ(a)∘φ(b).
+        """Check that φ(e) = e, that every value lies in the target, and that
+        φ(sb) = φ(s)φ(b) for each s in the source's generating set S and every
+        b.  That decides the law on all pairs: write a = s₁⋯s_k and induct on k.
         """
         if not self.mapping[self.source.identity].is_identity():
             return False
-        to_target = self.target._ids
-        phi = [to_target.get(self.mapping[k].images) for k in self.source.elements]
-        if None in phi:  # a value outside the target group
+        phi = [self.mapping[k].images for k in self.source.elements]
+        if not all(f in self.target._ids for f in phi):
             return False
-        source, target = self.source._table, self.target._table
-        if source is not None and target is not None:
-            at_phi = itemgetter(*phi)
-            return all(itemgetter(*row)(phi) == at_phi(target[f]) for row, f in zip(source, phi))
-        pairs, _ = self.source.pair_ids()
-        product = self.target.product_id
-        return all(phi[ab] == product(phi[a], phi[b]) for a, b, ab in pairs)
+        return all(
+            [phi[sb] for sb in row] == [compose(phi[s], f) for f in phi]
+            for s, row in self.source.generator_rows()
+        )
 
 
 @dataclass(frozen=True)

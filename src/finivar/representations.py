@@ -84,49 +84,42 @@ class UnitaryRep:
     def diagnostics(self) -> "RepDiagnostics":
         """Measure unitarity, the identity image, and the composition law.
 
-        The composition law is checked up to a global phase per pair, read at
-        U(ab)'s first largest |entry|, so exact and ray representations both
-        validate.  Up to 500 elements every pair is checked, one element a at
-        a time: U(a) times the whole stack, against the matrices at a's row of
-        the product table.  Past that a fixed sample of pairs from
-        ``PermutationGroup.pair_ids`` is stacked |G| at a time.
+        The composition law U(s)U(b) = U(sb) is checked up to a global phase
+        per pair, read at U(sb)'s first largest |entry|, so exact and ray
+        representations both validate.  It is checked on the rows of the
+        group's generating set S, one s at a time: U(s) times the whole stack,
+        against the matrices at the ids of s∘b.  By induction on the length of
+        a word over S, those |S|·|G| pairs decide the law on every pair.
         """
         import numpy as np
         stack = np.array([self.matrices[k] for k in self.group.elements])  # indexed by id
         gram = stack.conj().swapaxes(1, 2) @ stack
         unitary_residual = max(abs(gram - np.eye(self.dim)).max(axis=(1, 2)).tolist())
         identity_residual = linalg.max_abs(self.matrices[self.group.identity] - np.eye(self.dim))
-        flat = stack.reshape(len(stack), -1)
+        n = len(stack)
+        flat = stack.reshape(n, -1)
         pivot = np.argmax(abs(flat), axis=1)
-        table = self.group._table
-        if table is not None:  # every pair (a, b): a chunk per a, its products from a's row
-            pair_count = len(stack) ** 2
-            chunks = ((m, stack, np.frombuffer(row, row.typecode)) for m, row in zip(stack, table))
-        else:
-            pairs, pair_count = self.group.pair_ids()
-            ids = np.fromiter(itertools.chain.from_iterable(pairs), np.intp).reshape(-1, 3)
-            splits = np.split(ids, range(len(stack), pair_count, len(stack)))  # |G| pairs each
-            chunks = ((stack[a], stack[b], ab) for a, b, ab in (chunk.T for chunk in splits))
-        size = min(len(stack), pair_count)
-        product, scaled = (np.empty((size, self.dim, self.dim), complex) for _ in range(2))
-        residual = np.empty((size, self.dim * self.dim))
-        hom_residual = 0.0
-        for left, right, ab in chunks:
-            n = len(ab)
-            got = np.matmul(left, right, product[:n]).reshape(n, -1)
-            expected = np.take(flat, ab, 0, scaled[:n].reshape(n, -1), "clip")  # ids are in range
-            with np.errstate(divide="ignore", invalid="ignore"):  # a zero U(ab) gives phase 1
-                phase = got[np.arange(n), pivot[ab]] / flat[ab, pivot[ab]]
+        product = np.empty_like(stack)
+        expected = np.empty_like(flat)
+        residual = np.empty(flat.shape)
+        hom_residual, pairs_checked = 0.0, 0
+        for s, row in self.group.generator_rows():
+            sb = np.array(row, np.intp)
+            got = np.matmul(stack[s], stack, product).reshape(n, -1)
+            np.take(flat, sb, 0, expected, "clip")  # ids are in range
+            with np.errstate(divide="ignore", invalid="ignore"):  # a zero U(sb) gives phase 1
+                phase = got[np.arange(n), pivot[sb]] / flat[sb, pivot[sb]]
                 mag = np.hypot(phase.real, phase.imag)  # bit for bit the scalar abs()
                 phase = np.where(mag > 0, phase / mag, 1.0)[:, None]
             np.multiply(phase, expected, expected)
-            np.abs(np.subtract(got, expected, expected), residual[:n])
-            hom_residual = max(hom_residual, *residual[:n].max(1).tolist())
+            np.abs(np.subtract(got, expected, expected), residual)
+            hom_residual = max(hom_residual, *residual.max(1).tolist())
+            pairs_checked += n
         return RepDiagnostics(
             unitary_residual=float(unitary_residual),
             identity_residual=float(identity_residual),
             homomorphism_residual=float(hom_residual),
-            pairs_checked=pair_count,
+            pairs_checked=pairs_checked,
         )
 
 
@@ -149,19 +142,20 @@ class RepDiagnostics:
         )
 
 
-def qubit_rep(space: PointSpace | None = None) -> UnitaryRep:
+def qubit_rep(group: PermutationGroup | None = None) -> UnitaryRep:
     """The two-element flip representation from the phase rule U|v> = e^{-iv}|flip v>.
 
     On the two-point value space {+1, -1} with basis |+1> = (1,0), |-1> = (0,1)
     the non-identity element gets [[0, e^{+i}], [e^{-i}, 0]], which squares to
-    the identity.
+    the identity.  ``group`` is the flip group it is built on, by default on
+    a space of its own.
     """
     import numpy as np
-    if space is None:
+    if group is None:
         space = PointSpace(id="spin-values", labels=("+1", "-1"))
-    if space.size != 2:
+        group = PermutationGroup.generate(space, (Permutation((1, 0)),))
+    if group.space.size != 2:
         raise ValueError("the flip representation lives on a two-point space")
-    group = PermutationGroup.generate(space, (Permutation((1, 0)),))
     flip = np.array([[0, np.exp(1j)], [np.exp(-1j), 0]], dtype=complex)
     matrices = {
         group.identity: np.eye(2, dtype=complex),
@@ -170,30 +164,28 @@ def qubit_rep(space: PointSpace | None = None) -> UnitaryRep:
     return UnitaryRep(group, matrices)
 
 
-def cyclic_dft_rep(n: int, space: PointSpace | None = None) -> UnitaryRep:
+def cyclic_dft_rep(n: int, group: PermutationGroup | None = None) -> UnitaryRep:
     """The cyclic shift group diagonalized by the discrete Fourier kernel.
 
     U(shift-by-s) = F^dag D^s F with F_{jk} = e^{2 pi i jk/n}/sqrt(n) and
     D = diag(e^{2 pi i k/n}); equivalently translation by s acts as a position
-    shift in the standard basis.
+    shift in the standard basis.  ``group`` is the group of the n shifts it is
+    built on, by default on a space of its own.
     """
     import numpy as np
     if n < 1:
         raise ValueError("cyclic representation needs n >= 1")
-    if space is None:
+    shifts = [Permutation(tuple((j + s) % n for j in range(n))) for s in range(n)]  # 0 -> s
+    if group is None:
         space = PointSpace(id=f"cycle-{n}", labels=tuple(str(j) for j in range(n)))
-    if space.size != n:
-        raise ValueError(f"space size {space.size} does not match n={n}")
-    shift = Permutation(tuple((j + 1) % n for j in range(n)))
-    group = PermutationGroup.generate(space, (shift,))
+        group = PermutationGroup.generate(space, (shifts[1 % n],))
+    if group.space.size != n:
+        raise ValueError(f"space size {group.space.size} does not match n={n}")
     js = np.arange(n)
     fourier = np.exp(2j * np.pi * np.outer(js, js) / n) / np.sqrt(n)
     phases = np.exp(2j * np.pi * js / n)
-    matrices: dict[Permutation, np.ndarray] = {}
-    for k in group.elements:
-        s = k.images[0]  # shift amount: 0 -> s
-        matrices[k] = fourier.conj().T @ np.diag(phases**s) @ fourier
-    return UnitaryRep(group, matrices)
+    matrices = {k: fourier.conj().T @ np.diag(phases**s) @ fourier for s, k in enumerate(shifts)}
+    return UnitaryRep(group, matrices)  # which raises unless the group is the shifts
 
 
 def _usable(states: np.ndarray) -> np.ndarray:

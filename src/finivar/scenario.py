@@ -252,23 +252,21 @@ def _eta(value: Any, path: str, scenario: Scenario) -> ConceptualVariable:
     return eta
 
 
-def _swap_excluded(scenario: Scenario, params: _Params) -> bool:
-    theta, eta = params["variable"], params["eta"]
-    return (
-        eta is not None
-        and scenario.space.product is not None
-        and flag_trivial_exchange(theta, eta, scenario.group)
-    )
-
-
 def _represented(scenario: Scenario, params: _Params, path: str) -> None:
     if scenario.coherent_family is None:
         raise _fail(path, "the check builds operators; the scenario declares no representation")
 
 
 def _represented_unless_exchange(scenario: Scenario, params: _Params, path: str) -> None:
-    # theorem1 builds no operator for a pair the coordinate swap excludes.
-    if not _swap_excluded(scenario, params):
+    """theorem1 builds no operator for a pair the coordinate swap excludes; the
+    verdict is kept among the check's values as ``excluded``."""
+    theta, eta = params["variable"], params["eta"]
+    params["excluded"] = (
+        eta is not None
+        and scenario.space.product is not None
+        and flag_trivial_exchange(theta, eta, scenario.group)
+    )
+    if not params["excluded"]:
         _represented(scenario, params, path)
 
 
@@ -337,7 +335,7 @@ def _handle_theorem1(ctx: Any, params: _Params) -> _Outcome:
     theta, base_point = params["variable"], params["base_point"]
     details: dict[str, Any] = {"variable": theta.name}
 
-    if _swap_excluded(ctx.scenario, params):
+    if params["excluded"]:
         details["excluded"] = (
             "the pair is related only through the coordinate swap; no transformation content"
         )
@@ -559,8 +557,9 @@ _MEMBERS = ("members", _members, lambda scenario, *_: tuple(scenario.variables.v
 
 # Each check type's handler, then its parameters, as (key, reader, default), and
 # its needs, read and judged in this order.  A need is a function of the scenario,
-# the values read before it and the path of the check's ``type``.  A check is
-# labelled by its first parameter where that is a variable, else by its ``name``.
+# the values read before it and the path of the check's ``type``; it may add a
+# verdict to those values.  A check is labelled by its first parameter where
+# that is a variable, else by its ``name``.
 _CHECK_PARAMS: dict[str, tuple[Any, ...]] = {
     "permissibility": (_handle_permissibility, _VARIABLE, ("expect", _flag, True), _GROUP),
     "induced-group": (_handle_induced_group, _VARIABLE, _GROUP),
@@ -683,41 +682,42 @@ def _parse_representation(
     if kind == "qubit":
         if space.size != 2:
             raise _fail("representation.kind", f"expected two points, got {space.size}")
-        own = qubit_rep(space)
     elif kind == "cyclic-dft":
         n = data.get("n")
         if type(n) is not int or n < 1:
             raise _fail("representation.n", "expected a positive integer")
         if n != space.size:
             raise _fail("representation.n", f"expected the space size {space.size}, got {n}")
-        own = cyclic_dft_rep(n, space)
     if kind != "explicit":  # the kind's matrices, on the scenario's one group
-        group = own.group if group is None else group
-        declared, kinds = set(group.elements), set(own.group.elements)
+        # Each kind's own group is the cyclic shifts of the points: the flip is Z_2's.
+        size = space.size
+        shifts = [Permutation(tuple((j + s) % size for j in range(size))) for s in range(size)]
+        if group is None:
+            group = PermutationGroup.generate(space, (shifts[1 % size],))
+        declared, kinds = set(group.elements), set(shifts)
         if declared != kinds:
             if declared < kinds:
-                extra = next(k for k in own.group.elements if k not in declared)
+                extra = next(k for k in shifts if k not in declared)
                 where = f"{kind}'s group has {list(extra.images)}, which the declared group lacks"
             else:
                 extra = next(k for k in group.elements if k not in kinds)
                 where = f"the declared group has {list(extra.images)}, which {kind}'s group lacks"
             raise _fail("representation.kind", f"expected the declared group's elements: {where}")
-        matrices = own.matrices
-    else:
-        raw_matrices = data.get("matrices")
-        if not isinstance(raw_matrices, list) or not raw_matrices:
-            raise _fail("representation.matrices", "expected a nonempty list")
-        if group is None:
-            raise _fail("representation", "scenario declares no group")
-        matrices = {}
-        for i, entry in enumerate(raw_matrices):
-            path = f"representation.matrices[{i}]"
-            item = _require(entry, path, ("element", "matrix"))
-            element = _permutation(item.get("element"), space.size, f"{path}.element")
-            if element in matrices:
-                first = list(matrices).index(element)
-                raise _fail(f"{path}.element", f"duplicate of representation.matrices[{first}]")
-            matrices[element] = _parse_matrix(item.get("matrix"), f"{path}.matrix")
+        return qubit_rep(group) if kind == "qubit" else cyclic_dft_rep(size, group)
+    raw_matrices = data.get("matrices")
+    if not isinstance(raw_matrices, list) or not raw_matrices:
+        raise _fail("representation.matrices", "expected a nonempty list")
+    if group is None:
+        raise _fail("representation", "scenario declares no group")
+    matrices = {}
+    for i, entry in enumerate(raw_matrices):
+        path = f"representation.matrices[{i}]"
+        item = _require(entry, path, ("element", "matrix"))
+        element = _permutation(item.get("element"), space.size, f"{path}.element")
+        if element in matrices:
+            first = list(matrices).index(element)
+            raise _fail(f"{path}.element", f"duplicate of representation.matrices[{first}]")
+        matrices[element] = _parse_matrix(item.get("matrix"), f"{path}.matrix")
     try:
         return UnitaryRep(group, matrices)
     except ValueError as exc:  # an element left out, or matrices of two shapes

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
@@ -28,16 +27,42 @@ def variable_from_assignment(
     )
 
 
-def element_pairs(elements, seed: int = 0, sample_pairs: int = 1000):
-    """Oracle: the pairs to check a composition law on, and their count: every
-    ordered pair up to 500 elements, else ``sample_pairs`` pairs drawn by
-    ``random.Random(seed)``.  ``PermutationGroup.pair_ids`` draws with seed 0
-    and 1000 pairs."""
-    n = len(elements)
-    if n <= 500:
-        return itertools.product(elements, elements), n * n
+def symmetric_group(n: int) -> PermutationGroup:
+    return PermutationGroup.generate(
+        space_of(n), (Permutation((1, 0) + tuple(range(2, n))), Permutation(tuple(range(1, n)) + (0,)))
+    )
+
+
+def cyclic_group(n: int) -> PermutationGroup:
+    return PermutationGroup.generate(space_of(n), (Permutation(tuple(range(1, n)) + (0,)),))
+
+
+def shuffled_s4() -> PermutationGroup:
+    """S4 built from a seeded shuffle of its elements: its generating set is the greedy one."""
+    elements = list(symmetric_group(4).elements)
+    random.Random(4).shuffle(elements)
+    return PermutationGroup(space_of(4), (), elements)
+
+
+# Groups up to S6 on which one changed image or matrix must break a group law.
+GROUPS_UP_TO_S6 = {
+    "z8": lambda: cyclic_group(8),
+    "shuffled-s4": shuffled_s4,
+    "a5": lambda: PermutationGroup.generate(
+        space_of(5), (Permutation((1, 2, 0, 3, 4)), Permutation((1, 2, 3, 4, 0)))
+    ),
+    "s5": lambda: symmetric_group(5),
+    "s6": lambda: symmetric_group(6),
+}
+
+
+def changed_element(group: PermutationGroup, seed: int) -> tuple[Permutation, Permutation]:
+    """A seeded element g outside the group's generating set, other than the
+    identity, and a seeded element h != g to put in its place."""
     rng = random.Random(seed)
-    return [(elements[rng.randrange(n)], elements[rng.randrange(n)]) for _ in range(sample_pairs)], sample_pairs
+    gens = {group.elements[s] for s, _ in group.generator_rows()}
+    g = rng.choice([k for k in group.elements if k not in gens and not k.is_identity()])
+    return g, rng.choice([k for k in group.elements if k != g])
 
 
 def multiplicities(bundle) -> tuple[tuple[float, int], ...]:

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from finivar.groups import (
     GroupHomomorphism,
-    PAIR_EXHAUSTIVE_LIMIT,
-    PAIR_SAMPLE_SIZE,
     GroupTooLargeError,
     NotPermissibleError,
     Permutation,
@@ -26,9 +24,12 @@ from finivar.spaces import ConceptualVariable, DomainMismatchError, PointSpace, 
 from finivar.subgroups import subgroup_conjugacy_classes
 
 from conftest import (
+    GROUPS_UP_TO_S6,
     assignments,
-    element_pairs,
+    changed_element,
+    cyclic_group,
     space_of,
+    symmetric_group,
     variable_from_assignment,
     variable_group_pairs,
 )
@@ -353,34 +354,6 @@ class TestInducedGroup:
             assert Permutation(p.images) == p and type(p.images) is tuple
 
 
-class TestElementPairs:
-    def test_every_pair_up_to_the_limit(self):
-        group = PermutationGroup.generate(
-            space_of(5), (Permutation((1, 0, 2, 3, 4)), Permutation((1, 2, 3, 4, 0)))
-        )
-        assert group.order <= PAIR_EXHAUSTIVE_LIMIT
-        pairs, count = group.pair_ids()
-        assert [(a, b) for a, b, _ in pairs] == list(itertools.product(range(120), repeat=2))
-        assert count == 120 * 120
-
-    def test_seeded_sample_above_the_limit(self):
-        group = PermutationGroup.generate(
-            space_of(6), (Permutation((1, 0, 2, 3, 4, 5)), Permutation((1, 2, 3, 4, 5, 0)))
-        )
-        assert group.order > PAIR_EXHAUSTIVE_LIMIT
-        pairs, count = group.pair_ids()
-        rng = random.Random(0)
-        draws = [rng.randrange(720) for _ in range(2 * PAIR_SAMPLE_SIZE)]
-        assert [(a, b) for a, b, _ in pairs] == list(zip(draws[::2], draws[1::2]))
-        assert count == PAIR_SAMPLE_SIZE == 1000
-
-
-def symmetric_group(n):
-    return PermutationGroup.generate(
-        space_of(n), (Permutation((1, 0) + tuple(range(2, n))), Permutation(tuple(range(1, n)) + (0,)))
-    )
-
-
 def law_holds_pair_by_pair(mapping, pairs):
     """Oracle: the identity and composition laws of ``mapping``, one ``Permutation`` product per pair."""
     identity = next(k for k in mapping if k.is_identity())
@@ -389,10 +362,15 @@ def law_holds_pair_by_pair(mapping, pairs):
     )
 
 
-class TestProductIds:
+def generating_set(group):
+    return [group.elements[s] for s, _ in group.generator_rows()]
+
+
+class TestGeneratorRows:
     @pytest.mark.parametrize("seed", range(6))
     def test_shuffled_elements_with_the_identity_not_first(self, seed):
-        """Ids are positions in ``elements``, wherever the identity sits."""
+        """Ids are positions in ``elements``, wherever the identity sits; a group
+        built from its element list takes the greedy set its closure check finds."""
         rng = random.Random(seed)
         lexicographic = symmetric_group(4) if seed % 2 else PermutationGroup.generate(
             space_of(6), (Permutation((1, 2, 0, 4, 5, 3)), Permutation((3, 4, 5, 0, 1, 2)))
@@ -400,14 +378,13 @@ class TestProductIds:
         shuffled = list(lexicographic.elements)
         while shuffled[0].is_identity():
             rng.shuffle(shuffled)
-        group = PermutationGroup(lexicographic.space, lexicographic.generators, shuffled)
+        group = PermutationGroup(lexicographic.space, (), shuffled)
         els = group.elements
-        pairs, count = group.pair_ids()
-        pairs = list(pairs)
-        assert count == len(pairs) == len(els) ** 2
-        assert [(a, b) for a, b, _ in pairs] == list(itertools.product(range(len(els)), repeat=2))
-        assert all(els[ab] == els[a] * els[b] for a, b, ab in pairs)
-        assert all(group.product_id(a, b) == ab for a, b, ab in pairs)
+        rows = list(group.generator_rows())
+        assert rows
+        assert all([els[sb] for sb in row] == [els[s] * b for b in els] for s, row in rows)
+        closed = PermutationGroup.generate(group.space, generating_set(group))
+        assert set(closed.elements) == set(els)
         mul, inv = _id_tables([p.images for p in els])
         assert [els[i] for i in inv] == [p.inverse() for p in els]
         assert [list(row) for row in mul] == [[els.index(a * b) for b in els] for a in els]
@@ -420,27 +397,25 @@ class TestProductIds:
             expected = law_holds_pair_by_pair(mapping, itertools.product(els, els))
             assert GroupHomomorphism(group, group, mapping).verify() == expected
 
-    @pytest.mark.parametrize("seed, sample_pairs", [(0, PAIR_SAMPLE_SIZE)])
-    def test_s6_samples_past_the_exhaustive_limit(self, seed, sample_pairs):
+    def test_generate_keeps_its_generators_once_each(self):
+        a, b = Permutation((1, 0, 2, 3)), Permutation((1, 2, 3, 0))
+        group = PermutationGroup.generate(space_of(4), (a, b, a, Permutation.identity(4), b))
+        assert generating_set(group) == [a, b, Permutation.identity(4)]
+        assert PermutationGroup.generate(space_of(4), ()).elements == (Permutation.identity(4),)
+        assert list(PermutationGroup.generate(space_of(4), ()).generator_rows()) == []
+
+    def test_s6_checks_two_rows_of_720(self):
         s6 = symmetric_group(6)
         els = s6.elements
-        assert len(els) > PAIR_EXHAUSTIVE_LIMIT
-        pairs, count = s6.pair_ids()
-        sampled, expected_count = element_pairs(els, seed, sample_pairs)
-        assert count == expected_count == sample_pairs
-        assert [(els[a], els[b], els[ab]) for a, b, ab in pairs] == [
-            (a, b, a * b) for a, b in sampled
-        ]
+        assert [len(row) for _, row in s6.generator_rows()] == [720, 720]
         t = Permutation((1, 0, 2, 3, 4, 5))
         odd = {k for k in els if sum(1 for i, j in itertools.combinations(k.images, 2) if i > j) % 2}
         broken = {k: k * t if k in odd else k for k in els}
-        for mapping, holds in (({k: k for k in els}, True), (broken, False)):
-            oracle = law_holds_pair_by_pair(mapping, element_pairs(els, seed, sample_pairs)[0])
-            assert oracle is holds
-            assert GroupHomomorphism(s6, s6, mapping).verify() is holds
+        assert GroupHomomorphism(s6, s6, {k: k for k in els}).verify() is True
+        assert not law_holds_pair_by_pair(broken, itertools.product(els, els))
+        assert GroupHomomorphism(s6, s6, broken).verify() is False
 
     def test_small_source_into_a_large_target(self):
-        """A target past the limit has no table: each product is composed once."""
         s6 = symmetric_group(6)
         shift = PermutationGroup.generate(space_of(6), (Permutation((1, 2, 3, 4, 5, 0)),))
         inclusion = {k: k for k in shift.elements}
@@ -562,25 +537,16 @@ class TestTrivialExchange:
 
 
 def verify_pair_by_pair(hom):
-    """Oracle: ``GroupHomomorphism.verify`` with one ``product_id`` per pair of
-    ``pair_ids``."""
-    if not hom.mapping[hom.source.identity].is_identity():
+    """Oracle: ``GroupHomomorphism.verify`` on every ordered pair, one
+    ``Permutation`` product per pair."""
+    if not all(value in hom.target for value in hom.mapping.values()):
         return False
-    phi = [hom.target._ids.get(hom.mapping[k].images) for k in hom.source.elements]
-    if None in phi:
-        return False
-    pairs, _ = hom.source.pair_ids()
-    return all(phi[ab] == hom.target.product_id(phi[a], phi[b]) for a, b, ab in pairs)
-
-
-def cyclic_group(n):
-    return PermutationGroup.generate(space_of(n), (Permutation(tuple(range(1, n)) + (0,)),))
+    return law_holds_pair_by_pair(hom.mapping, itertools.product(hom.source.elements, repeat=2))
 
 
 class TestRowWiseVerifyMatchesThePairLoop:
-    """Where both groups have product tables, ``verify`` compares whole rows;
-    it decides as the pair-by-pair loop does, on laws that hold and laws
-    that break, and past ``PAIR_EXHAUSTIVE_LIMIT`` it keeps the sampled pairs."""
+    """``verify`` checks the rows of a generating set only; it decides as the
+    loop over every pair does, on laws that hold and laws that break."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_induced_maps_of_every_subgroup_class(self, n):
@@ -599,7 +565,6 @@ class TestRowWiseVerifyMatchesThePairLoop:
                 if not is_permissible(theta, group):
                     continue
                 _, hom = induced_group(theta, group)
-                assert hom.source._table is not None and hom.target._table is not None
                 assert hom.verify() is verify_pair_by_pair(hom) is True
                 checked += 1
         assert checked > 0
@@ -646,28 +611,68 @@ class TestRowWiseVerifyMatchesThePairLoop:
         hom = GroupHomomorphism(group, group, {k: shift * k for k in group.elements})
         assert hom.verify() is verify_pair_by_pair(hom) is False
 
-    def test_a_target_past_the_limit_keeps_the_pair_loop(self):
+    def test_z6_into_s6(self):
         s6 = symmetric_group(6)
         z6 = PermutationGroup.generate(s6.space, (Permutation((1, 2, 3, 4, 5, 0)),))
-        assert s6._table is None and z6._table is not None
         inclusion = GroupHomomorphism(z6, s6, {k: k for k in z6.elements})
         assert inclusion.verify() is verify_pair_by_pair(inclusion) is True
         swap = Permutation((1, 0, 2, 3, 4, 5))
         broken = GroupHomomorphism(z6, s6, {k: k if k.is_identity() else k * swap for k in z6.elements})
         assert broken.verify() is verify_pair_by_pair(broken) is False
 
-    def test_s6_source_samples_past_the_limit(self):
+    def test_s6_source(self):
         s6 = symmetric_group(6)
-        assert s6.order == 720 > PAIR_EXHAUSTIVE_LIMIT
         z2 = PermutationGroup.generate(space_of(2), (Permutation((1, 0)),))
         odd = {k for k in s6.elements if sum(1 for i, j in itertools.combinations(k.images, 2) if i > j) % 2}
         flip, keep = z2.elements[1], z2.elements[0]
         sign = GroupHomomorphism(s6, z2, {k: flip if k in odd else keep for k in s6.elements})
-        assert sign.verify() is verify_pair_by_pair(sign) is True
+        assert sign.verify() is True  # every pair would take the oracle seconds
         t = Permutation((1, 0, 2, 3, 4, 5))
         broken = GroupHomomorphism(s6, s6, {k: k * t if k in odd else k for k in s6.elements})
         assert broken.verify() is verify_pair_by_pair(broken) is False
-        outside = GroupHomomorphism(
-            s6, z2, {k: flip if k in odd or k == s6.elements[-1] else keep for k in s6.elements}
+        even = next(k for k in reversed(s6.elements) if k not in odd)
+        one_off = GroupHomomorphism(
+            s6, z2, {k: flip if k in odd or k == even else keep for k in s6.elements}
         )
-        assert outside.verify() is verify_pair_by_pair(outside)
+        assert one_off.verify() is verify_pair_by_pair(one_off) is False
+
+
+def one_wrong_image(group, seed):
+    """The identity map of ``group`` but at one seeded element outside its
+    generating set, which it sends to another seeded element."""
+    g, h = changed_element(group, seed)
+    return {k: h if k == g else k for k in group.elements}
+
+
+class TestOneWrongImage:
+    """One image changed at a seeded element outside the generating set breaks
+    the law, and the generator rows see it: the lemma at any size."""
+
+    @pytest.mark.parametrize("name", GROUPS_UP_TO_S6)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_up_to_s6_as_every_pair_decides(self, name, seed):
+        group = GROUPS_UP_TO_S6[name]()
+        hom = GroupHomomorphism(group, group, one_wrong_image(group, seed))
+        assert hom.verify() is verify_pair_by_pair(hom) is False
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_generator_row_is_needed(self, seed):
+        """x ↦ x on ⟨s⟩ and x ↦ x·c off it keeps the law on s's row, yet is no
+        homomorphism: the rows of S4's other generator find it."""
+        group = symmetric_group(4)
+        els = group.elements
+        c = random.Random(seed).choice(els[1:])
+        for s in group.generators:
+            cyclic = PermutationGroup.generate(group.space, (s,))
+            mapping = {x: x if x in cyclic else x * c for x in els}
+            assert all(mapping[s * b] == mapping[s] * mapping[b] for b in els)
+            hom = GroupHomomorphism(group, group, mapping)
+            assert hom.verify() is verify_pair_by_pair(hom) is False
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_s7_past_720_elements(self, seed):
+        s7 = symmetric_group(7)
+        assert s7.order == 5040
+        assert GroupHomomorphism(s7, s7, {k: k for k in s7.elements}).verify()
+        hom = GroupHomomorphism(s7, s7, one_wrong_image(s7, seed))
+        assert hom.verify() is verify_pair_by_pair(hom) is False

@@ -1,5 +1,5 @@
 """The README's Library section documents exactly the package's public names, and
-its check-type table lists exactly the check types."""
+its check-type table lists exactly the check types and cites only tests that exist."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import finivar
 from finivar.scenario import CHECK_TYPES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+TESTS = Path(__file__).resolve().parent
 
 
 def library_section():
@@ -44,8 +45,23 @@ def test_library_example_runs():
     exec(compile(library_block(), str(README), "exec"), {})
 
 
-def test_the_check_type_table_lists_every_check_type():
+def check_type_table():
     text = README.read_text(encoding="utf-8")
-    table = text.split("\nCheck types:\n", 1)[1].split("\n\n", 1)[0]
-    listed = re.findall(r"^\| `([a-z0-9-]+)` \|", table, re.M)
+    return text.split("\nCheck types:\n", 1)[1].split("\n\n", 1)[0]
+
+
+def test_the_check_type_table_lists_every_check_type():
+    listed = re.findall(r"^\| `([a-z0-9-]+)` \|", check_type_table(), re.M)
     assert listed == list(CHECK_TYPES)
+
+
+def test_every_test_the_check_type_table_cites_exists():
+    cited = set(re.findall(r"`(test_\w+)`", check_type_table()))
+    defined = {
+        node.name
+        for path in TESTS.glob("test_*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert len(cited) >= 5
+    assert sorted(cited - defined) == []

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from finivar import linalg, representations, spaces
 from finivar.groups import (
-    PAIR_EXHAUSTIVE_LIMIT,
     NotPermissibleError,
     Permutation,
     PermutationGroup,
@@ -49,11 +48,13 @@ from finivar.spaces import (
 from finivar.subgroups import subgroup_conjugacy_classes
 
 from conftest import (
+    GROUPS_UP_TO_S6,
     assignments,
-    element_pairs,
+    changed_element,
     multiplicities,
     permutations_of,
     space_of,
+    symmetric_group,
     variable_from_assignment,
 )
 
@@ -94,12 +95,16 @@ class TestQubitRep:
         assert diag.unitary_residual < 1e-12
         assert diag.identity_residual == 0.0
         assert diag.homomorphism_residual < 1e-12
-        assert diag.pairs_checked == 4
+        assert diag.pairs_checked == 2
         assert diag.ok()
 
     def test_requires_two_points(self):
         with pytest.raises(ValueError, match="two-point"):
-            qubit_rep(space_of(3))
+            qubit_rep(PermutationGroup.generate(space_of(3), (Permutation((1, 0, 2)),)))
+
+    def test_requires_the_flip_group(self):
+        with pytest.raises(ValueError, match="every group element"):
+            qubit_rep(PermutationGroup.generate(space_of(2), ()))
 
 
 class TestCyclicRep:
@@ -120,7 +125,12 @@ class TestCyclicRep:
 
     def test_space_size_must_match(self):
         with pytest.raises(ValueError, match="does not match"):
-            cyclic_dft_rep(3, space_of(4))
+            cyclic_dft_rep(3, PermutationGroup.generate(space_of(4), (Permutation((1, 2, 3, 0)),)))
+
+    def test_requires_the_shift_group(self):
+        flip = Permutation((1, 0, 3, 2))
+        with pytest.raises(ValueError, match="every group element"):
+            cyclic_dft_rep(4, PermutationGroup.generate(space_of(4), (flip, Permutation((2, 3, 0, 1)))))
 
     def test_rep_requires_full_coverage(self):
         space = space_of(2)
@@ -806,14 +816,9 @@ class TestExpansionLemma:
                     assert expand_in_basis(target, i, basis).ok()
 
 
-def pair_by_pair(rep):
-    """Oracle: ``UnitaryRep.diagnostics`` one matrix and one pair at a time."""
-    unitary = max(
-        linalg.max_abs(m.conj().T @ m - np.eye(rep.dim)) for m in rep.matrices.values()
-    )
-    identity = linalg.max_abs(rep.matrices[rep.group.identity] - np.eye(rep.dim))
-    pairs, count = element_pairs(rep.group.elements)
-    hom = 0.0
+def pair_residuals(rep, pairs):
+    """Oracle: the composition law of ``rep`` one pair at a time, as the
+    residual of U(a)U(b) against U(ab) times the phase read at its pivot."""
     for a, b in pairs:
         product = rep.matrices[a] @ rep.matrices[b]
         expected = rep.matrices[a * b]
@@ -821,14 +826,33 @@ def pair_by_pair(rep):
         phase = product[idx] / expected[idx]
         mag = abs(phase)
         phase = phase / mag if mag > 0 else 1.0
-        hom = max(hom, linalg.max_abs(product - phase * expected))
-    return bits([unitary, identity, hom]), count
+        yield linalg.max_abs(product - phase * expected)
 
 
-def assert_diagnostics_match_pairs(rep):
+def pair_by_pair(rep, pairs):
+    """Oracle: ``UnitaryRep.diagnostics`` one matrix and one of ``pairs`` at a time."""
+    unitary = max(
+        linalg.max_abs(m.conj().T @ m - np.eye(rep.dim)) for m in rep.matrices.values()
+    )
+    identity = linalg.max_abs(rep.matrices[rep.group.identity] - np.eye(rep.dim))
+    residuals = list(pair_residuals(rep, pairs))
+    return bits([unitary, identity, max(residuals, default=0.0)]), len(residuals)
+
+
+def generator_pairs(group):
+    """The pairs (s, b) of the generating set's rows, as ``Permutation`` products read them."""
+    return [(group.elements[s], b) for s, _ in group.generator_rows() for b in group.elements]
+
+
+def assert_diagnostics_match_pairs(rep, every_pair=True):
+    """The diagnostics equal the oracle on the generator rows bit for bit, and
+    their residual is at most that of every pair (which ``every_pair`` computes)."""
     diag = rep.diagnostics()
     got = bits([diag.unitary_residual, diag.identity_residual, diag.homomorphism_residual])
-    assert (got, diag.pairs_checked) == pair_by_pair(rep)
+    assert (got, diag.pairs_checked) == pair_by_pair(rep, generator_pairs(rep.group))
+    if every_pair:
+        everything = max(pair_residuals(rep, itertools.product(rep.group.elements, repeat=2)))
+        assert diag.homomorphism_residual <= everything
     return diag
 
 
@@ -847,7 +871,7 @@ def with_phases(rep, seed):
 class TestDiagnosticsStack:
     @pytest.mark.parametrize("n", range(1, 41))
     def test_cyclic_dft(self, n):
-        assert assert_diagnostics_match_pairs(cyclic_dft_rep(n)).pairs_checked == n * n
+        assert assert_diagnostics_match_pairs(cyclic_dft_rep(n)).pairs_checked == n
 
     def test_qubit(self):
         assert_diagnostics_match_pairs(qubit_rep())
@@ -869,16 +893,15 @@ class TestDiagnosticsStack:
         assert_diagnostics_match_pairs(drawn[0])
 
     @pytest.mark.parametrize("seed", [0])
-    def test_s6_samples_past_the_exhaustive_limit(self, seed):
-        """720 elements: a fixed sample of 1000 pairs, stacked 720 at a time."""
+    def test_s6_checks_two_rows_of_720(self, seed):
+        """720 elements: the rows of S6's two generators, 720 pairs each."""
         space = space_of(6)
         group = PermutationGroup.generate(
             space, (Permutation((1, 0, 2, 3, 4, 5)), Permutation((1, 2, 3, 4, 5, 0)))
         )
-        assert group.order == 720 > PAIR_EXHAUSTIVE_LIMIT
         rep = UnitaryRep(group, {k: _permutation_matrix(k) for k in group.elements})
-        assert assert_diagnostics_match_pairs(rep).pairs_checked == 1000
-        assert assert_diagnostics_match_pairs(with_phases(rep, seed)).ok()
+        assert assert_diagnostics_match_pairs(rep, every_pair=False).pairs_checked == 2 * 720
+        assert assert_diagnostics_match_pairs(with_phases(rep, seed), every_pair=False).ok()
 
 
 def conjugated(rep, seed):
@@ -947,8 +970,7 @@ class TestStackedScansMatchThePairLoops:
     """The stacked scans (group law, overlaps, injectivity, relabelled sums)
     equal their one-pair-at-a-time oracles bit for bit:
     on cyclic Fourier representations, on seeded unitary conjugates of them
-    with random per-element phases (ray representations), and past
-    ``PAIR_EXHAUSTIVE_LIMIT`` on S6."""
+    with random per-element phases (ray representations), and on S6."""
 
     @pytest.mark.parametrize("n", range(1, 41))
     def test_cyclic_dft(self, n):
@@ -983,16 +1005,16 @@ class TestStackedScansMatchThePairLoops:
                 assert_relabelling_matches_the_sum(theta, family, seed % n)
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_s6_in_a_random_basis_samples_past_the_exhaustive_limit(self, seed):
+    def test_s6_in_a_random_basis(self, seed):
         group = PermutationGroup.generate(
             space_of(6), (Permutation((1, 0, 2, 3, 4, 5)), Permutation((1, 2, 3, 4, 5, 0)))
         )
         rep = UnitaryRep(group, {k: _permutation_matrix(k) for k in group.elements})
         rep = with_phases(conjugated(rep, seed), seed)
-        assert assert_diagnostics_match_pairs(rep).pairs_checked == 1000
+        assert assert_diagnostics_match_pairs(rep, every_pair=False).pairs_checked == 2 * 720
 
 
-class TestPairIds:
+class TestElementIds:
     @pytest.mark.parametrize("seed", range(3))
     def test_shuffled_elements_and_matrices_listed_in_another_order(self, seed):
         """Element ids index the stack through the listed order of the matrices."""
@@ -1006,9 +1028,10 @@ class TestPairIds:
         moved = UnitaryRep(group, {k: rep.matrices[k] for k in listed})
         assert assert_diagnostics_match_pairs(moved).ok()
 
-    def test_verify_and_diagnostics_compose_only_to_build_tables(self, monkeypatch):
-        """On Z24 each law reads its 576 products from a table; the two tables
-        (the group's and the induced group's) are the only compositions."""
+    def test_each_law_composes_only_its_generator_rows(self, monkeypatch):
+        """On Z24, generated by one shift, ``verify`` composes the shift's row
+        in the source and its image's row in the target, and ``diagnostics``
+        the shift's row: 24 products each."""
         rep = cyclic_dft_rep(24)
         theta = variable_from_assignment(rep.group.space, tuple(range(24)))
         _, hom = induced_group(theta, rep.group)
@@ -1024,7 +1047,51 @@ class TestPairIds:
                 monkeypatch.setattr(module, "compose", spy)
         assert hom.verify()
         assert rep.diagnostics().ok()
-        assert 0 < len(calls) <= 2 * 24
+        assert len(calls) == 3 * 24
+
+
+def one_wrong_matrix(group, seed):
+    """The permutation matrices of ``group``, but at one seeded element outside
+    its generating set, which gets another seeded element's matrix."""
+    g, h = changed_element(group, seed)
+    return UnitaryRep(group, {k: _permutation_matrix(h if k == g else k) for k in group.elements})
+
+
+class TestOneWrongMatrix:
+    """One matrix changed at a seeded element outside the generating set
+    breaks the law, and the generator rows see it: the lemma at any size."""
+
+    TOL = linalg.DEFAULT_TOLERANCES["rep_homomorphism"]
+
+    @pytest.mark.parametrize("name", GROUPS_UP_TO_S6)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_up_to_s6_as_every_pair_decides(self, name, seed):
+        rep = one_wrong_matrix(GROUPS_UP_TO_S6[name](), seed)
+        assert not rep.diagnostics().ok()
+        every_pair = itertools.product(rep.group.elements, repeat=2)
+        assert any(residual > self.TOL for residual in pair_residuals(rep, every_pair))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_generator_row_is_needed(self, seed):
+        """U(x) = P(x) on ⟨s⟩ and P(x)P(c) off it keeps the law on s's row, yet
+        is no representation: the rows of S4's other generator find it."""
+        group = symmetric_group(4)
+        els = group.elements
+        c = random.Random(seed).choice(els[1:])
+        for s in group.generators:
+            cyclic = PermutationGroup.generate(group.space, (s,))
+            rep = UnitaryRep(group, {x: _permutation_matrix(x if x in cyclic else x * c) for x in els})
+            row = [(s, b) for b in els]
+            assert max(pair_residuals(rep, row)) == 0.0
+            assert not rep.diagnostics().ok()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_s7_past_720_elements(self, seed):
+        s7 = symmetric_group(7)
+        assert s7.order == 5040
+        exact = UnitaryRep(s7, {k: _permutation_matrix(k) for k in s7.elements}).diagnostics()
+        assert exact.ok() and exact.pairs_checked == 2 * 5040
+        assert not one_wrong_matrix(s7, seed).diagnostics().ok()
 
 
 class TestBatchedProjectorsMatchTheSvdLoop:

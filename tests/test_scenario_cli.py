@@ -19,16 +19,19 @@ from click.testing import CliRunner
 from finivar import builtins as builtin_mod
 from finivar import cli as cli_mod
 from finivar import runner as runner_mod
+from finivar import scenario as scenario_mod
 from finivar.cli import main
-from finivar.groups import Permutation
+from finivar.groups import Permutation, PermutationGroup
 from finivar.report import (
     STATUS_FAIL,
+    STATUS_NOT_APPLICABLE,
     STATUS_PASS,
     CheckRecord,
     VerificationReport,
     jsonable,
 )
 from finivar.representations import cyclic_dft_rep, qubit_rep
+from finivar.runner import run_scenario
 from finivar.scenario import CHECK_TYPES, ScenarioError, load_path, loads
 
 from test_runner import cycle24_text
@@ -327,6 +330,33 @@ representation:
         assert scenario.group.order == 4
         assert scenario.checks[0].params["generators"] is scenario.group
 
+    def test_the_swap_exclusion_is_decided_once(self, monkeypatch):
+        """The loader keeps theorem1's coordinate-swap verdict; the run reads it."""
+        calls = []
+        original = scenario_mod.flag_trivial_exchange
+        monkeypatch.setattr(
+            scenario_mod, "flag_trivial_exchange", lambda *args: calls.append(1) or original(*args)
+        )
+        scenario = loads(builtin_mod.builtin_text("singlet"))
+        assert scenario.checks[2].params["excluded"] is True
+        record = run_scenario(scenario).checks[2]
+        assert record.status == STATUS_NOT_APPLICABLE and "excluded" in record.details
+        assert len(calls) == 1
+
+    def test_each_operator_case_closes_its_group_once(self, monkeypatch):
+        """The representation kind is built on the declared group, not on a second closure."""
+        calls = []
+        original = PermutationGroup.generate.__func__
+        monkeypatch.setattr(
+            PermutationGroup,
+            "generate",
+            classmethod(lambda cls, *args, **kwargs: calls.append(1) or original(cls, *args, **kwargs)),
+        )
+        cases = perfbench_workloads().generate("operators", 1)
+        for case in cases:
+            run_scenario(loads(case.text))
+        assert len(cases) == 5 and len(calls) == 5
+
     def test_informational_flag(self):
         scenario = loads(MINIMAL + "\ninformational: true\n")
         assert scenario.informational
@@ -624,14 +654,33 @@ FOREIGN_GROUPS = {
 }
 
 
-def perfbench_workloads():
-    """The benchmark's scenario generators, which import nothing of finivar."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def perfbench_module(name: str):
+    """A module of the benchmark, loaded by path; it imports nothing of finivar."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+def perfbench_workloads():
+    """The benchmark's scenario generators."""
+    return perfbench_module("workloads")
+
+
+def test_every_tracer_target_resolves_in_src():
+    """The benchmark's tracer patches each target by name, a method in its
+    class's own namespace; a rename in ``src`` fails here too."""
+    targets = perfbench_module("tracer").TARGETS
+    assert targets
+    for target in targets:
+        module = importlib.import_module(target.module)
+        if "." in target.attr:
+            cls_name, method = target.attr.split(".")
+            assert method in vars(getattr(module, cls_name)), target
+        else:
+            assert callable(getattr(module, target.attr, None)), target
 
 
 def malformed(text: str, field: str, *flags: str, id: str):
