@@ -49,9 +49,10 @@ checks:
 """
 
 _CYCLIC_4 = """\
-# Four points on a circle under the shift action, with the Fourier-diagonal
-# representation.  Position is maximal (nondegenerate spectrum); parity is a
-# coarsening (degenerate spectrum) and still transforms covariantly.
+# Four points on a circle under the shift action, with its 0/1 shift matrices,
+# which the Fourier transform diagonalises.  Position is maximal (nondegenerate
+# spectrum); parity is a coarsening (degenerate spectrum) and still transforms
+# covariantly.
 name: cyclic-4
 space:
   id: circle-4

@@ -165,27 +165,26 @@ def qubit_rep(group: PermutationGroup | None = None) -> UnitaryRep:
 
 
 def cyclic_dft_rep(n: int, group: PermutationGroup | None = None) -> UnitaryRep:
-    """The cyclic shift group diagonalized by the discrete Fourier kernel.
+    """The cyclic shift group Z_n by its exact 0/1 permutation matrices,
+    U(k)[k(j), j] = 1, which the discrete Fourier transform diagonalises.
 
-    U(shift-by-s) = F^dag D^s F with F_{jk} = e^{2 pi i jk/n}/sqrt(n) and
-    D = diag(e^{2 pi i k/n}); equivalently translation by s acts as a position
-    shift in the standard basis.  ``group`` is the group of the n shifts it is
-    built on, by default on a space of its own.
+    ``group`` is the group of the n shifts it is built on, by default on a
+    space of its own.  Z_n is the only group of order n that holds the
+    one-step shift j -> j + 1, so the order and that shift decide it.
     """
     import numpy as np
     if n < 1:
         raise ValueError("cyclic representation needs n >= 1")
-    shifts = [Permutation(tuple((j + s) % n for j in range(n))) for s in range(n)]  # 0 -> s
+    step = Permutation((*range(1, n), 0))
     if group is None:
         space = PointSpace(id=f"cycle-{n}", labels=tuple(str(j) for j in range(n)))
-        group = PermutationGroup.generate(space, (shifts[1 % n],))
+        group = PermutationGroup.generate(space, (step,))
     if group.space.size != n:
         raise ValueError(f"space size {group.space.size} does not match n={n}")
-    js = np.arange(n)
-    fourier = np.exp(2j * np.pi * np.outer(js, js) / n) / np.sqrt(n)
-    phases = np.exp(2j * np.pi * js / n)
-    matrices = {k: fourier.conj().T @ np.diag(phases**s) @ fourier for s, k in enumerate(shifts)}
-    return UnitaryRep(group, matrices)  # which raises unless the group is the shifts
+    if group.order != n or step not in group:
+        raise ValueError("representation must cover every group element exactly")
+    eye = np.eye(n, dtype=complex)
+    return UnitaryRep(group, {k: eye[:, k.images] for k in group.elements})
 
 
 def _usable(states: np.ndarray) -> np.ndarray:

@@ -35,6 +35,10 @@ __all__ = ["ScenarioError", "CheckSpec", "Scenario", "loads", "load_path", "CHEC
 # libyaml's parser where PyYAML has it; both loaders resolve and construct alike.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+# The most points a cyclic-dft representation may have.  Its n dense n x n
+# complex matrices take n^3 * 16 bytes: 4 MiB here.
+MAX_CYCLIC_POINTS = 64
+
 # The fields each representation kind reads.
 _REPRESENTATION_KEYS = {
     "qubit": ("kind",),
@@ -667,11 +671,9 @@ def _parse_variables(raw: Any, space: PointSpace) -> dict[str, ConceptualVariabl
     return out
 
 
-def _parse_representation(
-    raw: Any, space: PointSpace, group: PermutationGroup | None
-) -> UnitaryRep | None:
-    """The representation on the one group the scenario's checks act with: the
-    declared group, which a built-in kind's own group must equal, else the kind's."""
+def _representation_kind(raw: Any, space: PointSpace) -> str | None:
+    """The representation's kind, with its keys and its size read before any
+    group or matrix is built, or None when the scenario declares none."""
     if raw is None:
         return None
     data = _require(raw, "representation")
@@ -688,23 +690,34 @@ def _parse_representation(
             raise _fail("representation.n", "expected a positive integer")
         if n != space.size:
             raise _fail("representation.n", f"expected the space size {space.size}, got {n}")
+        if n > MAX_CYCLIC_POINTS:
+            raise _fail("representation.n", f"expected at most {MAX_CYCLIC_POINTS} points, got {n}")
+    return kind
+
+
+def _parse_representation(
+    raw: Any, kind: str | None, space: PointSpace, group: PermutationGroup | None
+) -> UnitaryRep | None:
+    """The representation of ``kind`` on the one group the scenario's checks act
+    with: the declared group, which a built-in kind's own group must equal, else the kind's."""
+    if kind is None:
+        return None
     if kind != "explicit":  # the kind's matrices, on the scenario's one group
-        # Each kind's own group is the cyclic shifts of the points: the flip is Z_2's.
+        # Each kind's own group is Z_n (the flip's is Z_2), the one order-n group holding the step.
         size = space.size
-        shifts = [Permutation(tuple((j + s) % size for j in range(size))) for s in range(size)]
+        step = Permutation((*range(1, size), 0))
         if group is None:
-            group = PermutationGroup.generate(space, (shifts[1 % size],))
-        declared, kinds = set(group.elements), set(shifts)
-        if declared != kinds:
-            if declared < kinds:
-                extra = next(k for k in shifts if k not in declared)
-                where = f"{kind}'s group has {list(extra.images)}, which the declared group lacks"
+            group = PermutationGroup.generate(space, (step,))
+        elif group.order != size or step not in group:
+            outside = (k for k in group.elements if k.images != (*range(k(0), size), *range(k(0))))
+            extra = next(outside, None)  # None: a proper subgroup of Z_n, so it lacks the step
+            if extra is None:
+                where = f"{kind}'s group has {list(step.images)}, which the declared group lacks"
             else:
-                extra = next(k for k in group.elements if k not in kinds)
                 where = f"the declared group has {list(extra.images)}, which {kind}'s group lacks"
             raise _fail("representation.kind", f"expected the declared group's elements: {where}")
         return qubit_rep(group) if kind == "qubit" else cyclic_dft_rep(size, group)
-    raw_matrices = data.get("matrices")
+    raw_matrices = raw.get("matrices")
     if not isinstance(raw_matrices, list) or not raw_matrices:
         raise _fail("representation.matrices", "expected a nonempty list")
     if group is None:
@@ -752,12 +765,13 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
     space = _parse_space(data["space"])
     variables = _parse_variables(data.get("variables"), space)
 
+    kind = _representation_kind(data.get("representation"), space)
     group = None
     if data.get("group") is not None:
         group_data = _require(data["group"], "group", ("generators",))
         group = _generate(group_data.get("generators"), space, "group.generators")
 
-    representation = _parse_representation(data.get("representation"), space, group)
+    representation = _parse_representation(data.get("representation"), kind, space, group)
 
     coherent_family = None
     if representation is not None:

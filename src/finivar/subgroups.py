@@ -24,7 +24,8 @@ is conjugate to <H, g>, so its class is known.  It also returns each |N(H)|,
 since H has |G| / |N(H)| conjugates: subgroups are counted, not listed.
 N(H) is found by coset elimination: it grows from N0 = H, an m that fails to
 normalise H rules out its whole coset m N0, and one that passes is joined to
-N0 with one closure.
+N0 with one closure.  The class test rules out cosets the same way: if m does
+not conjugate a known representative K into a join, no element of m K does.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .spaces import _id_tables
 
@@ -98,14 +99,33 @@ def close_tuples(
     return flags
 
 
-def _conjugators(
-    flags: bytearray, gens: Sequence[int], mul: Sequence[array], inv: Sequence[int]
-) -> Iterator[int]:
-    """Each id m, ascending, with m x m^-1 in ``flags`` for every x in ``gens``."""
+def _conjugates_into(
+    flags: bytearray, gens: Sequence[int], m: int, mul: Sequence[array], inv: Sequence[int]
+) -> bool:
+    """Whether m x m^-1 is in ``flags`` for every x in ``gens``: whether m
+    conjugates the subgroup ``gens`` generate into the subgroup ``flags``."""
+    row, m_inv = mul[m], inv[m]
+    return all(flags[row[mul[x][m_inv]]] for x in gens)
+
+
+def _is_conjugate_into(
+    flags: bytearray, ids: list[int], gens: tuple[int, ...], mul: Sequence[array], inv: Sequence[int]
+) -> bool:
+    """Whether some m conjugates the subgroup K (ascending ``ids``, generated
+    by ``gens``) into the subgroup ``flags``.
+
+    If m fails, so does every element mk of its coset m K, since
+    (mk) K (mk)^-1 = m K m^-1; the whole coset is ruled out.
+    """
+    ruled_out, coset = bytearray(len(mul)), itemgetter(*ids)
     for m in range(len(mul)):
-        row, m_inv = mul[m], inv[m]
-        if all(flags[row[mul[x][m_inv]]] for x in gens):
-            yield m
+        if ruled_out[m]:
+            continue
+        if _conjugates_into(flags, gens, m, mul, inv):
+            return True
+        for c in coset(mul[m]):  # m fails, so K is not trivial
+            ruled_out[c] = 1
+    return False
 
 
 def _normaliser(
@@ -128,13 +148,12 @@ def _normaliser(
     for m in range(len(mul)):
         if found[m] or ruled_out[m]:
             continue
-        row, m_inv = mul[m], inv[m]
-        if all(flags[row[mul[x][m_inv]]] for x in gens):
+        if _conjugates_into(flags, gens, m, mul, inv):
             found_gens += (m,)
             found = close_tuples(found_gens, mul, found_ids, symmetric)
             found_ids = list(itertools.compress(range(len(mul)), found))
         else:
-            for c in itemgetter(*found_ids)(row):  # m fails, so H and N0 are not trivial
+            for c in itemgetter(*found_ids)(mul[m]):  # m fails, so H and N0 are not trivial
                 ruled_out[c] = 1
     return found_ids
 
@@ -231,15 +250,15 @@ def subgroup_classes(elements: Iterable[tuple[int, ...]]) -> tuple[SubgroupClass
     if moved >= 5 and len(members) == math.factorial(moved):
         even = bytearray((degree - len(t)) % 2 == 0 for t in cycle_types)
         symmetric = (len(members) // moved, even)
-    known: dict[tuple, list[tuple[int, ...]]] = {}
+    known: dict[tuple, list[tuple[list[int], tuple[int, ...]]]] = {}
 
     def is_new_class(flags: bytearray, gens: tuple[int, ...]) -> bool:
         counts = Counter(itertools.compress(cycle_types, flags))
         bucket = known.setdefault(tuple(sorted(counts.items())), [])
-        for known_gens in bucket:
-            if next(_conjugators(flags, known_gens, mul, inv), None) is not None:
+        for known_ids, known_gens in bucket:
+            if _is_conjugate_into(flags, known_ids, known_gens, mul, inv):
                 return False
-        bucket.append(gens)
+        bucket.append((list(itertools.compress(range(len(mul)), flags)), gens))
         return True
 
     return tuple(

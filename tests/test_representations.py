@@ -108,16 +108,14 @@ class TestQubitRep:
 
 
 class TestCyclicRep:
-    @given(st.integers(1, 9))
-    @settings(max_examples=9, deadline=None)
-    def test_fourier_conjugation_is_position_shift(self, n):
+    @pytest.mark.parametrize("n", [*range(1, 13), 16, 20, 24, 32])
+    def test_every_shift_is_its_exact_permutation_matrix(self, n):
         rep = cyclic_dft_rep(n)
-        shift = Permutation(tuple((j + 1) % n for j in range(n)))
-        matrix = rep(shift)
-        expected = np.zeros((n, n))
-        for j in range(n):
-            expected[(j + 1) % n, j] = 1.0
-        assert linalg.max_abs(matrix - expected) < 1e-12
+        for s in range(n):
+            expected = np.zeros((n, n))
+            for j in range(n):
+                expected[(j + s) % n, j] = 1.0
+            assert np.array_equal(rep(Permutation(tuple((j + s) % n for j in range(n)))), expected)
 
     def test_exact_homomorphism(self):
         diag = cyclic_dft_rep(6).diagnostics()
@@ -471,7 +469,7 @@ def _sign(k: Permutation) -> float:
 
 @st.composite
 def _ray_representations(draw) -> tuple[UnitaryRep, list[int]]:
-    """qubit, cyclic Fourier, or a sum of permutation, trivial and sign
+    """qubit, cyclic shifts, or a sum of permutation, trivial and sign
     representations of a random subgroup of S_n (n <= 5), times random
     per-element phases; with the sizes of its diagonal blocks."""
     kind = draw(st.sampled_from(["qubit", "cyclic", "sum"]))
@@ -969,7 +967,7 @@ def assert_relabelling_matches_the_sum(theta, family, base_point=0):
 class TestStackedScansMatchThePairLoops:
     """The stacked scans (group law, overlaps, injectivity, relabelled sums)
     equal their one-pair-at-a-time oracles bit for bit:
-    on cyclic Fourier representations, on seeded unitary conjugates of them
+    on cyclic shift representations, on seeded unitary conjugates of them
     with random per-element phases (ray representations), and on S6."""
 
     @pytest.mark.parametrize("n", range(1, 41))

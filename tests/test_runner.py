@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -223,6 +224,40 @@ class TestOneTable:
         assert importers == {"cli.py", "__init__.py"}
 
 
+def reflection_text(sine: float, variables: dict[str, tuple[float, float]], **tolerances) -> str:
+    """Two points under Z_2, whose flip is the reflection [[s, c], [c, -s]] with
+    s = ``sine`` and c = sqrt(1 - s^2), written out as explicit matrices, and a
+    theorem1 check on each variable (its two values on the two points).  The
+    coherent states e_0 and (s, c) overlap by s."""
+    cosine = math.sqrt(1 - sine * sine)
+    data = {
+        "name": "reflection",
+        "space": {"id": "pair", "labels": ["0", "1"]},
+        "variables": [
+            {"name": name, "values": [f"{v:g}" for v in values], "assignment": [0, 1]}
+            for name, values in variables.items()
+        ],
+        "group": {"generators": [[1, 0]]},
+        "representation": {
+            "kind": "explicit",
+            "matrices": [
+                {"element": [0, 1], "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+                {"element": [1, 0], "matrix": [[sine, cosine], [cosine, -sine]]},
+            ],
+        },
+        "checks": [{"type": "theorem1-hypotheses", "variable": name} for name in variables],
+        "tolerances": tolerances,
+    }
+    return yaml.safe_dump(data)  # which writes 1e-7 as 1.0e-07, a YAML float
+
+
+def reflection_miss(a: float, b: float, sine: float) -> float:
+    """How far the operator a P_0 + b P_1 of two states overlapping by ``sine``
+    puts each eigenvalue from its value, in exact arithmetic: its eigenvalues
+    are a - d and b + d, from trace a + b and determinant ab(1 - sine^2)."""
+    return (math.sqrt((b - a) ** 2 + 4 * a * b * sine * sine) - (b - a)) / 2
+
+
 class TestStatusMapping:
     def test_permissibility_expectation_inverts_status(self):
         ok = scenario_with(
@@ -320,42 +355,40 @@ class TestStatusMapping:
         assert report.exit_code == 1
 
     def test_spectrum_error_keeps_theorem1_details(self):
-        # At scale 1e-6, spectral_reconstruction is 1e-14: below the rounding
-        # of eigenvalues in the thousands, so build_operator's spectrum check
-        # raises.  The record keeps what theorem1 measured before the build.
-        n = 8
-        data = {
-            "name": "cycle-8",
-            "space": {"id": "cycle-8", "labels": [str(j) for j in range(n)]},
-            "variables": [
-                {
-                    "name": "position",
-                    "values": [f"{1000 * j + 0.25:g}" for j in range(n)],
-                    "assignment": list(range(n)),
-                }
-            ],
-            "group": {"generators": [[(j + 1) % n for j in range(n)]]},
-            "representation": {"kind": "cyclic-dft", "n": n},
-            "checks": [{"type": "theorem1-hypotheses", "variable": "position"}],
-        }
-        scenario = loads(json.dumps(data))
+        # The reflection's states overlap by 1e-7, so the operator of values
+        # 1000 and 2000 misses each by about 2e-11: within spectral_reconstruction
+        # at scale 1 (1e-8), past it at 1e-6 (1e-14), so build_operator's
+        # spectrum check raises.  The record keeps what theorem1 measured before the build.
+        sine, values = 1e-7, (1000.0, 2000.0)
+        assert 1e-14 < reflection_miss(*values, sine) < 1e-8
+        scenario = loads(reflection_text(sine, {"position": values}, orthogonal_grouping=0.5))
         assert single_record(scenario)[1].status == STATUS_PASS
         report, record = single_record(scenario, RunFlags(tolerance_scale=1e-6))
         assert record.status == STATUS_ERROR
         assert record.details["error"].startswith("spectrum ")
-        assert record.details["representation"]["pairs_checked"] == n
+        assert record.details["representation"]["pairs_checked"] == 2
         assert record.details["coherent_injectivity"]["ok"] is True
         assert "note" in record.details["irreducibility"]
         assert report.exit_code == 1
 
     def test_operator_build_decides_the_spectrum_verdict(self):
-        # At 1e-20 some eigenvalue misses its value by more than the
-        # tolerance, so each operator build raises its spectrum error and
-        # theorem1 reports it: the handler never compares the spectrum itself.
-        text = builtin_text("cyclic-4") + "tolerances: {spectral_reconstruction: 1.0e-20}\n"
-        records = [c for c in run_scenario(loads(text)).checks if c.type == "theorem1-hypotheses"]
-        assert [c.status for c in records] == [STATUS_ERROR, STATUS_ERROR]
-        assert all(c.details["error"].startswith("spectrum ") for c in records)
+        # Each operator build misses its values by the stated amount, about
+        # 2e-6 for position and 2e-5 for scaled.  Each build raises its spectrum
+        # error once that is past spectral_reconstruction, and theorem1 reports
+        # it: the handler never compares the spectrum itself.
+        sine, variables = 1e-3, {"position": (1.0, 2.0), "scaled": (10.0, 20.0)}
+        misses = [reflection_miss(*values, sine) for values in variables.values()]
+        assert 1e-8 < misses[0] < 1e-5 < misses[1]
+        statuses = []
+        for tolerance in (1e-8, 1e-5):
+            text = reflection_text(
+                sine, variables, orthogonal_grouping=1e-2, spectral_reconstruction=tolerance
+            )
+            records = run_scenario(loads(text)).checks
+            errors = [c.details["error"] for c in records if c.status == STATUS_ERROR]
+            assert all(error.startswith("spectrum ") for error in errors)
+            statuses.append([c.status for c in records])
+        assert statuses == [[STATUS_ERROR, STATUS_ERROR], [STATUS_PASS, STATUS_ERROR]]
 
     def test_unexpected_exception_becomes_error_record(self):
         # theorem2 needs numeric value labels; parity's are "even" and "odd".
@@ -774,7 +807,7 @@ class TestIrreducibility:
 # after checking that such a digit is the whole difference.
 BUILTIN_REPORT_SHA256 = {
     "qubit": "aa4f890072ef3f3a1656db915a2715d7a60da987c352f42826124f37392f225e",
-    "cyclic-4": "1838e7a807a6fd58f3dd83c70a8247dd132c82be59da2ff7a3f1cc399aa45eee",
+    "cyclic-4": "8bf725791e1a69b5be4980721db4de61a9de8f53a3075ce7d86606026f15d70c",
     "singlet": "cb669ce4ee69d2e2bb148b29fc6091e1559c92bd5de5a8b61d27828aab55178f",
     "parity-z4": "348a873e9559f2700d852ab9e222169cc02853bc98b99db3520cfc328fbec9cb",
     "a2-smoke": "d7196000a33ce0447e3e2994dbe7a5efb0f4dbafd996655168d3e00ab93a4b9c",
@@ -836,7 +869,7 @@ def cycle24_text() -> str:
 
 # SHA-256 of that scenario's JSON report under default flags, pinned as for
 # the built-ins above.
-CYCLE24_REPORT_SHA256 = "2b05b4ba1eac3d0d04d8a3258a76ee2534792a1025408f39899b78d51930e8c3"
+CYCLE24_REPORT_SHA256 = "b9a261e6594c4eacdce3f7a700d145102b9f2ca7e6d1deb0d093e0415b138838"
 
 
 def test_cycle24_operator_report_bytes_are_pinned():
@@ -901,7 +934,7 @@ def operator_sweep_text(n: int) -> str:
 OPERATOR_SWEEP_SIZES = (*range(1, 13), 16, 20, 24)
 # SHA-256 over the JSON reports of the sweep scenarios, every size at
 # --tolerance-scale 1 and then every size at 1e-6, pinned as for the built-ins.
-OPERATOR_SWEEP_SHA256 = "775654144764496ad3b4ca0448116fd9a6f46bd000a11460785c5777f234179a"
+OPERATOR_SWEEP_SHA256 = "3927f1296bc108b6da51ca767cf425f2b2644781f9e69dd448fd00ec34cb3434"
 
 
 def test_operator_sweep_report_bytes_are_pinned():

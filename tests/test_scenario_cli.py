@@ -8,6 +8,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -227,6 +229,37 @@ checks:
             MINIMAL + "\nrepresentation: {kind: cyclic-dft, n: 5}\n",
             "representation.n: expected the space size 2, got 5",
         )
+
+    def test_cyclic_dft_size_guard(self):
+        bound = scenario_mod.MAX_CYCLIC_POINTS
+        assert bound >= 32  # the operator workload's and the tests' sizes load
+        assert loads(cyclic_text(bound)).coherent_family.rep.dim == bound
+        expect_error(
+            cyclic_text(bound + 1),
+            f"representation.n: expected at most {bound} points, got {bound + 1}",
+        )
+
+    def test_cyclic_dft_past_the_bound_is_refused_before_any_group(self, monkeypatch):
+        # Its n^2 shift table alone would hold 4e8 entries, its matrices 128 TB.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built a group or a representation past the bound")
+
+        monkeypatch.setattr(PermutationGroup, "generate", forbidden)
+        monkeypatch.setattr(scenario_mod, "cyclic_dft_rep", forbidden)
+        text = cyclic_text(20_000)
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            with pytest.raises(ScenarioError, match="representation.n: expected at most"):
+                loads(text)
+            elapsed = time.perf_counter() - started
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 10.0
+        # Parsing the file's 40,000 numbers and labels takes about 16 MB; the
+        # shift table alone would take gigabytes.
+        assert peak < 100 * len(text)
 
     def test_explicit_representation_round_trip(self):
         text = MINIMAL + """
@@ -600,6 +633,19 @@ checks:
   - type: theorem1-hypotheses
     variable: position
 """
+
+
+def cyclic_text(n: int) -> str:
+    """A cyclic-dft scenario on n points, with the shift declared as its group,
+    whose one check needs no representation."""
+    data = {
+        "name": f"cycle-{n}",
+        "space": {"id": f"cycle-{n}", "labels": [str(j) for j in range(n)]},
+        "group": {"generators": [[(j + 1) % n for j in range(n)]]},
+        "representation": {"kind": "cyclic-dft", "n": n},
+        "checks": [{"type": "a2-falsify"}],
+    }
+    return json.dumps(data)  # JSON is valid YAML
 
 
 def explicit_cycle4(elements, matrices=None) -> str:
@@ -1020,6 +1066,7 @@ class TestCli:
                 "representation.matrices[1].matrix",
                 id="coherent-state-zero",
             ),
+            pytest.param(cyclic_text(20_000), "representation.n", id="cyclic-dft-past-the-bound"),
         ]
         + [
             pytest.param(

@@ -95,6 +95,12 @@ def symmetric_tables(n):
     return sym, mul, inv, (len(sym) // n, bytearray(map(is_even, sym)))
 
 
+def conjugators(flags, gens, mul, inv):
+    """Each id m, ascending, with m x m^-1 in ``flags`` for every x in ``gens``,
+    by a scan of every element."""
+    return [m for m in range(len(mul)) if all(flags[mul[mul[m][x]][inv[m]]] for x in gens)]
+
+
 def record_closures(monkeypatch):
     """Patch ``close_tuples`` to record each call's ``symmetric`` argument and
     result, after checking the result against a closure without the rule."""
@@ -220,7 +226,7 @@ class TestConjugacyClasses:
                 flags[i] = 1
             gens = tuple(index[g] for g in rep.generators)
             normaliser = subgroups._normaliser(flags, ids, gens, mul, inv, rule)
-            assert normaliser == list(subgroups._conjugators(flags, gens, mul, inv))
+            assert normaliser == conjugators(flags, gens, mul, inv)
             assert len(sym) // len(normaliser) == rep.conjugates
 
     @given(st.lists(st.integers(0, len(S5) - 1), max_size=3))
@@ -229,9 +235,27 @@ class TestConjugacyClasses:
         _, mul, inv, symmetric = symmetric_tables(5)
         flags = subgroups.close_tuples(tuple(gens), mul)
         ids = [i for i in range(len(S5)) if flags[i]]
-        expected = list(subgroups._conjugators(flags, gens, mul, inv))
+        expected = conjugators(flags, gens, mul, inv)
         assert subgroups._normaliser(flags, ids, tuple(gens), mul, inv, symmetric) == expected
         assert subgroups._normaliser(flags, ids, tuple(gens), mul, inv, None) == expected
+
+    @given(
+        st.lists(st.integers(0, len(S5) - 1), max_size=3),
+        st.lists(st.integers(0, len(S5) - 1), max_size=3),
+        st.integers(0, len(S5) - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_conjugacy_test_of_drawn_subgroups_of_s5(self, gens, other_gens, c):
+        # The class test rules out whole cosets m K of K = <gens>; it must agree
+        # with a scan of every m, on a drawn subgroup and on a conjugate c K c^-1.
+        _, mul, inv, _ = symmetric_tables(5)
+        ids = [i for i, member in enumerate(subgroups.close_tuples(tuple(gens), mul)) if member]
+        conjugate = [mul[mul[c][x]][inv[c]] for x in gens]
+        for target in (other_gens, conjugate):
+            flags = subgroups.close_tuples(tuple(target), mul)
+            expected = bool(conjugators(flags, gens, mul, inv))
+            assert subgroups._is_conjugate_into(flags, ids, tuple(gens), mul, inv) is expected
+        assert expected  # the last target, c K c^-1, is conjugate to K
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
