@@ -14,7 +14,6 @@ import sys
 import click
 
 from .builtins import BUILTINS, builtin_text, load_builtin
-from .groups import GroupTooLargeError
 from .report import VerificationReport
 from .runner import RunFlags, run_scenario
 from .scenario import ScenarioError, load_path
@@ -52,7 +51,7 @@ def _execute(source: str, flags: RunFlags) -> VerificationReport:
     """
     try:
         return run_scenario(load_builtin(source) if source in BUILTINS else load_path(source), flags)
-    except (ScenarioError, GroupTooLargeError) as exc:
+    except ScenarioError as exc:
         raise click.UsageError(str(exc)) from None
 
 

@@ -39,7 +39,7 @@ DEFAULT_CLOSURE_CAP = 1_000_000
 
 
 class GroupTooLargeError(RuntimeError):
-    """Closure enumeration exceeded the configured element cap."""
+    """Closure enumeration exceeded the cap on image entries (|G|·n)."""
 
 
 class NotPermissibleError(ValueError):
@@ -99,6 +99,9 @@ class Permutation:
 
 
 def _close(generator_images: Iterable[tuple[int, ...]], n: int, max_size: int) -> set[tuple[int, ...]]:
+    """The elements the generators generate, by breadth-first closure from the
+    identity; raises :class:`GroupTooLargeError` once they hold more than
+    ``max_size`` image entries (|G|·n), so the cap bounds memory at any degree."""
     gens = [tuple(g) for g in dict.fromkeys(generator_images)]
     ident = tuple(range(n))
     els = {ident}
@@ -110,78 +113,28 @@ def _close(generator_images: Iterable[tuple[int, ...]], n: int, max_size: int) -
                 c = compose(a, b)
                 if c not in els:
                     els.add(c)
-                    if len(els) > max_size:
+                    if len(els) * n > max_size:
                         raise GroupTooLargeError(
-                            f"group closure exceeded the cap of {max_size} elements"
+                            f"group closure exceeded the cap of {max_size} image entries: "
+                            f"more than {max_size // n} elements on {n} points"
                         )
                     new.append(c)
         frontier = new
     return els
 
 
-def _greedy_generators(
-    images: Sequence[tuple[int, ...]], n: int
-) -> tuple[list[tuple[int, ...]], tuple[int, ...] | None]:
-    """A greedy generating set of the permutations ``images``, and a product of
-    two of them that is not among them (None when they are closed under
-    composition, so the set generates them).
-
-    Only the greedy set is composed with the list: once each of its elements
-    maps the list into itself, the list is the group they generate.
-    """
-    listed, gens, span = set(images), [], {tuple(range(n))}
-    for g in images:
-        if g in span:
-            continue
-        for p in images:
-            if compose(g, p) not in listed:
-                return gens, compose(g, p)
-        gens.append(g)
-        span = _close(gens, n, len(listed))
-    return gens, None
-
-
 class PermutationGroup:
-    """A permutation group on a point space.
+    """A permutation group on a point space, built only by ``generate``.
 
-    ``generate`` lists the elements in lexicographic order.  An element's id is
-    its position in ``elements``.  The group laws are checked on the rows of a
-    generating set S: ``generate``'s own generators, or for a group built from
-    its element list, the greedy set its closure check finds.
+    Every group is the closure of its ``generators``.  ``elements`` lists it
+    in lexicographic order; an element's id is its position there, so the
+    identity is id 0.  The group laws are checked on the rows of the
+    generating set S, the group's own generators, each once.
     """
 
-    def __init__(
-        self,
-        space: PointSpace,
-        generators: Sequence[Permutation],
-        elements: Sequence[Permutation],
-    ) -> None:
-        """Raises ValueError unless ``elements`` are distinct, hold the identity
-        and are closed under composition."""
-        self._adopt(space, generators, elements)
-        self._generating, outside = _greedy_generators(list(self._ids), space.size)
-        if outside is not None:
-            raise ValueError(
-                f"elements are not closed under composition: {list(outside)} is missing"
-            )
-
-    def _adopt(
-        self, space: PointSpace, generators: Sequence[Permutation], elements: Sequence[Permutation]
-    ) -> None:
-        self.space = space
-        self.generators = tuple(generators)
-        self.elements = tuple(elements)
-        for p in self.elements:
-            if p.degree != space.size:
-                raise ValueError(
-                    f"permutation degree {p.degree} does not match space size {space.size}"
-                )
-        self._ids = {p.images: i for i, p in enumerate(self.elements)}
-        if len(self._ids) != self.order:
-            twice = next(p for i, p in enumerate(self.elements) if self._ids[p.images] != i)
-            raise ValueError(f"element {list(twice.images)} is listed twice")
-        if tuple(range(space.size)) not in self._ids:
-            raise ValueError("a group must contain the identity")
+    space: PointSpace
+    generators: tuple[Permutation, ...]
+    elements: tuple[Permutation, ...]
 
     @classmethod
     def generate(
@@ -190,15 +143,19 @@ class PermutationGroup:
         generators: Sequence[Permutation],
         max_size: int = DEFAULT_CLOSURE_CAP,
     ) -> "PermutationGroup":
+        """The group ``generators`` generate on ``space``.  Raises
+        :class:`GroupTooLargeError` past ``max_size`` image entries (|G|·n)."""
         for g in generators:
             if g.degree != space.size:
                 raise ValueError(
                     f"generator degree {g.degree} does not match space size {space.size}"
                 )
-        closed = _close((g.images for g in generators), space.size, max_size)
-        group = cls.__new__(cls)  # closed by construction: no closure check
-        group._adopt(space, generators, tuple(map(Permutation._trusted, sorted(closed))))
-        group._generating = list(dict.fromkeys(g.images for g in generators))
+        closed = sorted(_close((g.images for g in generators), space.size, max_size))
+        group = cls.__new__(cls)
+        group.space = space
+        group.generators = tuple(generators)
+        group.elements = tuple(map(Permutation._trusted, closed))
+        group._ids = {images: i for i, images in enumerate(closed)}
         return group
 
     @property
@@ -207,7 +164,7 @@ class PermutationGroup:
 
     @property
     def identity(self) -> Permutation:
-        return Permutation.identity(self.space.size)
+        return self.elements[0]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -219,11 +176,11 @@ class PermutationGroup:
         return p.images in self._ids
 
     def generator_rows(self) -> Iterator[tuple[int, list[int]]]:
-        """Each element s of the generating set S, as its id and the ids of s∘b
-        for every b in id order: the |S|·|G| products that decide a group law."""
-        ids, elements = self._ids, list(self._ids)
-        for s in self._generating:
-            yield ids[s], [ids[compose(s, b)] for b in elements]
+        """Each generator s, once, as its id and the ids of s∘b for every b in
+        id order: the |S|·|G| products that decide a group law."""
+        ids = self._ids
+        for s in dict.fromkeys(g.images for g in self.generators):
+            yield ids[s], [ids[compose(s, b)] for b in ids]
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbit partition of the point space, each orbit ascending, sorted by minimum."""
@@ -312,8 +269,9 @@ def _require_acting_group(theta: ConceptualVariable, group: PermutationGroup) ->
 def is_permissible(theta: ConceptualVariable, group: PermutationGroup) -> PermissibilityResult:
     """Decide whether every group element maps theta-fibers into theta-fibers.
 
-    Scan order is deterministic (elements lexicographic, fibers by value,
-    points ascending), so the witness for a failure is reproducible.
+    Scan order is deterministic (elements lexicographic, as every group lists
+    them, fibers by value, points ascending), so the witness for a failure is
+    the first in that order, whatever order the generators were given in.
     """
     _require_acting_group(theta, group)
     assignment = theta.assignment
@@ -341,13 +299,13 @@ def induced_group(
     if not check:
         raise NotPermissibleError(check.witness)
     reps = [block[0] for block in theta.blocks()]
-    mapping_images = {k: compose(theta.assignment, compose(k.images, reps)) for k in group.elements}
-    value_space = PointSpace(id=f"{theta.name}-values", labels=theta.values)
     # Each k maps blocks onto blocks, so each image is a permutation of the values.
-    induced = {t: Permutation._trusted(t) for t in sorted(set(mapping_images.values()))}
-    induced_generators = tuple(induced[mapping_images[g]] for g in group.generators)
-    target = PermutationGroup(value_space, induced_generators, tuple(induced.values()))
-    mapping = {k: induced[t] for k, t in mapping_images.items()}
+    mapping = {
+        k: Permutation._trusted(compose(theta.assignment, compose(k.images, reps)))
+        for k in group.elements
+    }
+    value_space = PointSpace(id=f"{theta.name}-values", labels=theta.values)
+    target = PermutationGroup.generate(value_space, tuple(mapping[g] for g in group.generators))
     return target, GroupHomomorphism(group, target, mapping)
 
 
@@ -368,8 +326,8 @@ def are_related(
 ) -> Permutation | None:
     """Find k in the group with eta = theta∘k up to a value bijection, or None.
 
-    The group's elements are scanned in lexicographic order, so the returned
-    witness is the smallest.
+    The group's elements are scanned in lexicographic order, as every group
+    lists them, so the returned witness is the smallest relating element.
     """
     _require_same_domain(theta, eta)
     if theta.value_count != eta.value_count:

@@ -17,8 +17,8 @@ from typing import Any, Callable
 import yaml
 
 from . import linalg, spin
-from .groups import NotPermissibleError, Permutation, PermutationGroup, PermissibilityWitness
-from .groups import flag_trivial_exchange, is_permissible
+from .groups import GroupTooLargeError, NotPermissibleError, Permutation, PermutationGroup
+from .groups import PermissibilityWitness, flag_trivial_exchange, is_permissible
 from .harness import ThoughtScenario, classify_thoughts
 from .harness import VERDICT_ALL_DIFFERENT, VERDICT_ALL_RELATED, VERDICT_MIXED
 from .harness import exhaustive_falsifier, theorem_a1_search
@@ -159,7 +159,10 @@ def _generate(raw: Any, space: PointSpace, path: str) -> PermutationGroup:
     if not isinstance(raw, list):
         raise _fail(path, "expected a list of image arrays")
     gens = tuple(_permutation(images, space.size, f"{path}[{i}]") for i, images in enumerate(raw))
-    return PermutationGroup.generate(space, gens)
+    try:
+        return PermutationGroup.generate(space, gens)
+    except GroupTooLargeError as exc:
+        raise _fail(path, str(exc)) from None
 
 
 # Check parameters.  A reader takes a value from the file, its path and the

@@ -37,11 +37,26 @@ def cyclic_group(n: int) -> PermutationGroup:
     return PermutationGroup.generate(space_of(n), (Permutation(tuple(range(1, n)) + (0,)),))
 
 
+def generated_by_some_of(space: PointSpace, elements) -> PermutationGroup:
+    """The group the permutations ``elements`` (image tuples) form, generated by
+    each of them that the ones before it do not already generate; asserts that
+    it holds exactly ``elements``, so that they are closed under composition."""
+    gens, reached = [], {tuple(range(space.size))}
+    for images in elements:
+        if images not in reached:
+            gens.append(Permutation(images))
+            reached = {k.images for k in PermutationGroup.generate(space, gens).elements}
+    group = PermutationGroup.generate(space, gens)
+    assert {k.images for k in group.elements} == set(elements)
+    return group
+
+
 def shuffled_s4() -> PermutationGroup:
-    """S4 built from a seeded shuffle of its elements: its generating set is the greedy one."""
-    elements = list(symmetric_group(4).elements)
+    """S4 generated by a seeded shuffle of its elements, each taken when the ones
+    before it do not generate it: a generating set other than the usual two."""
+    elements = [k.images for k in symmetric_group(4).elements]
     random.Random(4).shuffle(elements)
-    return PermutationGroup(space_of(4), (), elements)
+    return generated_by_some_of(space_of(4), elements)
 
 
 # Groups up to S6 on which one changed image or matrix must break a group law.

@@ -154,16 +154,16 @@ def test_permissibility_is_equivalent_to_well_defined_induced_action():
                     else [rand_perm(n), rand_perm(n)]
                 )
                 try:
-                    group = PermutationGroup.generate(spaces[n], tuple(gens), max_size=720)
+                    group = PermutationGroup.generate(spaces[n], tuple(gens), max_size=720 * n)
                     break
                 except GroupTooLargeError:
                     continue
             else:
-                group = PermutationGroup.generate(spaces[n], (rand_perm(n),), max_size=720)
+                group = PermutationGroup.generate(spaces[n], (rand_perm(n),), max_size=720 * n)
         elif style < 0.7:
             # orbit labels of a cyclic action: always permissible
             n = rng.randint(2, 8)
-            group = PermutationGroup.generate(spaces[n], (rand_perm(n),), max_size=720)
+            group = PermutationGroup.generate(spaces[n], (rand_perm(n),), max_size=720 * n)
             orbit_of = {x: min(orbit) for orbit in group.orbits() for x in orbit}
             roots = sorted(set(orbit_of.values()))
             assignment = tuple(roots.index(orbit_of[x]) for x in range(n))
@@ -181,7 +181,7 @@ def test_permissibility_is_equivalent_to_well_defined_induced_action():
             rng.shuffle(segment)
             inner[block : block + b] = segment
             gens = [rotate] if rng.random() < 0.5 else [rotate, Permutation(tuple(inner))]
-            group = PermutationGroup.generate(spaces[n], tuple(gens), max_size=720)
+            group = PermutationGroup.generate(spaces[n], tuple(gens), max_size=720 * n)
         value_count = max(assignment) + 1
         theta = ConceptualVariable(
             name="theta",

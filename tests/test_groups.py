@@ -20,7 +20,14 @@ from finivar.groups import (
     induced_group,
     is_permissible,
 )
-from finivar.spaces import ConceptualVariable, DomainMismatchError, PointSpace, _id_tables, compose
+from finivar.spaces import (
+    ConceptualVariable,
+    DomainMismatchError,
+    PointSpace,
+    _id_tables,
+    canonical_partition,
+    compose,
+)
 from finivar.subgroups import subgroup_conjugacy_classes
 
 from conftest import (
@@ -28,6 +35,7 @@ from conftest import (
     assignments,
     changed_element,
     cyclic_group,
+    permutations_of,
     space_of,
     symmetric_group,
     variable_from_assignment,
@@ -115,35 +123,30 @@ class TestClosure:
         assert group.order == 6
 
     def test_closure_cap(self):
+        """The cap counts image entries, |G|·n: S8 is refused at 1,000 elements' worth."""
         space = space_of(8)
-        with pytest.raises(GroupTooLargeError):
-            PermutationGroup.generate(
-                space,
-                (Permutation((1, 0, 2, 3, 4, 5, 6, 7)), Permutation((1, 2, 3, 4, 5, 6, 7, 0))),
-                max_size=1000,
-            )
+        gens = (Permutation((1, 0, 2, 3, 4, 5, 6, 7)), Permutation((1, 2, 3, 4, 5, 6, 7, 0)))
+        with pytest.raises(GroupTooLargeError, match="more than 1000 elements on 8 points"):
+            PermutationGroup.generate(space, gens, max_size=1000 * 8)
 
-    def test_group_requires_identity(self):
-        space = space_of(2)
-        with pytest.raises(ValueError, match="identity"):
-            PermutationGroup(space, (), (Permutation((1, 0)),))
+    def test_cap_counts_entries_at_any_degree(self):
+        """Z_n on n points holds n² entries: within the cap exactly when n² is."""
+        shift = Permutation((*range(1, 30), 0))
+        assert PermutationGroup.generate(space_of(30), (shift,), max_size=900).order == 30
+        with pytest.raises(GroupTooLargeError, match="cap of 899 image entries"):
+            PermutationGroup.generate(space_of(30), (shift,), max_size=899)
 
-    def test_group_rejects_a_repeated_element(self):
-        e, f = Permutation((0, 1)), Permutation((1, 0))
-        with pytest.raises(ValueError, match=r"element \[1, 0\] is listed twice"):
-            PermutationGroup(space_of(2), (), (e, f, f))
-
-    def test_group_rejects_elements_not_closed_under_composition(self):
-        e, r = Permutation((0, 1, 2)), Permutation((1, 2, 0))
-        with pytest.raises(ValueError, match=r"not closed under composition: \[2, 0, 1\] is"):
-            PermutationGroup(space_of(3), (), (e, r))
+    def test_no_group_is_built_from_an_element_list(self):
+        elements = tuple(symmetric_group(3).elements)
+        with pytest.raises(TypeError):
+            PermutationGroup(space_of(3), (), elements)
 
     @pytest.mark.parametrize("n, subgroups", [(1, 1), (2, 2), (3, 6), (4, 30)])
-    def test_explicit_elements_are_accepted_exactly_when_closed(self, n, subgroups):
+    def test_listed_elements_generate_themselves_exactly_when_closed(self, n, subgroups):
         """Every subset of S_n holding the identity (n <= 3), or for S4 the group of
-        each pair of elements and 300 seeded subsets: a subset is accepted exactly
-        when every pairwise product lies in it, and the accepted ones are S_n's
-        subgroups (every subgroup of S4 has two generators)."""
+        each pair of elements and 300 seeded subsets: a subset generates itself
+        exactly when every pairwise product lies in it, and those subsets are
+        S_n's subgroups (every subgroup of S4 has two generators)."""
         everything = sorted(itertools.permutations(range(n)))
         identity, others = everything[0], everything[1:]
         if n <= 3:
@@ -156,17 +159,16 @@ class TestClosure:
             for pair in itertools.combinations(everything, 2):
                 group = PermutationGroup.generate(space_of(n), tuple(map(Permutation, pair)))
                 subsets.append([p.images for p in group.elements if p.images != identity])
-        accepted = set()
+        closed_subsets = set()
         for subset in subsets:
             images = [identity, *subset]
-            elements = tuple(map(Permutation, images))
+            generated = PermutationGroup.generate(space_of(n), tuple(map(Permutation, subset)))
             if all(compose(a, b) in set(images) for a in images for b in images):
-                assert PermutationGroup(space_of(n), (), elements).order == len(images)
-                accepted.add(frozenset(images))
+                assert [p.images for p in generated.elements] == sorted(images)
+                closed_subsets.add(frozenset(images))
             else:
-                with pytest.raises(ValueError, match="not closed under composition"):
-                    PermutationGroup(space_of(n), (), elements)
-        assert len(accepted) == subgroups
+                assert set(images) < {p.images for p in generated.elements}
+        assert len(closed_subsets) == subgroups
 
     @given(variable_group_pairs())
     @settings(max_examples=50, deadline=None)
@@ -177,6 +179,75 @@ class TestClosure:
             assert a.inverse().images in members
             for b in group.elements:
                 assert (a * b).images in members
+
+
+def invariant_coarsening(assignment, generators):
+    """The finest partition coarser than ``assignment`` whose blocks every
+    generator maps into blocks: a block system when the group they generate is
+    transitive, and a variable that group leaves permissible."""
+    labels = list(canonical_partition(assignment))
+    changed = True
+    while changed:
+        changed = False
+        for g in generators:
+            for x, y in itertools.combinations(range(len(labels)), 2):
+                a, b = labels[g(x)], labels[g(y)]
+                if labels[x] == labels[y] and a != b:
+                    labels = [a if v == b else v for v in labels]
+                    changed = True
+    return canonical_partition(labels)
+
+
+@st.composite
+def groups_with_invariant_variables(draw):
+    """A group generated by up to three drawn permutations of up to 6 points,
+    and a variable it leaves permissible: its orbit partition, or the
+    invariant coarsening of a drawn partition."""
+    n = draw(st.integers(1, 6))
+    space = space_of(n)
+    group = PermutationGroup.generate(space, tuple(draw(st.lists(permutations_of(n), max_size=3))))
+    if draw(st.booleans()):
+        orbit_of = {x: i for i, orbit in enumerate(group.orbits()) for x in orbit}
+        assignment = canonical_partition([orbit_of[x] for x in range(n)])
+    else:
+        assignment = invariant_coarsening(draw(assignments(n, n)), group.generators)
+    return group, variable_from_assignment(space, assignment, "theta")
+
+
+class TestEveryGroupIsItsGeneratorsClosure:
+    """The invariants every group holds now that ``generate`` builds them all."""
+
+    @staticmethod
+    def assert_generated(group):
+        images = [k.images for k in group.elements]
+        assert images == sorted(set(images))  # ids are lexicographic
+        assert group.identity == group.elements[0] and group.elements[0].is_identity()
+        assert PermutationGroup.generate(group.space, group.generators).elements == group.elements
+
+    @given(groups_with_invariant_variables(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_induced_groups_and_witnesses(self, case, data):
+        group, theta = case
+        n = group.space.size
+        self.assert_generated(group)
+        assert is_permissible(theta, group)
+        induced, hom = induced_group(theta, group)
+        self.assert_generated(induced)
+        assert induced.elements == tuple(sorted(set(hom.mapping.values()), key=lambda p: p.images))
+        assert induced.generators == tuple(hom(g) for g in group.generators)
+        assert hom.verify()
+        other = variable_from_assignment(group.space, data.draw(assignments(n, n)), "other")
+        move = data.draw(st.sampled_from(group.elements) | permutations_of(n))
+        eta = other.compose(move.images, "eta")
+        relating = [
+            k for k in group.elements
+            if canonical_partition(compose(other.assignment, k.images)) == eta.partition()
+        ]
+        smallest = min(relating, key=lambda k: k.images, default=None)
+        reordered = PermutationGroup.generate(
+            group.space, tuple(data.draw(st.permutations(group.generators)))
+        )
+        assert are_related(other, eta, reordered) == smallest == are_related(other, eta, group)
 
 
 class TestOrbitsAndIsotropy:
@@ -368,26 +439,26 @@ def generating_set(group):
 
 class TestGeneratorRows:
     @pytest.mark.parametrize("seed", range(6))
-    def test_shuffled_elements_with_the_identity_not_first(self, seed):
-        """Ids are positions in ``elements``, wherever the identity sits; a group
-        built from its element list takes the greedy set its closure check finds."""
+    def test_rows_of_the_group_and_id_tables_of_a_shuffled_list(self, seed):
+        """A group's rows are the products s∘b of its generators in id order,
+        and its generators generate it.  ``_id_tables`` reads ids as positions
+        in any list, wherever the identity sits."""
         rng = random.Random(seed)
-        lexicographic = symmetric_group(4) if seed % 2 else PermutationGroup.generate(
+        group = symmetric_group(4) if seed % 2 else PermutationGroup.generate(
             space_of(6), (Permutation((1, 2, 0, 4, 5, 3)), Permutation((3, 4, 5, 0, 1, 2)))
         )
-        shuffled = list(lexicographic.elements)
-        while shuffled[0].is_identity():
-            rng.shuffle(shuffled)
-        group = PermutationGroup(lexicographic.space, (), shuffled)
         els = group.elements
         rows = list(group.generator_rows())
-        assert rows
+        assert [els[s] for s, _ in rows] == list(group.generators)
         assert all([els[sb] for sb in row] == [els[s] * b for b in els] for s, row in rows)
         closed = PermutationGroup.generate(group.space, generating_set(group))
-        assert set(closed.elements) == set(els)
-        mul, inv = _id_tables([p.images for p in els])
-        assert [els[i] for i in inv] == [p.inverse() for p in els]
-        assert [list(row) for row in mul] == [[els.index(a * b) for b in els] for a in els]
+        assert closed.elements == els
+        shuffled = list(els)
+        while shuffled[0].is_identity():
+            rng.shuffle(shuffled)
+        mul, inv = _id_tables([p.images for p in shuffled])
+        assert [shuffled[i] for i in inv] == [p.inverse() for p in shuffled]
+        assert [list(row) for row in mul] == [[shuffled.index(a * b) for b in shuffled] for a in shuffled]
         c = els[rng.randrange(len(els))]
         for mapping in (
             {k: c * k * c.inverse() for k in els},
@@ -551,15 +622,13 @@ class TestRowWiseVerifyMatchesThePairLoop:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_induced_maps_of_every_subgroup_class(self, n):
         space = space_of(n)
-        rng = random.Random(n)
         rows = [()]
         for _ in range(n):
             rows = [row + (v,) for row in rows for v in range(max(row, default=-1) + 2)]
         checked = 0
         for c in subgroup_conjugacy_classes(n):
-            elements = [Permutation(images) for images in c.elements]
-            rng.shuffle(elements)
-            group = PermutationGroup(space, (), tuple(elements))
+            group = PermutationGroup.generate(space, tuple(map(Permutation, c.generators)))
+            assert [k.images for k in group.elements] == list(c.elements)
             for assignment in rows:
                 theta = variable_from_assignment(space, assignment)
                 if not is_permissible(theta, group):

@@ -28,7 +28,7 @@ from finivar.harness import (
 from finivar.spaces import VariableFamily, canonical_partition, compose
 from finivar.subgroups import subgroup_classes, subgroup_conjugacy_classes
 
-from conftest import permutations_of, space_of, variable_from_assignment
+from conftest import generated_by_some_of, permutations_of, space_of, variable_from_assignment
 from test_subgroups import class_shapes, every_subgroup, triple_stabilizer
 
 
@@ -163,7 +163,7 @@ def regular_groups(max_n):
     of S_n, n <= max_n."""
     for n in range(1, max_n + 1):
         for cls in subgroup_conjugacy_classes(n):
-            group = PermutationGroup(space_of(n), (), tuple(map(Permutation, cls.elements)))
+            group = PermutationGroup.generate(space_of(n), tuple(map(Permutation, cls.generators)))
             if group.is_transitive() and group.has_trivial_isotropy():
                 yield group
 
@@ -380,7 +380,8 @@ class TestPartitionEnumeration:
 def is_regular(space, elements):
     if len(elements) != space.size:
         return False
-    group = PermutationGroup(space, (), tuple(map(Permutation, elements)))
+    group = PermutationGroup.generate(space, tuple(map(Permutation, elements)))
+    assert group.order == len(elements)  # the listed subgroup generates itself
     return group.is_transitive() and group.has_trivial_isotropy()
 
 
@@ -420,7 +421,8 @@ class TestProofConstruction:
         assert sum(c.conjugates for c in classes) == 5
         klein = least_regular_subgroup(square4, stabilizer, classes)
         assert klein == ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
-        group = PermutationGroup(square4, (), tuple(map(Permutation, klein)))
+        group = PermutationGroup.generate(square4, tuple(map(Permutation, klein)))
+        assert [k.images for k in group.elements] == list(klein)
         assert all(is_permissible(var, group) for var in members)
 
     def test_reports_absence_without_raising(self):
@@ -540,7 +542,7 @@ class TestPartitionStabilizer:
             if all(len(orbit) == 1 for orbit in _partition_orbits(partitions, [k]))
         ]
         assert fixing == stabilizer
-        group = PermutationGroup(space, (), tuple(map(Permutation, stabilizer)))
+        group = generated_by_some_of(space, stabilizer)
         assert all(is_permissible(var, group) for var in members)
 
     def test_eight_points(self):
@@ -589,7 +591,7 @@ class TestFalsifier:
 def classified_verdict_counts(n, partitions, cls):
     """Verdict counts over every family of the shape, one classification each."""
     space = space_of(n, "census")
-    group = PermutationGroup(space, (), tuple(Permutation(t) for t in cls.elements))
+    group = PermutationGroup.generate(space, tuple(map(Permutation, cls.generators)))
     counts = {VERDICT_ALL_RELATED: 0, VERDICT_ALL_DIFFERENT: 0, VERDICT_MIXED: 0}
     for combo in itertools.combinations(partitions, 3):
         members = tuple(

@@ -296,7 +296,7 @@ class TestStatusMapping:
                 for a in rows
             ]
             for c in subgroup_conjugacy_classes(n):
-                group = PermutationGroup(space, (), tuple(Permutation(i) for i in c.elements))
+                group = PermutationGroup.generate(space, tuple(map(Permutation, c.generators)))
                 for theta in thetas:
                     cases += 1
                     if not is_permissible(theta, group):

@@ -23,7 +23,7 @@ from finivar import cli as cli_mod
 from finivar import runner as runner_mod
 from finivar import scenario as scenario_mod
 from finivar.cli import main
-from finivar.groups import Permutation, PermutationGroup
+from finivar.groups import DEFAULT_CLOSURE_CAP, Permutation, PermutationGroup
 from finivar.report import (
     STATUS_FAIL,
     STATUS_NOT_APPLICABLE,
@@ -261,6 +261,38 @@ checks:
         # shift table alone would take gigabytes.
         assert peak < 100 * len(text)
 
+    def test_a_group_past_the_closure_cap_is_refused_cheaply(self):
+        # Z_20000 holds 4e8 image entries; the cap stops its closure at 1e6.
+        text = shift_text(20_000)
+        message = f"group.generators: group closure exceeded the cap of {DEFAULT_CLOSURE_CAP} image"
+        started = time.perf_counter()
+        with pytest.raises(ScenarioError, match=message):
+            loads(text)
+        assert time.perf_counter() - started < 1.0
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioError, match=message):
+                loads(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Parsing the file's 40,000 numbers and labels takes about 16 MB; the
+        # closure stops at 50 elements, 8 MB of image entries.
+        assert peak < 100 * len(text)
+
+    def test_generators_of_a_check_past_the_cap_name_their_path(self):
+        n = 2_000  # Z_2000 holds 4e6 image entries
+        data = {
+            "name": "shift",
+            "space": {"id": "shift", "labels": [str(j) for j in range(n)]},
+            "variables": [{"name": "one", "values": ["x"], "assignment": [0] * n}],
+            "checks": [
+                {"type": "permissibility", "variable": "one", "generators": []},
+                {"type": "permissibility", "variable": "one", "generators": [[*range(1, n), 0]]},
+            ],
+        }
+        expect_error(json.dumps(data), r"checks\[1\]\.generators: group closure exceeded the cap")
+
     def test_explicit_representation_round_trip(self):
         text = MINIMAL + """
 representation:
@@ -377,18 +409,23 @@ representation:
         assert len(calls) == 1
 
     def test_each_operator_case_closes_its_group_once(self, monkeypatch):
-        """The representation kind is built on the declared group, not on a second closure."""
-        calls = []
+        """The representation kind is built on the declared group, not on a
+        second closure on the scenario's points; induced groups close on value spaces."""
+        spaces = []
         original = PermutationGroup.generate.__func__
         monkeypatch.setattr(
             PermutationGroup,
             "generate",
-            classmethod(lambda cls, *args, **kwargs: calls.append(1) or original(cls, *args, **kwargs)),
+            classmethod(lambda cls, space, *args: spaces.append(space) or original(cls, space, *args)),
         )
         cases = perfbench_workloads().generate("operators", 1)
+        closures = 0
         for case in cases:
-            run_scenario(loads(case.text))
-        assert len(cases) == 5 and len(calls) == 5
+            spaces.clear()
+            scenario = loads(case.text)
+            run_scenario(scenario)
+            closures += sum(space == scenario.space for space in spaces)
+        assert len(cases) == 5 and closures == 5
 
     def test_informational_flag(self):
         scenario = loads(MINIMAL + "\ninformational: true\n")
@@ -643,6 +680,17 @@ def cyclic_text(n: int) -> str:
         "space": {"id": f"cycle-{n}", "labels": [str(j) for j in range(n)]},
         "group": {"generators": [[(j + 1) % n for j in range(n)]]},
         "representation": {"kind": "cyclic-dft", "n": n},
+        "checks": [{"type": "a2-falsify"}],
+    }
+    return json.dumps(data)  # JSON is valid YAML
+
+
+def shift_text(n: int) -> str:
+    """A scenario on n points whose declared group is generated by the one-step shift."""
+    data = {
+        "name": f"shift-{n}",
+        "space": {"id": f"shift-{n}", "labels": [str(j) for j in range(n)]},
+        "group": {"generators": [[(j + 1) % n for j in range(n)]]},
         "checks": [{"type": "a2-falsify"}],
     }
     return json.dumps(data)  # JSON is valid YAML
@@ -1102,6 +1150,13 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert f"Error: {field}: " in result.output
         assert not caught and "Warning" not in result.stderr
+
+    def test_a_group_past_the_closure_cap_exits_two(self, tmp_path):
+        target = tmp_path / "shift.yaml"
+        target.write_text(shift_text(20_000), encoding="utf-8")
+        result = self.runner.invoke(main, ["run", str(target)])
+        assert result.exit_code == 2, result.output
+        assert "Error: group.generators: group closure exceeded the cap of" in result.output
 
     @pytest.mark.parametrize("name", FOREIGN_GROUPS)
     def test_a_kind_on_a_declared_group_with_other_elements_exits_two(self, tmp_path, name):

@@ -183,9 +183,9 @@ class TestConjugacyClasses:
     )
     @settings(max_examples=200, deadline=None)
     def test_closure_with_cutoff_matches_full_closure(self, base_gens, gens):
-        full = groups._close([S5[g] for g in base_gens + gens], 5, len(S5))
+        full = groups._close([S5[g] for g in base_gens + gens], 5, 5 * len(S5))
         if base_gens:
-            base = groups._close([S5[g] for g in base_gens], 5, len(S5))
+            base = groups._close([S5[g] for g in base_gens], 5, 5 * len(S5))
             flags = subgroups.close_tuples(
                 tuple(base_gens + gens), S5_MUL, sorted(S5.index(p) for p in base)
             )
@@ -207,8 +207,8 @@ class TestConjugacyClasses:
             pool = [i for i in range(len(sym)) if symmetric[1][i]] if even_only else range(len(sym))
             base_gens = data.draw(st.lists(st.sampled_from(pool), max_size=2))
             gens = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
-        full = groups._close([sym[g] for g in base_gens + gens], n, len(sym))
-        base = sorted(sym.index(p) for p in groups._close([sym[g] for g in base_gens], n, len(sym)))
+        full = groups._close([sym[g] for g in base_gens + gens], n, n * len(sym))
+        base = sorted(sym.index(p) for p in groups._close([sym[g] for g in base_gens], n, n * len(sym)))
         flags = subgroups.close_tuples(tuple(base_gens + gens), mul, base, symmetric)
         assert {sym[i] for i in range(len(sym)) if flags[i]} == full
         if data is None:
@@ -302,15 +302,15 @@ def pair_closure_classes(elements):
 def every_subgroup(elements, n):
     """Every subgroup of the group ``elements``: the trivial group joined with
     cyclic subgroups until no new join appears."""
-    cyclic = {frozenset(groups._close((g,), n, len(elements))): g for g in elements}
-    found = {frozenset(groups._close((), n, 1)): ()}
+    cyclic = {frozenset(groups._close((g,), n, n * len(elements))): g for g in elements}
+    found = {frozenset(groups._close((), n, n)): ()}
     frontier = dict(found)
     while frontier:
         joins = {}
         for h, gens in frontier.items():
             for g in cyclic.values():
                 if g not in h:
-                    joins.setdefault(frozenset(groups._close(gens + (g,), n, len(elements))), gens + (g,))
+                    joins.setdefault(frozenset(groups._close(gens + (g,), n, n * len(elements))), gens + (g,))
         frontier = {h: gens for h, gens in joins.items() if h not in found}
         found.update(frontier)
     return set(found)
