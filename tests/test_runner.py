@@ -946,3 +946,71 @@ def test_operator_sweep_report_bytes_are_pinned():
             report = run_scenario(loads(operator_sweep_text(n)), RunFlags(tolerance_scale=scale))
             digest.update(report.to_json().encode("utf-8"))
     assert digest.hexdigest() == OPERATOR_SWEEP_SHA256
+
+
+def _pairs(array) -> list:
+    """A complex vector or matrix as nested [re, im] pairs, each float exact in JSON."""
+    if np.ndim(array) == 1:
+        return [[z.real, z.imag] for z in array.tolist()]
+    return [_pairs(row) for row in array]
+
+
+def explicit_text(text: str, seed: int, variant: str = "plain") -> str:
+    """The scenario with its representation written out as ``kind: explicit``,
+    the matrices listed in a seeded shuffled order.  ``ray`` multiplies each
+    matrix but the identity's by a seeded phase; ``basis`` conjugates every
+    matrix, and moves the base state, by a seeded unitary."""
+    rep = loads(text).coherent_family.rep
+    data = yaml.safe_load(text)
+    rng = np.random.default_rng(seed)
+    elements = list(rep.group.elements)
+    matrices = {k: rep(k) for k in elements}
+    base = np.eye(1, rep.dim, dtype=complex)[0]
+    if "base_state" in data:
+        base = np.array([complex(*z) if isinstance(z, list) else z for z in data["base_state"]])
+    if variant == "ray":
+        phases = np.exp(2j * np.pi * rng.random(len(elements)))
+        matrices = {k: m if k.is_identity() else p * m for (k, m), p in zip(matrices.items(), phases)}
+    elif variant == "basis":
+        u, _ = np.linalg.qr(rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim)))
+        matrices = {k: u @ m @ u.conj().T for k, m in matrices.items()}
+        base = u @ base
+    listed = random.Random(seed).sample(elements, len(elements))
+    data["representation"] = {
+        "kind": "explicit",
+        "matrices": [{"element": list(k.images), "matrix": _pairs(matrices[k])} for k in listed],
+    }
+    data["base_state"] = _pairs(base)
+    return json.dumps(data)  # JSON is valid YAML
+
+
+def explicit_cases() -> dict[str, str]:
+    """cyclic-4 and the seed-1 ``operators`` case, each written out plain, as a
+    ray representation and in another basis."""
+    from test_scenario_cli import perfbench_workloads
+
+    sources = {
+        "cyclic-4": builtin_text("cyclic-4"),
+        "operators-seed-1": perfbench_workloads().generate("operators", 1)[0].text,
+    }
+    return {
+        f"{name}-{variant}": explicit_text(text, seed, variant)
+        for seed, (name, text) in enumerate(sources.items(), 1)
+        for variant in ("plain", "ray", "basis")
+    }
+
+
+# SHA-256 over the JSON reports of the explicit cases, each at
+# --tolerance-scale 1 and then at 1e-6, pinned as for the built-ins.
+EXPLICIT_REPORT_SHA256 = "d44038cee2f7bf74e87b79871f47322e2be343ea3d899212be18a8b864cb03e2"
+
+
+def test_explicit_report_bytes_are_pinned():
+    # Pins the explicit path: matrices listed out of id order, ray phases and
+    # dense matrices in a non-permutation basis, through every operator check.
+    digest = hashlib.sha256()
+    for name, text in explicit_cases().items():
+        for scale in (1.0, 1e-6):
+            report = run_scenario(loads(text, name), RunFlags(tolerance_scale=scale))
+            digest.update(report.to_json().encode("utf-8"))
+    assert digest.hexdigest() == EXPLICIT_REPORT_SHA256
