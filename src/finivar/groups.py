@@ -175,6 +175,10 @@ class PermutationGroup:
     def __contains__(self, p: Permutation) -> bool:
         return p.images in self._ids
 
+    def index(self, k: Permutation) -> int:
+        """The id of the element ``k``: its position in ``elements``."""
+        return self._ids[k.images]
+
     def generator_rows(self) -> Iterator[tuple[int, list[int]]]:
         """Each generator s, once, as its id and the ids of s∘b for every b in
         id order: the |S|·|G| products that decide a group law."""
@@ -208,7 +212,8 @@ class PermutationGroup:
 
 
 class GroupHomomorphism:
-    """An element map between two permutation groups."""
+    """An element map between two permutation groups; ``images`` holds the
+    image of each source element in id order."""
 
     def __init__(
         self,
@@ -220,21 +225,21 @@ class GroupHomomorphism:
             raise ValueError("homomorphism must map every source element")
         self.source = source
         self.target = target
-        self.mapping = dict(mapping)
+        self.images = tuple(mapping[k] for k in source.elements)
 
     def __call__(self, k: Permutation) -> Permutation:
-        return self.mapping[k]
+        return self.images[self.source.index(k)]
 
     def verify(self) -> bool:
         """Check that φ(e) = e, that every value lies in the target, and that
         φ(sb) = φ(s)φ(b) for each s in the source's generating set S and every
         b.  That decides the law on all pairs: write a = s₁⋯s_k and induct on k.
         """
-        if not self.mapping[self.source.identity].is_identity():
+        if not self.images[0].is_identity():
             return False
-        phi = [self.mapping[k].images for k in self.source.elements]
-        if not all(f in self.target._ids for f in phi):
+        if not all(f in self.target for f in self.images):
             return False
+        phi = [f.images for f in self.images]
         return all(
             [phi[sb] for sb in row] == [compose(phi[s], f) for f in phi]
             for s, row in self.source.generator_rows()

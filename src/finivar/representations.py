@@ -47,11 +47,13 @@ class CoherentCollisionError(ValueError):
 
 
 class CoherentStateError(ValueError):
-    """The matrix at ``index``, in listed order, sends the base state to an unusable state."""
+    """The matrices at the element ids ``ids`` send the base state to unusable states."""
 
-    def __init__(self, index: int) -> None:
-        super().__init__(f"matrix {index} sends the base state to a zero or non-finite state")
-        self.index = index
+    def __init__(self, ids: tuple[int, ...]) -> None:
+        super().__init__(
+            f"the matrices at ids {list(ids)} send the base state to a zero or non-finite state"
+        )
+        self.ids = ids
 
 
 class OrthogonalityError(ValueError):
@@ -63,7 +65,8 @@ class DegenerateBasisError(ValueError):
 
 
 class UnitaryRep:
-    """A unitary matrix for every element of a permutation group."""
+    """A unitary matrix for every element of a permutation group, kept as one
+    |G|×d×d ``stack`` in id order."""
 
     def __init__(self, group: PermutationGroup, matrices: dict[Permutation, np.ndarray]) -> None:
         import numpy as np
@@ -76,10 +79,12 @@ class UnitaryRep:
                 raise ValueError("representation matrices must share one square shape")
         self.group = group
         self.dim = dim
-        self.matrices = {k: np.asarray(m, dtype=complex) for k, m in matrices.items()}
+        self.stack = np.empty((group.order, dim, dim), dtype=complex)
+        for k, m in matrices.items():
+            self.stack[group.index(k)] = m
 
     def __call__(self, k: Permutation) -> np.ndarray:
-        return self.matrices[k]
+        return self.stack[self.group.index(k)]
 
     def diagnostics(self) -> "RepDiagnostics":
         """Measure unitarity, the identity image, and the composition law.
@@ -92,10 +97,10 @@ class UnitaryRep:
         a word over S, those |S|·|G| pairs decide the law on every pair.
         """
         import numpy as np
-        stack = np.array([self.matrices[k] for k in self.group.elements])  # indexed by id
+        stack = self.stack
         gram = stack.conj().swapaxes(1, 2) @ stack
         unitary_residual = max(abs(gram - np.eye(self.dim)).max(axis=(1, 2)).tolist())
-        identity_residual = linalg.max_abs(self.matrices[self.group.identity] - np.eye(self.dim))
+        identity_residual = linalg.max_abs(stack[0] - np.eye(self.dim))  # the identity is id 0
         n = len(stack)
         flat = stack.reshape(n, -1)
         pivot = np.argmax(abs(flat), axis=1)
@@ -196,7 +201,8 @@ def _usable(states: np.ndarray) -> np.ndarray:
 
 
 class CoherentFamily:
-    """The orbit of a base state under a representation, keyed by group element.
+    """The orbit of a base state under a representation: ``states`` holds
+    U(k) base for every element k, one row per id.
 
     Every state, the base included, must have a finite norm of at least 1e-12.
     The states are fixed at construction, so the data derived from them
@@ -210,10 +216,10 @@ class CoherentFamily:
         if base.shape != (rep.dim,) or not _usable(base):
             raise ValueError(f"expected a nonzero vector of dimension {rep.dim} with a finite norm")
         with np.errstate(over="ignore", invalid="ignore"):
-            self.states = {k: rep(k) @ base for k in rep.group.elements}  # overlaps use this order
-        usable = _usable(np.array([self.states[k] for k in rep.matrices]))
+            self.states = rep.stack @ base
+        usable = _usable(self.states)
         if not usable.all():
-            raise CoherentStateError(int(np.argmin(usable)))  # the first listed unusable state
+            raise CoherentStateError(tuple(np.flatnonzero(~usable).tolist()))
         self.rep = rep
         self.base = base
         self._overlaps: np.ndarray | None = None
@@ -225,7 +231,7 @@ class CoherentFamily:
         return self.rep.group
 
     def overlaps(self) -> np.ndarray:
-        """``|<a|b>| / (|a| |b|)`` for every ordered pair of states, in element order.
+        """``|<a|b>| / (|a| |b|)`` for every ordered pair of states, in id order.
 
         Each entry is computed pair by pair, so it is bit-identical to the same
         expression evaluated on the two states.  Only pairs i < j are computed:
@@ -234,7 +240,7 @@ class CoherentFamily:
         """
         import numpy as np
         if self._overlaps is None:
-            states = list(self.states.values())
+            states = self.states
             norms = [np.linalg.norm(a) for a in states]
             overlaps = np.zeros((len(states), len(states)))
             for (i, a), (j, b) in itertools.combinations(enumerate(states), 2):
@@ -251,9 +257,9 @@ class CoherentFamily:
         for indices in groups:
             if indices not in self._projectors:
                 by_size.setdefault(len(indices), []).append(indices)
-        states = np.array(list(self.states.values()))
         for batch in by_size.values():
-            u, s, _ = np.linalg.svd(states[np.array(batch)].swapaxes(1, 2), full_matrices=False)
+            stacks = self.states[np.array(batch)].swapaxes(1, 2)  # each group's states as columns
+            u, s, _ = np.linalg.svd(stacks, full_matrices=False)
             ranks = np.sum(s > 1e-10 * s[:, :1], axis=1).tolist()
             for indices, basis, rank in zip(batch, u, ranks):
                 projector = basis[:, :rank] @ basis[:, :rank].conj().T
@@ -293,8 +299,7 @@ def _scan_injectivity(
     family: CoherentFamily, distance_tol: float, overlap_tol: float
 ) -> InjectivityResult:
     import numpy as np
-    elements, overlaps = family.group.elements, family.overlaps()
-    states = np.array(list(family.states.values()))
+    elements, overlaps, states = family.group.elements, family.overlaps(), family.states
     pairs = list(itertools.combinations(range(len(elements)), 2))  # in scan order
     distances = []  # |a - b| as np.linalg.norm takes it: a ddot per part, then sqrt
     for i, a in enumerate(states[:-1]):
@@ -457,16 +462,15 @@ def conjugation_check(
     projectors are summed in target-value order, as ``build_operator`` sums them.
     """
     import numpy as np
-    elements = family.group.elements
     projectors = np.array(list(bundle.projectors.values()))
-    preimages = np.argsort([induced(t).images for t in elements], axis=1)  # [t, v] = g_t^-1(v)
-    relabelled = np.zeros((len(elements), bundle.dim, bundle.dim), dtype=complex)
+    preimages = np.argsort([g.images for g in induced.images], axis=1)  # [t, v] = g_t^-1(v)
+    relabelled = np.zeros((family.group.order, bundle.dim, bundle.dim), dtype=complex)
     term = np.empty_like(relabelled)
     for v, weight in enumerate(bundle.projectors):  # ids are in range; "clip" writes into term
         np.take(projectors, preimages[:, v], 0, term, "clip")
         np.add(relabelled, np.multiply(weight, term, out=term), out=relabelled)
-    t_matrices = np.array([family.rep(t) for t in elements])
-    conjugated = t_matrices.conj().swapaxes(1, 2) @ bundle.operator @ t_matrices
+    stack = family.rep.stack
+    conjugated = stack.conj().swapaxes(1, 2) @ bundle.operator @ stack
     return abs(np.subtract(conjugated, relabelled, out=relabelled)).max(axis=(1, 2)).tolist()
 
 
@@ -544,7 +548,7 @@ def commutant_diagnostic(
     integer.
     """
     import numpy as np
-    traces = np.array([np.trace(rep(k)) for k in rep.group.elements])
+    traces = np.trace(rep.stack, axis1=1, axis2=2)
     norm = float(np.sum(np.abs(traces) ** 2) / rep.group.order)
     dim = round(norm)
     if abs(norm - dim) > tol:

@@ -700,11 +700,12 @@ def _representation_kind(raw: Any, space: PointSpace) -> str | None:
 
 def _parse_representation(
     raw: Any, kind: str | None, space: PointSpace, group: PermutationGroup | None
-) -> UnitaryRep | None:
+) -> tuple[UnitaryRep | None, tuple[Permutation, ...]]:
     """The representation of ``kind`` on the one group the scenario's checks act
-    with: the declared group, which a built-in kind's own group must equal, else the kind's."""
+    with: the declared group, which a built-in kind's own group must equal, else
+    the kind's; and its elements in the order the file lists their matrices."""
     if kind is None:
-        return None
+        return None, ()
     if kind != "explicit":  # the kind's matrices, on the scenario's one group
         # Each kind's own group is Z_n (the flip's is Z_2), the one order-n group holding the step.
         size = space.size
@@ -719,7 +720,8 @@ def _parse_representation(
             else:
                 where = f"the declared group has {list(extra.images)}, which {kind}'s group lacks"
             raise _fail("representation.kind", f"expected the declared group's elements: {where}")
-        return qubit_rep(group) if kind == "qubit" else cyclic_dft_rep(size, group)
+        rep = qubit_rep(group) if kind == "qubit" else cyclic_dft_rep(size, group)
+        return rep, group.elements
     raw_matrices = raw.get("matrices")
     if not isinstance(raw_matrices, list) or not raw_matrices:
         raise _fail("representation.matrices", "expected a nonempty list")
@@ -735,7 +737,7 @@ def _parse_representation(
             raise _fail(f"{path}.element", f"duplicate of representation.matrices[{first}]")
         matrices[element] = _parse_matrix(item.get("matrix"), f"{path}.matrix")
     try:
-        return UnitaryRep(group, matrices)
+        return UnitaryRep(group, matrices), tuple(matrices)
     except ValueError as exc:  # an element left out, or matrices of two shapes
         raise _fail("representation.matrices", str(exc)) from None
 
@@ -774,7 +776,7 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
         group_data = _require(data["group"], "group", ("generators",))
         group = _generate(group_data.get("generators"), space, "group.generators")
 
-    representation = _parse_representation(data.get("representation"), kind, space, group)
+    representation, listed = _parse_representation(data.get("representation"), kind, space, group)
 
     coherent_family = None
     if representation is not None:
@@ -787,8 +789,9 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
         try:
             coherent_family = CoherentFamily(representation, base_state)
         except CoherentStateError as exc:
+            first = next(i for i, k in enumerate(listed) if group.index(k) in exc.ids)
             raise _fail(
-                f"representation.matrices[{exc.index}].matrix",
+                f"representation.matrices[{first}].matrix",
                 "sends base_state to a coherent state of zero or non-finite norm",
             ) from None
         except ValueError as exc:

@@ -720,7 +720,7 @@ class TestOperatorCache:
         ((family, induced, residuals),) = calls
         elements = loaded.group.elements
         assert family.group.elements == elements and induced.source.elements == elements
-        assert list(induced.mapping) == list(elements)
+        assert induced.images == tuple(map(induced, elements))
         assert [e["residual"] for e in record.details["per_element"]] == residuals
         assert [e["element"] for e in record.details["per_element"]] == list(elements)
 

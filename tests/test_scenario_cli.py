@@ -1114,6 +1114,14 @@ class TestCli:
                 "representation.matrices[1].matrix",
                 id="coherent-state-zero",
             ),
+            pytest.param(  # listed at ids 2, 3, 1, 0: ids 3 and 1 are zero, and 3 is listed first
+                explicit_cycle4(
+                    [Z4[2], Z4[3], Z4[1], Z4[0]],
+                    [np.eye(4, dtype=int)[:, Z4[2]], *[np.zeros((4, 4), int)] * 2, np.eye(4, dtype=int)],
+                ),
+                "representation.matrices[1].matrix",
+                id="coherent-state-zero-first-listed",
+            ),
             pytest.param(cyclic_text(20_000), "representation.n", id="cyclic-dft-past-the-bound"),
         ]
         + [
