@@ -261,7 +261,9 @@ def _eta(value: Any, path: str, scenario: Scenario) -> ConceptualVariable:
 
 def _represented(scenario: Scenario, params: _Params, path: str) -> None:
     if scenario.coherent_family is None:
-        raise _fail(path, "the check builds operators; the scenario declares no representation")
+        raise _fail(
+            f"{path}.type", "the check builds operators; the scenario declares no representation"
+        )
 
 
 def _represented_unless_exchange(scenario: Scenario, params: _Params, path: str) -> None:
@@ -277,6 +279,24 @@ def _represented_unless_exchange(scenario: Scenario, params: _Params, path: str)
         _represented(scenario, params, path)
 
 
+def _thoughts(least: int) -> Callable[..., None]:
+    """A need: the family of candidate thoughts, the check's ``members`` under
+    its group, kept among the check's values as ``thoughts``; it needs at
+    least ``least`` members, each maximal, sharing one value count."""
+
+    def need(scenario: Scenario, params: _Params, path: str) -> None:
+        members = params["members"]
+        try:
+            family = VariableFamily(members)  # at least one member
+            if len(members) < least:
+                raise ValueError(f"expected at least {least} variables, got {len(members)}")
+            params["thoughts"] = ThoughtScenario(scenario.space, family, params["generators"])
+        except ValueError as exc:
+            raise _fail(f"{path}.members", str(exc)) from None
+
+    return need
+
+
 # Check handlers turn a check's typed parameters into a status and its details.
 # ``ctx`` is the run's ``runner._Context``: the tolerances, flags and shared objects.
 _Outcome = tuple[str, dict[str, Any]]
@@ -288,13 +308,6 @@ def _status(ok: bool) -> str:
 
 def _witness_payload(witness: PermissibilityWitness) -> dict[str, Any]:
     return {"k": witness.k, "phi1": witness.phi1, "phi2": witness.phi2}
-
-
-def _thought(ctx: Any, params: _Params) -> ThoughtScenario:
-    """The family of candidate thoughts: the named members, or every scenario variable."""
-    return ThoughtScenario(
-        ctx.scenario.space, VariableFamily(params["members"]), params["generators"]
-    )
 
 
 def _handle_permissibility(ctx: Any, params: _Params) -> _Outcome:
@@ -502,7 +515,7 @@ def _handle_singlet_delta(ctx: Any, params: _Params) -> _Outcome:
 
 def _handle_a1_search(ctx: Any, params: _Params) -> _Outcome:
     theta, eta, all_partitions = params["theta"], params["eta"], params["all-partitions"]
-    result = theorem_a1_search(_thought(ctx, params), theta, eta, all_partitions=all_partitions)
+    result = theorem_a1_search(params["thoughts"], theta, eta, all_partitions=all_partitions)
     details: dict[str, Any] = {
         "theta": theta.name,
         "eta": eta.name,
@@ -515,7 +528,7 @@ def _handle_a1_search(ctx: Any, params: _Params) -> _Outcome:
 
 def _handle_a2_classify(ctx: Any, params: _Params) -> _Outcome:
     expected = params["expect-verdict"]
-    result = classify_thoughts(_thought(ctx, params))
+    result = classify_thoughts(params["thoughts"])
     hypotheses = result.hypotheses
     details = {
         "classes": [list(c) for c in result.classes],
@@ -564,9 +577,9 @@ _MEMBERS = ("members", _members, lambda scenario, *_: tuple(scenario.variables.v
 
 # Each check type's handler, then its parameters, as (key, reader, default), and
 # its needs, read and judged in this order.  A need is a function of the scenario,
-# the values read before it and the path of the check's ``type``; it may add a
-# verdict to those values.  A check is labelled by its first parameter where
-# that is a variable, else by its ``name``.
+# the values read before it and the check's path; it may add a verdict, or an
+# object built once, to those values.  A check is labelled by its first parameter
+# where that is a variable, else by its ``name``.
 _CHECK_PARAMS: dict[str, tuple[Any, ...]] = {
     "permissibility": (_handle_permissibility, _VARIABLE, ("expect", _flag, True), _GROUP),
     "induced-group": (_handle_induced_group, _VARIABLE, _GROUP),
@@ -596,8 +609,11 @@ _CHECK_PARAMS: dict[str, tuple[Any, ...]] = {
         ("all-partitions", _flag, False),
         _MEMBERS,
         _GROUP,
+        _thoughts(1),
     ),
-    "a2-classify": (_handle_a2_classify, ("expect-verdict", _verdict, None), _MEMBERS, _GROUP),
+    "a2-classify": (
+        _handle_a2_classify, ("expect-verdict", _verdict, None), _MEMBERS, _GROUP, _thoughts(3)
+    ),
     "a2-falsify": (_handle_a2_falsify, ("max-n", _integer(1, MAX_EXACT_DEGREE), 4)),
 }
 CHECK_TYPES = tuple(_CHECK_PARAMS)
@@ -614,7 +630,7 @@ def _parse_check(raw: Any, path: str, scenario: Scenario) -> CheckSpec:
     values: _Params = {}
     for entry in declared:
         if callable(entry):
-            entry(scenario, values, f"{path}.type")
+            entry(scenario, values, path)
             continue
         key, read, default = entry
         where = f"{path}.{key}"

@@ -408,6 +408,24 @@ representation:
         assert record.status == STATUS_NOT_APPLICABLE and "excluded" in record.details
         assert len(calls) == 1
 
+    def test_the_thought_family_is_built_once(self, monkeypatch):
+        """The loader keeps each a1-search and a2-classify check's family of
+        thoughts, its members under its group; the run reads it."""
+        calls = []
+        original = scenario_mod.ThoughtScenario
+        monkeypatch.setattr(
+            scenario_mod, "ThoughtScenario", lambda *args: calls.append(1) or original(*args)
+        )
+        scenario = loads(builtin_mod.builtin_text("parity-z4"))
+        searches = [c for c in scenario.checks if c.type == "a1-search"]
+        for check in searches:
+            thoughts = check.params["thoughts"]
+            assert thoughts.members == check.params["members"] == tuple(scenario.variables.values())
+            assert thoughts.group is check.params["generators"]
+        statuses = [r.status for r in run_scenario(scenario).checks[3:]]
+        assert statuses == ["not-applicable", "not-applicable", "pass"]
+        assert len(calls) == len(searches) == 3
+
     def test_each_operator_case_closes_its_group_once(self, monkeypatch):
         """The representation kind is built on the declared group, not on a
         second closure on the scenario's points; induced groups close on value spaces."""
@@ -707,6 +725,23 @@ def explicit_cycle4(elements, matrices=None) -> str:
     return CYCLE4.format(checks=THEOREM1).replace(
         "kind: cyclic-dft\n  n: 4", "kind: explicit\n  matrices:" + entries
     )
+
+
+# Z4 on four points with two two-valued variables and one three-valued one;
+# ``check`` is the second check's type and parameters.
+MEMBERS_Z4 = """
+name: members
+space: {{id: circle-4, labels: ["0", "1", "2", "3"]}}
+variables:
+  - {{name: a, values: ["0", "1"], assignment: [0, 0, 1, 1]}}
+  - {{name: b, values: ["0", "1"], assignment: [0, 1, 1, 0]}}
+  - {{name: c, values: ["0", "1", "2"], assignment: [0, 1, 2, 2]}}
+group: {{generators: [[1, 2, 3, 0]]}}
+checks:
+  - type: permissibility
+    variable: a
+  - type: {check}
+"""
 
 
 OCTAGON_A1_SEARCH = """
@@ -1060,6 +1095,57 @@ class TestCli:
         result = self.runner.invoke(main, ["run", str(target), *flags])
         assert result.exit_code == 2, result.output
         assert f"{field}: expected" in result.output
+
+    @pytest.mark.parametrize(
+        "check, message",
+        [
+            pytest.param(
+                "a2-classify\n    members: []",
+                "a variable family needs at least one generator",
+                id="a2-classify-no-members",
+            ),
+            pytest.param(
+                "a1-search\n    theta: a\n    members: []",
+                "a variable family needs at least one generator",
+                id="a1-search-no-members",
+            ),
+            pytest.param(
+                "a2-classify\n    members: [a]",
+                "expected at least 3 variables, got 1",
+                id="a2-classify-one-member",
+            ),
+            pytest.param(
+                "a2-classify\n    members: [a, b]",
+                "expected at least 3 variables, got 2",
+                id="a2-classify-two-members",
+            ),
+            pytest.param(
+                "a2-classify",
+                "family members must share one value-space cardinality, got [2, 3]",
+                id="a2-classify-default-members-of-two-value-counts",
+            ),
+            pytest.param(
+                "a1-search\n    theta: a\n    members: [a, c]",
+                "family members must share one value-space cardinality, got [2, 3]",
+                id="a1-search-members-of-two-value-counts",
+            ),
+            pytest.param(
+                "a1-search\n    theta: a",
+                "family members must share one value-space cardinality, got [2, 3]",
+                id="a1-search-default-members-of-two-value-counts",
+            ),
+        ],
+    )
+    def test_malformed_members_exit_two_when_loading(self, tmp_path, monkeypatch, check, message):
+        calls = []
+        monkeypatch.setattr("finivar.scenario.classify_thoughts", lambda *a: calls.append(a))
+        monkeypatch.setattr("finivar.scenario.theorem_a1_search", lambda *a, **k: calls.append(a))
+        target = tmp_path / "members.yaml"
+        target.write_text(MEMBERS_Z4.format(check=check), encoding="utf-8")
+        result = self.runner.invoke(main, ["run", str(target)])
+        assert result.exit_code == 2, result.output
+        assert f"Error: checks[1].members: {message}" in result.output
+        assert calls == []
 
     @pytest.mark.parametrize(
         "text, field",
