@@ -223,6 +223,7 @@ class TestEveryGroupIsItsGeneratorsClosure:
         assert images == sorted(set(images))  # ids are lexicographic
         assert group.identity == group.elements[0] and group.elements[0].is_identity()
         assert PermutationGroup.generate(group.space, group.generators).elements == group.elements
+        assert [group.index(k) for k in group.elements] == list(range(group.order))
 
     @given(groups_with_invariant_variables(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -235,6 +236,8 @@ class TestEveryGroupIsItsGeneratorsClosure:
         self.assert_generated(induced)
         assert induced.elements == tuple(sorted(set(hom.images), key=lambda p: p.images))
         assert induced.generators == tuple(hom(g) for g in group.generators)
+        for k, image in zip(group.elements, hom.images, strict=True):  # in id order
+            assert all(image(theta.assignment[p]) == theta.assignment[k(p)] for p in range(n))
         assert hom.verify()
         other = variable_from_assignment(group.space, data.draw(assignments(n, n)), "other")
         move = data.draw(st.sampled_from(group.elements) | permutations_of(n))

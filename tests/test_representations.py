@@ -145,6 +145,15 @@ class TestCoherentFamily:
         state = family.states[family.group.index(Permutation((1, 0)))]
         assert abs(state[0]) < 1e-12 and abs(abs(state[1]) - 1) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 17, 24, 33])
+    def test_states_are_one_product_per_element_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        base = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for rep in (cyclic_dft_rep(n), with_phases(conjugated(cyclic_dft_rep(n), n), n)):
+            family = CoherentFamily(rep, base)
+            expected = np.array([rep(k) @ base for k in rep.group.elements])
+            assert family.states.tobytes() == expected.tobytes()
+
     def test_rejects_zero_base(self):
         with pytest.raises(ValueError, match="nonzero"):
             CoherentFamily(qubit_rep(), np.zeros(2))
