@@ -15,7 +15,7 @@ from finivar.groups import Permutation
 from finivar.scenario import loads
 from finivar.spaces import canonical_partition, compose
 
-from test_runner import _pairs
+from test_runner import complex_pairs
 from test_scenario_cli import perfbench_workloads
 
 
@@ -115,7 +115,7 @@ def relabel(text: str, pi: list[int]) -> str:
         data["representation"] = {
             "kind": "explicit",
             "matrices": [
-                {"element": conjugate(pi, k.images), "matrix": _pairs(family.rep(k))}
+                {"element": conjugate(pi, k.images), "matrix": complex_pairs(family.rep(k))}
                 for k in family.group.elements
             ],
         }

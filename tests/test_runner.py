@@ -948,11 +948,11 @@ def test_operator_sweep_report_bytes_are_pinned():
     assert digest.hexdigest() == OPERATOR_SWEEP_SHA256
 
 
-def _pairs(array) -> list:
+def complex_pairs(array) -> list:
     """A complex vector or matrix as nested [re, im] pairs, each float exact in JSON."""
     if np.ndim(array) == 1:
         return [[z.real, z.imag] for z in array.tolist()]
-    return [_pairs(row) for row in array]
+    return [complex_pairs(row) for row in array]
 
 
 def explicit_text(text: str, seed: int, variant: str = "plain") -> str:
@@ -978,9 +978,9 @@ def explicit_text(text: str, seed: int, variant: str = "plain") -> str:
     listed = random.Random(seed).sample(elements, len(elements))
     data["representation"] = {
         "kind": "explicit",
-        "matrices": [{"element": list(k.images), "matrix": _pairs(matrices[k])} for k in listed],
+        "matrices": [{"element": list(k.images), "matrix": complex_pairs(matrices[k])} for k in listed],
     }
-    data["base_state"] = _pairs(base)
+    data["base_state"] = complex_pairs(base)
     return json.dumps(data)  # JSON is valid YAML
 
 
