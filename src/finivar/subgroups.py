@@ -7,9 +7,11 @@ Computational Group Theory*, 2005, §3.3).  It runs on integer ids: a group's
 elements are numbered in lexicographic order (so sorted ids are sorted image
 tuples, and the identity is 0), products and inverses are read from the
 ``array`` rows of ``spaces._id_tables``, and a subgroup is a ``bytearray`` of
-membership flags whose ``bytes`` are its key.  The table of S_n has n!^2 entries, so
-``MAX_EXACT_DEGREE`` is a cost guard, not an exactness limit.  Everything is
-ordered deterministically so downstream counts are stable across runs.
+membership flags whose ``bytes`` are its key.  S_n's table is joined from
+blocks of S_(n-1)'s rows, with no tuple composed, but it still has n!^2
+entries, so ``MAX_EXACT_DEGREE`` is a cost guard, not an exactness limit.
+Everything is ordered deterministically so downstream counts are stable
+across runs.
 
 A closure stops once it holds more than half the elements: by Lagrange it is
 then the whole group.  When the group is the full symmetric group S_k on the
