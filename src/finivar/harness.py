@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .groups import (
@@ -59,11 +59,16 @@ VERDICT_MIXED = "mixed"
 
 @dataclass(frozen=True)
 class ThoughtScenario:
-    """A family of candidate thoughts plus the acting group."""
+    """A family of candidate thoughts plus the acting group.
+
+    ``maximal`` holds the family's maximal accessible variables, found once
+    when the scenario is built.
+    """
 
     space: PointSpace
     family: VariableFamily
     group: PermutationGroup
+    maximal: frozenset[ConceptualVariable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.family.domain != self.space:
@@ -79,10 +84,11 @@ class ThoughtScenario:
             raise ValueError(
                 f"family members must share one value-space cardinality, got {sorted(cardinalities)}"
             )
-        maximal = set(maximal_accessible(self.family))
+        maximal = frozenset(maximal_accessible(self.family))
         for m in members:
             if m not in maximal:
                 raise ValueError(f"family member {m.name!r} is not maximal within the family")
+        object.__setattr__(self, "maximal", maximal)
 
     @property
     def members(self) -> tuple[ConceptualVariable, ...]:
@@ -213,8 +219,7 @@ def theorem_a1_search(
     partition and is no candidate.  The candidates are counted, not searched.
     """
     group = scenario.group
-    maximal = set(maximal_accessible(scenario.family))
-    if theta not in maximal or eta not in maximal:
+    if theta not in scenario.maximal or eta not in scenario.maximal:
         return A1SearchResult(
             "not-applicable", "theta and eta must be maximal within the family", 0
         )

@@ -20,6 +20,7 @@ from click.testing import CliRunner
 
 from finivar import builtins as builtin_mod
 from finivar import cli as cli_mod
+from finivar import harness as harness_mod
 from finivar import runner as runner_mod
 from finivar import scenario as scenario_mod
 from finivar.cli import main
@@ -425,6 +426,23 @@ representation:
         statuses = [r.status for r in run_scenario(scenario).checks[3:]]
         assert statuses == ["not-applicable", "not-applicable", "pass"]
         assert len(calls) == len(searches) == 3
+
+    def test_the_maximal_variables_are_found_once_per_family(self, monkeypatch):
+        """Each family of thoughts finds its maximal variables when it is
+        built at load; the a1-search run reads them there."""
+        calls = []
+        for module in (harness_mod, scenario_mod):
+            original = module.maximal_accessible
+            monkeypatch.setattr(
+                module,
+                "maximal_accessible",
+                lambda family, original=original: calls.append(family) or original(family),
+            )
+        scenario = loads(builtin_mod.builtin_text("parity-z4"))
+        assert len(calls) == 3
+        statuses = [r.status for r in run_scenario(scenario).checks[3:]]
+        assert statuses == ["not-applicable", "not-applicable", "pass"]
+        assert len(calls) == 3
 
     def test_each_operator_case_closes_its_group_once(self, monkeypatch):
         """The representation kind is built on the declared group, not on a
