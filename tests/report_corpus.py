@@ -1,9 +1,11 @@
 """Print one SHA-256 per report of a fixed corpus, to compare two checkouts.
 
-The corpus is 336 reports: the six built-ins at the default ``--max-n`` and
+The corpus is 337 reports: the six built-ins at the default ``--max-n`` and
 at 4, and the ``operators`` cases of the benchmark's seeds 1-20, each at
-``--tolerance-scale`` 1, 1e-6 and 1e3.  A change meant to keep every report
-byte-identical prints the same lines as its parent:
+``--tolerance-scale`` 1, 1e-6 and 1e3, and the benchmark's ``max-n 6``
+census, which runs the subgroup kernel on every S_n up to six points.  A
+change meant to keep every report byte-identical prints the same lines as
+its parent:
 
     python tests/report_corpus.py > new.txt
     python tests/report_corpus.py PARENT_CHECKOUT > old.txt
@@ -45,12 +47,14 @@ def corpus():
             for scale in SCALES:
                 flags = RunFlags(tolerance_scale=scale, max_n=max_n)
                 yield f"{name} max-n={max_n} scale={scale:g}", builtin_text(name), flags
-    generate = workloads().generate
+    benchmark = workloads()
     for seed in SEEDS:
-        for case in generate("operators", seed):
+        for case in benchmark.generate("operators", seed):
             for scale in SCALES:
                 flags = RunFlags(tolerance_scale=scale)
                 yield f"seed-{seed} {case.name} scale={scale:g}", case.text, flags
+    census = benchmark.census_case()
+    yield census.name, census.text, RunFlags()
 
 
 def main(argv: list[str]) -> None:
