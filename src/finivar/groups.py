@@ -216,16 +216,13 @@ class GroupHomomorphism:
     image of each source element in id order."""
 
     def __init__(
-        self,
-        source: PermutationGroup,
-        target: PermutationGroup,
-        mapping: dict[Permutation, Permutation],
+        self, source: PermutationGroup, target: PermutationGroup, images: Sequence[Permutation]
     ) -> None:
-        if set(mapping) != set(source.elements):
+        if len(images) != source.order:
             raise ValueError("homomorphism must map every source element")
         self.source = source
         self.target = target
-        self.images = tuple(mapping[k] for k in source.elements)
+        self.images = tuple(images)
 
     def __call__(self, k: Permutation) -> Permutation:
         return self.images[self.source.index(k)]
@@ -305,13 +302,14 @@ def induced_group(
         raise NotPermissibleError(check.witness)
     reps = [block[0] for block in theta.blocks()]
     # Each k maps blocks onto blocks, so each image is a permutation of the values.
-    mapping = {
-        k: Permutation._trusted(compose(theta.assignment, compose(k.images, reps)))
+    images = [
+        Permutation._trusted(compose(theta.assignment, compose(k.images, reps)))
         for k in group.elements
-    }
+    ]
     value_space = PointSpace(id=f"{theta.name}-values", labels=theta.values)
-    target = PermutationGroup.generate(value_space, tuple(mapping[g] for g in group.generators))
-    return target, GroupHomomorphism(group, target, mapping)
+    generators = tuple(images[group.index(g)] for g in group.generators)
+    target = PermutationGroup.generate(value_space, generators)
+    return target, GroupHomomorphism(group, target, images)
 
 
 def _relating(

@@ -66,22 +66,16 @@ class DegenerateBasisError(ValueError):
 
 class UnitaryRep:
     """A unitary matrix for every element of a permutation group, kept as one
-    |G|×d×d ``stack`` in id order."""
+    |G|×d×d ``stack`` in id order; a complex ``stack`` is kept, not copied."""
 
-    def __init__(self, group: PermutationGroup, matrices: dict[Permutation, np.ndarray]) -> None:
+    def __init__(self, group: PermutationGroup, stack: np.ndarray) -> None:
         import numpy as np
-        if set(matrices) != set(group.elements):
-            raise ValueError("representation must cover every group element exactly")
-        first = next(iter(matrices.values()))
-        dim = first.shape[0]
-        for m in matrices.values():
-            if m.shape != (dim, dim):
-                raise ValueError("representation matrices must share one square shape")
+        stack = np.asarray(stack, dtype=complex)
+        if stack.ndim != 3 or len(stack) != group.order or stack.shape[1] != stack.shape[2]:
+            raise ValueError(f"expected a square matrix for every group element, got {stack.shape}")
         self.group = group
-        self.dim = dim
-        self.stack = np.empty((group.order, dim, dim), dtype=complex)
-        for k, m in matrices.items():
-            self.stack[group.index(k)] = m
+        self.dim = stack.shape[1]
+        self.stack = stack
 
     def __call__(self, k: Permutation) -> np.ndarray:
         return self.stack[self.group.index(k)]
@@ -147,6 +141,23 @@ class RepDiagnostics:
         )
 
 
+def _cyclic_group(
+    kind: str, n: int, group: PermutationGroup | None, space: PointSpace
+) -> PermutationGroup:
+    """The group ``kind`` is built on, by default Z_n on ``space``.  ``group`` must be Z_n on n
+    points, the one order-n group holding j -> j + 1; a refusal names an element only one has."""
+    if group is None:
+        return PermutationGroup.generate(space, (Permutation((*range(1, n), 0)),))
+    extra = next((k for k in group.elements if k.images != (*range(k(0), n), *range(k(0)))), None)
+    if extra is not None:
+        where = f"the declared group has {list(extra.images)}, which {kind}'s group lacks"
+    elif group.order < n:  # a proper subgroup of Z_n
+        where = f"{kind}'s group has {[*range(1, n), 0]}, which the declared group lacks"
+    else:
+        return group
+    raise ValueError(f"expected the declared group's elements: {where}")
+
+
 def qubit_rep(group: PermutationGroup | None = None) -> UnitaryRep:
     """The two-element flip representation from the phase rule U|v> = e^{-iv}|flip v>.
 
@@ -156,17 +167,9 @@ def qubit_rep(group: PermutationGroup | None = None) -> UnitaryRep:
     a space of its own.
     """
     import numpy as np
-    if group is None:
-        space = PointSpace(id="spin-values", labels=("+1", "-1"))
-        group = PermutationGroup.generate(space, (Permutation((1, 0)),))
-    if group.space.size != 2:
-        raise ValueError("the flip representation lives on a two-point space")
-    flip = np.array([[0, np.exp(1j)], [np.exp(-1j), 0]], dtype=complex)
-    matrices = {
-        group.identity: np.eye(2, dtype=complex),
-        Permutation((1, 0)): flip,
-    }
-    return UnitaryRep(group, matrices)
+    group = _cyclic_group("qubit", 2, group, PointSpace(id="spin-values", labels=("+1", "-1")))
+    flip = [[0, np.exp(1j)], [np.exp(-1j), 0]]
+    return UnitaryRep(group, np.array([np.eye(2), flip], dtype=complex))  # the flip is id 1
 
 
 def cyclic_dft_rep(n: int, group: PermutationGroup | None = None) -> UnitaryRep:
@@ -174,22 +177,15 @@ def cyclic_dft_rep(n: int, group: PermutationGroup | None = None) -> UnitaryRep:
     U(k)[k(j), j] = 1, which the discrete Fourier transform diagonalises.
 
     ``group`` is the group of the n shifts it is built on, by default on a
-    space of its own.  Z_n is the only group of order n that holds the
-    one-step shift j -> j + 1, so the order and that shift decide it.
+    space of its own.
     """
     import numpy as np
-    if n < 1:
-        raise ValueError("cyclic representation needs n >= 1")
-    step = Permutation((*range(1, n), 0))
-    if group is None:
-        space = PointSpace(id=f"cycle-{n}", labels=tuple(str(j) for j in range(n)))
-        group = PermutationGroup.generate(space, (step,))
-    if group.space.size != n:
-        raise ValueError(f"space size {group.space.size} does not match n={n}")
-    if group.order != n or step not in group:
-        raise ValueError("representation must cover every group element exactly")
-    eye = np.eye(n, dtype=complex)
-    return UnitaryRep(group, {k: eye[:, k.images] for k in group.elements})
+    space = PointSpace(id=f"cycle-{n}", labels=tuple(str(j) for j in range(n)))  # refuses n < 1
+    group = _cyclic_group("cyclic-dft", n, group, space)
+    stack = np.zeros((n, n, n), dtype=complex)
+    ids = np.arange(n)  # element ids and columns j alike
+    stack[ids[:, None], [k.images for k in group.elements], ids] = 1
+    return UnitaryRep(group, stack)
 
 
 def _usable(states: np.ndarray) -> np.ndarray:

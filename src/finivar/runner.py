@@ -26,7 +26,7 @@ from .representations import (
     commutant_diagnostic,
 )
 from .scenario import _CHECK_PARAMS, Scenario, ScenarioError
-from .spaces import ConceptualVariable
+from .spaces import ConceptualVariable, VariableFamily, maximal_accessible
 from .subgroups import MAX_EXACT_DEGREE
 
 __all__ = ["RunFlags", "run_scenario", "DEFAULT_TOLERANCES", "resolve_tolerances"]
@@ -77,6 +77,12 @@ class _Context:
     @cached_property
     def rep_diagnostics(self) -> RepDiagnostics:
         return self.scenario.coherent_family.rep.diagnostics()
+
+    @cached_property
+    def maximal(self) -> frozenset[ConceptualVariable]:
+        """theorem1's maximal scenario variables, the finest partition included, found once."""
+        family = VariableFamily(tuple(self.scenario.variables.values()), inaccessible_total=False)
+        return frozenset(maximal_accessible(family))
 
     @cached_property
     def irreducibility(self) -> IrreducibilityDiagnostic:

@@ -27,7 +27,7 @@ from .report import STATUS_ERROR, STATUS_FAIL, STATUS_NOT_APPLICABLE, STATUS_PAS
 from .representations import CoherentFamily, CoherentStateError, UnitaryRep
 from .representations import bundle_from_matrix, check_coherent_injectivity, conjugation_check
 from .representations import cyclic_dft_rep, expand_in_basis, qubit_rep
-from .spaces import ConceptualVariable, PointSpace, VariableFamily, maximal_accessible
+from .spaces import ConceptualVariable, PointSpace, VariableFamily
 from .subgroups import MAX_EXACT_DEGREE
 
 __all__ = ["ScenarioError", "CheckSpec", "Scenario", "loads", "load_path", "CHECK_TYPES"]
@@ -38,6 +38,10 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # The most points a cyclic-dft representation may have.  Its n dense n x n
 # complex matrices take n^3 * 16 bytes: 4 MiB here.
 MAX_CYCLIC_POINTS = 64
+
+# The most random directions a singlet-delta check sweeps: each takes about
+# 80 us, so a sweep stays under about a second.
+MAX_DIRECTIONS = 10_000
 
 # The fields each representation kind reads.
 _REPRESENTATION_KEYS = {
@@ -407,12 +411,7 @@ def _handle_theorem1(ctx: Any, params: _Params) -> _Outcome:
         return STATUS_ERROR, details
 
     nondegenerate = bundle.is_nondegenerate()
-    # Here the point space is the maximal variable's own value space, so the
-    # finest partition is legitimately accessible.
-    scenario_family = VariableFamily(
-        tuple(ctx.scenario.variables.values()), inaccessible_total=False
-    )
-    maximal = theta in set(maximal_accessible(scenario_family))
+    maximal = theta in ctx.maximal
     details["operator"] = {
         "eigenvalues": [c.value for c in bundle.spectral.clusters],
         "multiplicities": [c.multiplicity for c in bundle.spectral.clusters],
@@ -600,7 +599,9 @@ _CHECK_PARAMS: dict[str, tuple[Any, ...]] = {
         _BASE_POINT,
     ),
     "singlet-delta": (
-        _handle_singlet_delta, ("directions", _integer(0), 100), ("seed", _integer(0), 7)
+        _handle_singlet_delta,
+        ("directions", _integer(0, MAX_DIRECTIONS), 100),
+        ("seed", _integer(0), 7),
     ),
     "a1-search": (
         _handle_a1_search,
@@ -700,10 +701,9 @@ def _representation_kind(raw: Any, space: PointSpace) -> str | None:
     if kind not in _REPRESENTATION_KEYS:
         raise _fail("representation.kind", f"unknown kind {kind!r}")
     _require(data, "representation", _REPRESENTATION_KEYS[kind])
-    if kind == "qubit":
-        if space.size != 2:
-            raise _fail("representation.kind", f"expected two points, got {space.size}")
-    elif kind == "cyclic-dft":
+    if kind == "qubit" and space.size != 2:
+        raise _fail("representation.kind", f"expected two points, got {space.size}")
+    if kind == "cyclic-dft":
         n = data.get("n")
         if type(n) is not int or n < 1:
             raise _fail("representation.n", "expected a positive integer")
@@ -716,46 +716,50 @@ def _representation_kind(raw: Any, space: PointSpace) -> str | None:
 
 def _parse_representation(
     raw: Any, kind: str | None, space: PointSpace, group: PermutationGroup | None
-) -> tuple[UnitaryRep | None, tuple[Permutation, ...]]:
+) -> tuple[UnitaryRep | None, tuple[int, ...]]:
     """The representation of ``kind`` on the one group the scenario's checks act
-    with: the declared group, which a built-in kind's own group must equal, else
-    the kind's; and its elements in the order the file lists their matrices."""
+    with: the declared group, which the kind may refuse, else Z_n; and the ids of
+    the elements in the order the file lists their matrices."""
     if kind is None:
         return None, ()
     if kind != "explicit":  # the kind's matrices, on the scenario's one group
-        # Each kind's own group is Z_n (the flip's is Z_2), the one order-n group holding the step.
-        size = space.size
-        step = Permutation((*range(1, size), 0))
-        if group is None:
-            group = PermutationGroup.generate(space, (step,))
-        elif group.order != size or step not in group:
-            outside = (k for k in group.elements if k.images != (*range(k(0), size), *range(k(0))))
-            extra = next(outside, None)  # None: a proper subgroup of Z_n, so it lacks the step
-            if extra is None:
-                where = f"{kind}'s group has {list(step.images)}, which the declared group lacks"
-            else:
-                where = f"the declared group has {list(extra.images)}, which {kind}'s group lacks"
-            raise _fail("representation.kind", f"expected the declared group's elements: {where}")
-        rep = qubit_rep(group) if kind == "qubit" else cyclic_dft_rep(size, group)
-        return rep, group.elements
+        if group is None:  # Z_n, the kinds' group
+            group = PermutationGroup.generate(space, (Permutation((*range(1, space.size), 0)),))
+        try:
+            rep = qubit_rep(group) if kind == "qubit" else cyclic_dft_rep(space.size, group)
+        except ValueError as exc:  # the declared group is not the kind's
+            raise _fail("representation.kind", str(exc)) from None
+        return rep, tuple(range(group.order))
+    import numpy as np
     raw_matrices = raw.get("matrices")
     if not isinstance(raw_matrices, list) or not raw_matrices:
         raise _fail("representation.matrices", "expected a nonempty list")
     if group is None:
         raise _fail("representation", "scenario declares no group")
-    matrices = {}
+    where = "representation.matrices"
+    stack, listed = None, {}  # each listed id, and the position it is listed at
     for i, entry in enumerate(raw_matrices):
-        path = f"representation.matrices[{i}]"
+        path = f"{where}[{i}]"
         item = _require(entry, path, ("element", "matrix"))
         element = _permutation(item.get("element"), space.size, f"{path}.element")
-        if element in matrices:
-            first = list(matrices).index(element)
-            raise _fail(f"{path}.element", f"duplicate of representation.matrices[{first}]")
-        matrices[element] = _parse_matrix(item.get("matrix"), f"{path}.matrix")
-    try:
-        return UnitaryRep(group, matrices), tuple(matrices)
-    except ValueError as exc:  # an element left out, or matrices of two shapes
-        raise _fail("representation.matrices", str(exc)) from None
+        if element not in group:
+            raise _fail(where, "representation must cover every group element exactly")
+        at = group.index(element)
+        if at in listed:
+            raise _fail(f"{path}.element", f"duplicate of {where}[{listed[at]}]")
+        listed[at] = i
+        matrix = _parse_matrix(item.get("matrix"), f"{path}.matrix")
+        if stack is None:
+            try:  # its zeroed pages are mapped as rows are written, so memory follows the file
+                stack = np.zeros((group.order, len(matrix), len(matrix)), dtype=complex)
+            except MemoryError:
+                raise _fail(where, f"{group.order} such matrices do not fit in memory") from None
+        if matrix.shape != stack.shape[1:]:
+            raise _fail(where, "representation matrices must share one square shape")
+        stack[at] = matrix
+    if len(listed) != group.order:
+        raise _fail(where, "representation must cover every group element exactly")
+    return UnitaryRep(group, stack), tuple(listed)
 
 
 def loads(text: str, source: str = "<scenario>") -> Scenario:
@@ -805,7 +809,7 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
         try:
             coherent_family = CoherentFamily(representation, base_state)
         except CoherentStateError as exc:
-            first = next(i for i, k in enumerate(listed) if group.index(k) in exc.ids)
+            first = next(i for i, at in enumerate(listed) if at in exc.ids)
             raise _fail(
                 f"representation.matrices[{first}].matrix",
                 "sends base_state to a coherent state of zero or non-finite norm",

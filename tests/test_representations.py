@@ -99,11 +99,11 @@ class TestQubitRep:
         assert diag.ok()
 
     def test_requires_two_points(self):
-        with pytest.raises(ValueError, match="two-point"):
+        with pytest.raises(ValueError, match=r"the declared group has \[0, 1, 2\], which qubit's"):
             qubit_rep(PermutationGroup.generate(space_of(3), (Permutation((1, 0, 2)),)))
 
     def test_requires_the_flip_group(self):
-        with pytest.raises(ValueError, match="every group element"):
+        with pytest.raises(ValueError, match=r"qubit's group has \[1, 0\], which the declared"):
             qubit_rep(PermutationGroup.generate(space_of(2), ()))
 
 
@@ -122,19 +122,19 @@ class TestCyclicRep:
         assert diag.ok(1e-12, 1e-12)
 
     def test_space_size_must_match(self):
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(ValueError, match=r"the declared group has \[0, 1, 2, 3\], which cyclic"):
             cyclic_dft_rep(3, PermutationGroup.generate(space_of(4), (Permutation((1, 2, 3, 0)),)))
 
     def test_requires_the_shift_group(self):
         flip = Permutation((1, 0, 3, 2))
-        with pytest.raises(ValueError, match="every group element"):
+        with pytest.raises(ValueError, match=r"the declared group has \[1, 0, 3, 2\], which cyclic"):
             cyclic_dft_rep(4, PermutationGroup.generate(space_of(4), (flip, Permutation((2, 3, 0, 1)))))
 
     def test_rep_requires_full_coverage(self):
         space = space_of(2)
         group = PermutationGroup.generate(space, (Permutation((1, 0)),))
         with pytest.raises(ValueError, match="every group element"):
-            UnitaryRep(group, {group.identity: np.eye(2)})
+            UnitaryRep(group, np.eye(2)[None])
 
 
 class TestCoherentFamily:
@@ -170,7 +170,7 @@ class TestCoherentFamily:
         the family refuses it when built, with the ids of the unusable states
         and no warning, so no operator build later divides by its norm."""
         group = PermutationGroup.generate(space_of(2), (Permutation((1, 0)),))
-        rep = UnitaryRep(group, {group.identity: np.eye(2), Permutation((1, 0)): flip})
+        rep = UnitaryRep(group, np.array([np.eye(2), flip]))  # ids 0 and 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(CoherentStateError) as caught:
@@ -270,8 +270,7 @@ class TestBuildOperator:
         group = PermutationGroup.generate(
             space, (Permutation((1, 0, 2)), Permutation((1, 2, 0)))
         )
-        matrices = {k: np.eye(3, dtype=complex) for k in group.elements}
-        rep = UnitaryRep(group, matrices)
+        rep = UnitaryRep(group, np.tile(np.eye(3, dtype=complex), (group.order, 1, 1)))
         family = CoherentFamily.__new__(CoherentFamily)
         family.rep = rep
         family.base = np.array([1, 0, 0], dtype=complex)
@@ -488,7 +487,7 @@ def _ray_representations(draw) -> tuple[UnitaryRep, list[int]]:
     if kind == "cyclic":
         base = cyclic_dft_rep(draw(st.integers(1, 12)))
         group = base.group
-        blocks = [{k: base(k) for k in group.elements}]
+        blocks = [base.stack]
     else:
         n = draw(st.integers(1, 5))
         gens = draw(st.lists(permutations_of(n), min_size=1, max_size=2))
@@ -500,18 +499,18 @@ def _ray_representations(draw) -> tuple[UnitaryRep, list[int]]:
             "trivial": lambda k: np.eye(1),
             "sign": lambda k: np.array([[_sign(k)]]),
         }[part]
-        blocks.append({k: matrix(k) for k in group.elements})
+        blocks.append([matrix(k) for k in group.elements])
     if not blocks:
-        blocks.append({k: _permutation_matrix(k) for k in group.elements})
+        blocks.append([_permutation_matrix(k) for k in group.elements])
     angles = draw(
         st.lists(st.floats(0, 2 * np.pi), min_size=group.order, max_size=group.order)
     )
-    angles[group.elements.index(group.identity)] = 0.0
-    matrices = {
-        k: np.exp(1j * angle) * _block_diagonal([b[k] for b in blocks])
-        for k, angle in zip(group.elements, angles)
-    }
-    return UnitaryRep(group, matrices), [len(b[group.identity]) for b in blocks]
+    angles[0] = 0.0  # the identity is id 0
+    stack = [
+        np.exp(1j * angle) * _block_diagonal([b[i] for b in blocks])
+        for i, angle in enumerate(angles)
+    ]
+    return UnitaryRep(group, np.array(stack)), [len(b[0]) for b in blocks]
 
 
 def _block_diagonal(parts: list[np.ndarray]) -> np.ndarray:
@@ -533,7 +532,7 @@ class TestCommutant:
     def test_trivial_group_commutant_is_full(self):
         space = space_of(2)
         group = PermutationGroup.generate(space, ())
-        rep = UnitaryRep(group, {group.identity: np.eye(2, dtype=complex)})
+        rep = UnitaryRep(group, np.eye(2, dtype=complex)[None])
         diag = commutant_diagnostic(rep)
         assert diag.commutant_dimension == 4
         assert not diag.irreducible
@@ -544,14 +543,13 @@ class TestCommutant:
         # while the twirl finds a 2-dimensional fixed space.
         space = space_of(2)
         group = PermutationGroup.generate(space, (Permutation((1, 0)),))
-        flip = Permutation((1, 0))
-        broken = UnitaryRep(group, {group.identity: np.eye(2), flip: np.diag([1, 1j])})
+        broken = UnitaryRep(group, np.array([np.eye(2), np.diag([1, 1j])]))
         assert not broken.diagnostics().ok()
         assert commutant_diagnostic(broken).commutant_dimension == 3
         assert _twirl_count(broken) == 2
         # e^{i/3} diag(1, -1) is a ray representation: both counts agree.
         phased = np.exp(1j / 3) * np.diag([1, -1])
-        ray = UnitaryRep(group, {group.identity: np.eye(2), flip: phased})
+        ray = UnitaryRep(group, np.array([np.eye(2), phased]))
         assert ray.diagnostics().ok()
         assert commutant_diagnostic(ray).commutant_dimension == _twirl_count(ray) == 2
 
@@ -564,7 +562,7 @@ class TestCommutant:
         space = space_of(2)
         group = PermutationGroup.generate(space, (Permutation((1, 0)),))
         flip = np.diag([1, -np.exp(1j * angle)])
-        rep = UnitaryRep(group, {group.identity: np.eye(2), Permutation((1, 0)): flip})
+        rep = UnitaryRep(group, np.array([np.eye(2), flip]))
         diag = commutant_diagnostic(rep, tol)
         assert diag.character_norm == pytest.approx(3 - np.cos(angle), abs=1e-15)
         assert diag.commutant_dimension == dimension
@@ -711,12 +709,12 @@ class TestConjugationLawStack:
         groups = regular_subgroups(n)
         assert len(groups) == len(self.PERMISSIBLE_PARTITIONS[n])
         group = groups[index]
-        matrices = {k: _permutation_matrix(k).astype(complex) for k in group.elements}
+        matrices = [_permutation_matrix(k).astype(complex) for k in group.elements]
         conjugate = random_unitary(n, seed=10 * n + index)
         families = [
-            CoherentFamily(UnitaryRep(group, matrices), np.eye(n, dtype=complex)[0]),
+            CoherentFamily(UnitaryRep(group, np.array(matrices)), np.eye(n, dtype=complex)[0]),
             CoherentFamily(
-                UnitaryRep(group, {k: conjugate @ m @ conjugate.conj().T for k, m in matrices.items()}),
+                UnitaryRep(group, np.array([conjugate @ m @ conjugate.conj().T for m in matrices])),
                 conjugate[:, 0],
             ),
         ]
@@ -810,10 +808,8 @@ class TestExpansionLemma:
         basis and a seeded random Hermitian matrix as the target."""
         for index, group in enumerate(regular_subgroups(n)):
             conjugate = random_unitary(n, seed=10 * n + index)
-            matrices = {
-                k: conjugate @ _permutation_matrix(k) @ conjugate.conj().T for k in group.elements
-            }
-            family = CoherentFamily(UnitaryRep(group, matrices), conjugate[:, 0])
+            matrices = [conjugate @ _permutation_matrix(k) @ conjugate.conj().T for k in group.elements]
+            family = CoherentFamily(UnitaryRep(group, np.array(matrices)), conjugate[:, 0])
             labels = tuple(str(j) for j in range(n))
             theta = ConceptualVariable("theta", group.space, labels, tuple(range(n)))
             draw = random_unitary(n, seed=100 + 10 * n + index)
@@ -823,6 +819,46 @@ class TestExpansionLemma:
                 basis = build_operator(theta, family, base_point)
                 for i in range(n):
                     assert expand_in_basis(target, i, basis).ok()
+
+
+class TestBuiltOperatorsCommute:
+    """The lemma behind one-hot ``eq1-expansion`` weights.  ``build_operator``
+    groups one family's coherent states by value and requires states of
+    different values to be orthogonal within ``orthogonal_grouping``.  Take two
+    variables θ and η, at any base points, and their common refinement μ:
+    states in different μ-blocks differ in θ or in η, so the μ-blocks span
+    mutually orthogonal subspaces, and every projector of θ and of η is a sum
+    of projectors onto them.  So A^θ and A^η commute, up to that tolerance."""
+
+    # The stated multiple: max|AB - BA| <= MULTIPLE * orthogonal_grouping * max|A| * max|B|.
+    MULTIPLE = 1.0
+
+    @given(st.integers(1, 6), st.sampled_from(["permutation", "basis", "ray"]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_pair_of_built_operators_commutes(self, n, variant, data):
+        group = data.draw(st.sampled_from(regular_subgroups(n)))
+        seed = data.draw(st.integers(0, 2**16))
+        rep = UnitaryRep(group, np.array([_permutation_matrix(k) for k in group.elements]))
+        base = np.eye(n, dtype=complex)[0]
+        if variant != "permutation":  # a seeded unitary basis, the base state moved with it
+            rep, base = conjugated(rep, seed), random_unitary(n, seed)[:, 0]
+        if variant == "ray":
+            rep = with_phases(rep, seed)
+        family = CoherentFamily(rep, base)
+        partitions = data.draw(st.lists(st.sampled_from(set_partitions(n)), min_size=2, max_size=4))
+        rng = random.Random(seed)
+        variables = [
+            ConceptualVariable(f"v{i}", group.space, quarter_values(rng, max(a) + 1), a)
+            for i, a in enumerate(partitions)
+        ]
+        operators = [
+            build_operator(theta, family, base_point).operator
+            for theta in variables
+            for base_point in range(n)
+        ]
+        bound = self.MULTIPLE * linalg.DEFAULT_TOLERANCES["orthogonal_grouping"]
+        for a, b in itertools.combinations(operators, 2):
+            assert abs(a @ b - b @ a).max() <= bound * abs(a).max() * abs(b).max()
 
 
 def pair_residuals(rep, pairs):
@@ -868,13 +904,8 @@ def assert_diagnostics_match_pairs(rep, every_pair=True):
 def with_phases(rep, seed):
     """The same matrices times a seeded phase per element (identity kept)."""
     rng = np.random.default_rng(seed)
-    return UnitaryRep(
-        rep.group,
-        {
-            k: rep(k) if k == rep.group.identity else np.exp(2j * np.pi * rng.random()) * rep(k)
-            for k in rep.group.elements
-        },
-    )
+    phased = [m if i == 0 else np.exp(2j * np.pi * rng.random()) * m for i, m in enumerate(rep.stack)]
+    return UnitaryRep(rep.group, np.array(phased))  # the identity is id 0
 
 
 class TestDiagnosticsStack:
@@ -888,7 +919,7 @@ class TestDiagnosticsStack:
     def test_broken_z2(self):
         space = space_of(2)
         group = PermutationGroup.generate(space, (Permutation((1, 0)),))
-        broken = UnitaryRep(group, {group.identity: np.eye(2), Permutation((1, 0)): np.diag([1, 1j])})
+        broken = UnitaryRep(group, np.array([np.eye(2), np.diag([1, 1j])]))
         assert not assert_diagnostics_match_pairs(broken).ok()
 
     @pytest.mark.parametrize("seed", range(4))
@@ -908,7 +939,7 @@ class TestDiagnosticsStack:
         group = PermutationGroup.generate(
             space, (Permutation((1, 0, 2, 3, 4, 5)), Permutation((1, 2, 3, 4, 5, 0)))
         )
-        rep = UnitaryRep(group, {k: _permutation_matrix(k) for k in group.elements})
+        rep = UnitaryRep(group, np.array([_permutation_matrix(k) for k in group.elements]))
         assert assert_diagnostics_match_pairs(rep, every_pair=False).pairs_checked == 2 * 720
         assert assert_diagnostics_match_pairs(with_phases(rep, seed), every_pair=False).ok()
 
@@ -916,7 +947,7 @@ class TestDiagnosticsStack:
 def conjugated(rep, seed):
     """The same representation in a seeded random unitary basis."""
     u = random_unitary(rep.dim, seed)
-    return UnitaryRep(rep.group, {k: u @ rep(k) @ u.conj().T for k in rep.group.elements})
+    return UnitaryRep(rep.group, np.array([u @ m @ u.conj().T for m in rep.stack]))
 
 
 def pairwise_overlaps(family):
@@ -1003,8 +1034,8 @@ class TestStackedScansMatchThePairLoops:
     def test_regular_subgroups_of_s4_and_s6_in_a_random_basis(self, seed):
         for n in (4, 6):
             for group in regular_subgroups(n):
-                matrices = {k: _permutation_matrix(k).astype(complex) for k in group.elements}
-                rep = with_phases(conjugated(UnitaryRep(group, matrices), seed), seed)
+                matrices = [_permutation_matrix(k).astype(complex) for k in group.elements]
+                rep = with_phases(conjugated(UnitaryRep(group, np.array(matrices)), seed), seed)
                 assert_diagnostics_match_pairs(rep)
                 family = CoherentFamily(rep, random_unitary(n, seed)[:, 0])
                 assert family.overlaps().tobytes() == pairwise_overlaps(family).tobytes()
@@ -1018,7 +1049,7 @@ class TestStackedScansMatchThePairLoops:
         group = PermutationGroup.generate(
             space_of(6), (Permutation((1, 0, 2, 3, 4, 5)), Permutation((1, 2, 3, 4, 5, 0)))
         )
-        rep = UnitaryRep(group, {k: _permutation_matrix(k) for k in group.elements})
+        rep = UnitaryRep(group, np.array([_permutation_matrix(k) for k in group.elements]))
         rep = with_phases(conjugated(rep, seed), seed)
         assert assert_diagnostics_match_pairs(rep, every_pair=False).pairs_checked == 2 * 720
 
@@ -1026,13 +1057,24 @@ class TestStackedScansMatchThePairLoops:
 class TestElementIds:
     @pytest.mark.parametrize("seed", range(3))
     def test_matrices_listed_in_another_order(self, seed):
-        """The stack is in id order whatever order the matrices are listed in."""
+        """The loader writes each listed matrix into its element's row, so the
+        stack is in id order whatever order the file lists the matrices in."""
         rng = random.Random(seed)
         rep = with_phases(cyclic_dft_rep(9), seed)
-        listed = rng.sample(rep.group.elements, rep.group.order)
-        moved = UnitaryRep(rep.group, {k: rep(k) for k in listed})
+        listed = rng.sample(range(rep.group.order), rep.group.order)
+        entries = "".join(
+            f"\n    - element: {list(rep.group.elements[i].images)}"
+            f"\n      matrix: {[[[z.real, z.imag] for z in row] for row in rep.stack[i].tolist()]}"
+            for i in listed
+        )
+        moved = loads(
+            f"name: z9\nspace: {{id: cycle-9, labels: {[str(j) for j in range(9)]}}}\n"
+            "group: {generators: [[1, 2, 3, 4, 5, 6, 7, 8, 0]]}\n"
+            "representation:\n  kind: explicit\n  matrices:" + entries + "\n"
+            "checks: [{type: a2-falsify}]\n"
+        ).coherent_family.rep
+        assert moved.group.elements == rep.group.elements
         assert moved.stack.tobytes() == rep.stack.tobytes()
-        assert all(moved(k) is not rep(k) and (moved(k) == rep(k)).all() for k in listed)
         assert assert_diagnostics_match_pairs(moved).ok()
 
     def test_each_law_composes_only_its_generator_rows(self, monkeypatch):
@@ -1061,7 +1103,7 @@ def one_wrong_matrix(group, seed):
     """The permutation matrices of ``group``, but at one seeded element outside
     its generating set, which gets another seeded element's matrix."""
     g, h = changed_element(group, seed)
-    return UnitaryRep(group, {k: _permutation_matrix(h if k == g else k) for k in group.elements})
+    return UnitaryRep(group, np.array([_permutation_matrix(h if k == g else k) for k in group.elements]))
 
 
 class TestOneWrongMatrix:
@@ -1087,7 +1129,7 @@ class TestOneWrongMatrix:
         c = random.Random(seed).choice(els[1:])
         for s in group.generators:
             cyclic = PermutationGroup.generate(group.space, (s,))
-            rep = UnitaryRep(group, {x: _permutation_matrix(x if x in cyclic else x * c) for x in els})
+            rep = UnitaryRep(group, np.array([_permutation_matrix(x if x in cyclic else x * c) for x in els]))
             row = [(s, b) for b in els]
             assert max(pair_residuals(rep, row)) == 0.0
             assert not rep.diagnostics().ok()
@@ -1096,7 +1138,7 @@ class TestOneWrongMatrix:
     def test_s7_past_720_elements(self, seed):
         s7 = symmetric_group(7)
         assert s7.order == 5040
-        exact = UnitaryRep(s7, {k: _permutation_matrix(k) for k in s7.elements}).diagnostics()
+        exact = UnitaryRep(s7, np.array([_permutation_matrix(k) for k in s7.elements])).diagnostics()
         assert exact.ok() and exact.pairs_checked == 2 * 5040
         assert not one_wrong_matrix(s7, seed).diagnostics().ok()
 

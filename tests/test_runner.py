@@ -1014,3 +1014,64 @@ def test_explicit_report_bytes_are_pinned():
             report = run_scenario(loads(text, name), RunFlags(tolerance_scale=scale))
             digest.update(report.to_json().encode("utf-8"))
     assert digest.hexdigest() == EXPLICIT_REPORT_SHA256
+
+
+class TestReportDiff:
+    """``tests/report_corpus.py --diff`` says per scale, check type and JSON path
+    what moved between two sets of reports, and nothing when none moved."""
+
+    OLD = {
+        "scenario": "s",
+        "flags": {"tolerance_scale": 1e-06},
+        "checks": [
+            {
+                "name": "theorem2:x",
+                "type": "theorem2",
+                "status": "error",
+                "details": {"error": "boom", "per_element": [{"residual": 0.5}, {"residual": 1.0}]},
+            }
+        ],
+        "summary": {"pass": 0, "error": 1},
+    }
+    NEW = {
+        "scenario": "s",
+        "flags": {"tolerance_scale": 1e-06},
+        "checks": [
+            {
+                "name": "theorem2:x",
+                "type": "theorem2",
+                "status": "pass",
+                "details": {"max_residual": 0.25, "per_element": [{"residual": 0.25}]},
+            }
+        ],
+        "summary": {"pass": 1, "error": 0},
+    }
+
+    def test_every_moved_value_status_and_key(self):
+        from report_corpus import diff
+
+        old, new = json.dumps(self.OLD), json.dumps(self.NEW)
+        assert diff([("a", old)], [("a", new), ("b", new)]) == [
+            "report added: b",
+            "scale=1e-06 (report) summary.error: 1 moved, largest |Δ| 1",
+            "scale=1e-06 (report) summary.pass: 1 moved, largest |Δ| 1",
+            "scale=1e-06 theorem2 details.per_element[].residual: 1 moved, largest |Δ| 0.25",
+            "scale=1e-06 theorem2 status: 1 moved",
+            "  a [theorem2:x]: error -> pass",
+            "scale=1e-06 theorem2 details.error: removed in 1",
+            "scale=1e-06 theorem2 details.max_residual: added in 1",
+            "scale=1e-06 theorem2 details.per_element[]: removed in 1",
+        ]
+
+    def test_reports_of_one_tree_show_no_difference(self):
+        from report_corpus import diff
+
+        reports = [
+            (name, run_scenario(load_builtin(name), RunFlags(max_n=4)).to_json())
+            for name in builtin_names()
+        ]
+        assert diff(reports, list(reversed(reports))) == []
+        changed = reports[0][1].replace('"tolerance_scale": 1.0', '"tolerance_scale": 1')
+        assert diff(reports[:1], [(reports[0][0], changed)]) == [
+            "scale=1 (report) flags.tolerance_scale: 1 moved, largest |Δ| 0"
+        ]

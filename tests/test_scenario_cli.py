@@ -240,6 +240,20 @@ checks:
             f"representation.n: expected at most {bound} points, got {bound + 1}",
         )
 
+    def test_singlet_delta_directions_past_the_bound_are_refused_at_load(self):
+        """At 10**9 directions the sweep would run for hours; the loader refuses
+        any count past ``MAX_DIRECTIONS`` and names the field.  Only loaded here,
+        never run."""
+        bound = scenario_mod.MAX_DIRECTIONS
+        assert bound >= 100  # the default sweep loads
+
+        def text(directions):
+            return CYCLE4.format(checks=f"{CHECKS['singlet-delta']}\n    directions: {directions}")
+
+        assert loads(text(bound)).checks[0].params["directions"] == bound
+        for value in (bound + 1, 10**9):
+            expect_error(text(value), rf"checks\[0\]\.directions: expected an integer from 0 to {bound}")
+
     def test_cyclic_dft_past_the_bound_is_refused_before_any_group(self, monkeypatch):
         # Its n^2 shift table alone would hold 4e8 entries, its matrices 128 TB.
         def forbidden(*args, **kwargs):
@@ -317,6 +331,23 @@ representation:
 """
         with pytest.raises(ScenarioError, match="every group element"):
             loads(text)
+
+    def test_explicit_matrices_too_many_for_memory_exit_two(self):
+        """The loader writes each listed matrix into a stack sized by the first
+        one.  On S8 one 300 x 300 matrix asks for a 54 GiB stack: the refusal
+        names the field, whether the allocation fails or the missing matrices do."""
+        zeros = [[0] * 300] * 300
+        text = (
+            "name: s8\nspace: {id: s8, labels: [a, b, c, d, e, f, g, h]}\n"
+            "group: {generators: [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]]}\n"
+            f"representation: {{kind: explicit, matrices: [{{element: {list(range(8))}, matrix: {zeros}}}]}}\n"
+            "checks: [{type: a2-falsify}]\n"
+        )
+        expect_error(
+            text,
+            r"representation\.matrices: "
+            r"(40320 such matrices do not fit in memory|representation must cover every group element)",
+        )
 
     def test_operator_check_requires_a_representation(self):
         # The coordinate swap does not exclude this theorem1 pair, so it builds operators.
@@ -431,7 +462,7 @@ representation:
         """Each family of thoughts finds its maximal variables when it is
         built at load; the a1-search run reads them there."""
         calls = []
-        for module in (harness_mod, scenario_mod):
+        for module in (harness_mod, runner_mod):
             original = module.maximal_accessible
             monkeypatch.setattr(
                 module,
@@ -462,6 +493,24 @@ representation:
             run_scenario(scenario)
             closures += sum(space == scenario.space for space in spaces)
         assert len(cases) == 5 and closures == 5
+
+    def test_theorem1_finds_the_maximal_variables_once_per_run(self, monkeypatch):
+        """Every theorem1 check of a run reads the maximal scenario variables
+        from the run's context, which finds them once."""
+        calls = []
+        original = runner_mod.maximal_accessible
+        monkeypatch.setattr(
+            runner_mod, "maximal_accessible", lambda family: calls.append(family) or original(family)
+        )
+        parity = '  - name: parity\n    values: ["0", "1"]\n    assignment: [0, 1, 0, 1]\n'
+        checks = f"{THEOREM1}\n{THEOREM1.replace('position', 'parity')}"
+        text = CYCLE4.format(checks=checks).replace("group:\n", parity + "group:\n")
+        scenario = loads(text)
+        for runs in (1, 2):
+            records = run_scenario(scenario).checks
+            assert [r.status for r in records] == ["pass", "pass"]
+            assert [r.details["operator"]["maximal_in_family"] for r in records] == [True, False]
+            assert len(calls) == runs
 
     def test_informational_flag(self):
         scenario = loads(MINIMAL + "\ninformational: true\n")
