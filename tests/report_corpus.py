@@ -77,8 +77,12 @@ def reports(checkout: Path) -> list[tuple[str, str]]:
     src = str(checkout / "src")
     sys.path.insert(0, src)
     try:
+        import finivar
         from finivar.runner import run_scenario
         from finivar.scenario import loads
+
+        if Path(finivar.__file__).resolve().parent.parent != Path(src).resolve():
+            raise SystemExit(f"{checkout}: no finivar in its src, found {finivar.__file__}")
 
         return [
             (label, run_scenario(loads(text), flags).to_json()) for label, text, flags in corpus()
