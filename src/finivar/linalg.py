@@ -21,7 +21,8 @@ __all__ = [
     "DEFAULT_TOLERANCES",
 ]
 
-# Every default tolerance, named as in a scenario's table; keyword defaults read it.
+# Every default tolerance, named as in a scenario's table.  Each function that
+# applies a tolerance takes a whole table as ``tolerances``, by default this one.
 DEFAULT_TOLERANCES: dict[str, float] = {
     "hermitian": 1e-10,
     "unitary": 1e-10,
@@ -87,26 +88,24 @@ class SpectralData:
         return self.vectors[:, index]
 
 
-def eigh(
-    a: np.ndarray,
-    hermitian_tol: float = DEFAULT_TOLERANCES["hermitian"],
-    cluster_gap: float = DEFAULT_TOLERANCES["eigen_cluster_gap"],
-) -> SpectralData:
+def eigh(a: np.ndarray, tolerances: dict[str, float] = DEFAULT_TOLERANCES) -> SpectralData:
     """Diagonalize a Hermitian matrix deterministically.
 
-    Raises :class:`NotHermitianError` when the input fails the Hermiticity
-    check.  Eigenvalues ascend; each column is multiplied by conj(p/|p|), p its
-    first entry above ``_PHASE_ENTRY_TOL``, all columns at once, but p/|p| is
-    a numpy scalar operation per column (the array loops' abs and division
-    can differ in the last bit).  Consecutive eigenvalues closer than
-    ``cluster_gap`` share a cluster whose projector is basis-independent; the
-    one-eigenvalue projectors come from one stacked product.  The vectors stay
-    column-major, which keeps each cluster's product bit for bit.
+    Raises :class:`NotHermitianError` when the input fails the ``hermitian``
+    check of ``tolerances``.  Eigenvalues ascend; each column is multiplied by
+    conj(p/|p|), p its first entry above ``_PHASE_ENTRY_TOL``, all columns at
+    once, but p/|p| is a numpy scalar operation per column (the array loops'
+    abs and division can differ in the last bit).  Consecutive eigenvalues
+    closer than ``eigen_cluster_gap`` share a cluster whose projector is
+    basis-independent; the one-eigenvalue projectors come from one stacked
+    product.  The vectors stay column-major, which keeps each cluster's
+    product bit for bit.
     """
     import numpy as np
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
+    hermitian_tol, cluster_gap = tolerances["hermitian"], tolerances["eigen_cluster_gap"]
     residual = max_abs(a - a.conj().T)
     if residual > hermitian_tol:
         raise NotHermitianError(

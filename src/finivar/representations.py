@@ -28,10 +28,8 @@ __all__ = [
     "CoherentFamily",
     "InjectivityResult",
     "check_coherent_injectivity",
-    "QuestionAnswer",
     "OperatorBundle",
     "build_operator",
-    "bundle_from_matrix",
     "conjugation_check",
     "BasisExpansion",
     "expand_in_basis",
@@ -129,15 +127,11 @@ class RepDiagnostics:
     homomorphism_residual: float
     pairs_checked: int
 
-    def ok(
-        self,
-        unitary_tol: float = _DEFAULTS["unitary"],
-        hom_tol: float = _DEFAULTS["rep_homomorphism"],
-    ) -> bool:
+    def ok(self, tolerances: dict[str, float] = _DEFAULTS) -> bool:
         return (
-            self.unitary_residual <= unitary_tol
-            and self.identity_residual <= unitary_tol
-            and self.homomorphism_residual <= hom_tol
+            self.unitary_residual <= tolerances["unitary"]
+            and self.identity_residual <= tolerances["unitary"]
+            and self.homomorphism_residual <= tolerances["rep_homomorphism"]
         )
 
 
@@ -276,18 +270,17 @@ class InjectivityResult:
 
 
 def check_coherent_injectivity(
-    family: CoherentFamily,
-    distance_tol: float = _DEFAULTS["injectivity_distance"],
-    overlap_tol: float = _DEFAULTS["injectivity_overlap"],
+    family: CoherentFamily, tolerances: dict[str, float] = _DEFAULTS
 ) -> InjectivityResult:
-    """Verify distinct elements give distinct states, even up to a global phase.
+    """Verify distinct elements give distinct states, even up to a global phase,
+    within ``injectivity_distance`` and ``injectivity_overlap``.
 
     The verdict is kept on the family per tolerance pair, so repeated operator
     builds over one family scan its pairs once.
     """
-    key = (distance_tol, overlap_tol)
+    key = (tolerances["injectivity_distance"], tolerances["injectivity_overlap"])
     if key not in family._injectivity:
-        family._injectivity[key] = _scan_injectivity(family, distance_tol, overlap_tol)
+        family._injectivity[key] = _scan_injectivity(family, *key)
     return family._injectivity[key]
 
 
@@ -312,39 +305,14 @@ def _scan_injectivity(
     return InjectivityResult(not hits, min(distances, default=None), max([0.0, *near]), witness)
 
 
-@dataclass(frozen=True)
-class QuestionAnswer:
-    question: str
-    answer: str
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorBundle:
-    """A Hermitian operator together with its spectral data and value labels."""
+    """A variable's Hermitian operator, its spectral data, and its projector
+    for each numeric value, in value-label order."""
 
-    variable: ConceptualVariable
     operator: np.ndarray
     spectral: linalg.SpectralData
     projectors: dict[float, np.ndarray]
-    qa_labels: dict[float, QuestionAnswer]
-
-    @property
-    def dim(self) -> int:
-        return self.operator.shape[0]
-
-    def is_nondegenerate(self) -> bool:
-        return self.spectral.is_nondegenerate()
-
-
-def _qa_labels(variable: ConceptualVariable) -> dict[float, QuestionAnswer]:
-    numeric = variable.numeric_values()
-    return {
-        numeric[i]: QuestionAnswer(
-            question=f"What is {variable.name}?",
-            answer=f"{variable.name} = {variable.values[i]}",
-        )
-        for i in range(len(numeric))
-    }
 
 
 def build_operator(
@@ -374,9 +342,7 @@ def build_operator(
             "coherent labeling requires a regular action: the group must match the "
             "domain size and reach every point from the base point exactly once"
         )
-    injectivity = check_coherent_injectivity(
-        family, tolerances["injectivity_distance"], tolerances["injectivity_overlap"]
-    )
+    injectivity = check_coherent_injectivity(family, tolerances)
     if not injectivity:
         g, h = injectivity.witness
         raise CoherentCollisionError(
@@ -409,42 +375,14 @@ def build_operator(
     operator = np.zeros((dim, dim), dtype=complex)
     for weight, (projector, _) in zip(numeric, groups):
         operator = operator + weight * projector
-    spectral = linalg.eigh(operator, tolerances["hermitian"], tolerances["eigen_cluster_gap"])
+    spectral = linalg.eigh(operator, tolerances)
     got = sorted((c.value, c.multiplicity) for c in spectral.clusters)
     expected = sorted(zip(numeric, (rank for _, rank in groups)))  # a projector's rank is its trace
     for (gv, gm), (ev, em) in zip(got, expected):
         if abs(gv - ev) > tolerances["spectral_reconstruction"] or gm != em:
             raise RuntimeError(f"spectrum {got} does not reproduce the value grouping {expected}")
     projectors = {w: p for w, (p, _) in zip(numeric, groups)}
-    return OperatorBundle(theta, operator, spectral, projectors, _qa_labels(theta))
-
-
-def bundle_from_matrix(
-    name: str,
-    operator: np.ndarray,
-    hermitian_tol: float = _DEFAULTS["hermitian"],
-    cluster_gap: float = _DEFAULTS["eigen_cluster_gap"],
-) -> OperatorBundle:
-    """Wrap an explicit Hermitian matrix as a bundle over its own eigenbasis."""
-    import numpy as np
-    spectral = linalg.eigh(operator, hermitian_tol, cluster_gap)
-    dim = spectral.dim
-    space = PointSpace(
-        id=f"{name}-eigenbasis", labels=tuple(f"e{i}" for i in range(dim))
-    )
-    assignment = [0] * dim
-    labels = []
-    for ci, cluster in enumerate(spectral.clusters):
-        labels.append(f"{cluster.value:.12g}")
-        for i in cluster.indices:
-            assignment[i] = ci
-    variable = ConceptualVariable(
-        name=name, domain=space, values=tuple(labels), assignment=tuple(assignment)
-    )
-    projectors = {c.value: c.projector for c in spectral.clusters}
-    return OperatorBundle(
-        variable, np.asarray(operator, dtype=complex), spectral, projectors, _qa_labels(variable)
-    )
+    return OperatorBundle(operator, spectral, projectors)
 
 
 def conjugation_check(
@@ -460,7 +398,7 @@ def conjugation_check(
     import numpy as np
     projectors = np.array(list(bundle.projectors.values()))
     preimages = np.argsort([g.images for g in induced.images], axis=1)  # [t, v] = g_t^-1(v)
-    relabelled = np.zeros((family.group.order, bundle.dim, bundle.dim), dtype=complex)
+    relabelled = np.zeros((family.group.order, *bundle.operator.shape), dtype=complex)
     term = np.empty_like(relabelled)
     for v, weight in enumerate(bundle.projectors):  # ids are in range; "clip" writes into term
         np.take(projectors, preimages[:, v], 0, term, "clip")
@@ -476,25 +414,22 @@ class BasisExpansion:
     reconstruction_error: float
     weight_sum: float
 
-    def ok(
-        self,
-        reconstruction_tol: float = _DEFAULTS["expansion_reconstruction"],
-        weight_tol: float = _DEFAULTS["expansion_weight"],
-    ) -> bool:
+    def ok(self, tolerances: dict[str, float] = _DEFAULTS) -> bool:
         return (
-            self.reconstruction_error <= reconstruction_tol
-            and abs(self.weight_sum - 1.0) <= weight_tol
+            self.reconstruction_error <= tolerances["expansion_reconstruction"]
+            and abs(self.weight_sum - 1.0) <= tolerances["expansion_weight"]
         )
 
 
 def expand_in_basis(
-    target: OperatorBundle, index: int, basis: OperatorBundle
+    target: linalg.SpectralData, index: int, basis: linalg.SpectralData
 ) -> BasisExpansion:
-    """Expand one eigenvector of ``target`` over the eigenbasis of ``basis``.
+    """Expand one eigenvector of the spectrum ``target`` over the eigenbasis of
+    the spectrum ``basis``, as ``linalg.eigh`` returns them.
 
-    Both bundles must be nondegenerate (cluster projectors are the honest
-    object otherwise) and share a dimension.  Amplitudes follow the basis
-    bundle's ascending eigenvalue order under the fixed phase convention.
+    Both spectra must be nondegenerate (cluster projectors are the honest
+    object otherwise) and share a dimension.  Amplitudes follow the basis's
+    ascending eigenvalue order under the fixed phase convention.
     """
     import numpy as np
     if target.dim != basis.dim:
@@ -506,13 +441,9 @@ def expand_in_basis(
         )
     if not 0 <= index < target.dim:
         raise ValueError(f"eigenvector index {index} out of range 0..{target.dim - 1}")
-    vec = target.spectral.vector(index)
-    amplitudes = tuple(
-        linalg.inner(basis.spectral.vector(j), vec) for j in range(basis.dim)
-    )
-    reconstruction = sum(
-        a * basis.spectral.vector(j) for j, a in enumerate(amplitudes)
-    )
+    vec = target.vector(index)
+    amplitudes = tuple(linalg.inner(basis.vector(j), vec) for j in range(basis.dim))
+    reconstruction = sum(a * basis.vector(j) for j, a in enumerate(amplitudes))
     error = linalg.max_abs(np.asarray(reconstruction) - vec)
     weight = float(sum(abs(a) ** 2 for a in amplitudes))
     return BasisExpansion(amplitudes, float(error), weight)
@@ -533,20 +464,20 @@ class IrreducibilityDiagnostic:
 
 
 def commutant_diagnostic(
-    rep: UnitaryRep, tol: float = _DEFAULTS["commutant"]
+    rep: UnitaryRep, tolerances: dict[str, float] = _DEFAULTS
 ) -> IrreducibilityDiagnostic:
     """Commutant dimension from the character norm (1/|G|) sum |tr U(g)|^2.
 
     The twirl of g -> U(g) (x) conj(U(g)), a representation even when U is a
     ray one, projects onto the commutant, so its rank is its trace (Serre,
     *Linear Representations of Finite Groups*, 2.3).  Valid only for matrices
-    that pass ``UnitaryRep.diagnostics``.  ``tol`` bounds the distance from an
-    integer.
+    that pass ``UnitaryRep.diagnostics``.  The ``commutant`` tolerance bounds
+    the distance from an integer.
     """
     import numpy as np
     traces = np.trace(rep.stack, axis1=1, axis2=2)
     norm = float(np.sum(np.abs(traces) ** 2) / rep.group.order)
     dim = round(norm)
-    if abs(norm - dim) > tol:
+    if abs(norm - dim) > tolerances["commutant"]:
         return IrreducibilityDiagnostic(norm, None, None)
     return IrreducibilityDiagnostic(norm, dim, dim == 1)

@@ -71,9 +71,6 @@ class _Context:
         default_factory=dict
     )
 
-    def tol(self, name: str) -> float:
-        return self.tolerances[name]
-
     @cached_property
     def rep_diagnostics(self) -> RepDiagnostics:
         return self.scenario.coherent_family.rep.diagnostics()
@@ -86,7 +83,7 @@ class _Context:
 
     @cached_property
     def irreducibility(self) -> IrreducibilityDiagnostic:
-        return commutant_diagnostic(self.scenario.coherent_family.rep, self.tol("commutant"))
+        return commutant_diagnostic(self.scenario.coherent_family.rep, self.tolerances)
 
     def induced(
         self, theta: ConceptualVariable, group: PermutationGroup

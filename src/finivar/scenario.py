@@ -24,8 +24,8 @@ from .harness import VERDICT_ALL_DIFFERENT, VERDICT_ALL_RELATED, VERDICT_MIXED
 from .harness import exhaustive_falsifier, theorem_a1_search
 from .linalg import DEFAULT_TOLERANCES
 from .report import STATUS_ERROR, STATUS_FAIL, STATUS_NOT_APPLICABLE, STATUS_PASS
-from .representations import CoherentFamily, CoherentStateError, UnitaryRep
-from .representations import bundle_from_matrix, check_coherent_injectivity, conjugation_check
+from .representations import CoherentFamily, CoherentStateError, UnitaryRep, _cyclic_group
+from .representations import check_coherent_injectivity, conjugation_check
 from .representations import cyclic_dft_rep, expand_in_basis, qubit_rep
 from .spaces import ConceptualVariable, PointSpace, VariableFamily
 from .subgroups import MAX_EXACT_DEGREE
@@ -34,6 +34,28 @@ __all__ = ["ScenarioError", "CheckSpec", "Scenario", "loads", "load_path", "CHEC
 
 # libyaml's parser where PyYAML has it; both loaders resolve and construct alike.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+class _UniqueKeyLoader(_YAML_LOADER):
+    """``_YAML_LOADER``, refusing a key written twice in one mapping, where
+    PyYAML would keep the last value and drop the first without a word."""
+
+    def construct_mapping(self, node: yaml.MappingNode, deep: bool = False) -> dict:
+        lines: dict[Any, int] = {}  # each key, and the line it is first written at
+        for key_node, _ in node.value:
+            if not isinstance(key_node, yaml.ScalarNode) or key_node.tag.endswith(":merge"):
+                continue
+            key = self.construct_object(key_node)  # kept: the mapping reuses it
+            if key in lines:
+                raise yaml.constructor.ConstructorError(
+                    None,
+                    None,
+                    f"found key {key!r} again, first written at line {lines[key]}",
+                    key_node.start_mark,
+                )
+            lines[key] = key_node.start_mark.line + 1
+        return super().construct_mapping(node, deep=deep)
+
 
 # The most points a cyclic-dft representation may have.  Its n dense n x n
 # complex matrices take n^3 * 16 bytes: 4 MiB here.
@@ -379,11 +401,9 @@ def _handle_theorem1(ctx: Any, params: _Params) -> _Outcome:
         "homomorphism_residual": diag.homomorphism_residual,
         "pairs_checked": diag.pairs_checked,
     }
-    rep_ok = diag.ok(ctx.tol("unitary"), ctx.tol("rep_homomorphism"))
+    rep_ok = diag.ok(ctx.tolerances)
 
-    injectivity = check_coherent_injectivity(
-        family, ctx.tol("injectivity_distance"), ctx.tol("injectivity_overlap")
-    )
+    injectivity = check_coherent_injectivity(family, ctx.tolerances)
     details["coherent_injectivity"] = {
         "ok": injectivity.ok,
         "min_distance": injectivity.min_distance,
@@ -410,7 +430,7 @@ def _handle_theorem1(ctx: Any, params: _Params) -> _Outcome:
         details["error"] = str(exc)
         return STATUS_ERROR, details
 
-    nondegenerate = bundle.is_nondegenerate()
+    nondegenerate = bundle.spectral.is_nondegenerate()
     maximal = theta in ctx.maximal
     details["operator"] = {
         "eigenvalues": [c.value for c in bundle.spectral.clusters],
@@ -420,9 +440,9 @@ def _handle_theorem1(ctx: Any, params: _Params) -> _Outcome:
         "spectrum_matches_values": True,
         "nondegenerate": nondegenerate,
         "maximal_in_family": maximal,
-        "qa_labels": {
-            f"{value:.12g}": [qa.question, qa.answer]
-            for value, qa in sorted(bundle.qa_labels.items())
+        "qa_labels": {  # the question "What is θ?" and each value's answer
+            f"{value:.12g}": [f"What is {theta.name}?", f"{theta.name} = {label}"]
+            for value, label in sorted(zip(theta.numeric_values(), theta.values))
         },
     }
     maximality_law_ok = maximal == nondegenerate
@@ -450,26 +470,21 @@ def _handle_theorem2(ctx: Any, params: _Params) -> _Outcome:
         "max_residual": max_residual,
         "per_element": [{"element": t, "residual": r} for t, r in zip(group.elements, residuals)],
     }
-    return _status(max_residual <= ctx.tol("conjugation_residual")), details
+    return _status(max_residual <= ctx.tolerances["conjugation_residual"]), details
 
 
 def _handle_eq1(ctx: Any, params: _Params) -> _Outcome:
     basis_var, base_point, index = params["basis"], params["base_point"], params["index"]
-    basis_bundle = ctx.bundle(basis_var, base_point)
+    basis = ctx.bundle(basis_var, base_point).spectral
     target = params["target"]
     if isinstance(target, spin.SpinDirection):
-        target_bundle = bundle_from_matrix(
-            f"spin({target.x:.6g},{target.y:.6g},{target.z:.6g})",
-            spin.spin_component_operator(target),
-            ctx.tol("hermitian"),
-            ctx.tol("eigen_cluster_gap"),
-        )
+        spectral = linalg.eigh(spin.spin_component_operator(target), ctx.tolerances)
         target_desc: Any = {"direction": [target.x, target.y, target.z]}
     else:
-        target_bundle = ctx.bundle(target, base_point)
+        spectral = ctx.bundle(target, base_point).spectral
         target_desc = {"variable": target.name}
     try:
-        expansion = expand_in_basis(target_bundle, index, basis_bundle)
+        expansion = expand_in_basis(spectral, index, basis)
     except ValueError as exc:  # a DegenerateBasisError among them
         return STATUS_ERROR, {"basis": basis_var.name, "target": target_desc, "error": str(exc)}
     details = {
@@ -480,24 +495,23 @@ def _handle_eq1(ctx: Any, params: _Params) -> _Outcome:
         "reconstruction_error": expansion.reconstruction_error,
         "weight_sum": expansion.weight_sum,
     }
-    ok = expansion.ok(ctx.tol("expansion_reconstruction"), ctx.tol("expansion_weight"))
-    return _status(ok), details
+    return _status(expansion.ok(ctx.tolerances)), details
 
 
 def _handle_singlet_delta(ctx: Any, params: _Params) -> _Outcome:
     directions, seed = params["directions"], params["seed"]
-    state = spin.singlet()
-    bundle = spin.delta_operator(ctx.tol("hermitian"), ctx.tol("eigen_cluster_gap"))
-    eigen_residual = linalg.max_abs(bundle.operator @ state - (-3.0) * state)
-    multiplicities = [c.multiplicity for c in bundle.spectral.clusters]
-    cluster_values = [c.value for c in bundle.spectral.clusters]
-    degenerate = [c for c in bundle.spectral.clusters if c.multiplicity > 1]
+    state, delta = spin.singlet(), spin.delta_operator()
+    clusters = linalg.eigh(delta, ctx.tolerances).clusters
+    eigen_residual = linalg.max_abs(delta @ state - (-3.0) * state)
+    multiplicities = [c.multiplicity for c in clusters]
+    cluster_values = [c.value for c in clusters]
+    degenerate = [c for c in clusters if c.multiplicity > 1]
     sweep = spin.AXES + spin.random_directions(directions, seed)
     max_anti = max(spin.anticorrelation_residual(d) for d in sweep)
     ok = (
-        eigen_residual <= ctx.tol("singlet_eigen")
+        eigen_residual <= ctx.tolerances["singlet_eigen"]
         and sorted(multiplicities) == [1, 3]
-        and max_anti <= ctx.tol("anticorrelation")
+        and max_anti <= ctx.tolerances["anticorrelation"]
     )
     details = {
         "singlet": list(state),
@@ -723,8 +737,8 @@ def _parse_representation(
     if kind is None:
         return None, ()
     if kind != "explicit":  # the kind's matrices, on the scenario's one group
-        if group is None:  # Z_n, the kinds' group
-            group = PermutationGroup.generate(space, (Permutation((*range(1, space.size), 0)),))
+        if group is None:
+            group = _cyclic_group(kind, space.size, None, space)
         try:
             rep = qubit_rep(group) if kind == "qubit" else cyclic_dft_rep(space.size, group)
         except ValueError as exc:  # the declared group is not the kind's
@@ -764,7 +778,7 @@ def _parse_representation(
 
 def loads(text: str, source: str = "<scenario>") -> Scenario:
     try:
-        raw = yaml.load(text, Loader=_YAML_LOADER)
+        raw = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

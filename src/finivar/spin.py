@@ -6,12 +6,12 @@ lexicographic order (++, +-, -+, --).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
 from . import linalg
-from .representations import OperatorBundle, bundle_from_matrix
 
 __all__ = [
     "SIGMA_X",
@@ -63,6 +63,9 @@ class SpinDirection:
         arr = np.asarray(vec, dtype=float)
         if arr.shape != (3,):
             raise ValueError("a direction needs exactly three components")
+        # Scaling by a power of two is exact: it brings the largest |component|
+        # into [0.5, 1), so the norm neither underflows nor overflows.
+        arr = np.ldexp(arr, -math.frexp(float(abs(arr).max()))[1])
         norm = float(np.linalg.norm(arr))
         if norm < _NORM_TOL:
             raise ValueError("cannot normalize the zero vector")
@@ -89,20 +92,17 @@ def singlet() -> np.ndarray:
     return np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
 
-def delta_operator(
-    hermitian_tol: float = linalg.DEFAULT_TOLERANCES["hermitian"],
-    cluster_gap: float = linalg.DEFAULT_TOLERANCES["eigen_cluster_gap"],
-) -> OperatorBundle:
-    """Sum of the three matched-component products on the pair space.
+def delta_operator() -> np.ndarray:
+    """The matrix Δ, the sum of the three matched-component products on the
+    pair space.
 
-    The spectrum is computed by diagonalization, not asserted a priori: the
+    Its spectrum is left to ``linalg.eigh``, not asserted a priori: the
     singlet is a simple eigenvector and the complementary eigenvalue is triply
     degenerate, reported through its cluster projector.
     """
     import numpy as np
     sx, sy, sz = _pauli()
-    matrix = np.kron(sx, sx) + np.kron(sy, sy) + np.kron(sz, sz)
-    return bundle_from_matrix("delta", matrix, hermitian_tol, cluster_gap)
+    return np.kron(sx, sx) + np.kron(sy, sy) + np.kron(sz, sz)
 
 
 def anticorrelation_residual(direction: SpinDirection) -> float:

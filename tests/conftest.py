@@ -80,9 +80,9 @@ def changed_element(group: PermutationGroup, seed: int) -> tuple[Permutation, Pe
     return g, rng.choice([k for k in group.elements if k != g])
 
 
-def multiplicities(bundle) -> tuple[tuple[float, int], ...]:
-    """Each eigenvalue cluster of an operator bundle as (value, multiplicity)."""
-    return tuple((c.value, c.multiplicity) for c in bundle.spectral.clusters)
+def multiplicities(spectral) -> tuple[tuple[float, int], ...]:
+    """Each eigenvalue cluster of a spectrum (``linalg.SpectralData``) as (value, multiplicity)."""
+    return tuple((c.value, c.multiplicity) for c in spectral.clusters)
 
 
 @st.composite

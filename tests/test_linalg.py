@@ -74,7 +74,7 @@ class TestBasics:
     def test_tensor_shape(self):
         # Pair-space operators are Kronecker products of the 2 x 2 spin components.
         sigmas = (spin.SIGMA_X, spin.SIGMA_Y, spin.SIGMA_Z)
-        operator = spin.delta_operator().operator
+        operator = spin.delta_operator()
         assert operator.shape == (4, 4)
         assert np.array_equal(operator, sum(np.kron(s, s) for s in sigmas))
 

@@ -228,3 +228,56 @@ class TestRelabelledPoints:
         old = json.loads(run_scenario(loads(text), flags).to_json())
         new = json.loads(run_scenario(relabelled, flags).to_json())
         RelabelledReport(pi, relabelled).assert_matches(old, new)
+
+
+# The parameters through which each operator check reads a variable, whose
+# value labels are then the operator's eigenvalues.
+OPERATOR_PARAMS = {
+    "theorem1-hypotheses": ("variable",),
+    "theorem2": ("variable",),
+    "eq1-expansion": ("basis", "target"),
+}
+
+
+def with_renamed_values(text: str) -> tuple[str, list[str]]:
+    """The scenario with the value labels of each variable that no operator
+    check reads renamed to non-numeric ones, and the names of those variables."""
+    data = yaml.safe_load(text)
+    read = set()
+    for check in data["checks"]:
+        for key in OPERATOR_PARAMS.get(check["type"], ()):
+            value = check.get(key)
+            read.add(value.get("variable") if isinstance(value, dict) else value)
+    renamed = [v for v in data.get("variables", []) if v["name"] not in read]
+    for variable in renamed:
+        variable["values"] = [f"answer-{i}" for i in range(len(variable["values"]))]
+    return json.dumps(data), [v["name"] for v in renamed]
+
+
+RENAMABLE = [
+    name for name in builtin_mod.builtin_names()
+    if with_renamed_values(builtin_mod.builtin_text(name))[1]
+]
+
+
+class TestRenamedValueLabels:
+    """ROADMAP item 9's third relation: only an operator reads value labels,
+    as its eigenvalues.  Renaming the labels of every other variable to
+    non-numeric ones changes no byte of the report."""
+
+    def test_four_built_ins_have_a_variable_to_rename(self):
+        # qubit and cyclic-4 build an operator from each of their variables.
+        assert RENAMABLE == ["singlet", "parity-z4", "a2-smoke", "rotation-sign-probe"]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6])
+    @pytest.mark.parametrize("name", RENAMABLE)
+    def test_renamed_value_labels_keep_the_report_bytes(self, name, scale):
+        text = builtin_mod.builtin_text(name)
+        renamed, names = with_renamed_values(text)
+        scenario = loads(renamed)
+        for variable in names:
+            with pytest.raises(ValueError, match="must be numeric"):
+                scenario.variables[variable].numeric_values()
+        flags = RunFlags(tolerance_scale=scale)
+        old = run_scenario(loads(text), flags).to_json()
+        assert run_scenario(scenario, flags).to_json() == old

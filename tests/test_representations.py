@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finivar import linalg, representations, spaces
+from finivar.builtins import builtin_text
 from finivar.groups import (
     NotPermissibleError,
     Permutation,
@@ -29,7 +30,6 @@ from finivar.representations import (
     OrthogonalityError,
     UnitaryRep,
     build_operator,
-    bundle_from_matrix,
     check_coherent_injectivity,
     commutant_diagnostic,
     conjugation_check,
@@ -59,6 +59,11 @@ from conftest import (
 )
 
 S = 1 / np.sqrt(2)
+
+
+def tolerances(**overrides: float) -> dict[str, float]:
+    """The default tolerance table with ``overrides``."""
+    return {**linalg.DEFAULT_TOLERANCES, **overrides}
 
 
 def qubit_family() -> CoherentFamily:
@@ -119,7 +124,7 @@ class TestCyclicRep:
 
     def test_exact_homomorphism(self):
         diag = cyclic_dft_rep(6).diagnostics()
-        assert diag.ok(1e-12, 1e-12)
+        assert diag.ok(tolerances(unitary=1e-12, rep_homomorphism=1e-12))
 
     def test_space_size_must_match(self):
         with pytest.raises(ValueError, match=r"the declared group has \[0, 1, 2, 3\], which cyclic"):
@@ -211,9 +216,9 @@ class TestCoherentFamily:
         family = cyclic_family(4)
         first = check_coherent_injectivity(family)
         assert check_coherent_injectivity(family) is first
-        strict = check_coherent_injectivity(family, distance_tol=2.0)
+        strict = check_coherent_injectivity(family, tolerances(injectivity_distance=2.0))
         assert not strict.ok and first.ok
-        assert check_coherent_injectivity(family, distance_tol=2.0) is strict
+        assert check_coherent_injectivity(family, tolerances(injectivity_distance=2.0)) is strict
 
     def test_phase_scaled_base_gives_same_operator(self):
         space = PointSpace(id="spin-values", labels=("+1", "-1"))
@@ -231,8 +236,8 @@ class TestBuildOperator:
         theta = spin_z_variable(space)
         bundle = build_operator(theta, qubit_family())
         assert linalg.max_abs(bundle.operator - np.diag([1.0, -1.0])) < 1e-12
-        assert multiplicities(bundle) == ((-1.0, 1), (1.0, 1))
-        assert bundle.is_nondegenerate()
+        assert multiplicities(bundle.spectral) == ((-1.0, 1), (1.0, 1))
+        assert bundle.spectral.is_nondegenerate()
 
     def test_cyclic_position_operator(self):
         space = PointSpace(id="cycle-4", labels=("0", "1", "2", "3"))
@@ -244,20 +249,23 @@ class TestBuildOperator:
         space = PointSpace(id="cycle-4", labels=("0", "1", "2", "3"))
         parity = ConceptualVariable("parity", space, ("+1", "-1"), (0, 1, 0, 1))
         bundle = build_operator(parity, cyclic_family(4))
-        mults = multiplicities(bundle)
+        mults = multiplicities(bundle.spectral)
         assert [m for _, m in mults] == [2, 2]
         assert [v for v, _ in mults] == pytest.approx([-1.0, 1.0])
-        assert not bundle.is_nondegenerate()
+        assert not bundle.spectral.is_nondegenerate()
         # projectors pick out the even and odd position subspaces
         minus = bundle.projectors[-1.0]
         assert linalg.max_abs(minus - np.diag([0.0, 1, 0, 1])) < 1e-12
 
     def test_qa_labels_ask_the_variables_question(self):
-        space = PointSpace(id="spin-values", labels=("+1", "-1"))
-        bundle = build_operator(spin_z_variable(space), qubit_family())
-        qa = bundle.qa_labels[1.0]
-        assert qa.question == "What is spin-z?"
-        assert qa.answer == "spin-z = +1"
+        # theorem1 pairs the question "What is θ?" with each value's answer,
+        # keyed and sorted by numeric value.
+        report = run_scenario(loads(builtin_text("qubit")))
+        (theorem1,) = [c for c in report.checks if c.type == "theorem1-hypotheses"]
+        assert theorem1.details["operator"]["qa_labels"] == {
+            "-1": ["What is spin-z?", "spin-z = -1"],
+            "1": ["What is spin-z?", "spin-z = +1"],
+        }
 
     def test_requires_matching_domain(self):
         theta = variable_from_assignment(space_of(2), (0, 1))
@@ -385,58 +393,56 @@ class TestConjugationLaw:
 
 
 class TestExpansion:
+    """``expand_in_basis`` reads two spectra: a plain matrix's from
+    ``linalg.eigh`` and a built operator's alike."""
+
     def test_x_in_z_amplitudes_golden(self):
         space = PointSpace(id="spin-values", labels=("+1", "-1"))
-        z_bundle = build_operator(spin_z_variable(space), qubit_family())
-        x_bundle = bundle_from_matrix("x", np.array([[0, 1], [1, 0]], dtype=complex))
-        plus = expand_in_basis(x_bundle, 1, z_bundle)
+        z = build_operator(spin_z_variable(space), qubit_family()).spectral
+        x = linalg.eigh(np.array([[0, 1], [1, 0]], dtype=complex))
+        plus = expand_in_basis(x, 1, z)
         assert plus.amplitudes[0] == pytest.approx(S)
         assert plus.amplitudes[1] == pytest.approx(S)
         assert plus.ok()
-        minus = expand_in_basis(x_bundle, 0, z_bundle)
+        minus = expand_in_basis(x, 0, z)
         assert minus.amplitudes[0] == pytest.approx(-S)
         assert minus.amplitudes[1] == pytest.approx(S)
         assert minus.ok()
 
     def test_weights_sum_to_one(self):
         space = PointSpace(id="spin-values", labels=("+1", "-1"))
-        z_bundle = build_operator(spin_z_variable(space), qubit_family())
-        y_bundle = bundle_from_matrix("y", np.array([[0, -1j], [1j, 0]]))
-        expansion = expand_in_basis(y_bundle, 0, z_bundle)
+        z = build_operator(spin_z_variable(space), qubit_family()).spectral
+        y = linalg.eigh(np.array([[0, -1j], [1j, 0]]))
+        expansion = expand_in_basis(y, 0, z)
         assert expansion.weight_sum == pytest.approx(1.0)
         assert expansion.reconstruction_error < 1e-10
 
+    def test_ok_reads_both_names_from_the_table(self):
+        y = linalg.eigh(np.array([[0, -1j], [1j, 0]]))
+        expansion = expand_in_basis(y, 0, linalg.eigh(np.diag([1.0, -1.0])))
+        assert expansion.ok()
+        assert not expansion.ok(tolerances(expansion_reconstruction=-1.0))
+        assert not expansion.ok(tolerances(expansion_weight=-1.0))
+
     def test_degenerate_basis_rejected(self):
-        degenerate = bundle_from_matrix("flat", np.eye(2, dtype=complex))
-        x_bundle = bundle_from_matrix("x", np.array([[0, 1], [1, 0]], dtype=complex))
+        degenerate = linalg.eigh(np.eye(2, dtype=complex))
+        x = linalg.eigh(np.array([[0, 1], [1, 0]], dtype=complex))
         with pytest.raises(DegenerateBasisError):
-            expand_in_basis(x_bundle, 0, degenerate)
+            expand_in_basis(x, 0, degenerate)
         with pytest.raises(DegenerateBasisError):
-            expand_in_basis(degenerate, 0, x_bundle)
+            expand_in_basis(degenerate, 0, x)
 
     def test_index_range(self):
-        x_bundle = bundle_from_matrix("x", np.array([[0, 1], [1, 0]], dtype=complex))
-        z_bundle = bundle_from_matrix("z", np.diag([1.0, -1.0]))
+        x = linalg.eigh(np.array([[0, 1], [1, 0]], dtype=complex))
+        z = linalg.eigh(np.diag([1.0, -1.0]))
         with pytest.raises(ValueError, match="out of range"):
-            expand_in_basis(x_bundle, 2, z_bundle)
+            expand_in_basis(x, 2, z)
 
     def test_dimension_mismatch(self):
-        a = bundle_from_matrix("a", np.diag([1.0, -1.0]))
-        b = bundle_from_matrix("b", np.diag([0.0, 1.0, 2.0]))
+        a = linalg.eigh(np.diag([1.0, -1.0]))
+        b = linalg.eigh(np.diag([0.0, 1.0, 2.0]))
         with pytest.raises(ValueError, match="dimension mismatch"):
             expand_in_basis(a, 0, b)
-
-
-class TestBundleFromMatrix:
-    def test_value_labels_and_eigenbasis_points(self):
-        bundle = bundle_from_matrix("z", np.diag([1.0, -1.0]))
-        assert bundle.variable.values == ("-1", "1")
-        assert bundle.variable.domain.labels == ("e0", "e1")
-        assert multiplicities(bundle) == ((-1.0, 1), (1.0, 1))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(linalg.NotHermitianError):
-            bundle_from_matrix("bad", np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def _twirl_count(rep: UnitaryRep, tol: float = 1e-8) -> int:
@@ -563,7 +569,7 @@ class TestCommutant:
         group = PermutationGroup.generate(space, (Permutation((1, 0)),))
         flip = np.diag([1, -np.exp(1j * angle)])
         rep = UnitaryRep(group, np.array([np.eye(2), flip]))
-        diag = commutant_diagnostic(rep, tol)
+        diag = commutant_diagnostic(rep, tolerances(commutant=tol))
         assert diag.character_norm == pytest.approx(3 - np.cos(angle), abs=1e-15)
         assert diag.commutant_dimension == dimension
         assert diag.irreducible is (None if dimension is None else False)
@@ -813,10 +819,10 @@ class TestExpansionLemma:
             labels = tuple(str(j) for j in range(n))
             theta = ConceptualVariable("theta", group.space, labels, tuple(range(n)))
             draw = random_unitary(n, seed=100 + 10 * n + index)
-            target = bundle_from_matrix("target", draw + draw.conj().T)
+            target = linalg.eigh(draw + draw.conj().T)
             assert target.is_nondegenerate()
             for base_point in range(n):
-                basis = build_operator(theta, family, base_point)
+                basis = build_operator(theta, family, base_point).spectral
                 for i in range(n):
                     assert expand_in_basis(target, i, basis).ok()
 
@@ -990,7 +996,7 @@ def summed_relabellings(family, elements, induced, bundle):
     """Oracle: ``conjugation_check`` with a new array for every term and sum."""
     projectors = np.array(list(bundle.projectors.values()))
     preimages = np.argsort([induced(t).images for t in elements], axis=1)
-    relabelled = np.zeros((len(elements), bundle.dim, bundle.dim), dtype=complex)
+    relabelled = np.zeros((len(elements), *bundle.operator.shape), dtype=complex)
     for v, weight in enumerate(bundle.projectors):
         relabelled = relabelled + weight * projectors[preimages[:, v]]
     t_matrices = np.array([family.rep(t) for t in elements])

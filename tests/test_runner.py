@@ -154,28 +154,9 @@ class TestTolerances:
             run_scenario(scenario)
 
 
-# The table entry each tolerance keyword of linalg, representations and spin
-# defaults to, by "<qualified name>.<parameter>".
-KEYWORD_TOLERANCES = {
-    "eigh.hermitian_tol": "hermitian",
-    "eigh.cluster_gap": "eigen_cluster_gap",
-    "RepDiagnostics.ok.unitary_tol": "unitary",
-    "RepDiagnostics.ok.hom_tol": "rep_homomorphism",
-    "check_coherent_injectivity.distance_tol": "injectivity_distance",
-    "check_coherent_injectivity.overlap_tol": "injectivity_overlap",
-    "bundle_from_matrix.hermitian_tol": "hermitian",
-    "bundle_from_matrix.cluster_gap": "eigen_cluster_gap",
-    "BasisExpansion.ok.reconstruction_tol": "expansion_reconstruction",
-    "BasisExpansion.ok.weight_tol": "expansion_weight",
-    "commutant_diagnostic.tol": "commutant",
-    "delta_operator.hermitian_tol": "hermitian",
-    "delta_operator.cluster_gap": "eigen_cluster_gap",
-}
-
-
-def float_keyword_defaults():
-    """Every float keyword default of a function or method defined in the three modules."""
-    found = {}
+def function_parameters():
+    """("<qualified name>.<parameter>", parameter) for every parameter of a
+    function or method defined in linalg, representations and spin."""
     for module in (linalg, representations, spin):
         for obj in vars(module).values():
             if getattr(obj, "__module__", None) != module.__name__:
@@ -185,9 +166,7 @@ def float_keyword_defaults():
                 functions = [f for f in vars(obj).values() if inspect.isfunction(f)]
             for function in functions:
                 for param in inspect.signature(function).parameters.values():
-                    if isinstance(param.default, float):
-                        found[f"{function.__qualname__}.{param.name}"] = param.default
-    return found
+                    yield f"{function.__qualname__}.{param.name}", param
 
 
 class TestOneTable:
@@ -195,13 +174,25 @@ class TestOneTable:
         assert DEFAULT_TOLERANCES is linalg.DEFAULT_TOLERANCES
         assert len(DEFAULT_TOLERANCES) == 14
 
-    def test_every_keyword_default_reads_the_table(self):
-        found = float_keyword_defaults()
-        assert set(found) == set(KEYWORD_TOLERANCES)
-        for key, name in KEYWORD_TOLERANCES.items():
-            assert found[key] == DEFAULT_TOLERANCES[name], key
-        build = inspect.signature(representations.build_operator).parameters["tolerances"]
-        assert build.default is DEFAULT_TOLERANCES
+    def test_every_tolerance_is_read_from_one_table(self):
+        # No function keeps a tolerance of its own: each takes the whole
+        # table as ``tolerances``, by default the table itself.
+        assert [name for name, p in function_parameters() if isinstance(p.default, float)] == []
+        takers = {
+            name: param.default
+            for name, param in function_parameters()
+            if name.endswith(".tolerances")
+        }
+        assert set(takers) == {
+            "eigh.tolerances",
+            "RepDiagnostics.ok.tolerances",
+            "check_coherent_injectivity.tolerances",
+            "build_operator.tolerances",
+            "BasisExpansion.ok.tolerances",
+            "commutant_diagnostic.tolerances",
+        }
+        for name, default in takers.items():
+            assert default is DEFAULT_TOLERANCES, name
 
     def test_check_types_and_handlers_agree(self):
         assert len(CHECK_TYPES) == 9

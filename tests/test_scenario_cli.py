@@ -943,6 +943,35 @@ class TestCli:
         assert result.exit_code == 2
         assert "invalid YAML" in result.output
 
+    @pytest.mark.parametrize(
+        "text, key, first, again",
+        [
+            pytest.param(
+                # PyYAML would keep the second list, and the failing first check would vanish.
+                CYCLE4.format(checks=f"{PERMISSIBILITY}\n    expect: false")
+                + f"\nchecks:\n{PERMISSIBILITY}\n",
+                "checks",
+                16,
+                20,
+                id="top-level",
+            ),
+            pytest.param(
+                CYCLE4.format(checks=f"{PERMISSIBILITY}\n    expect: false\n    expect: true"),
+                "expect",
+                19,
+                20,
+                id="inside-checks[0]",
+            ),
+        ],
+    )
+    def test_a_repeated_key_exits_two_naming_it_and_its_lines(self, tmp_path, text, key, first, again):
+        target = tmp_path / "repeated.yaml"
+        target.write_text(text, encoding="utf-8")
+        result = self.runner.invoke(main, ["run", str(target)])
+        assert result.exit_code == 2, result.output
+        assert f"invalid YAML at line {again}, column" in result.output
+        assert f"found key {key!r} again, first written at line {first}" in result.output
+
     def test_parse_error_names_line_and_column(self, tmp_path):
         target = tmp_path / "broken.yaml"
         target.write_text("name: x\nspace: {id: a\n  labels: [\"0\"]\n", encoding="utf-8")
@@ -1162,6 +1191,22 @@ class TestCli:
         result = self.runner.invoke(main, ["run", str(target), *flags])
         assert result.exit_code == 2, result.output
         assert f"{field}: expected" in result.output
+
+    @pytest.mark.parametrize(
+        "direction, same_as",
+        [("[1.0e-13, 0, 0]", "[1, 0, 0]"), ("[1.0e+200, 1.0e+200, 0]", "[1, 1, 0]")],
+    )
+    def test_a_tiny_or_huge_direction_is_its_unit_vector(self, direction, same_as):
+        # Each nonzero finite direction loads, without a warning, and gives
+        # the report of a moderate multiple of it.
+        text = builtin_mod.builtin_text("qubit")
+        assert "direction: [1, 0, 0]" in text
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = run_scenario(loads(text.replace("[1, 0, 0]", direction)))
+        plain = run_scenario(loads(text.replace("[1, 0, 0]", same_as)))
+        assert scaled.to_json() == plain.to_json()
+        assert {c.status for c in scaled.checks} == {STATUS_PASS}
 
     @pytest.mark.parametrize(
         "check, message",

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from finivar import linalg, spin
@@ -44,6 +46,32 @@ class TestSpinDirection:
         with pytest.raises(ValueError):
             spin.SpinDirection.from_vector((0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "vec, unit",
+        [
+            ((1.0e-13, 0.0, 0.0), (1.0, 0.0, 0.0)),
+            ((1.0e200, 1.0e200, 0.0), (2**-0.5, 2**-0.5, 0.0)),
+            ((5e-324, 0.0, -5e-324), (2**-0.5, 0.0, -(2**-0.5))),
+            ((1.7e308, 1.7e308, 1.7e308), (3**-0.5, 3**-0.5, 3**-0.5)),
+        ],
+    )
+    def test_from_vector_normalizes_any_nonzero_finite_vector(self, vec, unit):
+        # A power-of-two scaling first keeps the norm from under- or overflowing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = spin.SpinDirection.from_vector(vec)
+        assert (d.x, d.y, d.z) == pytest.approx(unit, abs=1e-15)
+
+    @given(st.tuples(*[st.floats(-1e100, 1e100, allow_nan=False)] * 3))
+    @settings(max_examples=200, deadline=None)
+    def test_the_scaling_keeps_every_bit(self, raw):
+        # Every vector the unscaled division normalised gives the same bits.
+        arr = np.array(raw)
+        norm = float(np.linalg.norm(arr))
+        assume(norm >= 1e-12 and all(v == 0 or abs(v) >= 1e-150 for v in raw))
+        d = spin.SpinDirection.from_vector(raw)
+        assert [d.x, d.y, d.z] == (arr / norm).tolist()
+
     @given(unit_directions())
     @settings(max_examples=50, deadline=None)
     def test_component_eigenvalues_are_plus_minus_one(self, raw):
@@ -73,9 +101,9 @@ class TestSinglet:
 
 class TestDeltaOperator:
     def test_spectrum_matches_frozen_oracle(self):
-        bundle = spin.delta_operator()
-        assert bundle.spectral.eigenvalues == pytest.approx(DELTA_EIGENVALUES, abs=1e-10)
-        clusters = multiplicities(bundle)
+        spectral = linalg.eigh(spin.delta_operator())
+        assert spectral.eigenvalues == pytest.approx(DELTA_EIGENVALUES, abs=1e-10)
+        clusters = multiplicities(spectral)
         assert len(clusters) == 2
         (low, low_mult), (high, high_mult) = clusters
         assert (low, low_mult) == (pytest.approx(-3.0, abs=1e-10), 1)
@@ -83,16 +111,14 @@ class TestDeltaOperator:
 
     def test_trace_identity(self):
         # trace = -3 + 3t = 0 forces the degenerate eigenvalue t = +1
-        bundle = spin.delta_operator()
-        assert np.trace(bundle.operator).real == pytest.approx(0.0, abs=1e-12)
+        assert np.trace(spin.delta_operator()).real == pytest.approx(0.0, abs=1e-12)
 
     def test_singlet_is_lowest_eigenvector(self):
-        bundle = spin.delta_operator()
         s = spin.singlet()
-        assert linalg.max_abs(bundle.operator @ s + 3.0 * s) < 1e-12
+        assert linalg.max_abs(spin.delta_operator() @ s + 3.0 * s) < 1e-12
 
     def test_hermitian(self):
-        operator = spin.delta_operator().operator
+        operator = spin.delta_operator()
         assert linalg.max_abs(operator - operator.conj().T) <= linalg.DEFAULT_TOLERANCES["hermitian"]
 
 
