@@ -187,13 +187,18 @@ class PermutationGroup:
             yield ids[s], [ids[compose(s, b)] for b in ids]
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Orbit partition of the point space, each orbit ascending, sorted by minimum."""
+        """Orbit partition of the point space, each orbit ascending, sorted by
+        minimum.  An orbit is closed under the generators alone, since they
+        generate the group."""
         seen: set[int] = set()
         out: list[tuple[int, ...]] = []
         for start in range(self.space.size):
             if start in seen:
                 continue
-            orbit = {g.images[start] for g in self.elements}
+            orbit, frontier = {start}, {start}
+            while frontier:
+                frontier = {g.images[x] for g in self.generators for x in frontier} - orbit
+                orbit |= frontier
             seen |= orbit
             out.append(tuple(sorted(orbit)))
         return tuple(out)
@@ -202,13 +207,9 @@ class PermutationGroup:
         return len(self.orbits()) == 1
 
     def has_trivial_isotropy(self) -> bool:
-        """True iff only the identity fixes any point (the action is free)."""
-        for g in self.elements:
-            if g.is_identity():
-                continue
-            if g.fixed_points():
-                return False
-        return True
+        """True iff only the identity fixes any point (the action is free):
+        by orbit-stabiliser, iff every orbit has |G| points."""
+        return all(len(orbit) == self.order for orbit in self.orbits())
 
 
 class GroupHomomorphism:

@@ -779,10 +779,19 @@ def _parse_representation(
 def loads(text: str, source: str = "<scenario>") -> Scenario:
     try:
         raw = yaml.load(text, Loader=_UniqueKeyLoader)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
+    except yaml.MarkedYAMLError as exc:
+        # str(exc) would repeat the mark, naming the text "<unicode string>"
+        mark = exc.problem_mark
+        problem = f"{exc.context}: {exc.problem}" if exc.context else exc.problem
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise ScenarioError(f"{source}: invalid YAML{where}: {exc}") from None
+        raise ScenarioError(f"{source}: invalid YAML{where}: {problem}") from None
+    except yaml.reader.ReaderError as exc:  # a character YAML does not allow
+        line = text.count("\n", 0, exc.position) + 1
+        column = exc.position - text.rfind("\n", 0, exc.position)
+        raise ScenarioError(
+            f"{source}: invalid YAML at line {line}, column {column}: "
+            f"character #x{exc.character:04x}: {exc.reason}"
+        ) from None
     data = _require(raw, source)
     name = _require_str(data.get("name"), "name")
     known_keys = {

@@ -8,11 +8,8 @@ canonical partition and value labels matter only for reporting.
 
 from __future__ import annotations
 
-import itertools
 import math
-from array import array
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Sequence
 
 __all__ = [
@@ -35,85 +32,6 @@ class DomainMismatchError(ValueError):
 def compose(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
     """The image tuple of f∘g: apply g, then f (``f[g[x]]`` for each x)."""
     return tuple(map(f.__getitem__, g))
-
-
-def _id_tables(elements: Sequence[tuple[int, ...]]) -> tuple[list[array], array]:
-    """Product and inverse tables of the permutation group ``elements``, on ids
-    that are positions in it: ``mul[a][b]`` is the id of a∘b (apply b, then a),
-    ``inv[a]`` the id of a's inverse.  The identity may sit anywhere.
-
-    The full symmetric group S_n listed in lexicographic order has its rows
-    joined from blocks of S_(n-1)'s rows (``_symmetric_rows``) and composes no
-    tuples.  Any other group composes only the rows of a generating set from
-    tuples; the row of s∘x is the row of s read through the row of x.
-    """
-    size = len(elements)
-    index = {p: i for i, p in enumerate(elements)}
-    degree = len(elements[0]) if elements else 0
-    identity = index.get(tuple(range(degree)))
-    if identity is None:
-        raise ValueError("a group must contain the identity")
-    code = "H" if size <= 1 << 16 else "I"
-    if size == math.factorial(degree) and list(elements) == list(itertools.permutations(range(degree))):
-        mul = _symmetric_rows(degree, code)
-    else:
-        mul = [None] * size
-        mul[identity] = array(code, range(size))
-        rows: list[array] = []
-        for a in range(size):
-            if mul[a] is None:
-                try:
-                    mul[a] = array(code, [index[compose(elements[a], b)] for b in elements])
-                except KeyError as missing:
-                    raise ValueError(
-                        f"elements are not closed under composition: {list(missing.args[0])} is missing"
-                    ) from None
-                rows.append(mul[a])
-                frontier = [x for x in range(size) if mul[x] is not None]
-                while frontier:
-                    new = []
-                    for row in rows:
-                        for x in frontier:
-                            if mul[row[x]] is None:
-                                mul[row[x]] = array(code, itemgetter(*mul[x])(row))
-                                new.append(row[x])
-                    frontier = new
-    # p's inverse lists the points in the order of their images under p.
-    inverse = (tuple(sorted(range(len(p)), key=p.__getitem__)) for p in elements)
-    return mul, array(code, [index[q] for q in inverse])
-
-
-def _symmetric_rows(n: int, code: str) -> list[array]:
-    """The product rows of S_n on lexicographic ids, built by blocks.
-
-    The ids j·(n-1)! .. (j+1)·(n-1)! - 1 are the b with b[0] = j, in the order
-    of their tails.  Row a maps that block onto block a[j], and inside it the
-    offsets are S_(n-1)'s row r_j(a): a with position j removed and its values
-    standardised.  r_0(a) = id(a) mod (n-1)!, and for j >= 1
-    r_j(a) = (a[0] - [a[0] > a[j]])·(n-2)! + r_(j-1)(tail of a).  So S_k's rows
-    are kept as ``bytes`` shifted by every multiple of k! below n!, each joined
-    from k of S_(k-1)'s, with no arithmetic per entry; S_n's rows are joined
-    straight into arrays.
-    """
-    size = math.factorial(n)
-    width = array(code).itemsize
-    flat = array(code, range(size)).tobytes()
-    level = [flat[i * width : (i + 1) * width] for i in range(size)]  # S_1's row, shifted by i
-    removed = [[0]]  # removed[id(a)][j] = r_j(a), for a in S_(k-1)
-    for k in range(2, n + 1):
-        unit, sub = math.factorial(k - 1), math.factorial(k - 2)
-        getters, below, removed = [], removed, []
-        for rank, a in enumerate(itertools.permutations(range(k))):
-            tail = below[rank % unit]
-            r = [rank % unit] + [(a[0] - (a[0] > a[j])) * sub + tail[j - 1] for j in range(1, k)]
-            removed.append(r)
-            # at shift t·k!, block j is S_(k-1)'s row r_j(a) shifted by t·k! + a[j]·(k-1)!
-            getters.append(itemgetter(*(a[j] * unit + r[j] for j in range(k))))
-        if k == n:
-            return [array(code, b"".join(get(level))) for get in getters]
-        block = unit * k
-        level = [b"".join(get(level[t : t + block])) for t in range(0, size, block) for get in getters]
-    return [array(code, flat)]  # n <= 1
 
 
 def canonical_partition(assignment: Sequence[int]) -> tuple[int, ...]:
@@ -242,6 +160,8 @@ class ConceptualVariable:
             raise ValueError(
                 f"variable {self.name!r}: value labels must be numeric, got {self.values!r}"
             ) from exc
+        if not all(map(math.isfinite, nums)):
+            raise ValueError(f"variable {self.name!r}: value labels must be finite, got {self.values!r}")
         if len(set(nums)) != len(nums):
             raise ValueError(f"variable {self.name!r}: numeric values collide: {nums!r}")
         return nums

@@ -3,13 +3,15 @@
 Every subgroup is a join of cyclic subgroups, so a breadth-first search that
 joins each found subgroup with every cyclic subgroup reaches them all (the
 cyclic extension method: Neubüser 1960; Holt, Eick and O'Brien, *Handbook of
-Computational Group Theory*, 2005, §3.3).  It runs on integer ids: a group's
-elements are numbered in lexicographic order (so sorted ids are sorted image
-tuples, and the identity is 0), products and inverses are read from the
-``array`` rows of ``spaces._id_tables``, and a subgroup is a ``bytearray`` of
-membership flags whose ``bytes`` are its key.  S_n's table is joined from
-blocks of S_(n-1)'s rows, with no tuple composed, but it still has n!^2
-entries, so ``MAX_EXACT_DEGREE`` is a cost guard, not an exactness limit.
+Computational Group Theory*, 2005, §3.3).  It runs on integer ids: a
+``PermutationGroup`` numbers its elements in lexicographic order (so sorted
+ids are sorted image tuples, and the identity is 0), products and inverses
+are read from the ``array`` rows of ``_id_tables``, and a subgroup is a
+``bytearray`` of membership flags whose ``bytes`` are its key.  S_k on the k
+points it moves gets a table joined from blocks of S_(k-1)'s rows, with no
+tuple composed; any other group composes only its generators' rows.  S_n's
+table still has n!^2 entries, so ``MAX_EXACT_DEGREE`` is a cost guard, not
+an exactness limit.
 Everything is ordered deterministically so downstream counts are stable
 across runs.
 
@@ -39,9 +41,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .spaces import _id_tables
+from .groups import Permutation, PermutationGroup
+from .spaces import PointSpace
 
 __all__ = ["SubgroupClass", "subgroup_classes", "subgroup_conjugacy_classes", "MAX_EXACT_DEGREE"]
 
@@ -59,6 +62,73 @@ def _cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
         if length:
             lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
+
+
+def _symmetric_degree(group: PermutationGroup) -> int | None:
+    """k when ``group`` is the full symmetric group S_k on the k points its
+    generators move, which holds exactly when its order is k!; else None."""
+    moved = sum(any(g.images[x] != x for g in group.generators) for x in range(group.space.size))
+    return moved if group.order == math.factorial(moved) else None
+
+
+def _id_tables(group: PermutationGroup) -> tuple[list[array], array]:
+    """Product and inverse tables of ``group`` on its ids: ``mul[a][b]`` is the
+    id of a∘b (apply b, then a), ``inv[a]`` the id of a's inverse.
+
+    S_k on the k points it moves has the table of S_k on 0..k-1, since
+    relabelling the moved points in their order keeps both the lexicographic
+    order and the products; it is joined from blocks of S_(k-1)'s rows
+    (``_symmetric_rows``) and composes no tuple.  Any other group composes
+    only its generators' rows (``PermutationGroup.generator_rows``); the row
+    of s∘x is the row of s read through the row of x.
+    """
+    size = group.order
+    code = "H" if size <= 1 << 16 else "I"
+    degree = _symmetric_degree(group)
+    if degree is not None:
+        mul = _symmetric_rows(degree, code)
+    else:
+        rows = [row for _, row in group.generator_rows()]
+        mul, reached = [array(code, range(size))] + [None] * (size - 1), [0]
+        for x in reached:  # breadth-first from the identity, reading the list as it grows
+            for row in rows:
+                if mul[row[x]] is None:
+                    mul[row[x]] = array(code, itemgetter(*mul[x])(row))
+                    reached.append(row[x])
+    return mul, array(code, [group.index(p.inverse()) for p in group.elements])
+
+
+def _symmetric_rows(n: int, code: str) -> list[array]:
+    """The product rows of S_n on lexicographic ids, built by blocks.
+
+    The ids j·(n-1)! .. (j+1)·(n-1)! - 1 are the b with b[0] = j, in the order
+    of their tails.  Row a maps that block onto block a[j], and inside it the
+    offsets are S_(n-1)'s row r_j(a): a with position j removed and its values
+    standardised.  r_0(a) = id(a) mod (n-1)!, and for j >= 1
+    r_j(a) = (a[0] - [a[0] > a[j]])·(n-2)! + r_(j-1)(tail of a).  So S_k's rows
+    are kept as ``bytes`` shifted by every multiple of k! below n!, each joined
+    from k of S_(k-1)'s, with no arithmetic per entry; S_n's rows are joined
+    straight into arrays.
+    """
+    size = math.factorial(n)
+    width = array(code).itemsize
+    flat = array(code, range(size)).tobytes()
+    level = [flat[i * width : (i + 1) * width] for i in range(size)]  # S_1's row, shifted by i
+    removed = [[0]]  # removed[id(a)][j] = r_j(a), for a in S_(k-1)
+    for k in range(2, n + 1):
+        unit, sub = math.factorial(k - 1), math.factorial(k - 2)
+        getters, below, removed = [], removed, []
+        for rank, a in enumerate(itertools.permutations(range(k))):
+            tail = below[rank % unit]
+            r = [rank % unit] + [(a[0] - (a[0] > a[j])) * sub + tail[j - 1] for j in range(1, k)]
+            removed.append(r)
+            # at shift t·k!, block j is S_(k-1)'s row r_j(a) shifted by t·k! + a[j]·(k-1)!
+            getters.append(itemgetter(*(a[j] * unit + r[j] for j in range(k))))
+        if k == n:
+            return [array(code, b"".join(get(level))) for get in getters]
+        block = unit * k
+        level = [b"".join(get(level[t : t + block])) for t in range(0, size, block) for get in getters]
+    return [array(code, flat)]  # n <= 1
 
 
 def close_tuples(
@@ -225,32 +295,21 @@ class SubgroupClass:
         return len(self.elements)
 
 
-def subgroup_classes(elements: Iterable[tuple[int, ...]]) -> tuple[SubgroupClass, ...]:
-    """Every subgroup of the permutation group ``elements``, one per class
-    under conjugation by that group.
+def subgroup_classes(group: PermutationGroup) -> tuple[SubgroupClass, ...]:
+    """Every subgroup of ``group``, one per class under conjugation by it.
 
     A join starts a new class unless a known representative with the same
     cycle-type counts (which conjugation preserves) conjugates into it.
     Deterministic: the first subgroup found in each class represents it, and
-    the returned classes are sorted by (order, element list).  Raises
-    ``ValueError`` unless the elements are permutations of one degree that
-    form a group.
+    the returned classes are sorted by (order, element list).
     """
-    members = sorted(set(elements))
-    degree = len(members[0]) if members else 0
-    points = list(range(degree))
-    for p in members:
-        if sorted(p) != points:
-            if len(p) != degree:
-                raise ValueError(f"elements permute different numbers of points: {degree} and {len(p)}")
-            raise ValueError(f"not a permutation of 0..{degree - 1}: {p}")
-    mul, inv = _id_tables(members)
+    members = [p.images for p in group.elements]
+    mul, inv = _id_tables(group)
     cycle_types = [_cycle_type(p) for p in members]
     # S_k on the k >= 5 points it moves: a join past |G| / k elements is A_k or S_k
-    moved = sum(1 for i in points if any(p[i] != i for p in members))
-    symmetric = None
-    if moved >= 5 and len(members) == math.factorial(moved):
-        even = bytearray((degree - len(t)) % 2 == 0 for t in cycle_types)
+    moved, symmetric = _symmetric_degree(group), None
+    if moved is not None and moved >= 5:
+        even = bytearray((group.space.size - len(t)) % 2 == 0 for t in cycle_types)
         symmetric = (len(members) // moved, even)
     known: dict[tuple, list[tuple[list[int], tuple[int, ...]]]] = {}
 
@@ -281,4 +340,8 @@ def subgroup_conjugacy_classes(n: int) -> tuple[SubgroupClass, ...]:
             f"subgroup classes are computed only up to degree {MAX_EXACT_DEGREE} "
             f"(the table of S_n has n!^2 entries), got {n}"
         )
-    return subgroup_classes(itertools.permutations(range(n)))
+    # S_n is generated by a transposition and an n-cycle
+    cycle = Permutation(tuple(range(1, n)) + (0,))
+    swap = Permutation((1, 0) + tuple(range(2, n))) if n > 1 else cycle
+    space = PointSpace(id=f"S{n}", labels=tuple(map(str, range(n))))
+    return subgroup_classes(PermutationGroup.generate(space, (swap, cycle)))

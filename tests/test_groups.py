@@ -6,7 +6,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finivar.groups import (
@@ -24,7 +24,6 @@ from finivar.spaces import (
     ConceptualVariable,
     DomainMismatchError,
     PointSpace,
-    _id_tables,
     canonical_partition,
     compose,
 )
@@ -121,6 +120,11 @@ class TestClosure:
         images = [p.images for p in group.elements]
         assert images == sorted(images)
         assert group.order == 6
+
+    @pytest.mark.parametrize("images", [(1, 0), (1, 0, 2, 3)])
+    def test_a_generator_of_another_degree_is_refused(self, images):
+        with pytest.raises(ValueError, match=f"generator degree {len(images)} does not match space size 3"):
+            PermutationGroup.generate(space_of(3), (Permutation((1, 2, 0)), Permutation(images)))
 
     def test_closure_cap(self):
         """The cap counts image entries, |G|·n: S8 is refused at 1,000 elements' worth."""
@@ -267,6 +271,21 @@ class TestOrbitsAndIsotropy:
         assert group.orbits() == ((0,), (1, 2), (3,))
         assert not group.is_transitive()
         assert not group.has_trivial_isotropy()
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(permutations_of(n), min_size=1, max_size=3)))
+    @example([Permutation((1, 2, 3, 0))]).via("Z4, free")
+    @example([Permutation((1, 0, 3, 2)), Permutation((2, 3, 0, 1))]).via("V4, free")
+    @example([Permutation((1, 0, 2, 4, 5, 3))]).via("Z6 with every orbit smaller than the group")
+    @settings(max_examples=150, deadline=None)
+    def test_isotropy_by_orbit_sizes_matches_a_scan_of_fixed_points(self, generators):
+        """Orbit-stabiliser: the action is free iff every orbit has |G| points.
+        The oracle scans every element's fixed points, and takes each orbit as
+        the images of a point under every element."""
+        n = generators[0].degree
+        group = PermutationGroup.generate(space_of(n), tuple(generators))
+        assert group.has_trivial_isotropy() == all(not k.fixed_points() for k in group.elements[1:])
+        orbits = {tuple(sorted({k(x) for k in group.elements})) for x in range(n)}
+        assert group.orbits() == tuple(sorted(orbits))
 
     def test_s3_is_transitive_but_not_free(self):
         space = space_of(3)
@@ -442,10 +461,10 @@ def generating_set(group):
 
 class TestGeneratorRows:
     @pytest.mark.parametrize("seed", range(6))
-    def test_rows_of_the_group_and_id_tables_of_a_shuffled_list(self, seed):
+    def test_rows_of_the_group_decide_its_laws(self, seed):
         """A group's rows are the products s∘b of its generators in id order,
-        and its generators generate it.  ``_id_tables`` reads ids as positions
-        in any list, wherever the identity sits."""
+        and its generators generate it; a map is a homomorphism exactly when
+        it passes the law on every pair."""
         rng = random.Random(seed)
         group = symmetric_group(4) if seed % 2 else PermutationGroup.generate(
             space_of(6), (Permutation((1, 2, 0, 4, 5, 3)), Permutation((3, 4, 5, 0, 1, 2)))
@@ -456,12 +475,6 @@ class TestGeneratorRows:
         assert all([els[sb] for sb in row] == [els[s] * b for b in els] for s, row in rows)
         closed = PermutationGroup.generate(group.space, generating_set(group))
         assert closed.elements == els
-        shuffled = list(els)
-        while shuffled[0].is_identity():
-            rng.shuffle(shuffled)
-        mul, inv = _id_tables([p.images for p in shuffled])
-        assert [shuffled[i] for i in inv] == [p.inverse() for p in shuffled]
-        assert [list(row) for row in mul] == [[shuffled.index(a * b) for b in shuffled] for a in shuffled]
         c = els[rng.randrange(len(els))]
         for mapping in (
             {k: c * k * c.inverse() for k in els},

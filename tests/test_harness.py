@@ -416,7 +416,7 @@ class TestProofConstruction:
     def test_finds_klein_four_group_for_pair_partitions(self, square4):
         members = pair_partition_family(square4)
         stabilizer = triple_stabilizer([var.assignment for var in members])
-        classes = subgroup_classes(stabilizer)
+        classes = subgroup_classes(generated_by_some_of(square4, stabilizer))
         assert len(stabilizer) == 4
         assert sum(c.conjugates for c in classes) == 5
         klein = least_regular_subgroup(square4, stabilizer, classes)
@@ -427,11 +427,12 @@ class TestProofConstruction:
 
     def test_reports_absence_without_raising(self):
         combo = ((0, 0, 0, 1, 1, 1), (0, 0, 1, 0, 1, 1), (0, 0, 1, 1, 0, 1))
+        space = space_of(6, "six")
         stabilizer = triple_stabilizer(combo)
-        classes = subgroup_classes(stabilizer)
+        classes = subgroup_classes(generated_by_some_of(space, stabilizer))
         assert len(stabilizer) == 2
         assert sum(c.conjugates for c in classes) == 2
-        assert least_regular_subgroup(space_of(6, "six"), stabilizer, classes) is None
+        assert least_regular_subgroup(space, stabilizer, classes) is None
 
     @pytest.mark.parametrize("seed", range(12))
     def test_stabilizer_order_matches_fiber_loop(self, seed):
@@ -496,7 +497,7 @@ class TestProofConstructionOracle:
         subgroup of that full list."""
         space = space_of(len(assignments[0]), "triple")
         stabilizer = triple_stabilizer(assignments)
-        classes = subgroup_classes(stabilizer)
+        classes = subgroup_classes(generated_by_some_of(space, stabilizer))
         subs = every_subgroup(stabilizer, space.size)
         assert sorted((c.order, c.conjugates) for c in classes) == class_shapes(subs, stabilizer)
         chosen = least_regular_subgroup(space, stabilizer, classes)
@@ -552,7 +553,7 @@ class TestPartitionStabilizer:
         space = space_of(8, "eight")
         stabilizer = triple_stabilizer([(0, 1, 2, 3, 3, 2, 0, 1)] * 3)
         assert len(stabilizer) == 384
-        classes = subgroup_classes(stabilizer)
+        classes = subgroup_classes(generated_by_some_of(space, stabilizer))
         assert sum(c.conjugates for c in classes) == 1659
         assert least_regular_subgroup(space, stabilizer, classes) is not None
 

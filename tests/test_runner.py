@@ -8,6 +8,7 @@ import inspect
 import json
 import math
 import random
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +389,19 @@ class TestStatusMapping:
         assert record.status == STATUS_ERROR
         assert record.details["error"].startswith("ValueError")
         assert report.exit_code == 1
+
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "1e999"])
+    def test_a_non_finite_label_is_an_error_naming_the_labels(self, label):
+        """Both operator checks on a variable labelled by a number that is not
+        finite report ``error`` naming its labels, and NumPy warns of nothing."""
+        checks = "".join(f"  - type: {check}\n    variable: parity\n" for check in ("theorem1-hypotheses", "theorem2"))
+        text = CIRCLE4.format(checks=checks).replace('["even", "odd"]', f'["{label}", "1"]')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = run_scenario(loads(text))
+        assert [record.status for record in report.checks] == [STATUS_ERROR, STATUS_ERROR]
+        for record in report.checks:
+            assert f"value labels must be finite, got ('{label}', '1')" in record.details["error"]
 
     def test_expect_verdict_mismatch_fails(self):
         check = "  - type: a2-classify\n    expect-verdict: all-related\n"

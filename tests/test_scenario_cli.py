@@ -971,13 +971,24 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert f"invalid YAML at line {again}, column" in result.output
         assert f"found key {key!r} again, first written at line {first}" in result.output
+        assert result.output.count(f"line {again}") == 1  # the location is named once
+        assert "<unicode string>" not in result.output
 
-    def test_parse_error_names_line_and_column(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("name: x\nspace: {id: a\n  labels: [\"0\"]\n", "line 3, column 9"),
+            ("name: x\nspace: \x01\n", "line 2, column 8"),  # a character YAML does not allow
+        ],
+        ids=["unclosed-mapping", "control-character"],
+    )
+    def test_parse_error_names_line_and_column(self, tmp_path, text, where):
         target = tmp_path / "broken.yaml"
-        target.write_text("name: x\nspace: {id: a\n  labels: [\"0\"]\n", encoding="utf-8")
+        target.write_text(text, encoding="utf-8")
         result = self.runner.invoke(main, ["run", str(target)])
         assert result.exit_code == 2
-        assert re.search(r"invalid YAML at line \d+, column \d+", result.output)
+        assert f"invalid YAML at {where}: " in result.output
+        assert result.output.count("line ") == 1 and "<unicode string>" not in result.output
 
     def test_representation_size_mismatch_exits_two(self, tmp_path):
         target = tmp_path / "mismatch.yaml"

@@ -2,21 +2,16 @@
 
 from __future__ import annotations
 
-import itertools
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from finivar import spaces
 from finivar.spaces import (
     ConceptualVariable,
     DomainMismatchError,
     PointSpace,
     VariableFamily,
     canonical_partition,
-    _id_tables,
     dominates,
     is_accessible,
     maximal_accessible,
@@ -115,6 +110,12 @@ class TestConceptualVariable:
         space = space_of(2)
         v = ConceptualVariable("v", space, ("hot", "cold"), (0, 1))
         with pytest.raises(ValueError, match="numeric"):
+            v.numeric_values()
+
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "1e999"])
+    def test_numeric_values_reject_non_finite_labels(self, label):
+        v = ConceptualVariable("v", space_of(2), (label, "1"), (0, 1))
+        with pytest.raises(ValueError, match=rf"value labels must be finite, got \('{label}', '1'\)"):
             v.numeric_values()
 
     def test_numeric_values_reject_collision(self):
@@ -268,45 +269,3 @@ class TestVariableFamily:
         for m in maximal_accessible(family):
             for g in family.generators:
                 assert not (dominates(m, g) and not dominates(g, m))
-
-
-def product_row(a, elements, index):
-    """Row a of the product table, one composed tuple looked up per entry."""
-    return [index[tuple(a[x] for x in b)] for b in elements]
-
-
-def sorted_inverses(elements, index):
-    """Each element's inverse, found by sorting the points by their images."""
-    return [index[tuple(sorted(range(len(p)), key=p.__getitem__))] for p in elements]
-
-
-class TestIdTables:
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_symmetric_group_matches_products_entry_for_entry(self, n):
-        elements = list(itertools.permutations(range(n)))
-        index = {p: i for i, p in enumerate(elements)}
-        mul, inv = _id_tables(elements)
-        assert [list(row) for row in mul] == [product_row(a, elements, index) for a in elements]
-        assert list(inv) == sorted_inverses(elements, index)
-
-    def test_sampled_rows_of_s7_match_products(self):
-        elements = list(itertools.permutations(range(7)))
-        index = {p: i for i, p in enumerate(elements)}
-        mul, inv = _id_tables(elements)
-        assert len(mul) == 5040 and all(len(row) == 5040 for row in mul)
-        for a in [0, 5039] + random.Random(7).sample(range(5040), 20):
-            assert list(mul[a]) == product_row(elements[a], elements, index), a
-        assert list(inv) == sorted_inverses(elements, index)
-
-    def test_lexicographic_symmetric_group_composes_no_tuples(self, monkeypatch):
-        """S_n in lexicographic order is joined from S_(n-1)'s rows; any other
-        listing of it composes the rows of a generating set."""
-
-        def refuse(f, g):
-            raise AssertionError("composed a tuple")
-
-        monkeypatch.setattr(spaces, "compose", refuse)
-        mul, inv = _id_tables(list(itertools.permutations(range(6))))
-        assert len(mul) == len(inv) == 720
-        with pytest.raises(AssertionError, match="composed a tuple"):
-            _id_tables(list(itertools.permutations(range(4)))[::-1])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import random
 from itertools import permutations as all_perms
 
 import pytest
@@ -11,6 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finivar import groups, spaces, subgroups
+from finivar.groups import Permutation, PermutationGroup
+
+from conftest import generated_by_some_of, space_of, symmetric_group
 
 # Frozen from an independent enumeration (and cross-checked against the
 # published counts of conjugacy classes of subgroups of S_n: 1, 2, 4, 11, 19, 56).
@@ -38,12 +42,29 @@ def symmetric_elements(n):
     return tuple(sorted(all_perms(range(n))))
 
 
+def symmetric_on(points, n):
+    """S_k on the k >= 2 ``points`` of 0..n-1, generated by a transposition and a k-cycle."""
+    swap, cycle = list(range(n)), list(range(n))
+    swap[points[0]], swap[points[1]] = points[1], points[0]
+    for a, b in zip(points, points[1:] + points[:1]):
+        cycle[a] = b
+    return PermutationGroup.generate(space_of(n), (Permutation(swap), Permutation(cycle)))
+
+
+def alternating_group(n):
+    """A_n for even n, generated by (0 1 2) and (1 2 .. n-1)."""
+    three = (1, 2, 0) + tuple(range(3, n))
+    return PermutationGroup.generate(
+        space_of(n), (Permutation(three), Permutation((0,) + tuple(range(2, n)) + (1,)))
+    )
+
+
 def plain_join_search(n):
     """The class search without normaliser pruning: every base is joined with
     every cyclic subgroup, and a new join is a new class unless a known
     representative conjugates into it."""
     sym = symmetric_elements(n)
-    mul, inv = spaces._id_tables(sym)
+    mul, inv = subgroups._id_tables(symmetric_group(n))
     cyclic = {}
     for g in range(len(sym)):
         powers, x = {0}, g
@@ -79,7 +100,7 @@ def plain_join_search(n):
 
 
 S5 = symmetric_elements(5)
-S5_MUL = spaces._id_tables(S5)[0]
+S5_MUL = subgroups._id_tables(symmetric_group(5))[0]
 
 
 def is_even(p):
@@ -91,7 +112,7 @@ def symmetric_tables(n):
     """S_n's sorted elements, id tables, and the ``symmetric`` argument of
     ``close_tuples`` for it: (|S_n| / n, flags of A_n), parity counted by inversions."""
     sym = symmetric_elements(n)
-    mul, inv = spaces._id_tables(sym)
+    mul, inv = subgroups._id_tables(symmetric_group(n))
     return sym, mul, inv, (len(sym) // n, bytearray(map(is_even, sym)))
 
 
@@ -327,11 +348,11 @@ def triple_stabilizer(assignments):
 
 
 def group_on_four_points(*generators):
-    return tuple(sorted(close(generators, 4)))
+    return PermutationGroup.generate(space_of(4), tuple(map(Permutation, generators)))
 
 
 GROUPS_ON_FOUR_POINTS = {
-    # name: (elements, class count, subgroup total)
+    # name: (group, class count, subgroup total)
     "S4": (group_on_four_points((1, 2, 3, 0), (1, 0, 2, 3)), 11, 30),
     "S3": (group_on_four_points((1, 0, 2, 3), (1, 2, 0, 3)), 4, 6),
     "A4": (group_on_four_points((1, 2, 0, 3), (0, 2, 3, 1)), 5, 10),
@@ -348,57 +369,27 @@ class TestSubgroupClasses:
 
     @pytest.mark.parametrize("name", sorted(GROUPS_ON_FOUR_POINTS))
     def test_classes_match_pair_closure_oracle(self, name):
-        elements, class_count, total = GROUPS_ON_FOUR_POINTS[name]
-        classes = subgroups.subgroup_classes(elements)
+        group, class_count, total = GROUPS_ON_FOUR_POINTS[name]
+        classes = subgroups.subgroup_classes(group)
         assert len(classes) == class_count
         assert sum(c.conjugates for c in classes) == total
+        elements = [k.images for k in group.elements]
         assert sorted((c.order, c.conjugates) for c in classes) == pair_closure_classes(elements)
 
     @pytest.mark.parametrize("name", sorted(GROUPS_ON_FOUR_POINTS))
     def test_representatives_are_closed_and_orders_divide(self, name):
-        elements = GROUPS_ON_FOUR_POINTS[name][0]
-        for rep in subgroups.subgroup_classes(elements):
+        group = GROUPS_ON_FOUR_POINTS[name][0]
+        for rep in subgroups.subgroup_classes(group):
             assert_is_group(rep.elements, 4)
-            assert set(rep.elements) <= set(elements)
-            assert len(elements) % rep.order == 0
-
-    @pytest.mark.parametrize(
-        "elements, message",
-        [
-            ([(0, 1, 2), (1, 2, 0)], r"not closed under composition: \[2, 0, 1\] is missing"),
-            ([(1, 2, 0), (2, 0, 1)], "a group must contain the identity"),
-            ([], "a group must contain the identity"),
-        ],
-    )
-    def test_a_list_that_is_no_group_is_refused(self, elements, message):
-        with pytest.raises(ValueError, match=message):
-            subgroups.subgroup_classes(elements)
-
-    @pytest.mark.parametrize(
-        "elements, message",
-        [
-            ([(0, 1), (1, 0), (0, 1, 2)], "elements permute different numbers of points: 2 and 3"),
-            ([(0, 0), (0, 1)], r"not a permutation of 0\.\.1: \(0, 0\)"),
-            ([(0, 1, 2), (0, 1, 3)], r"not a permutation of 0\.\.2: \(0, 1, 3\)"),
-            ([(0, 1, 2), (1, 0)], "elements permute different numbers of points: 3 and 2"),
-        ],
-    )
-    def test_elements_that_are_no_permutations_of_one_degree_are_refused(self, elements, message):
-        with pytest.raises(ValueError, match=message):
-            subgroups.subgroup_classes(elements)
+            assert set(rep.elements) <= {k.images for k in group.elements}
+            assert group.order % rep.order == 0
 
     def test_s5_on_five_of_seven_points_stops_joins_at_a5_and_s5(self, monkeypatch):
         calls = record_closures(monkeypatch)
-        points = (0, 2, 3, 5, 6)
-        elements = []
-        for images in all_perms(points):
-            p = list(range(7))
-            for point, image in zip(points, images):
-                p[point] = image
-            elements.append(tuple(p))
-        classes = subgroups.subgroup_classes(elements)
+        group = symmetric_on((0, 2, 3, 5, 6), 7)
+        classes = subgroups.subgroup_classes(group)
         assert (len(classes), sum(c.conjugates for c in classes)) == (19, 156)
-        even = bytearray(map(is_even, sorted(elements)))
+        even = bytearray(is_even(k.images) for k in group.elements)
         assert {symmetric[0] for symmetric, _ in calls if symmetric is not None} == {120 // 5}
         assert all(symmetric[1] == even for symmetric, _ in calls if symmetric is not None)
         # the rule stops a join only where it closes to A5 or S5; both happen
@@ -407,7 +398,8 @@ class TestSubgroupClasses:
 
     def test_a6_keeps_the_rule_off(self, monkeypatch):
         calls = record_closures(monkeypatch)
-        a6 = [p for p in symmetric_elements(6) if is_even(p)]
+        a6 = alternating_group(6)
+        assert a6.order == 360
         classes = subgroups.subgroup_classes(a6)
         assert (len(classes), sum(c.conjugates for c in classes)) == (22, 501)
         assert calls and all(symmetric is None for symmetric, _ in calls)
@@ -415,7 +407,7 @@ class TestSubgroupClasses:
     @pytest.mark.slow
     def test_s7_class_and_subgroup_counts(self):
         # OEIS A000638 and A005432
-        classes = subgroups.subgroup_classes(all_perms(range(7)))
+        classes = subgroups.subgroup_classes(symmetric_group(7))
         assert (len(classes), sum(c.conjugates for c in classes)) == (96, 11_300)
         assert [c.order for c in classes[-2:]] == [2520, 5040]
 
@@ -423,7 +415,7 @@ class TestSubgroupClasses:
         """Clearing this one cache makes the next call search from scratch, so
         a cold census stays cold: no second cache may sit below it."""
         calls = []
-        tables = spaces._id_tables
+        tables = subgroups._id_tables
         monkeypatch.setattr(subgroups, "_id_tables", lambda *args: calls.append(1) or tables(*args))
         subgroups.subgroup_conjugacy_classes.cache_clear()
         subgroups.subgroup_conjugacy_classes(4)
@@ -442,8 +434,89 @@ class TestPartitionStabilizer:
     def test_three_copies_of_one_partition_match_every_subgroup(self):
         stabilizer = triple_stabilizer([(0, 1, 1, 0, 2, 2)] * 3)
         assert len(stabilizer) == 48
-        classes = subgroups.subgroup_classes(stabilizer)
+        classes = subgroups.subgroup_classes(generated_by_some_of(space_of(6), stabilizer))
         assert sum(c.conjugates for c in classes) == 98
         assert sorted((c.order, c.conjugates) for c in classes) == class_shapes(
             every_subgroup(stabilizer, 6), stabilizer
         )
+
+
+def product_row(a, elements, index):
+    """Row a of the product table, one composed tuple looked up per entry."""
+    return [index[tuple(a[x] for x in b)] for b in elements]
+
+
+def sorted_inverses(elements, index):
+    """Each element's inverse, found by sorting the points by their images."""
+    return [index[tuple(sorted(range(len(p)), key=p.__getitem__))] for p in elements]
+
+
+def assert_rows_match_products(group, tables, rows):
+    """The rows ``rows`` of the product table of ``group`` in ``tables``, and
+    its whole inverse table, equal the composed products entry for entry."""
+    elements = [k.images for k in group.elements]
+    index = {p: i for i, p in enumerate(elements)}
+    mul, inv = tables
+    assert len(mul) == group.order and all(len(row) == group.order for row in mul)
+    for a in rows:
+        assert list(mul[a]) == product_row(elements[a], elements, index), a
+    assert list(inv) == sorted_inverses(elements, index)
+
+
+def refuse_to_compose(monkeypatch):
+    def refuse(f, g):
+        raise AssertionError("composed a tuple")
+
+    monkeypatch.setattr(groups, "compose", refuse)
+    monkeypatch.setattr(spaces, "compose", refuse)
+
+
+class TestIdTables:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_symmetric_group_matches_products_entry_for_entry(self, n):
+        group = symmetric_group(n) if n > 1 else PermutationGroup.generate(space_of(1), ())
+        assert_rows_match_products(group, subgroups._id_tables(group), range(group.order))
+
+    def test_symmetric_group_composes_no_tuples(self, monkeypatch):
+        """S_n is joined from S_(n-1)'s rows, whatever generates it."""
+        group = generated_by_some_of(space_of(6), [k.images for k in symmetric_group(6).elements][::-1])
+        refuse_to_compose(monkeypatch)
+        mul, inv = subgroups._id_tables(group)
+        assert len(mul) == len(inv) == 720
+
+    @pytest.mark.parametrize(
+        "points, n",
+        [((0, 2, 3, 5, 6), 7), ((1, 4, 5), 6), (tuple(range(7)), 8)],
+        ids=["s5-of-7", "s3-of-6", "s7-of-8"],
+    )
+    def test_symmetric_group_on_the_points_it_moves_gets_the_block_table(self, points, n, monkeypatch):
+        """S_k on k scattered points of n has S_k's table: relabelling the
+        moved points in their order keeps the lexicographic order and the
+        products.  Its table composes no tuple.  Of S7's 5,040 rows a seeded
+        sample is checked."""
+        group = symmetric_on(points, n)
+        with monkeypatch.context() as patched:
+            refuse_to_compose(patched)
+            tables = subgroups._id_tables(group)
+        size = group.order
+        rows = range(size) if size <= 120 else [0, size - 1] + random.Random(7).sample(range(size), 20)
+        assert_rows_match_products(group, tables, rows)
+
+    @pytest.mark.parametrize("name", ["a6", "d4", "stabilizer"])
+    def test_any_other_group_composes_only_its_generators_rows(self, name, monkeypatch):
+        """A group that is no S_k composes |S|·|G| tuples, the rows of its
+        generating set S, and closes the rest of its table from them."""
+        group = {
+            "a6": lambda: alternating_group(6),
+            "d4": lambda: GROUPS_ON_FOUR_POINTS["D4"][0],
+            "stabilizer": lambda: generated_by_some_of(
+                space_of(6), triple_stabilizer([(0, 1, 1, 0, 2, 2)] * 3)
+            ),
+        }[name]()
+        assert subgroups._symmetric_degree(group) is None
+        calls, compose = [], groups.compose
+        with monkeypatch.context() as patched:
+            patched.setattr(groups, "compose", lambda f, g: calls.append(1) or compose(f, g))
+            tables = subgroups._id_tables(group)
+        assert len(calls) == len({g.images for g in group.generators}) * group.order
+        assert_rows_match_products(group, tables, range(group.order))
