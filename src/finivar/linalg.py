@@ -2,9 +2,9 @@
 
 Thin layer over numpy: eigenvalues come back ascending, every eigenvector's
 first nonzero entry is made real positive, and eigenvalues closer than a gap
-threshold are reported as a cluster with its projector rather than as
-individual vectors.  numpy is imported inside the functions that use it, so a
-run without operator checks never loads it.
+threshold are reported as one cluster, its mean value and column indices.
+numpy is imported inside the functions that use it, so a run without operator
+checks never loads it.
 """
 
 from __future__ import annotations
@@ -58,11 +58,11 @@ def inner(u: np.ndarray, v: np.ndarray) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class EigenCluster:
-    """A group of eigenvalues closer than the gap threshold, with its projector."""
+    """Eigenvalues closer than the gap threshold: their mean and column indices.
+    Its projector is ``vectors[:, indices] @ vectors[:, indices].conj().T``."""
 
     value: float
     indices: tuple[int, ...]
-    projector: np.ndarray
 
     @property
     def multiplicity(self) -> int:
@@ -96,10 +96,9 @@ def eigh(a: np.ndarray, tolerances: dict[str, float] = DEFAULT_TOLERANCES) -> Sp
     conj(p/|p|), p its first entry above ``_PHASE_ENTRY_TOL``, all columns at
     once, but p/|p| is a numpy scalar operation per column (the array loops'
     abs and division can differ in the last bit).  Consecutive eigenvalues
-    closer than ``eigen_cluster_gap`` share a cluster whose projector is
-    basis-independent; the one-eigenvalue projectors come from one stacked
-    product.  The vectors stay column-major, which keeps each cluster's
-    product bit for bit.
+    closer than ``eigen_cluster_gap`` share a cluster.  The vectors are
+    column-major: ``expand_in_basis`` takes inner products of the columns, and
+    strided columns give other bits.
     """
     import numpy as np
     a = np.asarray(a, dtype=complex)
@@ -116,15 +115,10 @@ def eigh(a: np.ndarray, tolerances: dict[str, float] = DEFAULT_TOLERANCES) -> Sp
     pivots = vectors[(abs(vectors) > _PHASE_ENTRY_TOL).argmax(axis=0), range(len(values))]
     vectors = np.multiply(vectors, [np.conj(p / abs(p)) for p in pivots], order="F")
     cuts = [0, *(np.flatnonzero(np.diff(values) >= cluster_gap) + 1).tolist(), len(values)]
-    columns = vectors.T  # row i is eigenvector i
-    singles = np.matmul(columns[:, :, None], columns.conj()[:, None, :])
     clusters = tuple(
         EigenCluster(
             float(values[start] if stop - start == 1 else np.mean(values[start:stop])),
             tuple(range(start, stop)),
-            singles[start]
-            if stop - start == 1
-            else vectors[:, start:stop] @ vectors[:, start:stop].conj().T,
         )
         for start, stop in zip(cuts, cuts[1:])
         if start < stop

@@ -10,6 +10,7 @@ declares each check type once: the handler ``runner`` calls, then its parameters
 from __future__ import annotations
 
 import math
+from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -432,6 +433,8 @@ def _handle_theorem1(ctx: Any, params: _Params) -> _Outcome:
 
     nondegenerate = bundle.spectral.is_nondegenerate()
     maximal = theta in ctx.maximal
+    answers = [(f"{v:.12g}", v, label) for v, label in sorted(zip(theta.numeric_values(), theta.values))]
+    digits = Counter(key for key, _, _ in answers)  # values that share 12 digits are keyed in full
     details["operator"] = {
         "eigenvalues": [c.value for c in bundle.spectral.clusters],
         "multiplicities": [c.multiplicity for c in bundle.spectral.clusters],
@@ -441,8 +444,8 @@ def _handle_theorem1(ctx: Any, params: _Params) -> _Outcome:
         "nondegenerate": nondegenerate,
         "maximal_in_family": maximal,
         "qa_labels": {  # the question "What is θ?" and each value's answer
-            f"{value:.12g}": [f"What is {theta.name}?", f"{theta.name} = {label}"]
-            for value, label in sorted(zip(theta.numeric_values(), theta.values))
+            key if digits[key] == 1 else repr(value): [f"What is {theta.name}?", f"{theta.name} = {label}"]
+            for key, value, label in answers
         },
     }
     maximality_law_ok = maximal == nondegenerate

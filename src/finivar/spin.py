@@ -98,7 +98,7 @@ def delta_operator() -> np.ndarray:
 
     Its spectrum is left to ``linalg.eigh``, not asserted a priori: the
     singlet is a simple eigenvector and the complementary eigenvalue is triply
-    degenerate, reported through its cluster projector.
+    degenerate, reported as one cluster of multiplicity 3.
     """
     import numpy as np
     sx, sy, sz = _pauli()

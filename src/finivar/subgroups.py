@@ -5,8 +5,9 @@ joins each found subgroup with every cyclic subgroup reaches them all (the
 cyclic extension method: Neubüser 1960; Holt, Eick and O'Brien, *Handbook of
 Computational Group Theory*, 2005, §3.3).  It runs on integer ids: a
 ``PermutationGroup`` numbers its elements in lexicographic order (so sorted
-ids are sorted image tuples, and the identity is 0), products and inverses
-are read from the ``array`` rows of ``_id_tables``, and a subgroup is a
+ids are sorted image tuples, and the identity is 0), products are read from
+the ``array`` rows of ``_id_tables``, inverses from the walk over each
+element's powers that finds the cyclic subgroups, and a subgroup is a
 ``bytearray`` of membership flags whose ``bytes`` are its key.  S_k on the k
 points it moves gets a table joined from blocks of S_(k-1)'s rows, with no
 tuple composed; any other group composes only its generators' rows.  S_n's
@@ -41,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .groups import Permutation, PermutationGroup
 from .spaces import PointSpace
@@ -71,9 +72,9 @@ def _symmetric_degree(group: PermutationGroup) -> int | None:
     return moved if group.order == math.factorial(moved) else None
 
 
-def _id_tables(group: PermutationGroup) -> tuple[list[array], array]:
-    """Product and inverse tables of ``group`` on its ids: ``mul[a][b]`` is the
-    id of a∘b (apply b, then a), ``inv[a]`` the id of a's inverse.
+def _id_tables(group: PermutationGroup, degree: int | None) -> list[array]:
+    """Product table of ``group`` on its ids: ``mul[a][b]`` is the id of a∘b
+    (apply b, then a).  ``degree`` is ``_symmetric_degree(group)``.
 
     S_k on the k points it moves has the table of S_k on 0..k-1, since
     relabelling the moved points in their order keeps both the lexicographic
@@ -84,18 +85,16 @@ def _id_tables(group: PermutationGroup) -> tuple[list[array], array]:
     """
     size = group.order
     code = "H" if size <= 1 << 16 else "I"
-    degree = _symmetric_degree(group)
     if degree is not None:
-        mul = _symmetric_rows(degree, code)
-    else:
-        rows = [row for _, row in group.generator_rows()]
-        mul, reached = [array(code, range(size))] + [None] * (size - 1), [0]
-        for x in reached:  # breadth-first from the identity, reading the list as it grows
-            for row in rows:
-                if mul[row[x]] is None:
-                    mul[row[x]] = array(code, itemgetter(*mul[x])(row))
-                    reached.append(row[x])
-    return mul, array(code, [group.index(p.inverse()) for p in group.elements])
+        return _symmetric_rows(degree, code)
+    rows = [row for _, row in group.generator_rows()]
+    mul, reached = [array(code, range(size))] + [None] * (size - 1), [0]
+    for x in reached:  # breadth-first from the identity, reading the list as it grows
+        for row in rows:
+            if mul[row[x]] is None:
+                mul[row[x]] = array(code, itemgetter(*mul[x])(row))
+                reached.append(row[x])
+    return mul
 
 
 def _symmetric_rows(n: int, code: str) -> list[array]:
@@ -230,31 +229,41 @@ def _normaliser(
     return found_ids
 
 
-def _cyclic_extension(
-    mul: Sequence[array],
-    accept: Callable[[bytearray, tuple[int, ...]], bool],
-    inv: Sequence[int],
-    symmetric: tuple[int, bytearray] | None,
-) -> list[tuple[list[int], tuple[int, ...], int]]:
-    """Join-BFS from the trivial group over the cyclic subgroups, pruned by normalisers.
-
-    Cyclic subgroups are joined in (order, element ids) order, each by its
-    least generator id.  Each distinct join is offered once to ``accept``;
-    accepted ones are joined further and returned, with the trivial group, as
-    (ascending ids, generator ids, normaliser order) sorted by (order, ids).
-    A base is joined only with the first cyclic subgroup of each orbit of its
-    normaliser, so joins conjugate under it are offered once.  ``symmetric``
-    is passed on to every closure (see ``close_tuples``).
-    """
+def _cyclic_subgroups(mul: Sequence[array]) -> tuple[list[int], list[int], list[int]]:
+    """The cyclic subgroups, each by its least generator id, in (order, element
+    ids) order; for each element, the least generator id of the cyclic subgroup
+    it generates; and each element's inverse, its last power before the identity."""
     cyclic: dict[frozenset[int], int] = {}
-    least = []  # element id -> least generator id of the cyclic subgroup it generates
+    least, inv = [], []
     for g in range(len(mul)):
         powers = [0]
         while mul[powers[-1]][g] != 0:
             powers.append(mul[powers[-1]][g])
         least.append(cyclic.setdefault(frozenset(powers), g))
+        inv.append(powers[-1])
     cyclics = [g for _, g in sorted(cyclic.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
+    return cyclics, least, inv
 
+
+def _cyclic_extension(
+    mul: Sequence[array],
+    cycle_types: Sequence[tuple[int, ...]],
+    symmetric: tuple[int, bytearray] | None,
+) -> list[tuple[list[int], tuple[int, ...], int]]:
+    """Join-BFS from the trivial group over the cyclic subgroups, pruned by normalisers.
+
+    Cyclic subgroups are joined in (order, element ids) order, each by its
+    least generator id.  A distinct join starts a new class unless a known
+    representative with the same counts of ``cycle_types`` (which conjugation
+    preserves) conjugates into it; the first of each class is joined further
+    and returned, with the trivial group, as (ascending ids, generator ids,
+    normaliser order) sorted by (order, ids).  A base is joined only with the
+    first cyclic subgroup of each orbit of its normaliser, so joins conjugate
+    under it are tested once.  ``symmetric`` is passed on to every closure
+    (see ``close_tuples``).
+    """
+    cyclics, least, inv = _cyclic_subgroups(mul)
+    known: dict[tuple, list[tuple[list[int], tuple[int, ...]]]] = {}
     frontier = [(close_tuples((), mul), ())]
     seen = {bytes(frontier[0][0])}
     found = []
@@ -273,10 +282,14 @@ def _cyclic_extension(
                 gens = base_gens + (g,)
                 joined = close_tuples(gens, mul, base_ids, symmetric)
                 key = bytes(joined)
-                if key not in seen:
-                    seen.add(key)
-                    if accept(joined, gens):
-                        next_frontier.append((joined, gens))
+                if key in seen:
+                    continue
+                seen.add(key)
+                counts = Counter(itertools.compress(cycle_types, joined))
+                bucket = known.setdefault(tuple(sorted(counts.items())), [])
+                if not any(_is_conjugate_into(joined, ids, ks, mul, inv) for ids, ks in bucket):
+                    bucket.append((list(itertools.compress(range(len(mul)), joined)), gens))
+                    next_frontier.append((joined, gens))
         frontier = next_frontier
     return sorted(found, key=lambda item: (len(item[0]), item[0]))
 
@@ -298,35 +311,22 @@ class SubgroupClass:
 def subgroup_classes(group: PermutationGroup) -> tuple[SubgroupClass, ...]:
     """Every subgroup of ``group``, one per class under conjugation by it.
 
-    A join starts a new class unless a known representative with the same
-    cycle-type counts (which conjugation preserves) conjugates into it.
     Deterministic: the first subgroup found in each class represents it, and
     the returned classes are sorted by (order, element list).
     """
     members = [p.images for p in group.elements]
-    mul, inv = _id_tables(group)
+    moved, symmetric = _symmetric_degree(group), None
+    mul = _id_tables(group, moved)
     cycle_types = [_cycle_type(p) for p in members]
     # S_k on the k >= 5 points it moves: a join past |G| / k elements is A_k or S_k
-    moved, symmetric = _symmetric_degree(group), None
     if moved is not None and moved >= 5:
         even = bytearray((group.space.size - len(t)) % 2 == 0 for t in cycle_types)
         symmetric = (len(members) // moved, even)
-    known: dict[tuple, list[tuple[list[int], tuple[int, ...]]]] = {}
-
-    def is_new_class(flags: bytearray, gens: tuple[int, ...]) -> bool:
-        counts = Counter(itertools.compress(cycle_types, flags))
-        bucket = known.setdefault(tuple(sorted(counts.items())), [])
-        for known_ids, known_gens in bucket:
-            if _is_conjugate_into(flags, known_ids, known_gens, mul, inv):
-                return False
-        bucket.append((list(itertools.compress(range(len(mul)), flags)), gens))
-        return True
-
     return tuple(
         SubgroupClass(
             tuple(members[i] for i in ids), tuple(members[g] for g in gens), len(members) // normaliser
         )
-        for ids, gens, normaliser in _cyclic_extension(mul, is_new_class, inv, symmetric)
+        for ids, gens, normaliser in _cyclic_extension(mul, cycle_types, symmetric)
     )
 
 

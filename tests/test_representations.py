@@ -267,6 +267,26 @@ class TestBuildOperator:
             "1": ["What is spin-z?", "spin-z = +1"],
         }
 
+    def test_qa_labels_keep_values_that_share_twelve_digits_apart(self):
+        # Two values equal to 12 significant digits are keyed in full, so
+        # neither answer replaces the other.
+        text = """
+name: close-values
+space: {id: two, labels: ["a", "b"]}
+variables:
+  - {name: x, values: ["100000", "100000.00000003"], assignment: [0, 1]}
+group: {generators: [[1, 0]]}
+representation: {kind: cyclic-dft, n: 2}
+checks:
+  - {type: theorem1-hypotheses, variable: x}
+"""
+        (theorem1,) = run_scenario(loads(text)).checks
+        assert theorem1.status == "pass"
+        assert theorem1.details["operator"]["qa_labels"] == {
+            "100000.0": ["What is x?", "x = 100000"],
+            "100000.00000003": ["What is x?", "x = 100000.00000003"],
+        }
+
     def test_requires_matching_domain(self):
         theta = variable_from_assignment(space_of(2), (0, 1))
         with pytest.raises(DomainMismatchError):

@@ -59,12 +59,18 @@ def alternating_group(n):
     )
 
 
+def tables(group):
+    """The product table of ``group``, and its inverse table by ``Permutation.inverse``."""
+    mul = subgroups._id_tables(group, subgroups._symmetric_degree(group))
+    return mul, [group.index(k.inverse()) for k in group.elements]
+
+
 def plain_join_search(n):
     """The class search without normaliser pruning: every base is joined with
     every cyclic subgroup, and a new join is a new class unless a known
     representative conjugates into it."""
     sym = symmetric_elements(n)
-    mul, inv = subgroups._id_tables(symmetric_group(n))
+    mul, inv = tables(symmetric_group(n))
     cyclic = {}
     for g in range(len(sym)):
         powers, x = {0}, g
@@ -100,7 +106,7 @@ def plain_join_search(n):
 
 
 S5 = symmetric_elements(5)
-S5_MUL = subgroups._id_tables(symmetric_group(5))[0]
+S5_MUL = tables(symmetric_group(5))[0]
 
 
 def is_even(p):
@@ -112,7 +118,7 @@ def symmetric_tables(n):
     """S_n's sorted elements, id tables, and the ``symmetric`` argument of
     ``close_tuples`` for it: (|S_n| / n, flags of A_n), parity counted by inversions."""
     sym = symmetric_elements(n)
-    mul, inv = subgroups._id_tables(symmetric_group(n))
+    mul, inv = tables(symmetric_group(n))
     return sym, mul, inv, (len(sym) // n, bytearray(map(is_even, sym)))
 
 
@@ -415,8 +421,8 @@ class TestSubgroupClasses:
         """Clearing this one cache makes the next call search from scratch, so
         a cold census stays cold: no second cache may sit below it."""
         calls = []
-        tables = subgroups._id_tables
-        monkeypatch.setattr(subgroups, "_id_tables", lambda *args: calls.append(1) or tables(*args))
+        build = subgroups._id_tables
+        monkeypatch.setattr(subgroups, "_id_tables", lambda *args: calls.append(1) or build(*args))
         subgroups.subgroup_conjugacy_classes.cache_clear()
         subgroups.subgroup_conjugacy_classes(4)
         assert len(calls) == 1
@@ -446,21 +452,17 @@ def product_row(a, elements, index):
     return [index[tuple(a[x] for x in b)] for b in elements]
 
 
-def sorted_inverses(elements, index):
-    """Each element's inverse, found by sorting the points by their images."""
-    return [index[tuple(sorted(range(len(p)), key=p.__getitem__))] for p in elements]
-
-
-def assert_rows_match_products(group, tables, rows):
-    """The rows ``rows`` of the product table of ``group`` in ``tables``, and
-    its whole inverse table, equal the composed products entry for entry."""
+def assert_rows_match_products(group, mul, rows):
+    """The rows ``rows`` of the product table ``mul`` of ``group`` equal the
+    composed products entry for entry, and the inverse table that the walk
+    over the powers reads from ``mul`` equals ``Permutation.inverse``."""
     elements = [k.images for k in group.elements]
     index = {p: i for i, p in enumerate(elements)}
-    mul, inv = tables
     assert len(mul) == group.order and all(len(row) == group.order for row in mul)
     for a in rows:
         assert list(mul[a]) == product_row(elements[a], elements, index), a
-    assert list(inv) == sorted_inverses(elements, index)
+    inv = subgroups._cyclic_subgroups(mul)[2]
+    assert inv == [group.index(k.inverse()) for k in group.elements]
 
 
 def refuse_to_compose(monkeypatch):
@@ -475,14 +477,14 @@ class TestIdTables:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_symmetric_group_matches_products_entry_for_entry(self, n):
         group = symmetric_group(n) if n > 1 else PermutationGroup.generate(space_of(1), ())
-        assert_rows_match_products(group, subgroups._id_tables(group), range(group.order))
+        assert_rows_match_products(group, tables(group)[0], range(group.order))
 
     def test_symmetric_group_composes_no_tuples(self, monkeypatch):
         """S_n is joined from S_(n-1)'s rows, whatever generates it."""
         group = generated_by_some_of(space_of(6), [k.images for k in symmetric_group(6).elements][::-1])
         refuse_to_compose(monkeypatch)
-        mul, inv = subgroups._id_tables(group)
-        assert len(mul) == len(inv) == 720
+        mul = subgroups._id_tables(group, subgroups._symmetric_degree(group))
+        assert len(mul) == 720
 
     @pytest.mark.parametrize(
         "points, n",
@@ -497,10 +499,25 @@ class TestIdTables:
         group = symmetric_on(points, n)
         with monkeypatch.context() as patched:
             refuse_to_compose(patched)
-            tables = subgroups._id_tables(group)
+            mul = subgroups._id_tables(group, subgroups._symmetric_degree(group))
         size = group.order
         rows = range(size) if size <= 120 else [0, size - 1] + random.Random(7).sample(range(size), 20)
-        assert_rows_match_products(group, tables, rows)
+        assert_rows_match_products(group, mul, rows)
+
+    @pytest.mark.parametrize("name", ["s5", "d4"])
+    def test_the_search_makes_and_looks_up_no_permutation(self, name, monkeypatch):
+        """Once the group is built, the search reads every inverse from its
+        walk over the powers: no ``Permutation`` is made or looked up."""
+        group = symmetric_group(5) if name == "s5" else GROUPS_ON_FOUR_POINTS["D4"][0]
+        expected = subgroups.subgroup_classes(group)
+
+        def refuse(*args):
+            raise AssertionError("made or looked up a Permutation")
+
+        monkeypatch.setattr(Permutation, "__post_init__", refuse)
+        monkeypatch.setattr(Permutation, "_trusted", refuse)
+        monkeypatch.setattr(PermutationGroup, "index", refuse)
+        assert subgroups.subgroup_classes(group) == expected
 
     @pytest.mark.parametrize("name", ["a6", "d4", "stabilizer"])
     def test_any_other_group_composes_only_its_generators_rows(self, name, monkeypatch):
@@ -517,6 +534,6 @@ class TestIdTables:
         calls, compose = [], groups.compose
         with monkeypatch.context() as patched:
             patched.setattr(groups, "compose", lambda f, g: calls.append(1) or compose(f, g))
-            tables = subgroups._id_tables(group)
+            mul = subgroups._id_tables(group, None)
         assert len(calls) == len({g.images for g in group.generators}) * group.order
-        assert_rows_match_products(group, tables, range(group.order))
+        assert_rows_match_products(group, mul, range(group.order))
