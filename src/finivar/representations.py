@@ -59,7 +59,8 @@ class OrthogonalityError(ValueError):
 
 
 class DegenerateBasisError(ValueError):
-    """Basis expansion needs nondegenerate spectra; use cluster projectors instead."""
+    """Basis expansion needs nondegenerate spectra; the message names which, basis
+    or target, is degenerate."""
 
 
 class UnitaryRep:
@@ -427,17 +428,20 @@ def expand_in_basis(
     """Expand one eigenvector of the spectrum ``target`` over the eigenbasis of
     the spectrum ``basis``, as ``linalg.eigh`` returns them.
 
-    Both spectra must be nondegenerate (cluster projectors are the honest
-    object otherwise) and share a dimension.  Amplitudes follow the basis's
-    ascending eigenvalue order under the fixed phase convention.
+    Both spectra must be nondegenerate (a degenerate eigenspace has no one
+    eigenbasis to expand in or over) and share a dimension.  Amplitudes follow
+    the basis's ascending eigenvalue order under the fixed phase convention.
     """
     import numpy as np
     if target.dim != basis.dim:
         raise ValueError(f"dimension mismatch: target {target.dim}, basis {basis.dim}")
-    if not target.is_nondegenerate() or not basis.is_nondegenerate():
+    spectra = {"basis": basis, "target": target}
+    degenerate = [name for name, spectral in spectra.items() if not spectral.is_nondegenerate()]
+    if degenerate:
+        which = " and ".join(degenerate)
+        noun = "spectra are" if len(degenerate) > 1 else "spectrum is"
         raise DegenerateBasisError(
-            "expansion is defined for nondegenerate spectra; degenerate clusters "
-            "are reported through their projectors"
+            f"expansion is defined for nondegenerate spectra; the {which} {noun} degenerate"
         )
     if not 0 <= index < target.dim:
         raise ValueError(f"eigenvector index {index} out of range 0..{target.dim - 1}")

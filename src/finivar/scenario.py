@@ -1,15 +1,18 @@
 """Scenario files: schema, validation and loading; the check types.
 
-Scenarios are YAML: a point space, variables, group generators (as image
-arrays), an optional representation and base state, and a non-empty list of
-checks.  Everything is built and checked as the file loads, every check
-parameter included, and errors name the offending field.  ``_CHECK_PARAMS``
-declares each check type once: the handler ``runner`` calls, then its parameters.
+Scenarios are YAML, JSON included: a point space, variables, group
+generators (as image arrays), an optional representation and base state, and
+a non-empty list of checks.  Everything is built and checked as the file
+loads, every check parameter included, and errors name the offending field.
+``_CHECK_PARAMS`` declares each check type once: the handler ``runner``
+calls, then its parameters.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
@@ -56,6 +59,31 @@ class _UniqueKeyLoader(_YAML_LOADER):
                 )
             lines[key] = key_node.start_mark.line + 1
         return super().construct_mapping(node, deep=deep)
+
+
+# A text of printable ASCII and line breaks, with no backslash: each JSON
+# string in it is its literal characters, as in a YAML double-quoted scalar.
+_JSON_CHARACTERS = re.compile(r"[\n\r -\[\]-~]*")
+# A JSON float YAML 1.1 also reads as a float: a dot, and a signed exponent.
+_YAML_FLOAT = re.compile(r"-?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?")
+# A JSON key from its opening quote to its colon.
+_JSON_KEY = re.compile(r'"[^"\n\r]*"[ \n\r]*:')
+
+
+def _yaml_float(literal: str) -> float:
+    """A JSON float literal as YAML 1.1 reads it; any other literal, NaN and
+    the infinities among them, raises ValueError."""
+    if not _YAML_FLOAT.fullmatch(literal):
+        raise ValueError(literal)
+    return float(literal)
+
+
+def _unique_pairs(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object as a dict; a repeated key goes on to YAML, which names its lines."""
+    mapping = dict(pairs)
+    if len(mapping) < len(pairs):
+        raise ValueError("a repeated key")
+    return mapping
 
 
 # The most points a cyclic-dft representation may have.  Its n dense n x n
@@ -779,9 +807,27 @@ def _parse_representation(
     return UnitaryRep(group, stack), tuple(listed)
 
 
-def loads(text: str, source: str = "<scenario>") -> Scenario:
+def _parse(text: str, source: str) -> Any:
+    """The data of ``text``.  libyaml builds each node in Python, and json's
+    scanner reads a JSON text in a small part of the time, so a JSON text goes
+    to json first.  Whatever YAML 1.1 reads otherwise goes on to YAML: ``1e5``
+    or ``NaN`` (a string there), a repeated key (refused, naming both lines),
+    a key split from its colon or too long (refused), and any JSON error."""
+    if _JSON_CHARACTERS.fullmatch(text):
+        with suppress(ValueError, RecursionError):  # json's scanner recurses per level
+            data = json.loads(
+                text,
+                parse_float=_yaml_float,
+                parse_constant=_yaml_float,
+                object_pairs_hook=_unique_pairs,
+            )
+            # YAML refuses a line break before a key's colon, and a colon more
+            # than 1024 characters after the key's opening quote.
+            keys = _JSON_KEY.findall(text)
+            if not any(len(key) > 1025 or "\n" in key or "\r" in key for key in keys):
+                return data
     try:
-        raw = yaml.load(text, Loader=_UniqueKeyLoader)
+        return yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.MarkedYAMLError as exc:
         # str(exc) would repeat the mark, naming the text "<unicode string>"
         mark = exc.problem_mark
@@ -795,7 +841,15 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
             f"{source}: invalid YAML at line {line}, column {column}: "
             f"character #x{exc.character:04x}: {exc.reason}"
         ) from None
-    data = _require(raw, source)
+
+
+def loads(text: str, source: str = "<scenario>") -> Scenario:
+    """The scenario ``text`` declares, built and checked; ``source`` names it in errors.
+
+    A JSON text is read by json's scanner when YAML 1.1 would read it as the
+    same data, and by PyYAML otherwise, so both give one scenario and one
+    message: ``1e-9`` is a string either way."""
+    data = _require(_parse(text, source), source)
     name = _require_str(data.get("name"), "name")
     known_keys = {
         "name",
@@ -882,8 +936,19 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
 
 def load_path(path: str) -> Scenario:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
+    try:
+        text, bad = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:  # the text before the first bad byte, to locate it
+        text, bad = data[: exc.start].decode("utf-8"), exc
+    text = text.replace("\r\n", "\n").replace("\r", "\n")  # as a text-mode read gives
+    if bad is not None:
+        line, column = text.count("\n") + 1, len(text) - text.rfind("\n")
+        raise ScenarioError(
+            f"{path}: invalid UTF-8 at line {line}, column {column}: "
+            f"byte 0x{data[bad.start]:02x}: {bad.reason}"
+        )
     return loads(text, source=path)

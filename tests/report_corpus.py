@@ -1,8 +1,11 @@
 """Print one SHA-256 per report of a fixed corpus, or what moved between two checkouts.
 
-The corpus is 337 reports: the six built-ins at the default ``--max-n`` and
-at 4, and the ``operators`` cases of the benchmark's seeds 1-20, each at
-``--tolerance-scale`` 1, 1e-6 and 1e3, and the benchmark's ``max-n 6``
+The corpus is 400 reports: the six built-ins at the default ``--max-n`` and
+at 4; the ``operators`` cases of the benchmark's seeds 1-20, the six
+``kind: explicit`` cases of ``tests/test_runner.py`` (``cyclic-4`` and an
+``operators`` case written out as matrices, plain, as a ray representation
+and in another basis) and its 15 ``operator_sweep_text`` scenarios, each at
+``--tolerance-scale`` 1, 1e-6 and 1e3; and the benchmark's ``max-n 6``
 census, which runs the subgroup kernel on every S_n up to six points.  A
 change meant to keep every report byte-identical prints the same lines as
 its parent:
@@ -21,18 +24,20 @@ moved and the largest |Δ| of the numbers among them, every status that moved
 with its report and check, and every key added or removed.  Paths outside
 the checks are listed under the type ``(report)``.
 
-finivar is imported from ``CHECKOUT/src`` (by default this checkout's), the
-scenario generators from this checkout's ``perfbench/workloads.py``, loaded
-by path.  Standard library only.  Pytest does not collect this file.
+finivar is imported from ``CHECKOUT/src`` (by default this checkout's).  The
+built-ins are each checkout's own; every other scenario text is written once,
+by this checkout's tests and ``perfbench/workloads.py`` with this checkout's
+finivar, so both checkouts run the same bytes.  Pytest does not collect this
+file.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib.util
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
@@ -40,55 +45,68 @@ SCALES = (1.0, 1e-6, 1e3)
 SEEDS = range(1, 21)
 
 
-def workloads():
-    path = HERE / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
-def corpus():
-    """Each report's label, scenario text and run flags, in a fixed order."""
-    from finivar.builtins import builtin_names, builtin_text
-    from finivar.runner import RunFlags
-
-    for name in builtin_names():
-        for max_n in (None, 4):
-            for scale in SCALES:
-                flags = RunFlags(tolerance_scale=scale, max_n=max_n)
-                yield f"{name} max-n={max_n} scale={scale:g}", builtin_text(name), flags
-    benchmark = workloads()
-    for seed in SEEDS:
-        for case in benchmark.generate("operators", seed):
-            for scale in SCALES:
-                flags = RunFlags(tolerance_scale=scale)
-                yield f"seed-{seed} {case.name} scale={scale:g}", case.text, flags
-    census = benchmark.census_case()
-    yield census.name, census.text, RunFlags()
-
-
-def reports(checkout: Path) -> list[tuple[str, str]]:
-    """Each report's label and JSON as finivar in ``checkout`` writes it.  The
-    finivar of any checkout imported before is dropped first."""
-    for name in [name for name in sys.modules if name.split(".")[0] == "finivar"]:
-        del sys.modules[name]
+@contextmanager
+def finivar_from(checkout: Path):
+    """finivar imported from ``checkout``'s src; the finivar of any other
+    checkout imported before is dropped first."""
     src = str(checkout / "src")
+    loaded = sys.modules.get("finivar")
+    if loaded is None or Path(loaded.__file__).resolve().parent.parent != Path(src).resolve():
+        for name in [name for name in sys.modules if name.split(".")[0] == "finivar"]:
+            del sys.modules[name]
     sys.path.insert(0, src)
     try:
         import finivar
-        from finivar.runner import run_scenario
-        from finivar.scenario import loads
 
         if Path(finivar.__file__).resolve().parent.parent != Path(src).resolve():
             raise SystemExit(f"{checkout}: no finivar in its src, found {finivar.__file__}")
-
-        return [
-            (label, run_scenario(loads(text), flags).to_json()) for label, text, flags in corpus()
-        ]
+        yield
     finally:
         sys.path.remove(src)
+
+
+def written() -> tuple[list[tuple[str, str]], tuple[str, str]]:
+    """The label and text of each scenario the corpus runs at every scale but
+    the built-ins, in a fixed order, and those of the census."""
+    with finivar_from(HERE):
+        from test_runner import OPERATOR_SWEEP_SIZES, explicit_cases, operator_sweep_text
+        from test_scenario_cli import perfbench_workloads
+
+        benchmark = perfbench_workloads()
+        cases = [
+            (f"seed-{seed} {case.name}", case.text)
+            for seed in SEEDS
+            for case in benchmark.generate("operators", seed)
+        ]
+        cases += [(f"explicit {name}", text) for name, text in explicit_cases().items()]
+        cases += [(f"sweep-{n}", operator_sweep_text(n)) for n in OPERATOR_SWEEP_SIZES]
+        census = benchmark.census_case()
+        return cases, (census.name, census.text)
+
+
+def reports(checkout: Path, scenarios: tuple) -> list[tuple[str, str]]:
+    """Each report's label and JSON as finivar in ``checkout`` writes it, the
+    ``written()`` scenarios among them."""
+    cases, (census, census_text) = scenarios
+    with finivar_from(checkout):
+        from finivar.builtins import builtin_names, builtin_text
+        from finivar.runner import RunFlags, run_scenario
+        from finivar.scenario import loads
+
+        out = []
+        for name in builtin_names():
+            for max_n in (None, 4):
+                for scale in SCALES:
+                    report = run_scenario(
+                        loads(builtin_text(name)), RunFlags(tolerance_scale=scale, max_n=max_n)
+                    )
+                    out.append((f"{name} max-n={max_n} scale={scale:g}", report.to_json()))
+        for label, text in cases:
+            for scale in SCALES:
+                report = run_scenario(loads(text), RunFlags(tolerance_scale=scale))
+                out.append((f"{label} scale={scale:g}", report.to_json()))
+        out.append((census, run_scenario(loads(census_text), RunFlags()).to_json()))
+        return out
 
 
 def _is_number(value) -> bool:
@@ -180,13 +198,13 @@ def main(argv: list[str]) -> None:
     parser.add_argument("checkout", nargs="?", type=Path, default=HERE)
     parser.add_argument("--diff", metavar="PARENT_CHECKOUT", type=Path)
     args = parser.parse_args(argv[1:])
-    checkout = args.checkout.resolve()
+    checkout, scenarios = args.checkout.resolve(), written()
     if args.diff is not None:
-        old = reports(args.diff.resolve())
-        for line in diff(old, reports(checkout)):
+        old = reports(args.diff.resolve(), scenarios)
+        for line in diff(old, reports(checkout, scenarios)):
             print(line)
         return
-    for label, report in reports(checkout):
+    for label, report in reports(checkout, scenarios):
         print(hashlib.sha256(report.encode("utf-8")).hexdigest(), label)
 
 

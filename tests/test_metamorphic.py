@@ -16,7 +16,7 @@ from finivar.scenario import loads
 from finivar.spaces import canonical_partition, compose
 
 from test_runner import complex_pairs
-from test_scenario_cli import perfbench_workloads
+from test_scenario_cli import noting_parser, perfbench_workloads
 
 
 def with_redundant_generator(text: str) -> tuple[str, int]:
@@ -281,3 +281,23 @@ class TestRenamedValueLabels:
         flags = RunFlags(tolerance_scale=scale)
         old = run_scenario(loads(text), flags).to_json()
         assert run_scenario(scenario, flags).to_json() == old
+
+
+class TestYamlOrJson:
+    """ROADMAP item 9's fourth relation: json's scanner reads a JSON text and
+    PyYAML every other, so spelling a scenario in YAML or in JSON changes no
+    byte of its report.  Each built-in is written again as JSON, and each
+    ``operators`` case as block YAML."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6])
+    @pytest.mark.parametrize("name", INPUTS)
+    def test_the_other_spelling_keeps_the_report_bytes(self, name, scale):
+        text = INPUTS[name]
+        data = yaml.safe_load(text)
+        built_in = name in builtin_mod.BUILTINS
+        other = json.dumps(data) if built_in else yaml.safe_dump(data, sort_keys=False)
+        scenario, by_yaml = noting_parser(loads, text)
+        respelled, other_by_yaml = noting_parser(loads, other)
+        assert (by_yaml, other_by_yaml) == (built_in, not built_in)
+        flags = RunFlags(tolerance_scale=scale)
+        assert run_scenario(respelled, flags).to_json() == run_scenario(scenario, flags).to_json()

@@ -447,10 +447,12 @@ class TestExpansion:
     def test_degenerate_basis_rejected(self):
         degenerate = linalg.eigh(np.eye(2, dtype=complex))
         x = linalg.eigh(np.array([[0, 1], [1, 0]], dtype=complex))
-        with pytest.raises(DegenerateBasisError):
+        with pytest.raises(DegenerateBasisError, match="; the basis spectrum is degenerate$"):
             expand_in_basis(x, 0, degenerate)
-        with pytest.raises(DegenerateBasisError):
+        with pytest.raises(DegenerateBasisError, match="; the target spectrum is degenerate$"):
             expand_in_basis(degenerate, 0, x)
+        with pytest.raises(DegenerateBasisError, match="; the basis and target spectra are degenerate$"):
+            expand_in_basis(degenerate, 0, degenerate)
 
     def test_index_range(self):
         x = linalg.eigh(np.array([[0, 1], [1, 0]], dtype=complex))

@@ -336,14 +336,12 @@ class TestStatusMapping:
         assert "excluded" in theorem1[0].details
 
     def test_degenerate_expansion_basis_is_an_error(self):
-        scenario = scenario_with(
-            "  - type: eq1-expansion\n"
-            "    basis: parity\n"
-            "    target: {variable: position}\n"
-        )
-        report, record = single_record(scenario)
+        checks = "  - type: eq1-expansion\n    basis: parity\n    target: {variable: position}\n"
+        # numeric parity labels, so the expansion itself is refused
+        text = CIRCLE4.format(checks=checks).replace('["even", "odd"]', '["1", "-1"]')
+        report, record = single_record(loads(text))
         assert record.status == STATUS_ERROR
-        assert "error" in record.details
+        assert record.details["error"].endswith("the basis spectrum is degenerate")
         assert report.exit_code == 1
 
     def test_spectrum_error_keeps_theorem1_details(self):
@@ -939,7 +937,7 @@ def operator_sweep_text(n: int) -> str:
 OPERATOR_SWEEP_SIZES = (*range(1, 13), 16, 20, 24)
 # SHA-256 over the JSON reports of the sweep scenarios, every size at
 # --tolerance-scale 1 and then every size at 1e-6, pinned as for the built-ins.
-OPERATOR_SWEEP_SHA256 = "3927f1296bc108b6da51ca767cf425f2b2644781f9e69dd448fd00ec34cb3434"
+OPERATOR_SWEEP_SHA256 = "7ad72941da3d96538995c054f8daa9cc657a1c4dc6c68f5b6c5e274a4f5fd0b4"
 
 
 def test_operator_sweep_report_bytes_are_pinned():
@@ -1067,6 +1065,16 @@ class TestReportDiff:
             "scale=1e-06 theorem2 details.max_residual: added in 1",
             "scale=1e-06 theorem2 details.per_element[]: removed in 1",
         ]
+
+    def test_the_corpus_runs_every_explicit_and_sweep_scenario(self):
+        # A dense-basis report whose bits move must show in the diff.
+        from report_corpus import written
+
+        cases = dict(written()[0])
+        for name, text in explicit_cases().items():
+            assert cases[f"explicit {name}"] == text
+        for n in OPERATOR_SWEEP_SIZES:
+            assert cases[f"sweep-{n}"] == operator_sweep_text(n)
 
     def test_reports_of_one_tree_show_no_difference(self):
         from report_corpus import diff

@@ -12,11 +12,14 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from finivar import builtins as builtin_mod
 from finivar import cli as cli_mod
@@ -37,7 +40,7 @@ from finivar.representations import cyclic_dft_rep, qubit_rep
 from finivar.runner import run_scenario
 from finivar.scenario import CHECK_TYPES, ScenarioError, load_path, loads
 
-from test_runner import cycle24_text
+from test_runner import cycle24_text, explicit_cases
 
 MINIMAL = """
 name: tiny
@@ -541,6 +544,171 @@ class TestYamlLoaders:
         assert fast["name"] == name
 
 
+def noting_parser(read, text: str):
+    """``read(text)``, or the ScenarioError it raises, and whether PyYAML read ``text``."""
+    with mock.patch.object(yaml, "load", wraps=yaml.load) as spy:
+        try:
+            result = read(text)
+        except ScenarioError as exc:
+            result = exc
+    return result, spy.called
+
+
+def parse_text(text: str):
+    return scenario_mod._parse(text, "<scenario>")
+
+
+# A float literal written into a dumped text in place of the string RAW + literal.
+RAW = "\x00raw:"
+FLOAT_SPELLINGS = ("1e5", "2.", "1.0e+5", "3.25E-2", "1.0e5", "-0.0", "12.5e-3", "7E+2")
+PRINTABLE = st.characters(min_codepoint=0x20, max_codepoint=0x7E)
+_DRAWN_LEAVES = (
+    st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.floats()
+    | st.text(PRINTABLE, max_size=12)
+    | st.text(max_size=4)
+    | st.booleans()
+    | st.none()
+    | st.sampled_from(FLOAT_SPELLINGS).map(RAW.__add__)
+)
+_DRAWN_KEYS = st.text(PRINTABLE, max_size=8) | st.sampled_from(["k" * 1022, "k" * 1023])
+_DRAWN_VALUES = st.recursive(
+    _DRAWN_LEAVES,
+    lambda children: (
+        st.lists(children, max_size=4) | st.dictionaries(_DRAWN_KEYS, children, max_size=4)
+    ),
+    max_leaves=16,
+)
+
+
+@st.composite
+def dumped_texts(draw) -> str:
+    """A drawn value written by ``json.dumps`` with drawn indent, separators and
+    line breaks, the raw float spellings spliced in."""
+    text = json.dumps(
+        draw(_DRAWN_VALUES),
+        indent=draw(st.sampled_from([None, 0, 1, 2, 4])),
+        separators=draw(
+            st.sampled_from([(",", ":"), (", ", ": "), (" ,", " : "), (",\n", ":\n"), (",", "\n:")])
+        ),
+        ensure_ascii=draw(st.booleans()),
+    )
+    for spelling in FLOAT_SPELLINGS:
+        text = text.replace(json.dumps(RAW + spelling), spelling)
+    return text.replace("\n", draw(st.sampled_from(["\n", "\r\n", "\r"])))
+
+
+# The scenario the named cases below start from: CYCLE4 and theorem1, in JSON.
+CYCLE4_JSON = json.dumps(
+    {
+        "name": "cycle-4",
+        "space": {"id": "cycle-4", "labels": ["0", "1", "2", "3"]},
+        "variables": [
+            {"name": "position", "values": ["0", "1", "2", "3"], "assignment": [0, 1, 2, 3]}
+        ],
+        "group": {"generators": [[1, 2, 3, 0]]},
+        "representation": {"kind": "cyclic-dft", "n": 4},
+        "checks": [{"type": "theorem1-hypotheses", "variable": "position"}],
+    },
+    indent=1,
+)
+WITH_TOLERANCE = CYCLE4_JSON.replace('\n "checks"', '\n "tolerances": {"hermitian": VALUE},\n "checks"')
+# variables as 3,000 nested lists: json's scanner recurses past its limit.
+DEEP_JSON = CYCLE4_JSON.replace('"variables": [', '"variables": [' + "[" * 2999 + "]" * 2999 + ", ", 1)
+INVALID_FLOW = "while parsing a flow mapping: did not find expected ',' or '}'"
+TOLERANCE_MESSAGE = (
+    "tolerances.hermitian: expected a positive number (an exponent needs a dot: 1.0e-9)"
+)
+
+
+class TestJsonPath:
+    """A JSON text is read by json's scanner when YAML 1.1 reads it as the same
+    data, and by PyYAML otherwise, so the two give one scenario, one message
+    and one exit code."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(dumped_texts())
+    def test_json_reads_what_yaml_reads_or_declines(self, text):
+        try:
+            expected = yaml.load(text, Loader=scenario_mod._UniqueKeyLoader)
+        except yaml.YAMLError:
+            expected = ScenarioError
+        data, by_yaml = noting_parser(parse_text, text)
+        event("yaml" if by_yaml else "json")
+        if by_yaml:
+            assert (expected is ScenarioError) == isinstance(data, ScenarioError)
+        else:
+            assert expected is not ScenarioError
+            assert repr(data) == repr(expected)  # types too: 1, 1.0 and True differ
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1.5e-05",
+            "[1.0E+3, -0.0, 10.25]",
+            '{"a": 1, "b": [true, false, null, "x: y # z"]}',
+            "\r\n".join(["{", ' "' + "k" * 1022 + '": 1', "}"]),
+        ],
+        ids=["float", "spellings", "mapping", "key-of-1022-characters"],
+    )
+    def test_json_reads_a_text_yaml_reads_alike(self, text):
+        data, by_yaml = noting_parser(parse_text, text)
+        assert not by_yaml
+        assert repr(data) == repr(yaml.load(text, Loader=scenario_mod._UniqueKeyLoader))
+
+    @pytest.mark.parametrize(
+        "text, exit_code, message",
+        [
+            pytest.param(
+                CYCLE4_JSON.replace('\n "checks"', '\n "checks": [],\n "checks"'),
+                2,
+                "{path}: invalid YAML at line 44, column 2: found key 'checks' again, "
+                "first written at line 43",
+                id="repeated-key",
+            ),
+            pytest.param(WITH_TOLERANCE.replace("VALUE", "1e-09"), 2, TOLERANCE_MESSAGE, id="1e-09"),
+            pytest.param(WITH_TOLERANCE.replace("VALUE", "NaN"), 2, TOLERANCE_MESSAGE, id="NaN"),
+            pytest.param(DEEP_JSON, 2, "variables[0]: expected a mapping, got list", id="3000-levels"),
+            pytest.param(
+                CYCLE4_JSON.replace('"checks":', '"checks"\n:'),
+                2,
+                "{path}: invalid YAML at line 44, column 1: " + INVALID_FLOW,
+                id="key-split-from-its-colon",
+            ),
+            pytest.param(
+                CYCLE4_JSON.replace('"type"', '"' + "t" * 1025 + '"'),
+                2,
+                "{path}: invalid YAML at line 45, column 1031: " + INVALID_FLOW,
+                id="key-of-1025-characters",
+            ),
+            pytest.param("\ufeff" + CYCLE4_JSON, 0, None, id="leading-bom"),
+            pytest.param(CYCLE4_JSON + "  # a comment\n", 0, None, id="trailing-comment"),
+        ],
+    )
+    def test_a_text_yaml_reads_otherwise_goes_to_yaml(self, tmp_path, text, exit_code, message):
+        # Each message and exit code is the one finivar gave before json read any text.
+        target = tmp_path / "scenario.json"
+        target.write_text(text, encoding="utf-8")
+        with mock.patch.object(yaml, "load", wraps=yaml.load) as spy:
+            result = CliRunner().invoke(main, ["run", str(target), "--report", "-"])
+        assert spy.called
+        assert result.exit_code == exit_code, result.output
+        if message is None:  # YAML reads it, and the report is the JSON text's
+            assert result.output == run_scenario(loads(CYCLE4_JSON)).to_json()
+        else:
+            assert result.output.endswith(f"Error: {message.replace('{path}', str(target))}\n")
+
+    def test_json_reads_every_operators_and_explicit_text_and_yaml_every_built_in(self):
+        texts = [case.text for case in perfbench_workloads().generate("operators", 1)]
+        texts += [*explicit_cases().values(), CYCLE4_JSON]
+        assert len(texts) == 12
+        for text in texts:
+            assert noting_parser(loads, text)[1] is False
+        for name in builtin_mod.builtin_names():
+            assert noting_parser(loads, builtin_mod.builtin_text(name))[1] is True
+
+
 class TestJsonable:
     def test_permutation_as_image_list(self):
         assert jsonable(Permutation((2, 0, 1))) == [2, 0, 1]
@@ -935,6 +1103,17 @@ class TestCli:
     def test_missing_file_exits_two(self):
         result = self.runner.invoke(main, ["run", "definitely-not-here.yaml"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_a_file_that_is_not_utf8_exits_two_naming_the_byte(self, tmp_path, newline):
+        target = tmp_path / "bad.yaml"
+        text = MINIMAL.replace('["a", "b"]', '["\u00e4\udcff", "b"]').replace("\n", newline)
+        target.write_bytes(text.encode("utf-8", "surrogateescape"))  # 0xff stands after the ä
+        result = self.runner.invoke(main, ["run", str(target)])
+        assert result.exit_code == 2, result.output
+        assert result.output.endswith(
+            f"Error: {target}: invalid UTF-8 at line 5, column 14: byte 0xff: invalid start byte\n"
+        )
 
     def test_parse_error_exits_two(self, tmp_path):
         target = tmp_path / "broken.yaml"
