@@ -10,7 +10,8 @@ element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import partial
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .spaces import (
     ConceptualVariable,
@@ -98,29 +99,20 @@ class Permutation:
         return tuple(i for i, j in enumerate(self.images) if i == j)
 
 
-def _close(generator_images: Iterable[tuple[int, ...]], n: int, max_size: int) -> set[tuple[int, ...]]:
-    """The elements the generators generate, by breadth-first closure from the
-    identity; raises :class:`GroupTooLargeError` once they hold more than
-    ``max_size`` image entries (|G|·n), so the cap bounds memory at any degree."""
-    gens = [tuple(g) for g in dict.fromkeys(generator_images)]
-    ident = tuple(range(n))
-    els = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for a in gens:
-            for b in frontier:
-                c = compose(a, b)
-                if c not in els:
-                    els.add(c)
-                    if len(els) * n > max_size:
-                        raise GroupTooLargeError(
-                            f"group closure exceeded the cap of {max_size} image entries: "
-                            f"more than {max_size // n} elements on {n} points"
-                        )
-                    new.append(c)
-        frontier = new
-    return els
+def _reach(start: Hashable, moves: Sequence[Callable], limit: int | None = None) -> list:
+    """``start`` and every item the ``moves`` reach from it, each once in the
+    order found (the orbit algorithm, breadth-first); it stops once it holds
+    more than ``limit`` items."""
+    found, seen = [start], {start}
+    for item in found:  # found grows while it is scanned
+        for move in moves:
+            new = move(item)
+            if new not in seen:
+                seen.add(new)
+                found.append(new)
+                if limit is not None and len(found) > limit:
+                    return found
+    return found
 
 
 class PermutationGroup:
@@ -150,7 +142,16 @@ class PermutationGroup:
                 raise ValueError(
                     f"generator degree {g.degree} does not match space size {space.size}"
                 )
-        closed = sorted(_close((g.images for g in generators), space.size, max_size))
+        n = space.size
+        limit = max(max_size // n, 1)  # the identity alone never trips the cap
+        moves = [partial(compose, s) for s in dict.fromkeys(g.images for g in generators)]
+        closed = _reach(tuple(range(n)), moves, limit)
+        if len(closed) > limit:
+            raise GroupTooLargeError(
+                f"group closure exceeded the cap of {max_size} image entries: "
+                f"more than {max_size // n} elements on {n} points"
+            )
+        closed.sort()
         group = cls.__new__(cls)
         group.space = space
         group.generators = tuple(generators)
@@ -190,17 +191,14 @@ class PermutationGroup:
         """Orbit partition of the point space, each orbit ascending, sorted by
         minimum.  An orbit is closed under the generators alone, since they
         generate the group."""
+        moves = [g.images.__getitem__ for g in self.generators]
         seen: set[int] = set()
         out: list[tuple[int, ...]] = []
         for start in range(self.space.size):
-            if start in seen:
-                continue
-            orbit, frontier = {start}, {start}
-            while frontier:
-                frontier = {g.images[x] for g in self.generators for x in frontier} - orbit
-                orbit |= frontier
-            seen |= orbit
-            out.append(tuple(sorted(orbit)))
+            if start not in seen:
+                orbit = _reach(start, moves)
+                seen.update(orbit)
+                out.append(tuple(sorted(orbit)))
         return tuple(out)
 
     def is_transitive(self) -> bool:

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Sequence
 from .groups import (
     Permutation,
     PermutationGroup,
+    _reach,
     are_related,
     flag_trivial_exchange,
     is_permissible,
@@ -319,19 +320,15 @@ def _partition_orbits(
 ) -> list[frozenset[tuple[int, ...]]]:
     """Orbits of the group generated by ``generators`` on a closed set of partitions
     (p meets p∘k); the group is finite, so closure under the generators is the orbit."""
+    # canonical_partition is looked up per call: a wrapper on this module sees each one
+    moves = [lambda q, k=k: canonical_partition(compose(q, k)) for k in generators]
     orbits: list[frozenset[tuple[int, ...]]] = []
     seen: set[tuple[int, ...]] = set()
     for p in partitions:
         if p not in seen:
-            seen.add(p)
-            orbit = [p]
-            for q in orbit:  # orbit grows while it is scanned
-                for k in generators:
-                    r = canonical_partition(compose(q, k))
-                    if r not in seen:
-                        seen.add(r)
-                        orbit.append(r)
-            orbits.append(frozenset(orbit))
+            orbit = frozenset(_reach(p, moves))
+            seen |= orbit
+            orbits.append(orbit)
     return orbits
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
@@ -59,6 +60,26 @@ class _UniqueKeyLoader(_YAML_LOADER):
                 )
             lines[key] = key_node.start_mark.line + 1
         return super().construct_mapping(node, deep=deep)
+
+    def construct_yaml_int(self, node: yaml.ScalarNode) -> int:
+        """An integer, refused at its node past the interpreter's limit on
+        decimal digits, which is left as it is.  ``int`` refuses a decimal
+        literal past it; a hexadecimal, octal or binary one converts, and
+        would fail where a message or a report writes it."""
+        try:
+            value = super().construct_yaml_int(node)
+            str(value)
+        except ValueError:
+            raise yaml.constructor.ConstructorError(
+                None,
+                None,
+                f"an integer of more than {sys.get_int_max_str_digits()} decimal digits",
+                node.start_mark,
+            ) from None
+        return value
+
+
+_UniqueKeyLoader.add_constructor("tag:yaml.org,2002:int", _UniqueKeyLoader.construct_yaml_int)
 
 
 # A text of printable ASCII and line breaks, with no backslash: each JSON
@@ -256,6 +277,17 @@ def _variable(value: Any, path: str, scenario: Scenario) -> ConceptualVariable:
     return scenario.variable(_require_str(value, path), path)
 
 
+def _operator_variable(value: Any, path: str, scenario: Scenario) -> ConceptualVariable:
+    """A variable whose operator the check builds: its value labels are the
+    eigenvalues, so they must be distinct finite numbers."""
+    theta = _variable(value, path, scenario)
+    try:
+        theta.numeric_values()
+    except ValueError as exc:
+        raise _fail(path, str(exc)) from None
+    return theta
+
+
 def _base_point(value: Any, path: str, scenario: Scenario) -> int:
     return _integer(0, scenario.space.size - 1)(value, path, scenario)
 
@@ -271,7 +303,7 @@ def _target(value: Any, path: str, scenario: Scenario) -> spin.SpinDirection | C
         raise _fail(path, "expected exactly one of direction, variable")
     ((key, raw),) = target.items()
     if key == "variable":
-        return _variable(raw, f"{path}.variable", scenario)
+        return _operator_variable(raw, f"{path}.variable", scenario)
     direction = None
     if isinstance(raw, list) and all(map(_finite_number, raw)):
         with suppress(ValueError):  # the wrong length, or the zero vector
@@ -615,6 +647,7 @@ def _handle_a2_falsify(ctx: Any, params: _Params) -> _Outcome:
 
 
 _VARIABLE = ("variable", _variable, _required)
+_OPERATOR_VARIABLE = ("variable", _operator_variable, _required)
 _BASE_POINT = ("base_point", _base_point, 0)
 _GROUP = ("generators", _generators, _scenario_group)  # closed into the group they generate
 _MEMBERS = ("members", _members, lambda scenario, *_: tuple(scenario.variables.values()))
@@ -629,15 +662,15 @@ _CHECK_PARAMS: dict[str, tuple[Any, ...]] = {
     "induced-group": (_handle_induced_group, _VARIABLE, _GROUP),
     "theorem1-hypotheses": (
         _handle_theorem1,
-        _VARIABLE,
+        _OPERATOR_VARIABLE,
         _BASE_POINT,
         ("eta", _eta, None),
         _represented_unless_exchange,
     ),
-    "theorem2": (_handle_theorem2, _VARIABLE, _BASE_POINT, _represented),
+    "theorem2": (_handle_theorem2, _OPERATOR_VARIABLE, _BASE_POINT, _represented),
     "eq1-expansion": (
         _handle_eq1,
-        ("basis", _variable, _required),
+        ("basis", _operator_variable, _required),
         _represented,
         ("target", _target, _required),
         ("index", _index, 0),

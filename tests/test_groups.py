@@ -15,6 +15,7 @@ from finivar.groups import (
     NotPermissibleError,
     Permutation,
     PermutationGroup,
+    _reach,
     are_related,
     flag_trivial_exchange,
     induced_group,
@@ -139,6 +140,32 @@ class TestClosure:
         assert PermutationGroup.generate(space_of(30), (shift,), max_size=900).order == 30
         with pytest.raises(GroupTooLargeError, match="cap of 899 image entries"):
             PermutationGroup.generate(space_of(30), (shift,), max_size=899)
+
+    def test_cap_is_exact_on_s4(self):
+        """S4 on 4 points holds 24·4 = 96 entries: built at 96, refused at 95."""
+        gens = (Permutation((1, 0, 2, 3)), Permutation((1, 2, 3, 0)))
+        assert PermutationGroup.generate(space_of(4), gens, max_size=96).order == 24
+        with pytest.raises(GroupTooLargeError, match="cap of 95 image entries: more than 23 elements on 4 points"):
+            PermutationGroup.generate(space_of(4), gens, max_size=95)
+
+    @pytest.mark.parametrize("max_size", [4, 1, 0, -1])
+    def test_identity_alone_never_trips_the_cap(self, max_size):
+        """The cap is met only as the closure adds an element, so a one-element
+        group builds below n entries, and a two-element group does not."""
+        identity, swap = Permutation.identity(5), Permutation((1, 0, 2, 3, 4))
+        for gens in ((), (identity,), (identity, identity)):
+            assert PermutationGroup.generate(space_of(5), gens, max_size=max_size).order == 1
+        with pytest.raises(GroupTooLargeError, match=f"more than {max_size // 5} elements on 5 points"):
+            PermutationGroup.generate(space_of(5), (identity, swap), max_size=max_size)
+
+    def test_reach_walks_breadth_first_and_stops_past_its_limit(self):
+        """Each item once, in the order found; the walk stops once it holds
+        more than ``limit`` items."""
+        moves = [lambda x: (x + 1) % 6, lambda x: (x + 3) % 6]
+        assert _reach(0, moves) == [0, 1, 3, 2, 4, 5]
+        assert _reach(0, moves, limit=2) == [0, 1, 3]
+        assert _reach(0, moves, limit=6) == [0, 1, 3, 2, 4, 5]
+        assert _reach(2, [lambda x: x]) == [2]
 
     def test_no_group_is_built_from_an_element_list(self):
         elements = tuple(symmetric_group(3).elements)

@@ -14,11 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finivar import linalg, representations, runner, scenario, spin
 from finivar.builtins import builtin_names, builtin_text, load_builtin
+from finivar.cli import main
 from finivar.groups import Permutation, PermutationGroup, is_permissible
 from finivar.report import (
     STATUS_ERROR,
@@ -304,11 +306,8 @@ class TestStatusMapping:
         assert (cases, permissible) == (12546, 931)
 
     def test_theorem_gates_report_not_applicable(self):
-        scenario = scenario_with(
-            "  - type: theorem1-hypotheses\n    variable: halves\n"
-            "  - type: theorem2\n    variable: halves\n"
-        )
-        report = run_scenario(scenario)
+        checks = "  - type: theorem1-hypotheses\n    variable: halves\n  - type: theorem2\n    variable: halves\n"
+        report = run_scenario(loads(CIRCLE4.format(checks=checks).replace('["left", "right"]', '["0", "1"]')))
         assert [c.status for c in report.checks] == [STATUS_NOT_APPLICABLE] * 2
         assert report.exit_code == 0
         assert report.checks[0].details["permissible"] is False
@@ -380,26 +379,53 @@ class TestStatusMapping:
             statuses.append([c.status for c in records])
         assert statuses == [[STATUS_ERROR, STATUS_ERROR], [STATUS_PASS, STATUS_ERROR]]
 
-    def test_unexpected_exception_becomes_error_record(self):
-        # theorem2 needs numeric value labels; parity's are "even" and "odd".
-        scenario = scenario_with("  - type: theorem2\n    variable: parity\n")
-        report, record = single_record(scenario)
+    def test_unexpected_exception_becomes_error_record(self, monkeypatch):
+        def fault(*args):
+            raise ValueError("a fault in the conjugation law")
+
+        monkeypatch.setattr("finivar.scenario.conjugation_check", fault)
+        report, record = single_record(scenario_with("  - type: theorem2\n    variable: position\n"))
         assert record.status == STATUS_ERROR
-        assert record.details["error"].startswith("ValueError")
+        assert record.details["error"] == "ValueError: a fault in the conjugation law"
         assert report.exit_code == 1
 
     @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "1e999"])
-    def test_a_non_finite_label_is_an_error_naming_the_labels(self, label):
-        """Both operator checks on a variable labelled by a number that is not
-        finite report ``error`` naming its labels, and NumPy warns of nothing."""
-        checks = "".join(f"  - type: {check}\n    variable: parity\n" for check in ("theorem1-hypotheses", "theorem2"))
-        text = CIRCLE4.format(checks=checks).replace('["even", "odd"]', f'["{label}", "1"]')
+    @pytest.mark.parametrize(
+        "check, key",
+        [
+            ("  - type: theorem1-hypotheses\n    variable: parity\n", "variable"),
+            ("  - type: theorem2\n    variable: parity\n", "variable"),
+            ("  - type: eq1-expansion\n    basis: parity\n    target: {variable: position}\n", "basis"),
+            ("  - type: eq1-expansion\n    basis: position\n    target: {variable: parity}\n", "target.variable"),
+        ],
+        ids=["theorem1", "theorem2", "eq1-basis", "eq1-target"],
+    )
+    def test_a_non_finite_label_is_refused_at_load_naming_the_labels(self, tmp_path, check, key, label):
+        """A variable whose operator the check builds, labelled by a number that
+        is not finite, exits 2 at load naming the check's key and the labels,
+        and NumPy warns of nothing."""
+        text = CIRCLE4.format(checks=check).replace('["even", "odd"]', f'["{label}", "1"]')
+        message = f"checks[0].{key}: variable 'parity': value labels must be finite, got ('{label}', '1')"
+        target = tmp_path / "labels.yaml"
+        target.write_text(text, encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            report = run_scenario(loads(text))
-        assert [record.status for record in report.checks] == [STATUS_ERROR, STATUS_ERROR]
-        for record in report.checks:
-            assert f"value labels must be finite, got ('{label}', '1')" in record.details["error"]
+            with pytest.raises(ScenarioError) as refused:
+                loads(text)
+            result = CliRunner().invoke(main, ["run", str(target)])
+        assert str(refused.value) == message
+        assert result.exit_code == 2, result.output
+        assert result.output.endswith(f"Error: {message}\n")
+
+    @pytest.mark.parametrize("check", ["theorem1-hypotheses", "theorem2"])
+    def test_labels_that_are_not_numbers_are_refused_before_the_permissibility_gate(self, check):
+        """``halves`` is not permissible, so the check would report
+        not-applicable; its labels are not numbers, so the load refuses it first."""
+        with pytest.raises(ScenarioError) as refused:
+            scenario_with(f"  - type: {check}\n    variable: halves\n")
+        assert str(refused.value) == (
+            "checks[0].variable: variable 'halves': value labels must be numeric, got ('left', 'right')"
+        )
 
     def test_expect_verdict_mismatch_fails(self):
         check = "  - type: a2-classify\n    expect-verdict: all-related\n"

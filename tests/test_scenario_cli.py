@@ -893,6 +893,7 @@ THEOREM1 = "  - type: theorem1-hypotheses\n    variable: position"
 THEOREM2 = "  - type: theorem2\n    variable: position"
 EQ1 = "  - type: eq1-expansion\n    basis: position\n    target: {variable: position}"
 PERMISSIBILITY = "  - type: permissibility\n    variable: position"
+LONG_INTEGER = "7" * 5000  # past Python's default limit of 4,300 digits
 CHECKS = {
     "theorem1": THEOREM1,
     "theorem2": THEOREM2,
@@ -1168,6 +1169,44 @@ class TestCli:
         assert result.exit_code == 2
         assert f"invalid YAML at {where}: " in result.output
         assert result.output.count("line ") == 1 and "<unicode string>" not in result.output
+
+    @pytest.mark.parametrize("spelling", ["yaml", "json"])
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("variable: position", f"variable: {LONG_INTEGER}"),
+            ("assignment: [0, 1, 2, 3]", f"assignment: [0, 1, 2, {LONG_INTEGER}]"),
+        ],
+        ids=["variable", "assignment"],
+    )
+    def test_an_integer_past_the_digit_limit_exits_two_naming_its_place(self, tmp_path, spelling, old, new):
+        """Python's ``int`` refuses a decimal literal of more than 4,300 digits;
+        the load names the literal's line and column, whichever parser read it."""
+        text = CYCLE4.format(checks=PERMISSIBILITY).replace(old, new)
+        if spelling == "json":  # a JSON text: json's scanner declines it, and YAML reads it
+            text = json.dumps(yaml.safe_load(text.replace(LONG_INTEGER, '"LONG"')), indent=1)
+            text = text.replace('"LONG"', LONG_INTEGER)
+        at = text.index(LONG_INTEGER)
+        line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+        target = tmp_path / f"long.{spelling}"
+        target.write_text(text, encoding="utf-8")
+        result = self.runner.invoke(main, ["run", str(target)])
+        assert result.exit_code == 2, result.output
+        assert result.output.endswith(
+            f"Error: {target}: invalid YAML at line {line}, column {column}: "
+            f"an integer of more than {sys.get_int_max_str_digits()} decimal digits\n"
+        )
+        assert "Traceback" not in result.output
+
+    def test_a_hexadecimal_integer_past_the_digit_limit_exits_two(self, tmp_path):
+        """``int`` converts a hexadecimal literal of any length, which then failed
+        where a message wrote it in decimal: a traceback and exit 1."""
+        text = CYCLE4.format(checks=PERMISSIBILITY).replace("n: 4", "n: 0x" + "f" * 5000)
+        target = tmp_path / "hex.yaml"
+        target.write_text(text, encoding="utf-8")
+        result = self.runner.invoke(main, ["run", str(target)])
+        assert result.exit_code == 2, result.output
+        assert "invalid YAML at line 15, column 6: an integer of more than" in result.output
 
     def test_representation_size_mismatch_exits_two(self, tmp_path):
         target = tmp_path / "mismatch.yaml"
