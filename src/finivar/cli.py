@@ -134,7 +134,7 @@ def emit(name: str, output: str | None) -> None:
             f"unknown built-in {name!r}; choices: {', '.join(BUILTINS)}"
         )
     text = builtin_text(name)
-    if output is None:
+    if output in (None, "-"):
         click.echo(text, nl=False)
     else:
         _write(output, text)

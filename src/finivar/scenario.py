@@ -821,7 +821,8 @@ def _parse_representation(
         item = _require(entry, path, ("element", "matrix"))
         element = _permutation(item.get("element"), space.size, f"{path}.element")
         if element not in group:
-            raise _fail(where, "representation must cover every group element exactly")
+            got = list(element.images)
+            raise _fail(f"{path}.element", f"expected an element of the declared group, got {got}")
         at = group.index(element)
         if at in listed:
             raise _fail(f"{path}.element", f"duplicate of {where}[{listed[at]}]")
@@ -836,7 +837,8 @@ def _parse_representation(
             raise _fail(where, "representation matrices must share one square shape")
         stack[at] = matrix
     if len(listed) != group.order:
-        raise _fail(where, "representation must cover every group element exactly")
+        missing = next(list(k.images) for at, k in enumerate(group.elements) if at not in listed)
+        raise _fail(where, f"representation must cover every group element exactly; it lacks {missing}")
     return UnitaryRep(group, stack), tuple(listed)
 
 

@@ -27,10 +27,11 @@ Every search joins a base H only with the first cyclic subgroup of each orbit
 of its normaliser N(H): for m in N(H), the join <H, m g m^-1> = m <H, g> m^-1
 is conjugate to <H, g>, so its class is known.  It also returns each |N(H)|,
 since H has |G| / |N(H)| conjugates: subgroups are counted, not listed.
-N(H) is found by coset elimination: it grows from N0 = H, an m that fails to
-normalise H rules out its whole coset m N0, and one that passes is joined to
-N0 with one closure.  The class test rules out cosets the same way: if m does
-not conjugate a known representative K into a join, no element of m K does.
+One coset test (``_conjugators``) serves both the class test and N(H): m
+conjugates K into F exactly when every element of m K does, so each left
+coset of K is tested once, through its first element.  A join is new unless
+some coset of a known representative K conjugates K into it, and N(H) is the
+union of the cosets of H that conjugate H into itself.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .groups import Permutation, PermutationGroup
 from .spaces import PointSpace
@@ -170,63 +171,29 @@ def close_tuples(
     return flags
 
 
-def _conjugates_into(
-    flags: bytearray, gens: Sequence[int], m: int, mul: Sequence[array], inv: Sequence[int]
-) -> bool:
-    """Whether m x m^-1 is in ``flags`` for every x in ``gens``: whether m
-    conjugates the subgroup ``gens`` generate into the subgroup ``flags``."""
-    row, m_inv = mul[m], inv[m]
-    return all(flags[row[mul[x][m_inv]]] for x in gens)
-
-
-def _is_conjugate_into(
+def _conjugators(
     flags: bytearray, ids: list[int], gens: tuple[int, ...], mul: Sequence[array], inv: Sequence[int]
-) -> bool:
-    """Whether some m conjugates the subgroup K (ascending ``ids``, generated
-    by ``gens``) into the subgroup ``flags``.
+) -> Iterator[tuple[int, ...]]:
+    """Each left coset m K, as ids with m first and m ascending, whose elements
+    conjugate the subgroup K (ascending ``ids``, generated by ``gens``) into
+    the subgroup ``flags``.
 
-    If m fails, so does every element mk of its coset m K, since
-    (mk) K (mk)^-1 = m K m^-1; the whole coset is ruled out.
+    Coset elimination: (mk) K (mk)^-1 = m K m^-1, so a coset passes or fails
+    as its first element m does, and is tested once.  For K = ``flags`` the
+    passing cosets make up the normaliser of K.
     """
-    ruled_out, coset = bytearray(len(mul)), itemgetter(*ids)
+    # itemgetter of one id gives a bare id, not a tuple; K = {0} gives m's coset {m}
+    coset = itemgetter(*ids) if len(ids) > 1 else lambda row: (row[0],)
+    seen = bytearray(len(mul))
     for m in range(len(mul)):
-        if ruled_out[m]:
+        if seen[m]:
             continue
-        if _conjugates_into(flags, gens, m, mul, inv):
-            return True
-        for c in coset(mul[m]):  # m fails, so K is not trivial
-            ruled_out[c] = 1
-    return False
-
-
-def _normaliser(
-    flags: bytearray,
-    ids: list[int],
-    gens: tuple[int, ...],
-    mul: Sequence[array],
-    inv: Sequence[int],
-    symmetric: tuple[int, bytearray] | None,
-) -> list[int]:
-    """The ids of the normaliser of the subgroup H (``flags``, ascending ``ids``,
-    generated by ``gens``), ascending, by coset elimination.
-
-    N0 starts as H and is always a subgroup of N(H).  Each id m outside N0
-    and not yet ruled out is tested: if m fails to normalise H, so does every
-    element of m N0, which is ruled out; if it passes, N0 becomes <N0, m>.
-    """
-    found, found_ids, found_gens = flags, ids, gens
-    ruled_out = bytearray(len(mul))
-    for m in range(len(mul)):
-        if found[m] or ruled_out[m]:
-            continue
-        if _conjugates_into(flags, gens, m, mul, inv):
-            found_gens += (m,)
-            found = close_tuples(found_gens, mul, found_ids, symmetric)
-            found_ids = list(itertools.compress(range(len(mul)), found))
-        else:
-            for c in itemgetter(*found_ids)(mul[m]):  # m fails, so H and N0 are not trivial
-                ruled_out[c] = 1
-    return found_ids
+        row, m_inv = mul[m], inv[m]
+        members = coset(row)
+        for c in members:
+            seen[c] = 1
+        if all(flags[row[mul[x][m_inv]]] for x in gens):
+            yield members
 
 
 def _cyclic_subgroups(mul: Sequence[array]) -> tuple[list[int], list[int], list[int]]:
@@ -271,7 +238,7 @@ def _cyclic_extension(
         next_frontier = []
         for base, base_gens in frontier:
             base_ids = list(itertools.compress(range(len(mul)), base))
-            normaliser = _normaliser(base, base_ids, base_gens, mul, inv, symmetric)
+            normaliser = [m for coset in _conjugators(base, base_ids, base_gens, mul, inv) for m in coset]
             found.append((base_ids, base_gens, len(normaliser)))
             done = bytearray(len(mul))
             for g in cyclics:
@@ -287,7 +254,7 @@ def _cyclic_extension(
                 seen.add(key)
                 counts = Counter(itertools.compress(cycle_types, joined))
                 bucket = known.setdefault(tuple(sorted(counts.items())), [])
-                if not any(_is_conjugate_into(joined, ids, ks, mul, inv) for ids, ks in bucket):
+                if not any(any(_conjugators(joined, ids, ks, mul, inv)) for ids, ks in bucket):
                     bucket.append((list(itertools.compress(range(len(mul)), joined)), gens))
                     next_frontier.append((joined, gens))
         frontier = next_frontier

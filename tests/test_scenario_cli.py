@@ -335,6 +335,14 @@ representation:
         with pytest.raises(ScenarioError, match="every group element"):
             loads(text)
 
+    def test_explicit_representation_names_the_first_unlisted_element(self):
+        # Z4's ids follow its sorted elements, so [1, 2, 3, 0] (id 1) is unlisted before [3, 0, 1, 2]
+        expect_error(
+            explicit_cycle4([Z4[2], Z4[0]]),
+            r"representation\.matrices: representation must cover every group element exactly; "
+            r"it lacks \[1, 2, 3, 0\]$",
+        )
+
     def test_explicit_matrices_too_many_for_memory_exit_two(self):
         """The loader writes each listed matrix into a stack sized by the first
         one.  On S8 one 300 x 300 matrix asks for a 54 GiB stack: the refusal
@@ -1549,6 +1557,11 @@ class TestCli:
                 "representation.matrices[1].matrix",
                 id="coherent-state-zero-first-listed",
             ),
+            pytest.param(  # [1, 0, 2, 3] is no element of Z4
+                explicit_cycle4([Z4[0], [1, 0, 2, 3], Z4[2], Z4[3]]),
+                "representation.matrices[1].element",
+                id="element-outside-the-group",
+            ),
             pytest.param(cyclic_text(20_000), "representation.n", id="cyclic-dft-past-the-bound"),
         ]
         + [
@@ -1790,6 +1803,14 @@ class TestCli:
         assert to_file.exit_code == 0
         rerun = self.runner.invoke(main, ["run", str(target)])
         assert rerun.exit_code == 0
+
+    def test_emit_to_dash_prints_the_scenario_and_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = self.runner.invoke(main, ["emit", "qubit", "--output", "-"])
+        assert result.exit_code == 0, result.output
+        assert result.output == self.runner.invoke(main, ["emit", "qubit"]).output
+        assert result.output == builtin_mod.builtin_text("qubit")
+        assert list(tmp_path.iterdir()) == []
 
     def test_emit_unknown_lists_choices(self):
         result = self.runner.invoke(main, ["emit", "nope"])

@@ -134,6 +134,21 @@ def conjugators(flags, gens, mul, inv):
     return [m for m in range(len(mul)) if all(flags[mul[mul[m][x]][inv[m]]] for x in gens)]
 
 
+def normaliser(flags, ids, gens, mul, inv):
+    """The ids of the normaliser of the subgroup ``flags``, ascending: the
+    union of the cosets that ``subgroups._conjugators`` yields for it."""
+    return sorted(m for coset in subgroups._conjugators(flags, ids, gens, mul, inv) for m in coset)
+
+
+@functools.cache
+def drawn_group_tables(name):
+    """The id tables and inverses of S5 (the block table) or of A6, whose
+    table ``_id_tables`` builds from its generators' rows."""
+    group = symmetric_group(5) if name == "s5" else alternating_group(6)
+    assert (subgroups._symmetric_degree(group) is None) == (name == "a6")
+    return tables(group)
+
+
 def record_closures(monkeypatch):
     """Patch ``close_tuples`` to record each call's ``symmetric`` argument and
     result, after checking the result against a closure without the rule."""
@@ -249,45 +264,44 @@ class TestConjugacyClasses:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_normaliser_matches_a_scan_of_every_element(self, n):
-        sym, mul, inv, symmetric = symmetric_tables(n)
+        sym, mul, inv, _ = symmetric_tables(n)
         index = {p: i for i, p in enumerate(sym)}
-        rule = symmetric if n >= 5 else None
         for rep in subgroups.subgroup_conjugacy_classes(n):
             ids = sorted(index[p] for p in rep.elements)
             flags = bytearray(len(sym))
             for i in ids:
                 flags[i] = 1
             gens = tuple(index[g] for g in rep.generators)
-            normaliser = subgroups._normaliser(flags, ids, gens, mul, inv, rule)
-            assert normaliser == conjugators(flags, gens, mul, inv)
-            assert len(sym) // len(normaliser) == rep.conjugates
+            found = normaliser(flags, ids, gens, mul, inv)
+            assert found == conjugators(flags, gens, mul, inv)
+            assert len(sym) // len(found) == rep.conjugates
 
-    @given(st.lists(st.integers(0, len(S5) - 1), max_size=3))
+    @pytest.mark.parametrize("name", ["s5", "a6"])
+    @given(st.data())
     @settings(max_examples=100, deadline=None)
-    def test_normaliser_of_drawn_subgroups_of_s5(self, gens):
-        _, mul, inv, symmetric = symmetric_tables(5)
-        flags = subgroups.close_tuples(tuple(gens), mul)
-        ids = [i for i in range(len(S5)) if flags[i]]
-        expected = conjugators(flags, gens, mul, inv)
-        assert subgroups._normaliser(flags, ids, tuple(gens), mul, inv, symmetric) == expected
-        assert subgroups._normaliser(flags, ids, tuple(gens), mul, inv, None) == expected
+    def test_normaliser_of_drawn_subgroups(self, name, data):
+        mul, inv = drawn_group_tables(name)
+        gens = tuple(data.draw(st.lists(st.integers(0, len(mul) - 1), max_size=3)))
+        flags = subgroups.close_tuples(gens, mul)
+        ids = [i for i in range(len(mul)) if flags[i]]
+        assert normaliser(flags, ids, gens, mul, inv) == conjugators(flags, gens, mul, inv)
 
-    @given(
-        st.lists(st.integers(0, len(S5) - 1), max_size=3),
-        st.lists(st.integers(0, len(S5) - 1), max_size=3),
-        st.integers(0, len(S5) - 1),
-    )
+    @pytest.mark.parametrize("name", ["s5", "a6"])
+    @given(st.data())
     @settings(max_examples=100, deadline=None)
-    def test_conjugacy_test_of_drawn_subgroups_of_s5(self, gens, other_gens, c):
+    def test_conjugacy_test_of_drawn_subgroups(self, name, data):
         # The class test rules out whole cosets m K of K = <gens>; it must agree
         # with a scan of every m, on a drawn subgroup and on a conjugate c K c^-1.
-        _, mul, inv, _ = symmetric_tables(5)
-        ids = [i for i, member in enumerate(subgroups.close_tuples(tuple(gens), mul)) if member]
+        mul, inv = drawn_group_tables(name)
+        drawn_ids = st.integers(0, len(mul) - 1)
+        gens = tuple(data.draw(st.lists(drawn_ids, max_size=3)))
+        other_gens, c = data.draw(st.lists(drawn_ids, max_size=3)), data.draw(drawn_ids)
+        ids = [i for i, member in enumerate(subgroups.close_tuples(gens, mul)) if member]
         conjugate = [mul[mul[c][x]][inv[c]] for x in gens]
         for target in (other_gens, conjugate):
             flags = subgroups.close_tuples(tuple(target), mul)
             expected = bool(conjugators(flags, gens, mul, inv))
-            assert subgroups._is_conjugate_into(flags, ids, tuple(gens), mul, inv) is expected
+            assert any(subgroups._conjugators(flags, ids, gens, mul, inv)) is expected
         assert expected  # the last target, c K c^-1, is conjugate to K
 
     def test_degree_guard(self):
