@@ -115,6 +115,24 @@ def _reach(start: Hashable, moves: Sequence[Callable], limit: int | None = None)
     return found
 
 
+def _orbits(items: Iterable[Hashable], moves: Sequence[Callable]) -> list[list]:
+    """The orbits of the ``moves`` on a set of ``items`` closed under them: a
+    ``_reach`` walk from each item that no earlier walk found, in item order."""
+    orbits, seen = [], set()
+    for item in items:
+        if item not in seen:
+            orbits.append(_reach(item, moves))
+            seen.update(orbits[-1])
+    return orbits
+
+
+def _symmetric_generators(n: int) -> tuple[tuple[int, ...], ...]:
+    """Image tuples that generate S_n: a transposition and an n-cycle, or for
+    n = 1 the cycle alone."""
+    cycle = (*range(1, n), 0)
+    return ((1, 0, *range(2, n)), cycle) if n > 1 else (cycle,)
+
+
 class PermutationGroup:
     """A permutation group on a point space, built only by ``generate``.
 
@@ -192,14 +210,7 @@ class PermutationGroup:
         minimum.  An orbit is closed under the generators alone, since they
         generate the group."""
         moves = [g.images.__getitem__ for g in self.generators]
-        seen: set[int] = set()
-        out: list[tuple[int, ...]] = []
-        for start in range(self.space.size):
-            if start not in seen:
-                orbit = _reach(start, moves)
-                seen.update(orbit)
-                out.append(tuple(sorted(orbit)))
-        return tuple(out)
+        return tuple(tuple(sorted(o)) for o in _orbits(range(self.space.size), moves))
 
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1

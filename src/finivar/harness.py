@@ -2,9 +2,10 @@
 
 A thought scenario is a family of same-sized maximal variables plus a group
 acting on their shared domain.  Classification partitions the family into
-relatedness classes; the falsifier enumerates every scenario up to a size
-bound (balanced value spaces, all subgroup actions up to conjugacy) and
-demands that no mixed verdict survives with the structural hypotheses
+relatedness classes; the falsifier counts the verdicts of every scenario up
+to a size bound (balanced value spaces, all subgroup actions up to
+conjugacy) from each group's orbits on the partitions, listing no family,
+and demands that no mixed verdict survives with the structural hypotheses
 (transitivity, trivial isotropy, permissibility, no declared coordinate
 exchange) intact.
 """
@@ -20,7 +21,9 @@ from typing import Callable, Iterable, Sequence
 from .groups import (
     Permutation,
     PermutationGroup,
+    _orbits,
     _reach,
+    _symmetric_generators,
     are_related,
     flag_trivial_exchange,
     is_permissible,
@@ -260,41 +263,37 @@ def _partition_count(sizes: Sequence[int]) -> int:
     return math.factorial(sum(sizes)) // (blocks * repeats)
 
 
+def _require_positive(name: str, value: object) -> None:
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _partition_moves(generators: Iterable[tuple[int, ...]]) -> list[Callable]:
+    """The moves p ↦ canonical_partition(p∘k) of canonical partitions, one per k."""
+    # canonical_partition is looked up per call: a wrapper on this module sees each one
+    return [lambda p, k=k: canonical_partition(compose(p, k)) for k in generators]
+
+
 def partitions_with_block_sizes(n: int, sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """All set partitions of 0..n-1 with the given block-size multiset.
 
-    Returned as canonical assignment tuples in lexicographic order.  The
-    recursion anchors each block at the smallest unlabeled point and gives it
-    the next label, so each partition appears once, already canonical.
+    Returned as canonical assignment tuples in lexicographic order.  They are
+    one orbit of S_n, walked from the partition whose blocks are runs of
+    points, which is already canonical.
     """
+    _require_positive("n", n)
+    for i, size in enumerate(sizes):
+        _require_positive(f"sizes[{i}]", size)
     if sum(sizes) != n:
         raise ValueError(f"block sizes {sizes} do not sum to {n}")
-    results: list[tuple[int, ...]] = []
-    sizes_sorted = tuple(sorted(sizes, reverse=True))
-
-    def recurse(remaining: frozenset[int], left: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]):
-        if not remaining:
-            assignment = [0] * n
-            for b_idx, block in enumerate(blocks):
-                for p in block:
-                    assignment[p] = b_idx
-            results.append(tuple(assignment))
-            return
-        anchor = min(remaining)
-        for size in dict.fromkeys(left):  # each distinct size once
-            rest_sizes = list(left)
-            rest_sizes.remove(size)
-            pool = sorted(remaining - {anchor})
-            for combo in itertools.combinations(pool, size - 1):
-                block = (anchor,) + combo
-                recurse(remaining - set(block), tuple(rest_sizes), blocks + (block,))
-
-    recurse(frozenset(range(n)), sizes_sorted, ())
-    return tuple(sorted(results))
+    start = tuple(label for label, size in enumerate(sizes) for _ in range(size))
+    return tuple(sorted(_reach(start, _partition_moves(_symmetric_generators(n)))))
 
 
 def balanced_partitions(n: int, blocks: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of 0..n-1 into equally sized blocks."""
+    _require_positive("n", n)
+    _require_positive("blocks", blocks)
     if n % blocks != 0:
         raise ValueError(f"{blocks} blocks cannot evenly split {n} points")
     size = n // blocks
@@ -320,16 +319,7 @@ def _partition_orbits(
 ) -> list[frozenset[tuple[int, ...]]]:
     """Orbits of the group generated by ``generators`` on a closed set of partitions
     (p meets p∘k); the group is finite, so closure under the generators is the orbit."""
-    # canonical_partition is looked up per call: a wrapper on this module sees each one
-    moves = [lambda q, k=k: canonical_partition(compose(q, k)) for k in generators]
-    orbits: list[frozenset[tuple[int, ...]]] = []
-    seen: set[tuple[int, ...]] = set()
-    for p in partitions:
-        if p not in seen:
-            orbit = frozenset(_reach(p, moves))
-            seen |= orbit
-            orbits.append(orbit)
-    return orbits
+    return list(map(frozenset, _orbits(partitions, _partition_moves(generators))))
 
 
 def _verdict_counts(sizes: Iterable[int]) -> dict[str, int]:
@@ -363,8 +353,7 @@ def exhaustive_falsifier(
     transitive group with trivial isotropy satisfy the hypotheses, and their
     mixed verdicts are counted from those orbits too.
     """
-    if max_n < 1:
-        raise ValueError("max_n must be positive")
+    _require_positive("max_n", max_n)
     if max_n > MAX_EXACT_DEGREE:
         raise ValueError(
             f"the census enumerates subgroup classes only up to {MAX_EXACT_DEGREE} points"

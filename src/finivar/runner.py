@@ -44,6 +44,8 @@ def resolve_tolerances(overrides: dict[str, float], scale: float) -> dict[str, f
     for key, value in resolved.items():
         if not math.isfinite(value):
             raise ScenarioError(f"tolerances.{key}: overflows to {value} after scaling")
+        if value == 0:
+            raise ScenarioError(f"tolerances.{key}: underflows to 0.0 after scaling")
     for key in ("injectivity_overlap", "orthogonal_grouping"):
         if resolved[key] >= 1:
             raise ScenarioError(

@@ -45,7 +45,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .groups import Permutation, PermutationGroup
+from .groups import Permutation, PermutationGroup, _symmetric_generators
 from .spaces import PointSpace
 
 __all__ = ["SubgroupClass", "subgroup_classes", "subgroup_conjugacy_classes", "MAX_EXACT_DEGREE"]
@@ -307,8 +307,6 @@ def subgroup_conjugacy_classes(n: int) -> tuple[SubgroupClass, ...]:
             f"subgroup classes are computed only up to degree {MAX_EXACT_DEGREE} "
             f"(the table of S_n has n!^2 entries), got {n}"
         )
-    # S_n is generated by a transposition and an n-cycle
-    cycle = Permutation(tuple(range(1, n)) + (0,))
-    swap = Permutation((1, 0) + tuple(range(2, n))) if n > 1 else cycle
     space = PointSpace(id=f"S{n}", labels=tuple(map(str, range(n))))
-    return subgroup_classes(PermutationGroup.generate(space, (swap, cycle)))
+    generators = tuple(map(Permutation, _symmetric_generators(n)))
+    return subgroup_classes(PermutationGroup.generate(space, generators))

@@ -15,6 +15,7 @@ from finivar.groups import (
     NotPermissibleError,
     Permutation,
     PermutationGroup,
+    _orbits,
     _reach,
     are_related,
     flag_trivial_exchange,
@@ -166,6 +167,32 @@ class TestClosure:
         assert _reach(0, moves, limit=2) == [0, 1, 3]
         assert _reach(0, moves, limit=6) == [0, 1, 3, 2, 4, 5]
         assert _reach(2, [lambda x: x]) == [2]
+
+    def test_orbits_walk_from_each_item_no_earlier_walk_found(self):
+        """Z3 on the even and on the odd points of 0..5, a swap of 6 and 7,
+        and 8 fixed, with the items out of order."""
+        moves = [lambda x: (x + 2) % 6 if x < 6 else x, lambda x: {6: 7, 7: 6}.get(x, x)]
+        orbits = _orbits([4, 0, 7, 1, 2, 3, 5, 6, 8], moves)
+        assert orbits == [[4, 0, 2], [7, 6], [1, 3, 5], [8]]
+
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.tuples(
+                st.lists(permutations_of(n), max_size=3), st.permutations(range(n))
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_orbits_split_the_items_in_walk_order(self, generators_items):
+        """Every item lies in exactly one orbit, the orbits are listed in the
+        order of their first item, and each lists its items as ``_reach`` does."""
+        generators, items = generators_items
+        moves = [g.images.__getitem__ for g in generators]
+        orbits = _orbits(items, moves)
+        assert sorted(x for orbit in orbits for x in orbit) == sorted(items)
+        firsts = [x for i, x in enumerate(items) if not set(items[:i]) & set(_reach(x, moves))]
+        assert [orbit[0] for orbit in orbits] == firsts
+        assert all(orbit == _reach(orbit[0], moves) for orbit in orbits)
 
     def test_no_group_is_built_from_an_element_list(self):
         elements = tuple(symmetric_group(3).elements)

@@ -376,6 +376,31 @@ class TestPartitionEnumeration:
         with pytest.raises(ValueError, match="evenly split"):
             balanced_partitions(5, 2)
 
+    @pytest.mark.parametrize(
+        "function, args, name",
+        [
+            (partitions_with_block_sizes, (0, ()), "n"),
+            (partitions_with_block_sizes, (True, (1,)), "n"),
+            (partitions_with_block_sizes, (2.0, (1, 1)), "n"),
+            (partitions_with_block_sizes, (3, (3, 0)), r"sizes\[1\]"),
+            (partitions_with_block_sizes, (3, (2, -1, 2)), r"sizes\[1\]"),
+            (partitions_with_block_sizes, (2, (True, 1)), r"sizes\[0\]"),
+            (balanced_partitions, (0, 2), "n"),
+            (balanced_partitions, (4, 0), "blocks"),
+            (balanced_partitions, (4, True), "blocks"),
+            (balanced_partitions, (4, 2.0), "blocks"),
+        ],
+        ids=[
+            "n-zero", "n-bool", "n-float", "size-zero", "size-negative", "size-bool",
+            "balanced-n-zero", "blocks-zero", "blocks-bool", "blocks-float",
+        ],
+    )
+    def test_refuses_what_is_not_a_positive_integer(self, function, args, name):
+        """n, blocks and every size must be positive ints (a bool is not one);
+        n = 0 is refused too, rather than read as the one empty partition."""
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got "):
+            function(*args)
+
 
 def is_regular(space, elements):
     if len(elements) != space.size:
@@ -587,6 +612,11 @@ class TestFalsifier:
             exhaustive_falsifier(0)
         with pytest.raises(ValueError, match="up to 6"):
             exhaustive_falsifier(7)
+
+    @pytest.mark.parametrize("max_n", [True, "4", 4.0, None])
+    def test_max_n_must_be_an_int(self, max_n):
+        with pytest.raises(ValueError, match=r"^max_n must be a positive integer, got "):
+            exhaustive_falsifier(max_n)
 
 
 def classified_verdict_counts(n, partitions, cls):

@@ -1729,6 +1729,19 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert "Error: tolerances.hermitian: overflows to inf" in result.output
 
+    @pytest.mark.parametrize(
+        "tolerances, scale, key",
+        [("{}", "1e-320", "hermitian"), ("{commutant: 1.0e-300}", "1e-30", "commutant")],
+        ids=["every-default", "one-override"],
+    )
+    def test_tolerance_underflowing_after_scaling_exits_two(self, tmp_path, tolerances, scale, key):
+        """A tolerance of 0.0 no check could meet; the first such key is named."""
+        target = tmp_path / "tiny.yaml"
+        target.write_text(MINIMAL + f"\ntolerances: {tolerances}\n", encoding="utf-8")
+        result = self.runner.invoke(main, ["run", str(target), "--tolerance-scale", scale])
+        assert result.exit_code == 2, result.output
+        assert f"Error: tolerances.{key}: underflows to 0.0 after scaling" in result.output
+
     def test_one_point_report_is_strict_json(self, tmp_path):
         """A group with no pair of elements reports min_distance null, not Infinity."""
 
