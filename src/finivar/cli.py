@@ -13,6 +13,9 @@ import sys
 
 import click
 
+# representations and spin load here although the library loads them on first
+# use: perfbench's tracer patches every module right after this import.
+from . import representations, spin  # noqa: F401
 from .builtins import BUILTINS, builtin_text, load_builtin
 from .report import VerificationReport
 from .runner import RunFlags, run_scenario

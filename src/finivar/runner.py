@@ -13,28 +13,24 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .groups import GroupHomomorphism, PermutationGroup, induced_group
 from .linalg import DEFAULT_TOLERANCES
 from .report import STATUS_ERROR, STATUS_INFORMATIONAL, CheckRecord, VerificationReport
-from .representations import (
-    IrreducibilityDiagnostic,
-    OperatorBundle,
-    RepDiagnostics,
-    build_operator,
-    commutant_diagnostic,
-)
-from .scenario import _CHECK_PARAMS, Scenario, ScenarioError
+from .scenario import _CHECK_PARAMS, Scenario, ScenarioError, _finite_number
 from .spaces import ConceptualVariable, VariableFamily, maximal_accessible
 from .subgroups import MAX_EXACT_DEGREE
+
+if TYPE_CHECKING:  # loaded by the first check that builds an operator
+    from .representations import IrreducibilityDiagnostic, OperatorBundle, RepDiagnostics
 
 __all__ = ["RunFlags", "run_scenario", "DEFAULT_TOLERANCES", "resolve_tolerances"]
 
 
 def resolve_tolerances(overrides: dict[str, float], scale: float) -> dict[str, float]:
-    if not (scale > 0 and math.isfinite(scale)):
-        raise ValueError("tolerance scale must be positive and finite")
+    if not (_finite_number(scale) and scale > 0):  # an int or a float, never a bool
+        raise ValueError(f"tolerance scale must be positive and finite, got {scale!r}")
     merged = dict(DEFAULT_TOLERANCES)
     for key, value in overrides.items():
         if key not in merged:
@@ -85,6 +81,7 @@ class _Context:
 
     @cached_property
     def irreducibility(self) -> IrreducibilityDiagnostic:
+        from .representations import commutant_diagnostic
         return commutant_diagnostic(self.scenario.coherent_family.rep, self.tolerances)
 
     def induced(
@@ -105,6 +102,7 @@ class _Context:
         """
         key = (theta.name, theta.values, theta.assignment, base_point)
         if key not in self._bundles:
+            from .representations import build_operator
             self._bundles[key] = build_operator(
                 theta, self.scenario.coherent_family, base_point, self.tolerances
             )

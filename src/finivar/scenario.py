@@ -17,11 +17,10 @@ import sys
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import Any, Callable
+from functools import cache
+from typing import TYPE_CHECKING, Any, Callable
 
-import yaml
-
-from . import linalg, spin
+from . import linalg
 from .groups import GroupTooLargeError, NotPermissibleError, Permutation, PermutationGroup
 from .groups import PermissibilityWitness, flag_trivial_exchange, is_permissible
 from .harness import ThoughtScenario, classify_thoughts
@@ -29,57 +28,71 @@ from .harness import VERDICT_ALL_DIFFERENT, VERDICT_ALL_RELATED, VERDICT_MIXED
 from .harness import exhaustive_falsifier, theorem_a1_search
 from .linalg import DEFAULT_TOLERANCES
 from .report import STATUS_ERROR, STATUS_FAIL, STATUS_NOT_APPLICABLE, STATUS_PASS
-from .representations import CoherentFamily, CoherentStateError, UnitaryRep, _cyclic_group
-from .representations import check_coherent_injectivity, conjugation_check
-from .representations import cyclic_dft_rep, expand_in_basis, qubit_rep
 from .spaces import ConceptualVariable, PointSpace, VariableFamily
 from .subgroups import MAX_EXACT_DEGREE
 
+# PyYAML, ``representations`` and ``spin`` load where a text or a check first
+# needs them: a JSON text reads no YAML, and a combinatorial check builds no operator.
+if TYPE_CHECKING:
+    from .representations import CoherentFamily, UnitaryRep
+    from .spin import SpinDirection
+
 __all__ = ["ScenarioError", "CheckSpec", "Scenario", "loads", "load_path", "CHECK_TYPES"]
 
-# libyaml's parser where PyYAML has it; both loaders resolve and construct alike.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+@cache
+def _yaml_loader() -> type:
+    """libyaml's loader where PyYAML has it, else PyYAML's own (both resolve and
+    construct alike), refusing a key written twice in one mapping, where PyYAML
+    would keep the last value and drop the first without a word.  Built, and
+    PyYAML imported, on the first text the JSON gate declines."""
+    import yaml
 
-class _UniqueKeyLoader(_YAML_LOADER):
-    """``_YAML_LOADER``, refusing a key written twice in one mapping, where
-    PyYAML would keep the last value and drop the first without a word."""
+    class _UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        def construct_mapping(self, node: yaml.MappingNode, deep: bool = False) -> dict:
+            lines: dict[Any, int] = {}  # each key, and the line it is first written at
+            for key_node, _ in node.value:
+                if not isinstance(key_node, yaml.ScalarNode) or key_node.tag.endswith(":merge"):
+                    continue
+                key = self.construct_object(key_node)  # kept: the mapping reuses it
+                if key in lines:
+                    raise yaml.constructor.ConstructorError(
+                        None,
+                        None,
+                        f"found key {key!r} again, first written at line {lines[key]}",
+                        key_node.start_mark,
+                    )
+                lines[key] = key_node.start_mark.line + 1
+            return super().construct_mapping(node, deep=deep)
 
-    def construct_mapping(self, node: yaml.MappingNode, deep: bool = False) -> dict:
-        lines: dict[Any, int] = {}  # each key, and the line it is first written at
-        for key_node, _ in node.value:
-            if not isinstance(key_node, yaml.ScalarNode) or key_node.tag.endswith(":merge"):
-                continue
-            key = self.construct_object(key_node)  # kept: the mapping reuses it
-            if key in lines:
+        def construct_yaml_int(self, node: yaml.ScalarNode) -> int:
+            """An integer, refused at its node past the interpreter's limit on
+            decimal digits, which is left as it is.  ``int`` refuses a decimal
+            literal past it; a hexadecimal, octal or binary one converts, and
+            would fail where a message or a report writes it."""
+            try:
+                value = super().construct_yaml_int(node)
+                str(value)
+            except ValueError:
                 raise yaml.constructor.ConstructorError(
                     None,
                     None,
-                    f"found key {key!r} again, first written at line {lines[key]}",
-                    key_node.start_mark,
-                )
-            lines[key] = key_node.start_mark.line + 1
-        return super().construct_mapping(node, deep=deep)
+                    f"an integer of more than {sys.get_int_max_str_digits()} decimal digits",
+                    node.start_mark,
+                ) from None
+            return value
 
-    def construct_yaml_int(self, node: yaml.ScalarNode) -> int:
-        """An integer, refused at its node past the interpreter's limit on
-        decimal digits, which is left as it is.  ``int`` refuses a decimal
-        literal past it; a hexadecimal, octal or binary one converts, and
-        would fail where a message or a report writes it."""
-        try:
-            value = super().construct_yaml_int(node)
-            str(value)
-        except ValueError:
-            raise yaml.constructor.ConstructorError(
-                None,
-                None,
-                f"an integer of more than {sys.get_int_max_str_digits()} decimal digits",
-                node.start_mark,
-            ) from None
-        return value
+    _UniqueKeyLoader.add_constructor("tag:yaml.org,2002:int", _UniqueKeyLoader.construct_yaml_int)
+    return _UniqueKeyLoader
 
 
-_UniqueKeyLoader.add_constructor("tag:yaml.org,2002:int", _UniqueKeyLoader.construct_yaml_int)
+def __getattr__(name: str) -> Any:
+    """``_UniqueKeyLoader`` and the loader it extends, ``_YAML_LOADER``, built on first read."""
+    if name == "_UniqueKeyLoader":
+        return _yaml_loader()
+    if name == "_YAML_LOADER":
+        return _yaml_loader().__base__
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # A text of printable ASCII and line breaks, with no backslash: each JSON
@@ -296,7 +309,7 @@ def _index(value: Any, path: str, scenario: Scenario) -> int:
     return _integer(0, scenario.coherent_family.rep.dim - 1)(value, path, scenario)
 
 
-def _target(value: Any, path: str, scenario: Scenario) -> spin.SpinDirection | ConceptualVariable:
+def _target(value: Any, path: str, scenario: Scenario) -> SpinDirection | ConceptualVariable:
     """Exactly one of a ``direction``, three numbers not all zero, or a ``variable``."""
     target = _require(value, path, ("direction", "variable"))
     if len(target) != 1:
@@ -304,10 +317,11 @@ def _target(value: Any, path: str, scenario: Scenario) -> spin.SpinDirection | C
     ((key, raw),) = target.items()
     if key == "variable":
         return _operator_variable(raw, f"{path}.variable", scenario)
+    from .spin import SpinDirection
     direction = None
     if isinstance(raw, list) and all(map(_finite_number, raw)):
         with suppress(ValueError):  # the wrong length, or the zero vector
-            direction = spin.SpinDirection.from_vector(raw)
+            direction = SpinDirection.from_vector(raw)
     if direction is None:
         raise _fail(f"{path}.direction", "expected a list of three numbers, not all zero")
     if scenario.coherent_family.rep.dim != 2:
@@ -455,6 +469,7 @@ def _handle_theorem1(ctx: Any, params: _Params) -> _Outcome:
         details["witness"] = _witness_payload(permissibility.witness)
         return STATUS_NOT_APPLICABLE, details
 
+    from .representations import check_coherent_injectivity
     diag = ctx.rep_diagnostics
     details["representation"] = {
         "unitary_residual": diag.unitary_residual,
@@ -525,6 +540,7 @@ def _handle_theorem2(ctx: Any, params: _Params) -> _Outcome:
             "reason": "theta is not permissible under the acting group",
             "witness": _witness_payload(exc.witness),
         }
+    from .representations import conjugation_check
     residuals = conjugation_check(family, induced, ctx.bundle(theta, base_point))
     max_residual = max([0.0, *residuals])
     details = {
@@ -540,12 +556,14 @@ def _handle_eq1(ctx: Any, params: _Params) -> _Outcome:
     basis_var, base_point, index = params["basis"], params["base_point"], params["index"]
     basis = ctx.bundle(basis_var, base_point).spectral
     target = params["target"]
-    if isinstance(target, spin.SpinDirection):
-        spectral = linalg.eigh(spin.spin_component_operator(target), ctx.tolerances)
-        target_desc: Any = {"direction": [target.x, target.y, target.z]}
-    else:
+    if isinstance(target, ConceptualVariable):
         spectral = ctx.bundle(target, base_point).spectral
-        target_desc = {"variable": target.name}
+        target_desc: Any = {"variable": target.name}
+    else:
+        from .spin import spin_component_operator
+        spectral = linalg.eigh(spin_component_operator(target), ctx.tolerances)
+        target_desc = {"direction": [target.x, target.y, target.z]}
+    from .representations import expand_in_basis
     try:
         expansion = expand_in_basis(spectral, index, basis)
     except ValueError as exc:  # a DegenerateBasisError among them
@@ -562,6 +580,7 @@ def _handle_eq1(ctx: Any, params: _Params) -> _Outcome:
 
 
 def _handle_singlet_delta(ctx: Any, params: _Params) -> _Outcome:
+    from . import spin
     directions, seed = params["directions"], params["seed"]
     state, delta = spin.singlet(), spin.delta_operator()
     clusters = linalg.eigh(delta, ctx.tolerances).clusters
@@ -800,6 +819,7 @@ def _parse_representation(
     the elements in the order the file lists their matrices."""
     if kind is None:
         return None, ()
+    from .representations import UnitaryRep, _cyclic_group, cyclic_dft_rep, qubit_rep
     if kind != "explicit":  # the kind's matrices, on the scenario's one group
         if group is None:
             group = _cyclic_group(kind, space.size, None, space)
@@ -861,8 +881,9 @@ def _parse(text: str, source: str) -> Any:
             keys = _JSON_KEY.findall(text)
             if not any(len(key) > 1025 or "\n" in key or "\r" in key for key in keys):
                 return data
+    import yaml
     try:
-        return yaml.load(text, Loader=_UniqueKeyLoader)
+        return yaml.load(text, Loader=_yaml_loader())
     except yaml.MarkedYAMLError as exc:
         # str(exc) would repeat the mark, naming the text "<unicode string>"
         mark = exc.problem_mark
@@ -916,6 +937,7 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
     coherent_family = None
     if representation is not None:
         import numpy as np  # already loaded: the representation holds arrays
+        from .representations import CoherentFamily, CoherentStateError
         group = representation.group  # the declared group, or else the kind's
         if data.get("base_state") is None:  # the first basis vector
             base_state = np.eye(1, representation.dim, dtype=complex)[0]

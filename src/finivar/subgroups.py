@@ -25,8 +25,11 @@ subgroups of S_k are A_k and S_k (Dixon and Mortimer, *Permutation Groups*,
 
 Every search joins a base H only with the first cyclic subgroup of each orbit
 of its normaliser N(H): for m in N(H), the join <H, m g m^-1> = m <H, g> m^-1
-is conjugate to <H, g>, so its class is known.  It also returns each |N(H)|,
-since H has |G| / |N(H)| conjugates: subgroups are counted, not listed.
+is conjugate to <H, g>, so its class is known.  Nor is H joined with a g
+when some power of g lies in hH ∪ Hh for a join J = <H, h> closed before
+that holds g: then <H, g> = J, a subgroup already seen.  It also returns
+each |N(H)|, since H has |G| / |N(H)| conjugates: subgroups are counted, not
+listed.
 One coset test (``_conjugators``) serves both the class test and N(H): m
 conjugates K into F exactly when every element of m K does, so each left
 coset of K is tested once, through its first element.  A join is new unless
@@ -212,6 +215,18 @@ def _cyclic_subgroups(mul: Sequence[array]) -> tuple[list[int], list[int], list[
     return cyclics, least, inv
 
 
+def _joined_before(g: int, mul: Sequence[array], joins: list[bytearray | None]) -> bool:
+    """Whether <H, g> is a join J = <H, h> closed before: some power x of g lies
+    in hH ∪ Hh, so h is in <H, g> and J <= <H, g>, and g is in J, so <H, g> <= J."""
+    x = g
+    while x:
+        joined = joins[x]
+        if joined is not None and joined[g]:
+            return True
+        x = mul[x][g]
+    return False
+
+
 def _cyclic_extension(
     mul: Sequence[array],
     cycle_types: Sequence[tuple[int, ...]],
@@ -226,8 +241,9 @@ def _cyclic_extension(
     and returned, with the trivial group, as (ascending ids, generator ids,
     normaliser order) sorted by (order, ids).  A base is joined only with the
     first cyclic subgroup of each orbit of its normaliser, so joins conjugate
-    under it are tested once.  ``symmetric`` is passed on to every closure
-    (see ``close_tuples``).
+    under it are tested once, and not with a g whose join is one it has
+    closed already (``_joined_before``).  ``symmetric`` is passed on to every
+    closure (see ``close_tuples``).
     """
     cyclics, least, inv = _cyclic_subgroups(mul)
     known: dict[tuple, list[tuple[list[int], tuple[int, ...]]]] = {}
@@ -241,13 +257,19 @@ def _cyclic_extension(
             normaliser = [m for coset in _conjugators(base, base_ids, base_gens, mul, inv) for m in coset]
             found.append((base_ids, base_gens, len(normaliser)))
             done = bytearray(len(mul))
+            joins = [None] * len(mul)  # x: the last join <H, h> closed with x in hH ∪ Hh
             for g in cyclics:
                 if base[g] or done[g]:
                     continue
                 for m in normaliser:
                     done[least[mul[mul[m][g]][inv[m]]]] = 1
+                if _joined_before(g, mul, joins):
+                    continue
                 gens = base_gens + (g,)
                 joined = close_tuples(gens, mul, base_ids, symmetric)
+                row = mul[g]
+                for a in base_ids:
+                    joins[row[a]] = joins[mul[a][g]] = joined
                 key = bytes(joined)
                 if key in seen:
                     continue

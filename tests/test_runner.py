@@ -115,6 +115,14 @@ class TestTolerances:
         with pytest.raises(ValueError, match="positive"):
             resolve_tolerances({}, 0.0)
 
+    @pytest.mark.parametrize("scale", [True, False, "2", None, 2j, pytest.param(10**400, id="10**400"), math.nan, -math.inf])
+    def test_scale_must_be_a_finite_int_or_float(self, scale):
+        with pytest.raises(ValueError, match="tolerance scale must be positive and finite"):
+            run_scenario(load_builtin("qubit"), RunFlags(tolerance_scale=scale))
+
+    def test_an_integer_scale_is_a_scale(self):
+        assert resolve_tolerances({}, 2) == resolve_tolerances({}, 2.0)
+
     @pytest.mark.parametrize("name", ["injectivity_overlap", "orthogonal_grouping"])
     def test_overlap_tolerance_must_stay_below_one(self, name):
         with pytest.raises(ScenarioError, match=f"tolerances.{name}: an overlap tolerance"):
@@ -383,7 +391,7 @@ class TestStatusMapping:
         def fault(*args):
             raise ValueError("a fault in the conjugation law")
 
-        monkeypatch.setattr("finivar.scenario.conjugation_check", fault)
+        monkeypatch.setattr("finivar.representations.conjugation_check", fault)
         report, record = single_record(scenario_with("  - type: theorem2\n    variable: position\n"))
         assert record.status == STATUS_ERROR
         assert record.details["error"] == "ValueError: a fault in the conjugation law"
@@ -735,14 +743,14 @@ class TestOperatorCache:
     def test_theorem2_calls_the_conjugation_check_once_with_every_element(self, monkeypatch):
         # perfbench's tracer measures theorem2's law under this name.
         calls = []
-        real = scenario.conjugation_check
+        real = representations.conjugation_check
 
         def spy(family, induced, bundle):
             residuals = real(family, induced, bundle)
             calls.append((family, induced, residuals))
             return residuals
 
-        monkeypatch.setattr(scenario, "conjugation_check", spy)
+        monkeypatch.setattr(representations, "conjugation_check", spy)
         loaded = loads(CYCLE12.format(checks="  - type: theorem2\n    variable: residue\n"))
         (record,) = run_scenario(loaded).checks
         assert record.status == STATUS_PASS

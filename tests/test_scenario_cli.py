@@ -263,7 +263,7 @@ checks:
             raise AssertionError("built a group or a representation past the bound")
 
         monkeypatch.setattr(PermutationGroup, "generate", forbidden)
-        monkeypatch.setattr(scenario_mod, "cyclic_dft_rep", forbidden)
+        monkeypatch.setattr("finivar.representations.cyclic_dft_rep", forbidden)
         text = cyclic_text(20_000)
         tracemalloc.start()
         try:
@@ -878,6 +878,53 @@ class TestNumpyIsLoadedOnlyWhenUsed:
         ).split()
         assert {f"finivar.{m}" for m in traced} <= loaded
         assert "numpy" not in loaded
+
+
+# Loads and runs {text!r} through the library, then prints its exit code and
+# which of the modules that load on first use it loaded.
+LOAD_AND_RUN_IN_FRESH_PROCESS = """
+import json, sys
+from finivar import loads, run_scenario
+code = run_scenario(loads({text!r})).exit_code
+lazy = ("yaml", "numpy", "finivar.representations", "finivar.spin")
+print(json.dumps([code, [name for name in lazy if name in sys.modules]]))
+"""
+
+
+class TestModulesLoadWithTheirChecks:
+    """The library imports PyYAML only for a text the JSON gate declines, and
+    ``representations`` and ``spin`` only for a check that needs them."""
+
+    def loaded_by(self, text: str) -> list[str]:
+        proc = fresh_python(LOAD_AND_RUN_IN_FRESH_PROCESS.format(text=text))
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout)
+        assert code == 0
+        return loaded
+
+    def test_the_json_census_loads_no_yaml_operator_or_numpy(self):
+        assert self.loaded_by(perfbench_workloads().census_case().text) == []
+
+    def test_a_json_cyclic_dft_theorem1_loads_no_yaml_or_spin(self):
+        text = json.dumps(yaml.safe_load(CYCLE4.format(checks=THEOREM1)))
+        assert self.loaded_by(text) == ["numpy", "finivar.representations"]
+
+    def test_a_yaml_text_loads_yaml_and_a_combinatorial_one_no_operator(self):
+        assert self.loaded_by(builtin_mod.builtin_text("a2-smoke")) == ["yaml"]
+
+    def test_the_singlet_check_loads_spin_and_no_representation(self):
+        assert self.loaded_by(builtin_mod.builtin_text("singlet")) == ["yaml", "numpy", "finivar.spin"]
+
+    def test_every_public_name_resolves_in_a_fresh_process(self):
+        code = "import finivar; print(all(getattr(finivar, name) for name in finivar.__all__))"
+        proc = fresh_python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True"]
+
+    def test_the_yaml_loaders_are_read_on_first_use(self):
+        assert scenario_mod._UniqueKeyLoader.__base__ is scenario_mod._YAML_LOADER
+        with pytest.raises(AttributeError, match="no attribute '_no_such_loader'"):
+            scenario_mod._no_such_loader
 
 
 CYCLE4 = """
@@ -1621,7 +1668,7 @@ class TestCli:
     def test_malformed_later_check_exits_two_before_any_check_runs(self, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr("finivar.scenario.exhaustive_falsifier", lambda *a: calls.append(a))
-        monkeypatch.setattr(runner_mod, "build_operator", lambda *a: calls.append(a))
+        monkeypatch.setattr("finivar.representations.build_operator", lambda *a: calls.append(a))
         target = tmp_path / "late.yaml"
         checks = f"{CHECKS['a2-falsify']}\n    max-n: 6\n{EQ1}\n    index: true"
         target.write_text(CYCLE4.format(checks=checks), encoding="utf-8")

@@ -220,6 +220,31 @@ class TestConjugacyClasses:
         # the unpruned search closes 19,029 joins; the pruned one about 1,960
         assert len(calls) < 4_000
 
+    def test_s6_search_skips_joins_it_has_closed(self, monkeypatch):
+        calls = []
+        close = subgroups.close_tuples
+        monkeypatch.setattr(subgroups, "close_tuples", lambda *args: calls.append(1) or close(*args))
+        subgroups.subgroup_conjugacy_classes.__wrapped__(6)
+        # 1,958 joins without the skip, 905 with it
+        assert len(calls) < 1_000
+
+    @given(st.lists(st.integers(0, len(S5) - 1), max_size=2))
+    @settings(max_examples=60, deadline=None)
+    def test_a_skipped_join_is_one_closed_before(self, base_gens):
+        base = subgroups.close_tuples(tuple(base_gens), S5_MUL)
+        base_ids = [i for i in range(len(S5)) if base[i]]
+        joins, closed = [None] * len(S5), set()
+        for g in range(len(S5)):  # every element outside H, each joined or skipped
+            if base[g]:
+                continue
+            joined = subgroups.close_tuples(tuple(base_gens) + (g,), S5_MUL, base_ids)
+            if subgroups._joined_before(g, S5_MUL, joins):
+                assert bytes(joined) in closed
+                continue
+            closed.add(bytes(joined))
+            for a in base_ids:
+                joins[S5_MUL[g][a]] = joins[S5_MUL[a][g]] = joined
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_pruned_search_matches_plain_join_search(self, n):
         classes = subgroups.subgroup_conjugacy_classes(n)
