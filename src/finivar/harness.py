@@ -66,7 +66,8 @@ class ThoughtScenario:
     """A family of candidate thoughts plus the acting group.
 
     ``maximal`` holds the family's maximal accessible variables, found once
-    when the scenario is built.
+    when the scenario is built.  Every member is among them: members share one
+    value count, and a partition strictly finer than another has more blocks.
     """
 
     space: PointSpace
@@ -88,11 +89,7 @@ class ThoughtScenario:
             raise ValueError(
                 f"family members must share one value-space cardinality, got {sorted(cardinalities)}"
             )
-        maximal = frozenset(maximal_accessible(self.family))
-        for m in members:
-            if m not in maximal:
-                raise ValueError(f"family member {m.name!r} is not maximal within the family")
-        object.__setattr__(self, "maximal", maximal)
+        object.__setattr__(self, "maximal", frozenset(maximal_accessible(self.family)))
 
     @property
     def members(self) -> tuple[ConceptualVariable, ...]:

@@ -15,10 +15,10 @@ import math
 import re
 import sys
 from collections import Counter
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from . import linalg
 from .groups import GroupTooLargeError, NotPermissibleError, Permutation, PermutationGroup
@@ -86,15 +86,6 @@ def _yaml_loader() -> type:
     return _UniqueKeyLoader
 
 
-def __getattr__(name: str) -> Any:
-    """``_UniqueKeyLoader`` and the loader it extends, ``_YAML_LOADER``, built on first read."""
-    if name == "_UniqueKeyLoader":
-        return _yaml_loader()
-    if name == "_YAML_LOADER":
-        return _yaml_loader().__base__
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # A text of printable ASCII and line breaks, with no backslash: each JSON
 # string in it is its literal characters, as in a YAML double-quoted scalar.
 _JSON_CHARACTERS = re.compile(r"[\n\r -\[\]-~]*")
@@ -154,10 +145,45 @@ def _require(mapping: Any, path: str, keys: tuple[str, ...] | None = None) -> di
     return mapping
 
 
-def _require_str(value: Any, path: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise _fail(path, "expected a nonempty string")
-    return value
+@contextmanager
+def _at(path: str, errors: type[Exception] = ValueError, message: str | None = None) -> Iterator[None]:
+    """Refuse, naming ``path``, an error of type ``errors`` the block raises,
+    saying ``message`` where given, else the error's own."""
+    try:
+        yield
+    except errors as exc:
+        raise _fail(path, str(exc) if message is None else message) from None
+
+
+# A reader takes a value from the file, its path and the scenario (None for a
+# field outside the checks), and returns the typed value.
+def _expect(want: str, ok: Callable[[Any], bool]) -> Callable[..., Any]:
+    """A reader that keeps each value ``ok`` accepts and fails on others, expecting ``want``."""
+
+    def read(value: Any, path: str, scenario: Scenario | None) -> Any:
+        if not ok(value):
+            raise _fail(path, f"expected {want}")
+        return value
+
+    return read
+
+
+def _integer(low: int | None = None, high: int | None = None) -> Callable[..., int]:
+    """A reader of integers, never bools, from ``low`` up to ``high`` where given."""
+    want = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[low]
+    return _expect(
+        want if high is None else f"an integer from {low} to {high}",
+        lambda v: type(v) is int and (low is None or v >= low) and (high is None or v <= high),
+    )
+
+
+_string = _expect("a nonempty string", lambda value: isinstance(value, str) and value != "")
+_strings = _expect(
+    "a list of strings",
+    lambda value: isinstance(value, list) and all(isinstance(v, str) for v in value),
+)
+_nonempty_list = _expect("a nonempty list", lambda value: isinstance(value, list) and value != [])
+_flag = _expect("true or false", lambda value: isinstance(value, bool))
 
 
 def _require_int_list(value: Any, path: str) -> tuple[int, ...]:
@@ -184,11 +210,9 @@ def _parse_complex_entry(value: Any, path: str) -> complex:
 
 def _parse_vector(value: Any, path: str) -> np.ndarray:
     import numpy as np
-    if not isinstance(value, list) or not value:
-        raise _fail(path, "expected a nonempty list")
+    entries = _nonempty_list(value, path, None)
     return np.array(
-        [_parse_complex_entry(v, f"{path}[{i}]") for i, v in enumerate(value)],
-        dtype=complex,
+        [_parse_complex_entry(v, f"{path}[{i}]") for i, v in enumerate(entries)], dtype=complex
     )
 
 
@@ -237,10 +261,8 @@ def _permutation(value: Any, size: int, path: str) -> Permutation:
     images = _require_int_list(value, path)
     if len(images) != size:
         raise _fail(path, f"image array has length {len(images)}, space has {size} points")
-    try:
+    with _at(path):
         return Permutation(images)
-    except ValueError as exc:
-        raise _fail(path, str(exc)) from None
 
 
 def _generate(raw: Any, space: PointSpace, path: str) -> PermutationGroup:
@@ -248,56 +270,30 @@ def _generate(raw: Any, space: PointSpace, path: str) -> PermutationGroup:
     if not isinstance(raw, list):
         raise _fail(path, "expected a list of image arrays")
     gens = tuple(_permutation(images, space.size, f"{path}[{i}]") for i, images in enumerate(raw))
-    try:
+    with _at(path, GroupTooLargeError):
         return PermutationGroup.generate(space, gens)
-    except GroupTooLargeError as exc:
-        raise _fail(path, str(exc)) from None
 
 
-# Check parameters.  A reader takes a value from the file, its path and the
-# scenario, and returns the typed value the check's handler reads.  A default
-# is a value, or a function of the scenario, the values read before it and the
-# path.
+# Check parameters.  A reader returns the typed value the check's handler
+# reads.  A default is a value, or a function of the scenario, the values read
+# before it and the path.
 _Params = dict[str, Any]
 _VERDICTS = (VERDICT_ALL_RELATED, VERDICT_ALL_DIFFERENT, VERDICT_MIXED)
 
 
-def _expect(want: str, ok: Callable[[Any], bool]) -> Callable[..., Any]:
-    """A reader that keeps each value ``ok`` accepts and fails on others, expecting ``want``."""
-
-    def read(value: Any, path: str, scenario: Scenario) -> Any:
-        if not ok(value):
-            raise _fail(path, f"expected {want}")
-        return value
-
-    return read
-
-
-def _integer(low: int | None = None, high: int | None = None) -> Callable[..., int]:
-    """A reader of integers, never bools, from ``low`` up to ``high`` where given."""
-    want = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[low]
-    return _expect(
-        want if high is None else f"an integer from {low} to {high}",
-        lambda v: type(v) is int and (low is None or v >= low) and (high is None or v <= high),
-    )
-
-
-_flag = _expect("true or false", lambda value: isinstance(value, bool))
 _verdict = _expect(f"one of {', '.join(_VERDICTS)}", lambda value: value in _VERDICTS)
 
 
 def _variable(value: Any, path: str, scenario: Scenario) -> ConceptualVariable:
-    return scenario.variable(_require_str(value, path), path)
+    return scenario.variable(_string(value, path, scenario), path)
 
 
 def _operator_variable(value: Any, path: str, scenario: Scenario) -> ConceptualVariable:
     """A variable whose operator the check builds: its value labels are the
     eigenvalues, so they must be distinct finite numbers."""
     theta = _variable(value, path, scenario)
-    try:
+    with _at(path):
         theta.numeric_values()
-    except ValueError as exc:
-        raise _fail(path, str(exc)) from None
     return theta
 
 
@@ -387,13 +383,11 @@ def _thoughts(least: int) -> Callable[..., None]:
 
     def need(scenario: Scenario, params: _Params, path: str) -> None:
         members = params["members"]
-        try:
+        with _at(f"{path}.members"):
             family = VariableFamily(members)  # at least one member
             if len(members) < least:
                 raise ValueError(f"expected at least {least} variables, got {len(members)}")
             params["thoughts"] = ThoughtScenario(scenario.space, family, params["generators"])
-        except ValueError as exc:
-            raise _fail(f"{path}.members", str(exc)) from None
 
     return need
 
@@ -715,12 +709,12 @@ _CHECK_PARAMS: dict[str, tuple[Any, ...]] = {
     "a2-falsify": (_handle_a2_falsify, ("max-n", _integer(1, MAX_EXACT_DEGREE), 4)),
 }
 CHECK_TYPES = tuple(_CHECK_PARAMS)
-_NAME = ("name", lambda value, path, scenario: _require_str(value, path), None)
+_NAME = ("name", _string, None)
 
 
 def _parse_check(raw: Any, path: str, scenario: Scenario) -> CheckSpec:
     params = dict(_require(raw, path))
-    check_type = _require_str(params.pop("type", None), f"{path}.type")
+    check_type = _string(params.pop("type", None), f"{path}.type", scenario)
     if check_type not in _CHECK_PARAMS:
         raise _fail(f"{path}.type", f"unknown check type {check_type!r}")
     declared = (*_CHECK_PARAMS[check_type][1:], _NAME)
@@ -741,10 +735,8 @@ def _parse_check(raw: Any, path: str, scenario: Scenario) -> CheckSpec:
 
 def _parse_space(raw: Any) -> PointSpace:
     data = _require(raw, "space", ("id", "labels", "product"))
-    space_id = _require_str(data.get("id"), "space.id")
-    labels = data.get("labels")
-    if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
-        raise _fail("space.labels", "expected a list of strings")
+    space_id = _string(data.get("id"), "space.id", None)
+    labels = _strings(data.get("labels"), "space.labels", None)
     product = None
     if "product" in data:
         raw_product = data["product"]
@@ -757,10 +749,8 @@ def _parse_space(raw: Any) -> PointSpace:
                 raise _fail(f"space.product[{i}]", "expected a coordinate pair")
             pairs.append((coords[0], coords[1]))
         product = tuple(pairs)
-    try:
+    with _at("space"):
         return PointSpace(id=space_id, labels=tuple(labels), product=product)
-    except ValueError as exc:
-        raise _fail("space", str(exc)) from None
 
 
 def _parse_variables(raw: Any, space: PointSpace) -> dict[str, ConceptualVariable]:
@@ -772,19 +762,15 @@ def _parse_variables(raw: Any, space: PointSpace) -> dict[str, ConceptualVariabl
     for i, entry in enumerate(raw):
         path = f"variables[{i}]"
         data = _require(entry, path, ("name", "values", "assignment"))
-        name = _require_str(data.get("name"), f"{path}.name")
-        values = data.get("values")
-        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-            raise _fail(f"{path}.values", "expected a list of strings")
+        name = _string(data.get("name"), f"{path}.name", None)
+        values = _strings(data.get("values"), f"{path}.values", None)
         assignment = _require_int_list(data.get("assignment"), f"{path}.assignment")
         if name in out:
             raise _fail(f"{path}.name", f"duplicate variable name {name!r}")
-        try:
+        with _at(path):
             out[name] = ConceptualVariable(
                 name=name, domain=space, values=tuple(values), assignment=assignment
             )
-        except ValueError as exc:
-            raise _fail(path, str(exc)) from None
     return out
 
 
@@ -794,16 +780,14 @@ def _representation_kind(raw: Any, space: PointSpace) -> str | None:
     if raw is None:
         return None
     data = _require(raw, "representation")
-    kind = _require_str(data.get("kind"), "representation.kind")
+    kind = _string(data.get("kind"), "representation.kind", None)
     if kind not in _REPRESENTATION_KEYS:
         raise _fail("representation.kind", f"unknown kind {kind!r}")
     _require(data, "representation", _REPRESENTATION_KEYS[kind])
     if kind == "qubit" and space.size != 2:
         raise _fail("representation.kind", f"expected two points, got {space.size}")
     if kind == "cyclic-dft":
-        n = data.get("n")
-        if type(n) is not int or n < 1:
-            raise _fail("representation.n", "expected a positive integer")
+        n = _integer(1)(data.get("n"), "representation.n", None)
         if n != space.size:
             raise _fail("representation.n", f"expected the space size {space.size}, got {n}")
         if n > MAX_CYCLIC_POINTS:
@@ -823,15 +807,11 @@ def _parse_representation(
     if kind != "explicit":  # the kind's matrices, on the scenario's one group
         if group is None:
             group = _cyclic_group(kind, space.size, None, space)
-        try:
+        with _at("representation.kind"):  # the declared group is not the kind's
             rep = qubit_rep(group) if kind == "qubit" else cyclic_dft_rep(space.size, group)
-        except ValueError as exc:  # the declared group is not the kind's
-            raise _fail("representation.kind", str(exc)) from None
         return rep, tuple(range(group.order))
     import numpy as np
-    raw_matrices = raw.get("matrices")
-    if not isinstance(raw_matrices, list) or not raw_matrices:
-        raise _fail("representation.matrices", "expected a nonempty list")
+    raw_matrices = _nonempty_list(raw.get("matrices"), "representation.matrices", None)
     if group is None:
         raise _fail("representation", "scenario declares no group")
     where = "representation.matrices"
@@ -849,10 +829,9 @@ def _parse_representation(
         listed[at] = i
         matrix = _parse_matrix(item.get("matrix"), f"{path}.matrix")
         if stack is None:
-            try:  # its zeroed pages are mapped as rows are written, so memory follows the file
+            # its zeroed pages are mapped as rows are written, so memory follows the file
+            with _at(where, MemoryError, f"{group.order} such matrices do not fit in memory"):
                 stack = np.zeros((group.order, len(matrix), len(matrix)), dtype=complex)
-            except MemoryError:
-                raise _fail(where, f"{group.order} such matrices do not fit in memory") from None
         if matrix.shape != stack.shape[1:]:
             raise _fail(where, "representation matrices must share one square shape")
         stack[at] = matrix
@@ -906,7 +885,7 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
     same data, and by PyYAML otherwise, so both give one scenario and one
     message: ``1e-9`` is a string either way."""
     data = _require(_parse(text, source), source)
-    name = _require_str(data.get("name"), "name")
+    name = _string(data.get("name"), "name", None)
     known_keys = {
         "name",
         "space",

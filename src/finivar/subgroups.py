@@ -199,32 +199,29 @@ def _conjugators(
             yield members
 
 
-def _cyclic_subgroups(mul: Sequence[array]) -> tuple[list[int], list[int], list[int]]:
+def _cyclic_subgroups(mul: Sequence[array]) -> tuple[list[int], list[int], list[list[int]]]:
     """The cyclic subgroups, each by its least generator id, in (order, element
     ids) order; for each element, the least generator id of the cyclic subgroup
-    it generates; and each element's inverse, its last power before the identity."""
+    it generates; and each element g's powers g^0 = e, g, g^2, ... up to the
+    last before the identity, which is g's inverse."""
     cyclic: dict[frozenset[int], int] = {}
-    least, inv = [], []
+    least, walks = [], []
     for g in range(len(mul)):
         powers = [0]
         while mul[powers[-1]][g] != 0:
             powers.append(mul[powers[-1]][g])
         least.append(cyclic.setdefault(frozenset(powers), g))
-        inv.append(powers[-1])
+        walks.append(powers)
     cyclics = [g for _, g in sorted(cyclic.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
-    return cyclics, least, inv
+    return cyclics, least, walks
 
 
-def _joined_before(g: int, mul: Sequence[array], joins: list[bytearray | None]) -> bool:
-    """Whether <H, g> is a join J = <H, h> closed before: some power x of g lies
-    in hH ∪ Hh, so h is in <H, g> and J <= <H, g>, and g is in J, so <H, g> <= J."""
-    x = g
-    while x:
-        joined = joins[x]
-        if joined is not None and joined[g]:
-            return True
-        x = mul[x][g]
-    return False
+def _joined_before(powers: list[int], joins: list[bytearray | None]) -> bool:
+    """Whether <H, g> is a join J = <H, h> closed before, for g = ``powers[1]``
+    and ``powers`` its walk: some power x of g lies in hH ∪ Hh, so h is in
+    <H, g> and J <= <H, g>, and g is in J, so <H, g> <= J."""
+    g = powers[1]
+    return any(joins[x] is not None and joins[x][g] for x in powers[1:])
 
 
 def _cyclic_extension(
@@ -245,7 +242,8 @@ def _cyclic_extension(
     closed already (``_joined_before``).  ``symmetric`` is passed on to every
     closure (see ``close_tuples``).
     """
-    cyclics, least, inv = _cyclic_subgroups(mul)
+    cyclics, least, powers = _cyclic_subgroups(mul)
+    inv = [walk[-1] for walk in powers]
     known: dict[tuple, list[tuple[list[int], tuple[int, ...]]]] = {}
     frontier = [(close_tuples((), mul), ())]
     seen = {bytes(frontier[0][0])}
@@ -263,7 +261,7 @@ def _cyclic_extension(
                     continue
                 for m in normaliser:
                     done[least[mul[mul[m][g]][inv[m]]]] = 1
-                if _joined_before(g, mul, joins):
+                if _joined_before(powers[g], joins):
                     continue
                 gens = base_gens + (g,)
                 joined = close_tuples(gens, mul, base_ids, symmetric)

@@ -653,6 +653,15 @@ class TestTrivialExchange:
         group = PermutationGroup.generate(space, (Permutation((0, 2, 1, 3)),))
         assert not flag_trivial_exchange(left, diag, group)
 
+    def test_pair_of_different_value_counts_is_not_flagged(self):
+        # no permutation carries a two-valued variable onto a three-valued one
+        space = self._pair_space()
+        left = ConceptualVariable("left", space, ("+", "-"), (0, 0, 1, 1))
+        three = ConceptualVariable("three", space, ("x", "y", "z"), (0, 1, 2, 2))
+        group = PermutationGroup.generate(space, (Permutation((0, 2, 1, 3)),))
+        assert not flag_trivial_exchange(left, three, group)
+        assert not flag_trivial_exchange(three, left, group)
+
     def test_relation_through_more_than_swap_is_not_flagged(self):
         space = self._pair_space()
         left = ConceptualVariable("left", space, ("+", "-"), (0, 0, 1, 1))

@@ -25,7 +25,7 @@ from finivar.harness import (
     partitions_with_block_sizes,
     theorem_a1_search,
 )
-from finivar.spaces import VariableFamily, canonical_partition, compose
+from finivar.spaces import VariableFamily, canonical_partition, compose, dominates
 from finivar.subgroups import subgroup_classes, subgroup_conjugacy_classes
 
 from conftest import generated_by_some_of, permutations_of, space_of, variable_from_assignment
@@ -42,6 +42,17 @@ def pair_partition_family(space):
             ((0, 1, 1, 0), "diagonals"),
         ]
     )
+
+
+@st.composite
+def one_value_count_families(draw):
+    """A number of points n from 2 to 6, and one to five surjective
+    assignments of them onto one number of values below n."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1, n - 1))
+    extra = st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k)
+    member = extra.flatmap(lambda values: st.permutations(list(range(k)) + values)).map(tuple)
+    return n, draw(st.lists(member, min_size=1, max_size=5))
 
 
 @pytest.fixture
@@ -88,6 +99,19 @@ class TestThoughtScenarioValidation:
         members = pair_partition_family(square4)
         scenario = ThoughtScenario(square4, VariableFamily(members), rotation4)
         assert scenario.members == members
+
+    @given(one_value_count_families())
+    @settings(max_examples=200, deadline=None)
+    def test_members_of_one_value_count_are_all_maximal(self, drawn):
+        """No partition strictly refines another of as many blocks, so every
+        member of a family sharing one value count is maximal in it."""
+        n, assignments = drawn
+        space = space_of(n)
+        members = tuple(variable_from_assignment(space, a, f"m{i}") for i, a in enumerate(assignments))
+        for a, b in itertools.product(members, repeat=2):
+            assert dominates(a, b) == dominates(b, a) == (a == b)
+        scenario = ThoughtScenario(space, VariableFamily(members), PermutationGroup.generate(space, ()))
+        assert scenario.maximal == frozenset(members)
 
 
 class TestClassifyThoughts:

@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 from finivar import linalg, representations, spaces
 from finivar.builtins import builtin_text
 from finivar.groups import (
+    GroupHomomorphism,
     NotPermissibleError,
     Permutation,
     PermutationGroup,
     induced_group,
     is_permissible,
 )
-from finivar.report import STATUS_FAIL, STATUS_NOT_APPLICABLE
+from finivar.report import STATUS_FAIL, STATUS_NOT_APPLICABLE, STATUS_PASS
 from finivar.representations import (
     CoherentCollisionError,
     CoherentFamily,
@@ -1170,6 +1171,72 @@ class TestOneWrongMatrix:
         assert exact.ok() and exact.pairs_checked == 2 * 5040
         assert not one_wrong_matrix(s7, seed).diagnostics().ok()
 
+
+class TestSecondGeneratorRow:
+    """S3 generated by r = (1 2 0) and then f = (1 0 2), with a fault on the odd
+    coset: a law on r's row alone still holds, since r is even, so only f's
+    row shows the fault, in each group law and through the theorem1 check."""
+
+    R, F = Permutation((1, 2, 0)), Permutation((1, 0, 2))
+
+    def s3(self) -> PermutationGroup:
+        group = PermutationGroup.generate(space_of(3), (self.R, self.F))
+        assert [s for s, _ in group.generator_rows()] == [group.index(self.R), group.index(self.F)]
+        return group
+
+    @staticmethod
+    def twisted(group: PermutationGroup, twist: np.ndarray) -> UnitaryRep:
+        """P(g) for even g and P(g) X for odd g, X = ``twist``."""
+        plain = [_permutation_matrix(k) for k in group.elements]
+        matrices = [p @ twist if _sign(k) < 0 else p for k, p in zip(group.elements, plain)]
+        return UnitaryRep(group, np.array(matrices, dtype=complex))
+
+    @staticmethod
+    def first_row_only(monkeypatch):
+        rows = PermutationGroup.generator_rows
+        monkeypatch.setattr(PermutationGroup, "generator_rows", lambda group: iter([next(rows(group))]))
+
+    def test_the_diagnostics_need_f_s_row(self, monkeypatch):
+        rep = self.twisted(self.s3(), np.diag([1, 1j, -1]))
+        diag = rep.diagnostics()
+        assert diag.homomorphism_residual == pytest.approx(np.sqrt(2), abs=1e-12)
+        assert diag.pairs_checked == 12 and not diag.ok()
+        self.first_row_only(monkeypatch)
+        assert rep.diagnostics().homomorphism_residual == 0.0
+
+    def test_verify_needs_f_s_row(self, monkeypatch):
+        group = self.s3()
+        hom = GroupHomomorphism(group, group, [k * self.F if _sign(k) < 0 else k for k in group.elements])
+        assert hom.verify() is False
+        self.first_row_only(monkeypatch)
+        assert hom.verify() is True
+
+    def test_theorem1_needs_f_s_row(self, monkeypatch):
+        """theorem1 builds operators only on a regular action, so it runs on S3
+        acting on itself: six points, where r stays even and f odd."""
+        els = self.s3().elements
+        gens = [[els.index(s * x) for x in els] for s in (self.R, self.F)]
+        regular = PermutationGroup.generate(space_of(6), tuple(map(Permutation, gens)))
+        rep = self.twisted(regular, np.diag([1, 1j, -1, 1, 1j, -1]))
+        entries = "".join(
+            f"\n    - element: {list(k.images)}"
+            f"\n      matrix: {[[[z.real, z.imag] for z in row] for row in matrix.tolist()]}"
+            for k, matrix in zip(regular.elements, rep.stack)
+        )
+        labels = [str(x) for x in range(6)]
+        text = (
+            f"name: s3-twisted\nspace: {{id: s3, labels: {labels}}}\n"
+            f"variables: [{{name: element, values: {labels}, assignment: {list(range(6))}}}]\n"
+            f"group: {{generators: {gens}}}\n"
+            "representation:\n  kind: explicit\n  matrices:" + entries + "\n"
+            "checks: [{type: theorem1-hypotheses, variable: element}]\n"
+        )
+        (record,) = run_scenario(loads(text)).checks
+        assert record.status == STATUS_FAIL
+        assert record.details["representation"]["homomorphism_residual"] > 1
+        self.first_row_only(monkeypatch)
+        (record,) = run_scenario(loads(text)).checks
+        assert record.status == STATUS_PASS
 
 class TestBatchedProjectorsMatchTheSvdLoop:
     """``CoherentFamily.projectors`` decomposes the stacks of one size in one

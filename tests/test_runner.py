@@ -802,6 +802,22 @@ checks:
 """
 
 
+def test_coherent_states_short_of_the_dimension_are_out_of_scope():
+    # Z2 on a three-dimensional space, swapping e0 and e1 and fixing e2: the
+    # coherent states e0 and e1 span rank 2, so no operator is built.
+    text = (
+        Z2_EXPLICIT.format(flip="[[0, 1, 0], [1, 0, 0], [0, 0, 1]]")
+        .replace("[[1, 0], [0, 1]]", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]")
+        .replace('values: ["1"]\n    assignment: [0, 0]', 'values: ["1", "2"]\n    assignment: [0, 1]')
+        .replace("base_state: [1, 1]", "base_state: [1, 0, 0]")
+        .replace("variable: constant", "variable: constant\n  - type: theorem2\n    variable: constant")
+    )
+    theorem1, theorem2 = run_scenario(loads(text)).checks
+    scope = "outside the orthogonal-coherent scope: coherent groups span rank 2 of a dimension-3 space"
+    assert (theorem1.status, theorem1.details["error"]) == (STATUS_ERROR, scope)
+    assert (theorem2.status, theorem2.details["error"]) == (STATUS_ERROR, f"OrthogonalityError: {scope}")
+
+
 class TestIrreducibility:
     def test_non_representation_gets_no_commutant(self):
         # diag(1, i) squares to diag(1, -1): no representation, though its

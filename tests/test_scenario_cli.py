@@ -542,7 +542,7 @@ class TestYamlLoaders:
     def test_libyaml_is_used_where_available(self):
         from finivar import scenario
 
-        assert scenario._YAML_LOADER is yaml.CSafeLoader
+        assert scenario._yaml_loader().__base__ is yaml.CSafeLoader
 
     @pytest.mark.parametrize("name", [*builtin_mod.builtin_names(), "cycle-24"])
     def test_both_loaders_give_equal_data(self, name):
@@ -639,7 +639,7 @@ class TestJsonPath:
     @given(dumped_texts())
     def test_json_reads_what_yaml_reads_or_declines(self, text):
         try:
-            expected = yaml.load(text, Loader=scenario_mod._UniqueKeyLoader)
+            expected = yaml.load(text, Loader=scenario_mod._yaml_loader())
         except yaml.YAMLError:
             expected = ScenarioError
         data, by_yaml = noting_parser(parse_text, text)
@@ -663,7 +663,7 @@ class TestJsonPath:
     def test_json_reads_a_text_yaml_reads_alike(self, text):
         data, by_yaml = noting_parser(parse_text, text)
         assert not by_yaml
-        assert repr(data) == repr(yaml.load(text, Loader=scenario_mod._UniqueKeyLoader))
+        assert repr(data) == repr(yaml.load(text, Loader=scenario_mod._yaml_loader()))
 
     @pytest.mark.parametrize(
         "text, exit_code, message",
@@ -922,9 +922,10 @@ class TestModulesLoadWithTheirChecks:
         assert proc.stdout.split() == ["True"]
 
     def test_the_yaml_loaders_are_read_on_first_use(self):
-        assert scenario_mod._UniqueKeyLoader.__base__ is scenario_mod._YAML_LOADER
-        with pytest.raises(AttributeError, match="no attribute '_no_such_loader'"):
-            scenario_mod._no_such_loader
+        loader = scenario_mod._yaml_loader()
+        assert loader is scenario_mod._yaml_loader()  # built once
+        assert loader.__base__ is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        assert not hasattr(scenario_mod, "_UniqueKeyLoader")  # no second name for it
 
 
 CYCLE4 = """
@@ -1106,6 +1107,65 @@ def test_every_tracer_target_resolves_in_src():
 def malformed(text: str, field: str, *flags: str, id: str):
     """A scenario that must exit 2 naming ``field``, run with the CLI ``flags``."""
     return pytest.param(text, field, flags, id=id)
+
+
+_CYCLE4_THEOREM1 = CYCLE4.format(checks=THEOREM1)
+_POSITION = 'values: ["0", "1", "2", "3"]\n    assignment: [0, 1, 2, 3]\n'
+# Loader refusals, each with the text that reaches it and its whole message.
+REFUSALS = {
+    "product-not-a-list": (
+        _CYCLE4_THEOREM1.replace('"3"]\nvariables', '"3"]\n  product: 5\nvariables'),
+        "space.product: expected a list of coordinate pairs",
+    ),
+    "product-misses-a-point": (
+        _CYCLE4_THEOREM1.replace('"3"]\nvariables', '"3"]\n  product: [[0, 0], [0, 1], [1, 0]]\nvariables'),
+        "space: product structure must cover every point",
+    ),
+    "variables-not-a-list": (
+        _CYCLE4_THEOREM1.replace("variables:\n  - name: position\n    " + _POSITION, "variables: 5\n"),
+        "variables: expected a list of variable definitions",
+    ),
+    "values-not-strings": (
+        _CYCLE4_THEOREM1.replace('values: ["0", "1", "2", "3"]', "values: [0, 1, 2, 3]"),
+        "variables[0].values: expected a list of strings",
+    ),
+    "values-twice": (
+        _CYCLE4_THEOREM1.replace(
+            _POSITION, _POSITION + '  - name: q\n    values: ["a", "a"]\n    assignment: [0, 0, 1, 1]\n'
+        ),
+        "variables[1]: variable 'q' has duplicate value labels",
+    ),
+    "matrices-empty": (
+        _CYCLE4_THEOREM1.replace("kind: cyclic-dft\n  n: 4", "kind: explicit\n  matrices: []"),
+        "representation.matrices: expected a nonempty list",
+    ),
+    "explicit-without-group": (
+        explicit_cycle4(Z4).replace("group:\n  generators:\n    - [1, 2, 3, 0]\n", ""),
+        "representation: scenario declares no group",
+    ),
+    "matrix-empty": (
+        explicit_cycle4(Z4, [np.zeros((0, 0), int)] * 4),
+        "representation.matrices[0].matrix: expected a nonempty list of rows",
+    ),
+    "matrix-row-empty": (
+        explicit_cycle4(Z4, [np.zeros((1, 0), int)] * 4),
+        "representation.matrices[0].matrix[0]: expected a nonempty list",
+    ),
+    "matrix-rows-ragged": (
+        explicit_cycle4(Z4).replace("matrix: [[1, 0, 0, 0],", "matrix: [[1, 0, 0],", 1),
+        "representation.matrices[0].matrix: rows must share one length",
+    ),
+}
+
+
+def refusal_cases(expected: bool, case=malformed) -> list:
+    """``REFUSALS`` as ``case(text, field, id=...)``: those whose message says
+    what the field expected, or the others."""
+    return [
+        case(text, message.split(": ", 1)[0], id=name)
+        for name, (text, message) in REFUSALS.items()
+        if message.split(": ", 1)[1].startswith("expected") == expected
+    ]
 
 
 class TestCli:
@@ -1467,7 +1527,8 @@ class TestCli:
                 id=f"tolerance-{name}",
             )
             for name, value in (("bool", "true"), ("nan", ".nan"), ("inf", ".inf"))
-        ],
+        ]
+        + refusal_cases(expected=True),
     )
     def test_malformed_field_exits_two(self, tmp_path, text, field, flags):
         target = tmp_path / "bad.yaml"
@@ -1634,7 +1695,8 @@ class TestCli:
                 "representation.matrices[0].matrix[0][0]",
                 id="matrix-entry-nan",
             ),
-        ],
+        ]
+        + refusal_cases(expected=False, case=pytest.param),
     )
     def test_malformed_representation_exits_two(self, tmp_path, text, field):
         target = tmp_path / "bad.yaml"
@@ -1645,6 +1707,13 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert f"Error: {field}: " in result.output
         assert not caught and "Warning" not in result.stderr
+
+    @pytest.mark.parametrize("name", REFUSALS)
+    def test_refusal_messages_are_kept_whole(self, name):
+        text, message = REFUSALS[name]
+        with pytest.raises(ScenarioError) as refused:
+            loads(text)
+        assert str(refused.value) == message
 
     def test_a_group_past_the_closure_cap_exits_two(self, tmp_path):
         target = tmp_path / "shift.yaml"
