@@ -369,9 +369,9 @@ def flag_trivial_exchange(
             f"not applicable: point space {space.id!r} declares no product structure"
         )
     _require_same_domain(theta, eta)
+    _require_acting_group(theta, group)
     if theta.value_count != eta.value_count:
         return False
-    _require_acting_group(theta, group)
     relating = list(_relating(theta, eta, (k.images for k in group.elements)))
     if not relating:
         return False

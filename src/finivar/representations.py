@@ -9,7 +9,7 @@ states with different values span orthogonal subspaces.
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import linalg
@@ -224,25 +224,28 @@ class CoherentFamily:
     def overlaps(self) -> np.ndarray:
         """``|<a|b>| / (|a| |b|)`` for every ordered pair of states, in id order.
 
-        Each entry is computed pair by pair, so it is bit-identical to the same
-        expression evaluated on the two states.  Only pairs i < j are computed:
-        ``vdot(b, a)`` is the exact conjugate of ``vdot(a, b)``, so entry (j, i)
-        takes the same value.  The diagonal is left at zero.
+        Only pairs i < j are computed, a block at a time (``_pairs``), each bit for
+        bit the scalar expression: a stack of (1,d)@(d,1) products gives each pair
+        a BLAS dot of conj(a) and b, the bits of ``vdot(a, b)``, and ``np.hypot``
+        is the scalar ``abs()``.  Entry (j, i) takes the same value, as ``vdot(b, a)``
+        is the exact conjugate of ``vdot(a, b)``.  The diagonal is left at zero.
         """
         import numpy as np
         if self._overlaps is None:
-            states = self.states
-            norms = [np.linalg.norm(a) for a in states]
-            overlaps = np.zeros((len(states), len(states)))
-            for (i, a), (j, b) in itertools.combinations(enumerate(states), 2):
-                overlaps[i, j] = overlaps[j, i] = abs(linalg.inner(a, b)) / float(norms[i] * norms[j])
+            norms = _norms(self.states)
+            overlaps = np.zeros((len(norms), len(norms)))
+            for i, j, a, b in _pairs(self):
+                inner = np.matmul(np.conjugate(a, out=a)[:, None, :], b[:, :, None]).ravel()
+                overlaps[i, j] = overlaps[j, i] = np.hypot(inner.real, inner.imag) / (norms[i] * norms[j])
             self._overlaps = overlaps
         return self._overlaps
 
     def projectors(self, groups: list[tuple[int, ...]]) -> list[tuple[np.ndarray, int]]:
         """The projector onto the span of the states at each tuple of ascending
         indices, and its rank, kept read-only per tuple.  The stacks of each size
-        not yet kept go through one batched SVD, bit for bit one SVD per stack."""
+        not yet kept go through one batched SVD, bit for bit one SVD per stack,
+        then those of one rank r through one stacked product, on the strides (so
+        the bits) of each one's own ``basis[:, :r] @ basis[:, :r].conj().T``."""
         import numpy as np
         by_size: dict[int, list[tuple[int, ...]]] = {}
         for indices in groups:
@@ -251,12 +254,41 @@ class CoherentFamily:
         for batch in by_size.values():
             stacks = self.states[np.array(batch)].swapaxes(1, 2)  # each group's states as columns
             u, s, _ = np.linalg.svd(stacks, full_matrices=False)
-            ranks = np.sum(s > 1e-10 * s[:, :1], axis=1).tolist()
-            for indices, basis, rank in zip(batch, u, ranks):
-                projector = basis[:, :rank] @ basis[:, :rank].conj().T
-                projector.flags.writeable = False
-                self._projectors[indices] = (projector, rank)
+            ranks = np.sum(s > 1e-10 * s[:, :1], axis=1)
+            for rank in sorted(set(ranks.tolist())):  # np.unique would load numpy.ma
+                at = np.flatnonzero(ranks == rank)
+                stacked = u[at, :, :rank] @ u[at, :, :rank].conj().swapaxes(1, 2)
+                stacked.flags.writeable = False  # and so each projector, a view of it
+                self._projectors.update((batch[t], (p, rank)) for t, p in zip(at.tolist(), stacked))
         return [self._projectors[indices] for indices in groups]
+
+
+def _norms(states: np.ndarray) -> np.ndarray:
+    """Each row's norm as ``np.linalg.norm`` takes it: the ddots of the strided real
+    and imaginary parts (a contiguous copy sums in another order), then sqrt."""
+    import numpy as np
+    re, im = (np.matmul(p[:, None, :], p[:, :, None]).ravel() for p in (states.real, states.imag))
+    return np.sqrt(re + im)
+
+
+def _pairs(family: CoherentFamily) -> Iterator[tuple[np.ndarray, ...]]:
+    """The pairs i < j of the family's states in row-major order, a block at a
+    time: index arrays i and j and the states at each, copied into two buffers
+    the caller may overwrite.  The buffers and a block's per-pair scalars fit
+    in the larger of the stack and the |G|×|G| overlaps, which the family holds."""
+    import numpy as np
+    states = family.states
+    n, d = states.shape
+    total = n * (n - 1) // 2
+    size = max(max(family.rep.stack.nbytes, n * n * 8) // (2 * states.itemsize * d + 80), 1)
+    buffers = np.empty((2, min(size, total), d), states.dtype)
+    starts = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2  # the pairs before row i
+    for first in range(0, total, size):
+        k = np.arange(first, min(first + size, total))
+        i = np.searchsorted(starts, k, "right") - 1
+        j = k - starts[i] + i + 1
+        a, b = buffers[:, : len(k)]  # indices are in range: "clip" writes straight into them
+        yield i, j, np.take(states, i, 0, a, "clip"), np.take(states, j, 0, b, "clip")
 
 
 @dataclass(frozen=True)
@@ -288,22 +320,19 @@ def check_coherent_injectivity(
 def _scan_injectivity(
     family: CoherentFamily, distance_tol: float, overlap_tol: float
 ) -> InjectivityResult:
+    """Each pair's distance |a - b| is ``_norms``' of a - b and its overlap is
+    ``overlaps()``'; the witness is the first pair in ``_pairs`` order to hit."""
     import numpy as np
-    elements, overlaps, states = family.group.elements, family.overlaps(), family.states
-    pairs = list(itertools.combinations(range(len(elements)), 2))  # in scan order
-    distances = []  # |a - b| as np.linalg.norm takes it: a ddot per part, then sqrt
-    for i, a in enumerate(states[:-1]):
-        diff = a - states[i + 1 :]
-        re, im = (np.matmul(p[:, None, :], p[:, :, None]).ravel() for p in (diff.real, diff.imag))
-        distances += np.sqrt(re + im).tolist()
-    near = overlaps[np.triu_indices(len(elements), 1)].tolist()
-    hits = [
-        (elements[i], elements[j])
-        for (i, j), distance, overlap in zip(pairs, distances, near)
-        if distance <= distance_tol or overlap >= 1 - overlap_tol
-    ]
-    witness = hits[0] if hits else None
-    return InjectivityResult(not hits, min(distances, default=None), max([0.0, *near]), witness)
+    elements, overlaps = family.group.elements, family.overlaps()
+    witness, least, most = None, [], [0.0]
+    for i, j, a, b in _pairs(family):
+        distances, near = _norms(np.subtract(a, b, out=a)), overlaps[i, j]
+        least.append(float(distances.min()))
+        most.append(float(np.fmax.reduce(near)))  # fmax skips NaN, as max([0.0, ...]) does
+        hits = np.flatnonzero((distances <= distance_tol) | (near >= 1 - overlap_tol))
+        if witness is None and hits.size:
+            witness = elements[i[hits[0]]], elements[j[hits[0]]]
+    return InjectivityResult(witness is None, min(least, default=None), max(most), witness)
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,9 +393,10 @@ def build_operator(
             f"{theta.values[values[i]]!r} and {theta.values[values[j]]!r} overlap by "
             f"{float(overlaps[i, j]):.3e}"
         )
-    groups = family.projectors(  # (projector, rank) of the states of each value
-        [tuple(np.flatnonzero(values == v).tolist()) for v in range(len(numeric))]
-    )
+    fibers: list[list[int]] = [[] for _ in numeric]  # the states of each value, ascending
+    for i, v in enumerate(values.tolist()):
+        fibers[v].append(i)
+    groups = family.projectors([tuple(f) for f in fibers])  # (projector, rank) of each value
     dim = family.rep.dim
     if sum(rank for _, rank in groups) != dim:
         raise OrthogonalityError(

@@ -662,6 +662,19 @@ class TestTrivialExchange:
         assert not flag_trivial_exchange(left, three, group)
         assert not flag_trivial_exchange(three, left, group)
 
+    @pytest.mark.parametrize("counts", [(2, 2), (2, 3), (3, 2)])
+    def test_group_on_another_space_is_refused_whatever_the_value_counts(self, counts):
+        space = self._pair_space()
+        assignments = {2: (0, 0, 1, 1), 3: (0, 1, 2, 2)}
+        theta, eta = (
+            ConceptualVariable(name, space, ("x", "y", "z")[:c], assignments[c])
+            for name, c in zip(("theta", "eta"), counts)
+        )
+        o = PointSpace(id="o", labels=("0", "1", "2"))
+        other = PermutationGroup.generate(o, (Permutation((1, 2, 0)),))
+        with pytest.raises(DomainMismatchError, match="group acts on 'o', variable lives on 'grid'"):
+            flag_trivial_exchange(theta, eta, other)
+
     def test_relation_through_more_than_swap_is_not_flagged(self):
         space = self._pair_space()
         left = ConceptualVariable("left", space, ("+", "-"), (0, 0, 1, 1))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -220,6 +221,24 @@ class TestCoherentFamily:
         strict = check_coherent_injectivity(family, tolerances(injectivity_distance=2.0))
         assert not strict.ok and first.ok
         assert check_coherent_injectivity(family, tolerances(injectivity_distance=2.0)) is strict
+
+    def test_the_scans_peak_within_what_the_family_holds(self):
+        """S6 on six points: 258,840 pairs of 6-dimensional states.  The scans
+        peak within three times the larger of the matrix stack and the 720×720
+        overlaps (4.1 MB)."""
+        group = PermutationGroup.generate(
+            space_of(6), (Permutation((1, 0, 2, 3, 4, 5)), Permutation((1, 2, 3, 4, 5, 0)))
+        )
+        rep = UnitaryRep(group, np.array([_permutation_matrix(k) for k in group.elements]))
+        family = CoherentFamily(rep, np.eye(6)[0])
+        tracemalloc.start()
+        try:
+            result = check_coherent_injectivity(family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * max(rep.stack.nbytes, group.order**2 * 8)
+        assert not result.ok  # the 120 elements fixing point 0 send e0 to itself
 
     def test_phase_scaled_base_gives_same_operator(self):
         space = PointSpace(id="spin-values", labels=("+1", "-1"))
@@ -1082,6 +1101,35 @@ class TestStackedScansMatchThePairLoops:
         rep = with_phases(conjugated(rep, seed), seed)
         assert assert_diagnostics_match_pairs(rep, every_pair=False).pairs_checked == 2 * 720
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_s5_on_five_points_spans_several_blocks(self, seed):
+        """S5's 7,140 pairs of 5-dimensional states take several blocks.  The
+        scans match the oracles on a random base and on the base every element
+        fixes up to a phase, and a witness past the first block is the oracle's."""
+        group = PermutationGroup.generate(
+            space_of(5), (Permutation((1, 0, 2, 3, 4)), Permutation((1, 2, 3, 4, 0)))
+        )
+        rep = UnitaryRep(group, np.array([_permutation_matrix(k) for k in group.elements]))
+        rep = with_phases(conjugated(rep, seed), seed)
+        invariant = random_unitary(5, seed) @ np.ones(5)  # ``conjugated``'s uniform vector
+        family = CoherentFamily(rep, random_unitary(5, seed + 10)[:, 0])
+        block = len(next(representations._pairs(family))[0])
+        assert block < 7140
+        for scanned in (family, CoherentFamily(rep, invariant)):
+            assert scanned.overlaps().tobytes() == pairwise_overlaps(scanned).tobytes()
+            assert_injectivity_matches_the_pairs(scanned)
+        assert not check_coherent_injectivity(CoherentFamily(rep, invariant)).ok
+        # A distance tolerance that only the closest pair meets, and that pair past the first block.
+        pairs = list(itertools.combinations(range(120), 2))
+        distances = [float(np.linalg.norm(family.states[i] - family.states[j])) for i, j in pairs]
+        closest = distances.index(min(distances))
+        assert closest >= block
+        got = representations._scan_injectivity(family, distances[closest], 1e-12)
+        assert (got.ok, got.min_distance, got.max_overlap, got.witness) == pairwise_injectivity(
+            family, distances[closest], 1e-12
+        )
+        assert got.witness == tuple(group.elements[x] for x in pairs[closest])
+
 
 class TestElementIds:
     @pytest.mark.parametrize("seed", range(3))
@@ -1272,3 +1320,14 @@ class TestBatchedProjectorsMatchTheSvdLoop:
         groups = [tuple(sorted(rng.sample(range(n), rng.randint(1, n)))) for _ in range(3 * n)]
         self.assert_projectors_match(family, groups)
         assert {rank for _, rank in family.projectors(groups)} == {1}
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_two_ranks_in_one_batch(self, n):
+        """A ray family whose base the half turn fixes up to a phase: the pairs
+        {k, k + n/2} span rank 1 and {k, k + 1} rank 2, in one batch of size 2,
+        and each projector is bit for bit its own 2-D product."""
+        rep = with_phases(conjugated(cyclic_dft_rep(n), n), n)
+        family = CoherentFamily(rep, random_unitary(n, n) @ (np.eye(n)[0] + np.eye(n)[n // 2]))
+        groups = [(k, k + 1) for k in range(n - 1)] + [(k, k + n // 2) for k in range(n // 2)]
+        self.assert_projectors_match(family, groups)
+        assert [rank for _, rank in family.projectors(groups)] == [2] * (n - 1) + [1] * (n // 2)
