@@ -1,0 +1,66 @@
+"""Record classes that generate no code at import.
+
+A ``@dataclass`` writes the source of each method it adds and ``exec``s it,
+about half a millisecond a class, paid at every start-up.  These bases give a
+``__slots__`` class the same methods, written once: a class lists its fields
+in ``_fields`` (in order), and its own ``__init__`` passes their values to
+``Record.__init__``.  Result records that validate nothing are
+``typing.NamedTuple``s instead.
+"""
+
+from __future__ import annotations
+
+from typing import Any
+
+
+class Record:
+    """A mutable record that shows and compares its fields as a dataclass
+    does, and is unhashable.  A subclass declared with ``eq=False`` compares
+    and hashes by identity instead."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *values: Any) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple[Any, ...]:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class Frozen(Record):
+    """A record whose attributes are set once, in ``__init__`` through
+    ``object.__setattr__``; it hashes the fields it compares.  Assignment
+    and deletion raise ``AttributeError``, as a frozen dataclass's do."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple[type, tuple[Any, ...]]:
+        # pickle and copy cannot assign the fields, so they call __init__ again.
+        return type(self), self._values()

@@ -9,14 +9,15 @@ element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
+from ._record import Frozen
 from .spaces import (
     ConceptualVariable,
     DomainMismatchError,
     PointSpace,
+    _integers,
     _require_same_domain,
     canonical_partition,
     compose,
@@ -54,14 +55,14 @@ class NotPermissibleError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """A bijection of {0..n-1}, stored as its image tuple."""
 
+    __slots__ = _fields = ("images",)
     images: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(int(i) for i in self.images))
+    def __init__(self, images: Iterable[int]) -> None:
+        super().__init__(_integers(images, "permutation images"))
         if sorted(self.images) != list(range(len(self.images))):
             raise ValueError(f"not a permutation of 0..{len(self.images) - 1}: {self.images}")
 
@@ -253,8 +254,7 @@ class GroupHomomorphism:
         )
 
 
-@dataclass(frozen=True)
-class PermissibilityWitness:
+class PermissibilityWitness(NamedTuple):
     """A counterexample to well-definedness: theta(phi1)=theta(phi2) but k breaks it."""
 
     k: Permutation
@@ -262,8 +262,7 @@ class PermissibilityWitness:
     phi2: int
 
 
-@dataclass(frozen=True)
-class PermissibilityResult:
+class PermissibilityResult(NamedTuple):
     ok: bool
     witness: PermissibilityWitness | None
 

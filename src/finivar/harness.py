@@ -15,9 +15,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
+from ._record import Frozen
 from .groups import (
     Permutation,
     PermutationGroup,
@@ -61,8 +61,7 @@ VERDICT_ALL_DIFFERENT = "all-essentially-different"
 VERDICT_MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class ThoughtScenario:
+class ThoughtScenario(Frozen):
     """A family of candidate thoughts plus the acting group.
 
     ``maximal`` holds the family's maximal accessible variables, found once
@@ -70,12 +69,15 @@ class ThoughtScenario:
     value count, and a partition strictly finer than another has more blocks.
     """
 
+    _fields = ("space", "family", "group")
+    __slots__ = (*_fields, "maximal")
     space: PointSpace
     family: VariableFamily
     group: PermutationGroup
-    maximal: frozenset[ConceptualVariable] = field(init=False, repr=False, compare=False)
+    maximal: frozenset[ConceptualVariable]
 
-    def __post_init__(self) -> None:
+    def __init__(self, space: PointSpace, family: VariableFamily, group: PermutationGroup) -> None:
+        super().__init__(space, family, group)
         if self.family.domain != self.space:
             raise ValueError("family domain must be the scenario space")
         if self.group.space != self.space:
@@ -96,8 +98,7 @@ class ThoughtScenario:
         return self.family.generators
 
 
-@dataclass(frozen=True)
-class PairRelation:
+class PairRelation(NamedTuple):
     left: str
     right: str
     witness: Permutation | None
@@ -108,8 +109,7 @@ class PairRelation:
         return self.witness is not None
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Do the structural hypotheses hold for a scenario?"""
 
     transitive: bool
@@ -127,8 +127,7 @@ class HypothesisReport:
         return self.transitive and self.trivial_isotropy and self.all_permissible and exchange_ok
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     classes: tuple[tuple[str, ...], ...]
     verdict: str
     relations: tuple[PairRelation, ...]
@@ -194,8 +193,7 @@ def classify_thoughts(scenario: ThoughtScenario) -> ClassificationResult:
     return ClassificationResult(classes, verdict, tuple(relations), hypotheses)
 
 
-@dataclass(frozen=True)
-class A1SearchResult:
+class A1SearchResult(NamedTuple):
     status: str  # "pass" | "not-applicable"
     reason: str
     candidates_checked: int
@@ -297,8 +295,7 @@ def balanced_partitions(n: int, blocks: int) -> tuple[tuple[int, ...], ...]:
     return partitions_with_block_sizes(n, tuple([size] * blocks))
 
 
-@dataclass(frozen=True)
-class FalsifierReport:
+class FalsifierReport(NamedTuple):
     max_n: int
     instances: int
     families: int

@@ -9,7 +9,7 @@ checks never loads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import Frozen
 
 __all__ = [
     "NotHermitianError",
@@ -56,26 +56,34 @@ def inner(u: np.ndarray, v: np.ndarray) -> complex:
     return complex(np.vdot(u, v))
 
 
-@dataclass(frozen=True, eq=False)
-class EigenCluster:
+class EigenCluster(Frozen, eq=False):
     """Eigenvalues closer than the gap threshold: their mean and column indices.
     Its projector is ``vectors[:, indices] @ vectors[:, indices].conj().T``."""
 
+    __slots__ = _fields = ("value", "indices")
     value: float
     indices: tuple[int, ...]
+
+    def __init__(self, value: float, indices: tuple[int, ...]) -> None:
+        super().__init__(value, indices)
 
     @property
     def multiplicity(self) -> int:
         return len(self.indices)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralData:
+class SpectralData(Frozen, eq=False):
     """Eigendecomposition under the fixed ordering and phase conventions."""
 
+    __slots__ = _fields = ("eigenvalues", "vectors", "clusters")
     eigenvalues: np.ndarray
     vectors: np.ndarray
     clusters: tuple[EigenCluster, ...]
+
+    def __init__(
+        self, eigenvalues: np.ndarray, vectors: np.ndarray, clusters: tuple[EigenCluster, ...]
+    ) -> None:
+        super().__init__(eigenvalues, vectors, clusters)
 
     @property
     def dim(self) -> int:

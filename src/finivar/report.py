@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
+from ._record import Record
 from .groups import Permutation
 
 __all__ = [
@@ -60,32 +60,49 @@ def jsonable(value: Any) -> Any:
             return [jsonable(v) for v in value.tolist()]
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):  # not a NamedTuple record: it has no JSON form
         return [jsonable(v) for v in value]
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     raise TypeError(f"cannot serialize {type(value).__name__} deterministically")
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(Record):
+    __slots__ = _fields = ("name", "type", "status", "details", "elapsed_ms")
     name: str
     type: str
     status: str
-    details: dict[str, Any] = field(default_factory=dict)
-    elapsed_ms: float = 0.0
+    details: dict[str, Any]
+    elapsed_ms: float
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        type: str,
+        status: str,
+        details: dict[str, Any] | None = None,
+        elapsed_ms: float = 0.0,
+    ) -> None:
+        super().__init__(name, type, status, {} if details is None else details, elapsed_ms)
         if self.status not in _ALL_STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
+    __slots__ = _fields = ("scenario", "tolerances", "flags", "checks")
     scenario: str
     tolerances: dict[str, float]
     flags: dict[str, Any]
-    checks: list[CheckRecord] = field(default_factory=list)
+    checks: list[CheckRecord]
+
+    def __init__(
+        self,
+        scenario: str,
+        tolerances: dict[str, float],
+        flags: dict[str, Any],
+        checks: list[CheckRecord] | None = None,
+    ) -> None:
+        super().__init__(scenario, tolerances, flags, [] if checks is None else checks)
 
     def add(self, record: CheckRecord) -> None:
         base = record.name
@@ -146,7 +163,8 @@ def _write_json(value: Any, newline: str, out: list[str]) -> None:
     """Append the text of ``jsonable(value)`` nested at ``newline`` as
     ``json.dumps(indent=2)`` writes it, without its pure-Python encoder.  The
     values JSON has, tuples, permutations and complex numbers are written as
-    they are; any other value (numpy's) goes through ``jsonable`` first."""
+    they are; any other value (numpy's) goes through ``jsonable`` first, which
+    refuses a record, a NamedTuple one too."""
     inner = newline + "  "
     if isinstance(value, dict):
         if not all(type(key) is str for key in value):
@@ -156,10 +174,10 @@ def _write_json(value: Any, newline: str, out: list[str]) -> None:
             out.append(("," if i else "") + inner + encode_basestring_ascii(key) + ": ")
             _write_json(item, inner, out)
         out.append(newline + "}" if value else "}")
-    elif isinstance(value, (list, tuple)) and value and all(type(item) is int for item in value):
+    elif type(value) in (list, tuple) and value and all(type(item) is int for item in value):
         # Image arrays, most of a report's items: one join.
         out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
-    elif isinstance(value, (list, tuple)):
+    elif type(value) in (list, tuple):
         out.append("[")
         for i, item in enumerate(value):
             out.append(("," if i else "") + inner)

@@ -10,9 +10,10 @@ states with different values span orthogonal subspaces.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
+from ._record import Frozen
 from .groups import GroupHomomorphism, Permutation, PermutationGroup, _require_acting_group
 from .spaces import ConceptualVariable, PointSpace
 
@@ -121,8 +122,7 @@ class UnitaryRep:
         )
 
 
-@dataclass(frozen=True)
-class RepDiagnostics:
+class RepDiagnostics(NamedTuple):
     unitary_residual: float
     identity_residual: float
     homomorphism_residual: float
@@ -291,8 +291,7 @@ def _pairs(family: CoherentFamily) -> Iterator[tuple[np.ndarray, ...]]:
         yield i, j, np.take(states, i, 0, a, "clip"), np.take(states, j, 0, b, "clip")
 
 
-@dataclass(frozen=True)
-class InjectivityResult:
+class InjectivityResult(NamedTuple):
     ok: bool
     min_distance: float | None  # None when the group has fewer than two elements
     max_overlap: float
@@ -335,14 +334,22 @@ def _scan_injectivity(
     return InjectivityResult(witness is None, min(least, default=None), max(most), witness)
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorBundle:
+class OperatorBundle(Frozen, eq=False):
     """A variable's Hermitian operator, its spectral data, and its projector
     for each numeric value, in value-label order."""
 
+    __slots__ = _fields = ("operator", "spectral", "projectors")
     operator: np.ndarray
     spectral: linalg.SpectralData
     projectors: dict[float, np.ndarray]
+
+    def __init__(
+        self,
+        operator: np.ndarray,
+        spectral: linalg.SpectralData,
+        projectors: dict[float, np.ndarray],
+    ) -> None:
+        super().__init__(operator, spectral, projectors)
 
 
 def build_operator(
@@ -439,11 +446,16 @@ def conjugation_check(
     return abs(np.subtract(conjugated, relabelled, out=relabelled)).max(axis=(1, 2)).tolist()
 
 
-@dataclass(frozen=True, eq=False)
-class BasisExpansion:
+class BasisExpansion(Frozen, eq=False):
+    __slots__ = _fields = ("amplitudes", "reconstruction_error", "weight_sum")
     amplitudes: tuple[complex, ...]
     reconstruction_error: float
     weight_sum: float
+
+    def __init__(
+        self, amplitudes: tuple[complex, ...], reconstruction_error: float, weight_sum: float
+    ) -> None:
+        super().__init__(amplitudes, reconstruction_error, weight_sum)
 
     def ok(self, tolerances: dict[str, float] = _DEFAULTS) -> bool:
         return (
@@ -483,8 +495,7 @@ def expand_in_basis(
     return BasisExpansion(amplitudes, float(error), weight)
 
 
-@dataclass(frozen=True)
-class IrreducibilityDiagnostic:
+class IrreducibilityDiagnostic(NamedTuple):
     """Commutant size of a representation; scalar commutant means irreducible.
 
     ``character_norm`` is <chi, chi>; when it misses an integer by more than

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
+from ._record import Record
 from .groups import GroupHomomorphism, PermutationGroup, induced_group
 from .linalg import DEFAULT_TOLERANCES
 from .report import STATUS_ERROR, STATUS_INFORMATIONAL, CheckRecord, VerificationReport
@@ -51,23 +51,29 @@ def resolve_tolerances(overrides: dict[str, float], scale: float) -> dict[str, f
     return resolved
 
 
-@dataclass
-class RunFlags:
-    tolerance_scale: float = 1.0
-    max_n: int | None = None
+class RunFlags(Record):
+    __slots__ = _fields = ("tolerance_scale", "max_n")
+    tolerance_scale: float
+    max_n: int | None
+
+    def __init__(self, tolerance_scale: float = 1.0, max_n: int | None = None) -> None:
+        super().__init__(tolerance_scale, max_n)
 
 
-@dataclass
-class _Context:
-    """What the checks of one scenario run share, each built at most once."""
+class _Context(Record):
+    """What the checks of one scenario run share, each built at most once.
+    It has no ``__slots__``: a ``cached_property`` keeps its value in the
+    instance's ``__dict__``."""
 
+    _fields = ("scenario", "tolerances", "flags", "_bundles", "_induced")
     scenario: Scenario
     tolerances: dict[str, float]
     flags: RunFlags
-    _bundles: dict[tuple[Any, ...], OperatorBundle] = field(default_factory=dict)
-    _induced: dict[tuple[Any, ...], tuple[PermutationGroup, GroupHomomorphism]] = field(
-        default_factory=dict
-    )
+    _bundles: dict[tuple[Any, ...], OperatorBundle]
+    _induced: dict[tuple[Any, ...], tuple[PermutationGroup, GroupHomomorphism]]
+
+    def __init__(self, scenario: Scenario, tolerances: dict[str, float], flags: RunFlags) -> None:
+        super().__init__(scenario, tolerances, flags, {}, {})
 
     @cached_property
     def rep_diagnostics(self) -> RepDiagnostics:

@@ -16,11 +16,11 @@ import re
 import sys
 from collections import Counter
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
 from functools import cache
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
 
 from . import linalg
+from ._record import Record
 from .groups import GroupTooLargeError, NotPermissibleError, Permutation, PermutationGroup
 from .groups import PermissibilityWitness, flag_trivial_exchange, is_permissible
 from .harness import ThoughtScenario, classify_thoughts
@@ -226,8 +226,7 @@ def _parse_matrix(value: Any, path: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-@dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(NamedTuple):
     """A check's type and every parameter the type declares, typed as the
     scenario loads; a parameter the file leaves out holds its default."""
 
@@ -240,8 +239,17 @@ class CheckSpec:
         return self.type if subject is None else f"{self.type}:{subject}"
 
 
-@dataclass
-class Scenario:
+class Scenario(Record):
+    __slots__ = _fields = (
+        "name",
+        "space",
+        "variables",
+        "group",
+        "coherent_family",
+        "checks",
+        "tolerance_overrides",
+        "informational",
+    )
     name: str
     space: PointSpace
     variables: dict[str, ConceptualVariable]
@@ -250,6 +258,21 @@ class Scenario:
     checks: tuple[CheckSpec, ...]
     tolerance_overrides: dict[str, float]
     informational: bool
+
+    def __init__(
+        self,
+        name: str,
+        space: PointSpace,
+        variables: dict[str, ConceptualVariable],
+        group: PermutationGroup | None,
+        coherent_family: CoherentFamily | None,
+        checks: tuple[CheckSpec, ...],
+        tolerance_overrides: dict[str, float],
+        informational: bool,
+    ) -> None:
+        super().__init__(
+            name, space, variables, group, coherent_family, checks, tolerance_overrides, informational
+        )
 
     def variable(self, name: str, path: str = "checks") -> ConceptualVariable:
         if name not in self.variables:

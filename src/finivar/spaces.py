@@ -9,8 +9,10 @@ canonical partition and value labels matter only for reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+import operator
+from typing import Iterable, Sequence
+
+from ._record import Frozen
 
 __all__ = [
     "DomainMismatchError",
@@ -49,8 +51,17 @@ def canonical_partition(assignment: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PointSpace:
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints.  An entry ``operator.index`` refuses (a
+    float, even 1.0) raises ``ValueError`` naming ``what``; a numpy integer passes."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values!r}") from None
+
+
+class PointSpace(Frozen):
     """A finite labeled set of points.
 
     ``product`` optionally declares that the points form a rectangular grid:
@@ -58,12 +69,15 @@ class PointSpace:
     test consults it.
     """
 
+    __slots__ = _fields = ("id", "labels", "product")
     id: str
     labels: tuple[str, ...]
-    product: tuple[tuple[int, int], ...] | None = None
+    product: tuple[tuple[int, int], ...] | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
+    def __init__(
+        self, id: str, labels: Sequence[str], product: Iterable[tuple[int, int]] | None = None
+    ) -> None:
+        super().__init__(id, tuple(labels), product)
         if not self.id:
             raise ValueError("point space needs a nonempty id")
         if not self.labels:
@@ -71,7 +85,8 @@ class PointSpace:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"point space {self.id!r} has duplicate labels")
         if self.product is not None:
-            coords = tuple((int(a), int(b)) for a, b in self.product)
+            what = f"point space {self.id!r}: product coordinates"
+            coords = tuple(_integers((a, b), what) for a, b in self.product)
             object.__setattr__(self, "product", coords)
             if len(coords) != len(self.labels):
                 raise ValueError("product structure must cover every point")
@@ -93,22 +108,24 @@ class PointSpace:
         return p, q
 
 
-@dataclass(frozen=True, eq=False)
-class ConceptualVariable:
+class ConceptualVariable(Frozen):
     """A surjective value assignment on a point space.
 
     ``assignment[point]`` is an index into ``values``.  Equality compares the
     domain and the canonical partition, not names or labels.
     """
 
+    __slots__ = _fields = ("name", "domain", "values", "assignment")
     name: str
     domain: PointSpace
     values: tuple[str, ...]
     assignment: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        object.__setattr__(self, "assignment", tuple(int(v) for v in self.assignment))
+    def __init__(
+        self, name: str, domain: PointSpace, values: Sequence[str], assignment: Iterable[int]
+    ) -> None:
+        what = f"variable {name!r}: assignment entries"
+        super().__init__(name, domain, tuple(values), _integers(assignment, what))
         if not self.name:
             raise ValueError("variable needs a nonempty name")
         if len(set(self.values)) != len(self.values):
@@ -176,8 +193,7 @@ class ConceptualVariable:
         )
 
 
-@dataclass(frozen=True)
-class VariableFamily:
+class VariableFamily(Frozen):
     """Generating variables over one shared domain.
 
     ``inaccessible_total`` records that the underlying total configuration is
@@ -185,11 +201,14 @@ class VariableFamily:
     partition.
     """
 
+    __slots__ = _fields = ("generators", "inaccessible_total")
     generators: tuple[ConceptualVariable, ...]
-    inaccessible_total: bool = True
+    inaccessible_total: bool
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "generators", tuple(self.generators))
+    def __init__(
+        self, generators: Iterable[ConceptualVariable], inaccessible_total: bool = True
+    ) -> None:
+        super().__init__(tuple(generators), inaccessible_total)
         if not self.generators:
             raise ValueError("a variable family needs at least one generator")
         domain = self.generators[0].domain

@@ -7,11 +7,11 @@ lexicographic order (++, +-, -+, --).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
 from . import linalg
+from ._record import Frozen
 
 __all__ = [
     "SIGMA_X",
@@ -44,17 +44,18 @@ def __getattr__(name: str) -> np.ndarray:
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class SpinDirection:
+class SpinDirection(Frozen):
     """A unit vector selecting a spin component."""
 
+    __slots__ = _fields = ("x", "y", "z")
     x: float
     y: float
     z: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, x: float, y: float, z: float) -> None:
+        super().__init__(x, y, z)
         norm = (self.x**2 + self.y**2 + self.z**2) ** 0.5
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:  # NaN compares false, so it is refused too
             raise ValueError(f"direction must be a unit vector, |a| = {norm!r}")
 
     @classmethod
@@ -63,6 +64,8 @@ class SpinDirection:
         arr = np.asarray(vec, dtype=float)
         if arr.shape != (3,):
             raise ValueError("a direction needs exactly three components")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"a direction needs finite components, got {arr.tolist()!r}")
         # Scaling by a power of two is exact: it brings the largest |component|
         # into [0.5, 1), so the norm neither underflows nor overflows.
         arr = np.ldexp(arr, -math.frexp(float(abs(arr).max()))[1])

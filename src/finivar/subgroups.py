@@ -43,10 +43,9 @@ import itertools
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .groups import Permutation, PermutationGroup, _symmetric_generators
 from .spaces import PointSpace
@@ -281,8 +280,7 @@ def _cyclic_extension(
     return sorted(found, key=lambda item: (len(item[0]), item[0]))
 
 
-@dataclass(frozen=True)
-class SubgroupClass:
+class SubgroupClass(NamedTuple):
     """A conjugacy-class representative with a small generating set, and the
     number of subgroups in its class (the index of its normaliser)."""
 

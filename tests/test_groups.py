@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -48,6 +49,16 @@ class TestPermutation:
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError, match="not a permutation"):
             Permutation((0, 0, 1))
+
+    @pytest.mark.parametrize("images", [(0, 1.7, 2), (0, 1.0, 2), (0, np.float64(1), 2), ("0", 1, 2)])
+    def test_rejects_entries_that_are_not_integers(self, images):
+        # int() would truncate 1.7 to 1 and accept the identity.
+        with pytest.raises(ValueError, match="permutation images must be integers, got"):
+            Permutation(images)
+
+    def test_keeps_numpy_integers_as_ints(self):
+        p = Permutation(np.array([1, 0, 2]))
+        assert p == Permutation((1, 0, 2)) and type(p.images[0]) is int
 
     def test_composition_order(self):
         # (p * q)(x) = p(q(x))

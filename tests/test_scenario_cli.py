@@ -880,6 +880,33 @@ class TestNumpyIsLoadedOnlyWhenUsed:
         assert "numpy" not in loaded
 
 
+# Imports finivar.cli, then prints whether dataclasses was loaded and every
+# class in a finivar module that carries dataclass fields.
+DATACLASS_PROBE = """
+import json, sys, finivar.cli
+modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "finivar"]
+found = [
+    f"{m.__name__}.{name}"
+    for m in modules
+    for name, obj in vars(m).items()
+    if isinstance(obj, type) and hasattr(obj, "__dataclass_fields__")
+]
+print(json.dumps(["dataclasses" in sys.modules, len(modules), found]))
+"""
+
+
+class TestRecordsGenerateNoCode:
+    def test_cli_import_loads_no_dataclasses(self):
+        # A @dataclass execs its generated methods at import, about 0.5 ms a
+        # class in every `finivar run` process; the records are declared without.
+        proc = fresh_python(DATACLASS_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        loaded, modules, found = json.loads(proc.stdout)
+        assert loaded is False
+        assert modules >= 13
+        assert found == []
+
+
 # Loads and runs {text!r} through the library, then prints its exit code and
 # which of the modules that load on first use it loaded.
 LOAD_AND_RUN_IN_FRESH_PROCESS = """

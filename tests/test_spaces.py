@@ -55,6 +55,11 @@ class TestPointSpace:
                 product=((0, 0), (0, 1), (1, 0), (0, 0)),
             )
 
+    @pytest.mark.parametrize("last", [(1, 1.5), (1.0, 1)])
+    def test_product_refuses_coordinates_that_are_not_integers(self, last):
+        with pytest.raises(ValueError, match=r"point space 's': product coordinates must be integers"):
+            PointSpace(id="s", labels=("a", "b", "c", "d"), product=((0, 0), (0, 1), (1, 0), last))
+
     def test_product_sizes(self):
         space = PointSpace(
             id="s",
@@ -86,6 +91,12 @@ class TestConceptualVariable:
             ConceptualVariable(
                 name="v", domain=space_of(3), values=("a", "b"), assignment=(0, 1)
             )
+
+    @pytest.mark.parametrize("assignment", [(0, 1.5), (0, 1.0)])
+    def test_rejects_assignment_entries_that_are_not_integers(self, assignment):
+        # int() would truncate 1.5 to 1 and build the variable.
+        with pytest.raises(ValueError, match="variable 'v': assignment entries must be integers"):
+            ConceptualVariable("v", space_of(2), ("x", "y"), assignment)
 
     def test_equality_is_partitional(self):
         space = space_of(4)

@@ -47,6 +47,21 @@ class TestSpinDirection:
             spin.SpinDirection.from_vector((0.0, 0.0, 0.0))
 
     @pytest.mark.parametrize(
+        "components", [(float("nan"), 0.0, 0.0), (0.0, float("nan"), 1.0), (float("inf"), 0.0, 0.0)]
+    )
+    def test_rejects_non_finite_components(self, components):
+        # abs(nan - 1.0) > tol is False: the test must not let a NaN norm pass as a unit.
+        with pytest.raises(ValueError, match="must be a unit vector"):
+            spin.SpinDirection(*components)
+
+    @pytest.mark.parametrize(
+        "vec", [(float("nan"), 1.0, 0.0), (float("inf"), 0.0, 0.0), (1.0, -float("inf"), float("nan"))]
+    )
+    def test_from_vector_rejects_non_finite_vectors(self, vec):
+        with pytest.raises(ValueError, match="a direction needs finite components"):
+            spin.SpinDirection.from_vector(vec)
+
+    @pytest.mark.parametrize(
         "vec, unit",
         [
             ((1.0e-13, 0.0, 0.0), (1.0, 0.0, 0.0)),

@@ -560,7 +560,7 @@ class TestIdTables:
         def refuse(*args):
             raise AssertionError("made or looked up a Permutation")
 
-        monkeypatch.setattr(Permutation, "__post_init__", refuse)
+        monkeypatch.setattr(Permutation, "__init__", refuse)
         monkeypatch.setattr(Permutation, "_trusted", refuse)
         monkeypatch.setattr(PermutationGroup, "index", refuse)
         assert subgroups.subgroup_classes(group) == expected
