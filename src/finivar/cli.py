@@ -2,16 +2,17 @@
 
 Exit codes: 0 when every check passes (or is informational / not applicable),
 1 when any check fails or errors, 2 for unusable input such as a malformed
-scenario file.
+scenario file or a bad option.  A usage error prints the command's usage line,
+a hint and ``Error: <message>`` to standard error.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 import os
 import sys
-
-import click
+from typing import Callable, NamedTuple, NoReturn
 
 # representations and spin load here although the library loads them on first
 # use: perfbench's tracer patches every module right after this import.
@@ -24,18 +25,52 @@ from .subgroups import MAX_EXACT_DEGREE
 
 __all__ = ["main"]
 
+_HELP_WIDTH = 78
+_NO_VALUE = object()  # stored for an option given last, with no value after it
 
-def _positive_scale(ctx: click.Context, param: click.Parameter, value: float) -> float:
+
+class UsageError(Exception):
+    """Unusable input: ``main`` prints the usage line and this message, and exits 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose own refusals, such as ``--help=x``, are usage errors."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(message)
+
+
+def _scale(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a valid float.") from None
     if not (value > 0 and math.isfinite(value)):
-        raise click.BadParameter("must be positive and finite")
+        raise ValueError("must be positive and finite")
     return value
 
 
-def _output_path(ctx: click.Context, param: click.Parameter, value: str | None) -> str | None:
-    """A file to write, refused before any work when its directory is missing."""
-    if value not in (None, "-") and not os.path.isdir(os.path.dirname(value) or "."):
-        raise click.BadParameter(f"directory {os.path.dirname(value)!r} does not exist")
+def _point_bound(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a valid integer range.") from None
+    if not 1 <= value <= MAX_EXACT_DEGREE:
+        raise ValueError(f"{value} is not in the range 1<=x<={MAX_EXACT_DEGREE}.")
     return value
+
+
+def _output_path(text: str) -> str:
+    """A file to write, refused before any work when it is a directory, cannot
+    be read or written, or its directory is missing."""
+    if os.path.isdir(text):
+        raise ValueError(f"File {text!r} is a directory.")
+    for mode, able in ((os.R_OK, "readable"), (os.W_OK, "writable")):
+        if os.path.exists(text) and not os.access(text, mode):
+            raise ValueError(f"File {text!r} is not {able}.")
+    if text != "-" and not os.path.isdir(os.path.dirname(text) or "."):
+        raise ValueError(f"directory {os.path.dirname(text)!r} does not exist")
+    return text
 
 
 def _write(path: str, text: str) -> None:
@@ -43,7 +78,7 @@ def _write(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        raise click.UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _execute(source: str, flags: RunFlags) -> VerificationReport:
@@ -55,59 +90,23 @@ def _execute(source: str, flags: RunFlags) -> VerificationReport:
     try:
         return run_scenario(load_builtin(source) if source in BUILTINS else load_path(source), flags)
     except ScenarioError as exc:
-        raise click.UsageError(str(exc)) from None
+        raise UsageError(str(exc)) from None
 
 
-@click.group()
-def main() -> None:
-    """Finite-scale verification of conceptual-variable models."""
-
-
-@main.command()
-@click.argument("scenario")
-@click.option(
-    "--report",
-    "report_path",
-    type=click.Path(dir_okay=False, writable=True),
-    default=None,
-    callback=_output_path,
-    help="Write the JSON report here ('-' prints it to stdout).",
-)
-@click.option(
-    "--tolerance-scale",
-    type=float,
-    default=1.0,
-    show_default=True,
-    callback=_positive_scale,
-    help="Multiply every resolved tolerance by this factor.",
-)
-@click.option(
-    "--max-n",
-    type=click.IntRange(1, MAX_EXACT_DEGREE),
-    default=None,
-    help="Override the point-count bound of any exhaustive-falsifier check.",
-)
-def run(
-    scenario: str,
-    report_path: str | None,
-    tolerance_scale: float,
-    max_n: int | None,
-) -> None:
+def _run(scenario: str, report: str | None, tolerance_scale: float, max_n: int | None) -> int:
     """Run SCENARIO (a built-in name or a YAML file) and report each check."""
-    flags = RunFlags(tolerance_scale=tolerance_scale, max_n=max_n)
-    report = _execute(scenario, flags)
-    if report_path == "-":
-        click.echo(report.to_json(), nl=False)
+    result = _execute(scenario, RunFlags(tolerance_scale=tolerance_scale, max_n=max_n))
+    if report == "-":
+        print(result.to_json(), end="", flush=True)
     else:
-        click.echo(report.to_text(), nl=False)
-        if report_path is not None:
-            _write(report_path, report.to_json())
-            click.echo(f"report written to {report_path}")
-    sys.exit(report.exit_code)
+        print(result.to_text(), end="", flush=True)
+        if report is not None:
+            _write(report, result.to_json())
+            print(f"report written to {report}", flush=True)
+    return result.exit_code
 
 
-@main.command("list")
-def list_builtins() -> None:
+def _list() -> int:
     """List the built-in scenarios."""
     for name in BUILTINS:
         first_comment = next(
@@ -118,34 +117,24 @@ def list_builtins() -> None:
             ),
             "",
         )
-        click.echo(f"{name}: {first_comment}" if first_comment else name)
+        print(f"{name}: {first_comment}" if first_comment else name, flush=True)
+    return 0
 
 
-@main.command()
-@click.argument("name")
-@click.option(
-    "--output",
-    type=click.Path(dir_okay=False, writable=True),
-    default=None,
-    callback=_output_path,
-    help="Write the scenario file here instead of stdout.",
-)
-def emit(name: str, output: str | None) -> None:
+def _emit(name: str, output: str | None) -> int:
     """Print a built-in scenario file, ready to edit and re-run."""
     if name not in BUILTINS:
-        raise click.UsageError(
-            f"unknown built-in {name!r}; choices: {', '.join(BUILTINS)}"
-        )
+        raise UsageError(f"unknown built-in {name!r}; choices: {', '.join(BUILTINS)}")
     text = builtin_text(name)
     if output in (None, "-"):
-        click.echo(text, nl=False)
+        print(text, end="", flush=True)
     else:
         _write(output, text)
-        click.echo(f"scenario written to {output}")
+        print(f"scenario written to {output}", flush=True)
+    return 0
 
 
-@main.command()
-def selftest() -> None:
+def _selftest() -> int:
     """Run every built-in scenario and require a clean exit from each."""
     failed = []
     for name in BUILTINS:
@@ -153,13 +142,205 @@ def selftest() -> None:
         counts = report.summary()
         shown = ", ".join(f"{k}={v}" for k, v in counts.items() if v)
         verdict = "ok" if report.exit_code == 0 else "FAILED"
-        click.echo(f"{name}: {verdict} ({shown})")
+        print(f"{name}: {verdict} ({shown})", flush=True)
         if report.exit_code != 0:
             failed.append(name)
     if failed:
-        click.echo(f"selftest failed: {', '.join(failed)}")
-        sys.exit(1)
-    click.echo(f"selftest passed: {len(BUILTINS)} scenarios clean")
+        print(f"selftest failed: {', '.join(failed)}", flush=True)
+        return 1
+    print(f"selftest passed: {len(BUILTINS)} scenarios clean", flush=True)
+    return 0
+
+
+class _Option(NamedTuple):
+    flag: str  # "--max-n" passes the keyword max_n
+    metavar: str
+    help: str
+    read: Callable[[str], object]  # converts and checks the text; ValueError refuses it
+    default: object = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+class _Command(NamedTuple):
+    run: Callable[..., int]  # returns the exit code; its docstring is the help
+    argument: str | None  # the one positional argument, named as in the help
+    options: tuple[_Option, ...] = ()
+
+
+_REPORT_HELP = "Write the JSON report here ('-' prints it to stdout)."
+_OUTPUT_HELP = "Write the scenario file here instead of stdout."
+_SCALE_HELP = "Multiply every resolved tolerance by this factor.  [default: 1.0]"
+_MAX_N_HELP = (
+    f"Override the point-count bound of any exhaustive-falsifier check.  [1<=x<={MAX_EXACT_DEGREE}]"
+)
+COMMANDS = {
+    "run": _Command(
+        _run,
+        "SCENARIO",
+        (
+            _Option("--report", "FILE", _REPORT_HELP, _output_path),
+            _Option("--tolerance-scale", "FLOAT", _SCALE_HELP, _scale, 1.0),
+            _Option("--max-n", "INTEGER RANGE", _MAX_N_HELP, _point_bound),
+        ),
+    ),
+    "list": _Command(_list, None),
+    "emit": _Command(_emit, "NAME", (_Option("--output", "FILE", _OUTPUT_HELP, _output_path),)),
+    "selftest": _Command(_selftest, None),
+}
+_HELP_ROW = ("--help", "Show this message and exit.")
+
+
+def _is_option(arg: str) -> bool:
+    return len(arg) > 1 and arg.startswith("-")
+
+
+def _no_such_option(arg: str, flags: list[str]) -> str:
+    from difflib import get_close_matches  # here, off the start-up path of every run
+
+    name = arg.split("=", 1)[0]
+    close = [repr(flag) for flag in sorted(get_close_matches(name, flags))]
+    if len(close) > 1:
+        return f"No such option {name!r}. (Did you mean one of: {', '.join(close)}?)"
+    return f"No such option {name!r}." + (f" Did you mean {close[0]}?" if close else "")
+
+
+def _given_at(flag: str, args: list[str]) -> int:
+    return next((i for i, arg in enumerate(args) if arg.split("=", 1)[0] == flag), len(args))
+
+
+def _joined(command: _Command, args: list[str]) -> list[str]:
+    """``args`` with each option joined to the word after it (``--max-n=-5``),
+    so that a value starting with ``-`` is the option's value, never an option."""
+    flags = {option.flag for option in command.options}
+    joined, rest = [], iter(args)
+    for arg in rest:
+        if arg == "--":
+            return [*joined, arg, *rest]
+        value = next(rest, None) if arg in flags else None
+        joined.append(arg if value is None else f"{arg}={value}")
+    return joined
+
+
+def _parse(command: _Command, args: list[str]) -> dict[str, object] | None:
+    """The keywords of ``command.run`` read from ``args``, or None for ``--help``.
+
+    The refusals come in this order: an unknown option or a missing option
+    value, then ``--help``, then each option's value in the order the options
+    were first given, the missing argument and any extra argument.
+    """
+    parser = _Parser(add_help=False, allow_abbrev=False)
+    if command.argument:
+        parser.add_argument("argument", nargs="?")
+    for option in command.options:
+        # nargs="?" lets an option given last, without its value, reach the check below
+        parser.add_argument(option.flag, dest=option.dest, nargs="?", const=_NO_VALUE)
+    parser.add_argument("--help", action="store_true")
+    args = _joined(command, args)
+    parsed, extra = parser.parse_known_args(args)
+    before_dashes = args[: args.index("--")] if "--" in args else args
+    unknown = next((arg for arg in extra if _is_option(arg) and arg in before_dashes), None)
+    if unknown is not None:
+        raise UsageError(_no_such_option(unknown, [o.flag for o in command.options] + ["--help"]))
+    for option in command.options:
+        if getattr(parsed, option.dest) is _NO_VALUE:
+            raise UsageError(f"Option '{option.flag}' requires an argument.")
+    if parsed.help:
+        return None
+    keywords = {}
+    for option in sorted(command.options, key=lambda o: _given_at(o.flag, args)):
+        text = getattr(parsed, option.dest)
+        try:
+            keywords[option.dest] = option.default if text is None else option.read(text)
+        except ValueError as exc:
+            raise UsageError(f"Invalid value for '{option.flag}': {exc}") from None
+    if command.argument:
+        if parsed.argument is None:
+            raise UsageError(f"Missing argument '{command.argument}'.")
+        keywords[command.argument.lower()] = parsed.argument
+    if extra:
+        plural = "s" if len(extra) > 1 else ""
+        raise UsageError(f"Got unexpected extra argument{plural} ({' '.join(extra)})")
+    return keywords
+
+
+def _help(usage: str, doc: str, *tables: tuple[str, list[tuple[str, str]]]) -> str:
+    """The usage line, the description, then each titled table of terms and texts."""
+    import textwrap  # here, off the start-up path of every run
+
+    lines = [f"Usage: {usage}", "", f"  {doc}"]
+    for title, rows in tables:
+        lines += ["", f"{title}:"]
+        column = max(len(term) for term, _ in rows) + 4
+        for term, text in rows:
+            first, *rest = textwrap.wrap(text, _HELP_WIDTH - column)
+            lines.append(f"  {term:<{column - 4}}  {first}")
+            lines += [" " * column + line for line in rest]
+    return "\n".join(lines)
+
+
+def _program_name() -> str:
+    """The program as it was started: the script's file name, or
+    ``python -m finivar.cli`` for a module run with ``-m``."""
+    package = getattr(sys.modules["__main__"], "__package__", None)
+    if not package:
+        return os.path.basename(sys.argv[0])
+    module = os.path.splitext(os.path.basename(sys.argv[0]))[0]
+    return f"python -m {package}" + ("" if module == "__main__" else f".{module}")
+
+
+def _usage(prog: str, name: str | None) -> str:
+    if name is None:
+        return f"{prog} [OPTIONS] COMMAND [ARGS]..."
+    argument = COMMANDS[name].argument
+    return f"{prog} {name} [OPTIONS]" + (f" {argument}" if argument else "")
+
+
+def _dispatch(prog: str, args: list[str]) -> int:
+    first = args[0] if args else None
+    if first in COMMANDS:
+        command = COMMANDS[first]
+        keywords = _parse(command, args[1:])
+        if keywords is not None:
+            return command.run(**keywords)
+        rows = [(f"{o.flag} {o.metavar}", o.help) for o in command.options] + [_HELP_ROW]
+        print(_help(_usage(prog, first), command.run.__doc__, ("Options", rows)), flush=True)
+        return 0
+    if first not in (None, "--help"):
+        message = f"No such command {first!r}."
+        raise UsageError(_no_such_option(first, ["--help"]) if _is_option(first) else message)
+    text = _help(
+        _usage(prog, None),
+        "Finite-scale verification of conceptual-variable models.",
+        ("Options", [_HELP_ROW]),
+        ("Commands", [(name, COMMANDS[name].run.__doc__) for name in sorted(COMMANDS)]),
+    )
+    print(text, file=sys.stderr if first is None else sys.stdout, flush=True)
+    return 2 if first is None else 0
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> NoReturn:
+    """Run the command line on ``args`` (default ``sys.argv[1:]``) and exit
+    with its code; ``prog_name`` (default: as started) heads the usage line."""
+    args = sys.argv[1:] if args is None else list(args)
+    prog = prog_name or _program_name()
+    try:
+        code = _dispatch(prog, args)
+    except UsageError as exc:
+        name = args[0] if args and args[0] in COMMANDS else None
+        command = f"{prog} {name}" if name else prog
+        message = f"Usage: {_usage(prog, name)}\nTry '{command} --help' for help.\n\nError: {exc}"
+        print(message, file=sys.stderr, flush=True)
+        code = 2
+    except (KeyboardInterrupt, EOFError):
+        print("\nAborted!", file=sys.stderr, flush=True)
+        code = 1
+    except BrokenPipeError:  # the reader left early, as in `finivar selftest | head -1`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,12 @@
-"""Shared strategies and fixtures: random partitions, groups and variables."""
+"""Shared strategies and fixtures: random partitions, groups and variables,
+and an in-process runner for the command line."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
@@ -122,3 +126,41 @@ def variable_group_pairs(draw, min_points: int = 2, max_points: int = 6):
 @pytest.fixture
 def square() -> PointSpace:
     return space_of(4, "square")
+
+
+class _Capture(io.StringIO):
+    """A stream that also copies each write into a shared ``mixed`` stream."""
+
+    def __init__(self, mixed: io.StringIO):
+        super().__init__()
+        self._mixed = mixed
+
+    def write(self, text: str) -> int:
+        self._mixed.write(text)
+        return super().write(text)
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    output: str  # stdout and stderr in the order they were written
+    stdout: str
+    stderr: str
+    exception: BaseException | None  # the SystemExit of a nonzero exit, or what was raised
+
+
+class CliRunner:
+    """Calls a command-line ``main(args)`` in process and captures what it writes."""
+
+    def invoke(self, main, args: list[str]) -> CliResult:
+        mixed = io.StringIO()
+        out, err = _Capture(mixed), _Capture(mixed)
+        exit_code, exception = 0, None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(args)
+            except SystemExit as exc:
+                exit_code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+                exception = exc if exit_code else None
+            except Exception as exc:
+                exit_code, exception = 1, exc
+        return CliResult(exit_code, mixed.getvalue(), out.getvalue(), err.getvalue(), exception)

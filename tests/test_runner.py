@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from click.testing import CliRunner
+from conftest import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -17,7 +17,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from click.testing import CliRunner
+from conftest import CliRunner
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -905,6 +905,221 @@ class TestRecordsGenerateNoCode:
         assert loaded is False
         assert modules >= 13
         assert found == []
+
+
+# Runs the command line as the `finivar` console script does: main() reads sys.argv.
+CLI_IN_FRESH_PROCESS = """
+import sys
+from finivar.cli import main
+sys.argv = ["finivar", *{args!r}]
+main()
+"""
+RUN_USAGE = "Usage: finivar run [OPTIONS] SCENARIO\nTry 'finivar run --help' for help.\n\n"
+EMIT_USAGE = "Usage: finivar emit [OPTIONS] NAME\nTry 'finivar emit --help' for help.\n\n"
+TOP_USAGE = "Usage: finivar [OPTIONS] COMMAND [ARGS]...\nTry 'finivar --help' for help.\n\n"
+
+
+class TestUsageContract:
+    """Each usage error prints the command's usage line, a hint and ``Error: ...``
+    to stderr, and exits 2; ``DIR`` stands for an existing directory."""
+
+    @pytest.mark.parametrize(
+        "args, stderr",
+        [
+            pytest.param(
+                ["run", "qubit", "--report", "DIR"],
+                RUN_USAGE + "Error: Invalid value for '--report': File 'DIR' is a directory.\n",
+                id="report-is-a-directory",
+            ),
+            pytest.param(
+                ["emit", "qubit", "--output", "DIR"],
+                EMIT_USAGE + "Error: Invalid value for '--output': File 'DIR' is a directory.\n",
+                id="output-is-a-directory",
+            ),
+            pytest.param(
+                ["run", "qubit", "--tolerance-scale", "abc"],
+                RUN_USAGE + "Error: Invalid value for '--tolerance-scale': 'abc' is not a valid float.\n",
+                id="scale-not-a-float",
+            ),
+            pytest.param(
+                ["run", "qubit", "--max-n", "x"],
+                RUN_USAGE + "Error: Invalid value for '--max-n': 'x' is not a valid integer range.\n",
+                id="max-n-not-an-integer",
+            ),
+            pytest.param(
+                ["frobnicate"], TOP_USAGE + "Error: No such command 'frobnicate'.\n", id="no-such-command"
+            ),
+            pytest.param(["run"], RUN_USAGE + "Error: Missing argument 'SCENARIO'.\n", id="missing-argument"),
+            pytest.param(
+                ["run", "qubit", "extra"],
+                RUN_USAGE + "Error: Got unexpected extra argument (extra)\n",
+                id="extra-argument",
+            ),
+        ],
+    )
+    def test_a_usage_error_exits_two_with_the_usage_line(self, tmp_path, args, stderr):
+        args = [str(tmp_path) if arg == "DIR" else arg for arg in args]
+        proc = fresh_python(CLI_IN_FRESH_PROCESS.format(args=args))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == stderr.replace("DIR", str(tmp_path))
+
+    def test_an_abbreviated_option_is_no_option(self):
+        proc = fresh_python(CLI_IN_FRESH_PROCESS.format(args=["run", "qubit", "--rep", "-"]))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(RUN_USAGE + "Error: No such option '--rep'")
+
+    def test_help_lists_the_four_commands_and_no_command_exits_two(self):
+        shown = fresh_python(CLI_IN_FRESH_PROCESS.format(args=["--help"]))
+        assert shown.returncode == 0, shown.stderr
+        assert shown.stdout.startswith("Usage: finivar [OPTIONS] COMMAND [ARGS]...\n")
+        listed = re.findall(r"^  ([a-z]+) ", shown.stdout.split("Commands:\n")[1], re.MULTILINE)
+        assert listed == ["emit", "list", "run", "selftest"]
+        bare = fresh_python(CLI_IN_FRESH_PROCESS.format(args=[]))
+        assert bare.returncode == 2
+        assert bare.stdout == "" and "Usage: finivar [OPTIONS] COMMAND [ARGS]..." in bare.stderr
+
+
+# Calls main in one of its three forms, then prints how it ended.
+CALL_MAIN_IN_FRESH_PROCESS = """
+import sys
+from finivar.cli import main
+try:
+    {call}
+except SystemExit as exc:
+    print("SystemExit", exc.code, file=sys.stderr)
+"""
+
+
+class TestCommandLineEntry:
+    def test_cli_import_loads_no_click_or_inspect(self):
+        proc = fresh_python("import sys, finivar.cli; print(' '.join(sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "finivar.runner" in loaded
+        assert not {"click", "inspect"} & loaded
+
+    @pytest.mark.parametrize(
+        "call, prog",
+        [
+            ('main(args={args!r}, prog_name="finivar")', "finivar"),  # perfbench's child
+            ("main({args!r})", "-c"),  # the tests; the program is sys.argv[0], "-c" here
+            ('sys.argv = ["bin/finivar", *{args!r}]; main()', "finivar"),  # the console script
+        ],
+        ids=["args-and-prog-name", "args", "sys-argv"],
+    )
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["run", "qubit"], 0),
+            (["run", "qubit", "--tolerance-scale", "1e-12"], 1),  # too tight for eq1-expansion
+            (["run", "qubit", "--max-n", "0"], 2),
+        ],
+        ids=["pass", "fail", "usage"],
+    )
+    def test_every_call_form_ends_in_system_exit(self, call, prog, args, code):
+        proc = fresh_python(CALL_MAIN_IN_FRESH_PROCESS.format(call=call.format(args=args)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == f"SystemExit {code}"
+        if code == 2:
+            assert proc.stderr.startswith(
+                f"Usage: {prog} run [OPTIONS] SCENARIO\nTry '{prog} run --help' for help.\n\n"
+                "Error: Invalid value for '--max-n': 0 is not in the range 1<=x<=6.\n"
+            )
+        else:
+            assert proc.stdout.startswith("scenario: qubit\n")
+            assert ("[           FAIL]" in proc.stdout) == (code == 1)
+
+    def test_a_module_run_names_the_module_in_its_usage_line(self):
+        module = subprocess.run(
+            [sys.executable, "-m", "finivar.cli", "run"],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert module.returncode == 2
+        assert module.stderr.startswith("Usage: python -m finivar.cli run [OPTIONS] SCENARIO\n")
+
+    def test_a_reader_that_leaves_early_ends_the_run_with_exit_one(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "finivar.cli", "selftest"],
+            env={**os.environ, "PYTHONPATH": SRC},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.readline() == "qubit: ok (pass=6)\n"
+        proc.stdout.close()  # as `finivar selftest | head -1` does
+        assert proc.wait(timeout=120) == 1
+        assert proc.stderr.read() == ""
+
+    def test_an_interrupt_exits_one(self, monkeypatch):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_mod, "run_scenario", interrupt)
+        result = CliRunner().invoke(main, ["run", "qubit"])
+        assert (result.exit_code, result.output) == (1, "\nAborted!\n")
+
+    def test_options_are_checked_in_the_order_given(self):
+        first_max_n = CliRunner().invoke(main, ["run", "qubit", "--max-n", "9", "--tolerance-scale", "0"])
+        assert first_max_n.output.endswith("Error: Invalid value for '--max-n': 9 is not in the range 1<=x<=6.\n")
+        first_scale = CliRunner().invoke(main, ["run", "qubit", "--tolerance-scale=0", "--max-n", "9"])
+        assert first_scale.output.endswith(
+            "Error: Invalid value for '--tolerance-scale': must be positive and finite\n"
+        )
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (["run", "qubit", "--rep", "-"], "No such option '--rep'. (Did you mean one of: '--help', '--report'?)"),
+            (["emit", "qubit", "--outpt=x"], "No such option '--outpt'. Did you mean '--output'?"),
+            (["--hepl"], "No such option '--hepl'. Did you mean '--help'?"),
+            (["run", "qubit", "-x"], "No such option '-x'."),
+            (["run", "qubit", "--report"], "Option '--report' requires an argument."),
+            (["run", "qubit", "--help=yes"], "argument --help: ignored explicit argument 'yes'"),
+            (["list", "a", "b"], "Got unexpected extra arguments (a b)"),
+            (["run", "qubit", "--", "--max-n"], "Got unexpected extra argument (--max-n)"),
+            (["run", "qubit", "--tolerance-scale", "-1e5"], "Invalid value for '--tolerance-scale': must be positive and finite"),
+            (["run", "qubit", "--max-n", "--report"], "Invalid value for '--max-n': '--report' is not a valid integer range."),
+        ],
+    )
+    def test_a_refused_option_or_argument_is_named(self, args, error):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert result.output.startswith("Usage: ")
+        assert result.output.endswith(f"\n\nError: {error}\n")
+
+    @pytest.mark.parametrize("mode, able", [(os.R_OK, "readable"), (os.W_OK, "writable")])
+    def test_an_existing_report_file_must_be_readable_and_writable(self, tmp_path, monkeypatch, mode, able):
+        target = tmp_path / "report.json"
+        target.write_text("", encoding="utf-8")
+        access = os.access
+        monkeypatch.setattr(cli_mod.os, "access", lambda path, m: m != mode and access(path, m))
+        monkeypatch.setattr(cli_mod, "run_scenario", lambda *args: pytest.fail("the scenario ran"))
+        result = CliRunner().invoke(main, ["run", "qubit", "--report", str(target)])
+        assert result.exit_code == 2
+        assert result.output.endswith(f"Error: Invalid value for '--report': File '{target}' is not {able}.\n")
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+    def test_imported_third_party_modules_are_the_declared_dependencies(self):
+        import ast
+        import tomllib
+
+        root = Path(SRC).parent
+        imported = set()
+        for path in (root / "src" / "finivar").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+        third_party = imported - set(sys.stdlib_module_names) - {"finivar"}
+        with open(root / "pyproject.toml", "rb") as handle:
+            declared = tomllib.load(handle)["project"]["dependencies"]
+        distributions = {re.split(r"[\s<>=!~;\[]", spec)[0].lower() for spec in declared}
+        assert third_party == {{"pyyaml": "yaml"}.get(name, name) for name in distributions}
 
 
 # Loads and runs {text!r} through the library, then prints its exit code and
