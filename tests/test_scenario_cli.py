@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import json
 import os
@@ -937,6 +938,21 @@ class TestUsageContract:
                 id="output-is-a-directory",
             ),
             pytest.param(
+                ["run", "parity-z4", "--report", ""],
+                RUN_USAGE + "Error: Invalid value for '--report': the path is empty\n",
+                id="report-is-empty",
+            ),
+            pytest.param(
+                ["run", "parity-z4", "--report="],
+                RUN_USAGE + "Error: Invalid value for '--report': the path is empty\n",
+                id="report-is-empty-after-equals",
+            ),
+            pytest.param(
+                ["emit", "qubit", "--output", ""],
+                EMIT_USAGE + "Error: Invalid value for '--output': the path is empty\n",
+                id="output-is-empty",
+            ),
+            pytest.param(
                 ["run", "qubit", "--tolerance-scale", "abc"],
                 RUN_USAGE + "Error: Invalid value for '--tolerance-scale': 'abc' is not a valid float.\n",
                 id="scale-not-a-float",
@@ -991,7 +1007,58 @@ except SystemExit as exc:
 """
 
 
+# Registers a handler before main, which atexit then runs after main's own;
+# it prints what the collector holds frozen and whether it is still enabled.
+FREEZE_AT_EXIT_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0, gc.isenabled(), file=sys.stderr))
+from finivar.cli import main
+main(["run", "qubit", "--report", "-"])
+"""
+# Calls main twice in one process, counting the calls of gc.freeze until the
+# process ends.  (atexit._ncallbacks counts a slot unregister has emptied.)
+MAIN_TWICE_PROBE = """
+import atexit, gc, sys
+calls, freeze = [], gc.freeze
+gc.freeze = lambda: calls.append(freeze())
+atexit.register(lambda: print("freezes", len(calls), file=sys.stderr))
+from finivar.cli import main
+for _ in range(2):
+    try:
+        main(["list"])
+    except SystemExit:
+        pass
+"""
+
+
 class TestCommandLineEntry:
+    def test_the_collector_is_frozen_when_the_process_exits(self):
+        proc = fresh_python(FREEZE_AT_EXIT_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["scenario"] == "qubit"
+        assert proc.stderr.splitlines()[-1] == "frozen True True"
+
+    def test_main_leaves_the_collector_of_its_caller_as_it_was(self):
+        frozen = gc.get_freeze_count()
+        result = CliRunner().invoke(main, ["run", "qubit"])
+        assert result.exit_code == 0, result.output
+        assert gc.get_freeze_count() == frozen
+        assert gc.isenabled()
+
+    def test_main_called_twice_registers_one_exit_handler(self):
+        proc = fresh_python(MAIN_TWICE_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "freezes 1"
+
+    @pytest.mark.parametrize("name", list(builtin_mod.BUILTINS))
+    def test_a_report_file_written_at_exit_is_the_in_process_report(self, tmp_path, name):
+        expected = run_scenario(builtin_mod.load_builtin(name))
+        path = tmp_path / "report.json"
+        proc = fresh_python(CLI_IN_FRESH_PROCESS.format(args=["run", name, "--report", str(path)]))
+        assert proc.returncode == expected.exit_code, proc.stderr
+        assert proc.stdout.endswith(f"report written to {path}\n")
+        assert path.read_bytes() == expected.to_json().encode("utf-8")
+
     def test_cli_import_loads_no_click_or_inspect(self):
         proc = fresh_python("import sys, finivar.cli; print(' '.join(sys.modules))")
         assert proc.returncode == 0, proc.stderr
