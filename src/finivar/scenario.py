@@ -93,6 +93,9 @@ _JSON_CHARACTERS = re.compile(r"[\n\r -\[\]-~]*")
 _YAML_FLOAT = re.compile(r"-?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?")
 # A JSON key from its opening quote to its colon.
 _JSON_KEY = re.compile(r'"[^"\n\r]*"[ \n\r]*:')
+# Whole-line comments at the start of a text, each from a '#' in column 0 to its
+# line break: YAML 1.1 reads them before a document as nothing.
+_COMMENT_HEADER = re.compile(r"(?:#[^\n\r]*(?:\r\n?|\n))*")
 
 
 def _yaml_float(literal: str) -> float:
@@ -114,6 +117,11 @@ def _unique_pairs(pairs: list[tuple[str, Any]]) -> dict:
 # The most points a cyclic-dft representation may have.  Its n dense n x n
 # complex matrices take n^3 * 16 bytes: 4 MiB here.
 MAX_CYCLIC_POINTS = 64
+
+# The most collections a YAML text may nest, one in another.  libyaml composes
+# a node in a C call per level, about 330 bytes of stack each: 25,000 levels
+# overflow an 8 MiB stack.  A scenario nests about 7 deep.
+MAX_NESTING = 5_000
 
 # The most random directions a singlet-delta check sweeps: each takes about
 # 80 us, so a sweep stays under about a second.
@@ -867,24 +875,40 @@ def _parse_representation(
 def _parse(text: str, source: str) -> Any:
     """The data of ``text``.  libyaml builds each node in Python, and json's
     scanner reads a JSON text in a small part of the time, so a JSON text goes
-    to json first.  Whatever YAML 1.1 reads otherwise goes on to YAML: ``1e5``
-    or ``NaN`` (a string there), a repeated key (refused, naming both lines),
-    a key split from its colon or too long (refused), and any JSON error."""
+    to json first, after any header of whole-line comments.  Whatever YAML 1.1
+    reads otherwise goes on to YAML: ``1e5`` or ``NaN`` (a string there), a
+    repeated key (refused, naming both lines), a key split from its colon or
+    too long (refused), and any JSON error.
+
+    The gate stays exact with a header: each comment line is YAML's comment,
+    so YAML reads the text as its body.  The header is only printable ASCII,
+    as the whole text is, and a line of it ends at the first line break YAML
+    knows; a blank or indented line ends the header, and json then declines
+    the body.  Keys are read in the body only, where a quote in a comment
+    cannot pair with one of the body's.
+
+    A YAML text nesting past ``MAX_NESTING`` collections is refused before
+    libyaml composes it, since its composer recurses in C per level."""
     if _JSON_CHARACTERS.fullmatch(text):
+        body = text[_COMMENT_HEADER.match(text).end() :]
         with suppress(ValueError, RecursionError):  # json's scanner recurses per level
             data = json.loads(
-                text,
+                body,
                 parse_float=_yaml_float,
                 parse_constant=_yaml_float,
                 object_pairs_hook=_unique_pairs,
             )
             # YAML refuses a line break before a key's colon, and a colon more
             # than 1024 characters after the key's opening quote.
-            keys = _JSON_KEY.findall(text)
+            keys = _JSON_KEY.findall(body)
             if not any(len(key) > 1025 or "\n" in key or "\r" in key for key in keys):
                 return data
     import yaml
     try:
+        # Each collection needs one of these characters of its own, so a text
+        # with fewer cannot nest past the bound, and is not parsed twice.
+        if sum(map(text.count, "[{-?:")) > MAX_NESTING:
+            _refuse_deep_nesting(yaml.parse(text, Loader=_yaml_loader()), source)
         return yaml.load(text, Loader=_yaml_loader())
     except yaml.MarkedYAMLError as exc:
         # str(exc) would repeat the mark, naming the text "<unicode string>"
@@ -899,6 +923,26 @@ def _parse(text: str, source: str) -> Any:
             f"{source}: invalid YAML at line {line}, column {column}: "
             f"character #x{exc.character:04x}: {exc.reason}"
         ) from None
+
+
+def _refuse_deep_nesting(events: Iterator[Any], source: str) -> None:
+    """Refuse, at its start, the first collection of a YAML event stream that
+    lies inside ``MAX_NESTING`` others.  The parser keeps its own stack, so
+    reading the events nests no call."""
+    from yaml import CollectionEndEvent, CollectionStartEvent
+
+    depth = 0
+    for event in events:
+        if isinstance(event, CollectionStartEvent):
+            depth += 1
+            if depth > MAX_NESTING:
+                mark = event.start_mark
+                raise ScenarioError(
+                    f"{source}: YAML at line {mark.line + 1}, column {mark.column + 1} "
+                    f"nests collections more than {MAX_NESTING} deep"
+                )
+        elif isinstance(event, CollectionEndEvent):
+            depth -= 1
 
 
 def loads(text: str, source: str = "<scenario>") -> Scenario:

@@ -286,18 +286,16 @@ class TestRenamedValueLabels:
 class TestYamlOrJson:
     """ROADMAP item 9's fourth relation: json's scanner reads a JSON text and
     PyYAML every other, so spelling a scenario in YAML or in JSON changes no
-    byte of its report.  Each built-in is written again as JSON, and each
-    ``operators`` case as block YAML."""
+    byte of its report.  Each input, the built-ins' commented JSON included,
+    is written again as block YAML."""
 
     @pytest.mark.parametrize("scale", [1.0, 1e-6])
     @pytest.mark.parametrize("name", INPUTS)
     def test_the_other_spelling_keeps_the_report_bytes(self, name, scale):
         text = INPUTS[name]
-        data = yaml.safe_load(text)
-        built_in = name in builtin_mod.BUILTINS
-        other = json.dumps(data) if built_in else yaml.safe_dump(data, sort_keys=False)
+        other = yaml.safe_dump(yaml.safe_load(text), sort_keys=False)
         scenario, by_yaml = noting_parser(loads, text)
         respelled, other_by_yaml = noting_parser(loads, other)
-        assert (by_yaml, other_by_yaml) == (built_in, not built_in)
+        assert (by_yaml, other_by_yaml) == (False, True)
         flags = RunFlags(tolerance_scale=scale)
         assert run_scenario(respelled, flags).to_json() == run_scenario(scenario, flags).to_json()

@@ -36,6 +36,19 @@ from finivar.scenario import CHECK_TYPES, ScenarioError, loads
 from finivar.spaces import ConceptualVariable, PointSpace
 from finivar.subgroups import subgroup_conjugacy_classes
 
+
+def builtin_data(name: str) -> dict:
+    """The data the built-in ``name`` declares."""
+    return yaml.safe_load(builtin_text(name))
+
+
+def builtin_yaml(name: str, **fields) -> str:
+    """The built-in ``name`` respelled as block YAML, each collection of scalars
+    on one line, with ``fields`` set at its top level: a text the JSON gate declines."""
+    data = {**builtin_data(name), **fields}
+    return yaml.safe_dump(data, sort_keys=False, default_flow_style=None)
+
+
 CIRCLE4 = """
 name: circle
 space:
@@ -132,9 +145,7 @@ class TestTolerances:
         assert resolve_tolerances({name: 0.5}, 1.9)[name] == 0.95
 
     def test_theorem1_and_theorem2_apply_one_table(self):
-        scenario = loads(
-            builtin_text("cyclic-4") + "tolerances:\n  injectivity_distance: 2.0\n"
-        )
+        scenario = loads(builtin_yaml("cyclic-4", tolerances={"injectivity_distance": 2.0}))
         report = run_scenario(scenario)
         theorems = [c for c in report.checks if c.type in ("theorem1-hypotheses", "theorem2")]
         assert [c.type for c in theorems] == ["theorem1-hypotheses"] * 2 + ["theorem2"] * 2
@@ -142,13 +153,13 @@ class TestTolerances:
         assert all("coincide" in c.details["error"] for c in theorems)
 
     def test_cluster_gap_reaches_every_diagonalization(self):
-        wide = "tolerances:\n  eigen_cluster_gap: 10.0\n"
-        report = run_scenario(loads(builtin_text("cyclic-4") + wide))
+        wide = {"eigen_cluster_gap": 10.0}
+        report = run_scenario(loads(builtin_yaml("cyclic-4", tolerances=wide)))
         theorems = [c for c in report.checks if c.type in ("theorem1-hypotheses", "theorem2")]
         assert all(c.status == STATUS_ERROR for c in theorems)
         assert all("does not reproduce" in c.details["error"] for c in theorems)
 
-        report = run_scenario(loads(builtin_text("singlet") + wide))
+        report = run_scenario(loads(builtin_yaml("singlet", tolerances=wide)))
         (delta,) = [c for c in report.checks if c.type == "singlet-delta"]
         assert delta.details["cluster_multiplicities"] == [4]
         assert delta.status == STATUS_FAIL
@@ -324,12 +335,10 @@ class TestStatusMapping:
     def test_theorem1_fails_on_a_maximal_degenerate_variable(self):
         # Without position, parity is maximal in cyclic-4's family, yet its
         # operator has two eigenvalues of multiplicity 2.
-        position = '  - name: position\n    values: ["0", "1", "2", "3"]\n'
-        position += "    assignment: [0, 1, 2, 3]\n"
-        text = builtin_text("cyclic-4").replace(position, "")
-        text = text[: text.index("checks:")] + "checks:\n"
-        text += "  - type: theorem1-hypotheses\n    variable: parity\n"
-        _, record = single_record(loads(text))
+        data = builtin_data("cyclic-4")
+        data["variables"] = [v for v in data["variables"] if v["name"] != "position"]
+        data["checks"] = [{"type": "theorem1-hypotheses", "variable": "parity"}]
+        _, record = single_record(loads(json.dumps(data)))
         assert record.status == STATUS_FAIL
         assert record.details["operator"]["maximal_in_family"] is True
         assert record.details["operator"]["nondegenerate"] is False

@@ -41,7 +41,7 @@ from finivar.representations import cyclic_dft_rep, qubit_rep
 from finivar.runner import run_scenario
 from finivar.scenario import CHECK_TYPES, ScenarioError, load_path, loads
 
-from test_runner import cycle24_text, explicit_cases
+from test_runner import builtin_data, builtin_yaml, cycle24_text, explicit_cases
 
 MINIMAL = """
 name: tiny
@@ -363,7 +363,7 @@ representation:
 
     def test_operator_check_requires_a_representation(self):
         # The coordinate swap does not exclude this theorem1 pair, so it builds operators.
-        text = builtin_mod.builtin_text("singlet").replace("eta: right-z", "eta: product-zz")
+        text = builtin_yaml("singlet").replace("eta: right-z", "eta: product-zz")
         with pytest.raises(
             ScenarioError,
             match=r"checks\[2\].type: the check builds operators; the scenario declares no",
@@ -398,17 +398,15 @@ representation:
         ]
 
     def test_theorem1_needs_a_group_only_for_eta_on_a_product(self):
-        text = (
-            builtin_mod.builtin_text("singlet")
-            .replace("group:\n  generators:\n    - [0, 2, 1, 3]\n", "")
-            .replace("  - type: a2-classify\n    expect-verdict: mixed\n", "")
-        )
-        expect_error(text, r"checks\[1\].eta: scenario declares no group")
-        text += "representation:\n  kind: cyclic-dft\n  n: 4\n"  # theorem1 builds operators
+        data = builtin_data("singlet")
+        del data["group"], data["checks"][1]  # the a2-classify check
+        expect_error(json.dumps(data), r"checks\[1\].eta: scenario declares no group")
+        data["representation"] = {"kind": "cyclic-dft", "n": 4}  # theorem1 builds operators
+        text = json.dumps(data)
         for loaded in (
             loads(text),  # the representation's group judges the swap
-            loads(text.replace("    eta: right-z\n", "")),
-            loads(text.replace("  product: [[0, 0], [0, 1], [1, 0], [1, 1]]\n", "")),
+            loads(text.replace(', "eta": "right-z"', "")),
+            loads(text.replace(', "product": [[0, 0], [0, 1], [1, 0], [1, 1]]', "")),
         ):
             assert loaded.group is loaded.coherent_family.group
             assert "generators" not in loaded.checks[1].params
@@ -608,6 +606,20 @@ def dumped_texts(draw) -> str:
     return text.replace("\n", draw(st.sampled_from(["\n", "\r\n", "\r"])))
 
 
+@st.composite
+def comment_headers(draw) -> str:
+    """Whole-line comments for the start of a text: each a '#' and drawn
+    text, printable or any, an empty '#' among them, ended by a drawn line
+    break, where the last may have none."""
+    lines = draw(
+        st.lists(st.just("") | st.text(PRINTABLE, max_size=12) | st.text(max_size=4), max_size=3)
+    )
+    breaks = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if breaks and draw(st.booleans()):
+        breaks[-1] = draw(st.sampled_from(["\n", "\r\n", "\r", ""]))
+    return "".join(f"#{line}{end}" for line, end in zip(lines, breaks))
+
+
 # The scenario the named cases below start from: CYCLE4 and theorem1, in JSON.
 CYCLE4_JSON = json.dumps(
     {
@@ -637,8 +649,9 @@ class TestJsonPath:
     and one exit code."""
 
     @settings(max_examples=250, deadline=None)
-    @given(dumped_texts())
-    def test_json_reads_what_yaml_reads_or_declines(self, text):
+    @given(comment_headers(), dumped_texts() | st.just(""))
+    def test_json_reads_what_yaml_reads_or_declines(self, header, body):
+        text = header + body
         try:
             expected = yaml.load(text, Loader=scenario_mod._yaml_loader())
         except yaml.YAMLError:
@@ -658,8 +671,19 @@ class TestJsonPath:
             "[1.0E+3, -0.0, 10.25]",
             '{"a": 1, "b": [true, false, null, "x: y # z"]}',
             "\r\n".join(["{", ' "' + "k" * 1022 + '": 1', "}"]),
+            "# a header\n" + CYCLE4_JSON,
+            '#\r\n# "' + "k" * 1030 + '": 1\r' + CYCLE4_JSON,
+            "###\n" + CYCLE4_JSON.replace("\n", "\r\n"),
         ],
-        ids=["float", "spellings", "mapping", "key-of-1022-characters"],
+        ids=[
+            "float",
+            "spellings",
+            "mapping",
+            "key-of-1022-characters",
+            "comment-header",
+            "empty-and-key-like-comments",
+            "comment-header-crlf",
+        ],
     )
     def test_json_reads_a_text_yaml_reads_alike(self, text):
         data, by_yaml = noting_parser(parse_text, text)
@@ -693,6 +717,10 @@ class TestJsonPath:
             ),
             pytest.param("\ufeff" + CYCLE4_JSON, 0, None, id="leading-bom"),
             pytest.param(CYCLE4_JSON + "  # a comment\n", 0, None, id="trailing-comment"),
+            pytest.param("  # indented\n" + CYCLE4_JSON, 0, None, id="indented-comment"),
+            pytest.param("# a\n\n# b\n" + CYCLE4_JSON, 0, None, id="blank-line-in-header"),
+            pytest.param("# a\ttab\n" + CYCLE4_JSON, 0, None, id="tab-in-header"),
+            pytest.param("# caf\u00e9\n" + CYCLE4_JSON, 0, None, id="non-ascii-in-header"),
         ],
     )
     def test_a_text_yaml_reads_otherwise_goes_to_yaml(self, tmp_path, text, exit_code, message):
@@ -708,14 +736,13 @@ class TestJsonPath:
         else:
             assert result.output.endswith(f"Error: {message.replace('{path}', str(target))}\n")
 
-    def test_json_reads_every_operators_and_explicit_text_and_yaml_every_built_in(self):
+    def test_json_reads_every_operators_explicit_and_built_in_text(self):
         texts = [case.text for case in perfbench_workloads().generate("operators", 1)]
         texts += [*explicit_cases().values(), CYCLE4_JSON]
-        assert len(texts) == 12
+        texts += [builtin_mod.builtin_text(name) for name in builtin_mod.builtin_names()]
+        assert len(texts) == 18
         for text in texts:
             assert noting_parser(loads, text)[1] is False
-        for name in builtin_mod.builtin_names():
-            assert noting_parser(loads, builtin_mod.builtin_text(name))[1] is True
 
 
 class TestJsonable:
@@ -996,6 +1023,86 @@ class TestUsageContract:
         assert bare.stdout == "" and "Usage: finivar [OPTIONS] COMMAND [ARGS]..." in bare.stderr
 
 
+# Runs the command line with ARGS, then prints its exit code and whether PyYAML loaded.
+YAML_PROBE = """
+import json, sys
+from finivar.cli import main
+code = 0
+try:
+    main({args!r})
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, "yaml" in sys.modules]), file=sys.stderr)
+"""
+
+
+class TestBuiltInsReadNoYaml:
+    """Each built-in is a comment header and a JSON document, so running it
+    reads no YAML."""
+
+    @pytest.mark.parametrize(
+        "args", [["run", name] for name in builtin_mod.builtin_names()] + [["selftest"]], ids=str
+    )
+    def test_no_built_in_run_imports_yaml(self, args):
+        proc = fresh_python(YAML_PROBE.format(args=args))
+        assert json.loads(proc.stderr.splitlines()[-1]) == [0, False], proc.stderr
+
+
+# A scenario whose checks nest LEVELS lists, spelt as YAML flow or as JSON.
+DEEP_YAML = 'name: x\nspace: {{id: a, labels: ["0"]}}\nchecks: {open}{close}\n'
+DEEP_JSON_CHECKS = '{{"name": "x", "space": {{"id": "a", "labels": ["0"]}}, "checks": {open}{close}}}\n'
+
+
+def deeply_nested(spelling: str, levels: int) -> str:
+    return spelling.format(open="[" * levels, close="]" * levels)
+
+
+class TestDeepNesting:
+    """A YAML text nesting past ``MAX_NESTING`` collections exits 2 before
+    libyaml's composer, which recurses in C, overflows the stack."""
+
+    @pytest.mark.parametrize(
+        "spelling, levels, where",
+        [(DEEP_YAML, 40_000, "line 3, column 5008"), (DEEP_JSON_CHECKS, 80_000, "line 1, column 5063")],
+        ids=["yaml-40000", "json-80000"],
+    )
+    def test_a_deep_text_exits_two_naming_where(self, tmp_path, spelling, levels, where):
+        target = tmp_path / "deep.yaml"
+        target.write_text(deeply_nested(spelling, levels), encoding="utf-8")
+        proc = fresh_python(CLI_IN_FRESH_PROCESS.format(args=["run", str(target)]))
+        assert proc.returncode == 2, proc.stderr[-500:]
+        assert proc.stderr == RUN_USAGE + (
+            f"Error: {target}: YAML at {where} nests collections more than 5000 deep\n"
+        )
+
+    def test_the_bound_counts_collections_in_one_another(self):
+        assert scenario_mod.MAX_NESTING == 5000
+        # The top-level mapping and 4,999 lists: at the bound, composed and refused by field.
+        expect_error(deeply_nested(DEEP_YAML, 4999), r"checks\[0\]: expected a mapping, got list")
+        with mock.patch.object(yaml, "load") as compose:
+            expect_error(
+                deeply_nested(DEEP_YAML, 5000),
+                "YAML at line 3, column 5008 nests collections more than 5000 deep",
+            )
+        compose.assert_not_called()
+        expect_error(
+            "name: x\nchecks:\n" + "- " * 5000 + "x\n",
+            "YAML at line 3, column 9999 nests collections more than 5000 deep",
+        )
+
+    def test_brackets_in_scalars_and_comments_do_not_count(self):
+        brackets = "[{" * 3000
+        text = (
+            f"# {brackets}\n"
+            + MINIMAL.replace("name: tiny", f"name: t{brackets}  # {brackets}")
+            + f'    name: "{brackets}"\n'
+            + f"  - type: permissibility\n    variable: which\n    name: '{brackets}'\n"
+        )
+        scenario = loads(text)
+        assert scenario.name == "t" + brackets
+        assert [check.params["name"] for check in scenario.checks] == [brackets] * 2
+
+
 # Calls main in one of its three forms, then prints how it ended.
 CALL_MAIN_IN_FRESH_PROCESS = """
 import sys
@@ -1219,10 +1326,13 @@ class TestModulesLoadWithTheirChecks:
         assert self.loaded_by(text) == ["numpy", "finivar.representations"]
 
     def test_a_yaml_text_loads_yaml_and_a_combinatorial_one_no_operator(self):
-        assert self.loaded_by(builtin_mod.builtin_text("a2-smoke")) == ["yaml"]
+        assert self.loaded_by(builtin_yaml("a2-smoke")) == ["yaml"]
+
+    def test_the_combinatorial_built_in_loads_no_yaml_or_operator(self):
+        assert self.loaded_by(builtin_mod.builtin_text("a2-smoke")) == []
 
     def test_the_singlet_check_loads_spin_and_no_representation(self):
-        assert self.loaded_by(builtin_mod.builtin_text("singlet")) == ["yaml", "numpy", "finivar.spin"]
+        assert self.loaded_by(builtin_mod.builtin_text("singlet")) == ["numpy", "finivar.spin"]
 
     def test_every_public_name_resolves_in_a_fresh_process(self):
         code = "import finivar; print(all(getattr(finivar, name) for name in finivar.__all__))"
@@ -1853,7 +1963,7 @@ class TestCli:
     def test_a_tiny_or_huge_direction_is_its_unit_vector(self, direction, same_as):
         # Each nonzero finite direction loads, without a warning, and gives
         # the report of a moderate multiple of it.
-        text = builtin_mod.builtin_text("qubit")
+        text = builtin_yaml("qubit")
         assert "direction: [1, 0, 0]" in text
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -2187,8 +2297,7 @@ class TestCli:
         assert "tolerances.injectivity_overlap" in scaled.output
         target = tmp_path / "grouping.yaml"
         target.write_text(
-            builtin_mod.builtin_text("cyclic-4") + "tolerances:\n  orthogonal_grouping: 1.5\n",
-            encoding="utf-8",
+            builtin_yaml("cyclic-4", tolerances={"orthogonal_grouping": 1.5}), encoding="utf-8"
         )
         override = self.runner.invoke(main, ["run", str(target)])
         assert override.exit_code == 2
