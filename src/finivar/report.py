@@ -4,6 +4,11 @@ The serialized report is a pure function of the scenario and flags: timings
 appear only in the human-readable summary, never in the file, so consecutive
 runs on the same input produce byte-identical reports.  Permutations
 serialize as image arrays and complex numbers as [re, im] pairs.
+
+``to_json`` writes the text in one pass over the engine's values, each by a
+writer looked up by its exact type; a handler gives plain values (numbers,
+strings, lists, dicts, permutations), so ``jsonable`` is reached only by
+numpy values, subclasses and what it refuses.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, Callable
 
 from ._record import Record
 from .groups import Permutation
@@ -141,11 +146,11 @@ class VerificationReport(Record):
 
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), indent=2, allow_nan=False)`` and a newline,
-        written straight from the engine's values: ``_write_json`` converts each
-        value as ``jsonable`` does, without first copying the report into a new tree."""
-        out: list[str] = []
-        _write_json(self._raw(), "\n", out)
-        return "".join(out) + "\n"
+        written straight from the engine's values: ``_WRITERS`` converts each
+        value as ``jsonable`` does, without first copying the report into a new
+        tree.  A permutation's text is kept for this call only, by its images
+        and depth, since ``theorem2`` lists the group's elements per variable."""
+        return _dict_text(self._raw(), "\n", {}) + "\n"
 
     def to_text(self) -> str:
         lines = [f"scenario: {self.scenario}"]
@@ -159,43 +164,75 @@ class VerificationReport(Record):
         return "\n".join(lines) + "\n"
 
 
-def _write_json(value: Any, newline: str, out: list[str]) -> None:
-    """Append the text of ``jsonable(value)`` nested at ``newline`` as
-    ``json.dumps(indent=2)`` writes it, without its pure-Python encoder.  The
-    values JSON has, tuples, permutations and complex numbers are written as
-    they are; any other value (numpy's) goes through ``jsonable`` first, which
-    refuses a record, a NamedTuple one too."""
+def _dict_text(value: dict, newline: str, memo: dict) -> str:
+    if not value:
+        return "{}"
     inner = newline + "  "
-    if isinstance(value, dict):
-        if not all(type(key) is str for key in value):
-            value = {str(key): item for key, item in value.items()}
-        out.append("{")
-        for i, (key, item) in enumerate(value.items()):
-            out.append(("," if i else "") + inner + encode_basestring_ascii(key) + ": ")
-            _write_json(item, inner, out)
-        out.append(newline + "}" if value else "}")
-    elif type(value) in (list, tuple) and value and all(type(item) is int for item in value):
-        # Image arrays, most of a report's items: one join.
-        out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
-    elif type(value) in (list, tuple):
-        out.append("[")
-        for i, item in enumerate(value):
-            out.append(("," if i else "") + inner)
-            _write_json(item, inner, out)
-        out.append(newline + "]" if value else "]")
-    elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None or value is True or value is False:
-        out.append("null" if value is None else "true" if value else "false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"{value!r} is not JSON compliant")
-        out.append(float.__repr__(value))
-    elif isinstance(value, Permutation):
-        _write_json(value.images, newline, out)
-    elif isinstance(value, complex):
-        _write_json([value.real, value.imag], newline, out)
-    else:  # numpy values, and what ``jsonable`` refuses
-        _write_json(jsonable(value), newline, out)
+    get = _WRITERS.get
+    items = []
+    for key, item in value.items():
+        if type(key) is not str:  # jsonable writes every key as its str
+            return _dict_text({str(key): item for key, item in value.items()}, newline, memo)
+        text = get(type(item), _other_text)(item, inner, memo)
+        items.append(encode_basestring_ascii(key) + ": " + text)
+    return "{" + inner + ("," + inner).join(items) + newline + "}"
+
+
+def _list_text(value: list | tuple, newline: str, memo: dict) -> str:
+    if not value:
+        return "[]"
+    inner = newline + "  "
+    get = _WRITERS.get
+    items = [get(type(item), _other_text)(item, inner, memo) for item in value]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
+def _permutation_text(value: Permutation, newline: str, memo: dict) -> str:
+    """Its image array, written once per depth: images are ints by construction."""
+    key = (value.images, newline)
+    text = memo.get(key)
+    if text is None:
+        inner = newline + "  "
+        images = ("," + inner).join(map(int.__repr__, value.images))
+        text = memo[key] = "[" + inner + images + newline + "]" if images else "[]"
+    return text
+
+
+def _float_text(value: float, newline: str, memo: dict) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not JSON compliant")
+    return float.__repr__(value)
+
+
+def _complex_text(value: complex, newline: str, memo: dict) -> str:
+    inner = newline + "  "
+    real, imag = _float_text(value.real, inner, memo), _float_text(value.imag, inner, memo)
+    return "[" + inner + real + "," + inner + imag + newline + "]"
+
+
+def _other_text(value: Any, newline: str, memo: dict) -> str:
+    """The text of a value whose type ``_WRITERS`` lacks, through ``jsonable``:
+    a numpy value or a subclass; it refuses a record, a NamedTuple one too."""
+    value = jsonable(value)
+    writer = _WRITERS.get(type(value))
+    if writer is None:  # a str, int or float subclass, which jsonable keeps
+        writer = next(_WRITERS[base] for base in (str, int, float) if isinstance(value, base))
+    return writer(value, newline, memo)
+
+
+# The text of ``jsonable(value)`` nested at ``newline``, as ``json.dumps(indent=2)``
+# writes it, without its pure-Python encoder, by the writer of the value's exact
+# type; any other type goes to ``_other_text``.  ``memo`` holds each permutation's
+# text by its images and ``newline``, for one report.
+_WRITERS: dict[type, Callable[[Any, str, dict], str]] = {
+    dict: _dict_text,
+    list: _list_text,
+    tuple: _list_text,
+    str: lambda value, newline, memo: encode_basestring_ascii(value),
+    int: lambda value, newline, memo: int.__repr__(value),
+    float: _float_text,
+    bool: lambda value, newline, memo: "true" if value else "false",
+    type(None): lambda value, newline, memo: "null",
+    Permutation: _permutation_text,
+    complex: _complex_text,
+}

@@ -17,6 +17,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager, suppress
 from functools import cache
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
 
 from . import linalg
@@ -621,7 +622,7 @@ def _handle_singlet_delta(ctx: Any, params: _Params) -> _Outcome:
         and max_anti <= ctx.tolerances["anticorrelation"]
     )
     details = {
-        "singlet": list(state),
+        "singlet": state.tolist(),
         "eigenvalue_residual_at_minus_3": eigen_residual,
         "cluster_values": cluster_values,
         "cluster_multiplicities": multiplicities,
@@ -888,7 +889,10 @@ def _parse(text: str, source: str) -> Any:
     cannot pair with one of the body's.
 
     A YAML text nesting past ``MAX_NESTING`` collections is refused before
-    libyaml composes it, since its composer recurses in C per level."""
+    libyaml composes it, since its composer recurses in C per level.  PyYAML's
+    own composer, where PyYAML lacks libyaml, recurses in Python, two frames a
+    level, and runs out of frames at about 500 levels; a text it cannot
+    compose is refused at its deepest collection."""
     if _JSON_CHARACTERS.fullmatch(text):
         body = text[_COMMENT_HEADER.match(text).end() :]
         with suppress(ValueError, RecursionError):  # json's scanner recurses per level
@@ -909,7 +913,11 @@ def _parse(text: str, source: str) -> Any:
         # with fewer cannot nest past the bound, and is not parsed twice.
         if sum(map(text.count, "[{-?:")) > MAX_NESTING:
             _refuse_deep_nesting(yaml.parse(text, Loader=_yaml_loader()), source)
-        return yaml.load(text, Loader=_yaml_loader())
+        try:
+            return yaml.load(text, Loader=_yaml_loader())
+        except RecursionError:
+            _refuse_deepest(yaml.parse(text, Loader=_yaml_loader()), source)
+            raise
     except yaml.MarkedYAMLError as exc:
         # str(exc) would repeat the mark, naming the text "<unicode string>"
         mark = exc.problem_mark
@@ -925,24 +933,41 @@ def _parse(text: str, source: str) -> Any:
         ) from None
 
 
-def _refuse_deep_nesting(events: Iterator[Any], source: str) -> None:
-    """Refuse, at its start, the first collection of a YAML event stream that
-    lies inside ``MAX_NESTING`` others.  The parser keeps its own stack, so
-    reading the events nests no call."""
+def _collections(events: Iterator[Any]) -> Iterator[tuple[int, Any]]:
+    """The depth and start mark of each collection of a YAML event stream, in
+    order.  The parser keeps its own stack, so reading the events nests no call."""
     from yaml import CollectionEndEvent, CollectionStartEvent
 
     depth = 0
     for event in events:
         if isinstance(event, CollectionStartEvent):
             depth += 1
-            if depth > MAX_NESTING:
-                mark = event.start_mark
-                raise ScenarioError(
-                    f"{source}: YAML at line {mark.line + 1}, column {mark.column + 1} "
-                    f"nests collections more than {MAX_NESTING} deep"
-                )
+            yield depth, event.start_mark
         elif isinstance(event, CollectionEndEvent):
             depth -= 1
+
+
+def _refuse_deep_nesting(events: Iterator[Any], source: str) -> None:
+    """Refuse, at its start, the first collection that lies inside
+    ``MAX_NESTING`` others."""
+    for depth, mark in _collections(events):
+        if depth > MAX_NESTING:
+            raise ScenarioError(
+                f"{source}: YAML at line {mark.line + 1}, column {mark.column + 1} "
+                f"nests collections more than {MAX_NESTING} deep"
+            )
+
+
+def _refuse_deepest(events: Iterator[Any], source: str) -> None:
+    """Refuse, at the first of its deepest collections, a text whose composing
+    ran out of frames."""
+    deepest = max(_collections(events), key=itemgetter(0), default=None)
+    if deepest is not None:
+        depth, mark = deepest
+        raise ScenarioError(
+            f"{source}: YAML at line {mark.line + 1}, column {mark.column + 1} "
+            f"nests collections {depth} deep, too deep for PyYAML's pure-Python loader"
+        )
 
 
 def loads(text: str, source: str = "<scenario>") -> Scenario:

@@ -14,6 +14,8 @@ from finivar.groups import (
     GroupHomomorphism,
     GroupTooLargeError,
     NotPermissibleError,
+    PermissibilityResult,
+    PermissibilityWitness,
     Permutation,
     PermutationGroup,
     _orbits,
@@ -418,6 +420,35 @@ class TestPermissibility:
         element = data.draw(st.sampled_from(group.elements))
         subgroup = PermutationGroup.generate(group.space, (element,))
         assert is_permissible(theta, subgroup)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_generators_decide_as_the_full_scan(self, data):
+        """The verdict read off the generators, and the witness, are those of a
+        scan of every element, whatever order and repeats the generators have."""
+        assignment = data.draw(assignments(1, 6))
+        n = len(assignment)
+        space = space_of(n)
+        generators = data.draw(st.lists(permutations_of(n), max_size=3))
+        if generators:
+            generators += data.draw(st.lists(st.sampled_from(generators), max_size=3))
+        generators = data.draw(st.permutations(generators))
+        if data.draw(st.booleans()):  # most drawn assignments split a fiber
+            assignment = invariant_coarsening(assignment, generators)
+        theta = variable_from_assignment(space, assignment, "theta")
+        group = PermutationGroup.generate(space, tuple(generators))
+        assert is_permissible(theta, group) == scan_every_element(theta, group)
+
+
+def scan_every_element(theta, group):
+    """Permissibility decided by every element in id order, fibers by value and
+    points ascending: the first failing pair is the witness."""
+    for k in group.elements:
+        for block in theta.blocks():
+            for phi in block[1:]:
+                if theta(k(phi)) != theta(k(block[0])):
+                    return PermissibilityResult(False, PermissibilityWitness(k, block[0], phi))
+    return PermissibilityResult(True, None)
 
 
 class TestInducedGroup:

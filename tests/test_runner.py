@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finivar import linalg, representations, runner, scenario, spin
+from finivar import report as report_mod
 from finivar.builtins import builtin_names, builtin_text, load_builtin
 from finivar.cli import main
 from finivar.groups import Permutation, PermutationGroup, is_permissible
@@ -652,6 +653,43 @@ class TestJsonWriter:
             dumped(report)
         with pytest.raises(ValueError, match="not JSON compliant"):
             report.to_json()
+
+
+class TestJsonWriterPaths:
+    """How ``to_json`` reaches each value: by its exact type, each
+    permutation's text memoised for one call."""
+
+    def test_no_engine_report_falls_back_to_jsonable(self, monkeypatch):
+        # Every value the engine puts in a report is one a writer takes as it is.
+        from test_scenario_cli import perfbench_workloads
+
+        workloads = perfbench_workloads()
+        texts = [builtin_text(name) for name in builtin_names()]
+        texts += [case.text for seed in (1, 2, 3) for case in workloads.generate("operators", seed)]
+        texts.append(workloads.census_case(4).text)
+        reports = [run_scenario(loads(text)) for text in texts]
+        expected = [dumped(report) for report in reports]
+
+        def refuse(value):
+            raise AssertionError(f"jsonable called on {value!r}")
+
+        monkeypatch.setattr(report_mod, "jsonable", refuse)
+        assert [report.to_json() for report in reports] == expected
+
+    def test_a_permutation_is_indented_at_each_depth(self):
+        p = Permutation((2, 0, 1))
+        report = VerificationReport("depths", {}, {"top": p, "nested": [{"p": p}], "again": p})
+        text = report.to_json()
+        assert text == dumped(report)
+        assert '"top": [\n      2,\n      0,\n      1\n    ],' in text
+        assert '"p": [\n          2,\n          0,\n          1\n        ]' in text
+        assert '"again": [\n      2,\n      0,\n      1\n    ]' in text
+
+    def test_each_call_writes_afresh(self):
+        first, second = run_scenario(load_builtin("cyclic-4")), run_scenario(load_builtin("parity-z4"))
+        fresh = [dumped(first), dumped(second)]
+        assert [first.to_json(), second.to_json(), first.to_json()] == [*fresh, fresh[0]]
+
 
 CYCLE12 = """
 name: cycle-12

@@ -1053,6 +1053,9 @@ DEEP_YAML = 'name: x\nspace: {{id: a, labels: ["0"]}}\nchecks: {open}{close}\n'
 DEEP_JSON_CHECKS = '{{"name": "x", "space": {{"id": "a", "labels": ["0"]}}, "checks": {open}{close}}}\n'
 
 
+TOO_DEEP = ", too deep for PyYAML's pure-Python loader"
+
+
 def deeply_nested(spelling: str, levels: int) -> str:
     return spelling.format(open="[" * levels, close="]" * levels)
 
@@ -1074,6 +1077,47 @@ class TestDeepNesting:
         assert proc.stderr == RUN_USAGE + (
             f"Error: {target}: YAML at {where} nests collections more than 5000 deep\n"
         )
+
+    @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+    @pytest.mark.parametrize(
+        "text, by_libyaml, by_pyyaml",
+        [
+            pytest.param(
+                "checks: " + "[" * 1000 + "]" * 1000,
+                "name: expected a nonempty string",
+                "{target}: YAML at line 1, column 1008 nests collections 1001 deep" + TOO_DEEP,
+                id="yaml-1000-alone",
+            ),
+            pytest.param(
+                deeply_nested(DEEP_YAML, 1000),
+                "checks[0]: expected a mapping, got list",
+                "{target}: YAML at line 3, column 1008 nests collections 1001 deep" + TOO_DEEP,
+                id="yaml-1000",
+            ),
+            pytest.param(
+                deeply_nested(DEEP_JSON_CHECKS, 1000),
+                "checks[0]: expected a mapping, got list",
+                "{target}: YAML at line 1, column 1063 nests collections 1001 deep" + TOO_DEEP,
+                id="json-1000",
+            ),
+            pytest.param(
+                deeply_nested(DEEP_YAML, 300),
+                "checks[0]: expected a mapping, got list",
+                "checks[0]: expected a mapping, got list",
+                id="yaml-300",
+            ),
+        ],
+    )
+    def test_either_loader_exits_two(self, tmp_path, loader, text, by_libyaml, by_pyyaml):
+        # PyYAML's own loader, where libyaml is missing, composes in Python:
+        # two frames a level, so about 500 levels reach the interpreter's limit.
+        target = tmp_path / "deep.yaml"
+        target.write_text(text, encoding="utf-8")
+        code = f"import yaml\nyaml.CSafeLoader = yaml.{loader}\n" + CLI_IN_FRESH_PROCESS
+        proc = fresh_python(code.format(args=["run", str(target)]))
+        assert proc.returncode == 2, proc.stderr[-500:]
+        message = by_libyaml if loader == "CSafeLoader" else by_pyyaml
+        assert proc.stderr == RUN_USAGE + f"Error: {message.format(target=target)}\n"
 
     def test_the_bound_counts_collections_in_one_another(self):
         assert scenario_mod.MAX_NESTING == 5000
