@@ -7,7 +7,9 @@ to a size bound (balanced value spaces, all subgroup actions up to
 conjugacy) from each group's orbits on the partitions, listing no family,
 and demands that no mixed verdict survives with the structural hypotheses
 (transitivity, trivial isotropy, permissibility, no declared coordinate
-exchange) intact.
+exchange) intact.  The census reads the canonical form of each moved
+partition from a table of the shape's relabellings, built once per shape
+and call (``_relabellings``).
 """
 
 from __future__ import annotations
@@ -263,10 +265,22 @@ def _require_positive(name: str, value: object) -> None:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
-def _partition_moves(generators: Iterable[tuple[int, ...]]) -> list[Callable]:
-    """The moves p ↦ canonical_partition(p∘k) of canonical partitions, one per k."""
+def _partition_moves(generators: Iterable[tuple[int, ...]], table: dict | None = None) -> list[Callable]:
+    """The moves p ↦ the canonical form of p∘k of canonical partitions, one per
+    k: ``table[p∘k]`` given ``_relabellings`` of a set holding p, else
+    canonical_partition(p∘k)."""
+    if table is not None:
+        return [lambda p, k=k: table[compose(p, k)] for k in generators]
     # canonical_partition is looked up per call: a wrapper on this module sees each one
     return [lambda p, k=k: canonical_partition(compose(p, k)) for k in generators]
+
+
+def _relabellings(partitions: Iterable[tuple[int, ...]], blocks: int) -> dict:
+    """Each relabelling σ∘p (σ in S_blocks) of each canonical partition p into
+    ``blocks`` blocks, mapped back to p.  On a set of partitions closed under
+    moving the points, p∘k is a relabelling of one of them."""
+    labels = list(itertools.permutations(range(blocks)))
+    return {compose(sigma, p): p for p in partitions for sigma in labels}
 
 
 def partitions_with_block_sizes(n: int, sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -309,11 +323,14 @@ class FalsifierReport(NamedTuple):
 
 
 def _partition_orbits(
-    partitions: tuple[tuple[int, ...], ...], generators: Sequence[tuple[int, ...]]
+    partitions: tuple[tuple[int, ...], ...],
+    generators: Sequence[tuple[int, ...]],
+    table: dict | None = None,
 ) -> list[frozenset[tuple[int, ...]]]:
     """Orbits of the group generated by ``generators`` on a closed set of partitions
-    (p meets p∘k); the group is finite, so closure under the generators is the orbit."""
-    return list(map(frozenset, _orbits(partitions, _partition_moves(generators))))
+    (p meets p∘k); the group is finite, so closure under the generators is the orbit.
+    ``table``, if given, is the ``_relabellings`` of ``partitions``."""
+    return list(map(frozenset, _orbits(partitions, _partition_moves(generators, table))))
 
 
 def _verdict_counts(sizes: Iterable[int]) -> dict[str, int]:
@@ -365,8 +382,9 @@ def exhaustive_falsifier(
         for blocks, partitions in shapes:
             families_total += math.comb(len(partitions), 3)
             instances += math.comb(len(partitions), 3) * len(group_classes)
+            table = _relabellings(partitions, blocks)
             for cls in group_classes:
-                orbits = _partition_orbits(partitions, cls.generators)
+                orbits = _partition_orbits(partitions, cls.generators, table)
                 verdict_counts.update(_verdict_counts(map(len, orbits)))
                 # of order n, a group is transitive with trivial isotropy
                 # exactly when it moves 0 to every point

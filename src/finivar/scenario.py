@@ -530,7 +530,8 @@ def _handle_theorem1(ctx: Any, params: _Params) -> _Outcome:
         bundle = ctx.bundle(theta, base_point)
     except (ValueError, RuntimeError) as exc:  # RuntimeError: the spectrum check failed
         details["error"] = str(exc)
-        return STATUS_ERROR, details
+        # a broken representation law is a fail, whether or not the operator can be built
+        return (STATUS_ERROR if rep_ok else STATUS_FAIL), details
 
     nondegenerate = bundle.spectral.is_nondegenerate()
     maximal = theta in ctx.maximal
@@ -566,8 +567,12 @@ def _handle_theorem2(ctx: Any, params: _Params) -> _Outcome:
             "reason": "theta is not permissible under the acting group",
             "witness": _witness_payload(exc.witness),
         }
+    try:
+        bundle = ctx.bundle(theta, base_point)
+    except (ValueError, RuntimeError) as exc:  # as run_scenario words it, keeping the variable
+        return STATUS_ERROR, {"variable": theta.name, "error": f"{type(exc).__name__}: {exc}"}
     from .representations import conjugation_check
-    residuals = conjugation_check(family, induced, ctx.bundle(theta, base_point))
+    residuals = conjugation_check(family, induced, bundle)
     max_residual = max([0.0, *residuals])
     details = {
         "variable": theta.name,

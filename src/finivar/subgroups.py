@@ -3,16 +3,19 @@
 Every subgroup is a join of cyclic subgroups, so a breadth-first search that
 joins each found subgroup with every cyclic subgroup reaches them all (the
 cyclic extension method: Neubüser 1960; Holt, Eick and O'Brien, *Handbook of
-Computational Group Theory*, 2005, §3.3).  It runs on integer ids: a
-``PermutationGroup`` numbers its elements in lexicographic order (so sorted
-ids are sorted image tuples, and the identity is 0), products are read from
-the ``array`` rows of ``_id_tables``, inverses from the walk over each
-element's powers that finds the cyclic subgroups, and a subgroup is a
-``bytearray`` of membership flags whose ``bytes`` are its key.  S_k on the k
-points it moves gets a table joined from blocks of S_(k-1)'s rows, with no
-tuple composed; any other group composes only its generators' rows.  S_n's
-table still has n!^2 entries, so ``MAX_EXACT_DEGREE`` is a cost guard, not
-an exactness limit.
+Computational Group Theory*, 2005, §3.3).  It runs on integer ids of a
+lexicographic listing (so sorted ids are sorted image tuples, and the
+identity is 0): products are read from ``array`` rows, inverses from the
+walk over each element's powers that finds the cyclic subgroups, and a
+subgroup is a ``bytearray`` of membership flags whose ``bytes`` are its key.
+``subgroup_conjugacy_classes(n)`` searches S_n's listing,
+``itertools.permutations(range(n))``, with the table joined from blocks of
+S_(n-1)'s rows (``_symmetric_rows``), and builds no group and no
+``Permutation``.  ``subgroup_classes`` searches a ``PermutationGroup``'s
+element order, with the table of ``_id_tables``: S_k on the k points it
+moves gets the block table, with no tuple composed; any other group composes
+only its generators' rows.  S_n's table still has n!^2 entries, so
+``MAX_EXACT_DEGREE`` is a cost guard, not an exactness limit.
 Everything is ordered deterministically so downstream counts are stable
 across runs.
 
@@ -47,8 +50,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
-from .groups import Permutation, PermutationGroup, _symmetric_generators
-from .spaces import PointSpace
+from .groups import PermutationGroup
 
 __all__ = ["SubgroupClass", "subgroup_classes", "subgroup_conjugacy_classes", "MAX_EXACT_DEGREE"]
 
@@ -186,6 +188,7 @@ def _conjugators(
     """
     # itemgetter of one id gives a bare id, not a tuple; K = {0} gives m's coset {m}
     coset = itemgetter(*ids) if len(ids) > 1 else lambda row: (row[0],)
+    gen_rows = [mul[x] for x in gens]
     seen = bytearray(len(mul))
     for m in range(len(mul)):
         if seen[m]:
@@ -194,7 +197,10 @@ def _conjugators(
         members = coset(row)
         for c in members:
             seen[c] = 1
-        if all(flags[row[mul[x][m_inv]]] for x in gens):
+        for x_row in gen_rows:
+            if not flags[row[x_row[m_inv]]]:
+                break
+        else:
             yield members
 
 
@@ -251,15 +257,16 @@ def _cyclic_extension(
         next_frontier = []
         for base, base_gens in frontier:
             base_ids = list(itertools.compress(range(len(mul)), base))
-            normaliser = [m for coset in _conjugators(base, base_ids, base_gens, mul, inv) for m in coset]
+            cosets = _conjugators(base, base_ids, base_gens, mul, inv)
+            normaliser = [(mul[m], inv[m]) for coset in cosets for m in coset]  # each m in N(H)
             found.append((base_ids, base_gens, len(normaliser)))
-            done = bytearray(len(mul))
+            done = bytearray(base)  # a g in H joins nothing new
             joins = [None] * len(mul)  # x: the last join <H, h> closed with x in hH ∪ Hh
             for g in cyclics:
-                if base[g] or done[g]:
+                if done[g]:
                     continue
-                for m in normaliser:
-                    done[least[mul[mul[m][g]][inv[m]]]] = 1
+                for row, m_inv in normaliser:
+                    done[least[mul[row[g]][m_inv]]] = 1
                 if _joined_before(powers[g], joins):
                     continue
                 gens = base_gens + (g,)
@@ -299,13 +306,21 @@ def subgroup_classes(group: PermutationGroup) -> tuple[SubgroupClass, ...]:
     Deterministic: the first subgroup found in each class represents it, and
     the returned classes are sorted by (order, element list).
     """
-    members = [p.images for p in group.elements]
-    moved, symmetric = _symmetric_degree(group), None
-    mul = _id_tables(group, moved)
+    moved = _symmetric_degree(group)
+    return _classes([p.images for p in group.elements], _id_tables(group, moved), moved)
+
+
+def _classes(
+    members: Sequence[tuple[int, ...]], mul: Sequence[array], moved: int | None
+) -> tuple[SubgroupClass, ...]:
+    """The classes of the group listed by ``members`` (image tuples in id
+    order) with product table ``mul``; ``moved`` is k when the group is S_k
+    on the k points it moves (``_symmetric_degree``), read only when k >= 5."""
     cycle_types = [_cycle_type(p) for p in members]
+    symmetric = None
     # S_k on the k >= 5 points it moves: a join past |G| / k elements is A_k or S_k
     if moved is not None and moved >= 5:
-        even = bytearray((group.space.size - len(t)) % 2 == 0 for t in cycle_types)
+        even = bytearray((len(members[0]) - len(t)) % 2 == 0 for t in cycle_types)
         symmetric = (len(members) // moved, even)
     return tuple(
         SubgroupClass(
@@ -317,7 +332,9 @@ def subgroup_classes(group: PermutationGroup) -> tuple[SubgroupClass, ...]:
 
 @lru_cache(maxsize=None)
 def subgroup_conjugacy_classes(n: int) -> tuple[SubgroupClass, ...]:
-    """All subgroups of the degree-n symmetric group, one per conjugacy class."""
+    """All subgroups of the degree-n symmetric group, one per conjugacy class,
+    searched on ``itertools.permutations(range(n))``: the ids ``generate``
+    would give S_n, with no group built."""
     if type(n) is not int or n < 1:
         raise ValueError(f"degree must be a positive integer, got {n!r}")
     if n > MAX_EXACT_DEGREE:
@@ -325,6 +342,4 @@ def subgroup_conjugacy_classes(n: int) -> tuple[SubgroupClass, ...]:
             f"subgroup classes are computed only up to degree {MAX_EXACT_DEGREE} "
             f"(the table of S_n has n!^2 entries), got {n}"
         )
-    space = PointSpace(id=f"S{n}", labels=tuple(map(str, range(n))))
-    generators = tuple(map(Permutation, _symmetric_generators(n)))
-    return subgroup_classes(PermutationGroup.generate(space, generators))
+    return _classes(list(itertools.permutations(range(n))), _symmetric_rows(n, "H"), n)  # n! < 2^16

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finivar.groups import Permutation, PermutationGroup, are_related, is_permissible
+from finivar import groups, harness, spaces
+from finivar.groups import Permutation, PermutationGroup, _orbits, are_related, is_permissible
 from finivar.harness import (
     _partition_count,
     _partition_orbits,
@@ -715,6 +716,32 @@ class TestOrbitCounting:
         verdicts = fixed_family_verdicts(n)
         assert set(verdicts) == {VERDICT_ALL_DIFFERENT}
         assert exhaustive_falsifier(n).mixed_with_satisfied_hypotheses == verdicts[VERDICT_MIXED]
+
+    @given(st.integers(2, 6).flatmap(lambda n: st.lists(permutations_of(n), max_size=3).map(lambda g: (n, g))))
+    @settings(max_examples=100, deadline=None)
+    def test_table_orbits_match_the_canonical_walk(self, drawn):
+        """Orbits moved through a shape's relabelling table are the orbits
+        moved through canonical_partition, on every balanced shape."""
+        n, gens = drawn
+        images = [k.images for k in gens]
+        walk = [lambda p, k=k: canonical_partition(compose(p, k)) for k in images]
+        for blocks in [b for b in range(1, n + 1) if n % b == 0]:
+            partitions = balanced_partitions(n, blocks)
+            table = harness._relabellings(partitions, blocks)
+            expected = list(map(frozenset, _orbits(partitions, walk)))
+            assert _partition_orbits(partitions, images, table) == expected
+
+    def test_a_cold_census_canonicalises_only_its_listings(self, monkeypatch):
+        """A cold census canonicalises only in the walks that list its shapes'
+        3, 10 and 15 partitions, two moves a partition: 56 calls, where
+        canonicalising every moved partition made 2,704."""
+        calls = []
+        canonical = spaces.canonical_partition
+        for module in (spaces, groups, harness):
+            monkeypatch.setattr(module, "canonical_partition", lambda a: calls.append(1) or canonical(a))
+        subgroup_conjugacy_classes.cache_clear()
+        exhaustive_falsifier(6)
+        assert len(calls) <= 56
 
     @given(balanced_groups())
     @settings(max_examples=100, deadline=None)

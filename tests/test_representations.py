@@ -23,7 +23,7 @@ from finivar.groups import (
     induced_group,
     is_permissible,
 )
-from finivar.report import STATUS_FAIL, STATUS_NOT_APPLICABLE, STATUS_PASS
+from finivar.report import STATUS_ERROR, STATUS_FAIL, STATUS_NOT_APPLICABLE, STATUS_PASS
 from finivar.representations import (
     CoherentCollisionError,
     CoherentFamily,
@@ -1259,6 +1259,25 @@ class TestSecondGeneratorRow:
         self.first_row_only(monkeypatch)
         assert hom.verify() is True
 
+    @staticmethod
+    def scenario_text(rep: UnitaryRep, gens: list[list[int]], checks: str) -> str:
+        """A scenario of ``rep`` written out as explicit matrices, on the group
+        of ``gens``, with the identity-labelled variable ``element``."""
+        entries = "".join(
+            f"\n    - element: {list(k.images)}"
+            f"\n      matrix: {[[[z.real, z.imag] for z in row] for row in matrix.tolist()]}"
+            for k, matrix in zip(rep.group.elements, rep.stack)
+        )
+        n = rep.group.space.size
+        labels = [str(x) for x in range(n)]
+        return (
+            f"name: s3-twisted\nspace: {{id: s3, labels: {labels}}}\n"
+            f"variables: [{{name: element, values: {labels}, assignment: {list(range(n))}}}]\n"
+            f"group: {{generators: {gens}}}\n"
+            "representation:\n  kind: explicit\n  matrices:" + entries + "\n"
+            f"checks: {checks}\n"
+        )
+
     def test_theorem1_needs_f_s_row(self, monkeypatch):
         """theorem1 builds operators only on a regular action, so it runs on S3
         acting on itself: six points, where r stays even and f odd."""
@@ -1266,25 +1285,29 @@ class TestSecondGeneratorRow:
         gens = [[els.index(s * x) for x in els] for s in (self.R, self.F)]
         regular = PermutationGroup.generate(space_of(6), tuple(map(Permutation, gens)))
         rep = self.twisted(regular, np.diag([1, 1j, -1, 1, 1j, -1]))
-        entries = "".join(
-            f"\n    - element: {list(k.images)}"
-            f"\n      matrix: {[[[z.real, z.imag] for z in row] for row in matrix.tolist()]}"
-            for k, matrix in zip(regular.elements, rep.stack)
-        )
-        labels = [str(x) for x in range(6)]
-        text = (
-            f"name: s3-twisted\nspace: {{id: s3, labels: {labels}}}\n"
-            f"variables: [{{name: element, values: {labels}, assignment: {list(range(6))}}}]\n"
-            f"group: {{generators: {gens}}}\n"
-            "representation:\n  kind: explicit\n  matrices:" + entries + "\n"
-            "checks: [{type: theorem1-hypotheses, variable: element}]\n"
-        )
+        text = self.scenario_text(rep, gens, "[{type: theorem1-hypotheses, variable: element}]")
         (record,) = run_scenario(loads(text)).checks
         assert record.status == STATUS_FAIL
         assert record.details["representation"]["homomorphism_residual"] > 1
         self.first_row_only(monkeypatch)
         (record,) = run_scenario(loads(text)).checks
         assert record.status == STATUS_PASS
+
+    def test_a_broken_law_fails_where_the_operator_cannot_be_built(self):
+        """S3 on its three points is not regular, so no operator is built; the
+        broken law is still theorem1's fail, and theorem2's refusal keeps its
+        variable."""
+        rep = self.twisted(self.s3(), np.diag([1, 1j, -1]))
+        gens = [list(self.R.images), list(self.F.images)]
+        checks = "[{type: theorem1-hypotheses, variable: element}, {type: theorem2, variable: element}]"
+        theorem1, theorem2 = run_scenario(loads(self.scenario_text(rep, gens, checks))).checks
+        assert theorem1.status == STATUS_FAIL
+        assert theorem1.details["representation"]["homomorphism_residual"] == pytest.approx(np.sqrt(2))
+        assert "requires a regular action" in theorem1.details["error"]
+        assert theorem2.status == STATUS_ERROR
+        assert list(theorem2.details) == ["variable", "error"]
+        assert theorem2.details["variable"] == "element"
+        assert theorem2.details["error"].startswith("ValueError: coherent labeling requires a regular action")
 
 class TestBatchedProjectorsMatchTheSvdLoop:
     """``CoherentFamily.projectors`` decomposes the stacks of one size in one

@@ -212,6 +212,18 @@ class TestConjugacyClasses:
         listing = repr([(c.elements, c.generators) for c in classes])
         assert hashlib.sha256(listing.encode()).hexdigest() == S6_CLASSES_SHA256
 
+    @pytest.mark.parametrize("n", sorted(CLASS_COUNTS))
+    def test_listed_search_matches_the_group_search(self, n, monkeypatch):
+        """The search on S_n's lexicographic listing gives what the public
+        group path gives on S_n closed by ``generate``, and builds no group."""
+        group = symmetric_group(n) if n > 1 else PermutationGroup.generate(space_of(1), ())
+        expected = subgroups.subgroup_classes(group)
+        built = []
+        generate = PermutationGroup.generate
+        monkeypatch.setattr(PermutationGroup, "generate", lambda *args: built.append(args) or generate(*args))
+        assert subgroups.subgroup_conjugacy_classes.__wrapped__(n) == expected
+        assert built == []
+
     def test_s6_search_prunes_conjugate_joins(self, monkeypatch):
         calls = []
         close = subgroups.close_tuples
@@ -467,8 +479,8 @@ class TestSubgroupClasses:
         """Clearing this one cache makes the next call search from scratch, so
         a cold census stays cold: no second cache may sit below it."""
         calls = []
-        build = subgroups._id_tables
-        monkeypatch.setattr(subgroups, "_id_tables", lambda *args: calls.append(1) or build(*args))
+        search = subgroups._cyclic_extension
+        monkeypatch.setattr(subgroups, "_cyclic_extension", lambda *args: calls.append(1) or search(*args))
         subgroups.subgroup_conjugacy_classes.cache_clear()
         subgroups.subgroup_conjugacy_classes(4)
         assert len(calls) == 1
