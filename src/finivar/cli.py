@@ -4,11 +4,13 @@ Exit codes: 0 when every check passes (or is informational / not applicable),
 1 when any check fails or errors, 2 for unusable input such as a malformed
 scenario file or a bad option.  A usage error prints the command's usage line,
 a hint and ``Error: <message>`` to standard error.
+
+One pass over the words reads the command line (``_parse``): argparse's
+import and first parse cost each fresh process about 3 ms.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import math
@@ -28,18 +30,10 @@ from .subgroups import MAX_EXACT_DEGREE
 __all__ = ["main"]
 
 _HELP_WIDTH = 78
-_NO_VALUE = object()  # stored for an option given last, with no value after it
 
 
 class UsageError(Exception):
     """Unusable input: ``main`` prints the usage line and this message, and exits 2."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """A parser whose own refusals, such as ``--help=x``, are usage errors."""
-
-    def error(self, message: str) -> NoReturn:
-        raise UsageError(message)
 
 
 def _scale(text: str) -> float:
@@ -64,7 +58,9 @@ def _point_bound(text: str) -> int:
 
 def _output_path(text: str) -> str:
     """A file to write, refused before any work when it is empty, a directory,
-    cannot be read or written, or its directory is missing."""
+    cannot be read or written, or its directory is missing; ``-`` is no file."""
+    if text == "-":
+        return text
     if not text:
         raise ValueError("the path is empty")
     if os.path.isdir(text):
@@ -72,7 +68,7 @@ def _output_path(text: str) -> str:
     for mode, able in ((os.R_OK, "readable"), (os.W_OK, "writable")):
         if os.path.exists(text) and not os.access(text, mode):
             raise ValueError(f"File {text!r} is not {able}.")
-    if text != "-" and not os.path.isdir(os.path.dirname(text) or "."):
+    if not os.path.isdir(os.path.dirname(text) or "."):
         raise ValueError(f"directory {os.path.dirname(text)!r} does not exist")
     return text
 
@@ -211,62 +207,56 @@ def _no_such_option(arg: str, flags: list[str]) -> str:
     return f"No such option {name!r}." + (f" Did you mean {close[0]}?" if close else "")
 
 
-def _given_at(flag: str, args: list[str]) -> int:
-    return next((i for i, arg in enumerate(args) if arg.split("=", 1)[0] == flag), len(args))
-
-
-def _joined(command: _Command, args: list[str]) -> list[str]:
-    """``args`` with each option joined to the word after it (``--max-n=-5``),
-    so that a value starting with ``-`` is the option's value, never an option."""
-    flags = {option.flag for option in command.options}
-    joined, rest = [], iter(args)
-    for arg in rest:
-        if arg == "--":
-            return [*joined, arg, *rest]
-        value = next(rest, None) if arg in flags else None
-        joined.append(arg if value is None else f"{arg}={value}")
-    return joined
-
-
 def _parse(command: _Command, args: list[str]) -> dict[str, object] | None:
     """The keywords of ``command.run`` read from ``args``, or None for ``--help``.
 
-    The refusals come in this order: an unknown option or a missing option
+    One pass reads ``--flag value`` or ``--flag=value`` whatever the value
+    starts with (``--`` is no value), ``--help``, and arguments; every word
+    after the first ``--`` is an argument, and any other word of two or more
+    characters that starts with ``-`` is an option.  The refusals come in this
+    order: ``--help=x`` when it is read, an unknown option or a missing option
     value, then ``--help``, then each option's value in the order the options
     were first given, the missing argument and any extra argument.
     """
-    parser = _Parser(add_help=False, allow_abbrev=False)
-    if command.argument:
-        parser.add_argument("argument", nargs="?")
-    for option in command.options:
-        # nargs="?" lets an option given last, without its value, reach the check below
-        parser.add_argument(option.flag, dest=option.dest, nargs="?", const=_NO_VALUE)
-    parser.add_argument("--help", action="store_true")
-    args = _joined(command, args)
-    parsed, extra = parser.parse_known_args(args)
-    before_dashes = args[: args.index("--")] if "--" in args else args
-    unknown = next((arg for arg in extra if _is_option(arg) and arg in before_dashes), None)
+    options = {option.flag: option for option in command.options}
+    given: dict[str, str | None] = {}  # each option's last value by first mention; None if missing
+    arguments, unknown, helped = [], None, False
+    words = iter(args)
+    for word in words:
+        flag, joined, value = word.partition("=")
+        if word == "--":
+            arguments += words
+        elif flag in options:
+            value = value if joined else next(words, None)
+            given[flag] = None if value == "--" else value
+        elif flag == "--help":
+            if joined:
+                raise UsageError(f"argument --help: ignored explicit argument {value!r}")
+            helped = True
+        elif _is_option(word):
+            unknown = unknown or word
+        else:
+            arguments.append(word)
     if unknown is not None:
-        raise UsageError(_no_such_option(unknown, [o.flag for o in command.options] + ["--help"]))
-    for option in command.options:
-        if getattr(parsed, option.dest) is _NO_VALUE:
-            raise UsageError(f"Option '{option.flag}' requires an argument.")
-    if parsed.help:
+        raise UsageError(_no_such_option(unknown, [*options, "--help"]))
+    for flag in options:
+        if flag in given and given[flag] is None:
+            raise UsageError(f"Option '{flag}' requires an argument.")
+    if helped:
         return None
-    keywords = {}
-    for option in sorted(command.options, key=lambda o: _given_at(o.flag, args)):
-        text = getattr(parsed, option.dest)
+    keywords = {option.dest: option.default for option in command.options}
+    for flag, text in given.items():
         try:
-            keywords[option.dest] = option.default if text is None else option.read(text)
+            keywords[options[flag].dest] = options[flag].read(text)
         except ValueError as exc:
-            raise UsageError(f"Invalid value for '{option.flag}': {exc}") from None
+            raise UsageError(f"Invalid value for '{flag}': {exc}") from None
     if command.argument:
-        if parsed.argument is None:
+        if not arguments:
             raise UsageError(f"Missing argument '{command.argument}'.")
-        keywords[command.argument.lower()] = parsed.argument
-    if extra:
-        plural = "s" if len(extra) > 1 else ""
-        raise UsageError(f"Got unexpected extra argument{plural} ({' '.join(extra)})")
+        keywords[command.argument.lower()] = arguments.pop(0)
+    if arguments:
+        plural = "s" if len(arguments) > 1 else ""
+        raise UsageError(f"Got unexpected extra argument{plural} ({' '.join(arguments)})")
     return keywords
 
 
@@ -329,21 +319,23 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> NoRetur
     """Run the command line on ``args`` (default ``sys.argv[1:]``) and exit
     with its code; ``prog_name`` (default: as started) heads the usage line.
 
-    When the interpreter shuts down, an ``atexit`` handler moves every object
-    into the collector's permanent generation (``gc.freeze``), so the
-    collector's last passes scan nothing and the operating system reclaims
-    the memory.  It is registered once however often ``main`` is called and
-    acts only at exit, so a caller that catches the ``SystemExit`` keeps a
-    working collector.  Nothing written is lost: every print flushes, the
-    interpreter flushes its streams regardless of the collector, and a report
-    file is closed before ``main`` returns.  Only the collection of reference
-    cycles at exit is skipped, so finalizers of cyclic garbage do not run
-    then; CPython does not promise that they run at exit anyway.
+    The cyclic collector is off while the command runs, since a run leaves
+    no cyclic garbage once its modules are loaded, and the caller's setting is
+    restored however it ends.  The interpreter's last collection ignores
+    ``gc.disable``, so an ``atexit`` handler, registered once however often
+    ``main`` is called, moves every object into the permanent generation
+    (``gc.freeze``): those passes scan nothing, and the operating system
+    reclaims the memory.  A caller that catches the ``SystemExit`` keeps a
+    working collector.  Nothing written is lost: every print flushes and a
+    report file is closed before ``main`` returns.  Only finalizers of cyclic
+    garbage do not run at exit, which CPython does not promise anyway.
     """
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
     args = sys.argv[1:] if args is None else list(args)
     prog = prog_name or _program_name()
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = _dispatch(prog, args)
     except UsageError as exc:
@@ -358,6 +350,9 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> NoRetur
     except BrokenPipeError:  # the reader left early, as in `finivar selftest | head -1`
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
+    finally:
+        if collecting:
+            gc.enable()
     sys.exit(code)
 
 

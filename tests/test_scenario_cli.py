@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import importlib.util
+import io
 import json
 import os
 import re
@@ -1182,6 +1184,18 @@ for _ in range(2):
 """
 
 
+# Runs `finivar run a2-smoke`, then prints its exit code and which of the
+# modules argparse loads it loaded.
+PARSER_MODULES_PROBE = """
+import sys
+from finivar.cli import main
+try:
+    main(["run", "a2-smoke"])
+except SystemExit as exc:
+    print(exc.code, sorted({"argparse", "gettext"} & set(sys.modules)), file=sys.stderr)
+"""
+
+
 class TestCommandLineEntry:
     def test_the_collector_is_frozen_when_the_process_exits(self):
         proc = fresh_python(FREEZE_AT_EXIT_PROBE)
@@ -1215,7 +1229,69 @@ class TestCommandLineEntry:
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.split())
         assert "finivar.runner" in loaded
-        assert not {"click", "inspect"} & loaded
+        assert not {"click", "inspect", "argparse", "gettext"} & loaded
+
+    def test_a_run_loads_no_argparse_or_gettext(self):
+        proc = fresh_python(PARSER_MODULES_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "0 []"
+
+    def test_a_command_runs_with_the_collector_off(self, monkeypatch):
+        seen, dispatch = [], cli_mod._dispatch
+        monkeypatch.setattr(cli_mod, "_dispatch", lambda *args: seen.append(gc.isenabled()) or dispatch(*args))
+        result = CliRunner().invoke(main, ["run", "parity-z4"])
+        assert result.exit_code == 0, result.output
+        assert seen == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "args, code", [(["list"], 0), (["frobnicate"], 2), (["run", "qubit"], 1)], ids=["clean", "usage", "interrupt"]
+    )
+    def test_main_restores_the_collector_setting_of_its_caller(self, monkeypatch, enabled, args, code):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_mod, "run_scenario", interrupt)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            result = CliRunner().invoke(main, args)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert result.exit_code == code, result.output
+
+    @pytest.mark.parametrize("name", [*builtin_mod.BUILTINS, "a2-smoke.yaml"])
+    def test_a_warm_run_leaves_no_cyclic_garbage(self, tmp_path, name):
+        """What lets ``main`` keep the collector off while a command runs."""
+        if name.endswith(".yaml"):
+            path = tmp_path / name
+            path.write_text(builtin_yaml(name.removesuffix(".yaml")), encoding="utf-8")
+            name = str(path)
+        gc.disable()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli_mod._dispatch("finivar", ["run", name])  # loads what the run loads on first use
+                gc.collect()
+                cli_mod._dispatch("finivar", ["run", name])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["run", "parity-z4", "--report", "-"], ["run", "parity-z4", "--report=-"], ["emit", "qubit", "--output", "-"]],
+        ids=["report", "report-joined", "output"],
+    )
+    def test_a_dash_is_standard_output_even_beside_a_directory_named_dash(self, tmp_path, monkeypatch, args):
+        (tmp_path / "-").mkdir()
+        monkeypatch.chdir(tmp_path)
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        if args[0] == "emit":
+            assert result.output == builtin_mod.builtin_text("qubit")
+        else:
+            assert result.output == run_scenario(builtin_mod.load_builtin("parity-z4")).to_json()
+        assert [path.name for path in tmp_path.iterdir()] == ["-"]
 
     @pytest.mark.parametrize(
         "call, prog",
