@@ -207,6 +207,10 @@ def _no_such_option(arg: str, flags: list[str]) -> str:
     return f"No such option {name!r}." + (f" Did you mean {close[0]}?" if close else "")
 
 
+def _refuse_help_value(value: str) -> NoReturn:
+    raise UsageError(f"argument --help: ignored explicit argument {value!r}")
+
+
 def _parse(command: _Command, args: list[str]) -> dict[str, object] | None:
     """The keywords of ``command.run`` read from ``args``, or None for ``--help``.
 
@@ -231,7 +235,7 @@ def _parse(command: _Command, args: list[str]) -> dict[str, object] | None:
             given[flag] = None if value == "--" else value
         elif flag == "--help":
             if joined:
-                raise UsageError(f"argument --help: ignored explicit argument {value!r}")
+                _refuse_help_value(value)
             helped = True
         elif _is_option(word):
             unknown = unknown or word
@@ -303,6 +307,9 @@ def _dispatch(prog: str, args: list[str]) -> int:
         print(_help(_usage(prog, first), command.run.__doc__, ("Options", rows)), flush=True)
         return 0
     if first not in (None, "--help"):
+        flag, _, value = first.partition("=")
+        if flag == "--help":
+            _refuse_help_value(value)
         message = f"No such command {first!r}."
         raise UsageError(_no_such_option(first, ["--help"]) if _is_option(first) else message)
     text = _help(

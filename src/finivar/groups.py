@@ -73,10 +73,6 @@ class Permutation(Frozen):
         object.__setattr__(p, "images", images)
         return p
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -95,9 +91,6 @@ class Permutation(Frozen):
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
-
-    def fixed_points(self) -> tuple[int, ...]:
-        return tuple(i for i, j in enumerate(self.images) if i == j)
 
 
 def _reach(start: Hashable, moves: Sequence[Callable], limit: int | None = None) -> list:
@@ -181,16 +174,6 @@ class PermutationGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @property
-    def identity(self) -> Permutation:
-        return self.elements[0]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[Permutation]:
-        return iter(self.elements)
 
     def __contains__(self, p: Permutation) -> bool:
         return p.images in self._ids

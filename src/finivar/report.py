@@ -6,15 +6,15 @@ runs on the same input produce byte-identical reports.  Permutations
 serialize as image arrays and complex numbers as [re, im] pairs.
 
 ``to_json`` writes the text in one pass over the engine's values, each by a
-writer looked up by its exact type; a handler gives plain values (numbers,
-strings, lists, dicts, permutations), so ``jsonable`` is reached only by
-numpy values, subclasses and what it refuses.
+writer looked up by its exact type.  A handler gives plain values (numbers,
+strings, lists, tuples, dicts, permutations, complex numbers) under string
+keys, so any other type, as value or key, is refused: a numpy scalar, a
+subclass, a record (a NamedTuple one too) or an integer key.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
@@ -29,7 +29,6 @@ __all__ = [
     "STATUS_INFORMATIONAL",
     "CheckRecord",
     "VerificationReport",
-    "jsonable",
 ]
 
 STATUS_PASS = "pass"
@@ -44,32 +43,6 @@ _ALL_STATUSES = (
     STATUS_ERROR,
     STATUS_INFORMATIONAL,
 )
-
-
-def jsonable(value: Any) -> Any:
-    """Coerce engine values into deterministic JSON-ready structures."""
-    # No numpy value can exist before numpy is loaded, so its tests are skipped until then.
-    np = sys.modules.get("numpy")
-    if isinstance(value, Permutation):
-        return [int(i) for i in value.images]
-    if isinstance(value, complex) or (np is not None and isinstance(value, np.complexfloating)):
-        return [float(value.real), float(value.imag)]
-    if np is not None:
-        if isinstance(value, np.floating):
-            return float(value)
-        if isinstance(value, np.integer):
-            return int(value)
-        if isinstance(value, np.bool_):
-            return bool(value)
-        if isinstance(value, np.ndarray):
-            return [jsonable(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if type(value) in (list, tuple):  # not a NamedTuple record: it has no JSON form
-        return [jsonable(v) for v in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    raise TypeError(f"cannot serialize {type(value).__name__} deterministically")
 
 
 class CheckRecord(Record):
@@ -141,15 +114,12 @@ class VerificationReport(Record):
             "summary": self.summary(),
         }
 
-    def to_dict(self) -> dict[str, Any]:
-        return jsonable(self._raw())
-
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2, allow_nan=False)`` and a newline,
-        written straight from the engine's values: ``_WRITERS`` converts each
-        value as ``jsonable`` does, without first copying the report into a new
-        tree.  A permutation's text is kept for this call only, by its images
-        and depth, since ``theorem2`` lists the group's elements per variable."""
+        """``json.dumps(self._raw(), indent=2, allow_nan=False)`` and a newline,
+        a permutation written as its image array and a complex number as
+        [re, im], each value by the ``_WRITERS`` entry of its exact type.  A
+        permutation's text is kept for this call only, by its images and depth,
+        since ``theorem2`` lists the group's elements per variable."""
         return _dict_text(self._raw(), "\n", {}) + "\n"
 
     def to_text(self) -> str:
@@ -171,9 +141,9 @@ def _dict_text(value: dict, newline: str, memo: dict) -> str:
     get = _WRITERS.get
     items = []
     for key, item in value.items():
-        if type(key) is not str:  # jsonable writes every key as its str
-            return _dict_text({str(key): item for key, item in value.items()}, newline, memo)
-        text = get(type(item), _other_text)(item, inner, memo)
+        if type(key) is not str:
+            raise TypeError(f"cannot serialize {type(key).__name__} key deterministically")
+        text = get(type(item), _refuse)(item, inner, memo)
         items.append(encode_basestring_ascii(key) + ": " + text)
     return "{" + inner + ("," + inner).join(items) + newline + "}"
 
@@ -183,7 +153,7 @@ def _list_text(value: list | tuple, newline: str, memo: dict) -> str:
         return "[]"
     inner = newline + "  "
     get = _WRITERS.get
-    items = [get(type(item), _other_text)(item, inner, memo) for item in value]
+    items = [get(type(item), _refuse)(item, inner, memo) for item in value]
     return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
@@ -210,19 +180,13 @@ def _complex_text(value: complex, newline: str, memo: dict) -> str:
     return "[" + inner + real + "," + inner + imag + newline + "]"
 
 
-def _other_text(value: Any, newline: str, memo: dict) -> str:
-    """The text of a value whose type ``_WRITERS`` lacks, through ``jsonable``:
-    a numpy value or a subclass; it refuses a record, a NamedTuple one too."""
-    value = jsonable(value)
-    writer = _WRITERS.get(type(value))
-    if writer is None:  # a str, int or float subclass, which jsonable keeps
-        writer = next(_WRITERS[base] for base in (str, int, float) if isinstance(value, base))
-    return writer(value, newline, memo)
+def _refuse(value: Any, newline: str, memo: dict) -> str:
+    raise TypeError(f"cannot serialize {type(value).__name__} deterministically")
 
 
-# The text of ``jsonable(value)`` nested at ``newline``, as ``json.dumps(indent=2)``
-# writes it, without its pure-Python encoder, by the writer of the value's exact
-# type; any other type goes to ``_other_text``.  ``memo`` holds each permutation's
+# The text of a value nested at ``newline``, as ``json.dumps(indent=2)`` writes
+# it, without its pure-Python encoder, by the writer of the value's exact type;
+# any other type goes to ``_refuse``.  ``memo`` holds each permutation's
 # text by its images and ``newline``, for one report.
 _WRITERS: dict[type, Callable[[Any, str, dict], str]] = {
     dict: _dict_text,

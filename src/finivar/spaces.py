@@ -141,9 +141,6 @@ class ConceptualVariable(Frozen):
         if hit != set(range(len(self.values))):
             raise ValueError(f"variable {self.name!r}: every value must be taken (surjectivity)")
 
-    def __call__(self, point: int) -> int:
-        return self.assignment[point]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConceptualVariable):
             return NotImplemented

@@ -14,9 +14,6 @@ from . import linalg
 from ._record import Frozen
 
 __all__ = [
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
     "SpinDirection",
     "spin_component_operator",
     "singlet",
@@ -27,21 +24,14 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-12
-_PAULI = ("SIGMA_X", "SIGMA_Y", "SIGMA_Z")
 
 
 @cache
 def _pauli() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SIGMA_X, SIGMA_Y and SIGMA_Z, built on first use: importing this module loads no numpy."""
+    """The Pauli matrices σx, σy and σz, built on first use: importing this module loads no numpy."""
     import numpy as np
     rows = ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
     return tuple(np.array(m, dtype=complex) for m in rows)
-
-
-def __getattr__(name: str) -> np.ndarray:
-    if name in _PAULI:
-        return _pauli()[_PAULI.index(name)]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SpinDirection(Frozen):

@@ -75,7 +75,7 @@ class TestBasics:
 
     def test_tensor_shape(self):
         # Pair-space operators are Kronecker products of the 2 x 2 spin components.
-        sigmas = (spin.SIGMA_X, spin.SIGMA_Y, spin.SIGMA_Z)
+        sigmas = [spin.spin_component_operator(axis) for axis in spin.AXES]
         operator = spin.delta_operator()
         assert operator.shape == (4, 4)
         assert np.array_equal(operator, sum(np.kron(s, s) for s in sigmas))
@@ -213,5 +213,6 @@ class TestStackedPhasesMatchTheColumnLoop:
             assert small.sum() == n - 1 and (np.abs(data.vectors[0][small]) > 0).all()
 
     def test_diagonal_and_pauli(self):
-        for a in (np.diag([3.0, -1.0, 2.0]), np.diag([1.0, 1.0, 2.0]), spin.SIGMA_X, spin.SIGMA_Y):
+        paulis = [np.array(m, dtype=complex) for m in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]])]
+        for a in (np.diag([3.0, -1.0, 2.0]), np.diag([1.0, 1.0, 2.0]), *paulis):
             assert_eigh_matches_the_columns(a)

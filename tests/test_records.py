@@ -13,7 +13,7 @@ import pytest
 
 from finivar import groups, harness, linalg, report, representations, runner, scenario, spaces, spin, subgroups
 from finivar.builtins import load_builtin
-from finivar.report import CheckRecord, VerificationReport, jsonable
+from finivar.report import CheckRecord, VerificationReport
 
 from conftest import space_of, symmetric_group
 
@@ -113,7 +113,7 @@ def test_a_record_has_no_json_form(name):
     record = records()[name]
     message = f"cannot serialize {type(record).__name__} deterministically"
     with pytest.raises(TypeError, match=message):
-        jsonable({"x": [record]})
+        VerificationReport("s", {}, {"x": [record]}).to_json()
     holder = VerificationReport("s", {}, {})
     holder.add(CheckRecord("a", "theorem2", "pass", {"x": record}))
     with pytest.raises(TypeError, match=message):

@@ -414,7 +414,7 @@ class TestConjugationLaw:
         position = ConceptualVariable("position", space, ("0", "1", "2", "3"), (0, 1, 2, 3))
         family = cyclic_family(4)
         shift = Permutation((1, 2, 3, 0))
-        element = Permutation.identity(4)
+        element = Permutation(range(4))
         for _ in range(power):
             element = shift * element
         residuals = theta_residuals(position, family)
@@ -927,7 +927,7 @@ def pair_by_pair(rep, pairs):
     unitary = max(
         linalg.max_abs(rep(k).conj().T @ rep(k) - np.eye(rep.dim)) for k in rep.group.elements
     )
-    identity = linalg.max_abs(rep(rep.group.identity) - np.eye(rep.dim))
+    identity = linalg.max_abs(rep(rep.group.elements[0]) - np.eye(rep.dim))
     residuals = list(pair_residuals(rep, pairs))
     return bits([unitary, identity, max(residuals, default=0.0)]), len(residuals)
 

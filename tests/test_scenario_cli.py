@@ -37,7 +37,6 @@ from finivar.report import (
     STATUS_PASS,
     CheckRecord,
     VerificationReport,
-    jsonable,
 )
 from finivar.representations import cyclic_dft_rep, qubit_rep
 from finivar.runner import run_scenario
@@ -747,27 +746,35 @@ class TestJsonPath:
             assert noting_parser(loads, text)[1] is False
 
 
-class TestJsonable:
+def json_form(value):
+    """``value`` as a report's JSON text holds it."""
+    return json.loads(VerificationReport("s", {}, {"x": value}).to_json())["flags"]["x"]
+
+
+class TestJsonForm:
     def test_permutation_as_image_list(self):
-        assert jsonable(Permutation((2, 0, 1))) == [2, 0, 1]
+        assert json_form(Permutation((2, 0, 1))) == [2, 0, 1]
 
     def test_complex_as_pair(self):
-        assert jsonable(1 + 2j) == [1.0, 2.0]
-        assert jsonable(np.complex128(3 - 1j)) == [3.0, -1.0]
+        assert json_form(1 + 2j) == [1.0, 2.0]
+        with pytest.raises(TypeError, match="cannot serialize complex128"):
+            json_form(np.complex128(3 - 1j))
 
-    def test_numpy_scalars(self):
-        assert jsonable(np.float64(0.5)) == 0.5
-        assert jsonable(np.int64(7)) == 7
-        assert jsonable(np.bool_(True)) is True
+    def test_numpy_scalars_are_refused(self):
+        for value in (np.float64(0.5), np.int64(7), np.bool_(True)):
+            with pytest.raises(TypeError, match=f"cannot serialize {type(value).__name__} "):
+                json_form(value)
 
     def test_arrays_and_containers(self):
-        assert jsonable(np.array([1.0, 2.0])) == [1.0, 2.0]
-        assert jsonable({"k": (1, 2)}) == {"k": [1, 2]}
-        assert jsonable({1: "x"}) == {"1": "x"}
+        with pytest.raises(TypeError, match="cannot serialize ndarray"):
+            json_form(np.array([1.0, 2.0]))
+        assert json_form({"k": (1, 2)}) == {"k": [1, 2]}
+        with pytest.raises(TypeError, match="cannot serialize int key"):
+            json_form({1: "x"})
 
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError, match="cannot serialize"):
-            jsonable(object())
+            json_form(object())
 
 
 class TestReport:
@@ -1370,6 +1377,7 @@ class TestCommandLineEntry:
             (["run", "qubit", "--rep", "-"], "No such option '--rep'. (Did you mean one of: '--help', '--report'?)"),
             (["emit", "qubit", "--outpt=x"], "No such option '--outpt'. Did you mean '--output'?"),
             (["--hepl"], "No such option '--hepl'. Did you mean '--help'?"),
+            (["--help=x"], "argument --help: ignored explicit argument 'x'"),
             (["run", "qubit", "-x"], "No such option '-x'."),
             (["run", "qubit", "--report"], "Option '--report' requires an argument."),
             (["run", "qubit", "--help=yes"], "argument --help: ignored explicit argument 'yes'"),

@@ -41,7 +41,8 @@ def compose(p, q):
 def generated(images, n):
     """The image tuples of the group the image tuples ``images`` generate on n
     points, closed by ``PermutationGroup.generate``'s breadth-first walk."""
-    return {p.images for p in PermutationGroup.generate(space_of(n), [Permutation(g) for g in images])}
+    group = PermutationGroup.generate(space_of(n), [Permutation(g) for g in images])
+    return {p.images for p in group.elements}
 
 
 def symmetric_elements(n):
