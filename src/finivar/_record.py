@@ -3,8 +3,10 @@
 A ``@dataclass`` writes the source of each method it adds and ``exec``s it,
 about half a millisecond a class, paid at every start-up.  These bases give a
 ``__slots__`` class the same methods, written once: a class lists its fields
-in ``_fields`` (in order), and its own ``__init__`` passes their values to
-``Record.__init__``.  Result records that validate nothing are
+in ``_fields`` (in order), and ``Record.__init__`` takes them by position or by
+name, as a dataclass's ``__init__`` does.  A record writes an ``__init__`` of
+its own only to validate, normalise or default a field, and passes the values
+on to ``Record.__init__``.  Result records that validate nothing are
 ``typing.NamedTuple``s instead.
 """
 
@@ -26,8 +28,19 @@ class Record:
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, *values: Any) -> None:
-        for name, value in zip(self._fields, values, strict=True):
+    def __init__(self, *values: Any, **named: Any) -> None:
+        fields = self._fields
+        if named or len(values) != len(fields):  # the fields after the values, by name
+            rest = fields[len(values):]
+            faults = [f"missing field {name!r}" for name in rest if name not in named]
+            faults += [f"repeated field {name!r}" for name in named if name in fields[: len(values)]]
+            faults += [f"unknown field {name!r}" for name in named if name not in fields]
+            if len(values) > len(fields):
+                faults.append(f"{len(values)} values for {len(fields)} fields")
+            if faults:
+                raise TypeError(f"{type(self).__qualname__}(): {', '.join(faults)}")
+            values = (*values, *[named[name] for name in rest])
+        for name, value in zip(fields, values):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple[Any, ...]:

@@ -109,15 +109,8 @@ def _run(scenario: str, report: str | None, tolerance_scale: float, max_n: int |
 def _list() -> int:
     """List the built-in scenarios."""
     for name in BUILTINS:
-        first_comment = next(
-            (
-                line.lstrip("# ").rstrip()
-                for line in builtin_text(name).splitlines()
-                if line.startswith("#")
-            ),
-            "",
-        )
-        print(f"{name}: {first_comment}" if first_comment else name, flush=True)
+        summary = builtin_text(name).partition("\n")[0].lstrip("# ")  # a built-in's first line
+        print(f"{name}: {summary}", flush=True)
     return 0
 
 
@@ -328,20 +321,23 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> NoRetur
 
     The cyclic collector is off while the command runs, since a run leaves
     no cyclic garbage once its modules are loaded, and the caller's setting is
-    restored however it ends.  The interpreter's last collection ignores
-    ``gc.disable``, so an ``atexit`` handler, registered once however often
-    ``main`` is called, moves every object into the permanent generation
-    (``gc.freeze``): those passes scan nothing, and the operating system
-    reclaims the memory.  A caller that catches the ``SystemExit`` keeps a
-    working collector.  Nothing written is lost: every print flushes and a
-    report file is closed before ``main`` returns.  Only finalizers of cyclic
-    garbage do not run at exit, which CPython does not promise anyway.
+    restored however it ends.  Turning it back on, ``gc.freeze(); gc.unfreeze()``
+    moves the run's objects to the oldest generation, so no young collection
+    scans them all; not while the caller holds objects frozen, which it would
+    thaw.  The interpreter's last collection ignores ``gc.disable``, so an
+    ``atexit`` handler, registered once however often ``main`` is called,
+    moves every object into the permanent generation (``gc.freeze``): those
+    passes scan nothing, and the operating system reclaims the memory.  A
+    caller that catches the ``SystemExit`` keeps a working collector.
+    Nothing written is lost: every print flushes and a report file is closed
+    before ``main`` returns.  Only finalizers of cyclic garbage do not run at
+    exit, which CPython does not promise anyway.
     """
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
     args = sys.argv[1:] if args is None else list(args)
     prog = prog_name or _program_name()
-    collecting = gc.isenabled()
+    collecting, frozen = gc.isenabled(), gc.get_freeze_count()
     gc.disable()
     try:
         code = _dispatch(prog, args)
@@ -359,6 +355,9 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> NoRetur
         code = 1
     finally:
         if collecting:
+            if not frozen:
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
     sys.exit(code)
 

@@ -64,9 +64,6 @@ class EigenCluster(Frozen, eq=False):
     value: float
     indices: tuple[int, ...]
 
-    def __init__(self, value: float, indices: tuple[int, ...]) -> None:
-        super().__init__(value, indices)
-
     @property
     def multiplicity(self) -> int:
         return len(self.indices)
@@ -79,11 +76,6 @@ class SpectralData(Frozen, eq=False):
     eigenvalues: np.ndarray
     vectors: np.ndarray
     clusters: tuple[EigenCluster, ...]
-
-    def __init__(
-        self, eigenvalues: np.ndarray, vectors: np.ndarray, clusters: tuple[EigenCluster, ...]
-    ) -> None:
-        super().__init__(eigenvalues, vectors, clusters)
 
     @property
     def dim(self) -> int:

@@ -136,11 +136,10 @@ class RepDiagnostics(NamedTuple):
         )
 
 
-def _cyclic_group(
-    kind: str, n: int, group: PermutationGroup | None, space: PointSpace
-) -> PermutationGroup:
-    """The group ``kind`` is built on, by default Z_n on ``space``.  ``group`` must be Z_n on n
-    points, the one order-n group holding j -> j + 1; a refusal names an element only one has."""
+def _cyclic_group(kind: str, space: PointSpace, group: PermutationGroup | None) -> PermutationGroup:
+    """The group ``kind`` is built on, by default Z_n on the n points of ``space``.  ``group``
+    must be Z_n, the one order-n group holding j -> j + 1; a refusal names an element only one has."""
+    n = space.size
     if group is None:
         return PermutationGroup.generate(space, (Permutation((*range(1, n), 0)),))
     extra = next((k for k in group.elements if k.images != (*range(k(0), n), *range(k(0)))), None)
@@ -153,30 +152,28 @@ def _cyclic_group(
     raise ValueError(f"expected the declared group's elements: {where}")
 
 
-def qubit_rep(group: PermutationGroup | None = None) -> UnitaryRep:
+def qubit_rep(group: PermutationGroup) -> UnitaryRep:
     """The two-element flip representation from the phase rule U|v> = e^{-iv}|flip v>.
 
     On the two-point value space {+1, -1} with basis |+1> = (1,0), |-1> = (0,1)
     the non-identity element gets [[0, e^{+i}], [e^{-i}, 0]], which squares to
-    the identity.  ``group`` is the flip group it is built on, by default on
-    a space of its own.
+    the identity.  ``group`` is the flip group it is built on, as
+    ``_cyclic_group`` returns it; it is not checked again.
     """
     import numpy as np
-    group = _cyclic_group("qubit", 2, group, PointSpace(id="spin-values", labels=("+1", "-1")))
     flip = [[0, np.exp(1j)], [np.exp(-1j), 0]]
     return UnitaryRep(group, np.array([np.eye(2), flip], dtype=complex))  # the flip is id 1
 
 
-def cyclic_dft_rep(n: int, group: PermutationGroup | None = None) -> UnitaryRep:
+def cyclic_dft_rep(group: PermutationGroup) -> UnitaryRep:
     """The cyclic shift group Z_n by its exact 0/1 permutation matrices,
     U(k)[k(j), j] = 1, which the discrete Fourier transform diagonalises.
 
-    ``group`` is the group of the n shifts it is built on, by default on a
-    space of its own.
+    ``group`` is the group of the n shifts of an n-point space it is built
+    on, as ``_cyclic_group`` returns it; it is not checked again.
     """
     import numpy as np
-    space = PointSpace(id=f"cycle-{n}", labels=tuple(str(j) for j in range(n)))  # refuses n < 1
-    group = _cyclic_group("cyclic-dft", n, group, space)
+    n = group.order
     stack = np.zeros((n, n, n), dtype=complex)
     ids = np.arange(n)  # element ids and columns j alike
     stack[ids[:, None], [k.images for k in group.elements], ids] = 1
@@ -343,14 +340,6 @@ class OperatorBundle(Frozen, eq=False):
     spectral: linalg.SpectralData
     projectors: dict[float, np.ndarray]
 
-    def __init__(
-        self,
-        operator: np.ndarray,
-        spectral: linalg.SpectralData,
-        projectors: dict[float, np.ndarray],
-    ) -> None:
-        super().__init__(operator, spectral, projectors)
-
 
 def build_operator(
     theta: ConceptualVariable,
@@ -451,11 +440,6 @@ class BasisExpansion(Frozen, eq=False):
     amplitudes: tuple[complex, ...]
     reconstruction_error: float
     weight_sum: float
-
-    def __init__(
-        self, amplitudes: tuple[complex, ...], reconstruction_error: float, weight_sum: float
-    ) -> None:
-        super().__init__(amplitudes, reconstruction_error, weight_sum)
 
     def ok(self, tolerances: dict[str, float] = _DEFAULTS) -> bool:
         return (

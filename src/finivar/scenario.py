@@ -268,21 +268,6 @@ class Scenario(Record):
     tolerance_overrides: dict[str, float]
     informational: bool
 
-    def __init__(
-        self,
-        name: str,
-        space: PointSpace,
-        variables: dict[str, ConceptualVariable],
-        group: PermutationGroup | None,
-        coherent_family: CoherentFamily | None,
-        checks: tuple[CheckSpec, ...],
-        tolerance_overrides: dict[str, float],
-        informational: bool,
-    ) -> None:
-        super().__init__(
-            name, space, variables, group, coherent_family, checks, tolerance_overrides, informational
-        )
-
     def variable(self, name: str, path: str = "checks") -> ConceptualVariable:
         if name not in self.variables:
             raise _fail(path, f"unknown variable {name!r}")
@@ -842,10 +827,9 @@ def _parse_representation(
         return None, ()
     from .representations import UnitaryRep, _cyclic_group, cyclic_dft_rep, qubit_rep
     if kind != "explicit":  # the kind's matrices, on the scenario's one group
-        if group is None:
-            group = _cyclic_group(kind, space.size, None, space)
         with _at("representation.kind"):  # the declared group is not the kind's
-            rep = qubit_rep(group) if kind == "qubit" else cyclic_dft_rep(space.size, group)
+            group = _cyclic_group(kind, space, group)
+        rep = qubit_rep(group) if kind == "qubit" else cyclic_dft_rep(group)
         return rep, tuple(range(group.order))
     import numpy as np
     raw_matrices = _nonempty_list(raw.get("matrices"), "representation.matrices", None)

@@ -10,8 +10,9 @@ its 400 reports and ``cli.main`` runs every command (``run``, ``run --report
 errors), then, with ``--tests``, while ``pytest.main`` runs Tier-1.  Per
 module it prints the executable lines (docstrings excluded), those the corpus
 and commands reach, those only the tests reach and those nothing reaches,
-then each tests-only line that is not a refusal (a ``raise``, or an
-``except`` whose body ends in one).
+then each tests-only line that is not a refusal (a ``raise``, an
+``except`` whose body ends in one, or a call statement to a ``src/finivar``
+function annotated ``-> NoReturn``).
 
 It reports reach, not pass or fail: the tests run in this process under the
 tracer, slower and beside its frames, so run Tier-1 on its own for a verdict.
@@ -42,8 +43,19 @@ USAGE_ERRORS = [
 ]
 
 
-def lines_of(path: Path) -> tuple[set[int], set[int]]:
-    """The executable lines of ``path``, docstrings excluded, and its refusal lines."""
+def never_returning() -> set[str]:
+    """The names of the ``src/finivar`` functions annotated ``-> NoReturn``."""
+    return {
+        node.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and getattr(node.returns, "id", None) == "NoReturn"
+    }
+
+
+def lines_of(path: Path, refusing: set[str]) -> tuple[set[int], set[int]]:
+    """The executable lines of ``path``, docstrings excluded, and its refusal
+    lines, a call statement to a function named in ``refusing`` among them."""
     source = path.read_text(encoding="utf-8")
     executable, codes = set(), [compile(source, str(path), "exec")]
     for code in codes:  # grows while it is scanned
@@ -58,6 +70,10 @@ def lines_of(path: Path) -> tuple[set[int], set[int]]:
             refusals.update(range(node.lineno, node.end_lineno + 1))
         elif isinstance(node, ast.ExceptHandler) and isinstance(node.body[-1], ast.Raise):
             refusals.add(node.lineno)
+        elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+            called = node.value.func
+            if getattr(called, "id", getattr(called, "attr", None)) in refusing:
+                refusals.update(range(node.lineno, node.end_lineno + 1))
     return executable, refusals
 
 
@@ -108,8 +124,9 @@ def main(argv: list[str]) -> None:
         sys.settrace(None)
         threading.settrace(None)
     rows, notes = [("module", "executable", "run", "tests-only", "unreached")], []
+    refusing = never_returning()
     for path in sorted(SRC.glob("*.py")):
-        executable, refusals = lines_of(path)
+        executable, refusals = lines_of(path, refusing)
         reached = {line for name, line in ran if Path(name) == path} & executable
         tested = {line for name, line in hits if Path(name) == path} & executable
         rows.append((path.stem, len(executable), len(reached), len(tested - reached), len(executable - tested)))

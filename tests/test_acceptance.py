@@ -29,6 +29,8 @@ from finivar.representations import qubit_rep
 from finivar.runner import RunFlags, run_scenario
 from finivar.spaces import ConceptualVariable, PointSpace
 
+from conftest import cyclic_group
+
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
@@ -46,7 +48,7 @@ def test_two_point_pipeline_unitary_injective_nondegenerate():
     assert report.exit_code == 0
     assert all(c.status == STATUS_PASS for c in report.checks)
 
-    rep = qubit_rep()
+    rep = qubit_rep(cyclic_group(2))
     flip = rep(Permutation((1, 0)))
     assert max_abs(flip @ flip - np.eye(2)) <= 1e-10
     assert max_abs(flip @ flip.conj().T - np.eye(2)) <= 1e-10

@@ -4,6 +4,7 @@ compares by value or by identity as it did."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import pickle
 from functools import cache
@@ -15,7 +16,7 @@ from finivar import groups, harness, linalg, report, representations, runner, sc
 from finivar.builtins import load_builtin
 from finivar.report import CheckRecord, VerificationReport
 
-from conftest import space_of, symmetric_group
+from conftest import cyclic_group, space_of, symmetric_group
 
 
 @cache
@@ -33,7 +34,7 @@ def records() -> dict[str, object]:
     thoughts = harness.ThoughtScenario(square, family, klein)
     classification = harness.classify_thoughts(thoughts)
     spectral = linalg.eigh(np.diag([1.0, 2.0]))
-    rep = representations.cyclic_dft_rep(4)
+    rep = representations.cyclic_dft_rep(cyclic_group(4))
     coherent = representations.CoherentFamily(rep, np.array([1, 0, 0, 0], dtype=complex))
     position = spaces.ConceptualVariable("position", rep.group.space, ("0", "1", "2", "3"), (0, 1, 2, 3))
     loaded = load_builtin("cyclic-4")
@@ -148,6 +149,67 @@ def test_value_records_compare_and_hash_by_fields(name, twin, other):
     assert record == twin and hash(record) == hash(twin)
     assert record != other and len({record, twin, other}) == 2
     assert pickle.loads(pickle.dumps(record)) == record
+
+
+def constructor_fields(cls: type) -> tuple[list[str], set[str]]:
+    """The fields a record class takes at construction, and those of them it
+    requires: every field but a private one, which the class defaults, and
+    every field ``Record.__init__`` takes, which defaults none."""
+    fields = [name for name in cls._fields if not name.startswith("_")]
+    parameters = inspect.signature(cls).parameters
+    if any(p.kind is p.VAR_POSITIONAL for p in parameters.values()):
+        return fields, set(fields)
+    return fields, {name for name in fields if parameters[name].default is inspect.Parameter.empty}
+
+
+def same_value(a, b) -> bool:
+    return a is b or (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b)
+
+
+@pytest.mark.parametrize("name", sorted(records()))
+def test_a_record_is_built_from_its_fields_by_position_or_by_name(name):
+    record = records()[name]
+    cls = type(record)
+    fields, _ = constructor_fields(cls)
+    values = [getattr(record, field) for field in fields]
+    for twin in (cls(*values), cls(**dict(zip(fields, values)))):
+        assert twin is not record
+        assert all(same_value(getattr(twin, f), getattr(record, f)) for f in cls._fields)
+
+
+@pytest.mark.parametrize("name", sorted(records()))
+def test_a_missing_repeated_or_unknown_field_is_refused(name):
+    record = records()[name]
+    cls = type(record)
+    fields, required = constructor_fields(cls)
+    named = {field: getattr(record, field) for field in fields}
+    first = fields[0]
+    with pytest.raises(TypeError):
+        cls(named[first], **named)  # the first field by position and by name
+    with pytest.raises(TypeError):
+        cls(**named, unknown=None)
+    with pytest.raises(TypeError):
+        cls(*named.values(), None)  # one value more than the fields
+    for field in required:
+        with pytest.raises(TypeError):
+            cls(**{key: value for key, value in named.items() if key != field})
+
+
+def test_record_init_names_the_fields_at_fault():
+    cluster = linalg.EigenCluster(1.0, (0,))
+    assert cluster.value == 1.0 and cluster.indices == (0,)
+    assert linalg.EigenCluster(1.0, indices=(0,)).indices == (0,)
+    for args, kwargs, message in [
+        ((1.0,), {}, "EigenCluster(): missing field 'indices'"),
+        ((), {}, "EigenCluster(): missing field 'value', missing field 'indices'"),
+        ((1.0,), {"value": 2.0, "indices": ()}, "EigenCluster(): repeated field 'value'"),
+        ((1.0,), {"size": 1, "value": 2.0}, "EigenCluster(): missing field 'indices', repeated field 'value', unknown field 'size'"),
+        ((1.0, ()), {"index": 0, "size": 1}, "EigenCluster(): unknown field 'index', unknown field 'size'"),
+        ((1.0, (), 2), {}, "EigenCluster(): 3 values for 2 fields"),
+    ]:
+        with pytest.raises(TypeError) as refused:
+            linalg.EigenCluster(*args, **kwargs)
+        assert str(refused.value) == message
 
 
 def test_results_are_false_when_not_ok():

@@ -33,6 +33,7 @@ from finivar.representations import (
     UnitaryRep,
     build_operator,
     check_coherent_injectivity,
+    _cyclic_group,
     commutant_diagnostic,
     conjugation_check,
     cyclic_dft_rep,
@@ -53,6 +54,7 @@ from conftest import (
     GROUPS_UP_TO_S6,
     assignments,
     changed_element,
+    cyclic_group,
     multiplicities,
     permutations_of,
     space_of,
@@ -69,12 +71,12 @@ def tolerances(**overrides: float) -> dict[str, float]:
 
 
 def qubit_family() -> CoherentFamily:
-    rep = qubit_rep()
+    rep = qubit_rep(cyclic_group(2))
     return CoherentFamily(rep, np.array([1, 0], dtype=complex))
 
 
 def cyclic_family(n: int) -> CoherentFamily:
-    rep = cyclic_dft_rep(n)
+    rep = cyclic_dft_rep(cyclic_group(n))
     base = np.zeros(n, dtype=complex)
     base[0] = 1
     return CoherentFamily(rep, base)
@@ -86,19 +88,19 @@ def spin_z_variable(space: PointSpace) -> ConceptualVariable:
 
 class TestQubitRep:
     def test_flip_matrix_golden(self):
-        rep = qubit_rep()
+        rep = qubit_rep(cyclic_group(2))
         flip = rep(Permutation((1, 0)))
         expected = np.array([[0, np.exp(1j)], [np.exp(-1j), 0]])
         assert linalg.max_abs(flip - expected) == 0.0
 
     def test_flip_is_unitary_involution(self):
-        rep = qubit_rep()
+        rep = qubit_rep(cyclic_group(2))
         flip = rep(Permutation((1, 0)))
         assert linalg.max_abs(flip.conj().T @ flip - np.eye(2)) <= 1e-10
         assert linalg.max_abs(flip @ flip - np.eye(2)) < 1e-12
 
     def test_diagnostics_clean(self):
-        diag = qubit_rep().diagnostics()
+        diag = qubit_rep(cyclic_group(2)).diagnostics()
         assert diag.unitary_residual < 1e-12
         assert diag.identity_residual == 0.0
         assert diag.homomorphism_residual < 1e-12
@@ -107,17 +109,17 @@ class TestQubitRep:
 
     def test_requires_two_points(self):
         with pytest.raises(ValueError, match=r"the declared group has \[0, 1, 2\], which qubit's"):
-            qubit_rep(PermutationGroup.generate(space_of(3), (Permutation((1, 0, 2)),)))
+            _cyclic_group("qubit", space_of(2), PermutationGroup.generate(space_of(3), (Permutation((1, 0, 2)),)))
 
     def test_requires_the_flip_group(self):
         with pytest.raises(ValueError, match=r"qubit's group has \[1, 0\], which the declared"):
-            qubit_rep(PermutationGroup.generate(space_of(2), ()))
+            _cyclic_group("qubit", space_of(2), PermutationGroup.generate(space_of(2), ()))
 
 
 class TestCyclicRep:
     @pytest.mark.parametrize("n", [*range(1, 13), 16, 20, 24, 32])
     def test_every_shift_is_its_exact_permutation_matrix(self, n):
-        rep = cyclic_dft_rep(n)
+        rep = cyclic_dft_rep(cyclic_group(n))
         for s in range(n):
             expected = np.zeros((n, n))
             for j in range(n):
@@ -125,17 +127,17 @@ class TestCyclicRep:
             assert np.array_equal(rep(Permutation(tuple((j + s) % n for j in range(n)))), expected)
 
     def test_exact_homomorphism(self):
-        diag = cyclic_dft_rep(6).diagnostics()
+        diag = cyclic_dft_rep(cyclic_group(6)).diagnostics()
         assert diag.ok(tolerances(unitary=1e-12, rep_homomorphism=1e-12))
 
     def test_space_size_must_match(self):
         with pytest.raises(ValueError, match=r"the declared group has \[0, 1, 2, 3\], which cyclic"):
-            cyclic_dft_rep(3, PermutationGroup.generate(space_of(4), (Permutation((1, 2, 3, 0)),)))
+            _cyclic_group("cyclic-dft", space_of(3), cyclic_group(4))
 
     def test_requires_the_shift_group(self):
         flip = Permutation((1, 0, 3, 2))
         with pytest.raises(ValueError, match=r"the declared group has \[1, 0, 3, 2\], which cyclic"):
-            cyclic_dft_rep(4, PermutationGroup.generate(space_of(4), (flip, Permutation((2, 3, 0, 1)))))
+            _cyclic_group("cyclic-dft", space_of(4), PermutationGroup.generate(space_of(4), (flip, Permutation((2, 3, 0, 1)))))
 
     def test_rep_requires_full_coverage(self):
         space = space_of(2)
@@ -156,18 +158,19 @@ class TestCoherentFamily:
     def test_states_are_one_product_per_element_bit_for_bit(self, n):
         rng = np.random.default_rng(n)
         base = rng.normal(size=n) + 1j * rng.normal(size=n)
-        for rep in (cyclic_dft_rep(n), with_phases(conjugated(cyclic_dft_rep(n), n), n)):
+        plain = cyclic_dft_rep(cyclic_group(n))
+        for rep in (plain, with_phases(conjugated(plain, n), n)):
             family = CoherentFamily(rep, base)
             expected = np.array([rep(k) @ base for k in rep.group.elements])
             assert family.states.tobytes() == expected.tobytes()
 
     def test_rejects_zero_base(self):
         with pytest.raises(ValueError, match="nonzero"):
-            CoherentFamily(qubit_rep(), np.zeros(2))
+            CoherentFamily(qubit_rep(cyclic_group(2)), np.zeros(2))
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError, match="dimension"):
-            CoherentFamily(qubit_rep(), np.array([1, 0, 0], dtype=complex))
+            CoherentFamily(qubit_rep(cyclic_group(2)), np.array([1, 0, 0], dtype=complex))
 
     @pytest.mark.parametrize(
         "flip", [np.zeros((2, 2)), np.full((2, 2), 1e300)], ids=["zero", "overflow"]
@@ -193,14 +196,14 @@ class TestCoherentFamily:
 
     def test_injectivity_fails_for_invariant_base(self):
         # the uniform vector is fixed by every position shift
-        rep = cyclic_dft_rep(3)
+        rep = cyclic_dft_rep(cyclic_group(3))
         base = np.ones(3, dtype=complex) / np.sqrt(3)
         result = check_coherent_injectivity(CoherentFamily(rep, base))
         assert not result.ok
         assert result.witness is not None
 
     def test_overlaps_match_the_pairwise_formula(self):
-        rep = cyclic_dft_rep(5)
+        rep = cyclic_dft_rep(cyclic_group(5))
         rng = np.random.default_rng(11)
         family = CoherentFamily(rep, rng.normal(size=5) + 1j * rng.normal(size=5))
         states = family.states
@@ -241,10 +244,10 @@ class TestCoherentFamily:
         assert not result.ok  # the 120 elements fixing point 0 send e0 to itself
 
     def test_phase_scaled_base_gives_same_operator(self):
-        space = PointSpace(id="spin-values", labels=("+1", "-1"))
+        space = space_of(2)
         theta = spin_z_variable(space)
         a = build_operator(theta, qubit_family())
-        rep = qubit_rep()
+        rep = qubit_rep(cyclic_group(2))
         scaled = CoherentFamily(rep, np.exp(1.3j) * np.array([1, 0], dtype=complex))
         b = build_operator(theta, scaled)
         assert linalg.max_abs(a.operator - b.operator) < 1e-12
@@ -252,7 +255,7 @@ class TestCoherentFamily:
 
 class TestBuildOperator:
     def test_qubit_operator_is_diag_plus_minus(self):
-        space = PointSpace(id="spin-values", labels=("+1", "-1"))
+        space = space_of(2)
         theta = spin_z_variable(space)
         bundle = build_operator(theta, qubit_family())
         assert linalg.max_abs(bundle.operator - np.diag([1.0, -1.0])) < 1e-12
@@ -260,13 +263,13 @@ class TestBuildOperator:
         assert bundle.spectral.is_nondegenerate()
 
     def test_cyclic_position_operator(self):
-        space = PointSpace(id="cycle-4", labels=("0", "1", "2", "3"))
+        space = space_of(4)
         position = ConceptualVariable("position", space, ("0", "1", "2", "3"), (0, 1, 2, 3))
         bundle = build_operator(position, cyclic_family(4))
         assert linalg.max_abs(bundle.operator - np.diag([0.0, 1, 2, 3])) < 1e-12
 
     def test_coarse_variable_gives_degenerate_spectrum(self):
-        space = PointSpace(id="cycle-4", labels=("0", "1", "2", "3"))
+        space = space_of(4)
         parity = ConceptualVariable("parity", space, ("+1", "-1"), (0, 1, 0, 1))
         bundle = build_operator(parity, cyclic_family(4))
         mults = multiplicities(bundle.spectral)
@@ -308,7 +311,7 @@ checks:
         }
 
     def test_requires_matching_domain(self):
-        theta = variable_from_assignment(space_of(2), (0, 1))
+        theta = variable_from_assignment(space_of(2, "other"), (0, 1))
         with pytest.raises(DomainMismatchError):
             build_operator(theta, qubit_family())
 
@@ -328,7 +331,7 @@ checks:
             build_operator(theta, family)
 
     def test_collision_rejected(self):
-        rep = cyclic_dft_rep(3)
+        rep = cyclic_dft_rep(cyclic_group(3))
         base = np.ones(3, dtype=complex) / np.sqrt(3)  # shift-invariant
         family = CoherentFamily(rep, base)
         theta = variable_from_assignment(space_of(3, "cycle"), (0, 1, 2))
@@ -337,7 +340,7 @@ checks:
             build_operator(theta, family)
 
     def test_non_orthogonal_groups_rejected(self):
-        rep = cyclic_dft_rep(4)
+        rep = cyclic_dft_rep(cyclic_group(4))
         rng = np.random.default_rng(5)
         base = rng.normal(size=4) + 1j * rng.normal(size=4)
         base /= np.linalg.norm(base)
@@ -378,7 +381,7 @@ class TestGroupingScan:
     @example((0, 1, 1, 2, 0, 0), [0.0, 1.0, 0.0, 1j, -1.0, 1j])
     @settings(max_examples=150, deadline=None)
     def test_first_violation_matches_the_pairwise_scan(self, assignment, entries):
-        rep = cyclic_dft_rep(6)
+        rep = cyclic_dft_rep(cyclic_group(6))
         base = np.array(entries, dtype=complex)
         if np.linalg.norm(base) < 1e-12:
             return
@@ -410,7 +413,7 @@ class TestConjugationLaw:
     @given(st.integers(0, 3))
     @settings(max_examples=4, deadline=None)
     def test_cyclic_covariance_exact(self, power):
-        space = PointSpace(id="cycle-4", labels=("0", "1", "2", "3"))
+        space = space_of(4)
         position = ConceptualVariable("position", space, ("0", "1", "2", "3"), (0, 1, 2, 3))
         family = cyclic_family(4)
         shift = Permutation((1, 2, 3, 0))
@@ -423,7 +426,7 @@ class TestConjugationLaw:
         assert residuals[family.group.elements.index(element)] < 1e-12
 
     def test_qubit_covariance(self):
-        space = PointSpace(id="spin-values", labels=("+1", "-1"))
+        space = space_of(2)
         theta = spin_z_variable(space)
         family = qubit_family()
         residuals = theta_residuals(theta, family)
@@ -437,7 +440,7 @@ class TestExpansion:
     ``linalg.eigh`` and a built operator's alike."""
 
     def test_x_in_z_amplitudes_golden(self):
-        space = PointSpace(id="spin-values", labels=("+1", "-1"))
+        space = space_of(2)
         z = build_operator(spin_z_variable(space), qubit_family()).spectral
         x = linalg.eigh(np.array([[0, 1], [1, 0]], dtype=complex))
         plus = expand_in_basis(x, 1, z)
@@ -450,7 +453,7 @@ class TestExpansion:
         assert minus.ok()
 
     def test_weights_sum_to_one(self):
-        space = PointSpace(id="spin-values", labels=("+1", "-1"))
+        space = space_of(2)
         z = build_operator(spin_z_variable(space), qubit_family()).spectral
         y = linalg.eigh(np.array([[0, -1j], [1j, 0]]))
         expansion = expand_in_basis(y, 0, z)
@@ -531,9 +534,9 @@ def _ray_representations(draw) -> tuple[UnitaryRep, list[int]]:
     per-element phases; with the sizes of its diagonal blocks."""
     kind = draw(st.sampled_from(["qubit", "cyclic", "sum"]))
     if kind == "qubit":
-        return qubit_rep(), [2]
+        return qubit_rep(cyclic_group(2)), [2]
     if kind == "cyclic":
-        base = cyclic_dft_rep(draw(st.integers(1, 12)))
+        base = cyclic_dft_rep(cyclic_group(draw(st.integers(1, 12))))
         group = base.group
         blocks = [base.stack]
     else:
@@ -573,7 +576,7 @@ def _block_diagonal(parts: list[np.ndarray]) -> np.ndarray:
 
 class TestCommutant:
     def test_abelian_two_dim_rep_is_reducible(self):
-        diag = commutant_diagnostic(qubit_rep())
+        diag = commutant_diagnostic(qubit_rep(cyclic_group(2)))
         assert diag.commutant_dimension == 2
         assert not diag.irreducible
 
@@ -622,7 +625,7 @@ class TestCommutant:
 
         monkeypatch.setattr(np, "kron", forbidden)
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-        diag = commutant_diagnostic(cyclic_dft_rep(48))
+        diag = commutant_diagnostic(cyclic_dft_rep(cyclic_group(48)))
         assert diag.commutant_dimension == 48
 
     @given(_ray_representations())
@@ -959,10 +962,10 @@ def with_phases(rep, seed):
 class TestDiagnosticsStack:
     @pytest.mark.parametrize("n", range(1, 41))
     def test_cyclic_dft(self, n):
-        assert assert_diagnostics_match_pairs(cyclic_dft_rep(n)).pairs_checked == n
+        assert assert_diagnostics_match_pairs(cyclic_dft_rep(cyclic_group(n))).pairs_checked == n
 
     def test_qubit(self):
-        assert_diagnostics_match_pairs(qubit_rep())
+        assert_diagnostics_match_pairs(qubit_rep(cyclic_group(2)))
 
     def test_broken_z2(self):
         space = space_of(2)
@@ -972,8 +975,8 @@ class TestDiagnosticsStack:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_per_element_phases(self, seed):
-        assert assert_diagnostics_match_pairs(with_phases(cyclic_dft_rep(7 + seed), seed)).ok()
-        assert assert_diagnostics_match_pairs(with_phases(qubit_rep(), seed)).ok()
+        assert assert_diagnostics_match_pairs(with_phases(cyclic_dft_rep(cyclic_group(7 + seed)), seed)).ok()
+        assert assert_diagnostics_match_pairs(with_phases(qubit_rep(cyclic_group(2)), seed)).ok()
 
     @given(_ray_representations())
     @settings(max_examples=30, deadline=None)
@@ -1063,7 +1066,7 @@ class TestStackedScansMatchThePairLoops:
     @pytest.mark.parametrize("n", range(1, 41))
     def test_cyclic_dft(self, n):
         rng = np.random.default_rng(n)
-        plain = cyclic_dft_rep(n)
+        plain = cyclic_dft_rep(cyclic_group(n))
         ray = with_phases(conjugated(plain, n), n)
         assert_diagnostics_match_pairs(ray)  # ``TestDiagnosticsStack`` takes the plain one
         for rep, base in ((plain, np.eye(n)[0]), (ray, random_unitary(n, n)[:, 0])):
@@ -1137,7 +1140,7 @@ class TestElementIds:
         """The loader writes each listed matrix into its element's row, so the
         stack is in id order whatever order the file lists the matrices in."""
         rng = random.Random(seed)
-        rep = with_phases(cyclic_dft_rep(9), seed)
+        rep = with_phases(cyclic_dft_rep(cyclic_group(9)), seed)
         listed = rng.sample(range(rep.group.order), rep.group.order)
         entries = "".join(
             f"\n    - element: {list(rep.group.elements[i].images)}"
@@ -1158,7 +1161,7 @@ class TestElementIds:
         """On Z24, generated by one shift, ``verify`` composes the shift's row
         in the source and its image's row in the target, and ``diagnostics``
         the shift's row: 24 products each."""
-        rep = cyclic_dft_rep(24)
+        rep = cyclic_dft_rep(cyclic_group(24))
         theta = variable_from_assignment(rep.group.space, tuple(range(24)))
         _, hom = induced_group(theta, rep.group)
         calls = []
@@ -1324,7 +1327,7 @@ class TestBatchedProjectorsMatchTheSvdLoop:
     @pytest.mark.parametrize("n", range(1, 41))
     def test_single_states_and_quarter_classes(self, n):
         rng = np.random.default_rng(n)
-        plain = cyclic_dft_rep(n)
+        plain = cyclic_dft_rep(cyclic_group(n))
         ray = with_phases(conjugated(plain, n), n)
         singles = [(i,) for i in range(n)]
         quarters = [tuple(range(r, n, 4)) for r in range(4)] if n % 4 == 0 else []
@@ -1338,7 +1341,7 @@ class TestBatchedProjectorsMatchTheSvdLoop:
     @pytest.mark.parametrize("n", [4, 6, 12])
     def test_mixed_sizes_and_rank_deficient_stacks(self, n):
         # The uniform state is fixed by every shift, so every stack has rank 1.
-        family = CoherentFamily(cyclic_dft_rep(n), np.ones(n))
+        family = CoherentFamily(cyclic_dft_rep(cyclic_group(n)), np.ones(n))
         rng = random.Random(n)
         groups = [tuple(sorted(rng.sample(range(n), rng.randint(1, n)))) for _ in range(3 * n)]
         self.assert_projectors_match(family, groups)
@@ -1349,7 +1352,7 @@ class TestBatchedProjectorsMatchTheSvdLoop:
         """A ray family whose base the half turn fixes up to a phase: the pairs
         {k, k + n/2} span rank 1 and {k, k + 1} rank 2, in one batch of size 2,
         and each projector is bit for bit its own 2-D product."""
-        rep = with_phases(conjugated(cyclic_dft_rep(n), n), n)
+        rep = with_phases(conjugated(cyclic_dft_rep(cyclic_group(n)), n), n)
         family = CoherentFamily(rep, random_unitary(n, n) @ (np.eye(n)[0] + np.eye(n)[n // 2]))
         groups = [(k, k + 1) for k in range(n - 1)] + [(k, k + n // 2) for k in range(n // 2)]
         self.assert_projectors_match(family, groups)

@@ -20,13 +20,14 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from conftest import CliRunner
+from conftest import CliRunner, cyclic_group
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from finivar import builtins as builtin_mod
 from finivar import cli as cli_mod
 from finivar import harness as harness_mod
+from finivar import representations as representations_mod
 from finivar import runner as runner_mod
 from finivar import scenario as scenario_mod
 from finivar.cli import main
@@ -214,9 +215,26 @@ checks:
     def test_representation_kinds(self):
         flip = Permutation((1, 0))
         qubit = loads(MINIMAL + "\nrepresentation: {kind: qubit}\n").coherent_family.rep
-        assert np.array_equal(qubit(flip), qubit_rep()(flip))
+        assert np.array_equal(qubit(flip), qubit_rep(cyclic_group(2))(flip))
         cyclic = loads(MINIMAL + "\nrepresentation: {kind: cyclic-dft, n: 2}\n").coherent_family.rep
-        assert np.array_equal(cyclic(flip), cyclic_dft_rep(2)(flip))
+        assert np.array_equal(cyclic(flip), cyclic_dft_rep(cyclic_group(2))(flip))
+
+    @pytest.mark.parametrize("declared", [True, False], ids=["group", "no-group"])
+    @pytest.mark.parametrize("kind, n", [("qubit", 2), ("cyclic-dft", 5)])
+    def test_a_built_in_kind_decides_its_group_in_one_call(self, monkeypatch, kind, n, declared):
+        calls, decide = [], representations_mod._cyclic_group
+        monkeypatch.setattr(representations_mod, "_cyclic_group", lambda *args: calls.append(args) or decide(*args))
+        data = {
+            "name": kind,
+            "space": {"id": "circle", "labels": [str(j) for j in range(n)]},
+            "representation": {"kind": kind, **({"n": n} if kind == "cyclic-dft" else {})},
+            "checks": [{"type": "a2-falsify"}],
+        }
+        if declared:
+            data["group"] = {"generators": [[(j + 1) % n for j in range(n)]]}
+        rep = loads(json.dumps(data)).coherent_family.rep
+        assert len(calls) == 1
+        assert [k.images for k in rep.group.elements] == [k.images for k in cyclic_group(n).elements]
 
     def test_representation_unknown_kind(self):
         expect_error(
@@ -1175,12 +1193,13 @@ atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0, gc.isenabled(
 from finivar.cli import main
 main(["run", "qubit", "--report", "-"])
 """
-# Calls main twice in one process, counting the calls of gc.freeze until the
-# process ends.  (atexit._ncallbacks counts a slot unregister has emptied.)
+# Calls main twice in one process, then counts the calls of gc.freeze until
+# the process ends: those of the exit handlers, not those of each main.
+# (atexit._ncallbacks counts a slot unregister has emptied.)
 MAIN_TWICE_PROBE = """
 import atexit, gc, sys
-calls, freeze = [], gc.freeze
-gc.freeze = lambda: calls.append(freeze())
+calls, freeze, returned = [], gc.freeze, []
+gc.freeze = lambda: (freeze(), returned and calls.append(1))
 atexit.register(lambda: print("freezes", len(calls), file=sys.stderr))
 from finivar.cli import main
 for _ in range(2):
@@ -1188,6 +1207,20 @@ for _ in range(2):
         main(["list"])
     except SystemExit:
         pass
+returned.append(True)
+"""
+# Lists the collections (generation, objects collected) that start while
+# `finivar run qubit` runs in main, the collector on as a process starts it.
+COLLECTIONS_IN_MAIN_PROBE = """
+import gc, sys
+from finivar.cli import main
+seen = []
+gc.collect()
+gc.callbacks.append(lambda phase, info: phase == "stop" and seen.append((info["generation"], info["collected"])))
+try:
+    main(["run", "qubit", "--report", "-"])
+except SystemExit as exc:
+    print(exc.code, "collections", list(seen), file=sys.stderr)
 """
 
 
@@ -1230,6 +1263,14 @@ class TestCommandLineEntry:
         assert proc.returncode == expected.exit_code, proc.stderr
         assert proc.stdout.endswith(f"report written to {path}\n")
         assert path.read_bytes() == expected.to_json().encode("utf-8")
+
+    def test_main_leaves_no_young_collection_behind(self):
+        """Turning the collector back on, ``main`` moves the run's objects to
+        the oldest generation, so no allocation after starts a scan of them."""
+        proc = fresh_python(COLLECTIONS_IN_MAIN_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["scenario"] == "qubit"
+        assert proc.stderr.splitlines()[-1] == "0 collections []"
 
     def test_cli_import_loads_no_click_or_inspect(self):
         proc = fresh_python("import sys, finivar.cli; print(' '.join(sys.modules))")
@@ -2464,10 +2505,14 @@ class TestCli:
     def test_list_shows_descriptions(self):
         result = self.runner.invoke(main, ["list"])
         assert result.exit_code == 0
-        lines = result.output.strip().splitlines()
-        assert len(lines) == 6
-        assert all(": " in line for line in lines)
-        assert lines[0].startswith("qubit: ")
+        assert result.output.splitlines() == [
+            "qubit: Two-point value space carrying the flip action; the operator pipeline",
+            "cyclic-4: Four points on a circle under the shift action, with its 0/1 shift matrices,",
+            "singlet: The antisymmetric pair state: spectral verification of the matched-component",
+            "parity-z4: Negative-path demonstrations on the four-point circle: a variable that does",
+            "a2-smoke: Three rotated arcs on a six-point circle fall into one relatedness class",
+            "rotation-sign-probe: Exploratory probe, never gating: the sign of the first coordinate at eight",
+        ]
 
     def test_emit_round_trips(self, tmp_path):
         emitted = self.runner.invoke(main, ["emit", "singlet"])
