@@ -31,6 +31,9 @@ __all__ = ["main"]
 
 _HELP_WIDTH = 78
 
+# A user's setting of any of these wins over the one BLAS thread ``main`` asks for.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
 
 class UsageError(Exception):
     """Unusable input: ``main`` prints the usage line and this message, and exits 2."""
@@ -332,12 +335,22 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> NoRetur
     Nothing written is lost: every print flushes and a report file is closed
     before ``main`` returns.  Only finalizers of cyclic garbage do not run at
     exit, which CPython does not promise anyway.
+
+    OpenBLAS runs on one thread: unless ``OPENBLAS_NUM_THREADS``,
+    ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, ``main`` sets
+    ``OPENBLAS_NUM_THREADS=1`` while the command runs, so numpy's first import
+    starts no helper thread (the engine's matrices are too small to gain from
+    one).  It acts only where numpy is not loaded yet: a caller that already
+    imported it keeps its threads, and library calls are untouched.
     """
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
     args = sys.argv[1:] if args is None else list(args)
     prog = prog_name or _program_name()
     collecting, frozen = gc.isenabled(), gc.get_freeze_count()
+    one_thread = not any(name in os.environ for name in _BLAS_THREAD_VARIABLES)
+    if one_thread:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     gc.disable()
     try:
         code = _dispatch(prog, args)
@@ -354,6 +367,8 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> NoRetur
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     finally:
+        if one_thread:
+            del os.environ["OPENBLAS_NUM_THREADS"]
         if collecting:
             if not frozen:
                 gc.freeze()

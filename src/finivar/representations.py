@@ -9,7 +9,9 @@ states with different values span orthogonal subspaces.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterator
+from functools import cache
 from typing import NamedTuple
 
 from . import linalg
@@ -268,16 +270,36 @@ def _norms(states: np.ndarray) -> np.ndarray:
     return np.sqrt(re + im)
 
 
+@cache
+def _l2_cache_bytes() -> int | None:
+    """The size of CPU 0's level-2 cache as Linux reports it, or None where
+    it is not reported."""
+    root = "/sys/devices/system/cpu/cpu0/cache"
+    try:
+        for index in sorted(name for name in os.listdir(root) if name.startswith("index")):
+            with open(f"{root}/{index}/level") as level, open(f"{root}/{index}/size") as size:
+                if level.read().strip() == "2":
+                    text = size.read().strip()  # such as "2048K"
+                    return int(text[:-1]) << {"K": 10, "M": 20}[text[-1]]
+    except (OSError, ValueError, KeyError):
+        pass
+    return None
+
+
 def _pairs(family: CoherentFamily) -> Iterator[tuple[np.ndarray, ...]]:
     """The pairs i < j of the family's states in row-major order, a block at a
     time: index arrays i and j and the states at each, copied into two buffers
     the caller may overwrite.  The buffers and a block's per-pair scalars fit
-    in the larger of the stack and the |G|×|G| overlaps, which the family holds."""
+    in the larger of the stack and the |G|×|G| overlaps, which the family
+    holds, and in the L2 cache where its size is reported: past it a block
+    only streams its copies through memory, as the regular S5's 7,140 pairs
+    of 120-dimensional states would, 27 MB at once."""
     import numpy as np
     states = family.states
     n, d = states.shape
     total = n * (n - 1) // 2
-    size = max(max(family.rep.stack.nbytes, n * n * 8) // (2 * states.itemsize * d + 80), 1)
+    held = max(family.rep.stack.nbytes, n * n * 8)
+    size = max(min(held, _l2_cache_bytes() or held) // (2 * states.itemsize * d + 80), 1)
     buffers = np.empty((2, min(size, total), d), states.dtype)
     starts = np.arange(n) * (2 * n - 1 - np.arange(n)) // 2  # the pairs before row i
     for first in range(0, total, size):

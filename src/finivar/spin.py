@@ -7,10 +7,10 @@ lexicographic order (++, +-, -+, --).
 from __future__ import annotations
 
 import math
+import random
 from functools import cache
 from typing import Sequence
 
-from . import linalg
 from ._record import Frozen
 
 __all__ = [
@@ -19,6 +19,7 @@ __all__ = [
     "singlet",
     "delta_operator",
     "anticorrelation_residual",
+    "anticorrelation_residuals",
     "random_directions",
     "AXES",
 ]
@@ -99,27 +100,41 @@ def delta_operator() -> np.ndarray:
 
 
 def anticorrelation_residual(direction: SpinDirection) -> float:
-    """How far the singlet is from total spin zero along a direction.
+    """How far the singlet is from total spin zero along a direction: the
+    one-direction case of ``anticorrelation_residuals``."""
+    return float(anticorrelation_residuals((direction,))[0])
 
-    Residual of (a·σ ⊗ I + I ⊗ a·σ) applied to the singlet, max-abs.
+
+def anticorrelation_residuals(directions: Sequence[SpinDirection]) -> np.ndarray:
+    """How far the singlet is from total spin zero along each direction.
+
+    Residual of (a·σ ⊗ I + I ⊗ a·σ) applied to the singlet, max-abs, for all
+    directions in one stacked product: ``np.kron`` of a stack of 2x2 matrices
+    is each matrix's own ``kron``, so each residual has the bits of a
+    per-direction sweep.
     """
     import numpy as np
-    component = spin_component_operator(direction)
+    sx, sy, sz = _pauli()
+    a = np.array([(d.x, d.y, d.z) for d in directions], dtype=float).reshape(-1, 3, 1, 1)
+    component = a[:, 0] * sx + a[:, 1] * sy + a[:, 2] * sz
     eye = np.eye(2, dtype=complex)
     total = np.kron(component, eye) + np.kron(eye, component)
-    return linalg.max_abs(total @ singlet())
+    return abs(total @ singlet()).max(axis=1)
 
 
 def random_directions(count: int, seed: int) -> tuple[SpinDirection, ...]:
-    """Seeded uniform directions on the sphere, reproducible across runs."""
-    import numpy as np
-    rng = np.random.default_rng(seed)
+    """Seeded uniform directions on the sphere, reproducible across runs: three
+    Gaussian draws from ``random.Random(seed)`` normalised, redrawn while their
+    norm is under 1e-6.  A negative seed is refused: ``random`` would seed it
+    as its absolute value."""
+    if seed < 0:
+        raise ValueError(f"seed must be 0 or more, got {seed}")
+    rng = random.Random(seed)
     out = []
     while len(out) < count:
-        vec = rng.normal(size=3)
-        norm = float(np.linalg.norm(vec))
+        x, y, z = rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)
+        norm = math.sqrt(x * x + y * y + z * z)
         if norm < 1e-6:
             continue
-        arr = vec / norm
-        out.append(SpinDirection(float(arr[0]), float(arr[1]), float(arr[2])))
+        out.append(SpinDirection(x / norm, y / norm, z / norm))
     return tuple(out)

@@ -243,6 +243,51 @@ class TestCoherentFamily:
         assert peak <= 3 * max(rep.stack.nbytes, group.order**2 * 8)
         assert not result.ok  # the 120 elements fixing point 0 send e0 to itself
 
+    def regular_s5_family(self) -> CoherentFamily:
+        """S5 acting on itself by left multiplication, as 120×120 permutation
+        matrices (a 27.6 MB stack), with base e0."""
+        listing = sorted(itertools.permutations(range(5)))
+        index = {p: i for i, p in enumerate(listing)}
+        left = [
+            Permutation(tuple(index[tuple(g[x] for x in p)] for p in listing))
+            for g in ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0))
+        ]
+        group = PermutationGroup.generate(space_of(120), left)
+        rep = UnitaryRep(group, np.array([_permutation_matrix(k).astype(complex) for k in group.elements]))
+        return CoherentFamily(rep, np.eye(120, dtype=complex)[0])
+
+    def test_the_regular_s5_scans_peak_within_the_l2_cache(self, monkeypatch):
+        """The stack would let one block hold all 7,140 pairs of 120-dimensional
+        states, 27 MB of copies; the L2 cache bounds each block, and the scans
+        keep the bits of the one-block walk."""
+        cache = representations._l2_cache_bytes()
+        if cache is None:
+            pytest.skip("the L2 cache size is read from Linux's /sys/devices/system/cpu")
+        family = self.regular_s5_family()
+        assert len(next(representations._pairs(family))[0]) * 2 * 120 * 16 <= cache
+        tracemalloc.start()
+        try:
+            result = check_coherent_injectivity(family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cache + 3 * 120 * 120 * 8  # the buffers, the overlaps and the norms
+        monkeypatch.setattr(representations, "_l2_cache_bytes", lambda: None)
+        whole = self.regular_s5_family()
+        assert len(next(representations._pairs(whole))[0]) > 7000
+        assert whole.overlaps().tobytes() == family.overlaps().tobytes()
+        assert check_coherent_injectivity(whole) == result
+        assert result.ok and result.min_distance == np.sqrt(2)
+
+    @pytest.mark.parametrize(
+        "n, blocks", [(8, [24, 4]), (12, [59, 7]), (16, [110, 10]), (20, [177, 13]), (24, [260, 16])]
+    )
+    def test_the_operators_sizes_keep_their_blocks(self, n, blocks):
+        # The benchmark's cyclic-dft sizes fit well within any L2 cache: the
+        # stack alone sizes their blocks.
+        family = CoherentFamily(cyclic_dft_rep(cyclic_group(n)), np.eye(n)[0])
+        assert [len(i) for i, *_ in representations._pairs(family)] == blocks
+
     def test_phase_scaled_base_gives_same_operator(self):
         space = space_of(2)
         theta = spin_z_variable(space)

@@ -890,7 +890,7 @@ try:
     finivar.cli.main(["run", {name!r}, "--report", "-"])
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, "numpy" in sys.modules]), file=sys.stderr)
+print(json.dumps([code, "numpy" in sys.modules, "numpy.random" in sys.modules]), file=sys.stderr)
 """
 
 
@@ -914,12 +914,15 @@ class TestNumpyIsLoadedOnlyWhenUsed:
             ("a2-smoke", False),
             ("rotation-sign-probe", False),
             ("qubit", True),
+            ("singlet", True),
         ],
     )
     def test_builtin_run(self, name, loads_numpy):
+        # No run loads numpy.random: the singlet's directions come from the
+        # standard library's generator.
         proc = fresh_python(RUN_IN_FRESH_PROCESS.format(name=name))
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stderr.splitlines()[-1]) == [0, loads_numpy]
+        assert json.loads(proc.stderr.splitlines()[-1]) == [0, loads_numpy, False]
         assert json.loads(proc.stdout)["scenario"] == name
 
     def test_cli_import_loads_every_module_but_not_numpy(self):
@@ -933,6 +936,48 @@ class TestNumpyIsLoadedOnlyWhenUsed:
         ).split()
         assert {f"finivar.{m}" for m in traced} <= loaded
         assert "numpy" not in loaded
+
+
+# Runs `finivar run qubit` as the console script does, then prints the
+# process's thread count and the BLAS variables left in its environment.
+THREADS_IN_FRESH_PROCESS = """
+import json, os, sys
+from finivar.cli import main
+sys.argv = ["finivar", "run", "qubit"]
+try:
+    main()
+except SystemExit as exc:
+    code = exc.code
+with open("/proc/self/status") as status:
+    threads = int(next(line for line in status if line.startswith("Threads:")).split()[1])
+names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+print(json.dumps([code, threads, {name: os.environ[name] for name in names if name in os.environ}]))
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="the thread count is read from /proc/self/status"
+)
+class TestOneBlasThread:
+    """``finivar`` asks OpenBLAS for one thread, unless the user chose a count."""
+
+    def run_qubit(self, monkeypatch, **variables) -> tuple[int, int, dict[str, str]]:
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in variables.items():
+            monkeypatch.setenv(name, value)
+        proc = fresh_python(THREADS_IN_FRESH_PROCESS)
+        assert proc.returncode == 0, proc.stderr
+        return tuple(json.loads(proc.stdout.splitlines()[-1]))
+
+    def test_a_run_starts_no_blas_helper_thread(self, monkeypatch):
+        # The variable is set only while the command runs.
+        assert self.run_qubit(monkeypatch) == (0, 1, {})
+
+    def test_a_callers_thread_count_is_kept(self, monkeypatch):
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("on one CPU OpenBLAS starts no helper thread whatever is asked")
+        assert self.run_qubit(monkeypatch, OMP_NUM_THREADS="2") == (0, 2, {"OMP_NUM_THREADS": "2"})
 
 
 # Imports finivar.cli, then prints whether dataclasses was loaded and every
@@ -1678,18 +1723,34 @@ def perfbench_workloads():
     return perfbench_module("workloads")
 
 
+# Imports finivar.cli and prints the (module, attr) pairs of {targets} that do
+# not resolve in the loaded modules as the tracer resolves them.
+TARGETS_IN_FRESH_PROCESS = """
+import json, sys
+import finivar.cli
+missing = []
+for module, attr in {targets!r}:
+    owner, _, name = attr.rpartition(".")
+    found = sys.modules.get(module)
+    if owner:  # a method, a classmethod included, in its class's own namespace
+        found = vars(getattr(found, owner, object)).get(name)
+    else:
+        found = getattr(found, name, None)
+    if found is None or not (callable(found) or isinstance(found, classmethod)):
+        missing.append([module, attr])
+print(json.dumps(missing))
+"""
+
+
 def test_every_tracer_target_resolves_in_src():
-    """The benchmark's tracer patches each target by name, a method in its
-    class's own namespace; a rename in ``src`` fails here too."""
-    targets = perfbench_module("tracer").TARGETS
+    """The benchmark's tracer patches each target by name, right after a fresh
+    ``import finivar.cli``: a function in its module's namespace, or a method
+    in its class's own namespace.  A rename in ``src`` fails here too."""
+    targets = [(t.module, t.attr) for t in perfbench_module("tracer").TARGETS]
     assert targets
-    for target in targets:
-        module = importlib.import_module(target.module)
-        if "." in target.attr:
-            cls_name, method = target.attr.split(".")
-            assert method in vars(getattr(module, cls_name)), target
-        else:
-            assert callable(getattr(module, target.attr, None)), target
+    proc = fresh_python(TARGETS_IN_FRESH_PROCESS.format(targets=targets))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def malformed(text: str, field: str, *flags: str, id: str):

@@ -19,6 +19,7 @@ from conftest import multiplicities
 #   trace: 0
 #   (XX + YY + ZZ) @ singlet = -3 * singlet
 DELTA_EIGENVALUES = (-3.0, 1.0, 1.0, 1.0)
+PAULIS = ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
 
 
 def unit_directions():
@@ -96,8 +97,7 @@ class TestSpinDirection:
         assert data.eigenvalues == pytest.approx([-1.0, 1.0], abs=1e-10)
 
     def test_pauli_matrices_are_the_axis_components(self):
-        paulis = ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
-        for axis, sigma in zip(spin.AXES, paulis):
+        for axis, sigma in zip(spin.AXES, PAULIS):
             assert np.array_equal(spin.spin_component_operator(axis), sigma)
 
 
@@ -146,6 +146,31 @@ class TestAnticorrelation:
         direction = spin.SpinDirection.from_vector(raw)
         assert spin.anticorrelation_residual(direction) < 1e-10
 
+    @given(st.lists(unit_directions(), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_stacked_residuals_are_the_per_direction_kron_bits(self, raws):
+        # The reference builds each direction's (a·σ ⊗ I + I ⊗ a·σ) on its own,
+        # from this file's Pauli matrices and singlet.
+        directions = [spin.SpinDirection.from_vector(raw) for raw in raws] + list(spin.AXES)
+        paulis = [np.array(m, dtype=complex) for m in PAULIS]
+        eye, state = np.eye(2, dtype=complex), np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
+        reference = []
+        for d in directions:
+            component = d.x * paulis[0] + d.y * paulis[1] + d.z * paulis[2]
+            reference.append(abs((np.kron(component, eye) + np.kron(eye, component)) @ state).max())
+        stacked = spin.anticorrelation_residuals(directions)
+        assert stacked.dtype == np.float64
+        assert stacked.tobytes() == np.array(reference).tobytes()
+        single = [spin.anticorrelation_residual(d) for d in directions]
+        assert np.array(single).tobytes() == stacked.tobytes()
+
+    def test_no_direction_gives_no_residual(self):
+        assert spin.anticorrelation_residuals(()).shape == (0,)
+
+    def test_a_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="seed must be 0 or more, got -7"):
+            spin.random_directions(3, -7)
+
     def test_seeded_directions_reproducible(self):
         a = spin.random_directions(10, seed=42)
         b = spin.random_directions(10, seed=42)
@@ -153,6 +178,13 @@ class TestAnticorrelation:
         c = spin.random_directions(10, seed=43)
         assert a != c
 
-    def test_random_directions_are_unit(self):
-        for d in spin.random_directions(50, seed=0):
-            assert np.hypot(np.hypot(d.x, d.y), d.z) == pytest.approx(1.0)
+    @pytest.mark.parametrize("seed", [0, 7, 2**70])
+    @pytest.mark.parametrize("count", [0, 1, 2, 103])
+    def test_random_directions_are_unit_and_exact_in_count(self, count, seed):
+        directions = spin.random_directions(count, seed)
+        assert len(directions) == count
+        assert directions == spin.random_directions(count, seed)
+        for d in directions:
+            assert isinstance(d.x, float)
+            assert np.hypot(np.hypot(d.x, d.y), d.z) == pytest.approx(1.0, abs=1e-15)
+        assert directions == spin.random_directions(count + 5, seed)[:count]
