@@ -2,9 +2,8 @@
 
 Each entry is a complete scenario file; ``emit`` writes them out so they also
 serve as templates for user scenarios.  Each is a header of ``#`` comment
-lines, the first of which ``finivar list`` shows, then one JSON document.
-YAML 1.1 reads the text as that document, so an emitted file is a YAML
-scenario too, and the loader's JSON gate reads it without PyYAML.
+lines, the first of which ``finivar list`` shows, then one JSON document:
+the one format the loader reads.
 """
 
 from __future__ import annotations

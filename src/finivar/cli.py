@@ -97,7 +97,7 @@ def _execute(source: str, flags: RunFlags) -> VerificationReport:
 
 
 def _run(scenario: str, report: str | None, tolerance_scale: float, max_n: int | None) -> int:
-    """Run SCENARIO (a built-in name or a YAML file) and report each check."""
+    """Run SCENARIO (a built-in name or a JSON scenario file) and report each check."""
     result = _execute(scenario, RunFlags(tolerance_scale=tolerance_scale, max_n=max_n))
     if report == "-":
         print(result.to_json(), end="", flush=True)

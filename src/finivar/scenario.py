@@ -1,9 +1,10 @@
 """Scenario files: schema, validation and loading; the check types.
 
-Scenarios are YAML, JSON included: a point space, variables, group
-generators (as image arrays), an optional representation and base state, and
-a non-empty list of checks.  Everything is built and checked as the file
-loads, every check parameter included, and errors name the offending field.
+Scenarios are JSON, after an optional header of ``#`` comment lines: a point
+space, variables, group generators (as image arrays), an optional
+representation and base state, and a non-empty list of checks.  Everything is
+built and checked as the file loads, every check parameter included, and
+errors name the offending field.
 ``_CHECK_PARAMS`` declares each check type once: the handler ``runner``
 calls, then its parameters.
 """
@@ -16,8 +17,6 @@ import re
 import sys
 from collections import Counter
 from contextlib import contextmanager, suppress
-from functools import cache
-from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
 
 from . import linalg
@@ -32,8 +31,8 @@ from .report import STATUS_ERROR, STATUS_FAIL, STATUS_NOT_APPLICABLE, STATUS_PAS
 from .spaces import ConceptualVariable, PointSpace, VariableFamily
 from .subgroups import MAX_EXACT_DEGREE
 
-# PyYAML, ``representations`` and ``spin`` load where a text or a check first
-# needs them: a JSON text reads no YAML, and a combinatorial check builds no operator.
+# ``representations`` and ``spin`` load where a check first needs them: a
+# combinatorial check builds no operator.
 if TYPE_CHECKING:
     from .representations import CoherentFamily, UnitaryRep
     from .spin import SpinDirection
@@ -41,88 +40,29 @@ if TYPE_CHECKING:
 __all__ = ["ScenarioError", "CheckSpec", "Scenario", "loads", "load_path", "CHECK_TYPES"]
 
 
-@cache
-def _yaml_loader() -> type:
-    """libyaml's loader where PyYAML has it, else PyYAML's own (both resolve and
-    construct alike), refusing a key written twice in one mapping, where PyYAML
-    would keep the last value and drop the first without a word.  Built, and
-    PyYAML imported, on the first text the JSON gate declines."""
-    import yaml
-
-    class _UniqueKeyLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-        def construct_mapping(self, node: yaml.MappingNode, deep: bool = False) -> dict:
-            lines: dict[Any, int] = {}  # each key, and the line it is first written at
-            for key_node, _ in node.value:
-                if not isinstance(key_node, yaml.ScalarNode) or key_node.tag.endswith(":merge"):
-                    continue
-                key = self.construct_object(key_node)  # kept: the mapping reuses it
-                if key in lines:
-                    raise yaml.constructor.ConstructorError(
-                        None,
-                        None,
-                        f"found key {key!r} again, first written at line {lines[key]}",
-                        key_node.start_mark,
-                    )
-                lines[key] = key_node.start_mark.line + 1
-            return super().construct_mapping(node, deep=deep)
-
-        def construct_yaml_int(self, node: yaml.ScalarNode) -> int:
-            """An integer, refused at its node past the interpreter's limit on
-            decimal digits, which is left as it is.  ``int`` refuses a decimal
-            literal past it; a hexadecimal, octal or binary one converts, and
-            would fail where a message or a report writes it."""
-            try:
-                value = super().construct_yaml_int(node)
-                str(value)
-            except ValueError:
-                raise yaml.constructor.ConstructorError(
-                    None,
-                    None,
-                    f"an integer of more than {sys.get_int_max_str_digits()} decimal digits",
-                    node.start_mark,
-                ) from None
-            return value
-
-    _UniqueKeyLoader.add_constructor("tag:yaml.org,2002:int", _UniqueKeyLoader.construct_yaml_int)
-    return _UniqueKeyLoader
-
-
-# A text of printable ASCII and line breaks, with no backslash: each JSON
-# string in it is its literal characters, as in a YAML double-quoted scalar.
-_JSON_CHARACTERS = re.compile(r"[\n\r -\[\]-~]*")
-# A JSON float YAML 1.1 also reads as a float: a dot, and a signed exponent.
-_YAML_FLOAT = re.compile(r"-?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?")
-# A JSON key from its opening quote to its colon.
-_JSON_KEY = re.compile(r'"[^"\n\r]*"[ \n\r]*:')
 # Whole-line comments at the start of a text, each from a '#' in column 0 to its
-# line break: YAML 1.1 reads them before a document as nothing.
+# line break: a scenario file's header, which json does not read.
 _COMMENT_HEADER = re.compile(r"(?:#[^\n\r]*(?:\r\n?|\n))*")
-
-
-def _yaml_float(literal: str) -> float:
-    """A JSON float literal as YAML 1.1 reads it; any other literal, NaN and
-    the infinities among them, raises ValueError."""
-    if not _YAML_FLOAT.fullmatch(literal):
-        raise ValueError(literal)
-    return float(literal)
+# A JSON string, matched whole so that its digits are passed over, or a
+# number, grouped as its integer part, fraction and exponent.
+_STRING_OR_NUMBER = re.compile(r'"(?:[^"\\]|\\.)*"|-?([0-9]+)(\.[0-9]+)?([eE][-+]?[0-9]+)?')
+# The escape of a UTF-16 surrogate: json decodes one with no partner to a
+# character that no UTF-8 report or message can write.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def _unique_pairs(pairs: list[tuple[str, Any]]) -> dict:
-    """A JSON object as a dict; a repeated key goes on to YAML, which names its lines."""
+    """A JSON object as a dict, refusing a key written twice in it, where json
+    would keep the last value and drop the first without a word."""
     mapping = dict(pairs)
     if len(mapping) < len(pairs):
-        raise ValueError("a repeated key")
+        raise KeyError(next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1))
     return mapping
 
 
 # The most points a cyclic-dft representation may have.  Its n dense n x n
 # complex matrices take n^3 * 16 bytes: 4 MiB here.
 MAX_CYCLIC_POINTS = 64
-
-# The most collections a YAML text may nest, one in another.  libyaml composes
-# a node in a C call per level, about 330 bytes of stack each: 25,000 levels
-# overflow an 8 MiB stack.  A scenario nests about 7 deep.
-MAX_NESTING = 5_000
 
 # The most random directions a singlet-delta check sweeps: each takes about
 # 6 us to draw and check in one stacked product, so a full sweep takes about
@@ -863,109 +803,48 @@ def _parse_representation(
     return UnitaryRep(group, stack), tuple(listed)
 
 
+def _place(text: str, at: int) -> str:
+    """Where index ``at`` of ``text`` lies, as its line and column, each from 1."""
+    line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+    return f"line {line}, column {column}"
+
+
 def _parse(text: str, source: str) -> Any:
-    """The data of ``text``.  libyaml builds each node in Python, and json's
-    scanner reads a JSON text in a small part of the time, so a JSON text goes
-    to json first, after any header of whole-line comments.  Whatever YAML 1.1
-    reads otherwise goes on to YAML: ``1e5`` or ``NaN`` (a string there), a
-    repeated key (refused, naming both lines), a key split from its colon or
-    too long (refused), and any JSON error.
-
-    The gate stays exact with a header: each comment line is YAML's comment,
-    so YAML reads the text as its body.  The header is only printable ASCII,
-    as the whole text is, and a line of it ends at the first line break YAML
-    knows; a blank or indented line ends the header, and json then declines
-    the body.  Keys are read in the body only, where a quote in a comment
-    cannot pair with one of the body's.
-
-    A YAML text nesting past ``MAX_NESTING`` collections is refused before
-    libyaml composes it, since its composer recurses in C per level.  PyYAML's
-    own composer, where PyYAML lacks libyaml, recurses in Python, two frames a
-    level, and runs out of frames at about 500 levels; a text it cannot
-    compose is refused at its deepest collection."""
-    if _JSON_CHARACTERS.fullmatch(text):
-        body = text[_COMMENT_HEADER.match(text).end() :]
-        with suppress(ValueError, RecursionError):  # json's scanner recurses per level
-            data = json.loads(
-                body,
-                parse_float=_yaml_float,
-                parse_constant=_yaml_float,
-                object_pairs_hook=_unique_pairs,
-            )
-            # YAML refuses a line break before a key's colon, and a colon more
-            # than 1024 characters after the key's opening quote.
-            keys = _JSON_KEY.findall(body)
-            if not any(len(key) > 1025 or "\n" in key or "\r" in key for key in keys):
-                return data
-    import yaml
+    """The data of ``text``: a header of whole-line comments, then one JSON
+    document.  A refusal names ``source`` and, where it can, a place in the
+    text by line and column, counted over the whole text, header included."""
+    start = _COMMENT_HEADER.match(text).end()
     try:
-        # Each collection needs one of these characters of its own, so a text
-        # with fewer cannot nest past the bound, and is not parsed twice.
-        if sum(map(text.count, "[{-?:")) > MAX_NESTING:
-            _refuse_deep_nesting(yaml.parse(text, Loader=_yaml_loader()), source)
-        try:
-            return yaml.load(text, Loader=_yaml_loader())
-        except RecursionError:
-            _refuse_deepest(yaml.parse(text, Loader=_yaml_loader()), source)
-            raise
-    except yaml.MarkedYAMLError as exc:
-        # str(exc) would repeat the mark, naming the text "<unicode string>"
-        mark = exc.problem_mark
-        problem = f"{exc.context}: {exc.problem}" if exc.context else exc.problem
-        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise ScenarioError(f"{source}: invalid YAML{where}: {problem}") from None
-    except yaml.reader.ReaderError as exc:  # a character YAML does not allow
-        line = text.count("\n", 0, exc.position) + 1
-        column = exc.position - text.rfind("\n", 0, exc.position)
-        raise ScenarioError(
-            f"{source}: invalid YAML at line {line}, column {column}: "
-            f"character #x{exc.character:04x}: {exc.reason}"
+        data = json.loads(text[start:], object_pairs_hook=_unique_pairs)
+    except json.JSONDecodeError as exc:
+        raise _fail(
+            source,
+            f"invalid JSON at {_place(text, start + exc.pos)}: {exc.msg} "
+            "(scenario files are JSON: 'finivar emit NAME' prints one)",
         ) from None
-
-
-def _collections(events: Iterator[Any]) -> Iterator[tuple[int, Any]]:
-    """The depth and start mark of each collection of a YAML event stream, in
-    order.  The parser keeps its own stack, so reading the events nests no call."""
-    from yaml import CollectionEndEvent, CollectionStartEvent
-
-    depth = 0
-    for event in events:
-        if isinstance(event, CollectionStartEvent):
-            depth += 1
-            yield depth, event.start_mark
-        elif isinstance(event, CollectionEndEvent):
-            depth -= 1
-
-
-def _refuse_deep_nesting(events: Iterator[Any], source: str) -> None:
-    """Refuse, at its start, the first collection that lies inside
-    ``MAX_NESTING`` others."""
-    for depth, mark in _collections(events):
-        if depth > MAX_NESTING:
-            raise ScenarioError(
-                f"{source}: YAML at line {mark.line + 1}, column {mark.column + 1} "
-                f"nests collections more than {MAX_NESTING} deep"
-            )
-
-
-def _refuse_deepest(events: Iterator[Any], source: str) -> None:
-    """Refuse, at the first of its deepest collections, a text whose composing
-    ran out of frames."""
-    deepest = max(_collections(events), key=itemgetter(0), default=None)
-    if deepest is not None:
-        depth, mark = deepest
-        raise ScenarioError(
-            f"{source}: YAML at line {mark.line + 1}, column {mark.column + 1} "
-            f"nests collections {depth} deep, too deep for PyYAML's pure-Python loader"
+    except RecursionError:  # json's scanner recurses once per array or object
+        raise _fail(source, "arrays and objects nest too deep to read") from None
+    except KeyError as exc:  # from _unique_pairs
+        raise _fail(source, f"key {exc.args[0]!r} written twice in one object") from None
+    except ValueError:  # int refuses a literal past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        at = next(
+            token.start()
+            for token in _STRING_OR_NUMBER.finditer(text, start)
+            if token[1] and not (token[2] or token[3]) and len(token[1]) > limit
         )
+        message = f"the integer at {_place(text, at)} has more than {limit} decimal digits"
+        raise _fail(source, message) from None
+    if _SURROGATE_ESCAPE.search(text, start):
+        for token in _STRING_OR_NUMBER.finditer(text, start):
+            if token[0][0] == '"' and any("\ud800" <= c <= "\udfff" for c in json.loads(token[0])):
+                where = _place(text, token.start())
+                raise _fail(source, f"the string at {where} holds an unpaired surrogate")
+    return data
 
 
 def loads(text: str, source: str = "<scenario>") -> Scenario:
-    """The scenario ``text`` declares, built and checked; ``source`` names it in errors.
-
-    A JSON text is read by json's scanner when YAML 1.1 would read it as the
-    same data, and by PyYAML otherwise, so both give one scenario and one
-    message: ``1e-9`` is a string either way."""
+    """The scenario ``text`` declares, built and checked; ``source`` names it in errors."""
     data = _require(_parse(text, source), source)
     name = _string(data.get("name"), "name", None)
     known_keys = {
@@ -1028,10 +907,7 @@ def loads(text: str, source: str = "<scenario>") -> Scenario:
             if key not in DEFAULT_TOLERANCES:
                 raise _fail(f"tolerances.{key}", "unknown tolerance name")
             if not _finite_number(value) or value <= 0:
-                raise _fail(
-                    f"tolerances.{key}",
-                    "expected a positive number (an exponent needs a dot: 1.0e-9)",
-                )
+                raise _fail(f"tolerances.{key}", "expected a positive number")
             overrides[str(key)] = float(value)
 
     informational = _flag(data.get("informational", False), "informational", None)
@@ -1064,9 +940,6 @@ def load_path(path: str) -> Scenario:
         text, bad = data[: exc.start].decode("utf-8"), exc
     text = text.replace("\r\n", "\n").replace("\r", "\n")  # as a text-mode read gives
     if bad is not None:
-        line, column = text.count("\n") + 1, len(text) - text.rfind("\n")
-        raise ScenarioError(
-            f"{path}: invalid UTF-8 at line {line}, column {column}: "
-            f"byte 0x{data[bad.start]:02x}: {bad.reason}"
-        )
+        where = _place(text, len(text))
+        raise _fail(path, f"invalid UTF-8 at {where}: byte 0x{data[bad.start]:02x}: {bad.reason}")
     return loads(text, source=path)

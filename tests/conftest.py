@@ -1,11 +1,13 @@
 """Shared strategies and fixtures: random partitions, groups and variables,
-and an in-process runner for the command line."""
+scenario texts, and an in-process runner for the command line."""
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import random
+import re
 from typing import NamedTuple
 
 import pytest
@@ -13,6 +15,16 @@ from hypothesis import strategies as st
 
 from finivar.groups import Permutation, PermutationGroup
 from finivar.spaces import ConceptualVariable, PointSpace
+
+
+def scenario_text(data: dict, **fields) -> str:
+    """A scenario file's text: ``data``, with ``fields`` set at its top level, as JSON."""
+    return json.dumps({**data, **fields})
+
+
+def scenario_data(text: str) -> dict:
+    """The data a scenario text declares: its JSON after the comment header."""
+    return json.loads(re.sub(r"\A(?:#.*\n)*", "", text))
 
 
 def space_of(n: int, id: str = "pts") -> PointSpace:

@@ -17,8 +17,7 @@ function annotated ``-> NoReturn``).
 It reports reach, not pass or fail: the tests run in this process under the
 tracer, slower and beside its frames, so run Tier-1 on its own for a verdict.
 Lines reached only in the subprocesses some tests start show as unreached,
-such as ``cli.main``'s ``BrokenPipeError`` exit and
-``scenario._refuse_deepest``.  Pytest does not collect this file.
+such as ``cli.main``'s ``BrokenPipeError`` exit.  Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ SRC = TESTS.parent / "src" / "finivar"
 USAGE_ERRORS = [
     ["bogus"], ["--hepl"], ["--help=x"], ["run"], ["run", "qubit", "extra"],
     ["run", "qubit", "--rep", "-"], ["run", "qubit", "--report"], ["run", "qubit", "--max-n", "9"],
-    ["run", "qubit", "--tolerance-scale", "0"], ["run", "no-such-file.yaml"], ["emit", "nope"],
+    ["run", "qubit", "--tolerance-scale", "0"], ["run", "no-such-file.json"], ["emit", "nope"],
 ]
 
 

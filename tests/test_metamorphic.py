@@ -7,7 +7,7 @@ import json
 import random
 
 import pytest
-import yaml
+from conftest import scenario_data, scenario_text
 
 from finivar import builtins as builtin_mod
 from finivar.runner import RunFlags, run_scenario
@@ -16,16 +16,16 @@ from finivar.scenario import loads
 from finivar.spaces import canonical_partition, compose
 
 from test_runner import complex_pairs
-from test_scenario_cli import noting_parser, perfbench_workloads
+from test_scenario_cli import perfbench_workloads
 
 
 def with_redundant_generator(text: str) -> tuple[str, int]:
     """The scenario with the square of its first group generator added, and
     the size of the new generating set S, each distinct generator once."""
-    data = yaml.safe_load(text)
+    data = scenario_data(text)
     generators = data["group"]["generators"]
     generators.append(list(compose(generators[0], generators[0])))
-    return json.dumps(data), len({tuple(g) for g in generators})  # JSON is valid YAML
+    return scenario_text(data), len({tuple(g) for g in generators})
 
 
 def assert_same_but_pairs(old, new, pairs: int, residual_tol: float, path: str = "report"):
@@ -97,7 +97,7 @@ def relabel(text: str, pi: list[int]) -> str:
     generators are conjugated and base points move.  The representation is
     written out as explicit matrices keyed by the conjugated elements, listed
     in the old id order; the base state is unchanged."""
-    data = yaml.safe_load(text)
+    data = scenario_data(text)
     space = data["space"]
     for key in ("labels", "product"):
         if key in space:
@@ -119,7 +119,7 @@ def relabel(text: str, pi: list[int]) -> str:
                 for k in family.group.elements
             ],
         }
-    return json.dumps(data)  # JSON is valid YAML
+    return scenario_text(data)
 
 
 def seeded_relabelling(name: str, text: str) -> list[int]:
@@ -242,7 +242,7 @@ OPERATOR_PARAMS = {
 def with_renamed_values(text: str) -> tuple[str, list[str]]:
     """The scenario with the value labels of each variable that no operator
     check reads renamed to non-numeric ones, and the names of those variables."""
-    data = yaml.safe_load(text)
+    data = scenario_data(text)
     read = set()
     for check in data["checks"]:
         for key in OPERATOR_PARAMS.get(check["type"], ()):
@@ -251,7 +251,7 @@ def with_renamed_values(text: str) -> tuple[str, list[str]]:
     renamed = [v for v in data.get("variables", []) if v["name"] not in read]
     for variable in renamed:
         variable["values"] = [f"answer-{i}" for i in range(len(variable["values"]))]
-    return json.dumps(data), [v["name"] for v in renamed]
+    return scenario_text(data), [v["name"] for v in renamed]
 
 
 RENAMABLE = [
@@ -281,21 +281,3 @@ class TestRenamedValueLabels:
         flags = RunFlags(tolerance_scale=scale)
         old = run_scenario(loads(text), flags).to_json()
         assert run_scenario(scenario, flags).to_json() == old
-
-
-class TestYamlOrJson:
-    """ROADMAP item 9's fourth relation: json's scanner reads a JSON text and
-    PyYAML every other, so spelling a scenario in YAML or in JSON changes no
-    byte of its report.  Each input, the built-ins' commented JSON included,
-    is written again as block YAML."""
-
-    @pytest.mark.parametrize("scale", [1.0, 1e-6])
-    @pytest.mark.parametrize("name", INPUTS)
-    def test_the_other_spelling_keeps_the_report_bytes(self, name, scale):
-        text = INPUTS[name]
-        other = yaml.safe_dump(yaml.safe_load(text), sort_keys=False)
-        scenario, by_yaml = noting_parser(loads, text)
-        respelled, other_by_yaml = noting_parser(loads, other)
-        assert (by_yaml, other_by_yaml) == (False, True)
-        flags = RunFlags(tolerance_scale=scale)
-        assert run_scenario(respelled, flags).to_json() == run_scenario(scenario, flags).to_json()

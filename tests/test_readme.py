@@ -1,5 +1,6 @@
-"""The README's Library section documents exactly the package's public names, and
-its check-type table lists exactly the check types and cites only tests that exist."""
+"""The README's Library section documents exactly the package's public names,
+its check-type table lists exactly the check types and cites only tests that
+exist, and its scenario file example loads."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ import re
 from pathlib import Path
 
 import finivar
-from finivar.scenario import CHECK_TYPES
+from finivar.runner import run_scenario
+from finivar.scenario import CHECK_TYPES, loads
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TESTS = Path(__file__).resolve().parent
@@ -65,3 +67,10 @@ def test_every_test_the_check_type_table_cites_exists():
     }
     assert len(cited) >= 5
     assert sorted(cited - defined) == []
+
+
+def test_the_scenario_file_example_loads_and_passes():
+    section = README.read_text(encoding="utf-8").split("\n## Scenario files\n", 1)[1]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    report = run_scenario(loads(example))
+    assert [check.status for check in report.checks] == ["pass"]

@@ -57,6 +57,7 @@ from conftest import (
     cyclic_group,
     multiplicities,
     permutations_of,
+    scenario_text,
     space_of,
     symmetric_group,
     variable_from_assignment,
@@ -338,16 +339,16 @@ class TestBuildOperator:
     def test_qa_labels_keep_values_that_share_twelve_digits_apart(self):
         # Two values equal to 12 significant digits are keyed in full, so
         # neither answer replaces the other.
-        text = """
-name: close-values
-space: {id: two, labels: ["a", "b"]}
-variables:
-  - {name: x, values: ["100000", "100000.00000003"], assignment: [0, 1]}
-group: {generators: [[1, 0]]}
-representation: {kind: cyclic-dft, n: 2}
-checks:
-  - {type: theorem1-hypotheses, variable: x}
-"""
+        text = scenario_text(
+            {
+                "name": "close-values",
+                "space": {"id": "two", "labels": ["a", "b"]},
+                "variables": [{"name": "x", "values": ["100000", "100000.00000003"], "assignment": [0, 1]}],
+                "group": {"generators": [[1, 0]]},
+                "representation": {"kind": "cyclic-dft", "n": 2},
+                "checks": [{"type": "theorem1-hypotheses", "variable": "x"}],
+            }
+        )
         (theorem1,) = run_scenario(loads(text)).checks
         assert theorem1.status == "pass"
         assert theorem1.details["operator"]["qa_labels"] == {
@@ -839,16 +840,18 @@ class TestConjugationLawStack:
             (1, 2, 0): np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
             (2, 0, 1): np.array([[0, 0, 1], [r, r, 0], [r, -r, 0]]),
         }
-        entries = "".join(
-            f"\n    - element: {list(k)}\n      matrix: {m.tolist()}" for k, m in matrices.items()
-        )
-        scenario = loads(
-            "name: z3\nspace: {id: pts-3, labels: ['0', '1', '2']}\n"
-            "variables: [{name: theta, values: ['-1', '2'], assignment: [0, 1, 1]}]\n"
-            "group: {generators: [[1, 2, 0]]}\n"
-            "representation:\n  kind: explicit\n  matrices:" + entries + "\n"
-            "checks: [{type: theorem2, variable: theta}]\n"
-        )
+        data = {
+            "name": "z3",
+            "space": {"id": "pts-3", "labels": ["0", "1", "2"]},
+            "variables": [{"name": "theta", "values": ["-1", "2"], "assignment": [0, 1, 1]}],
+            "group": {"generators": [[1, 2, 0]]},
+            "representation": {
+                "kind": "explicit",
+                "matrices": [{"element": list(k), "matrix": m.tolist()} for k, m in matrices.items()],
+            },
+            "checks": [{"type": "theorem2", "variable": "theta"}],
+        }
+        scenario = loads(scenario_text(data))
         theta = scenario.variables["theta"]
         witness = is_permissible(theta, scenario.group).witness
         assert witness is not None
@@ -871,17 +874,21 @@ class TestConjugationLawStack:
         turn = np.eye(4)
         turn[2:, 2:] = [[0, -1], [1, 0]]
         matrices[1] = matrices[1] @ turn
-        entries = "".join(
-            f"\n    - element: {k}\n      matrix: {m.tolist()}" for k, m in zip(elements, matrices)
-        )
-        scenario = loads(
-            "name: z4\nspace: {id: pts-4, labels: ['0', '1', '2', '3']}\n"
-            "variables: [{name: theta, values: ['0', '1', '2', '3'], assignment: [0, 1, 2, 3]}]\n"
-            "group: {generators: [[1, 2, 3, 0]]}\n"
-            "representation:\n  kind: explicit\n  matrices:" + entries + "\n"
-            "checks: [{type: theorem1-hypotheses, variable: theta},"
-            " {type: theorem2, variable: theta}]\n"
-        )
+        data = {
+            "name": "z4",
+            "space": {"id": "pts-4", "labels": ["0", "1", "2", "3"]},
+            "variables": [{"name": "theta", "values": ["0", "1", "2", "3"], "assignment": [0, 1, 2, 3]}],
+            "group": {"generators": [[1, 2, 3, 0]]},
+            "representation": {
+                "kind": "explicit",
+                "matrices": [{"element": k, "matrix": m.tolist()} for k, m in zip(elements, matrices)],
+            },
+            "checks": [
+                {"type": "theorem1-hypotheses", "variable": "theta"},
+                {"type": "theorem2", "variable": "theta"},
+            ],
+        }
+        scenario = loads(scenario_text(data))
         theorem1, theorem2 = run_scenario(scenario).checks
         assert theorem1.status == STATUS_FAIL
         assert theorem1.details["representation"]["homomorphism_residual"] == 1.0
@@ -1187,17 +1194,21 @@ class TestElementIds:
         rng = random.Random(seed)
         rep = with_phases(cyclic_dft_rep(cyclic_group(9)), seed)
         listed = rng.sample(range(rep.group.order), rep.group.order)
-        entries = "".join(
-            f"\n    - element: {list(rep.group.elements[i].images)}"
-            f"\n      matrix: {[[[z.real, z.imag] for z in row] for row in rep.stack[i].tolist()]}"
+        entries = [
+            {
+                "element": list(rep.group.elements[i].images),
+                "matrix": [[[z.real, z.imag] for z in row] for row in rep.stack[i].tolist()],
+            }
             for i in listed
-        )
-        moved = loads(
-            f"name: z9\nspace: {{id: cycle-9, labels: {[str(j) for j in range(9)]}}}\n"
-            "group: {generators: [[1, 2, 3, 4, 5, 6, 7, 8, 0]]}\n"
-            "representation:\n  kind: explicit\n  matrices:" + entries + "\n"
-            "checks: [{type: a2-falsify}]\n"
-        ).coherent_family.rep
+        ]
+        data = {
+            "name": "z9",
+            "space": {"id": "cycle-9", "labels": [str(j) for j in range(9)]},
+            "group": {"generators": [[1, 2, 3, 4, 5, 6, 7, 8, 0]]},
+            "representation": {"kind": "explicit", "matrices": entries},
+            "checks": [{"type": "a2-falsify"}],
+        }
+        moved = loads(scenario_text(data)).coherent_family.rep
         assert moved.group.elements == rep.group.elements
         assert moved.stack.tobytes() == rep.stack.tobytes()
         assert assert_diagnostics_match_pairs(moved).ok()
@@ -1308,23 +1319,25 @@ class TestSecondGeneratorRow:
         assert hom.verify() is True
 
     @staticmethod
-    def scenario_text(rep: UnitaryRep, gens: list[list[int]], checks: str) -> str:
+    def twisted_text(rep: UnitaryRep, gens: list[list[int]], *checks: str) -> str:
         """A scenario of ``rep`` written out as explicit matrices, on the group
-        of ``gens``, with the identity-labelled variable ``element``."""
-        entries = "".join(
-            f"\n    - element: {list(k.images)}"
-            f"\n      matrix: {[[[z.real, z.imag] for z in row] for row in matrix.tolist()]}"
+        of ``gens``, with the identity-labelled variable ``element`` and a check
+        of each type in ``checks`` on it."""
+        entries = [
+            {"element": list(k.images), "matrix": [[[z.real, z.imag] for z in row] for row in matrix.tolist()]}
             for k, matrix in zip(rep.group.elements, rep.stack)
-        )
+        ]
         n = rep.group.space.size
         labels = [str(x) for x in range(n)]
-        return (
-            f"name: s3-twisted\nspace: {{id: s3, labels: {labels}}}\n"
-            f"variables: [{{name: element, values: {labels}, assignment: {list(range(n))}}}]\n"
-            f"group: {{generators: {gens}}}\n"
-            "representation:\n  kind: explicit\n  matrices:" + entries + "\n"
-            f"checks: {checks}\n"
-        )
+        data = {
+            "name": "s3-twisted",
+            "space": {"id": "s3", "labels": labels},
+            "variables": [{"name": "element", "values": labels, "assignment": list(range(n))}],
+            "group": {"generators": gens},
+            "representation": {"kind": "explicit", "matrices": entries},
+            "checks": [{"type": check, "variable": "element"} for check in checks],
+        }
+        return scenario_text(data)
 
     def test_theorem1_needs_f_s_row(self, monkeypatch):
         """theorem1 builds operators only on a regular action, so it runs on S3
@@ -1333,7 +1346,7 @@ class TestSecondGeneratorRow:
         gens = [[els.index(s * x) for x in els] for s in (self.R, self.F)]
         regular = PermutationGroup.generate(space_of(6), tuple(map(Permutation, gens)))
         rep = self.twisted(regular, np.diag([1, 1j, -1, 1, 1j, -1]))
-        text = self.scenario_text(rep, gens, "[{type: theorem1-hypotheses, variable: element}]")
+        text = self.twisted_text(rep, gens, "theorem1-hypotheses")
         (record,) = run_scenario(loads(text)).checks
         assert record.status == STATUS_FAIL
         assert record.details["representation"]["homomorphism_residual"] > 1
@@ -1347,8 +1360,8 @@ class TestSecondGeneratorRow:
         variable."""
         rep = self.twisted(self.s3(), np.diag([1, 1j, -1]))
         gens = [list(self.R.images), list(self.F.images)]
-        checks = "[{type: theorem1-hypotheses, variable: element}, {type: theorem2, variable: element}]"
-        theorem1, theorem2 = run_scenario(loads(self.scenario_text(rep, gens, checks))).checks
+        text = self.twisted_text(rep, gens, "theorem1-hypotheses", "theorem2")
+        theorem1, theorem2 = run_scenario(loads(text)).checks
         assert theorem1.status == STATUS_FAIL
         assert theorem1.details["representation"]["homomorphism_residual"] == pytest.approx(np.sqrt(2))
         assert "requires a regular action" in theorem1.details["error"]

@@ -13,8 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import yaml
-from conftest import CliRunner
+from conftest import CliRunner, scenario_data, scenario_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,66 +38,41 @@ from finivar.subgroups import subgroup_conjugacy_classes
 
 def builtin_data(name: str) -> dict:
     """The data the built-in ``name`` declares."""
-    return yaml.safe_load(builtin_text(name))
+    return scenario_data(builtin_text(name))
 
 
-def builtin_yaml(name: str, **fields) -> str:
-    """The built-in ``name`` respelled as block YAML, each collection of scalars
-    on one line, with ``fields`` set at its top level: a text the JSON gate declines."""
-    data = {**builtin_data(name), **fields}
-    return yaml.safe_dump(data, sort_keys=False, default_flow_style=None)
+CIRCLE4 = {
+    "name": "circle",
+    "space": {"id": "circle-4", "labels": ["0", "1", "2", "3"]},
+    "variables": [
+        {"name": "halves", "values": ["left", "right"], "assignment": [0, 0, 1, 1]},
+        {"name": "position", "values": ["0", "1", "2", "3"], "assignment": [0, 1, 2, 3]},
+        {"name": "parity", "values": ["even", "odd"], "assignment": [0, 1, 0, 1]},
+    ],
+    "group": {"generators": [[1, 2, 3, 0]]},
+    "representation": {"kind": "cyclic-dft", "n": 4},
+}
 
 
-CIRCLE4 = """
-name: circle
-space:
-  id: circle-4
-  labels: ["0", "1", "2", "3"]
-variables:
-  - name: halves
-    values: ["left", "right"]
-    assignment: [0, 0, 1, 1]
-  - name: position
-    values: ["0", "1", "2", "3"]
-    assignment: [0, 1, 2, 3]
-  - name: parity
-    values: ["even", "odd"]
-    assignment: [0, 1, 0, 1]
-group:
-  generators:
-    - [1, 2, 3, 0]
-representation:
-  kind: cyclic-dft
-  n: 4
-checks:
-{checks}
-"""
+# Three two-valued thoughts on four points under the trivial group.
+SQUARE_THOUGHTS = {
+    "name": "verdicts",
+    "space": {"id": "sq", "labels": ["0", "1", "2", "3"]},
+    "variables": [
+        {"name": "halves", "values": ["a", "b"], "assignment": [0, 0, 1, 1]},
+        {"name": "stripes", "values": ["a", "b"], "assignment": [0, 1, 0, 1]},
+        {"name": "diagonals", "values": ["a", "b"], "assignment": [0, 1, 1, 0]},
+    ],
+    "group": {"generators": []},
+}
 
 
-# Three two-valued thoughts on four points under the trivial group; checks follow.
-SQUARE_THOUGHTS = """
-name: verdicts
-space:
-  id: sq
-  labels: ["0", "1", "2", "3"]
-variables:
-  - name: halves
-    values: ["a", "b"]
-    assignment: [0, 0, 1, 1]
-  - name: stripes
-    values: ["a", "b"]
-    assignment: [0, 1, 0, 1]
-  - name: diagonals
-    values: ["a", "b"]
-    assignment: [0, 1, 1, 0]
-group:
-  generators: []
-checks:
-"""
+def circle4_text(*checks: dict, **fields) -> str:
+    return scenario_text(CIRCLE4, checks=list(checks), **fields)
 
 
-def scenario_with(checks: str, extra: str = ""):
-    return loads(CIRCLE4.format(checks=checks) + extra)
+def scenario_with(*checks: dict, **fields):
+    return loads(circle4_text(*checks, **fields))
 
 
 def single_record(scenario, flags=None):
@@ -145,7 +119,7 @@ class TestTolerances:
         assert resolve_tolerances({name: 0.5}, 1.9)[name] == 0.95
 
     def test_theorem1_and_theorem2_apply_one_table(self):
-        scenario = loads(builtin_yaml("cyclic-4", tolerances={"injectivity_distance": 2.0}))
+        scenario = loads(scenario_text(builtin_data("cyclic-4"), tolerances={"injectivity_distance": 2.0}))
         report = run_scenario(scenario)
         theorems = [c for c in report.checks if c.type in ("theorem1-hypotheses", "theorem2")]
         assert [c.type for c in theorems] == ["theorem1-hypotheses"] * 2 + ["theorem2"] * 2
@@ -154,12 +128,12 @@ class TestTolerances:
 
     def test_cluster_gap_reaches_every_diagonalization(self):
         wide = {"eigen_cluster_gap": 10.0}
-        report = run_scenario(loads(builtin_yaml("cyclic-4", tolerances=wide)))
+        report = run_scenario(loads(scenario_text(builtin_data("cyclic-4"), tolerances=wide)))
         theorems = [c for c in report.checks if c.type in ("theorem1-hypotheses", "theorem2")]
         assert all(c.status == STATUS_ERROR for c in theorems)
         assert all("does not reproduce" in c.details["error"] for c in theorems)
 
-        report = run_scenario(loads(builtin_yaml("singlet", tolerances=wide)))
+        report = run_scenario(loads(scenario_text(builtin_data("singlet"), tolerances=wide)))
         (delta,) = [c for c in report.checks if c.type == "singlet-delta"]
         assert delta.details["cluster_multiplicities"] == [4]
         assert delta.status == STATUS_FAIL
@@ -167,9 +141,9 @@ class TestTolerances:
     def test_unknown_override_from_file_surfaces_at_run(self):
         # loads refuses a file's unknown name before any check runs, and
         # run_scenario still refuses one set on a loaded scenario.
-        check = "  - type: permissibility\n    variable: parity\n"
+        check = {"type": "permissibility", "variable": "parity"}
         with pytest.raises(ScenarioError, match="tolerances.bogus: unknown tolerance name"):
-            scenario_with(check, "tolerances:\n  bogus: 0.1\n")
+            scenario_with(check, tolerances={"bogus": 0.1})
         scenario = scenario_with(check)
         scenario.tolerance_overrides = {"bogus": 0.1}
         with pytest.raises(ScenarioError, match="tolerances.bogus: unknown tolerance name"):
@@ -261,7 +235,7 @@ def reflection_text(sine: float, variables: dict[str, tuple[float, float]], **to
         "checks": [{"type": "theorem1-hypotheses", "variable": name} for name in variables],
         "tolerances": tolerances,
     }
-    return yaml.safe_dump(data)  # which writes 1e-7 as 1.0e-07, a YAML float
+    return scenario_text(data)
 
 
 def reflection_miss(a: float, b: float, sine: float) -> float:
@@ -273,21 +247,19 @@ def reflection_miss(a: float, b: float, sine: float) -> float:
 
 class TestStatusMapping:
     def test_permissibility_expectation_inverts_status(self):
-        ok = scenario_with(
-            "  - type: permissibility\n    variable: halves\n    expect: false\n"
-        )
+        ok = scenario_with({"type": "permissibility", "variable": "halves", "expect": False})
         _, record = single_record(ok)
         assert record.status == STATUS_PASS
         assert record.details["permissible"] is False
         assert record.details["witness"]["k"].images == (1, 2, 3, 0)
 
-        bad = scenario_with("  - type: permissibility\n    variable: halves\n")
+        bad = scenario_with({"type": "permissibility", "variable": "halves"})
         report, record = single_record(bad)
         assert record.status == STATUS_FAIL
         assert report.exit_code == 1
 
     def test_induced_group_error_on_impermissible_variable(self):
-        scenario = scenario_with("  - type: induced-group\n    variable: halves\n")
+        scenario = scenario_with({"type": "induced-group", "variable": "halves"})
         report, record = single_record(scenario)
         assert record.status == STATUS_ERROR
         assert "witness" in record.details
@@ -325,8 +297,8 @@ class TestStatusMapping:
         assert (cases, permissible) == (12546, 931)
 
     def test_theorem_gates_report_not_applicable(self):
-        checks = "  - type: theorem1-hypotheses\n    variable: halves\n  - type: theorem2\n    variable: halves\n"
-        report = run_scenario(loads(CIRCLE4.format(checks=checks).replace('["left", "right"]', '["0", "1"]')))
+        checks = [{"type": kind, "variable": "halves"} for kind in ("theorem1-hypotheses", "theorem2")]
+        report = run_scenario(loads(circle4_text(*checks).replace('["left", "right"]', '["0", "1"]')))
         assert [c.status for c in report.checks] == [STATUS_NOT_APPLICABLE] * 2
         assert report.exit_code == 0
         assert report.checks[0].details["permissible"] is False
@@ -352,9 +324,9 @@ class TestStatusMapping:
         assert "excluded" in theorem1[0].details
 
     def test_degenerate_expansion_basis_is_an_error(self):
-        checks = "  - type: eq1-expansion\n    basis: parity\n    target: {variable: position}\n"
+        check = {"type": "eq1-expansion", "basis": "parity", "target": {"variable": "position"}}
         # numeric parity labels, so the expansion itself is refused
-        text = CIRCLE4.format(checks=checks).replace('["even", "odd"]', '["1", "-1"]')
+        text = circle4_text(check).replace('["even", "odd"]', '["1", "-1"]')
         report, record = single_record(loads(text))
         assert record.status == STATUS_ERROR
         assert record.details["error"].endswith("the basis spectrum is degenerate")
@@ -401,7 +373,7 @@ class TestStatusMapping:
             raise ValueError("a fault in the conjugation law")
 
         monkeypatch.setattr("finivar.representations.conjugation_check", fault)
-        report, record = single_record(scenario_with("  - type: theorem2\n    variable: position\n"))
+        report, record = single_record(scenario_with({"type": "theorem2", "variable": "position"}))
         assert record.status == STATUS_ERROR
         assert record.details["error"] == "ValueError: a fault in the conjugation law"
         assert report.exit_code == 1
@@ -410,10 +382,13 @@ class TestStatusMapping:
     @pytest.mark.parametrize(
         "check, key",
         [
-            ("  - type: theorem1-hypotheses\n    variable: parity\n", "variable"),
-            ("  - type: theorem2\n    variable: parity\n", "variable"),
-            ("  - type: eq1-expansion\n    basis: parity\n    target: {variable: position}\n", "basis"),
-            ("  - type: eq1-expansion\n    basis: position\n    target: {variable: parity}\n", "target.variable"),
+            ({"type": "theorem1-hypotheses", "variable": "parity"}, "variable"),
+            ({"type": "theorem2", "variable": "parity"}, "variable"),
+            ({"type": "eq1-expansion", "basis": "parity", "target": {"variable": "position"}}, "basis"),
+            (
+                {"type": "eq1-expansion", "basis": "position", "target": {"variable": "parity"}},
+                "target.variable",
+            ),
         ],
         ids=["theorem1", "theorem2", "eq1-basis", "eq1-target"],
     )
@@ -421,9 +396,9 @@ class TestStatusMapping:
         """A variable whose operator the check builds, labelled by a number that
         is not finite, exits 2 at load naming the check's key and the labels,
         and NumPy warns of nothing."""
-        text = CIRCLE4.format(checks=check).replace('["even", "odd"]', f'["{label}", "1"]')
+        text = circle4_text(check).replace('["even", "odd"]', f'["{label}", "1"]')
         message = f"checks[0].{key}: variable 'parity': value labels must be finite, got ('{label}', '1')"
-        target = tmp_path / "labels.yaml"
+        target = tmp_path / "labels.json"
         target.write_text(text, encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -439,28 +414,28 @@ class TestStatusMapping:
         """``halves`` is not permissible, so the check would report
         not-applicable; its labels are not numbers, so the load refuses it first."""
         with pytest.raises(ScenarioError) as refused:
-            scenario_with(f"  - type: {check}\n    variable: halves\n")
+            scenario_with({"type": check, "variable": "halves"})
         assert str(refused.value) == (
             "checks[0].variable: variable 'halves': value labels must be numeric, got ('left', 'right')"
         )
 
     def test_expect_verdict_mismatch_fails(self):
-        check = "  - type: a2-classify\n    expect-verdict: all-related\n"
-        scenario = loads(SQUARE_THOUGHTS + check)
+        check = {"type": "a2-classify", "expect-verdict": "all-related"}
+        scenario = loads(scenario_text(SQUARE_THOUGHTS, checks=[check]))
         _, record = single_record(scenario)
         assert record.status == STATUS_FAIL
         assert record.details["verdict"] == "all-essentially-different"
         assert record.details["expected_verdict"] == "all-related"
 
     def test_a2_falsify_uses_spec_bound_without_flag(self):
-        scenario = scenario_with("  - type: a2-falsify\n    max-n: 4\n")
+        scenario = scenario_with({"type": "a2-falsify", "max-n": 4})
         _, record = single_record(scenario)
         assert record.status == STATUS_PASS
         assert record.details["max_n"] == 4
         assert record.details["instances"] == 11
 
     def test_a2_falsify_flag_overrides_spec(self):
-        scenario = scenario_with("  - type: a2-falsify\n    max-n: 5\n")
+        scenario = scenario_with({"type": "a2-falsify", "max-n": 5})
         _, record = single_record(scenario, RunFlags(max_n=4))
         assert record.details["max_n"] == 4
 
@@ -468,7 +443,7 @@ class TestStatusMapping:
     def test_max_n_flag_is_range_checked_before_any_check_runs(self, monkeypatch, max_n):
         calls = []
         monkeypatch.setattr("finivar.scenario.exhaustive_falsifier", lambda *a: calls.append(a))
-        scenario = scenario_with("  - type: a2-falsify\n    max-n: 4\n")
+        scenario = scenario_with({"type": "a2-falsify", "max-n": 4})
         with pytest.raises(ValueError, match=f"max_n must be an integer from 1 to 6, got {max_n!r}"):
             run_scenario(scenario, RunFlags(max_n=max_n))
         assert calls == []
@@ -477,35 +452,37 @@ class TestStatusMapping:
 class TestParameterValidation:
     def test_missing_required_parameter(self):
         with pytest.raises(ScenarioError, match=r"checks\[0\].variable: required parameter"):
-            scenario_with("  - type: permissibility\n")
+            scenario_with({"type": "permissibility"})
 
     def test_unknown_variable_reference(self):
         with pytest.raises(ScenarioError, match="unknown variable 'ghost'"):
-            scenario_with("  - type: theorem2\n    variable: ghost\n")
+            scenario_with({"type": "theorem2", "variable": "ghost"})
 
     def test_expect_must_be_boolean(self):
         with pytest.raises(ScenarioError, match="expect: expected true or false"):
-            scenario_with(
-                "  - type: permissibility\n    variable: parity\n    expect: sometimes\n"
-            )
+            scenario_with({"type": "permissibility", "variable": "parity", "expect": "sometimes"})
 
     def test_eq1_target_required(self):
         with pytest.raises(ScenarioError, match=r"checks\[0\].target: required parameter is missing"):
-            scenario_with("  - type: eq1-expansion\n    basis: position\n")
+            scenario_with({"type": "eq1-expansion", "basis": "position"})
 
     @pytest.mark.parametrize(
         "text, field",
         [
             pytest.param(
-                CIRCLE4.format(
-                    checks="  - type: a1-search\n    theta: halves\n"
-                    "    members: [halves, parity]\n    all-partitions: 'no'"
+                circle4_text(
+                    {
+                        "type": "a1-search",
+                        "theta": "halves",
+                        "members": ["halves", "parity"],
+                        "all-partitions": "no",
+                    }
                 ),
                 "all-partitions",
                 id="all-partitions",
             ),
             pytest.param(
-                SQUARE_THOUGHTS + "  - type: a2-classify\n    expect-verdict: maybe\n",
+                scenario_text(SQUARE_THOUGHTS, checks=[{"type": "a2-classify", "expect-verdict": "maybe"}]),
                 "expect-verdict",
                 id="expect-verdict",
             ),
@@ -517,7 +494,7 @@ class TestParameterValidation:
 
     def test_members_must_be_names(self):
         with pytest.raises(ScenarioError, match="members: expected a list of variable names"):
-            scenario_with("  - type: a2-classify\n    members: [1, 2]\n")
+            scenario_with({"type": "a2-classify", "members": [1, 2]})
 
 
 class TestInformationalMode:
@@ -529,10 +506,7 @@ class TestInformationalMode:
         assert underlying == ["fail", "pass", "pass"]
 
     def test_errors_survive_informational_mode(self):
-        scenario = scenario_with(
-            "  - type: induced-group\n    variable: halves\n",
-            "informational: true\n",
-        )
+        scenario = scenario_with({"type": "induced-group", "variable": "halves"}, informational=True)
         report, record = single_record(scenario)
         assert record.status == STATUS_ERROR
         assert "underlying_status" not in record.details
@@ -702,30 +676,22 @@ class TestJsonWriterPaths:
         assert [first.to_json(), second.to_json(), first.to_json()] == [*fresh, fresh[0]]
 
 
-CYCLE12 = """
-name: cycle-12
-space:
-  id: cycle-12
-  labels: ["0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11"]
-variables:
-  - name: position
-    values: ["0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11"]
-    assignment: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
-  - name: doubled
-    values: ["0", "2", "4", "6", "8", "10", "12", "14", "16", "18", "20", "22"]
-    assignment: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
-  - name: residue
-    values: ["0", "1", "2", "3"]
-    assignment: [0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3]
-group:
-  generators:
-    - [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0]
-representation:
-  kind: cyclic-dft
-  n: 12
-checks:
-{checks}
-"""
+def cycle12_text(*checks: tuple[str, str]) -> str:
+    """Z_12 on cyclic-dft with three variables, and a check of each (type, variable)."""
+    return scenario_text(
+        {
+            "name": "cycle-12",
+            "space": {"id": "cycle-12", "labels": [str(j) for j in range(12)]},
+            "variables": [
+                {"name": "position", "values": [str(j) for j in range(12)], "assignment": list(range(12))},
+                {"name": "doubled", "values": [str(2 * j) for j in range(12)], "assignment": list(range(12))},
+                {"name": "residue", "values": ["0", "1", "2", "3"], "assignment": [j % 4 for j in range(12)]},
+            ],
+            "group": {"generators": [[*range(1, 12), 0]]},
+            "representation": {"kind": "cyclic-dft", "n": 12},
+            "checks": [{"type": kind, "variable": variable} for kind, variable in checks],
+        }
+    )
 
 
 class TestOperatorCache:
@@ -740,10 +706,7 @@ class TestOperatorCache:
         monkeypatch.setattr(representations, "_scan_injectivity", spy)
         report = run_scenario(
             loads(
-                CYCLE12.format(
-                    checks="  - type: theorem2\n    variable: position\n"
-                    "  - type: theorem2\n    variable: residue\n"
-                )
+                cycle12_text(("theorem2", "position"), ("theorem2", "residue"))
             )
         )
         assert [c.status for c in report.checks] == [STATUS_PASS] * 2
@@ -764,11 +727,11 @@ class TestOperatorCache:
 
         monkeypatch.setattr(runner, "induced_group", spy)
         loaded = loads(
-            CYCLE12.format(
-                checks="  - type: induced-group\n    variable: residue\n"
-                "  - type: theorem2\n    variable: residue\n"
-                "  - type: theorem2\n    variable: position\n"
-                "  - type: induced-group\n    variable: position\n"
+            cycle12_text(
+                ("induced-group", "residue"),
+                ("theorem2", "residue"),
+                ("theorem2", "position"),
+                ("induced-group", "position"),
             )
         )
         assert loaded.group is loaded.coherent_family.group
@@ -789,10 +752,7 @@ class TestOperatorCache:
         monkeypatch.setattr(np.linalg, "svd", spy)
         report = run_scenario(
             loads(
-                CYCLE12.format(
-                    checks="  - type: theorem2\n    variable: position\n"
-                    "  - type: theorem2\n    variable: residue\n"
-                )
+                cycle12_text(("theorem2", "position"), ("theorem2", "residue"))
             )
         )
         assert [c.status for c in report.checks] == [STATUS_PASS] * 2
@@ -809,7 +769,7 @@ class TestOperatorCache:
             return residuals
 
         monkeypatch.setattr(representations, "conjugation_check", spy)
-        loaded = loads(CYCLE12.format(checks="  - type: theorem2\n    variable: residue\n"))
+        loaded = loads(cycle12_text(("theorem2", "residue")))
         (record,) = run_scenario(loaded).checks
         assert record.status == STATUS_PASS
         ((family, induced, residuals),) = calls
@@ -824,10 +784,7 @@ class TestOperatorCache:
         # variables; their operators differ.
         report = run_scenario(
             loads(
-                CYCLE12.format(
-                    checks="  - type: theorem1-hypotheses\n    variable: position\n"
-                    "  - type: theorem1-hypotheses\n    variable: doubled\n"
-                )
+                cycle12_text(("theorem1-hypotheses", "position"), ("theorem1-hypotheses", "doubled"))
             )
         )
         assert [c.status for c in report.checks] == [STATUS_PASS] * 2
@@ -836,39 +793,37 @@ class TestOperatorCache:
         assert eigenvalues[1] == pytest.approx(list(range(0, 24, 2)))
 
 
-# Z2 on two points through explicit matrices; {flip} is the swap's matrix.
-Z2_EXPLICIT = """
-name: z2
-space: {{id: pair, labels: ["a", "b"]}}
-variables:
-  - name: constant
-    values: ["1"]
-    assignment: [0, 0]
-group:
-  generators: [[1, 0]]
-representation:
-  kind: explicit
-  matrices:
-    - element: [0, 1]
-      matrix: [[1, 0], [0, 1]]
-    - element: [1, 0]
-      matrix: {flip}
-base_state: [1, 1]
-checks:
-  - type: theorem1-hypotheses
-    variable: constant
-"""
+def z2_explicit_text(flip: list, **fields) -> str:
+    """Z2 on two points through explicit matrices; ``flip`` is the swap's matrix."""
+    return scenario_text(
+        {
+            "name": "z2",
+            "space": {"id": "pair", "labels": ["a", "b"]},
+            "variables": [{"name": "constant", "values": ["1"], "assignment": [0, 0]}],
+            "group": {"generators": [[1, 0]]},
+            "representation": {
+                "kind": "explicit",
+                "matrices": [
+                    {"element": [0, 1], "matrix": [[1, 0], [0, 1]]},
+                    {"element": [1, 0], "matrix": flip},
+                ],
+            },
+            "base_state": [1, 1],
+            "checks": [{"type": "theorem1-hypotheses", "variable": "constant"}],
+        },
+        **fields,
+    )
 
 
 def test_coherent_states_short_of_the_dimension_are_out_of_scope():
     # Z2 on a three-dimensional space, swapping e0 and e1 and fixing e2: the
     # coherent states e0 and e1 span rank 2, so no operator is built.
     text = (
-        Z2_EXPLICIT.format(flip="[[0, 1, 0], [1, 0, 0], [0, 0, 1]]")
+        z2_explicit_text([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
         .replace("[[1, 0], [0, 1]]", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]")
-        .replace('values: ["1"]\n    assignment: [0, 0]', 'values: ["1", "2"]\n    assignment: [0, 1]')
-        .replace("base_state: [1, 1]", "base_state: [1, 0, 0]")
-        .replace("variable: constant", "variable: constant\n  - type: theorem2\n    variable: constant")
+        .replace('"values": ["1"], "assignment": [0, 0]', '"values": ["1", "2"], "assignment": [0, 1]')
+        .replace('"base_state": [1, 1]', '"base_state": [1, 0, 0]')
+        .replace('"constant"}]', '"constant"}, {"type": "theorem2", "variable": "constant"}]')
     )
     theorem1, theorem2 = run_scenario(loads(text)).checks
     scope = "outside the orthogonal-coherent scope: coherent groups span rank 2 of a dimension-3 space"
@@ -880,7 +835,7 @@ class TestIrreducibility:
     def test_non_representation_gets_no_commutant(self):
         # diag(1, i) squares to diag(1, -1): no representation, though its
         # character norm (3) is an integer.
-        scenario = loads(Z2_EXPLICIT.format(flip="[[1, 0], [0, [0, 1]]]"))
+        scenario = loads(z2_explicit_text([[1, 0], [0, [0, 1]]]))
         _, record = single_record(scenario)
         assert record.status == STATUS_FAIL
         assert record.details["representation"]["homomorphism_residual"] == 2.0
@@ -894,8 +849,10 @@ class TestIrreducibility:
         # The swap's matrix is diag(1, -e^{-1e-5 i}): a representation within
         # 2e-5, whose norm 2 + 5e-11 misses 2 by more than 1e-12.
         scenario = loads(
-            Z2_EXPLICIT.format(flip="[[1, 0], [0, [-0.99999999995, 0.00001]]]")
-            + "tolerances: {rep_homomorphism: 1.0e-4, commutant: 1.0e-12}\n"
+            z2_explicit_text(
+                [[1, 0], [0, [-0.99999999995, 0.00001]]],
+                tolerances={"rep_homomorphism": 1.0e-4, "commutant": 1.0e-12},
+            )
         )
         _, record = single_record(scenario)
         block = record.details["irreducibility"]
@@ -906,7 +863,7 @@ class TestIrreducibility:
 
     def test_representation_gets_its_commutant(self):
         _, record = single_record(
-            scenario_with("  - type: theorem1-hypotheses\n    variable: position\n")
+            scenario_with({"type": "theorem1-hypotheses", "variable": "position"})
         )
         assert record.status == STATUS_PASS
         assert record.details["irreducibility"]["commutant_dimension"] == 4
@@ -974,7 +931,6 @@ def cycle24_text() -> str:
         "representation": {"kind": "cyclic-dft", "n": n},
         "checks": checks,
     }
-    # JSON is valid YAML.
     return json.dumps(data, indent=1)
 
 
@@ -1072,7 +1028,7 @@ def explicit_text(text: str, seed: int, variant: str = "plain") -> str:
     matrix but the identity's by a seeded phase; ``basis`` conjugates every
     matrix, and moves the base state, by a seeded unitary."""
     rep = loads(text).coherent_family.rep
-    data = yaml.safe_load(text)
+    data = scenario_data(text)
     rng = np.random.default_rng(seed)
     elements = list(rep.group.elements)
     matrices = {k: rep(k) for k in elements}
@@ -1092,7 +1048,7 @@ def explicit_text(text: str, seed: int, variant: str = "plain") -> str:
         "matrices": [{"element": list(k.images), "matrix": complex_pairs(matrices[k])} for k in listed],
     }
     data["base_state"] = complex_pairs(base)
-    return json.dumps(data)  # JSON is valid YAML
+    return scenario_text(data)
 
 
 def explicit_cases() -> dict[str, str]:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import gc
 import importlib.util
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -15,13 +17,11 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
-import yaml
-from conftest import CliRunner, cyclic_group
-from hypothesis import event, given, settings
+from conftest import CliRunner, cyclic_group, scenario_text
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finivar import builtins as builtin_mod
@@ -43,24 +43,37 @@ from finivar.representations import cyclic_dft_rep, qubit_rep
 from finivar.runner import run_scenario
 from finivar.scenario import CHECK_TYPES, ScenarioError, load_path, loads
 
-from test_runner import builtin_data, builtin_yaml, cycle24_text, explicit_cases
+from test_runner import builtin_data
 
-MINIMAL = """
-name: tiny
-space:
-  id: pair
-  labels: ["a", "b"]
-variables:
-  - name: which
-    values: ["first", "second"]
-    assignment: [0, 1]
-group:
-  generators:
-    - [1, 0]
-checks:
-  - type: permissibility
-    variable: which
-"""
+MINIMAL_DATA = {
+    "name": "tiny",
+    "space": {"id": "pair", "labels": ["a", "b"]},
+    "variables": [{"name": "which", "values": ["first", "second"], "assignment": [0, 1]}],
+    "group": {"generators": [[1, 0]]},
+    "checks": [{"type": "permissibility", "variable": "which"}],
+}
+MINIMAL = scenario_text(MINIMAL_DATA)
+WHICH = MINIMAL_DATA["checks"][0]
+
+
+def minimal(**fields) -> str:
+    """MINIMAL with ``fields`` set at its top level."""
+    return scenario_text(MINIMAL_DATA, **fields)
+
+
+def bare(id: str, labels: list, product: list | None = None, check: str = "theorem2") -> str:
+    """A scenario named x on the space ``id`` with ``labels`` and, where
+    given, ``product``, running one check of type ``check``."""
+    space = {"id": id, "labels": labels, **({} if product is None else {"product": product})}
+    return scenario_text({"name": "x", "space": space, "checks": [{"type": check}]})
+
+
+def without(text: str, *keys: str) -> str:
+    """The scenario ``text`` with its top-level ``keys`` left out."""
+    data = json.loads(text)
+    for key in keys:
+        del data[key]
+    return scenario_text(data)
 
 
 def expect_error(text: str, fragment: str):
@@ -84,64 +97,48 @@ class TestLoads:
         }
         assert not scenario.informational
 
-    def test_invalid_yaml_names_location(self):
-        with pytest.raises(ScenarioError, match="invalid YAML"):
-            loads("name: [unclosed")
+    def test_invalid_json_names_location(self):
+        with pytest.raises(ScenarioError, match="invalid JSON at line 1, column 11: Expecting value"):
+            loads('{"name": [unclosed')
 
     def test_non_mapping_document(self):
-        expect_error("- just\n- a\n- list\n", "expected a mapping")
+        expect_error('["just", "a", "list"]', "expected a mapping")
 
     def test_unknown_field(self):
-        expect_error(MINIMAL + "\nbanana: 1\n", "banana: unknown scenario field")
+        expect_error(minimal(banana=1), "banana: unknown scenario field")
 
     def test_missing_name(self):
-        expect_error("space: {id: s, labels: ['a', 'b']}\nchecks: [{type: theorem2}]",
-                     "name: expected a nonempty string")
+        expect_error(without(bare("s", ["a", "b"]), "name"), "name: expected a nonempty string")
 
     def test_missing_space(self):
-        expect_error("name: x\nchecks: [{type: theorem2}]",
-                     "space: scenario must declare a point space")
+        expect_error(without(bare("s", ["a", "b"]), "space"), "space: scenario must declare a point space")
 
     def test_space_labels_must_be_strings(self):
-        expect_error("name: x\nspace: {id: s, labels: [1, 2]}\nchecks: [{type: theorem2}]",
-                     "space.labels: expected a list of strings")
+        expect_error(bare("s", [1, 2]), "space.labels: expected a list of strings")
 
     def test_space_errors_carry_path(self):
-        expect_error("name: x\nspace: {id: s, labels: ['a', 'a']}\nchecks: [{type: theorem2}]",
-                     "space: ")
+        expect_error(bare("s", ["a", "a"]), "space: ")
 
     def test_product_coordinate_pairs(self):
-        text = """
-name: x
-space:
-  id: grid
-  labels: ["00", "01", "10", "11"]
-  product: [[0, 0], [0, 1], [1, 0], [1, 1]]
-checks:
-  - type: singlet-delta
-"""
+        text = bare("grid", ["00", "01", "10", "11"], [[0, 0], [0, 1], [1, 0], [1, 1]], check="singlet-delta")
         scenario = loads(text)
         assert scenario.space.product == ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def test_product_pair_shape_enforced(self):
         expect_error(
-            "name: x\nspace: {id: s, labels: ['a', 'b'], product: [[0, 0, 0], [0, 1]]}\n"
-            "checks: [{type: theorem2}]",
+            bare("s", ["a", "b"], [[0, 0, 0], [0, 1]]),
             r"space.product\[0\]: expected a coordinate pair",
         )
 
     def test_variable_errors_carry_index(self):
         expect_error(
-            MINIMAL.replace("assignment: [0, 1]", "assignment: [0, 7]"),
+            MINIMAL.replace('"assignment": [0, 1]', '"assignment": [0, 7]'),
             r"variables\[0\]",
         )
 
     def test_duplicate_variable_names(self):
-        text = MINIMAL.replace(
-            "group:",
-            "  - name: which\n    values: [\"x\", \"y\"]\n    assignment: [1, 0]\ngroup:",
-        )
-        expect_error(text, "duplicate variable name")
+        twice = [*MINIMAL_DATA["variables"], {"name": "which", "values": ["x", "y"], "assignment": [1, 0]}]
+        expect_error(minimal(variables=twice), "duplicate variable name")
 
     def test_generator_length_checked(self):
         expect_error(
@@ -151,19 +148,19 @@ checks:
 
     def test_generators_must_be_list(self):
         expect_error(
-            MINIMAL.replace("generators:\n    - [1, 0]", "generators: 5"),
+            minimal(group={"generators": 5}),
             "group.generators: expected a list of image arrays",
         )
 
     def test_checks_required(self):
         expect_error(
-            MINIMAL.split("checks:")[0],
+            without(MINIMAL, "checks"),
             "checks: scenario must request at least one check",
         )
 
     def test_unknown_check_type(self):
         expect_error(
-            MINIMAL.replace("type: permissibility", "type: sorcery"),
+            MINIMAL.replace('"type": "permissibility"', '"type": "sorcery"'),
             "unknown check type 'sorcery'",
         )
 
@@ -182,41 +179,43 @@ checks:
 
     def test_tolerances_must_be_positive(self):
         expect_error(
-            MINIMAL + "\ntolerances:\n  hermitian: -1\n",
-            "tolerances.hermitian: expected a positive number",
+            minimal(tolerances={"hermitian": -1}),
+            "tolerances.hermitian: expected a positive number$",
         )
 
     def test_unknown_tolerance_name_is_refused_when_loading(self):
         expect_error(
-            MINIMAL + "\ntolerances:\n  hermitain: 1.0e-9\n",
+            minimal(tolerances={"hermitain": 1.0e-9}),
             "tolerances.hermitain: unknown tolerance name",
         )
 
-    def test_an_exponent_without_a_dot_is_named_in_the_message(self):
-        expect_error(
-            MINIMAL + "\ntolerances:\n  hermitian: 1e-9\n",
-            r"tolerances.hermitian: expected a positive number \(an exponent needs a dot: 1.0e-9\)",
-        )
+    def test_an_exponent_without_a_dot_is_a_number(self):
+        """json reads ``1e-9`` as a float, and the report's table shows the tolerance applied."""
+        text = minimal(tolerances={"unitary": "TOLERANCE"}).replace('"TOLERANCE"', "1e-9")
+        assert '"unitary": 1e-9}' in text
+        scenario = loads(text)
+        assert scenario.tolerance_overrides == {"unitary": 1e-9}
+        assert '"unitary": 1e-09' in run_scenario(scenario).to_json()
 
     def test_tolerance_overrides_parsed(self):
-        scenario = loads(MINIMAL + "\ntolerances:\n  hermitian: 0.5\n")
+        scenario = loads(minimal(tolerances={"hermitian": 0.5}))
         assert scenario.tolerance_overrides == {"hermitian": 0.5}
 
     def test_base_state_real_and_complex_entries(self):
-        scenario = loads(MINIMAL + "\nrepresentation: {kind: qubit}\nbase_state: [1, [0, 1]]\n")
+        scenario = loads(minimal(representation={"kind": "qubit"}, base_state=[1, [0, 1]]))
         assert np.allclose(scenario.coherent_family.base, np.array([1.0, 1.0j]))
 
     def test_base_state_entry_validation(self):
         expect_error(
-            MINIMAL + "\nrepresentation: {kind: qubit}\nbase_state: [1, [0, 1, 2]]\n",
+            minimal(representation={"kind": "qubit"}, base_state=[1, [0, 1, 2]]),
             r"base_state\[1\]: expected a number or an \[re, im\] pair",
         )
 
     def test_representation_kinds(self):
         flip = Permutation((1, 0))
-        qubit = loads(MINIMAL + "\nrepresentation: {kind: qubit}\n").coherent_family.rep
+        qubit = loads(minimal(representation={"kind": "qubit"})).coherent_family.rep
         assert np.array_equal(qubit(flip), qubit_rep(cyclic_group(2))(flip))
-        cyclic = loads(MINIMAL + "\nrepresentation: {kind: cyclic-dft, n: 2}\n").coherent_family.rep
+        cyclic = loads(minimal(representation={"kind": "cyclic-dft", "n": 2})).coherent_family.rep
         assert np.array_equal(cyclic(flip), cyclic_dft_rep(cyclic_group(2))(flip))
 
     @pytest.mark.parametrize("declared", [True, False], ids=["group", "no-group"])
@@ -238,19 +237,19 @@ checks:
 
     def test_representation_unknown_kind(self):
         expect_error(
-            MINIMAL + "\nrepresentation: {kind: spooky}\n",
+            minimal(representation={"kind": "spooky"}),
             "representation.kind: unknown kind 'spooky'",
         )
 
     def test_representation_cyclic_needs_n(self):
         expect_error(
-            MINIMAL + "\nrepresentation: {kind: cyclic-dft}\n",
+            minimal(representation={"kind": "cyclic-dft"}),
             "representation.n: expected a positive integer",
         )
 
     def test_representation_n_must_match_the_space(self):
         expect_error(
-            MINIMAL + "\nrepresentation: {kind: cyclic-dft, n: 5}\n",
+            minimal(representation={"kind": "cyclic-dft", "n": 5}),
             "representation.n: expected the space size 2, got 5",
         )
 
@@ -271,7 +270,7 @@ checks:
         assert bound >= 100  # the default sweep loads
 
         def text(directions):
-            return CYCLE4.format(checks=f"{CHECKS['singlet-delta']}\n    directions: {directions}")
+            return cycle4({**CHECKS["singlet-delta"], "directions": directions})
 
         assert loads(text(bound)).checks[0].params["directions"] == bound
         for value in (bound + 1, 10**9):
@@ -332,28 +331,17 @@ checks:
         expect_error(json.dumps(data), r"checks\[1\]\.generators: group closure exceeded the cap")
 
     def test_explicit_representation_round_trip(self):
-        text = MINIMAL + """
-representation:
-  kind: explicit
-  matrices:
-    - element: [0, 1]
-      matrix: [[1, 0], [0, 1]]
-    - element: [1, 0]
-      matrix: [[0, 1], [1, 0]]
-"""
-        rep = loads(text).coherent_family.rep
+        matrices = [
+            {"element": [0, 1], "matrix": [[1, 0], [0, 1]]},
+            {"element": [1, 0], "matrix": [[0, 1], [1, 0]]},
+        ]
+        rep = loads(minimal(representation={"kind": "explicit", "matrices": matrices})).coherent_family.rep
         assert np.allclose(rep(Permutation((1, 0))), np.array([[0, 1], [1, 0]]))
 
     def test_explicit_representation_must_cover_group(self):
-        text = MINIMAL + """
-representation:
-  kind: explicit
-  matrices:
-    - element: [0, 1]
-      matrix: [[1, 0], [0, 1]]
-"""
+        matrices = [{"element": [0, 1], "matrix": [[1, 0], [0, 1]]}]
         with pytest.raises(ScenarioError, match="every group element"):
-            loads(text)
+            loads(minimal(representation={"kind": "explicit", "matrices": matrices}))
 
     def test_explicit_representation_names_the_first_unlisted_element(self):
         # Z4's ids follow its sorted elements, so [1, 2, 3, 0] (id 1) is unlisted before [3, 0, 1, 2]
@@ -368,12 +356,14 @@ representation:
         one.  On S8 one 300 x 300 matrix asks for a 54 GiB stack: the refusal
         names the field, whether the allocation fails or the missing matrices do."""
         zeros = [[0] * 300] * 300
-        text = (
-            "name: s8\nspace: {id: s8, labels: [a, b, c, d, e, f, g, h]}\n"
-            "group: {generators: [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]]}\n"
-            f"representation: {{kind: explicit, matrices: [{{element: {list(range(8))}, matrix: {zeros}}}]}}\n"
-            "checks: [{type: a2-falsify}]\n"
-        )
+        data = {
+            "name": "s8",
+            "space": {"id": "s8", "labels": list("abcdefgh")},
+            "group": {"generators": [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]]},
+            "representation": {"kind": "explicit", "matrices": [{"element": list(range(8)), "matrix": zeros}]},
+            "checks": [{"type": "a2-falsify"}],
+        }
+        text = scenario_text(data)
         expect_error(
             text,
             r"representation\.matrices: "
@@ -382,7 +372,7 @@ representation:
 
     def test_operator_check_requires_a_representation(self):
         # The coordinate swap does not exclude this theorem1 pair, so it builds operators.
-        text = builtin_yaml("singlet").replace("eta: right-z", "eta: product-zz")
+        text = builtin_mod.builtin_text("singlet").replace('"eta": "right-z"', '"eta": "product-zz"')
         with pytest.raises(
             ScenarioError,
             match=r"checks\[2\].type: the check builds operators; the scenario declares no",
@@ -395,12 +385,12 @@ representation:
             scenario.variable("missing")
 
     def test_require_group_when_absent(self):
-        text = MINIMAL.replace("group:\n  generators:\n    - [1, 0]\n", "")
+        text = without(MINIMAL, "group")
         with pytest.raises(ScenarioError, match="declares no group"):
             loads(text)
 
     def test_group_for_override(self):
-        scenario = loads(MINIMAL + "    generators: [[0, 1]]\n")
+        scenario = loads(minimal(checks=[{**WHICH, "generators": [[0, 1]]}]))
         assert scenario.checks[0].params["generators"].order == 1
         default = loads(MINIMAL)
         assert default.checks[0].params["generators"] is default.group
@@ -410,7 +400,7 @@ representation:
         assert scenario.checks[0].label() == "permissibility:which"
 
     def test_name_labels_only_a_check_without_a_subject(self):
-        named = MINIMAL + "    name: probe\n  - type: a2-falsify\n    name: census\n"
+        named = minimal(checks=[{**WHICH, "name": "probe"}, {"type": "a2-falsify", "name": "census"}])
         assert [c.label() for c in loads(named).checks] == [
             "permissibility:which",
             "a2-falsify:census",
@@ -448,10 +438,7 @@ representation:
             assert scenario.coherent_family.group is scenario.group
 
     def test_a_representation_without_a_group_brings_its_own(self):
-        text = CYCLE4.format(checks=PERMISSIBILITY).replace(
-            "group:\n  generators:\n    - [1, 2, 3, 0]\n", ""
-        )
-        scenario = loads(text)
+        scenario = loads(without(cycle4(PERMISSIBILITY), "group"))
         assert scenario.group is scenario.coherent_family.group
         assert scenario.group.order == 4
         assert scenario.checks[0].params["generators"] is scenario.group
@@ -531,10 +518,8 @@ representation:
         monkeypatch.setattr(
             runner_mod, "maximal_accessible", lambda family: calls.append(family) or original(family)
         )
-        parity = '  - name: parity\n    values: ["0", "1"]\n    assignment: [0, 1, 0, 1]\n'
-        checks = f"{THEOREM1}\n{THEOREM1.replace('position', 'parity')}"
-        text = CYCLE4.format(checks=checks).replace("group:\n", parity + "group:\n")
-        scenario = loads(text)
+        parity = {"name": "parity", "values": ["0", "1"], "assignment": [0, 1, 0, 1]}
+        scenario = loads(cycle4(THEOREM1, {**THEOREM1, "variable": "parity"}, variables=[POSITION, parity]))
         for runs in (1, 2):
             records = run_scenario(scenario).checks
             assert [r.status for r in records] == ["pass", "pass"]
@@ -542,101 +527,17 @@ representation:
             assert len(calls) == runs
 
     def test_informational_flag(self):
-        scenario = loads(MINIMAL + "\ninformational: true\n")
+        scenario = loads(minimal(informational=True))
         assert scenario.informational
 
     def test_load_path_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="no-such"):
-            load_path(str(tmp_path / "no-such.yaml"))
+            load_path(str(tmp_path / "no-such.json"))
 
     def test_load_path_reads_file(self, tmp_path):
-        target = tmp_path / "scenario.yaml"
+        target = tmp_path / "scenario.json"
         target.write_text(MINIMAL, encoding="utf-8")
         assert load_path(str(target)).name == "tiny"
-
-
-@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
-class TestYamlLoaders:
-    def test_libyaml_is_used_where_available(self):
-        from finivar import scenario
-
-        assert scenario._yaml_loader().__base__ is yaml.CSafeLoader
-
-    @pytest.mark.parametrize("name", [*builtin_mod.builtin_names(), "cycle-24"])
-    def test_both_loaders_give_equal_data(self, name):
-        text = cycle24_text() if name == "cycle-24" else builtin_mod.builtin_text(name)
-        fast = yaml.load(text, Loader=yaml.CSafeLoader)
-        assert fast == yaml.load(text, Loader=yaml.SafeLoader)
-        assert fast["name"] == name
-
-
-def noting_parser(read, text: str):
-    """``read(text)``, or the ScenarioError it raises, and whether PyYAML read ``text``."""
-    with mock.patch.object(yaml, "load", wraps=yaml.load) as spy:
-        try:
-            result = read(text)
-        except ScenarioError as exc:
-            result = exc
-    return result, spy.called
-
-
-def parse_text(text: str):
-    return scenario_mod._parse(text, "<scenario>")
-
-
-# A float literal written into a dumped text in place of the string RAW + literal.
-RAW = "\x00raw:"
-FLOAT_SPELLINGS = ("1e5", "2.", "1.0e+5", "3.25E-2", "1.0e5", "-0.0", "12.5e-3", "7E+2")
-PRINTABLE = st.characters(min_codepoint=0x20, max_codepoint=0x7E)
-_DRAWN_LEAVES = (
-    st.integers()
-    | st.integers(min_value=-(10**60), max_value=10**60)
-    | st.floats()
-    | st.text(PRINTABLE, max_size=12)
-    | st.text(max_size=4)
-    | st.booleans()
-    | st.none()
-    | st.sampled_from(FLOAT_SPELLINGS).map(RAW.__add__)
-)
-_DRAWN_KEYS = st.text(PRINTABLE, max_size=8) | st.sampled_from(["k" * 1022, "k" * 1023])
-_DRAWN_VALUES = st.recursive(
-    _DRAWN_LEAVES,
-    lambda children: (
-        st.lists(children, max_size=4) | st.dictionaries(_DRAWN_KEYS, children, max_size=4)
-    ),
-    max_leaves=16,
-)
-
-
-@st.composite
-def dumped_texts(draw) -> str:
-    """A drawn value written by ``json.dumps`` with drawn indent, separators and
-    line breaks, the raw float spellings spliced in."""
-    text = json.dumps(
-        draw(_DRAWN_VALUES),
-        indent=draw(st.sampled_from([None, 0, 1, 2, 4])),
-        separators=draw(
-            st.sampled_from([(",", ":"), (", ", ": "), (" ,", " : "), (",\n", ":\n"), (",", "\n:")])
-        ),
-        ensure_ascii=draw(st.booleans()),
-    )
-    for spelling in FLOAT_SPELLINGS:
-        text = text.replace(json.dumps(RAW + spelling), spelling)
-    return text.replace("\n", draw(st.sampled_from(["\n", "\r\n", "\r"])))
-
-
-@st.composite
-def comment_headers(draw) -> str:
-    """Whole-line comments for the start of a text: each a '#' and drawn
-    text, printable or any, an empty '#' among them, ended by a drawn line
-    break, where the last may have none."""
-    lines = draw(
-        st.lists(st.just("") | st.text(PRINTABLE, max_size=12) | st.text(max_size=4), max_size=3)
-    )
-    breaks = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
-    if breaks and draw(st.booleans()):
-        breaks[-1] = draw(st.sampled_from(["\n", "\r\n", "\r", ""]))
-    return "".join(f"#{line}{end}" for line, end in zip(lines, breaks))
 
 
 # The scenario the named cases below start from: CYCLE4 and theorem1, in JSON.
@@ -654,60 +555,100 @@ CYCLE4_JSON = json.dumps(
     indent=1,
 )
 WITH_TOLERANCE = CYCLE4_JSON.replace('\n "checks"', '\n "tolerances": {"hermitian": VALUE},\n "checks"')
-# variables as 3,000 nested lists: json's scanner recurses past its limit.
-DEEP_JSON = CYCLE4_JSON.replace('"variables": [', '"variables": [' + "[" * 2999 + "]" * 2999 + ", ", 1)
-INVALID_FLOW = "while parsing a flow mapping: did not find expected ',' or '}'"
-TOLERANCE_MESSAGE = (
-    "tolerances.hermitian: expected a positive number (an exponent needs a dot: 1.0e-9)"
+# variables as 100,000 nested lists: json's scanner recurses past its limit.
+DEEP_JSON = CYCLE4_JSON.replace('"variables": [', '"variables": [' + "[" * 99_999 + "]" * 99_999 + ", ", 1)
+TOLERANCE_MESSAGE = "tolerances.hermitian: expected a positive number"
+# a2-smoke as block YAML, which scenario files no longer are.
+A2_SMOKE_YAML = """\
+name: a2-smoke
+space:
+  id: circle-6
+  labels: ['0', '1', '2', '3', '4', '5']
+variables:
+- name: arc-a
+  values: ['0', '1']
+  assignment: [0, 0, 0, 1, 1, 1]
+- name: arc-b
+  values: ['0', '1']
+  assignment: [1, 0, 0, 0, 1, 1]
+- name: arc-c
+  values: ['0', '1']
+  assignment: [1, 1, 0, 0, 0, 1]
+group:
+  generators:
+  - [1, 2, 3, 4, 5, 0]
+checks:
+- {type: a2-classify, expect-verdict: all-related}
+- {type: a2-falsify, max-n: 4}
+"""
+
+
+PRINTABLE = st.characters(min_codepoint=0x20, max_codepoint=0x7E)
+_DRAWN_KEYS = st.text(PRINTABLE, max_size=8) | st.text(max_size=4)
+_DRAWN_VALUES = st.recursive(
+    st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.floats(allow_nan=False)
+    | st.text(PRINTABLE, max_size=12)
+    | st.text(max_size=4)
+    | st.booleans()
+    | st.none(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_DRAWN_KEYS, children, max_size=4),
+    max_leaves=16,
 )
 
 
-class TestJsonPath:
-    """A JSON text is read by json's scanner when YAML 1.1 reads it as the same
-    data, and by PyYAML otherwise, so the two give one scenario, one message
-    and one exit code."""
-
-    @settings(max_examples=250, deadline=None)
-    @given(comment_headers(), dumped_texts() | st.just(""))
-    def test_json_reads_what_yaml_reads_or_declines(self, header, body):
-        text = header + body
-        try:
-            expected = yaml.load(text, Loader=scenario_mod._yaml_loader())
-        except yaml.YAMLError:
-            expected = ScenarioError
-        data, by_yaml = noting_parser(parse_text, text)
-        event("yaml" if by_yaml else "json")
-        if by_yaml:
-            assert (expected is ScenarioError) == isinstance(data, ScenarioError)
-        else:
-            assert expected is not ScenarioError
-            assert repr(data) == repr(expected)  # types too: 1, 1.0 and True differ
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "1.5e-05",
-            "[1.0E+3, -0.0, 10.25]",
-            '{"a": 1, "b": [true, false, null, "x: y # z"]}',
-            "\r\n".join(["{", ' "' + "k" * 1022 + '": 1', "}"]),
-            "# a header\n" + CYCLE4_JSON,
-            '#\r\n# "' + "k" * 1030 + '": 1\r' + CYCLE4_JSON,
-            "###\n" + CYCLE4_JSON.replace("\n", "\r\n"),
-        ],
-        ids=[
-            "float",
-            "spellings",
-            "mapping",
-            "key-of-1022-characters",
-            "comment-header",
-            "empty-and-key-like-comments",
-            "comment-header-crlf",
-        ],
+@st.composite
+def dumped(draw, value) -> str:
+    """``value`` written by ``json.dumps`` with drawn indent and separators."""
+    return json.dumps(
+        value,
+        indent=draw(st.sampled_from([None, 0, 1, 4])),
+        separators=draw(st.sampled_from([(",", ":"), (", ", ": "), (" ,", " : "), (",\n", ":\n")])),
+        ensure_ascii=draw(st.booleans()),
     )
-    def test_json_reads_a_text_yaml_reads_alike(self, text):
-        data, by_yaml = noting_parser(parse_text, text)
-        assert not by_yaml
-        assert repr(data) == repr(yaml.load(text, Loader=scenario_mod._yaml_loader()))
+
+
+@st.composite
+def comment_headers(draw) -> str:
+    """Whole-line comments for the start of a text: each a '#' and drawn
+    text, printable or any, an empty '#' among them, ended by a line break."""
+    lines = draw(st.lists(st.just("") | st.text(PRINTABLE, max_size=12) | st.text(max_size=4), max_size=3))
+    return "".join("#" + line.replace("\r", "").replace("\n", "") + "\n" for line in lines)
+
+
+@st.composite
+def nested(draw, text: str) -> str:
+    """``text`` placed at a drawn depth inside drawn lists and objects."""
+    for _ in range(draw(st.integers(0, 3))):
+        text = draw(st.sampled_from(["[{}]", "[1, {}]", '{{"k": {}}}', '{{"a": [], "b": {}}}'])).format(text)
+    return text
+
+
+class TestScenarioText:
+    """A scenario text is a header of whole-line comments, then one JSON document."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(comment_headers(), st.data())
+    def test_parse_reads_json_behind_a_header_and_refuses_the_rest(self, header, data):
+        value = data.draw(_DRAWN_VALUES)
+        body = data.draw(dumped(value))
+        assert repr(scenario_mod._parse(header + body, "<scenario>")) == repr(value)  # 1, 1.0 and True differ
+
+        key = data.draw(_DRAWN_KEYS)
+        repeated = data.draw(nested(f'{{{json.dumps(key)}: 1, "other": [], {json.dumps(key)}: 2}}'))
+        with pytest.raises(ScenarioError) as refused:
+            scenario_mod._parse(header + repeated, "<scenario>")
+        assert str(refused.value) == f"<scenario>: key {key!r} written twice in one object"
+
+        cut = body[: data.draw(st.integers(0, len(body)))] + "\x00"  # a NUL json reads nowhere
+        with pytest.raises(json.JSONDecodeError) as declined:
+            json.loads(cut)
+        with pytest.raises(ScenarioError) as refused:
+            scenario_mod._parse(header + cut, "<scenario>")
+        line = declined.value.lineno + header.count("\n")
+        where = f"line {line}, column {declined.value.colno}: {declined.value.msg} "
+        assert str(refused.value).startswith(f"<scenario>: invalid JSON at {where}")
 
     @pytest.mark.parametrize(
         "text, exit_code, message",
@@ -715,53 +656,75 @@ class TestJsonPath:
             pytest.param(
                 CYCLE4_JSON.replace('\n "checks"', '\n "checks": [],\n "checks"'),
                 2,
-                "{path}: invalid YAML at line 44, column 2: found key 'checks' again, "
-                "first written at line 43",
+                "{path}: key 'checks' written twice in one object",
                 id="repeated-key",
             ),
-            pytest.param(WITH_TOLERANCE.replace("VALUE", "1e-09"), 2, TOLERANCE_MESSAGE, id="1e-09"),
             pytest.param(WITH_TOLERANCE.replace("VALUE", "NaN"), 2, TOLERANCE_MESSAGE, id="NaN"),
-            pytest.param(DEEP_JSON, 2, "variables[0]: expected a mapping, got list", id="3000-levels"),
+            pytest.param(WITH_TOLERANCE.replace("VALUE", "-Infinity"), 2, TOLERANCE_MESSAGE, id="-Infinity"),
+            pytest.param(DEEP_JSON, 2, "{path}: arrays and objects nest too deep to read", id="100000-levels"),
             pytest.param(
-                CYCLE4_JSON.replace('"checks":', '"checks"\n:'),
-                2,
-                "{path}: invalid YAML at line 44, column 1: " + INVALID_FLOW,
-                id="key-split-from-its-colon",
+                CYCLE4_JSON.replace('"checks":', '"checks"\n:'), 0, None, id="key-split-from-its-colon"
             ),
             pytest.param(
-                CYCLE4_JSON.replace('"type"', '"' + "t" * 1025 + '"'),
+                "\ufeff" + CYCLE4_JSON,
                 2,
-                "{path}: invalid YAML at line 45, column 1031: " + INVALID_FLOW,
-                id="key-of-1025-characters",
+                "{path}: invalid JSON at line 1, column 1: Unexpected UTF-8 BOM",
+                id="leading-bom",
             ),
-            pytest.param("\ufeff" + CYCLE4_JSON, 0, None, id="leading-bom"),
-            pytest.param(CYCLE4_JSON + "  # a comment\n", 0, None, id="trailing-comment"),
-            pytest.param("  # indented\n" + CYCLE4_JSON, 0, None, id="indented-comment"),
-            pytest.param("# a\n\n# b\n" + CYCLE4_JSON, 0, None, id="blank-line-in-header"),
+            pytest.param(
+                CYCLE4_JSON + "  # a comment\n",
+                2,
+                "{path}: invalid JSON at line 49, column 4: Extra data",
+                id="trailing-comment",
+            ),
+            pytest.param(
+                "  # indented\n" + CYCLE4_JSON,
+                2,
+                "{path}: invalid JSON at line 1, column 3: Expecting value",
+                id="indented-comment",
+            ),
+            pytest.param(
+                "# a\n\n# b\n" + CYCLE4_JSON,
+                2,
+                "{path}: invalid JSON at line 3, column 1: Expecting value",
+                id="blank-line-in-header",
+            ),
             pytest.param("# a\ttab\n" + CYCLE4_JSON, 0, None, id="tab-in-header"),
-            pytest.param("# caf\u00e9\n" + CYCLE4_JSON, 0, None, id="non-ascii-in-header"),
+            pytest.param("# café\n" + CYCLE4_JSON, 0, None, id="non-ascii-in-header"),
+            pytest.param("#\r\n# \"k\": 1\r" + CYCLE4_JSON.replace("\n", "\r\n"), 0, None, id="crlf"),
+            pytest.param(
+                CYCLE4_JSON.replace('"id": "cycle-4"', '"id": "cycle-\\ud83d\\ude00"'),
+                0,
+                None,
+                id="surrogate-pair",
+            ),
+            pytest.param(  # which no report or message could write
+                "#\n" + CYCLE4_JSON.replace('"id": "cycle-4"', '"id": "cycle-\\ud83d"'),
+                2,
+                "{path}: the string at line 5, column 9 holds an unpaired surrogate",
+                id="unpaired-surrogate",
+            ),
         ],
     )
-    def test_a_text_yaml_reads_otherwise_goes_to_yaml(self, tmp_path, text, exit_code, message):
-        # Each message and exit code is the one finivar gave before json read any text.
+    def test_a_text_is_read_as_json_or_exits_two(self, tmp_path, text, exit_code, message):
         target = tmp_path / "scenario.json"
-        target.write_text(text, encoding="utf-8")
-        with mock.patch.object(yaml, "load", wraps=yaml.load) as spy:
-            result = CliRunner().invoke(main, ["run", str(target), "--report", "-"])
-        assert spy.called
+        target.write_bytes(text.encode("utf-8"))
+        result = CliRunner().invoke(main, ["run", str(target), "--report", "-"])
         assert result.exit_code == exit_code, result.output
-        if message is None:  # YAML reads it, and the report is the JSON text's
+        if message is None:  # json reads it, and the report is CYCLE4_JSON's
             assert result.output == run_scenario(loads(CYCLE4_JSON)).to_json()
         else:
-            assert result.output.endswith(f"Error: {message.replace('{path}', str(target))}\n")
+            assert f"Error: {message.replace('{path}', str(target))}" in result.output
 
-    def test_json_reads_every_operators_explicit_and_built_in_text(self):
-        texts = [case.text for case in perfbench_workloads().generate("operators", 1)]
-        texts += [*explicit_cases().values(), CYCLE4_JSON]
-        texts += [builtin_mod.builtin_text(name) for name in builtin_mod.builtin_names()]
-        assert len(texts) == 18
-        for text in texts:
-            assert noting_parser(loads, text)[1] is False
+    def test_a_yaml_text_exits_two_saying_what_a_scenario_file_is(self, tmp_path):
+        target = tmp_path / "a2-smoke.yaml"
+        target.write_text(A2_SMOKE_YAML, encoding="utf-8")
+        result = CliRunner().invoke(main, ["run", str(target)])
+        assert result.exit_code == 2, result.output
+        assert result.output.endswith(
+            f"Error: {target}: invalid JSON at line 1, column 1: Expecting value "
+            "(scenario files are JSON: 'finivar emit NAME' prints one)\n"
+        )
 
 
 def json_form(value):
@@ -1095,128 +1058,28 @@ class TestUsageContract:
         assert bare.stdout == "" and "Usage: finivar [OPTIONS] COMMAND [ARGS]..." in bare.stderr
 
 
-# Runs the command line with ARGS, then prints its exit code and whether PyYAML loaded.
-YAML_PROBE = """
-import json, sys
-from finivar.cli import main
-code = 0
-try:
-    main({args!r})
-except SystemExit as exc:
-    code = exc.code
-print(json.dumps([code, "yaml" in sys.modules]), file=sys.stderr)
-"""
-
-
-class TestBuiltInsReadNoYaml:
-    """Each built-in is a comment header and a JSON document, so running it
-    reads no YAML."""
-
-    @pytest.mark.parametrize(
-        "args", [["run", name] for name in builtin_mod.builtin_names()] + [["selftest"]], ids=str
-    )
-    def test_no_built_in_run_imports_yaml(self, args):
-        proc = fresh_python(YAML_PROBE.format(args=args))
-        assert json.loads(proc.stderr.splitlines()[-1]) == [0, False], proc.stderr
-
-
-# A scenario whose checks nest LEVELS lists, spelt as YAML flow or as JSON.
-DEEP_YAML = 'name: x\nspace: {{id: a, labels: ["0"]}}\nchecks: {open}{close}\n'
+# A scenario whose checks nest LEVELS lists.
 DEEP_JSON_CHECKS = '{{"name": "x", "space": {{"id": "a", "labels": ["0"]}}, "checks": {open}{close}}}\n'
 
 
-TOO_DEEP = ", too deep for PyYAML's pure-Python loader"
-
-
-def deeply_nested(spelling: str, levels: int) -> str:
-    return spelling.format(open="[" * levels, close="]" * levels)
-
-
 class TestDeepNesting:
-    """A YAML text nesting past ``MAX_NESTING`` collections exits 2 before
-    libyaml's composer, which recurses in C, overflows the stack."""
+    """A text nested deeper than json's scanner reads exits 2, as does one it
+    reads whose schema it breaks."""
 
     @pytest.mark.parametrize(
-        "spelling, levels, where",
-        [(DEEP_YAML, 40_000, "line 3, column 5008"), (DEEP_JSON_CHECKS, 80_000, "line 1, column 5063")],
-        ids=["yaml-40000", "json-80000"],
+        "levels, message",
+        [
+            (300, "checks[0]: expected a mapping, got list"),
+            (80_000, "{target}: arrays and objects nest too deep to read"),
+        ],
+        ids=["300", "80000"],
     )
-    def test_a_deep_text_exits_two_naming_where(self, tmp_path, spelling, levels, where):
-        target = tmp_path / "deep.yaml"
-        target.write_text(deeply_nested(spelling, levels), encoding="utf-8")
+    def test_a_deep_text_exits_two(self, tmp_path, levels, message):
+        target = tmp_path / "deep.json"
+        target.write_text(DEEP_JSON_CHECKS.format(open="[" * levels, close="]" * levels), encoding="utf-8")
         proc = fresh_python(CLI_IN_FRESH_PROCESS.format(args=["run", str(target)]))
         assert proc.returncode == 2, proc.stderr[-500:]
-        assert proc.stderr == RUN_USAGE + (
-            f"Error: {target}: YAML at {where} nests collections more than 5000 deep\n"
-        )
-
-    @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
-    @pytest.mark.parametrize(
-        "text, by_libyaml, by_pyyaml",
-        [
-            pytest.param(
-                "checks: " + "[" * 1000 + "]" * 1000,
-                "name: expected a nonempty string",
-                "{target}: YAML at line 1, column 1008 nests collections 1001 deep" + TOO_DEEP,
-                id="yaml-1000-alone",
-            ),
-            pytest.param(
-                deeply_nested(DEEP_YAML, 1000),
-                "checks[0]: expected a mapping, got list",
-                "{target}: YAML at line 3, column 1008 nests collections 1001 deep" + TOO_DEEP,
-                id="yaml-1000",
-            ),
-            pytest.param(
-                deeply_nested(DEEP_JSON_CHECKS, 1000),
-                "checks[0]: expected a mapping, got list",
-                "{target}: YAML at line 1, column 1063 nests collections 1001 deep" + TOO_DEEP,
-                id="json-1000",
-            ),
-            pytest.param(
-                deeply_nested(DEEP_YAML, 300),
-                "checks[0]: expected a mapping, got list",
-                "checks[0]: expected a mapping, got list",
-                id="yaml-300",
-            ),
-        ],
-    )
-    def test_either_loader_exits_two(self, tmp_path, loader, text, by_libyaml, by_pyyaml):
-        # PyYAML's own loader, where libyaml is missing, composes in Python:
-        # two frames a level, so about 500 levels reach the interpreter's limit.
-        target = tmp_path / "deep.yaml"
-        target.write_text(text, encoding="utf-8")
-        code = f"import yaml\nyaml.CSafeLoader = yaml.{loader}\n" + CLI_IN_FRESH_PROCESS
-        proc = fresh_python(code.format(args=["run", str(target)]))
-        assert proc.returncode == 2, proc.stderr[-500:]
-        message = by_libyaml if loader == "CSafeLoader" else by_pyyaml
         assert proc.stderr == RUN_USAGE + f"Error: {message.format(target=target)}\n"
-
-    def test_the_bound_counts_collections_in_one_another(self):
-        assert scenario_mod.MAX_NESTING == 5000
-        # The top-level mapping and 4,999 lists: at the bound, composed and refused by field.
-        expect_error(deeply_nested(DEEP_YAML, 4999), r"checks\[0\]: expected a mapping, got list")
-        with mock.patch.object(yaml, "load") as compose:
-            expect_error(
-                deeply_nested(DEEP_YAML, 5000),
-                "YAML at line 3, column 5008 nests collections more than 5000 deep",
-            )
-        compose.assert_not_called()
-        expect_error(
-            "name: x\nchecks:\n" + "- " * 5000 + "x\n",
-            "YAML at line 3, column 9999 nests collections more than 5000 deep",
-        )
-
-    def test_brackets_in_scalars_and_comments_do_not_count(self):
-        brackets = "[{" * 3000
-        text = (
-            f"# {brackets}\n"
-            + MINIMAL.replace("name: tiny", f"name: t{brackets}  # {brackets}")
-            + f'    name: "{brackets}"\n'
-            + f"  - type: permissibility\n    variable: which\n    name: '{brackets}'\n"
-        )
-        scenario = loads(text)
-        assert scenario.name == "t" + brackets
-        assert [check.params["name"] for check in scenario.checks] == [brackets] * 2
 
 
 # Calls main in one of its three forms, then prints how it ended.
@@ -1353,12 +1216,12 @@ class TestCommandLineEntry:
             gc.enable()
         assert result.exit_code == code, result.output
 
-    @pytest.mark.parametrize("name", [*builtin_mod.BUILTINS, "a2-smoke.yaml"])
+    @pytest.mark.parametrize("name", [*builtin_mod.BUILTINS, "a2-smoke.json"])
     def test_a_warm_run_leaves_no_cyclic_garbage(self, tmp_path, name):
         """What lets ``main`` keep the collector off while a command runs."""
-        if name.endswith(".yaml"):
+        if name.endswith(".json"):
             path = tmp_path / name
-            path.write_text(builtin_yaml(name.removesuffix(".yaml")), encoding="utf-8")
+            path.write_text(builtin_mod.builtin_text(name.removesuffix(".json")), encoding="utf-8")
             name = str(path)
         gc.disable()
         try:
@@ -1492,22 +1355,42 @@ class TestCommandLineEntry:
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
     def test_imported_third_party_modules_are_the_declared_dependencies(self):
-        import ast
-        import tomllib
+        assert third_party_imports(Path(SRC) / "finivar") == declared_dependencies("dependencies")
 
-        root = Path(SRC).parent
-        imported = set()
-        for path in (root / "src" / "finivar").rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Import):
-                    imported.update(alias.name.split(".")[0] for alias in node.names)
-                elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                    imported.add(node.module.split(".")[0])
-        third_party = imported - set(sys.stdlib_module_names) - {"finivar"}
-        with open(root / "pyproject.toml", "rb") as handle:
-            declared = tomllib.load(handle)["project"]["dependencies"]
-        distributions = {re.split(r"[\s<>=!~;\[]", spec)[0].lower() for spec in declared}
-        assert third_party == {{"pyyaml": "yaml"}.get(name, name) for name in distributions}
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+    def test_the_tests_import_only_declared_dependencies(self):
+        """Each third-party module a test imports is a runtime or a test
+        dependency, though an undeclared one may be installed here."""
+        tests = Path(__file__).resolve().parent
+        local = {path.stem for path in tests.glob("*.py")}
+        imported = third_party_imports(tests) - local
+        assert imported <= declared_dependencies("dependencies", "test")
+        assert {"numpy", "pytest", "hypothesis"} <= imported
+
+
+def third_party_imports(directory: Path) -> set[str]:
+    """The top-level names of every module the ``.py`` files under ``directory``
+    import, less the standard library's and finivar."""
+    imported = set()
+    for path in directory.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    return imported - set(sys.stdlib_module_names) - {"finivar"}
+
+
+def declared_dependencies(*groups: str) -> set[str]:
+    """The distributions ``pyproject.toml`` declares: ``dependencies``, or
+    ``optional-dependencies``' group of that name."""
+    import tomllib
+
+    with open(Path(SRC).parent / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    declared = {"dependencies": project["dependencies"], **project["optional-dependencies"]}
+    specs = [spec for group in groups for spec in declared[group]]
+    return {re.split(r"[\s<>=!~;\[]", spec)[0].lower() for spec in specs}
 
 
 # Loads and runs {text!r} through the library, then prints its exit code and
@@ -1516,14 +1399,13 @@ LOAD_AND_RUN_IN_FRESH_PROCESS = """
 import json, sys
 from finivar import loads, run_scenario
 code = run_scenario(loads({text!r})).exit_code
-lazy = ("yaml", "numpy", "finivar.representations", "finivar.spin")
+lazy = ("numpy", "finivar.representations", "finivar.spin")
 print(json.dumps([code, [name for name in lazy if name in sys.modules]]))
 """
 
 
 class TestModulesLoadWithTheirChecks:
-    """The library imports PyYAML only for a text the JSON gate declines, and
-    ``representations`` and ``spin`` only for a check that needs them."""
+    """The library imports ``representations`` and ``spin`` only for a check that needs them."""
 
     def loaded_by(self, text: str) -> list[str]:
         proc = fresh_python(LOAD_AND_RUN_IN_FRESH_PROCESS.format(text=text))
@@ -1532,17 +1414,13 @@ class TestModulesLoadWithTheirChecks:
         assert code == 0
         return loaded
 
-    def test_the_json_census_loads_no_yaml_operator_or_numpy(self):
+    def test_the_census_loads_no_operator_or_numpy(self):
         assert self.loaded_by(perfbench_workloads().census_case().text) == []
 
-    def test_a_json_cyclic_dft_theorem1_loads_no_yaml_or_spin(self):
-        text = json.dumps(yaml.safe_load(CYCLE4.format(checks=THEOREM1)))
-        assert self.loaded_by(text) == ["numpy", "finivar.representations"]
+    def test_a_cyclic_dft_theorem1_loads_no_spin(self):
+        assert self.loaded_by(cycle4(THEOREM1)) == ["numpy", "finivar.representations"]
 
-    def test_a_yaml_text_loads_yaml_and_a_combinatorial_one_no_operator(self):
-        assert self.loaded_by(builtin_yaml("a2-smoke")) == ["yaml"]
-
-    def test_the_combinatorial_built_in_loads_no_yaml_or_operator(self):
+    def test_the_combinatorial_built_in_loads_no_operator(self):
         assert self.loaded_by(builtin_mod.builtin_text("a2-smoke")) == []
 
     def test_the_singlet_check_loads_spin_and_no_representation(self):
@@ -1554,65 +1432,47 @@ class TestModulesLoadWithTheirChecks:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["True"]
 
-    def test_the_yaml_loaders_are_read_on_first_use(self):
-        loader = scenario_mod._yaml_loader()
-        assert loader is scenario_mod._yaml_loader()  # built once
-        assert loader.__base__ is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-        assert not hasattr(scenario_mod, "_UniqueKeyLoader")  # no second name for it
 
-
-CYCLE4 = """
-name: cycle-4
-space:
-  id: cycle-4
-  labels: ["0", "1", "2", "3"]
-variables:
-  - name: position
-    values: ["0", "1", "2", "3"]
-    assignment: [0, 1, 2, 3]
-group:
-  generators:
-    - [1, 2, 3, 0]
-representation:
-  kind: cyclic-dft
-  n: 4
-checks:
-{checks}"""
-THEOREM1 = "  - type: theorem1-hypotheses\n    variable: position"
-THEOREM2 = "  - type: theorem2\n    variable: position"
-EQ1 = "  - type: eq1-expansion\n    basis: position\n    target: {variable: position}"
-PERMISSIBILITY = "  - type: permissibility\n    variable: position"
+POSITION = {"name": "position", "values": ["0", "1", "2", "3"], "assignment": [0, 1, 2, 3]}
+CYCLE4 = {
+    "name": "cycle-4",
+    "space": {"id": "cycle-4", "labels": ["0", "1", "2", "3"]},
+    "variables": [POSITION],
+    "group": {"generators": [[1, 2, 3, 0]]},
+    "representation": {"kind": "cyclic-dft", "n": 4},
+}
+THEOREM1 = {"type": "theorem1-hypotheses", "variable": "position"}
+THEOREM2 = {"type": "theorem2", "variable": "position"}
+EQ1 = {"type": "eq1-expansion", "basis": "position", "target": {"variable": "position"}}
+PERMISSIBILITY = {"type": "permissibility", "variable": "position"}
 LONG_INTEGER = "7" * 5000  # past Python's default limit of 4,300 digits
 CHECKS = {
     "theorem1": THEOREM1,
     "theorem2": THEOREM2,
     "eq1": EQ1,
-    "a2-falsify": "  - type: a2-falsify",
-    "singlet-delta": "  - type: singlet-delta",
+    "a2-falsify": {"type": "a2-falsify"},
+    "singlet-delta": {"type": "singlet-delta"},
 }
+
+
+def cycle4(*checks: dict, **fields) -> str:
+    """Z4 on four points with cyclic-dft, running ``checks``, with ``fields``
+    set at its top level."""
+    return scenario_text(CYCLE4, checks=list(checks), **fields)
 
 
 Z4 = [[(j + s) % 4 for j in range(4)] for s in range(4)]
 
-ONE_POINT = """
-name: one-point
-space:
-  id: point
-  labels: ["0"]
-variables:
-  - name: position
-    values: ["0"]
-    assignment: [0]
-group:
-  generators:
-    - [0]
-representation:
-  kind: cyclic-dft
-  n: 1
-checks:
-  - type: theorem1-hypotheses
-    variable: position
-"""
+ONE_POINT = scenario_text(
+    {
+        "name": "one-point",
+        "space": {"id": "point", "labels": ["0"]},
+        "variables": [{"name": "position", "values": ["0"], "assignment": [0]}],
+        "group": {"generators": [[0]]},
+        "representation": {"kind": "cyclic-dft", "n": 1},
+        "checks": [THEOREM1],
+    }
+)
 
 
 def cyclic_text(n: int) -> str:
@@ -1625,7 +1485,7 @@ def cyclic_text(n: int) -> str:
         "representation": {"kind": "cyclic-dft", "n": n},
         "checks": [{"type": "a2-falsify"}],
     }
-    return json.dumps(data)  # JSON is valid YAML
+    return scenario_text(data)
 
 
 def shift_text(n: int) -> str:
@@ -1636,73 +1496,60 @@ def shift_text(n: int) -> str:
         "group": {"generators": [[(j + 1) % n for j in range(n)]]},
         "checks": [{"type": "a2-falsify"}],
     }
-    return json.dumps(data)  # JSON is valid YAML
+    return scenario_text(data)
 
 
 def explicit_cycle4(elements, matrices=None) -> str:
     """CYCLE4 running theorem1 on an explicit representation, by default the regular one."""
     if matrices is None:
         matrices = [np.eye(4, dtype=int)[:, element] for element in elements]
-    entries = "".join(
-        f"\n    - element: {element}\n      matrix: {matrix.tolist()}"
-        for element, matrix in zip(elements, matrices)
-    )
-    return CYCLE4.format(checks=THEOREM1).replace(
-        "kind: cyclic-dft\n  n: 4", "kind: explicit\n  matrices:" + entries
-    )
+    entries = [
+        {"element": list(element), "matrix": matrix.tolist()} for element, matrix in zip(elements, matrices)
+    ]
+    return cycle4(THEOREM1, representation={"kind": "explicit", "matrices": entries})
 
 
-# Z4 on four points with two two-valued variables and one three-valued one;
-# ``check`` is the second check's type and parameters.
-MEMBERS_Z4 = """
-name: members
-space: {{id: circle-4, labels: ["0", "1", "2", "3"]}}
-variables:
-  - {{name: a, values: ["0", "1"], assignment: [0, 0, 1, 1]}}
-  - {{name: b, values: ["0", "1"], assignment: [0, 1, 1, 0]}}
-  - {{name: c, values: ["0", "1", "2"], assignment: [0, 1, 2, 2]}}
-group: {{generators: [[1, 2, 3, 0]]}}
-checks:
-  - type: permissibility
-    variable: a
-  - type: {check}
-"""
+def members_z4(check: dict) -> str:
+    """Z4 on four points with two two-valued variables and one three-valued
+    one; ``check`` is the second check."""
+    data = {
+        "name": "members",
+        "space": {"id": "circle-4", "labels": ["0", "1", "2", "3"]},
+        "variables": [
+            {"name": "a", "values": ["0", "1"], "assignment": [0, 0, 1, 1]},
+            {"name": "b", "values": ["0", "1"], "assignment": [0, 1, 1, 0]},
+            {"name": "c", "values": ["0", "1", "2"], "assignment": [0, 1, 2, 2]},
+        ],
+        "group": {"generators": [[1, 2, 3, 0]]},
+        "checks": [{"type": "permissibility", "variable": "a"}, check],
+    }
+    return scenario_text(data)
 
 
-OCTAGON_A1_SEARCH = """
-name: octagon
-space:
-  id: octagon
-  labels: [p0, p1, p2, p3, p4, p5, p6, p7]
-variables:
-  - name: alternate
-    values: [even, odd]
-    assignment: [0, 1, 0, 1, 0, 1, 0, 1]
-group:
-  generators:
-    - [1, 2, 3, 4, 5, 6, 7, 0]
-checks:
-  - type: a1-search
-    theta: alternate
-    all-partitions: true
-"""
+OCTAGON_A1_SEARCH = scenario_text(
+    {
+        "name": "octagon",
+        "space": {"id": "octagon", "labels": [f"p{j}" for j in range(8)]},
+        "variables": [{"name": "alternate", "values": ["even", "odd"], "assignment": [0, 1] * 4}],
+        "group": {"generators": [[1, 2, 3, 4, 5, 6, 7, 0]]},
+        "checks": [{"type": "a1-search", "theta": "alternate", "all-partitions": True}],
+    }
+)
 
 
 # A declared group whose elements differ from those of the representation kind's
 # own group, and the element the refusal names.
 FOREIGN_GROUPS = {
     "klein-four-group": (
-        CYCLE4.format(checks=THEOREM2).replace(
-            "- [1, 2, 3, 0]", "- [1, 0, 3, 2]\n    - [2, 3, 0, 1]"
-        ),
+        cycle4(THEOREM2, group={"generators": [[1, 0, 3, 2], [2, 3, 0, 1]]}),
         "the declared group has [1, 0, 3, 2], which cyclic-dft's group lacks",
     ),
     "proper-subgroup": (
-        CYCLE4.format(checks=THEOREM2).replace("- [1, 2, 3, 0]", "- [2, 3, 0, 1]"),
+        cycle4(THEOREM2, group={"generators": [[2, 3, 0, 1]]}),
         "cyclic-dft's group has [1, 2, 3, 0], which the declared group lacks",
     ),
     "qubit-on-the-trivial-group": (
-        MINIMAL.replace("- [1, 0]", "- [0, 1]") + "representation: {kind: qubit}\n",
+        minimal(group={"generators": [[0, 1]]}, representation={"kind": "qubit"}),
         "qubit's group has [1, 0], which the declared group lacks",
     ),
 }
@@ -1758,38 +1605,35 @@ def malformed(text: str, field: str, *flags: str, id: str):
     return pytest.param(text, field, flags, id=id)
 
 
-_CYCLE4_THEOREM1 = CYCLE4.format(checks=THEOREM1)
-_POSITION = 'values: ["0", "1", "2", "3"]\n    assignment: [0, 1, 2, 3]\n'
+_SPACE = CYCLE4["space"]
 # Loader refusals, each with the text that reaches it and its whole message.
 REFUSALS = {
     "product-not-a-list": (
-        _CYCLE4_THEOREM1.replace('"3"]\nvariables', '"3"]\n  product: 5\nvariables'),
+        cycle4(THEOREM1, space={**_SPACE, "product": 5}),
         "space.product: expected a list of coordinate pairs",
     ),
     "product-misses-a-point": (
-        _CYCLE4_THEOREM1.replace('"3"]\nvariables', '"3"]\n  product: [[0, 0], [0, 1], [1, 0]]\nvariables'),
+        cycle4(THEOREM1, space={**_SPACE, "product": [[0, 0], [0, 1], [1, 0]]}),
         "space: product structure must cover every point",
     ),
     "variables-not-a-list": (
-        _CYCLE4_THEOREM1.replace("variables:\n  - name: position\n    " + _POSITION, "variables: 5\n"),
+        cycle4(THEOREM1, variables=5),
         "variables: expected a list of variable definitions",
     ),
     "values-not-strings": (
-        _CYCLE4_THEOREM1.replace('values: ["0", "1", "2", "3"]', "values: [0, 1, 2, 3]"),
+        cycle4(THEOREM1).replace('"values": ["0", "1", "2", "3"]', '"values": [0, 1, 2, 3]'),
         "variables[0].values: expected a list of strings",
     ),
     "values-twice": (
-        _CYCLE4_THEOREM1.replace(
-            _POSITION, _POSITION + '  - name: q\n    values: ["a", "a"]\n    assignment: [0, 0, 1, 1]\n'
-        ),
+        cycle4(THEOREM1, variables=[POSITION, {"name": "q", "values": ["a", "a"], "assignment": [0, 0, 1, 1]}]),
         "variables[1]: variable 'q' has duplicate value labels",
     ),
     "matrices-empty": (
-        _CYCLE4_THEOREM1.replace("kind: cyclic-dft\n  n: 4", "kind: explicit\n  matrices: []"),
+        cycle4(THEOREM1, representation={"kind": "explicit", "matrices": []}),
         "representation.matrices: expected a nonempty list",
     ),
     "explicit-without-group": (
-        explicit_cycle4(Z4).replace("group:\n  generators:\n    - [1, 2, 3, 0]\n", ""),
+        without(explicit_cycle4(Z4), "group"),
         "representation: scenario declares no group",
     ),
     "matrix-empty": (
@@ -1801,7 +1645,7 @@ REFUSALS = {
         "representation.matrices[0].matrix[0]: expected a nonempty list",
     ),
     "matrix-rows-ragged": (
-        explicit_cycle4(Z4).replace("matrix: [[1, 0, 0, 0],", "matrix: [[1, 0, 0],", 1),
+        explicit_cycle4(Z4).replace('"matrix": [[1, 0, 0, 0],', '"matrix": [[1, 0, 0],', 1),
         "representation.matrices[0].matrix: rows must share one length",
     ),
 }
@@ -1846,136 +1690,116 @@ class TestCli:
         assert target.read_bytes() == first_bytes
 
     def test_run_scenario_file(self, tmp_path):
-        target = tmp_path / "tiny.yaml"
+        target = tmp_path / "tiny.json"
         target.write_text(MINIMAL, encoding="utf-8")
         result = self.runner.invoke(main, ["run", str(target)])
         assert result.exit_code == 0
 
     def test_failing_check_exits_one(self, tmp_path):
-        failing = MINIMAL.replace(
-            'labels: ["a", "b"]', 'labels: ["a", "b", "c", "d"]'
-        ).replace(
-            "assignment: [0, 1]", "assignment: [0, 0, 1, 1]"
-        ).replace("values: [\"first\", \"second\"]", "values: [\"lo\", \"hi\"]").replace(
-            "- [1, 0]", "- [1, 2, 3, 0]"
+        failing = minimal(
+            space={"id": "pair", "labels": ["a", "b", "c", "d"]},
+            variables=[{"name": "which", "values": ["lo", "hi"], "assignment": [0, 0, 1, 1]}],
+            group={"generators": [[1, 2, 3, 0]]},
         )
-        target = tmp_path / "failing.yaml"
+        target = tmp_path / "failing.json"
         target.write_text(failing, encoding="utf-8")
         result = self.runner.invoke(main, ["run", str(target)])
         assert result.exit_code == 1
         assert "[           FAIL]" in result.output
 
     def test_missing_file_exits_two(self):
-        result = self.runner.invoke(main, ["run", "definitely-not-here.yaml"])
+        result = self.runner.invoke(main, ["run", "definitely-not-here.json"])
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_a_file_that_is_not_utf8_exits_two_naming_the_byte(self, tmp_path, newline):
-        target = tmp_path / "bad.yaml"
-        text = MINIMAL.replace('["a", "b"]', '["\u00e4\udcff", "b"]').replace("\n", newline)
+        target = tmp_path / "bad.json"
+        text = json.dumps(MINIMAL_DATA, indent=2).replace('"a"', '"\u00e4\udcff"', 1).replace("\n", newline)
         target.write_bytes(text.encode("utf-8", "surrogateescape"))  # 0xff stands after the ä
         result = self.runner.invoke(main, ["run", str(target)])
         assert result.exit_code == 2, result.output
         assert result.output.endswith(
-            f"Error: {target}: invalid UTF-8 at line 5, column 14: byte 0xff: invalid start byte\n"
+            f"Error: {target}: invalid UTF-8 at line 6, column 9: byte 0xff: invalid start byte\n"
         )
 
     def test_parse_error_exits_two(self, tmp_path):
-        target = tmp_path / "broken.yaml"
-        target.write_text("name: [unclosed", encoding="utf-8")
+        target = tmp_path / "broken.json"
+        target.write_text('{"name": [unclosed', encoding="utf-8")
         result = self.runner.invoke(main, ["run", str(target)])
         assert result.exit_code == 2
-        assert "invalid YAML" in result.output
+        assert "invalid JSON" in result.output
 
     @pytest.mark.parametrize(
-        "text, key, first, again",
+        "text, key",
         [
             pytest.param(
-                # PyYAML would keep the second list, and the failing first check would vanish.
-                CYCLE4.format(checks=f"{PERMISSIBILITY}\n    expect: false")
-                + f"\nchecks:\n{PERMISSIBILITY}\n",
+                # json would keep the second list, and the failing first check would vanish.
+                cycle4({**PERMISSIBILITY, "expect": False})[:-1]
+                + f', "checks": [{json.dumps(PERMISSIBILITY)}]}}',
                 "checks",
-                16,
-                20,
                 id="top-level",
             ),
             pytest.param(
-                CYCLE4.format(checks=f"{PERMISSIBILITY}\n    expect: false\n    expect: true"),
+                cycle4({**PERMISSIBILITY, "expect": False}).replace(
+                    '"expect": false', '"expect": false, "expect": true'
+                ),
                 "expect",
-                19,
-                20,
                 id="inside-checks[0]",
             ),
         ],
     )
-    def test_a_repeated_key_exits_two_naming_it_and_its_lines(self, tmp_path, text, key, first, again):
-        target = tmp_path / "repeated.yaml"
+    def test_a_repeated_key_exits_two_naming_it(self, tmp_path, text, key):
+        target = tmp_path / "repeated.json"
         target.write_text(text, encoding="utf-8")
         result = self.runner.invoke(main, ["run", str(target)])
         assert result.exit_code == 2, result.output
-        assert f"invalid YAML at line {again}, column" in result.output
-        assert f"found key {key!r} again, first written at line {first}" in result.output
-        assert result.output.count(f"line {again}") == 1  # the location is named once
-        assert "<unicode string>" not in result.output
+        assert result.output.endswith(f"Error: {target}: key {key!r} written twice in one object\n")
 
     @pytest.mark.parametrize(
         "text, where",
         [
-            ("name: x\nspace: {id: a\n  labels: [\"0\"]\n", "line 3, column 9"),
-            ("name: x\nspace: \x01\n", "line 2, column 8"),  # a character YAML does not allow
+            ('# a header\n{"name": "x",\n "space": {"id": "a"\n  "labels": ["0"]}}\n', "line 4, column 3"),
+            ('{"name": "x",\n "space": \x01}\n', "line 2, column 11"),  # a character json does not allow
         ],
         ids=["unclosed-mapping", "control-character"],
     )
     def test_parse_error_names_line_and_column(self, tmp_path, text, where):
-        target = tmp_path / "broken.yaml"
+        target = tmp_path / "broken.json"
         target.write_text(text, encoding="utf-8")
         result = self.runner.invoke(main, ["run", str(target)])
         assert result.exit_code == 2
-        assert f"invalid YAML at {where}: " in result.output
-        assert result.output.count("line ") == 1 and "<unicode string>" not in result.output
+        assert f"invalid JSON at {where}: " in result.output
+        assert result.output.count("line ") == 1
 
-    @pytest.mark.parametrize("spelling", ["yaml", "json"])
-    @pytest.mark.parametrize(
-        "old, new",
-        [
-            ("variable: position", f"variable: {LONG_INTEGER}"),
-            ("assignment: [0, 1, 2, 3]", f"assignment: [0, 1, 2, {LONG_INTEGER}]"),
-        ],
-        ids=["variable", "assignment"],
-    )
-    def test_an_integer_past_the_digit_limit_exits_two_naming_its_place(self, tmp_path, spelling, old, new):
+    @pytest.mark.parametrize("header", ["", "# a header\n#\n"], ids=["bare", "header"])
+    @pytest.mark.parametrize("field", ["variable", "assignment"])
+    def test_an_integer_past_the_digit_limit_exits_two_naming_its_place(self, tmp_path, header, field):
         """Python's ``int`` refuses a decimal literal of more than 4,300 digits;
-        the load names the literal's line and column, whichever parser read it."""
-        text = CYCLE4.format(checks=PERMISSIBILITY).replace(old, new)
-        if spelling == "json":  # a JSON text: json's scanner declines it, and YAML reads it
-            text = json.dumps(yaml.safe_load(text.replace(LONG_INTEGER, '"LONG"')), indent=1)
-            text = text.replace('"LONG"', LONG_INTEGER)
-        at = text.index(LONG_INTEGER)
+        the load names the literal's line and column, past a longer string of
+        digits and a float whose digits int never reads."""
+        data = {"tolerances": {"unitary": "FLOAT"}, **CYCLE4, "name": LONG_INTEGER, "checks": [PERMISSIBILITY]}
+        if field == "variable":
+            data["checks"] = [{**PERMISSIBILITY, "variable": "LONG"}]
+        else:
+            data["variables"] = [{**POSITION, "assignment": [0, 1, 2, "LONG"]}]
+        text = header + json.dumps(data, indent=1).replace('"FLOAT"', f"0.{LONG_INTEGER}e-{LONG_INTEGER}")
+        at = text.index('"LONG"')
+        text = text.replace('"LONG"', LONG_INTEGER)
         line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
-        target = tmp_path / f"long.{spelling}"
+        target = tmp_path / "long.json"
         target.write_text(text, encoding="utf-8")
         result = self.runner.invoke(main, ["run", str(target)])
         assert result.exit_code == 2, result.output
         assert result.output.endswith(
-            f"Error: {target}: invalid YAML at line {line}, column {column}: "
-            f"an integer of more than {sys.get_int_max_str_digits()} decimal digits\n"
+            f"Error: {target}: the integer at line {line}, column {column} "
+            f"has more than {sys.get_int_max_str_digits()} decimal digits\n"
         )
         assert "Traceback" not in result.output
 
-    def test_a_hexadecimal_integer_past_the_digit_limit_exits_two(self, tmp_path):
-        """``int`` converts a hexadecimal literal of any length, which then failed
-        where a message wrote it in decimal: a traceback and exit 1."""
-        text = CYCLE4.format(checks=PERMISSIBILITY).replace("n: 4", "n: 0x" + "f" * 5000)
-        target = tmp_path / "hex.yaml"
-        target.write_text(text, encoding="utf-8")
-        result = self.runner.invoke(main, ["run", str(target)])
-        assert result.exit_code == 2, result.output
-        assert "invalid YAML at line 15, column 6: an integer of more than" in result.output
-
     def test_representation_size_mismatch_exits_two(self, tmp_path):
-        target = tmp_path / "mismatch.yaml"
+        target = tmp_path / "mismatch.json"
         target.write_text(
-            CYCLE4.format(checks=THEOREM1).replace("n: 4", "n: 5"), encoding="utf-8"
+            cycle4(THEOREM1, representation={"kind": "cyclic-dft", "n": 5}), encoding="utf-8"
         )
         result = self.runner.invoke(main, ["run", str(target)])
         assert result.exit_code == 2
@@ -2001,10 +1825,8 @@ class TestCli:
         + [("eq1", value, "index") for value in ("-1", "4")],
     )
     def test_malformed_integer_parameter_exits_two(self, tmp_path, check, value, field):
-        target = tmp_path / "bad.yaml"
-        target.write_text(
-            CYCLE4.format(checks=f"{CHECKS[check]}\n    {field}: {value}\n"), encoding="utf-8"
-        )
+        target = tmp_path / "bad.json"
+        target.write_text(cycle4({**CHECKS[check], field: json.loads(value)}), encoding="utf-8")
         result = self.runner.invoke(main, ["run", str(target)])
         assert result.exit_code == 2, result.output
         assert f"checks[0].{field}: expected" in result.output
@@ -2012,175 +1834,165 @@ class TestCli:
     @pytest.mark.parametrize(
         "text, field, flags",
         [
+            malformed(cycle4({**THEOREM1, "eta": [1]}), "checks[0].eta", id="eta"),
             malformed(
-                CYCLE4.format(checks=f"{THEOREM1}\n    eta: [1]"), "checks[0].eta", id="eta"
-            ),
-            malformed(
-                CYCLE4.format(checks=EQ1.replace("position}", "[1]}")),
+                cycle4({**EQ1, "target": {"variable": [1]}}),
                 "checks[0].target.variable",
                 id="target-variable",
             ),
             malformed(
-                CYCLE4.format(checks=f"{PERMISSIBILITY}\n    expect: sometimes"),
+                cycle4({**PERMISSIBILITY, "expect": "sometimes"}),
                 "checks[0].expect",
                 id="expect",
             ),
             malformed(
-                CYCLE4.format(checks=f"{PERMISSIBILITY}\n    expected: false"),
+                cycle4({**PERMISSIBILITY, "expected": False}),
                 "checks[0].expected",
                 id="unknown-parameter-expected",
             ),
             malformed(
-                CYCLE4.format(checks=f"{CHECKS['a2-falsify']}\n    max_n: 6"),
+                cycle4({**CHECKS["a2-falsify"], "max_n": 6}),
                 "checks[0].max_n",
                 id="unknown-parameter-max_n",
             ),
             malformed(
-                CYCLE4.format(checks=f"{THEOREM2}\n    generators: [[1, 2, 3, 0]]"),
+                cycle4({**THEOREM2, "generators": [[1, 2, 3, 0]]}),
                 "checks[0].generators",
                 id="theorem2-generators",
             ),
             malformed(
-                CYCLE4.format(checks=f"{EQ1}\n    generators: [[1, 2, 3, 0]]"),
+                cycle4({**EQ1, "generators": [[1, 2, 3, 0]]}),
                 "checks[0].generators",
                 id="eq1-generators",
             ),
             malformed(
-                CYCLE4.format(checks="  - type: a2-classify\n    members: [position, position]"),
+                cycle4({"type": "a2-classify", "members": ["position", "position"]}),
                 "checks[0].members",
                 id="member-twice",
             ),
             malformed(
-                CYCLE4.format(checks=THEOREM1) + "\ninformational: 'no'\n",
+                cycle4(THEOREM1, informational="no"),
                 "informational",
                 id="informational",
             ),
             malformed(
-                CYCLE4.format(checks=THEOREM1).replace(
-                    "- [1, 2, 3, 0]", "- [1, 2, 3, 0]\n    - [true, false, 2, 3]"
-                ),
+                cycle4(THEOREM1, group={"generators": [[1, 2, 3, 0], [True, False, 2, 3]]}),
                 "group.generators[1]",
                 id="bool-generator",
             ),
             malformed(
-                CYCLE4.format(checks=THEOREM1).replace("kind: cyclic-dft\n  n: 4", "kind: qubit"),
+                cycle4(THEOREM1, representation={"kind": "qubit"}),
                 "representation.kind",
                 id="qubit-kind",
             ),
             malformed(
-                CYCLE4.format(checks=THEOREM1).replace(
-                    '"3"]\nvariables', '"3"]\n  prodcut: [[0, 0], [0, 1], [1, 0], [1, 1]]\nvariables'
-                ),
+                cycle4(THEOREM1, space={**_SPACE, "prodcut": [[0, 0], [0, 1], [1, 0], [1, 1]]}),
                 "space.prodcut",
                 id="space-unknown-key",
             ),
             malformed(
-                CYCLE4.format(checks=THEOREM1).replace(
-                    "assignment: [0, 1, 2, 3]", 'assignment: [0, 1, 2, 3]\n    value: ["z"]'
-                ),
+                cycle4(THEOREM1, variables=[{**POSITION, "value": ["z"]}]),
                 "variables[0].value",
                 id="variable-unknown-key",
             ),
             malformed(
-                CYCLE4.format(checks=THEOREM1).replace(
-                    "group:\n", "group:\n  generater: [[0, 1, 2, 3]]\n"
-                ),
+                cycle4(THEOREM1, group={"generater": [[0, 1, 2, 3]], **CYCLE4["group"]}),
                 "group.generater",
                 id="group-unknown-key",
             ),
             malformed(
-                CYCLE4.format(checks=THEOREM1).replace("n: 4", "n: 4\n  matrices: []"),
+                cycle4(THEOREM1, representation={**CYCLE4["representation"], "matrices": []}),
                 "representation.matrices",
                 id="cyclic-dft-matrices",
             ),
             malformed(
-                explicit_cycle4(Z4).replace("kind: explicit", "kind: explicit\n  n: 4"),
+                explicit_cycle4(Z4).replace('"kind": "explicit"', '"kind": "explicit", "n": 4'),
                 "representation.n",
                 id="explicit-n",
             ),
             malformed(
-                explicit_cycle4(Z4).replace("      matrix:", "      weight: 1\n      matrix:", 1),
+                explicit_cycle4(Z4).replace('"matrix":', '"weight": 1, "matrix":', 1),
                 "representation.matrices[0].weight",
                 id="matrix-entry-unknown-key",
             ),
             malformed(
-                CYCLE4.format(checks=EQ1.replace("position}", "position, index: 3}")),
+                cycle4({**EQ1, "target": {"variable": "position", "index": 3}}),
                 "checks[0].target.index",
                 id="target-unknown-key",
             ),
             malformed(
-                CYCLE4.format(checks=f"{THEOREM1}\n    generators: [[1, 2, 3, 0]]"),
+                cycle4({**THEOREM1, "generators": [[1, 2, 3, 0]]}),
                 "checks[0].generators",
                 id="theorem1-generators",
             ),
             malformed(
-                CYCLE4.format(checks=f"{THEOREM1}\n    generators: 5"),
+                cycle4({**THEOREM1, "generators": 5}),
                 "checks[0].generators",
                 id="theorem1-generators-not-a-list",
             ),
             malformed(
-                CYCLE4.format(checks=f"{CHECKS['a2-falsify']}\n    max-n: lots"),
+                cycle4({**CHECKS["a2-falsify"], "max-n": "lots"}),
                 "checks[0].max-n",
                 "--max-n",
                 "4",
                 id="max-n-with-the-flag",
             ),
             malformed(
-                CYCLE4.format(checks=EQ1.replace("position}", "position, direction: [1, 0, 0]}")),
+                cycle4({**EQ1, "target": {"variable": "position", "direction": [1, 0, 0]}}),
                 "checks[0].target",
                 id="target-two-keys",
             ),
             malformed(
-                CYCLE4.format(checks=EQ1.replace("{variable: position}", "{}")),
+                cycle4({**EQ1, "target": {}}),
                 "checks[0].target",
                 id="target-no-key",
             ),
             malformed(
-                CYCLE4.format(checks=EQ1.replace("{variable: position}", "[1, 0, 0]")),
+                cycle4({**EQ1, "target": [1, 0, 0]}),
                 "checks[0].target",
                 id="target-not-a-mapping",
             ),
             malformed(
-                CYCLE4.format(checks=f"{EQ1}\n    index: [0]"),
+                cycle4({**EQ1, "index": [0]}),
                 "checks[0].index",
                 id="eq1-index-list",
             ),
         ]
         + [
             malformed(
-                CYCLE4.format(checks=f"{CHECKS['a2-falsify']}\n    name: {value}"),
+                cycle4({**CHECKS["a2-falsify"], "name": value}),
                 "checks[0].name",
                 id=f"name-{name}",
             )
-            for name, value in (("mapping", "{nested: [1, 2]}"), ("null", "null"), ("empty", "''"))
+            for name, value in (("mapping", {"nested": [1, 2]}), ("null", None), ("empty", ""))
         ]
         + [
             malformed(
-                CYCLE4.format(checks=EQ1.replace("{variable: position}", f"{{direction: {d}}}")),
+                cycle4({**EQ1, "target": {"direction": d}}),
                 "checks[0].target.direction",
                 id=f"direction-{name}",
             )
             for name, d in (
-                ("string", '"x"'),
-                ("length", "[1, 0]"),
-                ("zero", "[0, 0, 0]"),
-                ("nan", "[.nan, 0, 1]"),
-                ("inf", "[.inf, 0, 0]"),
-                ("dimension", "[0, 0, 1]"),  # a spin direction on a four-dimensional representation
+                ("string", "x"),
+                ("length", [1, 0]),
+                ("zero", [0, 0, 0]),
+                ("nan", [math.nan, 0, 1]),
+                ("inf", [math.inf, 0, 0]),
+                ("dimension", [0, 0, 1]),  # a spin direction on a four-dimensional representation
             )
         ]
         + [
             malformed(
-                CYCLE4.format(checks=THEOREM1) + f"\ntolerances: {{hermitian: {value}}}\n",
+                cycle4(THEOREM1, tolerances={"hermitian": value}),
                 "tolerances.hermitian",
                 id=f"tolerance-{name}",
             )
-            for name, value in (("bool", "true"), ("nan", ".nan"), ("inf", ".inf"))
+            for name, value in (("bool", True), ("nan", math.nan), ("inf", math.inf))
         ]
         + refusal_cases(expected=True),
     )
     def test_malformed_field_exits_two(self, tmp_path, text, field, flags):
-        target = tmp_path / "bad.yaml"
+        target = tmp_path / "bad.json"
         target.write_text(text, encoding="utf-8")
         result = self.runner.invoke(main, ["run", str(target), *flags])
         assert result.exit_code == 2, result.output
@@ -2193,8 +2005,8 @@ class TestCli:
     def test_a_tiny_or_huge_direction_is_its_unit_vector(self, direction, same_as):
         # Each nonzero finite direction loads, without a warning, and gives
         # the report of a moderate multiple of it.
-        text = builtin_yaml("qubit")
-        assert "direction: [1, 0, 0]" in text
+        text = builtin_mod.builtin_text("qubit")
+        assert '"direction": [1, 0, 0]' in text
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             scaled = run_scenario(loads(text.replace("[1, 0, 0]", direction)))
@@ -2206,37 +2018,37 @@ class TestCli:
         "check, message",
         [
             pytest.param(
-                "a2-classify\n    members: []",
+                {"type": "a2-classify", "members": []},
                 "a variable family needs at least one generator",
                 id="a2-classify-no-members",
             ),
             pytest.param(
-                "a1-search\n    theta: a\n    members: []",
+                {"type": "a1-search", "theta": "a", "members": []},
                 "a variable family needs at least one generator",
                 id="a1-search-no-members",
             ),
             pytest.param(
-                "a2-classify\n    members: [a]",
+                {"type": "a2-classify", "members": ["a"]},
                 "expected at least 3 variables, got 1",
                 id="a2-classify-one-member",
             ),
             pytest.param(
-                "a2-classify\n    members: [a, b]",
+                {"type": "a2-classify", "members": ["a", "b"]},
                 "expected at least 3 variables, got 2",
                 id="a2-classify-two-members",
             ),
             pytest.param(
-                "a2-classify",
+                {"type": "a2-classify"},
                 "family members must share one value-space cardinality, got [2, 3]",
                 id="a2-classify-default-members-of-two-value-counts",
             ),
             pytest.param(
-                "a1-search\n    theta: a\n    members: [a, c]",
+                {"type": "a1-search", "theta": "a", "members": ["a", "c"]},
                 "family members must share one value-space cardinality, got [2, 3]",
                 id="a1-search-members-of-two-value-counts",
             ),
             pytest.param(
-                "a1-search\n    theta: a",
+                {"type": "a1-search", "theta": "a"},
                 "family members must share one value-space cardinality, got [2, 3]",
                 id="a1-search-default-members-of-two-value-counts",
             ),
@@ -2246,8 +2058,8 @@ class TestCli:
         calls = []
         monkeypatch.setattr("finivar.scenario.classify_thoughts", lambda *a: calls.append(a))
         monkeypatch.setattr("finivar.scenario.theorem_a1_search", lambda *a, **k: calls.append(a))
-        target = tmp_path / "members.yaml"
-        target.write_text(MEMBERS_Z4.format(check=check), encoding="utf-8")
+        target = tmp_path / "members.json"
+        target.write_text(members_z4(check), encoding="utf-8")
         result = self.runner.invoke(main, ["run", str(target)])
         assert result.exit_code == 2, result.output
         assert f"Error: checks[1].members: {message}" in result.output
@@ -2277,32 +2089,41 @@ class TestCli:
                 id="element-twice",
             ),
             pytest.param(
-                MINIMAL + "\nbase_state: [1, 0]\n",
+                minimal(base_state=[1, 0]),
                 "base_state",
                 id="base-state-without-representation",
             ),
             pytest.param(
-                CYCLE4.format(checks=THEOREM1) + "\nbase_state: [1, 0, 0]\n",
+                cycle4(THEOREM1, base_state=[1, 0, 0]),
                 "base_state",
                 id="base-state-length",
             ),
             pytest.param(
-                CYCLE4.format(checks=THEOREM1) + "\nbase_state: [0, 0, 0, 0]\n",
+                cycle4(THEOREM1, base_state=[0, 0, 0, 0]),
                 "base_state",
                 id="base-state-zero",
             ),
             pytest.param(
-                MINIMAL.replace("type: permissibility", "type: theorem1-hypotheses")
-                + "\nrepresentation: {kind: qubit}\nbase_state: [1.0e+308, 1.0e+308]\n",
+                minimal(
+                    checks=[{**WHICH, "type": "theorem1-hypotheses"}],
+                    representation={"kind": "qubit"},
+                    base_state=[1.0e308, 1.0e308],
+                ),
                 "base_state",
                 id="base-state-norm-overflow",
             ),
             pytest.param(
-                MINIMAL.replace("type: permissibility", "type: theorem1-hypotheses")
-                + "\nrepresentation:\n  kind: explicit\n  matrices:\n"
-                "    - {element: [0, 1], matrix: [[1, 0], [0, 1]]}\n"
-                "    - {element: [1, 0], matrix: [[0, 0], [0, 0]]}\n"
-                "base_state: [1, 0]\n",
+                minimal(
+                    checks=[{**WHICH, "type": "theorem1-hypotheses"}],
+                    representation={
+                        "kind": "explicit",
+                        "matrices": [
+                            {"element": [0, 1], "matrix": [[1, 0], [0, 1]]},
+                            {"element": [1, 0], "matrix": [[0, 0], [0, 0]]},
+                        ],
+                    },
+                    base_state=[1, 0],
+                ),
                 "representation.matrices[1].matrix",
                 id="coherent-state-zero",
             ),
@@ -2323,14 +2144,14 @@ class TestCli:
         ]
         + [
             pytest.param(
-                CYCLE4.format(checks=THEOREM1) + f"\nbase_state: {state}\n",
+                cycle4(THEOREM1, base_state=state),
                 "base_state[0]",
                 id=f"base-state-{name}",
             )
             for name, state in (
-                ("bool", "[true, false, false, false]"),
-                ("nan", "[.nan, 0, 0, 0]"),
-                ("pair-inf", "[[1, .inf], 0, 0, 0]"),
+                ("bool", [True, False, False, False]),
+                ("nan", [math.nan, 0, 0, 0]),
+                ("pair-inf", [[1, math.inf], 0, 0, 0]),
             )
         ]
         + [
@@ -2340,7 +2161,7 @@ class TestCli:
                 id="matrix-entry-bool",
             ),
             pytest.param(
-                explicit_cycle4(Z4).replace("matrix: [[1, ", "matrix: [[.nan, ", 1),
+                explicit_cycle4(Z4).replace('"matrix": [[1, ', '"matrix": [[NaN, ', 1),
                 "representation.matrices[0].matrix[0][0]",
                 id="matrix-entry-nan",
             ),
@@ -2348,7 +2169,7 @@ class TestCli:
         + refusal_cases(expected=False, case=pytest.param),
     )
     def test_malformed_representation_exits_two(self, tmp_path, text, field):
-        target = tmp_path / "bad.yaml"
+        target = tmp_path / "bad.json"
         target.write_text(text, encoding="utf-8")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -2365,7 +2186,7 @@ class TestCli:
         assert str(refused.value) == message
 
     def test_a_group_past_the_closure_cap_exits_two(self, tmp_path):
-        target = tmp_path / "shift.yaml"
+        target = tmp_path / "shift.json"
         target.write_text(shift_text(20_000), encoding="utf-8")
         result = self.runner.invoke(main, ["run", str(target)])
         assert result.exit_code == 2, result.output
@@ -2374,7 +2195,7 @@ class TestCli:
     @pytest.mark.parametrize("name", FOREIGN_GROUPS)
     def test_a_kind_on_a_declared_group_with_other_elements_exits_two(self, tmp_path, name):
         text, element = FOREIGN_GROUPS[name]
-        target = tmp_path / "foreign.yaml"
+        target = tmp_path / "foreign.json"
         target.write_text(text, encoding="utf-8")
         result = self.runner.invoke(main, ["run", str(target)])
         assert result.exit_code == 2, result.output
@@ -2387,16 +2208,16 @@ class TestCli:
         calls = []
         monkeypatch.setattr("finivar.scenario.exhaustive_falsifier", lambda *a: calls.append(a))
         monkeypatch.setattr("finivar.representations.build_operator", lambda *a: calls.append(a))
-        target = tmp_path / "late.yaml"
-        checks = f"{CHECKS['a2-falsify']}\n    max-n: 6\n{EQ1}\n    index: true"
-        target.write_text(CYCLE4.format(checks=checks), encoding="utf-8")
+        target = tmp_path / "late.json"
+        text = cycle4({**CHECKS["a2-falsify"], "max-n": 6}, {**EQ1, "index": True})
+        target.write_text(text, encoding="utf-8")
         result = self.runner.invoke(main, ["run", str(target)])
         assert result.exit_code == 2, result.output
         assert "Error: checks[1].index: expected an integer" in result.output
         assert calls == []
 
     @pytest.mark.parametrize(
-        "check", [THEOREM2, EQ1, THEOREM1, f"{THEOREM1}\n    eta: position"],
+        "check", [THEOREM2, EQ1, THEOREM1, {**THEOREM1, "eta": "position"}],
         ids=["theorem2", "eq1", "theorem1", "theorem1-eta-without-product"],
     )
     def test_operator_check_without_a_representation_exits_two_when_loading(
@@ -2404,9 +2225,8 @@ class TestCli:
     ):
         calls = []
         monkeypatch.setattr("finivar.scenario.exhaustive_falsifier", lambda *a: calls.append(a))
-        target = tmp_path / "bare.yaml"
-        text = CYCLE4.format(checks=f"{CHECKS['a2-falsify']}\n    max-n: 6\n{check}")
-        bare = text.replace("representation:\n  kind: cyclic-dft\n  n: 4\n", "")
+        target = tmp_path / "bare.json"
+        bare = without(cycle4({**CHECKS["a2-falsify"], "max-n": 6}, check), "representation")
         target.write_text(bare, encoding="utf-8")
         result = self.runner.invoke(main, ["run", str(target)])
         assert result.exit_code == 2, result.output
@@ -2469,10 +2289,8 @@ class TestCli:
         assert json.loads(result.output)["flags"]["max_n_override"] == int(value)
 
     def test_base_point_in_range_runs(self, tmp_path):
-        target = tmp_path / "good.yaml"
-        target.write_text(
-            CYCLE4.format(checks=f"{THEOREM2}\n    base_point: 3\n"), encoding="utf-8"
-        )
+        target = tmp_path / "good.json"
+        target.write_text(cycle4({**THEOREM2, "base_point": 3}), encoding="utf-8")
         result = self.runner.invoke(main, ["run", str(target)])
         assert result.exit_code == 0, result.output
 
@@ -2488,21 +2306,21 @@ class TestCli:
         assert "'--tolerance-scale': must be positive and finite" in result.output
 
     def test_tolerance_overflowing_after_scaling_exits_two(self, tmp_path):
-        target = tmp_path / "huge.yaml"
-        target.write_text(MINIMAL + "\ntolerances:\n  hermitian: 1.0e+300\n", encoding="utf-8")
+        target = tmp_path / "huge.json"
+        target.write_text(minimal(tolerances={"hermitian": 1.0e300}), encoding="utf-8")
         result = self.runner.invoke(main, ["run", str(target), "--tolerance-scale", "1e10"])
         assert result.exit_code == 2, result.output
         assert "Error: tolerances.hermitian: overflows to inf" in result.output
 
     @pytest.mark.parametrize(
         "tolerances, scale, key",
-        [("{}", "1e-320", "hermitian"), ("{commutant: 1.0e-300}", "1e-30", "commutant")],
+        [({}, "1e-320", "hermitian"), ({"commutant": 1.0e-300}, "1e-30", "commutant")],
         ids=["every-default", "one-override"],
     )
     def test_tolerance_underflowing_after_scaling_exits_two(self, tmp_path, tolerances, scale, key):
         """A tolerance of 0.0 no check could meet; the first such key is named."""
-        target = tmp_path / "tiny.yaml"
-        target.write_text(MINIMAL + f"\ntolerances: {tolerances}\n", encoding="utf-8")
+        target = tmp_path / "tiny.json"
+        target.write_text(minimal(tolerances=tolerances), encoding="utf-8")
         result = self.runner.invoke(main, ["run", str(target), "--tolerance-scale", scale])
         assert result.exit_code == 2, result.output
         assert f"Error: tolerances.{key}: underflows to 0.0 after scaling" in result.output
@@ -2513,7 +2331,7 @@ class TestCli:
         def refuse(constant):
             raise ValueError(f"not JSON: {constant}")
 
-        target = tmp_path / "one-point.yaml"
+        target = tmp_path / "one-point.json"
         target.write_text(ONE_POINT, encoding="utf-8")
         result = self.runner.invoke(main, ["run", str(target), "--report", "-"])
         assert result.exit_code == 0, result.output
@@ -2525,9 +2343,9 @@ class TestCli:
         scaled = self.runner.invoke(main, ["run", "cyclic-4", "--tolerance-scale", "1e8"])
         assert scaled.exit_code == 2
         assert "tolerances.injectivity_overlap" in scaled.output
-        target = tmp_path / "grouping.yaml"
+        target = tmp_path / "grouping.json"
         target.write_text(
-            builtin_yaml("cyclic-4", tolerances={"orthogonal_grouping": 1.5}), encoding="utf-8"
+            scenario_text(builtin_data("cyclic-4"), tolerances={"orthogonal_grouping": 1.5}), encoding="utf-8"
         )
         override = self.runner.invoke(main, ["run", str(target)])
         assert override.exit_code == 2
@@ -2554,7 +2372,7 @@ class TestCli:
         assert options == ["--report", "--tolerance-scale", "--max-n", "--help"]
 
     def test_partitions_past_six_points_are_counted(self, tmp_path):
-        target = tmp_path / "octagon.yaml"
+        target = tmp_path / "octagon.json"
         target.write_text(OCTAGON_A1_SEARCH, encoding="utf-8")
         result = self.runner.invoke(main, ["run", str(target), "--report", "-"])
         assert result.exit_code == 0, result.output
@@ -2575,15 +2393,18 @@ class TestCli:
             "rotation-sign-probe: Exploratory probe, never gating: the sign of the first coordinate at eight",
         ]
 
-    def test_emit_round_trips(self, tmp_path):
-        emitted = self.runner.invoke(main, ["emit", "singlet"])
+    @pytest.mark.parametrize("name", builtin_mod.builtin_names())
+    def test_emit_round_trips(self, tmp_path, name):
+        emitted = self.runner.invoke(main, ["emit", name])
         assert emitted.exit_code == 0
-        assert emitted.output == builtin_mod.builtin_text("singlet")
-        target = tmp_path / "singlet.yaml"
-        to_file = self.runner.invoke(main, ["emit", "singlet", "--output", str(target)])
+        assert emitted.output == builtin_mod.builtin_text(name)
+        target = tmp_path / f"{name}.json"
+        to_file = self.runner.invoke(main, ["emit", name, "--output", str(target)])
         assert to_file.exit_code == 0
-        rerun = self.runner.invoke(main, ["run", str(target)])
-        assert rerun.exit_code == 0
+        rerun = self.runner.invoke(main, ["run", str(target), "--report", "-"])
+        by_name = self.runner.invoke(main, ["run", name, "--report", "-"])
+        assert (rerun.exit_code, rerun.output) == (by_name.exit_code, by_name.output)
+        assert by_name.exit_code == 0 and by_name.output.startswith("{")
 
     def test_emit_to_dash_prints_the_scenario_and_writes_no_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
