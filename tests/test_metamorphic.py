@@ -281,3 +281,34 @@ class TestRenamedValueLabels:
         flags = RunFlags(tolerance_scale=scale)
         old = run_scenario(loads(text), flags).to_json()
         assert run_scenario(scenario, flags).to_json() == old
+
+
+def respelt(text: str) -> str:
+    """The scenario ``text`` written again: another comment header, CRLF line
+    breaks, tabs, spaced separators, ASCII escapes, and every object's keys
+    in reverse order."""
+
+    def reversed_keys(value):
+        if isinstance(value, dict):
+            return {key: reversed_keys(value[key]) for key in reversed(value)}
+        if isinstance(value, list):
+            return [reversed_keys(item) for item in value]
+        return value
+
+    body = json.dumps(reversed_keys(scenario_data(text)), indent="\t", separators=(" ,", " : "))
+    return ("# written again\n#\n" + body).replace("\n", "\r\n")
+
+
+class TestJsonSpelling:
+    """The fourth relation: the loader reads data, not text, so writing a
+    scenario's JSON again, its header, whitespace, escapes and key order
+    changed, changes no byte of its report."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6])
+    @pytest.mark.parametrize("name", INPUTS)
+    def test_the_other_spelling_keeps_the_report_bytes(self, name, scale):
+        text = INPUTS[name]
+        other = respelt(text)
+        assert other != text and scenario_data(other) == scenario_data(text)
+        flags = RunFlags(tolerance_scale=scale)
+        assert run_scenario(loads(other), flags).to_json() == run_scenario(loads(text), flags).to_json()

@@ -43,7 +43,7 @@ from finivar.representations import cyclic_dft_rep, qubit_rep
 from finivar.runner import run_scenario
 from finivar.scenario import CHECK_TYPES, ScenarioError, load_path, loads
 
-from test_runner import builtin_data
+from test_runner import builtin_data, cycle24_text, explicit_cases
 
 MINIMAL_DATA = {
     "name": "tiny",
@@ -541,19 +541,15 @@ class TestLoads:
 
 
 # The scenario the named cases below start from: CYCLE4 and theorem1, in JSON.
-CYCLE4_JSON = json.dumps(
-    {
-        "name": "cycle-4",
-        "space": {"id": "cycle-4", "labels": ["0", "1", "2", "3"]},
-        "variables": [
-            {"name": "position", "values": ["0", "1", "2", "3"], "assignment": [0, 1, 2, 3]}
-        ],
-        "group": {"generators": [[1, 2, 3, 0]]},
-        "representation": {"kind": "cyclic-dft", "n": 4},
-        "checks": [{"type": "theorem1-hypotheses", "variable": "position"}],
-    },
-    indent=1,
-)
+CYCLE4_THEOREM1 = {
+    "name": "cycle-4",
+    "space": {"id": "cycle-4", "labels": ["0", "1", "2", "3"]},
+    "variables": [{"name": "position", "values": ["0", "1", "2", "3"], "assignment": [0, 1, 2, 3]}],
+    "group": {"generators": [[1, 2, 3, 0]]},
+    "representation": {"kind": "cyclic-dft", "n": 4},
+    "checks": [{"type": "theorem1-hypotheses", "variable": "position"}],
+}
+CYCLE4_JSON = json.dumps(CYCLE4_THEOREM1, indent=1)
 WITH_TOLERANCE = CYCLE4_JSON.replace('\n "checks"', '\n "tolerances": {"hermitian": VALUE},\n "checks"')
 # variables as 100,000 nested lists: json's scanner recurses past its limit.
 DEEP_JSON = CYCLE4_JSON.replace('"variables": [', '"variables": [' + "[" * 99_999 + "]" * 99_999 + ", ", 1)
@@ -704,6 +700,24 @@ class TestScenarioText:
                 "{path}: the string at line 5, column 9 holds an unpaired surrogate",
                 id="unpaired-surrogate",
             ),
+            pytest.param(
+                CYCLE4_JSON.replace('"id": "cycle-4"', '"id": "cycle-\\udc00"'),
+                2,
+                "{path}: the string at line 4, column 9 holds an unpaired surrogate",
+                id="low-surrogate-alone",
+            ),
+            pytest.param(
+                CYCLE4_JSON.replace('"id": "cycle-4"', '"id": "cycle-\\ude00\\ud83d"'),
+                2,
+                "{path}: the string at line 4, column 9 holds an unpaired surrogate",
+                id="surrogates-in-reverse-order",
+            ),
+            pytest.param(
+                CYCLE4_JSON.replace('"labels"', '"labels\\udfff"'),
+                2,
+                "{path}: the string at line 5, column 3 holds an unpaired surrogate",
+                id="unpaired-surrogate-in-a-key",
+            ),
         ],
     )
     def test_a_text_is_read_as_json_or_exits_two(self, tmp_path, text, exit_code, message):
@@ -715,6 +729,44 @@ class TestScenarioText:
             assert result.output == run_scenario(loads(CYCLE4_JSON)).to_json()
         else:
             assert f"Error: {message.replace('{path}', str(target))}" in result.output
+
+    @pytest.mark.parametrize(
+        "text, data",
+        [
+            pytest.param("1.5e-05", 1.5e-05, id="float"),
+            pytest.param("[1.0E+3, -0.0, 10.25]", [1000.0, -0.0, 10.25], id="spellings"),
+            pytest.param("[1e-9, 2E5, 1e+0]", [1e-09, 200000.0, 1.0], id="exponent-without-a-dot"),
+            pytest.param("[NaN, Infinity, -Infinity]", [math.nan, math.inf, -math.inf], id="nan-and-infinity"),
+            pytest.param(
+                '{"a": 1, "b": [true, false, null, "x: y # z"]}',
+                {"a": 1, "b": [True, False, None, "x: y # z"]},
+                id="mapping",
+            ),
+            pytest.param(
+                "\r\n".join(["{", ' "' + "k" * 1022 + '": 1', "}"]), {"k" * 1022: 1}, id="key-of-1022-characters"
+            ),
+            pytest.param('{"' + "t" * 1025 + '": [1]}', {"t" * 1025: [1]}, id="key-of-1025-characters"),
+            pytest.param(  # a pair of surrogates is one character; an escaped backslash is no escape
+                '["\\ud83d\\ude00", "\\\\ud83d", "\\u00e9"]', ["\U0001f600", "\\ud83d", "\u00e9"], id="escapes"
+            ),
+            pytest.param("# a header\n" + CYCLE4_JSON, CYCLE4_THEOREM1, id="comment-header"),
+            pytest.param(
+                '#\r\n# "' + "k" * 1030 + '": 1\r' + CYCLE4_JSON, CYCLE4_THEOREM1, id="empty-and-key-like-comments"
+            ),
+            pytest.param("###\n" + CYCLE4_JSON.replace("\n", "\r\n"), CYCLE4_THEOREM1, id="comment-header-crlf"),
+        ],
+    )
+    def test_a_json_text_reads_as_its_data(self, text, data):
+        assert repr(scenario_mod._parse(text, "<scenario>")) == repr(data)  # 1, 1.0 and True differ
+
+    def test_every_operators_explicit_and_built_in_text_loads(self):
+        texts = [case.text for case in perfbench_workloads().generate("operators", 1)]
+        texts += [*explicit_cases().values(), CYCLE4_JSON, cycle24_text()]
+        texts += [builtin_mod.builtin_text(name) for name in builtin_mod.builtin_names()]
+        assert len(texts) == 19
+        for text in texts:
+            data = json.loads(re.sub(r"\A(?:#.*\n)*", "", text))
+            assert loads(text).name == data["name"]
 
     def test_a_yaml_text_exits_two_saying_what_a_scenario_file_is(self, tmp_path):
         target = tmp_path / "a2-smoke.yaml"
@@ -1060,6 +1112,10 @@ class TestUsageContract:
 
 # A scenario whose checks nest LEVELS lists.
 DEEP_JSON_CHECKS = '{{"name": "x", "space": {{"id": "a", "labels": ["0"]}}, "checks": {open}{close}}}\n'
+# A scenario whose check's name nests 80,000 objects.
+DEEP_OBJECTS = DEEP_JSON_CHECKS.format(
+    open='[{"type": "theorem2", "name": ' + '{"k": ' * 80_000 + "1", close="}" * 80_000 + "}]"
+)
 
 
 class TestDeepNesting:
@@ -1067,19 +1123,32 @@ class TestDeepNesting:
     reads whose schema it breaks."""
 
     @pytest.mark.parametrize(
-        "levels, message",
+        "text, message",
         [
-            (300, "checks[0]: expected a mapping, got list"),
-            (80_000, "{target}: arrays and objects nest too deep to read"),
+            (DEEP_JSON_CHECKS.format(open="[" * 300, close="]" * 300), "checks[0]: expected a mapping, got list"),
+            (
+                DEEP_JSON_CHECKS.format(open="[" * 80_000, close="]" * 80_000),
+                "{target}: arrays and objects nest too deep to read",
+            ),
+            (DEEP_OBJECTS, "{target}: arrays and objects nest too deep to read"),
+            ("[" * 300 + "]" * 300, "{target}: expected a mapping, got list"),
         ],
-        ids=["300", "80000"],
+        ids=["300", "80000", "objects-80000", "document-300"],
     )
-    def test_a_deep_text_exits_two(self, tmp_path, levels, message):
+    def test_a_deep_text_exits_two(self, tmp_path, text, message):
         target = tmp_path / "deep.json"
-        target.write_text(DEEP_JSON_CHECKS.format(open="[" * levels, close="]" * levels), encoding="utf-8")
+        target.write_text(text, encoding="utf-8")
         proc = fresh_python(CLI_IN_FRESH_PROCESS.format(args=["run", str(target)]))
         assert proc.returncode == 2, proc.stderr[-500:]
         assert proc.stderr == RUN_USAGE + f"Error: {message.format(target=target)}\n"
+
+    def test_brackets_in_strings_and_comments_do_not_count(self):
+        brackets = "[{" * 3000
+        data = {**MINIMAL_DATA, "name": "t" + brackets}
+        data["checks"] = [{**WHICH, "name": brackets}, {**WHICH, "name": brackets + "]}"}]
+        scenario = loads(f"# {brackets}\n#{brackets}\n" + scenario_text(data))
+        assert scenario.name == "t" + brackets
+        assert [check.params["name"] for check in scenario.checks] == [brackets, brackets + "]}"]
 
 
 # Calls main in one of its three forms, then prints how it ended.
@@ -1366,6 +1435,16 @@ class TestCommandLineEntry:
         imported = third_party_imports(tests) - local
         assert imported <= declared_dependencies("dependencies", "test")
         assert {"numpy", "pytest", "hypothesis"} <= imported
+
+    @pytest.mark.parametrize(
+        "args", [["run", name, "--report", "-"] for name in builtin_mod.builtin_names()] + [["selftest"]], ids=str
+    )
+    def test_a_command_runs_where_yaml_cannot_be_imported(self, args):
+        """numpy is the only runtime dependency: with PyYAML installed but
+        unimportable, each command prints what it prints in process."""
+        proc = fresh_python('import sys\nsys.modules["yaml"] = None\n' + CLI_IN_FRESH_PROCESS.format(args=args))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == CliRunner().invoke(main, args).stdout
 
 
 def third_party_imports(directory: Path) -> set[str]:
@@ -1746,6 +1825,12 @@ class TestCli:
                 "expect",
                 id="inside-checks[0]",
             ),
+            pytest.param(
+                # json would keep the qubit, and the file would run another representation.
+                cycle4(PERMISSIBILITY).replace('"kind": "cyclic-dft"', '"kind": "cyclic-dft", "kind": "qubit"'),
+                "kind",
+                id="inside-representation",
+            ),
         ],
     )
     def test_a_repeated_key_exits_two_naming_it(self, tmp_path, text, key):
@@ -1760,8 +1845,10 @@ class TestCli:
         [
             ('# a header\n{"name": "x",\n "space": {"id": "a"\n  "labels": ["0"]}}\n', "line 4, column 3"),
             ('{"name": "x",\n "space": \x01}\n', "line 2, column 11"),  # a character json does not allow
+            ("", "line 1, column 1"),
+            ("# a header\n#\n", "line 3, column 1"),  # no document after the header
         ],
-        ids=["unclosed-mapping", "control-character"],
+        ids=["unclosed-mapping", "control-character", "empty", "header-only"],
     )
     def test_parse_error_names_line_and_column(self, tmp_path, text, where):
         target = tmp_path / "broken.json"
@@ -1772,19 +1859,21 @@ class TestCli:
         assert result.output.count("line ") == 1
 
     @pytest.mark.parametrize("header", ["", "# a header\n#\n"], ids=["bare", "header"])
-    @pytest.mark.parametrize("field", ["variable", "assignment"])
+    @pytest.mark.parametrize("field", ["variable", "assignment", "negative-generator"])
     def test_an_integer_past_the_digit_limit_exits_two_naming_its_place(self, tmp_path, header, field):
         """Python's ``int`` refuses a decimal literal of more than 4,300 digits;
-        the load names the literal's line and column, past a longer string of
-        digits and a float whose digits int never reads."""
+        the load names the literal's line and column, its sign included, past
+        a longer string of digits and a float whose digits int never reads."""
         data = {"tolerances": {"unitary": "FLOAT"}, **CYCLE4, "name": LONG_INTEGER, "checks": [PERMISSIBILITY]}
         if field == "variable":
             data["checks"] = [{**PERMISSIBILITY, "variable": "LONG"}]
-        else:
+        elif field == "assignment":
             data["variables"] = [{**POSITION, "assignment": [0, 1, 2, "LONG"]}]
+        else:
+            data["group"] = {"generators": [[1, 2, 3, "LONG"]]}
         text = header + json.dumps(data, indent=1).replace('"FLOAT"', f"0.{LONG_INTEGER}e-{LONG_INTEGER}")
         at = text.index('"LONG"')
-        text = text.replace('"LONG"', LONG_INTEGER)
+        text = text.replace('"LONG"', ("-" if field.startswith("negative") else "") + LONG_INTEGER)
         line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
         target = tmp_path / "long.json"
         target.write_text(text, encoding="utf-8")
