@@ -1,13 +1,14 @@
 """Record classes that generate no code at import.
 
 A ``@dataclass`` writes the source of each method it adds and ``exec``s it,
-about half a millisecond a class, paid at every start-up.  These bases give a
-``__slots__`` class the same methods, written once: a class lists its fields
-in ``_fields`` (in order), and ``Record.__init__`` takes them by position or by
-name, as a dataclass's ``__init__`` does.  A record writes an ``__init__`` of
-its own only to validate, normalise or default a field, and passes the values
-on to ``Record.__init__``.  Result records that validate nothing are
-``typing.NamedTuple``s instead.
+and a typed named tuple ``eval``s its ``__new__`` and compiles each string
+annotation, paid at every start-up.  These bases give a ``__slots__`` class the
+same methods, written once.  A record's fields are its annotated names, in
+order: the metaclass reads them off the class body into ``_fields`` and
+``__slots__``, evaluating no annotation.  ``Record.__init__`` takes the fields
+by position or by name, as a dataclass's ``__init__`` does.  A record writes an
+``__init__`` of its own only to validate, normalise or default a field, and
+passes the values on to ``Record.__init__``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,18 @@ from __future__ import annotations
 from typing import Any
 
 
-class Record:
+class _Fields(type):
+    """Sets ``_fields`` and ``__slots__`` to the names a class body annotates,
+    in order, when the body sets neither.  Only a metaclass runs before
+    ``type.__new__`` fixes the slots."""
+
+    def __new__(mcs, name: str, bases: tuple[type, ...], body: dict[str, Any], **kwargs: Any) -> type:
+        if "_fields" not in body and "__slots__" not in body:
+            body["_fields"] = body["__slots__"] = tuple(body.get("__annotations__", ()))
+        return super().__new__(mcs, name, bases, body, **kwargs)
+
+
+class Record(metaclass=_Fields):
     """A mutable record that shows and compares its fields as a dataclass
     does, and is unhashable.  A subclass declared with ``eq=False`` compares
     and hashes by identity instead."""

@@ -16,11 +16,12 @@ import gc
 import math
 import os
 import sys
-from typing import Callable, NamedTuple, NoReturn
+from typing import Callable, NoReturn
 
 # representations and spin load here although the library loads them on first
 # use: perfbench's tracer patches every module right after this import.
 from . import representations, spin  # noqa: F401
+from ._record import Frozen
 from .builtins import BUILTINS, builtin_text, load_builtin
 from .report import VerificationReport
 from .runner import RunFlags, run_scenario
@@ -148,22 +149,22 @@ def _selftest() -> int:
     return 0
 
 
-class _Option(NamedTuple):
+class _Option(Frozen):
     flag: str  # "--max-n" passes the keyword max_n
     metavar: str
     help: str
     read: Callable[[str], object]  # converts and checks the text; ValueError refuses it
-    default: object = None
+    default: object
 
     @property
     def dest(self) -> str:
         return self.flag[2:].replace("-", "_")
 
 
-class _Command(NamedTuple):
+class _Command(Frozen):
     run: Callable[..., int]  # returns the exit code; its docstring is the help
     argument: str | None  # the one positional argument, named as in the help
-    options: tuple[_Option, ...] = ()
+    options: tuple[_Option, ...]
 
 
 _REPORT_HELP = "Write the JSON report here ('-' prints it to stdout)."
@@ -177,14 +178,14 @@ COMMANDS = {
         _run,
         "SCENARIO",
         (
-            _Option("--report", "FILE", _REPORT_HELP, _output_path),
+            _Option("--report", "FILE", _REPORT_HELP, _output_path, None),
             _Option("--tolerance-scale", "FLOAT", _SCALE_HELP, _scale, 1.0),
-            _Option("--max-n", "INTEGER RANGE", _MAX_N_HELP, _point_bound),
+            _Option("--max-n", "INTEGER RANGE", _MAX_N_HELP, _point_bound, None),
         ),
     ),
-    "list": _Command(_list, None),
-    "emit": _Command(_emit, "NAME", (_Option("--output", "FILE", _OUTPUT_HELP, _output_path),)),
-    "selftest": _Command(_selftest, None),
+    "list": _Command(_list, None, ()),
+    "emit": _Command(_emit, "NAME", (_Option("--output", "FILE", _OUTPUT_HELP, _output_path, None),)),
+    "selftest": _Command(_selftest, None, ()),
 }
 _HELP_ROW = ("--help", "Show this message and exit.")
 

@@ -10,7 +10,7 @@ relatedness of two variables through a group element.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from ._record import Frozen
 from .spaces import (
@@ -58,7 +58,6 @@ class NotPermissibleError(ValueError):
 class Permutation(Frozen):
     """A bijection of {0..n-1}, stored as its image tuple."""
 
-    __slots__ = _fields = ("images",)
     images: tuple[int, ...]
 
     def __init__(self, images: Iterable[int]) -> None:
@@ -237,7 +236,7 @@ class GroupHomomorphism:
         )
 
 
-class PermissibilityWitness(NamedTuple):
+class PermissibilityWitness(Frozen):
     """A counterexample to well-definedness: theta(phi1)=theta(phi2) but k breaks it."""
 
     k: Permutation
@@ -245,7 +244,7 @@ class PermissibilityWitness(NamedTuple):
     phi2: int
 
 
-class PermissibilityResult(NamedTuple):
+class PermissibilityResult(Frozen):
     ok: bool
     witness: PermissibilityWitness | None
 

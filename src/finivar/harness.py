@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ._record import Frozen
 from .groups import (
@@ -100,7 +100,7 @@ class ThoughtScenario(Frozen):
         return self.family.generators
 
 
-class PairRelation(NamedTuple):
+class PairRelation(Frozen):
     left: str
     right: str
     witness: Permutation | None
@@ -111,7 +111,7 @@ class PairRelation(NamedTuple):
         return self.witness is not None
 
 
-class HypothesisReport(NamedTuple):
+class HypothesisReport(Frozen):
     """Do the structural hypotheses hold for a scenario?"""
 
     transitive: bool
@@ -129,7 +129,7 @@ class HypothesisReport(NamedTuple):
         return self.transitive and self.trivial_isotropy and self.all_permissible and exchange_ok
 
 
-class ClassificationResult(NamedTuple):
+class ClassificationResult(Frozen):
     classes: tuple[tuple[str, ...], ...]
     verdict: str
     relations: tuple[PairRelation, ...]
@@ -195,7 +195,7 @@ def classify_thoughts(scenario: ThoughtScenario) -> ClassificationResult:
     return ClassificationResult(classes, verdict, tuple(relations), hypotheses)
 
 
-class A1SearchResult(NamedTuple):
+class A1SearchResult(Frozen):
     status: str  # "pass" | "not-applicable"
     reason: str
     candidates_checked: int
@@ -309,7 +309,7 @@ def balanced_partitions(n: int, blocks: int) -> tuple[tuple[int, ...], ...]:
     return partitions_with_block_sizes(n, tuple([size] * blocks))
 
 
-class FalsifierReport(NamedTuple):
+class FalsifierReport(Frozen):
     max_n: int
     instances: int
     families: int

@@ -60,7 +60,6 @@ class EigenCluster(Frozen, eq=False):
     """Eigenvalues closer than the gap threshold: their mean and column indices.
     Its projector is ``vectors[:, indices] @ vectors[:, indices].conj().T``."""
 
-    __slots__ = _fields = ("value", "indices")
     value: float
     indices: tuple[int, ...]
 
@@ -72,7 +71,6 @@ class EigenCluster(Frozen, eq=False):
 class SpectralData(Frozen, eq=False):
     """Eigendecomposition under the fixed ordering and phase conventions."""
 
-    __slots__ = _fields = ("eigenvalues", "vectors", "clusters")
     eigenvalues: np.ndarray
     vectors: np.ndarray
     clusters: tuple[EigenCluster, ...]

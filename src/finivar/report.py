@@ -9,7 +9,7 @@ serialize as image arrays and complex numbers as [re, im] pairs.
 writer looked up by its exact type.  A handler gives plain values (numbers,
 strings, lists, tuples, dicts, permutations, complex numbers) under string
 keys, so any other type, as value or key, is refused: a numpy scalar, a
-subclass, a record (a NamedTuple one too) or an integer key.
+subclass, a record or an integer key.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ _ALL_STATUSES = (
 
 
 class CheckRecord(Record):
-    __slots__ = _fields = ("name", "type", "status", "details", "elapsed_ms")
     name: str
     type: str
     status: str
@@ -67,7 +66,6 @@ class CheckRecord(Record):
 
 
 class VerificationReport(Record):
-    __slots__ = _fields = ("scenario", "tolerances", "flags", "checks")
     scenario: str
     tolerances: dict[str, float]
     flags: dict[str, Any]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator
 from functools import cache
-from typing import NamedTuple
 
 from . import linalg
 from ._record import Frozen
@@ -124,7 +123,7 @@ class UnitaryRep:
         )
 
 
-class RepDiagnostics(NamedTuple):
+class RepDiagnostics(Frozen):
     unitary_residual: float
     identity_residual: float
     homomorphism_residual: float
@@ -310,7 +309,7 @@ def _pairs(family: CoherentFamily) -> Iterator[tuple[np.ndarray, ...]]:
         yield i, j, np.take(states, i, 0, a, "clip"), np.take(states, j, 0, b, "clip")
 
 
-class InjectivityResult(NamedTuple):
+class InjectivityResult(Frozen):
     ok: bool
     min_distance: float | None  # None when the group has fewer than two elements
     max_overlap: float
@@ -357,7 +356,6 @@ class OperatorBundle(Frozen, eq=False):
     """A variable's Hermitian operator, its spectral data, and its projector
     for each numeric value, in value-label order."""
 
-    __slots__ = _fields = ("operator", "spectral", "projectors")
     operator: np.ndarray
     spectral: linalg.SpectralData
     projectors: dict[float, np.ndarray]
@@ -458,7 +456,6 @@ def conjugation_check(
 
 
 class BasisExpansion(Frozen, eq=False):
-    __slots__ = _fields = ("amplitudes", "reconstruction_error", "weight_sum")
     amplitudes: tuple[complex, ...]
     reconstruction_error: float
     weight_sum: float
@@ -501,7 +498,7 @@ def expand_in_basis(
     return BasisExpansion(amplitudes, float(error), weight)
 
 
-class IrreducibilityDiagnostic(NamedTuple):
+class IrreducibilityDiagnostic(Frozen):
     """Commutant size of a representation; scalar commutant means irreducible.
 
     ``character_norm`` is <chi, chi>; when it misses an integer by more than

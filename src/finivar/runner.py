@@ -52,7 +52,6 @@ def resolve_tolerances(overrides: dict[str, float], scale: float) -> dict[str, f
 
 
 class RunFlags(Record):
-    __slots__ = _fields = ("tolerance_scale", "max_n")
     tolerance_scale: float
     max_n: int | None
 

@@ -17,10 +17,10 @@ import re
 import sys
 from collections import Counter
 from contextlib import contextmanager, suppress
-from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from . import linalg
-from ._record import Record
+from ._record import Frozen, Record
 from .groups import GroupTooLargeError, NotPermissibleError, Permutation, PermutationGroup
 from .groups import PermissibilityWitness, flag_trivial_exchange, is_permissible
 from .harness import ThoughtScenario, classify_thoughts
@@ -176,7 +176,7 @@ def _parse_matrix(value: Any, path: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-class CheckSpec(NamedTuple):
+class CheckSpec(Frozen):
     """A check's type and every parameter the type declares, typed as the
     scenario loads; a parameter the file leaves out holds its default."""
 
@@ -190,16 +190,6 @@ class CheckSpec(NamedTuple):
 
 
 class Scenario(Record):
-    __slots__ = _fields = (
-        "name",
-        "space",
-        "variables",
-        "group",
-        "coherent_family",
-        "checks",
-        "tolerance_overrides",
-        "informational",
-    )
     name: str
     space: PointSpace
     variables: dict[str, ConceptualVariable]

@@ -69,7 +69,6 @@ class PointSpace(Frozen):
     test consults it.
     """
 
-    __slots__ = _fields = ("id", "labels", "product")
     id: str
     labels: tuple[str, ...]
     product: tuple[tuple[int, int], ...] | None
@@ -115,7 +114,6 @@ class ConceptualVariable(Frozen):
     domain and the canonical partition, not names or labels.
     """
 
-    __slots__ = _fields = ("name", "domain", "values", "assignment")
     name: str
     domain: PointSpace
     values: tuple[str, ...]
@@ -198,7 +196,6 @@ class VariableFamily(Frozen):
     partition.
     """
 
-    __slots__ = _fields = ("generators", "inaccessible_total")
     generators: tuple[ConceptualVariable, ...]
     inaccessible_total: bool
 

@@ -38,7 +38,6 @@ def _pauli() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class SpinDirection(Frozen):
     """A unit vector selecting a spin component."""
 
-    __slots__ = _fields = ("x", "y", "z")
     x: float
     y: float
     z: float

@@ -48,8 +48,9 @@ from array import array
 from collections import Counter
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
+from ._record import Frozen
 from .groups import PermutationGroup
 
 __all__ = ["SubgroupClass", "subgroup_classes", "subgroup_conjugacy_classes", "MAX_EXACT_DEGREE"]
@@ -287,7 +288,7 @@ def _cyclic_extension(
     return sorted(found, key=lambda item: (len(item[0]), item[0]))
 
 
-class SubgroupClass(NamedTuple):
+class SubgroupClass(Frozen):
     """A conjugacy-class representative with a small generating set, and the
     number of subgroups in its class (the index of its normaliser)."""
 

@@ -146,7 +146,10 @@ def keywords(**given):
 def outcome(parse, words: list[str]) -> tuple:
     """What ``finivar WORDS`` does with ``parse`` as its parser and each command
     replaced by ``keywords``: the return value and the output, or the usage error."""
-    stubs = {name: command._replace(run=keywords) for name, command in cli_mod.COMMANDS.items()}
+    stubs = {
+        name: cli_mod._Command(run=keywords, argument=command.argument, options=command.options)
+        for name, command in cli_mod.COMMANDS.items()
+    }
     output = io.StringIO()
     with (
         mock.patch.object(cli_mod, "_parse", parse),

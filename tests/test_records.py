@@ -4,19 +4,24 @@ compares by value or by identity as it did."""
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import json
 import pickle
+import pkgutil
 from functools import cache
 
 import numpy as np
 import pytest
 
-from finivar import groups, harness, linalg, report, representations, runner, scenario, spaces, spin, subgroups
+import finivar
+from finivar import cli, groups, harness, linalg, report, representations, runner, scenario, spaces, spin, subgroups
+from finivar._record import Frozen, Record
 from finivar.builtins import load_builtin
 from finivar.report import CheckRecord, VerificationReport
 
 from conftest import cyclic_group, space_of, symmetric_group
+from test_scenario_cli import fresh_python
 
 
 @cache
@@ -75,7 +80,8 @@ IDENTITY = ["EigenCluster", "SpectralData", "OperatorBundle", "BasisExpansion"]
 
 
 def test_every_record_class_is_covered():
-    """Every class of the package with ``_fields``, a record or a NamedTuple, has an instance here."""
+    """Every class of the package with ``_fields``, each a ``Record``, has an instance here;
+    the command line's two records are the commands in ``cli.COMMANDS``."""
     modules = (groups, harness, linalg, report, representations, runner, scenario, spaces, spin, subgroups)
     declared = {
         obj
@@ -110,7 +116,7 @@ def test_a_mutable_record_takes_assignment_and_has_no_hash(name):
 
 @pytest.mark.parametrize("name", sorted(set(records()) - {"Permutation"}))
 def test_a_record_has_no_json_form(name):
-    """A NamedTuple record is a tuple, yet it is refused, not written as a list."""
+    """A record is refused, not written as a list of its fields."""
     record = records()[name]
     message = f"cannot serialize {type(record).__name__} deterministically"
     with pytest.raises(TypeError, match=message):
@@ -216,3 +222,98 @@ def test_results_are_false_when_not_ok():
     assert not groups.PermissibilityResult(False, None)
     assert groups.PermissibilityResult(True, None)
     assert not representations.InjectivityResult(False, 0.0, 1.0, None)
+
+
+def package_classes() -> set[type]:
+    """Every class that a module of the package defines."""
+    modules = [importlib.import_module(f"finivar.{m.name}") for m in pkgutil.iter_modules(finivar.__path__)]
+    return {
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == module.__name__
+    }
+
+
+def record_classes() -> list[type]:
+    return sorted(
+        (cls for cls in package_classes() if hasattr(cls, "_fields") and cls not in (Record, Frozen)),
+        key=lambda cls: cls.__qualname__,
+    )
+
+
+@pytest.mark.parametrize("cls", record_classes(), ids=lambda cls: cls.__qualname__)
+def test_a_records_fields_are_its_annotated_names_in_order(cls):
+    """The fields are written once, as annotations.  ``ThoughtScenario``
+    annotates its computed ``maximal`` slot after them, and ``_Context``,
+    which keeps a ``__dict__``, lists them in ``_fields`` as well."""
+    annotated = tuple(vars(cls)["__annotations__"])
+    if cls is harness.ThoughtScenario:
+        assert annotated == (*cls._fields, "maximal") == vars(cls)["__slots__"]
+    elif cls is runner._Context:
+        assert annotated == cls._fields and "__slots__" not in vars(cls)
+    else:
+        assert annotated == cls._fields == vars(cls)["__slots__"]
+
+
+def test_no_class_of_the_package_is_a_tuple():
+    classes = package_classes()
+    assert {cli._Option, cli._Command, subgroups.SubgroupClass} <= classes
+    assert [cls for cls in classes if issubclass(cls, tuple)] == []
+    assert len(record_classes()) == 29 and all(issubclass(cls, Record) for cls in record_classes())
+
+
+def test_only_the_context_has_a_dict():
+    commands = cli.COMMANDS.values()
+    instances = [*records().items(), *(("cli", record) for record in commands)]
+    instances += [("cli", option) for command in commands for option in command.options]
+    assert {type(record) for _, record in instances} == set(record_classes())
+    assert [name for name, record in instances if hasattr(record, "__dict__")] == ["_Context"]
+
+
+def test_a_class_body_sets_fields_and_slots_from_its_annotations_alone():
+    class Point(Frozen, eq=False):
+        x: int
+        y: NoSuchName  # noqa: F821 (never evaluated)
+
+    assert Point._fields == Point.__slots__ == ("x", "y")
+    assert repr(Point(1, y=2)).endswith(".Point(x=1, y=2)") and Point(1, 2) != Point(1, 2)
+
+    class Named(Record):
+        _fields = ("a",)
+        a: int
+        b: int
+
+    assert Named._fields == ("a",) and "__slots__" not in vars(Named)
+    with pytest.raises(ValueError, match="conflicts with class variable"):
+
+        class Defaulted(Record):  # a record takes no defaults: type refuses a class value named as a slot
+            a: int = 0
+
+
+def test_a_command_line_record_is_a_frozen_value():
+    command = cli.COMMANDS["emit"]
+    twin = cli._Command(command.run, command.argument, command.options)
+    assert twin == command and hash(twin) == hash(command)
+    assert twin != (command.run, command.argument, command.options)
+    assert command.options[0].dest == "output" and command.options[0].default is None
+    with pytest.raises(AttributeError):
+        command.run = None
+
+
+IMPORT_CLI_COUNTING_COMPILES = """
+import sys
+compiled = []
+sys.addaudithook(lambda event, args: event == "compile" and compiled.append(args[1]))
+import finivar.cli
+print(sum(name == "<string>" for name in compiled))
+"""
+
+
+def test_importing_the_cli_compiles_no_generated_source():
+    """No record class writes source at import: a typed named tuple ``eval``s
+    its ``__new__`` and compiles each string annotation to a ``ForwardRef``,
+    and a dataclass ``exec``s each method it adds."""
+    proc = fresh_python(IMPORT_CLI_COUNTING_COMPILES)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
